@@ -22,8 +22,7 @@ import numpy as np
 from . import ctm, program, robustness, scenarios, synthesis
 from .ctm import CostSpec
 from .network import load_scenario, save_scenario, validate
-from .solver import (Residuals, Solution, SolverError, solve,
-                     solve_max_outflow, verify_solution)
+from .solver import Residuals, Solution, SolverError, solve, verify_solution
 
 COST_KINDS = {"ttt": "TTT", "ttd": "TTD", "delay": "Delay", "quad": "QuadraticVolume"}
 MODELS = ("fifo", "fifo-priority", "nonfifo")
@@ -41,7 +40,10 @@ def _scenario(path: str):
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    sc = load_scenario(p)
+    try:
+        sc = load_scenario(p)
+    except (KeyError, TypeError, ValueError) as e:   # ValueError covers bad JSON
+        raise ConfigError(f"malformed scenario {path}: {e!r}") from e
     report = validate(sc.network, sc)
     if not report.ok:
         raise ConfigError(f"invalid scenario {path}:\n{report}")
@@ -74,7 +76,7 @@ def _write_manifest(outdir: Path, files: list) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _solve_program(sc, kind: str, cost: CostSpec, eps: float, max_outflow=False):
+def _solve_program(sc, kind: str, cost: CostSpec, eps: float):
     if not (0.0 <= eps < 1.0):
         raise ConfigError(f"epsilon must be in [0, 1), got {eps}")
     if kind == "fnc" and sc.routing is None:
@@ -85,7 +87,7 @@ def _solve_program(sc, kind: str, cost: CostSpec, eps: float, max_outflow=False)
         prog = program.build_fnc(sc, cost, eps)
     else:
         raise ConfigError(f"unknown kind {kind!r}; choose dta or fnc")
-    sol = solve_max_outflow(prog) if max_outflow else solve(prog)
+    sol = solve(prog)
     if sol.status != "optimal":
         raise SolverError(f"{kind} solve ended with status {sol.status}")
     return prog, sol

@@ -10,7 +10,7 @@ Junction rules, all evaluated on the controllable demands
 d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
 
   FIFO (proportional merge):
-      gamma_i = min(1, min over downstream k of s_k / sum_h R_hk d_bar_h)
+      gamma_i = min(1, min over k with R_ik > 0 of s_k / sum_h R_hk d_bar_h)
       z_i = gamma_i * d_bar_i,   f_ij = R_ij z_i
       (vacuous constraints count as 1; sinks discharge mu = d_bar)
 
@@ -162,6 +162,8 @@ def fifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
     for k, c in enumerate(network.cells):
         for j in network.downstream(c.id):
             jj = idx[j]
+            if R[k, jj] == 0.0:
+                continue    # i sends nothing to j, so j cannot throttle it
             tot = float(sum(R[idx[h], jj] * dbar[idx[h]] for h in network.upstream(j)))
             if tot > 1e-15 and np.isfinite(s[jj]):
                 gamma[k] = min(gamma[k], max(s[jj] / tot, 0.0))

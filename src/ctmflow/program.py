@@ -21,13 +21,17 @@ plus f, mu, x, y, z >= 0. The objective mirrors ctm.evaluate_cost exactly
 is a feasible point with identical cost.
 
 Each program also carries an affine reduction v_full = M v_red + v0 onto
-its free flow variables; the solver uses it internally and always maps
-solutions back to the full variable vector.
+its free flow variables, built on first use. The LP solve does not use it
+(HiGHS works on the sparse full-space rows); the QP solve and the
+brute-force oracle do, and always map their solutions back to the full
+variable vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,7 +64,7 @@ class ConvexProgram:
     eps: float
     scenario_hash: str
     cost_kind: str
-    reduction: Reduction | None = field(default=None, repr=False)
+    reduction_recipe: Callable[[], Reduction] = field(repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -72,6 +76,18 @@ class ConvexProgram:
 
     def objective_value(self, v: np.ndarray) -> float:
         return float(self.c @ v + v @ (self.q * v))
+
+    @cached_property
+    def reduction(self) -> Reduction:
+        """The affine reduction, built on first use: only the QP solve and the
+        oracle need it, and at T = 200 its M holds ~430k entries."""
+        red = self.reduction_recipe()
+        # the reduction must parametrize the equality manifold exactly
+        probe = red.M @ np.ones(red.M.shape[1]) + red.v0
+        if np.max(np.abs(self.A_eq @ probe - self.b_eq)) > 1e-8 or \
+           np.max(np.abs(self.A_eq @ red.v0 - self.b_eq)) > 1e-8:
+            raise AssertionError("reduction recipe does not satisfy the equality constraints")
+        return red
 
     def var(self, values: np.ndarray, *name) -> float:
         return float(values[self.var_index[tuple(name)]])
@@ -235,20 +251,13 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     c_vec, q_vec = _objective(cost, scenario, var_index, n_vars)
     nonneg = np.ones(n_vars, dtype=bool)
 
-    reduction = _reduction(scenario, kind, var_index, names, pairs)
-    prog = ConvexProgram(
+    return ConvexProgram(
         var_index=var_index, names=names,
         A_eq=A_eq, b_eq=np.array(eq_b), A_ub=A_ub, b_ub=np.array(ub_b),
         nonneg=nonneg, c=c_vec, q=q_vec, kind=kind, eps=eps,
         scenario_hash=scenario.content_hash(), cost_kind=cost.kind,
-        reduction=reduction,
+        reduction_recipe=partial(_reduction, scenario, kind, var_index, names, pairs),
     )
-    # the reduction must parametrize the equality manifold exactly
-    probe = reduction.M @ np.ones(reduction.M.shape[1]) + reduction.v0
-    if np.max(np.abs(A_eq @ probe - prog.b_eq)) > 1e-8 or \
-       np.max(np.abs(A_eq @ reduction.v0 - prog.b_eq)) > 1e-8:
-        raise AssertionError("reduction recipe does not satisfy the equality constraints")
-    return prog
 
 
 def _reduction(scenario: Scenario, kind: str, var_index: dict, names: list,
@@ -435,18 +444,3 @@ def export_lp(program: ConvexProgram, path) -> None:
             if not program.nonneg[k]:
                 fh.write(f" {_lp_name(name)} free\n")
         fh.write("End\n")
-
-
-def import_solution(program: ConvexProgram, path) -> np.ndarray:
-    """Read 'name value' lines (external-solver output) into a full vector."""
-    values = np.zeros(program.n_vars)
-    lookup = {_lp_name(name): k for k, name in enumerate(program.names)}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, value = line.split()
-            if name in lookup:
-                values[lookup[name]] = float(value)
-    return values

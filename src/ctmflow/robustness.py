@@ -352,10 +352,3 @@ def simulated_divergence(scenario: Scenario, perturbation: PerturbationSpec,
     diff = np.abs(pert.states - nom.states).sum(axis=1)
     dpsi = float((pert.states - nom.states).sum())
     return diff, dpsi, nom, pert
-
-
-def bound_to_csv(curve: BoundCurve, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,bound_veh,provenance\n")
-        for t, (v, tag) in enumerate(zip(curve.values, curve.provenance)):
-            fh.write(f"{t},{v:.12g},{tag}\n")

@@ -1,14 +1,15 @@
 """Embedded solvers for the relaxation programs.
 
-LPs go through a dense two-phase tableau simplex (Dantzig pricing,
-switching to Bland's rule after 1000 degenerate pivots); convex QPs go
+LPs go to HiGHS (scipy.optimize.linprog, method="highs") on the program's
+sparse full-space constraints, with a weak-duality check on its marginals
+and an auxiliary-LP Farkas certificate on infeasibility; convex QPs go
 through over-relaxed operator splitting (ADMM with a fixed step scaled by
 the constraint-matrix norm) with an exact active-set polish. A vertex
 enumeration / refined grid search oracle covers tiny instances.
 
-All solves run on the program's affine reduction (the equality constraints
-are eliminated through v_full = M v + v0), but every returned Solution is
-reconstructed to the full variable vector and re-verified against the
+The QP and the oracle run on the program's affine reduction (the equality
+constraints are eliminated through v_full = M v + v0). Every returned
+Solution holds the full variable vector and is re-verified against the
 program's own constraint list.
 """
 
@@ -24,10 +25,8 @@ import scipy.sparse as sp
 
 from .program import ConvexProgram
 
-SIMPLEX_TOL = 1e-9
 LP_RESIDUAL_TOL = 1e-8
 QP_RESIDUAL_TOL = 1e-6
-BLAND_AFTER = 1000
 ADMM_MAX_ITER = 200_000
 
 
@@ -66,8 +65,6 @@ def _reduced(program: ConvexProgram):
     Rows of G are scaled to unit infinity norm.
     """
     red = program.reduction
-    if red is None:
-        raise SolverError("program carries no reduction recipe")
     M = red.M.tocsr()
     v0 = red.v0
     G_top = (program.A_ub @ M).toarray()
@@ -132,158 +129,66 @@ def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase simplex: min c'v  s.t.  G v <= h,  v >= 0
+# sparse full-space LP through HiGHS: min c'v  s.t.  A_eq v = b_eq,
+# A_ub v <= b_ub,  v >= 0 on the nonneg mask
 
 
-def _simplex(G: np.ndarray, h: np.ndarray, c: np.ndarray,
-             max_iter: int = 200_000):
-    """Return (status, v, duals, iterations, certificate)."""
-    m, n = G.shape
-    flip = h < 0
-    A = G.copy()
-    b = h.copy()
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    n_art = int(flip.sum())
-    # columns: structural | slacks | artificials
-    N = n + m + n_art
-    tab = np.zeros((m, N + 1))
-    tab[:, :n] = A
-    slack_cols = np.arange(n, n + m)
-    tab[np.arange(m), slack_cols] = np.where(flip, -1.0, 1.0)
-    art_cols = {}
-    j = n + m
-    for r in np.where(flip)[0]:
-        tab[r, j] = 1.0
-        art_cols[r] = j
-        j += 1
-    tab[:, -1] = b
-    basis = np.where(flip, [art_cols.get(r, 0) for r in range(m)], slack_cols).astype(int)
+def _highs(c, A_ub, b_ub, A_eq, b_eq, nonneg):
+    # imported on first use: loading scipy.optimize takes ~0.1 s and ~18 MB,
+    # which runs that solve no LP (simulate, sweeps) should not pay
+    from scipy.optimize import linprog
+    bounds = np.column_stack([np.where(nonneg, 0.0, -np.inf), np.full(len(c), np.inf)])
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                   method="highs")
 
-    def run_phase(cost: np.ndarray, start_iter: int):
-        zrow = cost.copy().astype(float)
-        obj = 0.0
-        # price out current basis
-        for r in range(m):
-            if cost[basis[r]] != 0.0:
-                zrow = zrow - cost[basis[r]] * tab[r, :-1]
-                obj -= cost[basis[r]] * tab[r, -1]
-        it = start_iter
-        degenerate = 0
-        while it < max_iter:
-            use_bland = degenerate > BLAND_AFTER
-            if use_bland:
-                negs = np.where(zrow < -SIMPLEX_TOL)[0]
-                if negs.size == 0:
-                    return "optimal", zrow, -obj, it
-                enter = int(negs[0])
-            else:
-                enter = int(np.argmin(zrow))
-                if zrow[enter] >= -SIMPLEX_TOL:
-                    return "optimal", zrow, -obj, it
-            col = tab[:, enter]
-            pos = col > SIMPLEX_TOL
-            if not pos.any():
-                return "unbounded", zrow, -obj, it
-            ratios = np.full(m, np.inf)
-            ratios[pos] = tab[pos, -1] / col[pos]
-            rmin = ratios.min()
-            cand = np.where(ratios <= rmin + SIMPLEX_TOL)[0]
-            if use_bland:
-                leave = int(cand[np.argmin(basis[cand])])
-            else:
-                leave = int(cand[0])
-            if rmin <= SIMPLEX_TOL:
-                degenerate += 1
-            else:
-                degenerate = 0
-            piv = tab[leave, enter]
-            tab[leave] /= piv
-            coef = tab[:, enter].copy()
-            coef[leave] = 0.0
-            tab[:] -= np.outer(coef, tab[leave])
-            obj -= zrow[enter] * tab[leave, -1]
-            zrow = zrow - zrow[enter] * tab[leave, :-1]
-            basis[leave] = enter
-            it += 1
-        return "iteration-limit", zrow, -obj, it
 
-    iters = 0
-    if n_art:
-        cost1 = np.zeros(N)
-        for jcol in art_cols.values():
-            cost1[jcol] = 1.0
-        status, zrow1, phase1_obj, iters = run_phase(cost1, 0)
-        if status != "optimal":
-            return status, None, None, iters, None
-        if phase1_obj > 1e-7:
-            # Farkas-style certificate from the phase-1 duals
-            y = np.zeros(m)
-            for r in range(m):
-                sc = slack_cols[r]
-                y[r] = -zrow1[sc] * (-1.0 if flip[r] else 1.0)
-            return "infeasible", None, None, iters, y
-        # drive remaining artificials out of the basis
-        for r in range(m):
-            if basis[r] >= n + m:
-                row = tab[r, :n + m]
-                nz = np.where(np.abs(row) > SIMPLEX_TOL)[0]
-                if nz.size == 0:
-                    continue  # redundant row
-                enter = int(nz[0])
-                piv = tab[r, enter]
-                tab[r] /= piv
-                coef = tab[:, enter].copy()
-                coef[r] = 0.0
-                tab[:] -= np.outer(coef, tab[r])
-                basis[r] = enter
-    cost2 = np.zeros(N)
-    cost2[:n] = c
-    # forbid artificials in phase 2
-    for jcol in art_cols.values():
-        tab[:, jcol] = 0.0
-        cost2[jcol] = 0.0
-    status, zrow, _, iters = run_phase(cost2, iters)
-    if status != "optimal":
-        return status, None, None, iters, None
-    v = np.zeros(N)
-    v[basis] = tab[:, -1]
-    duals = np.empty(m)
-    for r in range(m):
-        duals[r] = -zrow[slack_cols[r]] * (-1.0 if flip[r] else 1.0)
-    return "optimal", v[:n], duals, iters, None
+def _farkas(program: ConvexProgram) -> np.ndarray | None:
+    """Infeasibility certificate y = (y_eq, y_ub) from an auxiliary LP.
+
+    y_ub >= 0, A'y >= 0 on nonneg columns (= 0 on free ones) and b'y = -1,
+    so any feasible v would give 0 <= (A'y)'v <= b'y = -1.
+    """
+    A_t = sp.vstack([program.A_eq, program.A_ub]).T.tocsr()
+    b = np.concatenate([program.b_eq, program.b_ub])
+    nn = program.nonneg
+    res = _highs(np.zeros(len(b)), -A_t[nn], np.zeros(int(nn.sum())),
+                 sp.vstack([A_t[~nn], sp.csr_matrix(b)]),
+                 np.append(np.zeros(int((~nn).sum())), -1.0),
+                 np.arange(len(b)) >= program.A_eq.shape[0])
+    return res.x if res.status == 0 else None
+
+
+def _unsolved(program: ConvexProgram, status: str, iters: int = 0,
+              certificate: np.ndarray | None = None) -> Solution:
+    return Solution(values=np.zeros(program.n_vars), objective=math.nan, status=status,
+                    residuals=Residuals(math.inf, math.inf, math.inf),
+                    iterations=iters, certificate=certificate)
 
 
 def _solve_lp(program: ConvexProgram) -> Solution:
-    G, h, g_lin, _, const = _reduced(program)
-    status, v_red, duals, iters, cert = _simplex(G, h, g_lin)
-    if status == "infeasible":
-        return Solution(values=np.zeros(program.n_vars), objective=math.nan,
-                        status="infeasible",
-                        residuals=Residuals(math.inf, math.inf, math.inf),
-                        iterations=iters, certificate=cert)
-    if status == "unbounded":
-        raise SolverError("LP is unbounded; relaxation programs should never be")
-    if status == "iteration-limit":
-        return Solution(values=np.zeros(program.n_vars), objective=math.nan,
-                        status="iteration-limit",
-                        residuals=Residuals(math.inf, math.inf, math.inf),
-                        iterations=iters)
-    values = _reconstruct(program, v_red)
+    res = _highs(program.c, program.A_ub, program.b_ub, program.A_eq, program.b_eq,
+                 program.nonneg)
+    if res.status == 1:
+        return _unsolved(program, "iteration-limit", res.nit)
+    if res.status == 2:
+        return _unsolved(program, "infeasible", res.nit, _farkas(program))
+    if res.status != 0:
+        raise SolverError(f"HiGHS ended with status {res.status}: {res.message}")
+    values = res.x + 0.0    # HiGHS returns -0.0 at some bounds; artifacts print "0"
     objective = program.objective_value(values)
-    # weak-duality check from the final basis: dual objective h'y + const
-    dual_obj = float(h @ duals) + const
+    # weak-duality check from the HiGHS marginals: dual objective b'y
+    y_ub = res.ineqlin.marginals
+    dual_obj = float(program.b_eq @ res.eqlin.marginals + program.b_ub @ y_ub)
     gap = abs(dual_obj - objective) / (1.0 + abs(objective))
     if gap > LP_RESIDUAL_TOL:
-        raise SolverError(f"simplex duality gap {gap} exceeds {LP_RESIDUAL_TOL}")
+        raise SolverError(f"HiGHS duality gap {gap} exceeds {LP_RESIDUAL_TOL}")
     primal = verify_solution(program, values)
-    slack = h - G @ v_red
-    comp = float(np.max(np.abs(duals * slack))) if len(h) else 0.0
-    dual_feas = float(np.max(np.maximum(duals, 0.0)))  # duals must be <= 0
+    comp = float(np.max(np.abs(y_ub * (program.b_ub - program.A_ub @ values)), initial=0.0))
+    dual_feas = float(np.max(y_ub, initial=0.0))  # duals must be <= 0
     status = "optimal" if primal <= LP_RESIDUAL_TOL else "iteration-limit"
     return Solution(values=values, objective=objective, status=status,
                     residuals=Residuals(primal, dual_feas, comp),
-                    iterations=iters)
+                    iterations=res.nit)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +231,15 @@ def _solve_qp(program: ConvexProgram, eps_abs: float = QP_RESIDUAL_TOL) -> Solut
     # fixed step scaled by the constraint/objective matrix norms
     rho = float(np.clip(0.1 * (np.linalg.norm(P, "fro") + 1.0)
                         / (np.linalg.norm(A, "fro") + 1.0), 1e-2, 1e2))
-    K = np.block([[P + sigma * np.eye(n), A.T],
-                  [A, -(1.0 / rho) * np.eye(m)]])
-    lu, piv = sla.lu_factor(K)
+    # KKT matrix [[P + sigma I, A'], [A, -I/rho]] filled in place: no
+    # temporaries next to the (n+m)^2 matrix, which LU overwrites
+    K = np.zeros((n + m, n + m))
+    K[:n, :n] = P
+    K[:n, n:] = A.T
+    K[n:, :n] = A
+    K[range(n), range(n)] += sigma
+    K[range(n, n + m), range(n, n + m)] = -1.0 / rho
+    lu, piv = sla.lu_factor(K, overwrite_a=True)
     v = np.zeros(n)
     z = np.zeros(m)
     y = np.zeros(m)
@@ -374,7 +285,7 @@ def _solve_qp(program: ConvexProgram, eps_abs: float = QP_RESIDUAL_TOL) -> Solut
 
 
 def solve(program: ConvexProgram) -> Solution:
-    """Solve the program: simplex for LPs, operator splitting for QPs."""
+    """Solve the program: HiGHS for LPs, operator splitting for QPs."""
     if program.is_quadratic:
         return _solve_qp(program)
     return _solve_lp(program)
@@ -397,24 +308,21 @@ def solve_max_outflow(program: ConvexProgram) -> Solution:
     for k, name in enumerate(program.names):
         if name[0] == "z":
             c2[k] = -(T - name[1])
-    red = program.reduction
-    G, h, g_lin, _, const = _reduced(program)
-    obj_red = base.objective - const
-    G2 = np.vstack([G, g_lin[None, :] / max(np.abs(g_lin).max(), 1e-30)])
-    h2 = np.concatenate([h, [(obj_red + 1e-9 * (1 + abs(base.objective)))
-                             / max(np.abs(g_lin).max(), 1e-30)]])
-    c2_red = np.asarray(red.M.T @ c2).ravel()
-    status, v_red, _, iters, _ = _simplex(G2, h2, c2_red)
-    if status != "optimal":
+    # the tie-break row sits exactly at the optimal cost: HiGHS spends any
+    # slack above it and returns a point outside LP_RESIDUAL_TOL
+    res = _highs(c2, sp.vstack([program.A_ub, sp.csr_matrix(program.c)]),
+                 np.append(program.b_ub, base.objective), program.A_eq, program.b_eq,
+                 program.nonneg)
+    if res.status != 0:
         return base
-    values = _reconstruct(program, v_red)
+    values = res.x + 0.0
     primal = verify_solution(program, values)
     objective = program.objective_value(values)
     if primal > LP_RESIDUAL_TOL or objective > base.objective + 1e-7 * (1 + abs(base.objective)):
         return base
     return Solution(values=values, objective=objective, status="optimal",
                     residuals=Residuals(primal, base.residuals.dual, base.residuals.complementarity),
-                    iterations=base.iterations + iters)
+                    iterations=base.iterations + res.nit)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +379,7 @@ def brute_force_oracle(program: ConvexProgram, grid_resolution: float = 1e-3) ->
                 best_obj = obj
                 best = v
         if best is None:
-            return Solution(values=np.zeros(program.n_vars), objective=math.nan,
-                            status="infeasible",
-                            residuals=Residuals(math.inf, math.inf, math.inf))
+            return _unsolved(program, "infeasible")
         values = _reconstruct(program, best)
         return Solution(values=values, objective=program.objective_value(values),
                         status="optimal",
@@ -504,9 +410,7 @@ def brute_force_oracle(program: ConvexProgram, grid_resolution: float = 1e-3) ->
 
     best, _ = stage(center, width, pts)
     if best is None:
-        return Solution(values=np.zeros(program.n_vars), objective=math.nan,
-                        status="infeasible",
-                        residuals=Residuals(math.inf, math.inf, math.inf))
+        return _unsolved(program, "infeasible")
     spacing = span / (pts - 1)
     for _ in range(2):
         cand, _ = stage(best, spacing, pts)

@@ -49,6 +49,21 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_non_json_scenario_config_error(self, tmp_path):
+        path = tmp_path / "junk.json"
+        path.write_text("this is not json")
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+
+    def test_scenario_missing_key_config_error(self, tmp_path):
+        path = tmp_path / "notau.json"
+        save_scenario(table_scenario(), path)
+        doc = json.loads(path.read_text())
+        del doc["tau"]
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+
     def test_bad_epsilon_config_error(self, tmp_path):
         rc = main(["solve", "--scenario", "bundled:table", "--epsilon", "1.5",
                    "--out", str(tmp_path / "out")])

@@ -53,6 +53,25 @@ class TestFifoRates:
         assert rates.f[("d", "p")] == pytest.approx(2.0)
         assert rates.f[("d", "q")] == pytest.approx(1.0)
 
+    def test_zero_ratio_successor_does_not_throttle(self):
+        # s routes everything to the empty cell a and nothing to the jammed
+        # cell b, which u also feeds: b's zero supply throttles u, not s
+        cells = (make_cell("s", 1, 1, 1, 1, 10.0, [6.0], 1.0, is_source=True),
+                 make_cell("u", 1, 1, 1, 1, 10.0, [6.0], 1.0, is_source=True),
+                 make_cell("a", 1, 1, 1, 1, 10.0, [6.0], 1.0),
+                 make_cell("b", 1, 1, 1, 1, 10.0, [6.0], 1.0))
+        net = Network(cells=cells, adjacency=(("s", "a"), ("s", "b"), ("u", "b")),
+                      sources=frozenset({"s", "u"}), sinks=frozenset({"a", "b"}))
+        R = RoutingSchedule.constant(net, {("s", "a"): 1.0, ("s", "b"): 0.0,
+                                           ("u", "b"): 1.0})
+        x = np.array([4.0, 4.0, 0.0, 10.0])
+        rates = fifo_rates(net, x, np.ones(4), R.at(0), np.zeros(4), 0)
+        assert rates.gamma[0] == 1.0
+        assert rates.z[0] == pytest.approx(4.0)
+        assert rates.f[("s", "a")] == pytest.approx(4.0)
+        assert rates.gamma[1] == 0.0
+        assert rates.z[1] == 0.0
+
     def test_slack_supplies_no_throttle(self):
         net, R = one_to_two()
         x = np.array([3.0, 0.0, 0.0])

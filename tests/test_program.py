@@ -5,7 +5,7 @@ import pytest
 
 from ctmflow.ctm import CostSpec, simulate
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
-from ctmflow.program import build_dta, build_fnc, embed_trajectory, export_lp, import_solution
+from ctmflow.program import build_dta, build_fnc, embed_trajectory, export_lp
 from ctmflow.solver import solve, verify_solution
 
 from conftest import random_scenario
@@ -108,20 +108,11 @@ class TestFeasibilityStructure:
 class TestExport:
     def test_lp_round_trip_values(self, tmp_path, table_scenario):
         prog = build_fnc(table_scenario, CostSpec("TTT"))
-        sol = solve(prog)
         lp_path = tmp_path / "prog.lp"
         export_lp(prog, lp_path)
         text = lp_path.read_text()
         assert text.startswith("\\ ctmflow FNC")
         assert "Minimize" in text and "Subject To" in text and "End" in text
-        # write a solution file in the interchange naming and read it back
-        sol_path = tmp_path / "ext.sol"
-        with open(sol_path, "w") as fh:
-            for k, name in enumerate(prog.names):
-                fh.write("_".join(str(p) for p in name) + f" {sol.values[k]:.17g}\n")
-        back = import_solution(prog, sol_path)
-        np.testing.assert_allclose(back, sol.values, atol=1e-12)
-        assert verify_solution(prog, back) < 1e-8
 
     def test_quadratic_marker_in_lp(self, tmp_path, table_scenario):
         prog = build_fnc(table_scenario, CostSpec("QuadraticVolume"))

@@ -227,13 +227,3 @@ class TestCombined:
         p4 = equilibrium_envelope_bound(robustness_scenario, pert, probe=False)
         assert np.all(combo.values <= p3.values + 1e-12)
         assert np.all(combo.values <= p4.values + 1e-12)
-
-    def test_bound_csv(self, tmp_path, robustness_scenario):
-        from ctmflow.robustness import bound_to_csv
-        pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
-        curve = combined_bound(robustness_scenario, pert, probe=False)
-        path = tmp_path / "bound.csv"
-        bound_to_csv(curve, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,bound_veh,provenance"
-        assert len(lines) == robustness_scenario.horizon + 2

@@ -1,4 +1,4 @@
-"""Simplex, ADMM, and oracle behavior."""
+"""HiGHS LP, ADMM, and oracle behavior."""
 
 import numpy as np
 import pytest
@@ -56,8 +56,8 @@ class TestLP:
     def test_infeasible_certificate(self):
         # valid scenarios always admit the zero-flow point, so force an
         # infeasible instance by lowering one capacity row below zero
-        # (z >= 0 against z <= -1); phase 1 must detect it and return a
-        # Farkas-style certificate
+        # (z >= 0 against z <= -1); the solve must detect it and return a
+        # Farkas certificate y = (y_eq, y_ub) that really certifies it
         sc = chain_scenario(T=2, inflow=1.0)
         prog = build_fnc(sc, CostSpec("TTT"))
         assert solve(prog).status == "optimal"
@@ -66,18 +66,26 @@ class TestLP:
         prog.b_ub[cap_row] = -1.0
         bad = solve(prog)
         assert bad.status == "infeasible"
-        assert bad.certificate is not None
+        y = bad.certificate
+        assert y is not None
+        m_eq = prog.A_eq.shape[0]
+        y_eq, y_ub = y[:m_eq], y[m_eq:]
+        assert len(y_ub) == prog.A_ub.shape[0]
+        assert np.all(y_ub >= 0.0)
+        aty = prog.A_eq.T @ y_eq + prog.A_ub.T @ y_ub
+        assert np.all(aty[prog.nonneg] >= -1e-9)
+        assert prog.b_eq @ y_eq + prog.b_ub @ y_ub < 0.0
 
     def test_iteration_limit_reported(self, table_scenario, monkeypatch):
-        import ctmflow.solver as S
+        import scipy.optimize
         prog = build_fnc(table_scenario, CostSpec("TTT"))
-        real = S._simplex
+        real = scipy.optimize.linprog
 
-        def tiny(G, h, c, max_iter=200_000):
-            return real(G, h, c, max_iter=3)
+        def tiny(*args, **kwargs):
+            return real(*args, **kwargs, options={"maxiter": 3, "presolve": False})
 
-        monkeypatch.setattr(S, "_simplex", tiny)
-        sol = S._solve_lp(prog)
+        monkeypatch.setattr(scipy.optimize, "linprog", tiny)
+        sol = solve(prog)
         assert sol.status == "iteration-limit"
 
 
