@@ -20,33 +20,19 @@ plus f, mu, x, y, z >= 0. The objective mirrors ctm.evaluate_cost exactly
 (volume terms include the terminal state), so every simulated trajectory
 is a feasible point with identical cost.
 
-Each program also carries an affine reduction v_full = M v_red + v0 onto
-its free flow variables, built on first use. The LP solve does not use it
-(HiGHS works on the sparse full-space rows); the QP solve and the
-brute-force oracle do, and always map their solutions back to the full
-variable vector.
+The constraint matrices are sparse CSR over the full variable vector,
+which the solvers work on directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .ctm import CostSpec
 from .network import Scenario, validate
-
-
-@dataclass
-class Reduction:
-    """Affine parametrization of the equality manifold: v_full = M v + v0."""
-
-    M: sp.csr_matrix
-    v0: np.ndarray
-    free_names: list
 
 
 @dataclass
@@ -64,7 +50,6 @@ class ConvexProgram:
     eps: float
     scenario_hash: str
     cost_kind: str
-    reduction_recipe: Callable[[], Reduction] = field(repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -76,18 +61,6 @@ class ConvexProgram:
 
     def objective_value(self, v: np.ndarray) -> float:
         return float(self.c @ v + v @ (self.q * v))
-
-    @cached_property
-    def reduction(self) -> Reduction:
-        """The affine reduction, built on first use: only the QP solve and the
-        oracle need it, and at T = 200 its M holds ~430k entries."""
-        red = self.reduction_recipe()
-        # the reduction must parametrize the equality manifold exactly
-        probe = red.M @ np.ones(red.M.shape[1]) + red.v0
-        if np.max(np.abs(self.A_eq @ probe - self.b_eq)) > 1e-8 or \
-           np.max(np.abs(self.A_eq @ red.v0 - self.b_eq)) > 1e-8:
-            raise AssertionError("reduction recipe does not satisfy the equality constraints")
-        return red
 
     def var(self, values: np.ndarray, *name) -> float:
         return float(values[self.var_index[tuple(name)]])
@@ -142,6 +115,17 @@ def _objective(cost: CostSpec, scenario: Scenario, var_index: dict, n_vars: int)
     if np.any(q < 0):
         raise ValueError("quadratic objective must be convex (nonnegative weights)")
     return c, q
+
+
+def _assemble(rows: list, width: int) -> sp.csr_matrix:
+    """CSR matrix from (cols, vals) rows; duplicates are summed and zero
+    coefficients (R_ij = 0) dropped."""
+    mat = sp.csr_matrix((np.concatenate([vals for _, vals in rows]),
+                         (np.repeat(np.arange(len(rows)), [len(cols) for cols, _ in rows]),
+                          np.concatenate([cols for cols, _ in rows]))),
+                        shape=(len(rows), width))
+    mat.eliminate_zeros()
+    return mat
 
 
 def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexProgram:
@@ -239,15 +223,8 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
                        shrink * ws * c.diagram.jam_volume)
                 add_ub([Y(t, c.id)], [1.0], shrink * cap)
 
-    def assemble(rows, width):
-        mat = sp.lil_matrix((len(rows), width))
-        for r, (cols, vals) in enumerate(rows):
-            for col, val in zip(cols, vals):
-                mat[r, col] += val
-        return mat.tocsr()
-
-    A_eq = assemble(eq_rows, n_vars)
-    A_ub = assemble(ub_rows, n_vars)
+    A_eq = _assemble(eq_rows, n_vars)
+    A_ub = _assemble(ub_rows, n_vars)
     c_vec, q_vec = _objective(cost, scenario, var_index, n_vars)
     nonneg = np.ones(n_vars, dtype=bool)
 
@@ -256,117 +233,7 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
         A_eq=A_eq, b_eq=np.array(eq_b), A_ub=A_ub, b_ub=np.array(ub_b),
         nonneg=nonneg, c=c_vec, q=q_vec, kind=kind, eps=eps,
         scenario_hash=scenario.content_hash(), cost_kind=cost.kind,
-        reduction_recipe=partial(_reduction, scenario, kind, var_index, names, pairs),
     )
-
-
-def _reduction(scenario: Scenario, kind: str, var_index: dict, names: list,
-               pairs: list) -> Reduction:
-    """Express all variables affinely in the free flows.
-
-    DTA: free = pair flows f and sink outflows mu.
-    FNC: free = total outflows z (f and mu follow from the routing rows).
-    """
-    net = scenario.network
-    T = scenario.horizon
-    lam = scenario.inflow_array()
-    x0 = scenario.x0_array()
-    n_vars = len(names)
-
-    free_names: list = []
-    if kind == "DTA":
-        for t in range(T):
-            for (i, j) in pairs:
-                free_names.append(("f", t, i, j))
-            for c in net.cells:
-                if net.is_sink(c.id):
-                    free_names.append(("mu", t, c.id))
-    else:
-        for t in range(T):
-            for c in net.cells:
-                free_names.append(("z", t, c.id))
-    free_col = {name: k for k, name in enumerate(free_names)}
-    n_red = len(free_names)
-
-    # rows of M / v0, built per full variable as affine combos of free vars
-    M = sp.lil_matrix((n_vars, n_red))
-    v0 = np.zeros(n_vars)
-
-    def expr_f(t, i, j):
-        """(coeff dict on free vars, constant) for f_ij(t)."""
-        if kind == "DTA":
-            return {free_col[("f", t, i, j)]: 1.0}, 0.0
-        R = scenario.routing.at(t)
-        r = float(R[net.index[i], net.index[j]])
-        return {free_col[("z", t, i)]: r}, 0.0
-
-    def expr_mu(t, cid):
-        if not net.is_sink(cid):
-            return {}, 0.0
-        if kind == "DTA":
-            return {free_col[("mu", t, cid)]: 1.0}, 0.0
-        # sinks have no outgoing pairs, so z = mu exactly
-        return {free_col[("z", t, cid)]: 1.0}, 0.0
-
-    def expr_z(t, cid):
-        if kind == "FNC":
-            return {free_col[("z", t, cid)]: 1.0}, 0.0
-        coeffs, const = expr_mu(t, cid)
-        coeffs = dict(coeffs)
-        for (i, j) in pairs:
-            if i == cid:
-                sub, c0 = expr_f(t, i, j)
-                for col, v in sub.items():
-                    coeffs[col] = coeffs.get(col, 0.0) + v
-                const += c0
-        return coeffs, const
-
-    def expr_y(t, cid):
-        k = net.index[cid]
-        coeffs: dict = {}
-        const = float(lam[t, k])
-        for (i, j) in pairs:
-            if j == cid:
-                sub, c0 = expr_f(t, i, j)
-                for col, v in sub.items():
-                    coeffs[col] = coeffs.get(col, 0.0) + v
-                const += c0
-        return coeffs, const
-
-    # x(t) accumulates y - z
-    x_exprs = {c.id: ({}, float(x0[net.index[c.id]])) for c in net.cells}
-    for t in range(T + 1):
-        for c in net.cells:
-            coeffs, const = x_exprs[c.id]
-            row = var_index[("x", t, c.id)]
-            for col, v in coeffs.items():
-                M[row, col] = v
-            v0[row] = const
-            if t == T:
-                continue
-            ycoef, yconst = expr_y(t, c.id)
-            zcoef, zconst = expr_z(t, c.id)
-            new = dict(coeffs)
-            for col, v in ycoef.items():
-                new[col] = new.get(col, 0.0) + v
-            for col, v in zcoef.items():
-                new[col] = new.get(col, 0.0) - v
-            x_exprs[c.id] = (new, const + yconst - zconst)
-    for t in range(T):
-        for c in net.cells:
-            for block, fn in (("y", expr_y), ("z", expr_z), ("mu", expr_mu)):
-                coeffs, const = fn(t, c.id)
-                row = var_index[(block, t, c.id)]
-                for col, v in coeffs.items():
-                    M[row, col] = v
-                v0[row] = const
-        for (i, j) in pairs:
-            coeffs, const = expr_f(t, i, j)
-            row = var_index[("f", t, i, j)]
-            for col, v in coeffs.items():
-                M[row, col] = v
-            v0[row] = const
-    return Reduction(M=M.tocsr(), v0=v0, free_names=free_names)
 
 
 def build_dta(scenario: Scenario, cost: CostSpec, eps: float = 0.0) -> ConvexProgram:

@@ -1,16 +1,16 @@
-"""Embedded solvers for the relaxation programs.
+"""Solvers for the relaxation programs.
 
-LPs go to HiGHS (scipy.optimize.linprog, method="highs") on the program's
-sparse full-space constraints, with a weak-duality check on its marginals
-and an auxiliary-LP Farkas certificate on infeasibility; convex QPs go
-through over-relaxed operator splitting (ADMM with a fixed step scaled by
-the constraint-matrix norm) with an exact active-set polish. A vertex
-enumeration / refined grid search oracle covers tiny instances.
+Both program kinds go to HiGHS on the program's sparse full-space
+constraints: LPs through scipy.optimize.linprog (method="highs") with a
+weak-duality check on its marginals, convex QPs through HiGHS's active-set
+QP method with the Hessian diag(2q). An infeasible program carries a
+Farkas certificate from an auxiliary LP. Every returned Solution holds the
+full variable vector and is re-verified against the program's own
+constraint list.
 
-The QP and the oracle run on the program's affine reduction (the equality
-constraints are eliminated through v_full = M v + v0). Every returned
-Solution holds the full variable vector and is re-verified against the
-program's own constraint list.
+A brute-force oracle for tiny instances stays independent of HiGHS: it
+parametrizes the equality manifold by the null space of A_eq and finds the
+exact optimum by active-set enumeration.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .program import ConvexProgram
 
 LP_RESIDUAL_TOL = 1e-8
 QP_RESIDUAL_TOL = 1e-6
-ADMM_MAX_ITER = 200_000
 
 
 @dataclass
@@ -52,67 +50,6 @@ class Solution:
 
 class SolverError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# reduced-form assembly
-
-
-def _reduced(program: ConvexProgram):
-    """Return (G, h, g_lin, P or None, const) for min over v >= implicit.
-
-    Feasible set: {v : G v <= h};  objective g'v + 0.5 v'P v + const.
-    Rows of G are scaled to unit infinity norm.
-    """
-    red = program.reduction
-    M = red.M.tocsr()
-    v0 = red.v0
-    G_top = (program.A_ub @ M).toarray()
-    h_top = program.b_ub - program.A_ub @ v0
-    # nonnegativity of every full variable: -(M v) <= v0
-    rows = []
-    rhs = []
-    Md = M.toarray()
-    for k in range(program.n_vars):
-        if not program.nonneg[k]:
-            continue
-        row = Md[k]
-        if not row.any():
-            if v0[k] < -1e-12:
-                raise SolverError("infeasible by construction: fixed variable negative")
-            continue
-        rows.append(-row)
-        rhs.append(v0[k])
-    G = np.vstack([G_top] + ([np.array(rows)] if rows else []))
-    h = np.concatenate([h_top] + ([np.array(rhs)] if rhs else []))
-    # deduplicate identical rows (keeps the tighter bound)
-    scale = np.maximum(np.abs(G).max(axis=1), 1e-30)
-    Gn = G / scale[:, None]
-    hn = h / scale
-    order = np.lexsort(np.round(Gn, 12).T)
-    keep = []
-    best: dict = {}
-    for r in order:
-        key = Gn[r].round(12).tobytes()
-        if key not in best or hn[r] < hn[best[key]]:
-            best[key] = r
-    keep = sorted(best.values())
-    Gn, hn = Gn[keep], hn[keep]
-
-    g_lin = np.asarray(M.T @ program.c).ravel()
-    const = float(program.c @ v0)
-    P = None
-    if program.is_quadratic:
-        Q = sp.diags(program.q)
-        P = 2.0 * (M.T @ (Q @ M)).toarray()
-        g_lin = g_lin + 2.0 * np.asarray(M.T @ (program.q * v0)).ravel()
-        const += float(v0 @ (program.q * v0))
-    return Gn, hn, g_lin, P, const
-
-
-def _reconstruct(program: ConvexProgram, v_red: np.ndarray) -> np.ndarray:
-    red = program.reduction
-    return np.asarray(red.M @ v_red).ravel() + red.v0
 
 
 def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
@@ -192,100 +129,67 @@ def _solve_lp(program: ConvexProgram) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# over-relaxed ADMM for convex QPs (OSQP-style splitting)
+# sparse full-space QP through HiGHS: min c'v + v' diag(q) v over the same
+# constraints; HiGHS minimizes c'v + 0.5 v'Hv, so the Hessian is diag(2q)
 
 
-def _polish(P, g, A, lo, up, y, v):
-    """Exact KKT solve on the detected active set; None if it fails."""
-    act_up = (y > 1e-7)
-    act_lo = (y < -1e-7)
-    rows = np.where(act_up | act_lo)[0]
-    if rows.size == 0:
-        try:
-            v_pol = np.linalg.solve(P + 1e-12 * np.eye(len(g)), -g)
-        except np.linalg.LinAlgError:
-            return None
-        return v_pol
-    A_act = A[rows]
-    b_act = np.where(act_up[rows], up[rows], lo[rows])
-    n = len(g)
-    K = np.block([[P + 1e-10 * np.eye(n), A_act.T],
-                  [A_act, -1e-10 * np.eye(rows.size)]])
-    rhs = np.concatenate([-g, b_act])
+def _solve_qp(program: ConvexProgram) -> Solution:
+    # the HiGHS binding that linprog(method="highs") loads, imported on first
+    # use like _highs; nothing else touches it
     try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return sol[:n]
-
-
-def _solve_qp(program: ConvexProgram, eps_abs: float = QP_RESIDUAL_TOL) -> Solution:
-    Gm, h, g_lin, P, const = _reduced(program)
-    n = len(g_lin)
-    m = Gm.shape[0]
-    A = Gm
-    lo = np.full(m, -np.inf)
-    up = h.copy()
-    sigma = 1e-6
-    alpha = 1.6
-    # fixed step scaled by the constraint/objective matrix norms
-    rho = float(np.clip(0.1 * (np.linalg.norm(P, "fro") + 1.0)
-                        / (np.linalg.norm(A, "fro") + 1.0), 1e-2, 1e2))
-    # KKT matrix [[P + sigma I, A'], [A, -I/rho]] filled in place: no
-    # temporaries next to the (n+m)^2 matrix, which LU overwrites
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = P
-    K[:n, n:] = A.T
-    K[n:, :n] = A
-    K[range(n), range(n)] += sigma
-    K[range(n, n + m), range(n, n + m)] = -1.0 / rho
-    lu, piv = sla.lu_factor(K, overwrite_a=True)
-    v = np.zeros(n)
-    z = np.zeros(m)
-    y = np.zeros(m)
-    rhs = np.empty(n + m)
-    iters = 0
-    polished = None
-    for iters in range(1, ADMM_MAX_ITER + 1):
-        rhs[:n] = sigma * v - g_lin
-        rhs[n:] = z - y / rho
-        sol = sla.lu_solve((lu, piv), rhs)
-        v_t = sol[:n]
-        z_t = z + (sol[n:] - y) / rho
-        v = alpha * v_t + (1 - alpha) * v
-        z_rel = alpha * z_t + (1 - alpha) * z
-        z = np.clip(z_rel + y / rho, lo, up)
-        y = y + rho * (z_rel - z)
-        if iters % 25 == 0 or iters == ADMM_MAX_ITER:
-            r_prim = float(np.max(np.abs(A @ v - z))) if m else 0.0
-            r_dual = float(np.max(np.abs(P @ v + g_lin + A.T @ y)))
-            converged = r_prim < eps_abs and r_dual < eps_abs
-            if converged or (iters % 500 == 0 and r_prim < 1e-3 and r_dual < 1e-3):
-                cand = _polish(P, g_lin, A, lo, up, y, v)
-                if cand is not None:
-                    feas = float(np.max(np.maximum(A @ cand - up, 0.0)))
-                    if feas < 1e-9 and program.objective_value(_reconstruct(program, cand)) \
-                            <= program.objective_value(_reconstruct(program, v)) + 1e-9:
-                        polished = cand
-                        break
-            if converged:
-                break
-    v_final = polished if polished is not None else v
-    values = _reconstruct(program, v_final)
-    # clip the microscopic ADMM noise off the nonnegative block
-    values[program.nonneg] = np.maximum(values[program.nonneg], 0.0)
-    objective = program.objective_value(values)
+        import scipy.optimize._highspy._core as hc
+    except ImportError as exc:
+        raise SolverError(f"the HiGHS QP binding is unavailable: {exc}") from exc
+    n = program.n_vars
+    A = sp.vstack([program.A_eq, program.A_ub]).tocsc()
+    lp = hc.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.col_cost_ = program.c
+    lp.col_lower_ = np.where(program.nonneg, 0.0, -np.inf)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
+    lp.row_upper_ = np.concatenate([program.b_eq, program.b_ub])
+    lp.a_matrix_.format_ = hc.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    diag = np.flatnonzero(program.q)
+    hessian = hc.HighsHessian()
+    hessian.dim_ = n
+    hessian.format_ = hc.HessianFormat.kTriangular
+    hessian.start_ = np.searchsorted(diag, np.arange(n + 1))
+    hessian.index_ = diag
+    hessian.value_ = 2.0 * program.q[diag]
+    model = hc.HighsModel()
+    model.lp_ = lp
+    model.hessian_ = hessian
+    highs = hc._Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.passModel(model) == hc.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the QP model")
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    iters = int(info.qp_iteration_count)
+    if status == hc.HighsModelStatus.kIterationLimit:
+        return _unsolved(program, "iteration-limit", iters)
+    if status == hc.HighsModelStatus.kInfeasible:
+        # the feasible set does not depend on the objective
+        return _unsolved(program, "infeasible", iters, _farkas(program))
+    if status != hc.HighsModelStatus.kOptimal:
+        raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
+    values = np.array(highs.getSolution().col_value) + 0.0
     primal = verify_solution(program, values)
-    r_dual = float(np.max(np.abs(P @ v_final + g_lin + A.T @ y)))
-    comp = float(np.max(np.abs(y * (up - np.clip(A @ v_final, lo, up)))))
-    status = "optimal" if (primal <= QP_RESIDUAL_TOL and iters < ADMM_MAX_ITER) \
-        else "iteration-limit"
-    return Solution(values=values, objective=objective, status=status,
-                    residuals=Residuals(primal, r_dual, comp), iterations=iters)
+    status = "optimal" if primal <= QP_RESIDUAL_TOL else "iteration-limit"
+    return Solution(values=values, objective=program.objective_value(values), status=status,
+                    residuals=Residuals(primal, info.max_dual_infeasibility,
+                                        info.max_complementarity_violation),
+                    iterations=iters)
 
 
 def solve(program: ConvexProgram) -> Solution:
-    """Solve the program: HiGHS for LPs, operator splitting for QPs."""
+    """Solve the program with HiGHS: simplex for LPs, active set for QPs."""
     if program.is_quadratic:
         return _solve_qp(program)
     return _solve_lp(program)
@@ -326,98 +230,63 @@ def solve_max_outflow(program: ConvexProgram) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# brute-force oracle: a test reference, kept independent of HiGHS and solve
 
 
-def _variable_box(program: ConvexProgram) -> float:
-    """Conservative upper bound for flow-type reduced variables."""
-    caps = []
-    Aub = program.A_ub.tocoo()
-    single: dict = {}
-    for r, c, vv in zip(Aub.row, Aub.col, Aub.data):
-        single.setdefault(r, []).append((c, vv))
-    for r, entries in single.items():
-        if len(entries) == 1 and entries[0][1] > 0:
-            caps.append(program.b_ub[r] / entries[0][1])
-    if not caps:
-        raise SolverError("cannot derive a variable box for the oracle")
-    return float(max(caps))
+def brute_force_oracle(program: ConvexProgram) -> Solution:
+    """Exact optimum for tiny instances by active-set enumeration.
 
-
-def brute_force_oracle(program: ConvexProgram, grid_resolution: float = 1e-3) -> Solution:
-    """Exhaustive optimum for tiny instances.
-
-    LP: enumerate basic feasible points (vertices of {Gv <= h, v >= 0}).
-    QP: box grid refined twice around the incumbent; the returned point is
-    within the final grid spacing of the optimum (convex objective).
+    The equality manifold is parametrized as v = N u + v0 (N spans the null
+    space of A_eq, v0 a least-squares particular point), leaving G u <= h.
+    For each candidate active set S, in order of size, whose
+    equality-constrained KKT system [P G_S'; G_S 0] [u; w] = [-g; h_S] is
+    nonsingular, that system is solved; the first point that is primal
+    feasible (G u <= h) and dual feasible (w >= 0) is optimal, as the
+    program is convex. With P = 0 this is vertex enumeration over the LP's
+    bases.
     """
-    G, h, g_lin, P, const = _reduced(program)
-    n = G.shape[1]
-    if n > 12:
-        raise SolverError(f"oracle accepts at most 12 reduced variables, got {n}")
-    ub = _variable_box(program)
-
-    if P is None:
-        rows = np.vstack([G, -np.eye(n)])
-        rhs = np.concatenate([h, np.zeros(n)])
-        m_all = rows.shape[0]
-        if math.comb(m_all, n) > 2_000_000:
-            raise SolverError("too many vertex candidates")
-        best = None
-        best_obj = np.inf
-        for combo in itertools.combinations(range(m_all), n):
-            Asq = rows[list(combo)]
-            bsq = rhs[list(combo)]
-            try:
-                v = np.linalg.solve(Asq, bsq)
-            except np.linalg.LinAlgError:
-                continue
-            if np.max(rows @ v - rhs) > 1e-8:
-                continue
-            obj = float(g_lin @ v)
-            if obj < best_obj - 1e-12:
-                best_obj = obj
-                best = v
-        if best is None:
-            return _unsolved(program, "infeasible")
-        values = _reconstruct(program, best)
-        return Solution(values=values, objective=program.objective_value(values),
-                        status="optimal",
-                        residuals=Residuals(verify_solution(program, values), 0.0, 0.0))
-
-    # QP grid search with two refinements
-    span = ub
-    pts = max(5, int(math.ceil((8.0 * span / grid_resolution) ** (1.0 / 3.0))) + 1)
-    while pts ** n > 6_000_000 and pts > 5:
-        pts -= 2
-    center = np.full(n, span / 2.0)
-    width = span / 2.0
-
-    def stage(center, width, pts):
-        axes = [np.linspace(max(0.0, center[k] - width), center[k] + width, pts)
-                for k in range(n)]
-        best = None
-        best_obj = np.inf
-        for combo in itertools.product(*axes):
-            v = np.array(combo)
-            if np.max(G @ v - h) > 1e-9 or np.min(v) < -1e-12:
-                continue
-            obj = float(g_lin @ v + 0.5 * v @ (P @ v))
-            if obj < best_obj:
-                best_obj = obj
-                best = v
-        return best, best_obj
-
-    best, _ = stage(center, width, pts)
-    if best is None:
+    k_min = program.n_vars - program.A_eq.shape[0]
+    if k_min > 12:
+        raise SolverError(f"oracle accepts at most 12 free variables, got at least {k_min}")
+    from scipy.linalg import null_space
+    A_eq = program.A_eq.toarray()
+    N = null_space(A_eq)
+    k = N.shape[1]
+    if k > 12:
+        raise SolverError(f"oracle accepts at most 12 free variables, got {k}")
+    v0 = np.linalg.lstsq(A_eq, program.b_eq, rcond=None)[0]
+    if np.max(np.abs(A_eq @ v0 - program.b_eq), initial=0.0) > 1e-9:
         return _unsolved(program, "infeasible")
-    spacing = span / (pts - 1)
-    for _ in range(2):
-        cand, _ = stage(best, spacing, pts)
-        if cand is not None:
-            best = cand
-        spacing = 2.0 * spacing / (pts - 1)
-    values = _reconstruct(program, best)
-    return Solution(values=values, objective=program.objective_value(values),
-                    status="optimal",
-                    residuals=Residuals(verify_solution(program, values), 0.0, 0.0))
+    # G u <= h: the A_ub rows, then -v <= 0 on the nonneg block
+    nn = program.nonneg
+    G = np.vstack([program.A_ub @ N, -N[nn]])
+    h = np.concatenate([program.b_ub - program.A_ub @ v0, v0[nn]])
+    scale = np.max(np.abs(G), axis=1, initial=0.0)
+    fixed = scale < 1e-10      # rows the equalities already decide
+    if np.any(h[fixed] < -1e-9):
+        return _unsolved(program, "infeasible")
+    G, h = G[~fixed] / scale[~fixed, None], h[~fixed] / scale[~fixed]
+    # drop repeated rows, keeping the tightest bound of each
+    order = np.argsort(h, kind="stable")
+    _, first = np.unique(np.round(G[order], 9), axis=0, return_index=True)
+    keep = np.sort(order[first])
+    G, h = G[keep], h[keep]
+    P = 2.0 * N.T @ (program.q[:, None] * N)
+    g = N.T @ (program.c + 2.0 * program.q * v0)
+    m = len(h)
+    if sum(math.comb(m, s) for s in range(min(k, m) + 1)) > 2_000_000:
+        raise SolverError("too many active-set candidates")
+    for size in range(min(k, m) + 1):
+        for S in itertools.combinations(range(m), size):
+            G_S = G[list(S)]
+            K = np.block([[P, G_S.T], [G_S, np.zeros((size, size))]])
+            if np.linalg.cond(K) > 1e12:
+                continue
+            sol = np.linalg.solve(K, np.concatenate([-g, h[list(S)]]))
+            u, w = sol[:k], sol[k:]
+            if np.all(w >= -1e-9) and np.all(G @ u <= h + 1e-9):
+                values = N @ u + v0
+                return Solution(values=values, objective=program.objective_value(values),
+                                status="optimal",
+                                residuals=Residuals(verify_solution(program, values), 0.0, 0.0))
+    return _unsolved(program, "infeasible")

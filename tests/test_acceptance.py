@@ -322,11 +322,11 @@ class TestCriterion9:
         for k in range(6):
             sc = tiny_chain_scenario(rng)
             prog = build_fnc(sc, CostSpec("QuadraticVolume"))
-            a, b = solve(prog), brute_force_oracle(prog, grid_resolution=1e-3)
+            a, b = solve(prog), brute_force_oracle(prog)
             gap = abs(a.objective - b.objective) / (1.0 + abs(b.objective))
             worst_qp = max(worst_qp, gap)
-            ok = ok and gap <= 1e-3
+            ok = ok and gap <= 1e-6
         report("9f (oracle equivalence)", ok,
                f"14 LPs (worst gap {worst_lp:.2e} <= 1e-6) + "
-               f"6 QPs (worst relative gap {worst_qp:.2e} <= 1e-3)")
+               f"6 QPs (worst relative gap {worst_qp:.2e} <= 1e-6)")
         assert ok

@@ -7,7 +7,7 @@ import pytest
 
 from ctmflow.cli import main
 from ctmflow.network import Scenario, save_scenario
-from ctmflow.scenarios import table_scenario
+from ctmflow.scenarios import TAU, figure_network, routing_for, table_scenario
 
 from conftest import random_scenario
 
@@ -133,3 +133,54 @@ class TestSweep:
             assert rc == 0
         assert (serial / "sweep_fifo.csv").read_bytes() == \
             (parallel / "sweep_fifo.csv").read_bytes()
+
+
+class TestQuadraticSynthesis:
+    """QP optima whose zero flows come back as exact zeros: a flow of 1e-7
+    where the optimum has none makes control extraction see outflow without
+    demand, or a near-zero speed limit that breaks free flow on replay."""
+
+    @staticmethod
+    def synthesize(path, out, kind, model):
+        rc = main(["synthesize", "--scenario", str(path), "--kind", kind, "--cost", "quad",
+                   "--model", model, "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text()) if rc == 0 else None
+        return rc, summary
+
+    def test_table_burst_fnc_stays_freeflow(self, tmp_path):
+        sc = table_scenario()
+        lam = np.zeros_like(sc.inflow)
+        lam[:3, sc.network.index["1"]] = 10.0
+        path = tmp_path / "burst10.json"
+        save_scenario(Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+                               initial_volumes=sc.initial_volumes, inflow=lam,
+                               routing=sc.routing), path)
+        for model in ("fifo", "nonfifo"):
+            rc, summary = self.synthesize(path, tmp_path / model, "fnc", model)
+            assert rc == 0
+            assert summary["realized"] and summary["always_freeflow"]
+
+    def test_short_closure_dta_and_fnc_stay_freeflow(self, tmp_path):
+        T = 8
+        cap4 = [6.0] * T
+        cap4[3] = cap4[4] = 0.0
+        net = figure_network(T, cell4_capacity=cap4)
+        lam = np.zeros((T, net.n))
+        lam[:2, net.index["1"]] = 6.0
+        path = tmp_path / "closure.json"
+        save_scenario(Scenario(network=net, horizon=T, tau=TAU,
+                               initial_volumes=(0.0,) * net.n, inflow=lam,
+                               routing=routing_for(net)), path)
+        for kind in ("dta", "fnc"):
+            rc, summary = self.synthesize(path, tmp_path / kind, kind, "fifo")
+            assert rc == 0
+            assert summary["replay_max_deviation"] <= summary["replay_tolerance"]
+            assert summary["realized"] and summary["always_freeflow"]
+
+    def test_missing_qp_binding_exits_3(self, tmp_path, monkeypatch, capsys):
+        import sys
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        rc = main(["solve", "--scenario", "bundled:table", "--cost", "quad",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "solver"

@@ -58,6 +58,42 @@ class TestBuilders:
         assert prog.scenario_hash == table_scenario.content_hash()
 
 
+class TestAssembly:
+    def test_vectorized_assembly_matches_lil_reference(self, monkeypatch, table_scenario):
+        # the CSR arrays must equal those of per-entry lil_matrix writes,
+        # the reference the vectorized assembly replaced
+        import scipy.sparse as sp
+
+        import ctmflow.program as program
+        from ctmflow.scenarios import robustness_scenario
+
+        def lil_reference(rows, width):
+            mat = sp.lil_matrix((len(rows), width))
+            for r, (cols, vals) in enumerate(rows):
+                for col, val in zip(cols, vals):
+                    mat[r, col] += val
+            return mat.tocsr()
+
+        checked = []
+        real = program._assemble
+
+        def checking(rows, width):
+            got, ref = real(rows, width), lil_reference(rows, width)
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got, attr), getattr(ref, attr)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            assert got.shape == ref.shape
+            checked.append(got.shape)
+            return got
+
+        monkeypatch.setattr(program, "_assemble", checking)
+        for sc in (table_scenario, robustness_scenario(horizon=30)):
+            for build in (build_dta, build_fnc):
+                build(sc, CostSpec("TTT"), eps=0.2)
+        assert len(checked) == 8
+
+
 class TestFeasibilityStructure:
     def test_simulated_trajectories_are_feasible(self):
         rng = np.random.default_rng(31)

@@ -1,4 +1,9 @@
-"""HiGHS LP, ADMM, and oracle behavior."""
+"""HiGHS LP and QP solves, status mapping, and the null-space oracle.
+
+The oracle parametrizes the equality manifold by the null space of A_eq
+and enumerates active sets exactly; it never calls HiGHS, so it judges the
+solver independently.
+"""
 
 import numpy as np
 import pytest
@@ -24,6 +29,25 @@ def chain_scenario(n=2, T=2, inflow=2.0, cap=4.0, jam=8.0, slope=0.8):
                     inflow=lam,
                     routing=RoutingSchedule.constant(
                         net, {(ids[k], ids[k + 1]): 1.0 for k in range(n - 1)}))
+
+
+def _infeasible(prog):
+    """Force infeasibility through one capacity row (z >= 0 against z <= -1)."""
+    prog.b_ub = prog.b_ub.copy()
+    prog.b_ub[1] = -1.0   # first z <= C row of the first step
+    return prog
+
+
+def _assert_certifies(prog, y):
+    """y = (y_eq, y_ub) is a Farkas certificate of the program's infeasibility."""
+    assert y is not None
+    m_eq = prog.A_eq.shape[0]
+    y_eq, y_ub = y[:m_eq], y[m_eq:]
+    assert len(y_ub) == prog.A_ub.shape[0]
+    assert np.all(y_ub >= 0.0)
+    aty = prog.A_eq.T @ y_eq + prog.A_ub.T @ y_ub
+    assert np.all(aty[prog.nonneg] >= -1e-9)
+    assert prog.b_eq @ y_eq + prog.b_ub @ y_ub < 0.0
 
 
 class TestLP:
@@ -61,20 +85,9 @@ class TestLP:
         sc = chain_scenario(T=2, inflow=1.0)
         prog = build_fnc(sc, CostSpec("TTT"))
         assert solve(prog).status == "optimal"
-        prog.b_ub = prog.b_ub.copy()
-        cap_row = 1   # first z <= C row of the first step
-        prog.b_ub[cap_row] = -1.0
-        bad = solve(prog)
+        bad = solve(_infeasible(prog))
         assert bad.status == "infeasible"
-        y = bad.certificate
-        assert y is not None
-        m_eq = prog.A_eq.shape[0]
-        y_eq, y_ub = y[:m_eq], y[m_eq:]
-        assert len(y_ub) == prog.A_ub.shape[0]
-        assert np.all(y_ub >= 0.0)
-        aty = prog.A_eq.T @ y_eq + prog.A_ub.T @ y_ub
-        assert np.all(aty[prog.nonneg] >= -1e-9)
-        assert prog.b_eq @ y_eq + prog.b_ub @ y_ub < 0.0
+        _assert_certifies(prog, bad.certificate)
 
     def test_iteration_limit_reported(self, table_scenario, monkeypatch):
         import scipy.optimize
@@ -107,12 +120,12 @@ class TestOracle:
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert np.max(np.abs(sol.values)) <= 1e-9
 
-    def test_qp_oracle_matches_admm(self):
+    def test_qp_oracle_matches_solve(self):
         sc = chain_scenario(n=2, T=2, inflow=2.0)
         prog = build_fnc(sc, CostSpec("QuadraticVolume"))
         a = solve(prog)
-        b = brute_force_oracle(prog, grid_resolution=1e-3)
-        assert abs(a.objective - b.objective) <= 1e-3 * (1.0 + abs(b.objective))
+        b = brute_force_oracle(prog)
+        assert abs(a.objective - b.objective) <= 1e-6 * (1.0 + abs(b.objective))
 
     def test_too_large_rejected(self, table_scenario):
         prog = build_fnc(table_scenario, CostSpec("TTT"))
@@ -147,3 +160,24 @@ class TestQP:
         sol = solve(prog)
         sim_point = embed_trajectory(prog, simulate(table_scenario))
         assert sol.objective <= prog.objective_value(sim_point) + 1e-6
+
+    def test_qp_infeasible_certificate(self):
+        sc = chain_scenario(T=2, inflow=1.0)
+        prog = build_fnc(sc, CostSpec("QuadraticVolume"))
+        assert solve(prog).status == "optimal"
+        bad = solve(_infeasible(prog))
+        assert bad.status == "infeasible"
+        _assert_certifies(prog, bad.certificate)
+
+    def test_qp_iteration_limit_reported(self, table_scenario, monkeypatch):
+        from scipy.optimize._highspy import _core
+        real = _core._Highs
+
+        class Tiny(real):
+            def run(self):
+                self.setOptionValue("qp_iteration_limit", 3)
+                return super().run()
+
+        monkeypatch.setattr(_core, "_Highs", Tiny)
+        sol = solve(build_fnc(table_scenario, CostSpec("QuadraticVolume")))
+        assert sol.status == "iteration-limit"

@@ -6,7 +6,7 @@ from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
 
 
 def tiny_chain_scenario(rng) -> Scenario:
-    """Two-cell chain over two steps: at most four reduced variables."""
+    """Two-cell chain over two steps: at most four free variables."""
     slope = float(rng.uniform(0.4, 1.0))
     cap = float(rng.uniform(1.5, 5.0))
     jam = float(rng.uniform(6.0, 12.0))
