@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import sys
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .solver import Residuals, Solution, SolverError, solve, verify_solution
 
 COST_KINDS = {"ttt": "TTT", "ttd": "TTD", "delay": "Delay", "quad": "QuadraticVolume"}
 MODELS = ("fifo", "fifo-priority", "nonfifo")
+JOBS_HELP = "accepted and ignored: a sweep runs all its points as one batch"
 
 
 class ConfigError(Exception):
@@ -182,38 +182,30 @@ def _fnc_optimum_t200(sc):
     return prog, sol, traj
 
 
-def _sweep_point(payload):
-    (sc_dict, delta, model, alphas, lam_hat, base_values) = payload
-    from .network import scenario_from_dict
-    sc = scenario_from_dict(sc_dict)
-    controls = synthesis.ControlSchedule(alphas=np.asarray(alphas))
-    pert = robustness.PerturbationSpec.inflow_shift(sc, float(delta))
-    _, dpsi, _, _ = robustness.simulated_divergence(sc, pert, controls=controls, model=model)
-    base = robustness.BoundCurve(values=np.asarray(base_values),
-                                 provenance=["combined"] * len(base_values))
-    curve = robustness.combined_bound(sc, pert, controls=controls, model=model,
-                                      probe=False, lam_hat=lam_hat,
-                                      overload_base=base)
-    sens = robustness.sensitivity_bound(sc, pert)
-    return float(delta), dpsi, curve.total(), float(np.minimum(sens.values, 1e300).sum())
-
-
-def _run_sweep(sc, grid, model: str, controls, jobs: int):
+def _run_sweep(sc, grid, model: str, controls, path: Path) -> float:
+    """Write the sweep CSV (delta, simulated cost perturbation, combined
+    bound, sensitivity bound) and return lam_hat. The nominal run is
+    simulated once, the perturbed runs as one batch."""
     lam_hat = robustness.max_freeflow_inflow(sc, model=model)
     src = sc.network.index[sorted(sc.network.sources)[0]]
     at_hat = robustness.PerturbationSpec.inflow_shift(
         sc, lam_hat - float(sc.inflow_array()[0, src]))
     base = robustness.combined_bound(sc, at_hat, controls=controls, model=model,
                                      allow_overload=False, probe=False)
-    from .network import scenario_to_dict
-    payloads = [(scenario_to_dict(sc), float(d), model,
-                 controls.alphas.tolist(), lam_hat, base.values.tolist()) for d in grid]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_sweep_point, payloads)
-    else:
-        rows = [_sweep_point(p) for p in payloads]
-    return sorted(rows, key=lambda r: r[0]), lam_hat
+    nominal = ctm.simulate(sc, controls=controls, model=model).states
+    perts = [robustness.PerturbationSpec.inflow_shift(sc, float(d)) for d in grid]
+    runs = robustness.simulate_perturbed(sc, perts, controls=controls, model=model)
+    with open(path, "w") as fh:
+        fh.write("delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
+                 "combined_bound_veh_steps,model,sensitivity_bound_veh_steps\n")
+        for d, pert, states in zip(grid, perts, runs.states):
+            bound = robustness.combined_bound(sc, pert, controls=controls, model=model,
+                                              probe=False, lam_hat=lam_hat, overload_base=base)
+            sens = robustness.sensitivity_bound(sc, pert)
+            fh.write(f"{float(d):.12g},{float((states - nominal).sum()):.12g},"
+                     f"{bound.total():.12g},{model},"
+                     f"{float(np.minimum(sens.values, 1e300).sum()):.12g}\n")
+    return lam_hat
 
 
 def cmd_robustness_sweep(args) -> list:
@@ -224,21 +216,16 @@ def cmd_robustness_sweep(args) -> list:
     else:
         prog, sol = _solve_program(sc, "fnc", CostSpec("TTT"), args.epsilon)
     controls = synthesis.extract_controls(prog, sol, sc)
-    rows, lam_hat = _run_sweep(sc, grid, args.model, controls, args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"sweep_{args.model}.csv"
-    with open(path, "w") as fh:
-        fh.write("delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
-                 "combined_bound_veh_steps,model,sensitivity_bound_veh_steps\n")
-        for d, dpsi, bound, sens in rows:
-            fh.write(f"{d:.12g},{dpsi:.12g},{bound:.12g},{args.model},{sens:.12g}\n")
-    print(f"robustness-sweep: {len(rows)} points, lam_hat = {lam_hat:.4f} "
+    lam_hat = _run_sweep(sc, grid, args.model, controls, path)
+    print(f"robustness-sweep: {len(grid)} points, lam_hat = {lam_hat:.4f} "
           f"(delta {lam_hat - sc.inflow_array()[0].max():.4f})")
     return [path]
 
 
-def reproduce_paper(outdir: Path, jobs: int = 1) -> list:
+def reproduce_paper(outdir: Path) -> list:
     """Reproduce the benchmark tables and figure data sets."""
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -283,13 +270,8 @@ def reproduce_paper(outdir: Path, jobs: int = 1) -> list:
     controls200 = synthesis.extract_controls(prog200, sol200, rb_sc)
     grid = _sweep_grid("0:0.1:3")
     for fig, model in (("fig8", "fifo"), ("fig9", "nonfifo")):
-        rows, lam_hat = _run_sweep(rb_sc, grid, model, controls200, jobs)
         path = outdir / f"{fig}_sweep_{model}.csv"
-        with open(path, "w") as fh:
-            fh.write("delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
-                     "combined_bound_veh_steps,model,sensitivity_bound_veh_steps\n")
-            for d, dpsi, bound, sens in rows:
-                fh.write(f"{d:.12g},{dpsi:.12g},{bound:.12g},{model},{sens:.12g}\n")
+        _run_sweep(rb_sc, grid, model, controls200, path)
         files.append(path)
 
     # epsilon tradeoff on the short scenario
@@ -299,19 +281,20 @@ def reproduce_paper(outdir: Path, jobs: int = 1) -> list:
         for eps in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
             prog, sol = _solve_program(sc, "fnc", CostSpec("TTT"), eps)
             controls = synthesis.extract_controls(prog, sol, sc)
-            for d in _sweep_grid("0:0.1:3"):
-                pert = robustness.PerturbationSpec.inflow_shift(sc, float(d))
-                traj = ctm.simulate(robustness.perturbed_scenario(sc, pert),
-                                    controls=controls, model="fifo")
-                cost = float(traj.states.sum())
-                fh.write(f"{eps:.1f},{d:.12g},{cost:.12g},{traj.min_gamma():.12g}\n")
+            deltas = _sweep_grid("0:0.1:3")
+            runs = robustness.simulate_perturbed(
+                sc, [robustness.PerturbationSpec.inflow_shift(sc, float(d)) for d in deltas],
+                controls=controls, model="fifo")
+            for b, d in enumerate(deltas):
+                cost = float(runs.states[b].sum())
+                fh.write(f"{eps:.1f},{d:.12g},{cost:.12g},{runs[b].min_gamma():.12g}\n")
     files.append(fig10)
     return files
 
 
 def cmd_reproduce(args) -> list:
     out = Path(args.out)
-    files = reproduce_paper(out, jobs=args.jobs)
+    files = reproduce_paper(out)
     print(f"reproduce-paper: wrote {len(files)} artifacts to {out}")
     return files
 
@@ -332,13 +315,13 @@ def main(argv=None) -> int:
         p.add_argument("--kind", default="fnc", choices=("dta", "fnc"))
         p.add_argument("--epsilon", type=float, default=0.0)
         p.add_argument("--sweep", default="0:0.1:3", help="START:STEP:END grid")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     for name in ("simulate", "solve", "synthesize", "robustness-sweep"):
         common(sub.add_parser(name))
     rep = sub.add_parser("reproduce-paper")
     rep.add_argument("--out", default="paper_out")
-    rep.add_argument("--jobs", type=int, default=1)
+    rep.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     args = parser.parse_args(argv)
     handlers = {

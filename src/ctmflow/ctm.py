@@ -1,10 +1,17 @@
-"""Discrete-time Cell Transmission Model simulator.
+"""Discrete-time Cell Transmission Model simulator, as one array kernel.
 
 State update (synchronous, explicit):
 
     x_i(t+1) = x_i(t) + y_i(t) - z_i(t)
     y_i(t)   = lambda_i(t) + sum_j f_ji(t)
     z_i(t)   = mu_i(t) + sum_j f_ij(t)
+
+The network is compiled once into arrays (``Network.compiled``,
+``Scenario.compiled``): edges e = (i, j) in adjacency order, slopes, jam
+volumes, source and sink masks, the (T, n) capacity matrix and the turning
+ratios R_e(t). One kernel step maps a (B, n) batch of states, B runs that
+share the network, controls and routing, to their rates with whole-array
+operations; per-cell sums over edges run in adjacency order.
 
 Junction rules, all evaluated on the controllable demands
 d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
@@ -14,8 +21,9 @@ d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
       z_i = gamma_i * d_bar_i,   f_ij = R_ij z_i
       (vacuous constraints count as 1; sinks discharge mu = d_bar)
 
-  FIFO with priority merges: at two-in merge junctions the flows follow
-  Daganzo's median rule
+  FIFO with priority merges: at two-in merge junctions whose upstream cells
+  feed only them, the flows follow Daganzo's median rule, with even
+  priorities p_i = p_h = 1/2,
 
       f_i = med{d_bar_i, s - d_bar_h, p_i s}     (p_i + p_h = 1)
 
@@ -25,49 +33,55 @@ d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
   the others:
 
       gamma_j = min(1, s_j / sum_h R_hj d_bar_h),   f_ij = gamma_j R_ij d_bar_i
+
+A receiving cell throttles only a total demand above ZERO_DEMAND_TOL times
+its peak capacity. Smaller demands (solver noise, rounded controls) count
+as free flow, also into a cell whose supply is zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, Scenario, demand, supply, validate
+from .network import CompiledNetwork, Network, Scenario
 
 MODELS = ("fifo", "fifo-priority", "nonfifo")
-
-
-@dataclass
-class FlowRates:
-    """Per-step rates: pair flows f, aggregates y/z, external outflow mu.
-
-    gamma holds the FIFO sending coefficient per cell for FIFO models and
-    the receiving coefficient per cell for the non-FIFO model; in either
-    case the step is free-flow iff gamma == 1 everywhere.
-    """
-
-    f: dict                  # (i, j) id pair -> veh/step
-    y: np.ndarray
-    z: np.ndarray
-    mu: np.ndarray
-    gamma: np.ndarray
+ZERO_DEMAND_TOL = 1e-10
 
 
 @dataclass
 class Trajectory:
-    states: np.ndarray       # (T+1, n)
-    rates: list              # T FlowRates
+    """A CTM run: states (T+1, n); y, z, mu and gamma (T, n); pair flows f
+    (T, E) in ``network.adjacency`` order.
+
+    gamma holds the FIFO sending coefficient per cell for FIFO models and
+    the receiving coefficient per cell for the non-FIFO model; in either
+    case a step is free-flow iff gamma == 1 everywhere. A batch of B runs
+    carries a leading run axis on every array; ``traj[b]`` is run b.
+    """
+
+    states: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    mu: np.ndarray
+    gamma: np.ndarray
+    f: np.ndarray
     model: str
     network: Network
 
+    def __getitem__(self, b: int) -> "Trajectory":
+        return Trajectory(self.states[b], self.y[b], self.z[b], self.mu[b],
+                          self.gamma[b], self.f[b], self.model, self.network)
+
     @property
     def horizon(self) -> int:
-        return len(self.rates)
+        return self.y.shape[-2]
 
     def min_gamma(self) -> float:
-        """Congestion factor: min over cells and steps of gamma."""
-        return min(float(r.gamma.min()) for r in self.rates) if self.rates else 1.0
+        """Congestion factor: min over cells and steps (and runs) of gamma."""
+        return float(self.gamma.min()) if self.gamma.size else 1.0
 
     def is_freeflow(self, tol: float = 1e-9) -> bool:
         return self.min_gamma() >= 1.0 - tol
@@ -103,184 +117,175 @@ class CostSpec:
         return w
 
 
-def _alpha_of(controls, t: int, n: int) -> np.ndarray:
-    if controls is None:
-        return np.ones(n)
-    return np.asarray(controls.alpha_at(t), dtype=float)
+@dataclass(frozen=True, eq=False)
+class Drive:
+    """Per-step kernel inputs, each with a leading step axis.
+
+    The controllable demand is d_bar = min(gain * x, cap_demand): gain is
+    alpha * v tau / L (v tau / L on sources) and cap_demand is C (alpha * C
+    on sources). capacity is C itself, ratio the turning ratio per edge
+    (padding edge included) and blocked marks the edges with ratio 0.
+    """
+
+    gain: np.ndarray
+    cap_demand: np.ndarray
+    capacity: np.ndarray
+    ratio: np.ndarray
+    blocked: np.ndarray
+    negligible: np.ndarray   # per cell: demand it receives without throttling
+
+    @staticmethod
+    def of(net: CompiledNetwork, alpha, capacity, ratio) -> "Drive":
+        alpha = np.asarray(alpha, dtype=float)
+        return Drive(gain=np.where(net.source, net.demand_slope, alpha * net.demand_slope),
+                     cap_demand=np.where(net.source, alpha * capacity, capacity),
+                     capacity=capacity, ratio=ratio, blocked=ratio == 0.0,
+                     negligible=ZERO_DEMAND_TOL * net.peak_capacity)
+
+    @staticmethod
+    def for_run(scenario: Scenario, controls=None) -> "Drive":
+        """The drive of a scenario's horizon under open-loop controls.
+
+        controls exposes alpha_at(t) and routing_at(t) (see synthesis); None
+        means alpha == 1 with the scenario's exogenous routing.
+        """
+        sc = scenario.compiled
+        net = sc.network
+        T, n = scenario.horizon, scenario.network.n
+        alpha = np.ones((T, n)) if controls is None else np.array(
+            [controls.alpha_at(t) for t in range(T)], dtype=float).reshape(T, n)
+        if controls is not None and T and controls.routing_at(0) is not None:
+            ratio = net.edge_ratios([controls.routing_at(t) for t in range(T)])
+        elif sc.ratios is not None:
+            ratio = sc.ratios[np.minimum(np.arange(T), len(sc.ratios) - 1)]
+        else:
+            raise ValueError("no routing available: scenario has none and controls carry none")
+        return Drive.of(net, alpha, sc.capacity, ratio)
+
+    def demand(self, x: np.ndarray, t) -> np.ndarray:
+        return np.minimum(self.gain[t] * x, self.cap_demand[t])
 
 
-def _routing_of(controls, scenario: Scenario, t: int) -> np.ndarray:
-    if controls is not None and controls.routing_at(t) is not None:
-        return np.asarray(controls.routing_at(t), dtype=float)
-    if scenario.routing is None:
-        raise ValueError("no routing available: scenario has none and controls carry none")
-    return scenario.routing.at(t)
+def _median(a, b, c):
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
-def _demands_supplies(net: Network, x: np.ndarray, alpha: np.ndarray, t: int):
-    dbar = np.empty(net.n)
-    s = np.empty(net.n)
-    for k, c in enumerate(net.cells):
-        dbar[k] = demand(c, float(x[k]), float(alpha[k]), t)
-        s[k] = supply(c, float(min(x[k], c.diagram.jam_volume)), t)
-    return dbar, s
-
-
-def priority_merge_flows(demands, total_supply: float, priorities) -> tuple[float, float]:
+def priority_merge_flows(demands, total_supply, priorities):
     """Daganzo's priority merge for exactly two upstream cells.
 
     Each flow is the median of {own demand, supply - other demand,
     own priority * supply}; when total demand fits the supply both cells
-    send their full demand.
+    send their full demand. Demands and supply may be arrays.
     """
     if len(demands) != 2 or len(priorities) != 2:
         raise ValueError("priority merge is defined for exactly two upstream cells")
-    d0, d1 = float(demands[0]), float(demands[1])
-    p0, p1 = float(priorities[0]), float(priorities[1])
+    (d0, d1), (p0, p1), s = demands, priorities, total_supply
     if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9:
         raise ValueError("priorities must be nonnegative and sum to 1")
-    s = float(total_supply)
-    if d0 + d1 <= s:
-        return d0, d1
-    f0 = float(np.median([d0, s - d1, p0 * s]))
-    f1 = float(np.median([d1, s - d0, p1 * s]))
-    return max(f0, 0.0), max(f1, 0.0)
+    fits = d0 + d1 <= s
+    return (np.where(fits, d0, np.maximum(_median(d0, s - d1, p0 * s), 0.0)),
+            np.where(fits, d1, np.maximum(_median(d1, s - d0, p1 * s), 0.0)))
 
 
-def fifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
-               R: np.ndarray, lam: np.ndarray, t: int,
-               priority_merges: dict | None = None) -> FlowRates:
-    """FIFO junction rates; proportional merges unless priorities given.
+def _gather_sum(values: np.ndarray, index: tuple) -> np.ndarray:
+    """Per-cell sums of edge values over ``CompiledNetwork.in_edges`` or
+    ``out_edges``, added left to right."""
+    total = values.take(index[0], axis=1)
+    for idx in index[1:]:
+        total += values.take(idx, axis=1)
+    return total
 
-    priority_merges maps a merge target cell id to its upstream priority
-    pair {upstream_id: p}; junctions not listed stay proportional.
+
+def junction_rates(net: CompiledNetwork, x: np.ndarray, drive: Drive, t,
+                   lam: np.ndarray, model: str = "fifo"):
+    """Rates of step t for a (B, n) batch of states; t may also be a slice
+    of steps, with one state per step in x.
+
+    Returns y, z, gamma (B, n) and the pair flows f (B, E + 1), padding
+    edge included; mu is z on sinks and 0 elsewhere.
     """
-    n = network.n
-    dbar, s = _demands_supplies(network, x, alpha, t)
-    idx = network.index
-    gamma = np.ones(n)
-    for k, c in enumerate(network.cells):
-        for j in network.downstream(c.id):
-            jj = idx[j]
-            if R[k, jj] == 0.0:
-                continue    # i sends nothing to j, so j cannot throttle it
-            tot = float(sum(R[idx[h], jj] * dbar[idx[h]] for h in network.upstream(j)))
-            if tot > 1e-15 and np.isfinite(s[jj]):
-                gamma[k] = min(gamma[k], max(s[jj] / tot, 0.0))
-    z = gamma * dbar
-    if priority_merges:
-        for target, prios in priority_merges.items():
-            ups = network.upstream(target)
-            if len(ups) != 2:
-                raise ValueError(f"priority merge at {target} needs exactly 2 upstream cells, found {len(ups)}")
-            if any(len(network.downstream(u)) != 1 for u in ups):
-                raise ValueError(f"priority merge at {target}: upstream cells must feed only this junction")
-            u0, u1 = ups
-            f0, f1 = priority_merge_flows(
-                (dbar[idx[u0]], dbar[idx[u1]]), s[idx[target]],
-                (prios[u0], prios[u1]))
-            z[idx[u0]], z[idx[u1]] = f0, f1
-    mu = np.zeros(n)
-    f: dict = {}
-    for k, c in enumerate(network.cells):
-        if network.is_sink(c.id):
-            # sinks face unbounded external supply: gamma = 1 by convention
-            z[k] = dbar[k]
-            gamma[k] = 1.0
-            mu[k] = z[k]
-        else:
-            for j in network.downstream(c.id):
-                f[(c.id, j)] = R[k, idx[j]] * z[k]
-    y = lam.astype(float).copy()
-    for (i, j), v in f.items():
-        y[idx[j]] += v
-    return FlowRates(f=f, y=y, z=z, mu=mu, gamma=gamma)
+    dbar = drive.demand(x, t)
+    ratio = drive.ratio[t]
+    supply = np.minimum(net.supply_slope * (net.jam - np.minimum(x, net.jam)), drive.capacity[t])
+    demand_in = _gather_sum(ratio * dbar.take(net.src, axis=1), net.in_edges)
+    share = np.full(supply.shape, np.inf)
+    np.divide(supply, demand_in, out=share, where=demand_in > drive.negligible)
+    if model == "nonfifo":
+        gamma = np.minimum(share, 1.0)
+        f = gamma.take(net.dst, axis=1) * ratio * dbar.take(net.src, axis=1)
+        z = np.where(net.sink, dbar, _gather_sum(f, net.out_edges))
+    else:
+        edge_share = np.where(drive.blocked[t], np.inf, share.take(net.dst, axis=1))
+        gamma = np.ones(share.shape)
+        for idx in net.out_edges:
+            np.minimum(gamma, edge_share.take(idx, axis=1), out=gamma)
+        z = gamma * dbar
+        if model == "fifo-priority" and len(net.merges):
+            target, u0, u1 = net.merges.T
+            z[:, u0], z[:, u1] = priority_merge_flows(
+                (dbar[:, u0], dbar[:, u1]), supply[:, target], (0.5, 0.5))
+        f = ratio * z.take(net.src, axis=1)
+    return lam + _gather_sum(f, net.in_edges), z, gamma, f
 
 
-def nonfifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
-                  R: np.ndarray, lam: np.ndarray, t: int) -> FlowRates:
-    """Non-FIFO rates: per-receiving-cell throttling only."""
-    n = network.n
-    dbar, s = _demands_supplies(network, x, alpha, t)
-    idx = network.index
-    gamma = np.ones(n)     # receiving coefficient per cell
-    for k, c in enumerate(network.cells):
-        ups = network.upstream(c.id)
-        tot = float(sum(R[idx[h], k] * dbar[idx[h]] for h in ups))
-        if tot > 1e-15 and np.isfinite(s[k]):
-            gamma[k] = min(1.0, max(s[k] / tot, 0.0))
-    mu = np.zeros(n)
-    z = np.zeros(n)
-    f: dict = {}
-    for k, c in enumerate(network.cells):
-        if network.is_sink(c.id):
-            z[k] = dbar[k]
-            mu[k] = z[k]
-        else:
-            for j in network.downstream(c.id):
-                jj = idx[j]
-                f[(c.id, j)] = gamma[jj] * R[k, jj] * dbar[k]
-            z[k] = float(sum(f[(c.id, j)] for j in network.downstream(c.id)))
-    y = lam.astype(float).copy()
-    for (i, j), v in f.items():
-        y[idx[j]] += v
-    return FlowRates(f=f, y=y, z=z, mu=mu, gamma=gamma)
-
-
-def step(network: Network, x: np.ndarray, rates: FlowRates,
-         tol: float = 1e-9) -> np.ndarray:
-    """Apply x+ = x + y - z and enforce the state invariants."""
-    xp = x + rates.y - rates.z
-    for k, c in enumerate(network.cells):
-        if xp[k] < -tol:
-            raise ValueError(f"cell {c.id}: negative volume {xp[k]} after step")
-        if not c.diagram.is_source and xp[k] > c.diagram.jam_volume + max(tol, 1e-9 * c.diagram.jam_volume):
-            raise ValueError(f"cell {c.id}: volume {xp[k]} exceeds jam {c.diagram.jam_volume}")
+def step(net: CompiledNetwork, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Apply x+ = x + y - z to a batch of states and enforce the invariants:
+    no volume below -1e-9, no volume above ``net.jam_limit``."""
+    xp = x + y - z
+    low, high = xp < -1e-9, xp > net.jam_limit
+    if low.any() or high.any():
+        b, k = np.argwhere(low | high)[0]
+        cell = net.network.cells[k]
+        if low[b, k]:
+            raise ValueError(f"cell {cell.id}: negative volume {xp[b, k]} after step")
+        raise ValueError(f"cell {cell.id}: volume {xp[b, k]} exceeds jam {cell.diagram.jam_volume}")
     return np.maximum(xp, 0.0)
 
 
-def simulate(scenario: Scenario, controls=None, model: str = "fifo",
-             priority_merges: dict | None = None,
-             check: bool = True) -> Trajectory:
+def simulate(scenario: Scenario, controls=None, model: str = "fifo") -> Trajectory:
     """Run the CTM open-loop for the scenario horizon.
 
     controls exposes alpha_at(t) and routing_at(t) (see synthesis); None
     means alpha == 1 with the scenario's exogenous routing.
     """
+    return simulate_batch(scenario, controls=controls, model=model)[0]
+
+
+def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
+                   model: str = "fifo") -> Trajectory:
+    """Run B copies of a scenario as one batch.
+
+    The runs share the network, capacities, controls and routing, and
+    differ in initial volumes x0 (B, n) and inflow (B, T, n); either one
+    left None is the scenario's own. Returns a batch trajectory.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    net = scenario.network
-    if check:
-        report = validate(net, scenario)
-        if not report.ok:
-            raise ValueError(f"invalid scenario:\n{report}")
-    lam = scenario.inflow_array()
-    x = scenario.x0_array().copy()
-    states = [x.copy()]
-    rates_log: list[FlowRates] = []
-    if model == "fifo-priority" and priority_merges is None:
-        # default: even priorities at every two-in merge junction
-        priority_merges = {}
-        for c in net.cells:
-            ups = net.upstream(c.id)
-            if len(ups) == 2 and all(len(net.downstream(u)) == 1 for u in ups):
-                priority_merges[c.id] = {ups[0]: 0.5, ups[1]: 0.5}
-    for t in range(scenario.horizon):
-        alpha = _alpha_of(controls, t, net.n)
-        R = _routing_of(controls, scenario, t)
-        if model == "nonfifo":
-            rates = nonfifo_rates(net, x, alpha, R, lam[t], t)
-        elif model == "fifo-priority":
-            rates = fifo_rates(net, x, alpha, R, lam[t], t, priority_merges=priority_merges)
-        else:
-            rates = fifo_rates(net, x, alpha, R, lam[t], t)
+    net = scenario.compiled.network
+    T, n = scenario.horizon, scenario.network.n
+    x0 = np.asarray(scenario.initial_volumes if x0 is None else x0, dtype=float).reshape(-1, n)
+    lam = np.asarray(scenario.inflow if inflow is None else inflow, dtype=float).reshape(-1, T, n)
+    B = max(len(x0), len(lam))
+    x0, lam = np.broadcast_to(x0, (B, n)), np.broadcast_to(lam, (B, T, n))
+    if (x0 < 0).any() or (x0 > np.where(net.source, np.inf, net.jam)).any():
+        raise ValueError("initial volumes must lie in [0, jam] on every cell")
+    if (lam < 0).any() or (lam[..., ~net.source] > 0).any():
+        raise ValueError("inflows must be nonnegative, and zero off the sources")
+    drive = Drive.for_run(scenario, controls)
+    E = len(net.src) - 1
+    states, y, z = np.empty((T + 1, B, n)), np.empty((T, B, n)), np.empty((T, B, n))
+    gamma, f = np.empty((T, B, n)), np.empty((T, B, E + 1))
+    states[0] = x = x0
+    for t in range(T):
+        y[t], z[t], gamma[t], f[t] = junction_rates(net, x, drive, t, lam[:, t], model)
         try:
-            x = step(net, x, rates)
+            states[t + 1] = x = step(net, x, y[t], z[t])
         except ValueError as e:
             raise ValueError(f"step {t}: {e}") from e
-        states.append(x.copy())
-        rates_log.append(rates)
-    return Trajectory(states=np.array(states), rates=rates_log, model=model, network=net)
+    states, y, z, gamma, f = (np.ascontiguousarray(a.swapaxes(0, 1))
+                              for a in (states, y, z, gamma, f[..., :E]))
+    return Trajectory(states=states, y=y, z=z, mu=np.where(net.sink, z, 0.0), gamma=gamma,
+                      f=f, model=model, network=scenario.network)
 
 
 def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:
@@ -292,10 +297,8 @@ def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:
     net = trajectory.network
     n = net.n
     xs = trajectory.states
-    T = trajectory.horizon
-    zs = np.zeros((T + 1, n))
-    for t, r in enumerate(trajectory.rates):
-        zs[t] = r.z
+    zs = np.zeros_like(xs)
+    zs[:-1] = trajectory.z
 
     def psi_sum(spec: CostSpec) -> float:
         w = spec.cell_weights(n)
@@ -307,7 +310,7 @@ def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:
             lengths = np.array([c.length for c in net.cells])
             return float(-(zs * lengths * w).sum())
         if spec.kind == "Delay":
-            slopes = np.array([c.diagram.demand_slope for c in net.cells])
+            slopes = net.compiled.demand_slope
             if np.any(slopes <= 0):
                 raise ValueError("Delay cost needs positive demand slopes")
             return float(((xs - zs / slopes) * w).sum())
@@ -321,20 +324,20 @@ def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:
 def mass_balance_error(trajectory: Trajectory, scenario: Scenario) -> float:
     """|sum x(T) - sum x(0) - sum lambda + sum mu|, should be ~0."""
     lam_total = scenario.inflow_array().sum()
-    mu_total = sum(float(r.mu.sum()) for r in trajectory.rates)
     return abs(float(trajectory.states[-1].sum())
-               - float(trajectory.states[0].sum()) - lam_total + mu_total)
+               - float(trajectory.states[0].sum()) - lam_total + float(trajectory.mu.sum()))
 
 
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write (step, cell, x, y, z, mu, gamma) rows, 12 significant digits."""
     net = trajectory.network
+    tr = trajectory
     with open(path, "w") as fh:
         fh.write("step,cell,x_veh,y_veh_per_step,z_veh_per_step,mu_veh_per_step,gamma\n")
-        for t, r in enumerate(trajectory.rates):
+        for t in range(tr.horizon):
             for k, c in enumerate(net.cells):
-                fh.write(f"{t},{c.id},{trajectory.states[t][k]:.12g},"
-                         f"{r.y[k]:.12g},{r.z[k]:.12g},{r.mu[k]:.12g},{r.gamma[k]:.12g}\n")
-        T = trajectory.horizon
+                fh.write(f"{t},{c.id},{tr.states[t, k]:.12g},{tr.y[t, k]:.12g},"
+                         f"{tr.z[t, k]:.12g},{tr.mu[t, k]:.12g},{tr.gamma[t, k]:.12g}\n")
+        T = tr.horizon
         for k, c in enumerate(net.cells):
-            fh.write(f"{T},{c.id},{trajectory.states[T][k]:.12g},0,0,0,1\n")
+            fh.write(f"{T},{c.id},{tr.states[T, k]:.12g},0,0,0,1\n")

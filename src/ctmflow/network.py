@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,6 +143,78 @@ class Network:
     def is_sink(self, cell_id: str) -> bool:
         return cell_id in self.sinks
 
+    @cached_property
+    def compiled(self) -> "CompiledNetwork":
+        return CompiledNetwork.of(self)
+
+
+def _padded(groups: list, pad: int) -> tuple:
+    """Index arrays a_0, a_1, ... with a_c[k] the c-th entry of groups[k],
+    or pad where groups[k] is shorter."""
+    width = max([len(g) for g in groups] + [1])
+    return tuple(np.array([g[c] if c < len(g) else pad for g in groups], dtype=np.intp)
+                 for c in range(width))
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledNetwork:
+    """Array form of a network, built once per Network (``Network.compiled``).
+
+    Edge e < E is ``network.adjacency[e]``, from cell ``src[e]`` to
+    ``dst[e]``; edge E is a padding edge from cell 0 to cell 0 whose turning
+    ratio is always 0. ``in_edges`` / ``out_edges`` are tuples of index
+    arrays: entry k of their c-th array is cell k's c-th incoming / outgoing
+    edge in adjacency order, or E where it has fewer. ``jam_limit``
+    is the largest volume a step may leave: jam plus max(1e-9, 1e-9 jam),
+    inf on sources. ``merges`` holds (target, first upstream, second
+    upstream) for every two-in merge whose upstream cells feed only it, the
+    junctions of the priority-merge model.
+    """
+
+    network: Network
+    src: np.ndarray
+    dst: np.ndarray
+    in_edges: tuple
+    out_edges: tuple
+    demand_slope: np.ndarray
+    supply_slope: np.ndarray
+    jam: np.ndarray
+    jam_limit: np.ndarray
+    peak_capacity: np.ndarray
+    source: np.ndarray
+    sink: np.ndarray
+    merges: np.ndarray
+
+    @staticmethod
+    def of(net: Network) -> "CompiledNetwork":
+        idx = net.index
+        E = len(net.adjacency)
+        src = np.array([idx[i] for i, _ in net.adjacency] + [0], dtype=np.intp)
+        dst = np.array([idx[j] for _, j in net.adjacency] + [0], dtype=np.intp)
+        diagrams = [c.diagram for c in net.cells]
+        jam = np.array([d.jam_volume for d in diagrams])
+        source = np.array([net.is_source(c.id) for c in net.cells])
+        merges = [(idx[c.id], idx[ups[0]], idx[ups[1]]) for c in net.cells
+                  for ups in [net.upstream(c.id)]
+                  if len(ups) == 2 and all(len(net.downstream(u)) == 1 for u in ups)]
+        return CompiledNetwork(
+            network=net, src=src, dst=dst,
+            in_edges=_padded([[e for e in range(E) if dst[e] == k] for k in range(net.n)], E),
+            out_edges=_padded([[e for e in range(E) if src[e] == k] for k in range(net.n)], E),
+            demand_slope=np.array([d.demand_slope for d in diagrams]),
+            supply_slope=np.array([d.supply_slope for d in diagrams]),
+            jam=jam, jam_limit=np.where(source, np.inf, jam + np.maximum(1e-9, 1e-9 * jam)),
+            peak_capacity=np.array([max(d.capacity_schedule) for d in diagrams]),
+            source=source,
+            sink=np.array([net.is_sink(c.id) for c in net.cells]),
+            merges=np.array(merges, dtype=np.intp).reshape(-1, 3))
+
+    def edge_ratios(self, matrices) -> np.ndarray:
+        """(..., E + 1) turning ratios per edge from (..., n, n) matrices."""
+        ratios = np.asarray(matrices, dtype=float)[..., self.src, self.dst]
+        ratios[..., -1] = 0.0
+        return ratios
+
 
 @dataclass(frozen=True)
 class RoutingSchedule:
@@ -189,16 +262,37 @@ class Scenario:
 
     def capacity_matrix(self) -> np.ndarray:
         """(T, n) matrix of C_i(t)."""
-        caps = np.empty((self.horizon, self.network.n))
-        for k, c in enumerate(self.network.cells):
-            for t in range(self.horizon):
-                caps[t, k] = c.diagram.capacity(t)
-        return caps
+        T = self.horizon
+        scheds = [c.diagram.capacity_schedule for c in self.network.cells]
+        return np.array([list(s[:T]) + [s[-1]] * (T - len(s)) for s in scheds],
+                        dtype=float).T.copy()
+
+    @cached_property
+    def compiled(self) -> "CompiledScenario":
+        """The validated array form; raises ValueError on an invalid scenario."""
+        report = validate(self.network, self)
+        if not report.ok:
+            raise ValueError(f"invalid scenario:\n{report}")
+        net = self.network.compiled
+        ratios = (None if self.routing is None
+                  else net.edge_ratios(np.array(self.routing.matrices)))
+        return CompiledScenario(network=net, capacity=self.capacity_matrix(), ratios=ratios)
 
     def content_hash(self) -> str:
         return hashlib.sha256(
             json.dumps(scenario_to_dict(self), sort_keys=True).encode()
         ).hexdigest()[:16]
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledScenario:
+    """Arrays of one validated scenario (``Scenario.compiled``): capacities
+    (T, n) and the exogenous turning ratios per edge (T_r, E + 1),
+    constant-extended beyond T_r, or None."""
+
+    network: CompiledNetwork
+    capacity: np.ndarray
+    ratios: np.ndarray | None
 
 
 @dataclass
@@ -252,56 +346,19 @@ def supply(cell: Cell, x: float, t: int) -> float:
 def classify_junctions(network: Network) -> dict[str, str]:
     """Map each internal junction node to ordinary/merge/diverge/general.
 
-    Junction nodes are identified with the set of adjacency pairs sharing
-    them; the returned keys are synthetic ids 'node(<in>-><out>)'.
+    Adjacency pairs that share their upstream or their downstream cell meet
+    at one junction node, so nodes are the connected groups of pairs; the
+    returned keys are synthetic ids 'node(<in>-><out>)'.
     """
-    # group adjacency by the implicit node: two pairs (i,j), (h,k) share a node
-    # iff head(i)=head(h) i.e. they have equal upstream-set signature. We build
-    # nodes from the relation: node of pair (i,j) is determined by i's head,
-    # equivalently by the full bipartite component of cells around it.
-    heads: dict[str, set[str]] = {}   # upstream cell -> downstream set
-    for (i, j) in network.adjacency:
-        heads.setdefault(i, set()).add(j)
-    # merge upstream cells that share any downstream cell into one node
-    nodes: list[tuple[set[str], set[str]]] = []   # (in-cells, out-cells)
-    for i, outs in heads.items():
-        merged = None
-        for node in nodes:
-            if node[1] & outs:
-                node[0].add(i)
-                node[1].update(outs)
-                merged = node
-                break
-        if merged is None:
-            nodes.append(({i}, set(outs)))
-    # transitive closure in case two groups got linked via a later cell
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                if nodes[a][1] & nodes[b][1] or nodes[a][0] & nodes[b][0]:
-                    nodes[a][0].update(nodes[b][0])
-                    nodes[a][1].update(nodes[b][1])
-                    del nodes[b]
-                    changed = True
-                    break
-            if changed:
-                break
-    result = {}
-    for in_cells, out_cells in nodes:
-        n_in, n_out = len(in_cells), len(out_cells)
-        if n_in == 1 and n_out == 1:
-            kind = "ordinary"
-        elif n_in > 1 and n_out == 1:
-            kind = "merge"
-        elif n_in == 1 and n_out > 1:
-            kind = "diverge"
-        else:
-            kind = "general"
-        key = f"node({'+'.join(sorted(in_cells))}->{'+'.join(sorted(out_cells))})"
-        result[key] = kind
-    return result
+    nodes: list[tuple[set, set]] = []     # (in-cells, out-cells)
+    for i, j in network.adjacency:
+        hit = [node for node in nodes if i in node[0] or j in node[1]]
+        nodes = [node for node in nodes if node not in hit]
+        nodes.append(({i}.union(*(h[0] for h in hit)), {j}.union(*(h[1] for h in hit))))
+    kinds = {(True, True): "ordinary", (False, True): "merge",
+             (True, False): "diverge", (False, False): "general"}
+    return {f"node({'+'.join(sorted(ins))}->{'+'.join(sorted(outs))})":
+            kinds[(len(ins) == 1, len(outs) == 1)] for ins, outs in nodes}
 
 
 def validate(network: Network, scenario: Scenario | None = None) -> ValidationReport:
@@ -328,58 +385,48 @@ def validate(network: Network, scenario: Scenario | None = None) -> ValidationRe
             report.add("no-feed", f"cell {c.id} has no upstream cell and is not a source", cell=c.id)
 
     if scenario is not None:
+        comp = network.compiled
+        ids = [c.id for c in network.cells]
         x0 = scenario.x0_array()
         if x0.shape != (network.n,):
             report.add("x0-shape", f"x0 has shape {x0.shape}, expected ({network.n},)")
         else:
-            for k, c in enumerate(network.cells):
-                if x0[k] < 0:
-                    report.add("x0-negative", f"cell {c.id}: x0 = {x0[k]} < 0", cell=c.id)
-                if not c.diagram.is_source and x0[k] > c.diagram.jam_volume:
-                    report.add("x0-jam", f"cell {c.id}: x0 = {x0[k]} exceeds jam {c.diagram.jam_volume}", cell=c.id)
+            for k in np.flatnonzero(x0 < 0):
+                report.add("x0-negative", f"cell {ids[k]}: x0 = {x0[k]} < 0", cell=ids[k])
+            for k in np.flatnonzero(~comp.source & (x0 > comp.jam)):
+                report.add("x0-jam", f"cell {ids[k]}: x0 = {x0[k]} exceeds jam {comp.jam[k]}",
+                           cell=ids[k])
         try:
             lam = scenario.inflow_array()
         except ValueError as e:
             report.add("inflow-shape", str(e))
-            lam = None
-        if lam is not None:
-            for t in range(scenario.horizon):
-                for k, c in enumerate(network.cells):
-                    if lam[t, k] < 0:
-                        report.add("inflow-negative", f"lambda_{c.id}({t}) = {lam[t, k]} < 0", cell=c.id, step=t)
-                    if lam[t, k] > 0 and not network.is_source(c.id):
-                        report.add("inflow-nonsource", f"lambda_{c.id}({t}) > 0 on non-source", cell=c.id, step=t)
+            lam = np.zeros((0, network.n))
+        for t, k in np.argwhere(lam < 0):
+            report.add("inflow-negative", f"lambda_{ids[k]}({t}) = {lam[t, k]} < 0",
+                       cell=ids[k], step=int(t))
+        for t, k in np.argwhere((lam > 0) & ~comp.source):
+            report.add("inflow-nonsource", f"lambda_{ids[k]}({t}) > 0 on non-source",
+                       cell=ids[k], step=int(t))
         # CFL: tau * max v / min L <= 1, expressed via per-step slopes
-        max_slope = max(c.diagram.demand_slope for c in network.cells)
-        max_wslope = max(c.diagram.supply_slope for c in network.cells)
+        max_slope, max_wslope = comp.demand_slope.max(), comp.supply_slope.max()
         if max_slope > 1 + 1e-12:
             report.add("cfl", f"CFL ratio tau*max(v)/min(L) = {max_slope} exceeds 1")
         if max_wslope > 1 + 1e-12:
             report.add("cfl-wave", f"wave CFL ratio tau*max(w)/min(L) = {max_wslope} exceeds 1")
-        routing = scenario.routing
-        if routing is not None:
-            steps = len(routing.matrices)
-            allowed = set()
-            for (i, j) in network.adjacency:
-                allowed.add((network.index[i], network.index[j]))
-            for t in range(steps):
-                m = routing.at(t)
-                for a in range(network.n):
-                    for b in range(network.n):
-                        if m[a, b] < 0:
-                            report.add("routing-negative", f"R[{a},{b}]({t}) < 0", step=t)
-                        if m[a, b] > 0 and (a, b) not in allowed:
-                            report.add("routing-offgraph",
-                                       f"R positive on non-adjacent pair ({network.cells[a].id},{network.cells[b].id})",
-                                       step=t)
-                for k, c in enumerate(network.cells):
-                    if network.is_sink(c.id):
-                        continue
-                    rowsum = float(m[k].sum())
-                    if abs(rowsum - 1.0) > 1e-9:
-                        report.add("routing-rowsum",
-                                   f"row {c.id} of R({t}) sums to {rowsum}, expected 1",
-                                   cell=c.id, step=t)
+        if scenario.routing is not None:
+            mats = np.array(scenario.routing.matrices, dtype=float)
+            allowed = np.zeros((network.n, network.n), dtype=bool)
+            allowed[comp.src[:-1], comp.dst[:-1]] = True
+            for t, a, b in np.argwhere(mats < 0):
+                report.add("routing-negative", f"R[{a},{b}]({t}) < 0", step=int(t))
+            for t, a, b in np.argwhere((mats > 0) & ~allowed):
+                report.add("routing-offgraph",
+                           f"R positive on non-adjacent pair ({ids[a]},{ids[b]})", step=int(t))
+            rowsum = mats.sum(axis=2)
+            for t, k in np.argwhere((np.abs(rowsum - 1.0) > 1e-9) & ~comp.sink):
+                report.add("routing-rowsum",
+                           f"row {ids[k]} of R({t}) sums to {rowsum[t, k]}, expected 1",
+                           cell=ids[k], step=int(t))
     return report
 
 

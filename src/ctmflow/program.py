@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ctm import CostSpec
-from .network import Scenario, validate
+from .network import Scenario
 
 
 @dataclass
@@ -65,14 +65,18 @@ class ConvexProgram:
     def var(self, values: np.ndarray, *name) -> float:
         return float(values[self.var_index[tuple(name)]])
 
-    def states(self, values: np.ndarray, scenario: Scenario) -> np.ndarray:
-        """Extract the (T+1, n) state trajectory from a solution vector."""
-        net = scenario.network
-        xs = np.empty((scenario.horizon + 1, net.n))
-        for t in range(scenario.horizon + 1):
-            for k, c in enumerate(net.cells):
-                xs[t, k] = values[self.var_index[("x", t, c.id)]]
-        return xs
+    def span(self, block: str, network, horizon: int) -> slice:
+        """Columns of one variable block (x, y, z, mu or f), step-major."""
+        first = network.adjacency[0] if block == "f" else (network.cells[0].id,)
+        start = self.var_index[(block, 0, *first)]
+        width = len(network.adjacency) if block == "f" else network.n
+        return slice(start, start + (horizon + (block == "x")) * width)
+
+    def states(self, values: np.ndarray, scenario: Scenario, block: str = "x") -> np.ndarray:
+        """The (T+1, n) state trajectory of a solution vector; with block
+        y, z or mu, that (T, n) block of rates, with f the (T, E) flows."""
+        cols = self.span(block, scenario.network, scenario.horizon)
+        return np.array(values[cols]).reshape(scenario.horizon + (block == "x"), -1)
 
 
 def _objective(cost: CostSpec, scenario: Scenario, var_index: dict, n_vars: int):
@@ -132,9 +136,7 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     net = scenario.network
-    report = validate(net, scenario)
-    if not report.ok:
-        raise ValueError(f"invalid scenario:\n{report}")
+    scenario.compiled    # validates, once per scenario
     if kind == "FNC" and scenario.routing is None:
         raise ValueError("FNC needs an exogenous routing schedule on the scenario")
     T = scenario.horizon
@@ -254,17 +256,9 @@ def embed_trajectory(program: ConvexProgram, trajectory) -> np.ndarray:
     upper bound and for structural arguments.
     """
     values = np.zeros(program.n_vars)
-    net = trajectory.network
-    for t in range(trajectory.horizon + 1):
-        for k, c in enumerate(net.cells):
-            values[program.var_index[("x", t, c.id)]] = trajectory.states[t][k]
-    for t, r in enumerate(trajectory.rates):
-        for k, c in enumerate(net.cells):
-            values[program.var_index[("y", t, c.id)]] = r.y[k]
-            values[program.var_index[("z", t, c.id)]] = r.z[k]
-            values[program.var_index[("mu", t, c.id)]] = r.mu[k]
-        for (i, j), v in r.f.items():
-            values[program.var_index[("f", t, i, j)]] = v
+    tr = trajectory
+    for block, arr in (("x", tr.states), ("y", tr.y), ("z", tr.z), ("mu", tr.mu), ("f", tr.f)):
+        values[program.span(block, tr.network, tr.horizon)] = arr.ravel()
     return values
 
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctm import fifo_rates, nonfifo_rates, simulate, step
+from .ctm import Drive, junction_rates, simulate, simulate_batch, step
 from .network import Network, Scenario
-from .scenarios import with_inflow
 
 EQ_TOL = 1e-8
 EQ_MAX_STEPS = 100_000
@@ -85,12 +84,18 @@ def perturbed_scenario(scenario: Scenario, perturbation: PerturbationSpec) -> Sc
                     routing=scenario.routing, note=scenario.note)
 
 
+def simulate_perturbed(scenario: Scenario, perturbations: list,
+                       controls=None, model: str = "fifo"):
+    """The perturbed runs of a scenario, as one batch trajectory."""
+    return simulate_batch(scenario, x0=[p.x0_array() for p in perturbations],
+                          inflow=[p.inflow_array() for p in perturbations],
+                          controls=controls, model=model)
+
+
 def freeflow_probe(scenario: Scenario, perturbation: PerturbationSpec,
                    controls=None, model: str = "fifo") -> bool:
     """Simulate the perturbed trajectory and check gamma == 1 throughout."""
-    traj = simulate(perturbed_scenario(scenario, perturbation),
-                    controls=controls, model=model)
-    return traj.is_freeflow()
+    return simulate_perturbed(scenario, [perturbation], controls, model).is_freeflow()
 
 
 def contraction_bound(scenario: Scenario, perturbation: PerturbationSpec,
@@ -132,12 +137,6 @@ class EquilibriumResult:
         return self.x_eq is not None
 
 
-def _constant_rates(network: Network, x, alpha, R, lam_vec, model, t):
-    if model == "nonfifo":
-        return nonfifo_rates(network, x, alpha, R, lam_vec, t)
-    return fifo_rates(network, x, alpha, R, lam_vec, t)
-
-
 def find_equilibrium(network: Network, constant_inflow: np.ndarray,
                      controls=None, routing=None, model: str = "fifo",
                      t_index: int = 10 ** 9) -> EquilibriumResult:
@@ -148,8 +147,8 @@ def find_equilibrium(network: Network, constant_inflow: np.ndarray,
     out. Capacity schedules are taken at their constant extension.
     """
     n = network.n
-    x = np.zeros(n)
-    lam_vec = np.asarray(constant_inflow, dtype=float)
+    x = np.zeros((1, n))
+    lam_vec = np.asarray(constant_inflow, dtype=float)[None]
     if controls is not None:
         alpha = np.asarray(controls.alpha_at(t_index), dtype=float)
         R = controls.routing_at(t_index)
@@ -160,15 +159,17 @@ def find_equilibrium(network: Network, constant_inflow: np.ndarray,
         R = routing.at(t_index) if routing is not None else None
     if R is None:
         raise ValueError("find_equilibrium needs a routing matrix")
-    jam_scale = max(c.diagram.jam_volume for c in network.cells)
+    net = network.compiled
+    capacity = [[c.diagram.capacity(t_index) for c in network.cells]]
+    drive = Drive.of(net, alpha[None], np.array(capacity), net.edge_ratios(R)[None])
+    overload = OVERLOAD_FACTOR * net.jam.max()
     for k in range(EQ_MAX_STEPS):
-        rates = _constant_rates(network, x, alpha, R, lam_vec, model, t_index)
-        x_next = step(network, x, rates)
+        y, z, _, _ = junction_rates(net, x, drive, 0, lam_vec, model)
+        x_next = step(net, x, y, z)
         if np.max(np.abs(x_next - x)) <= EQ_TOL:
-            return EquilibriumResult(x_eq=x_next, overloaded=False, steps=k + 1)
+            return EquilibriumResult(x_eq=x_next[0], overloaded=False, steps=k + 1)
         x = x_next
-        if any(x[network.index[s]] > OVERLOAD_FACTOR * jam_scale
-               for s in network.sources):
+        if (x[0, net.source] > overload).any():
             return EquilibriumResult(x_eq=None, overloaded=True, steps=k + 1)
     return EquilibriumResult(x_eq=None, overloaded=True, steps=EQ_MAX_STEPS)
 
@@ -204,7 +205,7 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo",
     """Supremum constant inflow keeping the whole horizon in free-flow.
 
     Bisection on the scalar source level; requires a single source and a
-    constant nominal inflow.
+    constant nominal inflow. A probe stops at its first congested step.
     """
     net = scenario.network
     sources = sorted(net.sources)
@@ -216,9 +217,19 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo",
     if np.max(np.abs(nominal - nominal[0])) > 1e-12:
         raise ValueError("max_freeflow_inflow requires a constant nominal inflow")
 
+    comp = scenario.compiled.network
+    drive = Drive.for_run(scenario)
+
     def free(level: float) -> bool:
-        probe = with_inflow(scenario, float(level))
-        return simulate(probe, model=model).is_freeflow()
+        lam_t = np.zeros((1, net.n))
+        lam_t[0, src] = level
+        x = scenario.x0_array()[None]
+        for t in range(scenario.horizon):
+            y, z, gamma, _ = junction_rates(comp, x, drive, t, lam_t, model)
+            if gamma.min() < 1.0 - 1e-9:
+                return False
+            x = step(comp, x, y, z)
+        return True
 
     lo = 0.0
     hi = max(float(nominal[0]), 1.0)
@@ -332,13 +343,11 @@ def combined_bound(scenario: Scenario, perturbation: PerturbationSpec,
                                       base_curve=overload_base)
     p3 = contraction_bound(scenario, perturbation, controls, model, probe=probe)
     p4 = equilibrium_envelope_bound(scenario, perturbation, controls, model, probe=False)
-    values = p3.values.copy()
-    provenance = list(p3.provenance)
+    values, provenance = p3.values, p3.provenance
     if p4.applicable:
-        for t in range(len(values)):
-            if p4.values[t] < values[t]:
-                values[t] = p4.values[t]
-                provenance[t] = "equilibrium-envelope"
+        lower = p4.values < values
+        values = np.where(lower, p4.values, values)
+        provenance = ["equilibrium-envelope" if low else tag for low, tag in zip(lower, provenance)]
     return BoundCurve(values=values, provenance=provenance,
                       freeflow_valid=p3.freeflow_valid)
 
@@ -347,8 +356,7 @@ def simulated_divergence(scenario: Scenario, perturbation: PerturbationSpec,
                          controls=None, model: str = "fifo"):
     """||x~(t) - x(t)||_1 per step and the summed cost perturbation."""
     nom = simulate(scenario, controls=controls, model=model)
-    pert = simulate(perturbed_scenario(scenario, perturbation),
-                    controls=controls, model=model)
+    pert = simulate_perturbed(scenario, [perturbation], controls, model)[0]
     diff = np.abs(pert.states - nom.states).sum(axis=1)
     dpsi = float((pert.states - nom.states).sum())
     return diff, dpsi, nom, pert

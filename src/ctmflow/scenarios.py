@@ -92,19 +92,3 @@ def robustness_scenario(horizon: int = 200, inflow: float = 5.0) -> Scenario:
                     initial_volumes=(0.0,) * net.n, inflow=lam,
                     routing=routing_for(net), note=RATIO_NOTE)
 
-
-def with_inflow(scenario: Scenario, inflow_by_source: dict[str, float] | float) -> Scenario:
-    """Copy of a scenario with a new constant inflow level."""
-    net = scenario.network
-    lam = np.zeros((scenario.horizon, net.n))
-    if isinstance(inflow_by_source, dict):
-        for cid, level in inflow_by_source.items():
-            lam[:, net.index[cid]] = level
-    else:
-        sources = sorted(net.sources)
-        if len(sources) != 1:
-            raise ValueError("scalar inflow needs a single-source network")
-        lam[:, net.index[sources[0]]] = float(inflow_by_source)
-    return Scenario(network=net, horizon=scenario.horizon, tau=scenario.tau,
-                    initial_volumes=scenario.initial_volumes, inflow=lam,
-                    routing=scenario.routing, note=scenario.note)

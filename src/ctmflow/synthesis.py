@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctm import Trajectory, simulate
+from .ctm import Drive, Trajectory, junction_rates, simulate
 from .network import Scenario
 from .program import ConvexProgram
 from .solver import Solution
@@ -51,56 +51,41 @@ def extract_controls(program: ConvexProgram, solution: Solution,
     net = scenario.network
     T = scenario.horizon
     vals = solution.values
-    alphas = np.ones((T, net.n))
-    for t in range(T):
-        for k, c in enumerate(net.cells):
-            x = program.var(vals, "x", t, c.id)
-            z = program.var(vals, "z", t, c.id)
-            d_raw = c.diagram.demand_slope * max(x, 0.0)
-            cap = c.diagram.capacity(t)
-            if z > min(d_raw, cap) + 1e-6 * (1.0 + abs(z)):
-                raise ValueError(
-                    f"solution violates the demand constraint at cell {c.id}, step {t}: "
-                    f"z={z} > min(d,C)={min(d_raw, cap)}")
-            if c.diagram.is_source:
-                if z >= min(d_raw, cap) - EXTRACT_TOL:
-                    alphas[t, k] = 1.0
-                elif cap > 0:
-                    alphas[t, k] = min(max(z / cap, 0.0), 1.0)
-                else:
-                    alphas[t, k] = 1.0
-            else:
-                if d_raw <= EXTRACT_TOL:
-                    if z > EXTRACT_TOL:
-                        raise ValueError(
-                            f"cell {c.id}, step {t}: z={z} with zero demand signals "
-                            "an infeasible solution")
-                    alphas[t, k] = 1.0
-                else:
-                    alphas[t, k] = min(max(z / d_raw, 0.0), 1.0)
+    source = net.compiled.source
+    z = program.states(vals, scenario, "z")
+    d_raw = net.compiled.demand_slope * np.maximum(program.states(vals, scenario)[:-1], 0.0)
+    cap = scenario.capacity_matrix()
+    bound = np.minimum(d_raw, cap)
+    over = z > bound + 1e-6 * (1.0 + np.abs(z))
+    unfed = ~source & (d_raw <= EXTRACT_TOL) & (z > EXTRACT_TOL)
+    if over.any() or unfed.any():
+        t, k = np.argwhere(over | unfed)[0]
+        if over[t, k]:
+            raise ValueError(
+                f"solution violates the demand constraint at cell {net.cells[k].id}, step {t}: "
+                f"z={z[t, k]} > min(d,C)={bound[t, k]}")
+        raise ValueError(f"cell {net.cells[k].id}, step {t}: z={z[t, k]} with zero demand "
+                         "signals an infeasible solution")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        metered = np.where((z >= bound - EXTRACT_TOL) | (cap <= 0), 1.0, np.clip(z / cap, 0.0, 1.0))
+        limited = np.where(d_raw <= EXTRACT_TOL, 1.0, np.clip(z / d_raw, 0.0, 1.0))
+    alphas = np.where(source, metered, limited)
     routing = None
     if program.kind == "DTA":
-        mats = []
-        for t in range(T):
-            m = np.zeros((net.n, net.n))
-            for k, c in enumerate(net.cells):
-                downs = net.downstream(c.id)
-                if not downs:
-                    continue
-                z = program.var(vals, "z", t, c.id)
-                if z > EXTRACT_TOL:
-                    row = np.array([program.var(vals, "f", t, c.id, j) for j in downs])
-                    # solver noise can leave ~1e-10 flows pointing into cells
-                    # with zero supply, which would zero the replay's FIFO
-                    # coefficient; drop them before normalizing
-                    row[row < 1e-8 * (1.0 + z)] = 0.0
-                    total = row.sum()
-                    row = row / total if total > 0 else np.full(len(downs), 1.0 / len(downs))
-                else:
-                    row = np.full(len(downs), 1.0 / len(downs))
-                for j, r in zip(downs, row):
-                    m[k, net.index[j]] = r
-            mats.append(m)
+        src, dst = net.compiled.src[:-1], net.compiled.dst[:-1]
+        z_out = z[:, src]
+        # solver noise can leave ~1e-10 flows pointing into cells with zero
+        # supply, which would zero the replay's FIFO coefficient; drop them
+        # before normalizing
+        f = program.states(vals, scenario, "f")
+        f = np.where(f < 1e-8 * (1.0 + z_out), 0.0, f)
+        total = np.zeros_like(z)
+        np.add.at(total, (slice(None), src), f)
+        share = np.where((z_out > EXTRACT_TOL) & (total[:, src] > 0),
+                         f / np.where(total > 0, total, 1.0)[:, src],
+                         1.0 / np.bincount(src, minlength=net.n)[src])
+        mats = np.zeros((T, net.n, net.n))
+        mats[:, src, dst] = share
         routing = tuple(mats)
     return ControlSchedule(alphas=alphas, routing=routing)
 
@@ -125,21 +110,14 @@ class RealizationReport:
 def verify_realization(controls: ControlSchedule, scenario: Scenario,
                        reference_states: np.ndarray, model: str = "fifo") -> RealizationReport:
     """Replay controls through the CTM and compare against the reference."""
-    from .network import demand as demand_fn
-
     traj = simulate(scenario, controls=controls, model=model)
     ref = np.asarray(reference_states, dtype=float)
     dev = float(np.max(np.abs(traj.states - ref)))
     tol = 1e-6 * (1.0 + float(np.max(np.abs(ref))))
-    net = scenario.network
-    ff = np.array([bool(r.gamma.min() >= 1.0 - 1e-9) for r in traj.rates])
-    ident = 0.0
-    for t, r in enumerate(traj.rates):
-        for k, c in enumerate(net.cells):
-            dbar = demand_fn(c, float(traj.states[t][k]), float(controls.alpha_at(t)[k]), t)
-            ident = max(ident, abs(float(r.z[k]) - dbar))
+    dbar = Drive.for_run(scenario, controls).demand(traj.states[:-1], slice(None))
     return RealizationReport(max_deviation=dev, tolerance=tol,
-                             freeflow_steps=ff, demand_identity=ident,
+                             freeflow_steps=traj.gamma.min(axis=1, initial=1.0) >= 1.0 - 1e-9,
+                             demand_identity=float(np.abs(traj.z - dbar).max(initial=0.0)),
                              trajectory=traj)
 
 
@@ -170,7 +148,7 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
         ordinary:  z* = min(d_bar(x*), s_downstream(x*))
         diverge:   z* = d_bar(x*) * min(1, min_k s_k(x*_k) / (R_ik d_bar(x*)))
     """
-    from .network import classify_junctions, demand as demand_fn, supply as supply_fn
+    from .network import classify_junctions
 
     net = scenario.network
     if program.kind != "FNC":
@@ -184,32 +162,16 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
     if any(k == "general" for k in kinds.values()):
         raise ValueError("structure check refuses networks with general junctions")
 
-    vals = solution.values
-    worst = 0.0
-    checked = 0
-    for t in range(scenario.horizon):
-        R = scenario.routing.at(t)
-        for k, c in enumerate(net.cells):
-            downs = net.downstream(c.id)
-            if not downs:
-                continue
-            # ordinary or diverge head <=> this cell is the junction's only input
-            shared_input = any(len(net.upstream(j)) > 1 for j in downs)
-            if shared_input:
-                continue   # merge junction: priority structure, not checked here
-            x_i = program.var(vals, "x", t, c.id)
-            z_i = program.var(vals, "z", t, c.id)
-            dbar = demand_fn(c, max(x_i, 0.0), 1.0, t)
-            gamma = 1.0
-            for j in downs:
-                r = float(R[k, net.index[j]])
-                s_j = supply_fn(net.cell(j),
-                                min(program.var(vals, "x", t, j), net.cell(j).diagram.jam_volume), t)
-                if r * dbar > 1e-15 and np.isfinite(s_j):
-                    gamma = min(gamma, max(s_j / (r * dbar), 0.0))
-            expected = gamma * dbar
-            worst = max(worst, abs(z_i - expected))
-            checked += 1
+    # ordinary or diverge head <=> the cell is its junction's only input;
+    # merge heads follow the priority structure and are not checked here
+    heads = [k for k, c in enumerate(net.cells) if net.downstream(c.id)
+             and all(len(net.upstream(j)) == 1 for j in net.downstream(c.id))]
+    x_star = np.maximum(program.states(solution.values, scenario)[:-1], 0.0)
+    _, z_rule, _, _ = junction_rates(net.compiled, x_star, Drive.for_run(scenario),
+                                     slice(None), 0.0)
+    z_star = program.states(solution.values, scenario, "z")
+    deviation = np.abs(z_star[:, heads] - z_rule[:, heads])
+    worst, checked = float(deviation.max(initial=0.0)), deviation.size
     gap = abs(solution.objective - fifo_cost) / max(abs(fifo_cost), 1.0)
     return StructureReport(fnc_cost=solution.objective, fifo_cost=fifo_cost,
                            cost_gap=gap, max_flow_deviation=worst,

@@ -13,7 +13,8 @@ TAU = 1.0
 
 
 def build_network(shape: str, rng, slopes=None, slope_hi=1.0) -> tuple[Network, dict]:
-    """Small test networks: chain, diverge, merge, or diamond.
+    """Small test networks: chain, diverge, merge, diamond, or cross (a
+    general junction: s splits to a and b, and u also feeds b).
 
     slope_hi = 0.5 keeps demand_slope + supply_slope <= 1 per cell, which is
     what makes the one-step CTM map monotone outside free-flow.
@@ -48,6 +49,14 @@ def build_network(shape: str, rng, slopes=None, slope_hi=1.0) -> tuple[Network, 
         adjacency = (("s1", "m"), ("s2", "m"), ("m", "t"))
         sources, sinks = {"s1", "s2"}, {"t"}
         ratios = {p: 1.0 for p in adjacency}
+    elif shape == "cross":
+        cells = [cell("s", is_source=True), cell("u", is_source=True), cell("a"), cell("b"),
+                 cell("ta"), cell("tb")]
+        adjacency = (("s", "a"), ("s", "b"), ("u", "b"), ("a", "ta"), ("b", "tb"))
+        sources, sinks = {"s", "u"}, {"ta", "tb"}
+        r = rng.uniform(0.2, 0.8)
+        ratios = {("s", "a"): r, ("s", "b"): 1 - r, ("u", "b"): 1.0,
+                  ("a", "ta"): 1.0, ("b", "tb"): 1.0}
     else:  # diamond
         ids = ["s", "u", "a", "b", "m", "t"]
         cells = [cell("s", is_source=True), cell("u"), cell("a"), cell("b"), cell("m"), cell("t")]

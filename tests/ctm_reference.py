@@ -1,0 +1,165 @@
+"""Slow reference CTM: the per-cell loop kernel that ``ctmflow.ctm``'s array
+kernel replaced, kept to property-test the array kernel against.
+
+Every junction rule runs cell by cell and edge by edge on Python floats,
+through the scalar fundamental-diagram helpers ``network.demand`` and
+``network.supply``. A receiving cell throttles only a total demand above
+``ZERO_DEMAND_TOL`` times its peak capacity, as in the array kernel.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ctmflow.ctm import ZERO_DEMAND_TOL
+from ctmflow.network import Network, Scenario, demand, supply, validate
+
+
+@dataclass
+class FlowRates:
+    """Per-step rates: pair flows f, aggregates y/z, external outflow mu."""
+
+    f: dict                  # (i, j) id pair -> veh/step
+    y: np.ndarray
+    z: np.ndarray
+    mu: np.ndarray
+    gamma: np.ndarray
+
+
+def _negligible(network: Network, cell_id: str) -> float:
+    return ZERO_DEMAND_TOL * max(network.cell(cell_id).diagram.capacity_schedule)
+
+
+def _demands_supplies(net: Network, x: np.ndarray, alpha: np.ndarray, t: int):
+    dbar = np.empty(net.n)
+    s = np.empty(net.n)
+    for k, c in enumerate(net.cells):
+        dbar[k] = demand(c, float(x[k]), float(alpha[k]), t)
+        s[k] = supply(c, float(min(x[k], c.diagram.jam_volume)), t)
+    return dbar, s
+
+
+def priority_merge_flows(demands, total_supply: float, priorities) -> tuple[float, float]:
+    d0, d1 = float(demands[0]), float(demands[1])
+    p0, p1 = float(priorities[0]), float(priorities[1])
+    s = float(total_supply)
+    if d0 + d1 <= s:
+        return d0, d1
+    f0 = float(np.median([d0, s - d1, p0 * s]))
+    f1 = float(np.median([d1, s - d0, p1 * s]))
+    return max(f0, 0.0), max(f1, 0.0)
+
+
+def fifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
+               R: np.ndarray, lam: np.ndarray, t: int,
+               priority_merges: dict | None = None) -> FlowRates:
+    """FIFO junction rates; proportional merges unless priorities given."""
+    n = network.n
+    dbar, s = _demands_supplies(network, x, alpha, t)
+    idx = network.index
+    gamma = np.ones(n)
+    for k, c in enumerate(network.cells):
+        for j in network.downstream(c.id):
+            jj = idx[j]
+            if R[k, jj] == 0.0:
+                continue    # i sends nothing to j, so j cannot throttle it
+            tot = float(sum(R[idx[h], jj] * dbar[idx[h]] for h in network.upstream(j)))
+            if tot > _negligible(network, j) and np.isfinite(s[jj]):
+                gamma[k] = min(gamma[k], max(s[jj] / tot, 0.0))
+    z = gamma * dbar
+    for target, prios in (priority_merges or {}).items():
+        u0, u1 = network.upstream(target)
+        f0, f1 = priority_merge_flows(
+            (dbar[idx[u0]], dbar[idx[u1]]), s[idx[target]], (prios[u0], prios[u1]))
+        z[idx[u0]], z[idx[u1]] = f0, f1
+    mu = np.zeros(n)
+    f: dict = {}
+    for k, c in enumerate(network.cells):
+        if network.is_sink(c.id):
+            # sinks face unbounded external supply: gamma = 1 by convention
+            z[k] = dbar[k]
+            gamma[k] = 1.0
+            mu[k] = z[k]
+        else:
+            for j in network.downstream(c.id):
+                f[(c.id, j)] = R[k, idx[j]] * z[k]
+    y = lam.astype(float).copy()
+    for (i, j), v in f.items():
+        y[idx[j]] += v
+    return FlowRates(f=f, y=y, z=z, mu=mu, gamma=gamma)
+
+
+def nonfifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
+                  R: np.ndarray, lam: np.ndarray, t: int) -> FlowRates:
+    """Non-FIFO rates: per-receiving-cell throttling only."""
+    n = network.n
+    dbar, s = _demands_supplies(network, x, alpha, t)
+    idx = network.index
+    gamma = np.ones(n)     # receiving coefficient per cell
+    for k, c in enumerate(network.cells):
+        ups = network.upstream(c.id)
+        tot = float(sum(R[idx[h], k] * dbar[idx[h]] for h in ups))
+        if tot > _negligible(network, c.id) and np.isfinite(s[k]):
+            gamma[k] = min(1.0, max(s[k] / tot, 0.0))
+    mu = np.zeros(n)
+    z = np.zeros(n)
+    f: dict = {}
+    for k, c in enumerate(network.cells):
+        if network.is_sink(c.id):
+            z[k] = dbar[k]
+            mu[k] = z[k]
+        else:
+            for j in network.downstream(c.id):
+                jj = idx[j]
+                f[(c.id, j)] = gamma[jj] * R[k, jj] * dbar[k]
+            z[k] = float(sum(f[(c.id, j)] for j in network.downstream(c.id)))
+    y = lam.astype(float).copy()
+    for (i, j), v in f.items():
+        y[idx[j]] += v
+    return FlowRates(f=f, y=y, z=z, mu=mu, gamma=gamma)
+
+
+def step(network: Network, x: np.ndarray, rates: FlowRates,
+         tol: float = 1e-9) -> np.ndarray:
+    """Apply x+ = x + y - z and enforce the state invariants."""
+    xp = x + rates.y - rates.z
+    for k, c in enumerate(network.cells):
+        if xp[k] < -tol:
+            raise ValueError(f"cell {c.id}: negative volume {xp[k]} after step")
+        if not c.diagram.is_source and xp[k] > c.diagram.jam_volume + max(tol, 1e-9 * c.diagram.jam_volume):
+            raise ValueError(f"cell {c.id}: volume {xp[k]} exceeds jam {c.diagram.jam_volume}")
+    return np.maximum(xp, 0.0)
+
+
+def simulate(scenario: Scenario, controls=None, model: str = "fifo"):
+    """States (T+1, n) and the T per-step FlowRates of an open-loop run."""
+    net = scenario.network
+    report = validate(net, scenario)
+    if not report.ok:
+        raise ValueError(f"invalid scenario:\n{report}")
+    lam = scenario.inflow_array()
+    x = scenario.x0_array().copy()
+    states = [x.copy()]
+    rates_log = []
+    merges = None
+    if model == "fifo-priority":
+        # even priorities at every two-in merge whose upstream cells feed only it
+        merges = {}
+        for c in net.cells:
+            ups = net.upstream(c.id)
+            if len(ups) == 2 and all(len(net.downstream(u)) == 1 for u in ups):
+                merges[c.id] = {ups[0]: 0.5, ups[1]: 0.5}
+    for t in range(scenario.horizon):
+        alpha = np.ones(net.n) if controls is None else np.asarray(controls.alpha_at(t), dtype=float)
+        R = controls.routing_at(t) if controls is not None else None
+        R = scenario.routing.at(t) if R is None else np.asarray(R, dtype=float)
+        if model == "nonfifo":
+            rates = nonfifo_rates(net, x, alpha, R, lam[t], t)
+        else:
+            rates = fifo_rates(net, x, alpha, R, lam[t], t, priority_merges=merges)
+        x = step(net, x, rates)
+        states.append(x.copy())
+        rates_log.append(rates)
+    return np.array(states), rates_log

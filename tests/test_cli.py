@@ -1,13 +1,17 @@
 """CLI commands, exit codes, artifacts, and manifest determinism."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from ctmflow.cli import main
-from ctmflow.network import Scenario, save_scenario
-from ctmflow.scenarios import TAU, figure_network, routing_for, table_scenario
+from ctmflow.ctm import simulate
+from ctmflow.network import Scenario, load_scenario, save_scenario, scenario_to_dict
+from ctmflow.scenarios import (TAU, figure_network, robustness_scenario, routing_for,
+                               table_scenario)
+from ctmflow.synthesis import ControlSchedule
 
 from conftest import random_scenario
 
@@ -184,3 +188,27 @@ class TestQuadraticSynthesis:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "solver"
+
+
+class TestRoundedControlsReplay:
+    def test_zero_supply_cell_ignores_rounding_demand(self, tmp_path):
+        # burst 8, 13, 7 with cell 7 closed at steps 2-5: replaying the
+        # 12-digit controls_alpha.csv sends ~3e-12 veh/step into the jammed
+        # cell 4 (zero supply), which must not count as congestion
+        doc = scenario_to_dict(robustness_scenario(horizon=25, inflow=0.0))
+        next(c for c in doc["cells"] if c["id"] == "7")["capacity"] = \
+            [6.0] * 2 + [0.0] * 4 + [6.0] * 19
+        doc["inflow"]["1"] = [8.0, 13.0, 7.0] + [0.0] * 22
+        path = tmp_path / "closure7.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["synthesize", "--scenario", str(path), "--kind", "fnc", "--cost", "ttt",
+                     "--model", "nonfifo", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["always_freeflow"]
+        sc = load_scenario(path)
+        alphas = np.ones((sc.horizon, sc.network.n))
+        with open(out / "controls_alpha.csv") as fh:
+            for row in csv.DictReader(fh):
+                alphas[int(row["step"]), sc.network.index[row["cell"]]] = float(row["alpha"])
+        replay = simulate(sc, controls=ControlSchedule(alphas=alphas), model="nonfifo")
+        assert replay.min_gamma() == pytest.approx(1.0, abs=1e-9)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from ctmflow.ctm import (CostSpec, evaluate_cost, fifo_rates, mass_balance_error,
-                         nonfifo_rates, priority_merge_flows, simulate, step,
-                         trajectory_to_csv)
+from ctmflow.ctm import (CostSpec, evaluate_cost, mass_balance_error,
+                         priority_merge_flows, simulate, step, trajectory_to_csv)
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
 
 from conftest import dominated_pair, freeflow_scenario, random_scenario
@@ -19,6 +18,14 @@ def two_to_one(cap=6.0, jam=10.0):
                   sources=frozenset({"a", "b"}), sinks=frozenset({"m"}))
     R = RoutingSchedule.constant(net, {("a", "m"): 1.0, ("b", "m"): 1.0})
     return net, R
+
+
+def one_step(net, R, x, model="fifo"):
+    """Rates of one step from state x, no inflow: (z, gamma, flows by pair)."""
+    sc = Scenario(network=net, horizon=1, tau=1.0, initial_volumes=tuple(x),
+                  inflow=np.zeros((1, net.n)), routing=R)
+    traj = simulate(sc, model=model)
+    return traj.z[0], traj.gamma[0], dict(zip(net.adjacency, traj.f[0]))
 
 
 def one_to_two(r=2.0 / 3.0, caps=(6.0, 6.0)):
@@ -36,9 +43,9 @@ class TestFifoRates:
         # demands 4 and 4 against supply 6 -> outflows 3 and 3
         net, R = two_to_one()
         x = np.array([4.0, 4.0, 4.0])   # m at 4: supply = min(10-4, 6) = 6
-        rates = fifo_rates(net, x, np.ones(3), R.at(0), np.zeros(3), 0)
-        assert rates.z[0] == pytest.approx(3.0)
-        assert rates.z[1] == pytest.approx(3.0)
+        z, _, _ = one_step(net, R, x)
+        assert z[0] == pytest.approx(3.0)
+        assert z[1] == pytest.approx(3.0)
 
     def test_diverge_common_throttle(self):
         # demand 6 split 2/3-1/3 against supplies {2, 10}:
@@ -47,11 +54,11 @@ class TestFifoRates:
         x = np.array([6.0, 28.0, 20.0])  # p supply = min(30-28, 6) = 2, q = min(10,6)=6
         # want q supply 10 -> use jam 30, x_q = 20 -> min(10, 6)=6; adjust cap
         net, R = one_to_two(caps=(6.0, 10.0))
-        rates = fifo_rates(net, x, np.ones(3), R.at(0), np.zeros(3), 0)
-        assert rates.gamma[0] == pytest.approx(0.5)
-        assert rates.z[0] == pytest.approx(3.0)
-        assert rates.f[("d", "p")] == pytest.approx(2.0)
-        assert rates.f[("d", "q")] == pytest.approx(1.0)
+        z, gamma, f = one_step(net, R, x)
+        assert gamma[0] == pytest.approx(0.5)
+        assert z[0] == pytest.approx(3.0)
+        assert f[("d", "p")] == pytest.approx(2.0)
+        assert f[("d", "q")] == pytest.approx(1.0)
 
     def test_zero_ratio_successor_does_not_throttle(self):
         # s routes everything to the empty cell a and nothing to the jammed
@@ -65,19 +72,19 @@ class TestFifoRates:
         R = RoutingSchedule.constant(net, {("s", "a"): 1.0, ("s", "b"): 0.0,
                                            ("u", "b"): 1.0})
         x = np.array([4.0, 4.0, 0.0, 10.0])
-        rates = fifo_rates(net, x, np.ones(4), R.at(0), np.zeros(4), 0)
-        assert rates.gamma[0] == 1.0
-        assert rates.z[0] == pytest.approx(4.0)
-        assert rates.f[("s", "a")] == pytest.approx(4.0)
-        assert rates.gamma[1] == 0.0
-        assert rates.z[1] == 0.0
+        z, gamma, f = one_step(net, R, x)
+        assert gamma[0] == 1.0
+        assert z[0] == pytest.approx(4.0)
+        assert f[("s", "a")] == pytest.approx(4.0)
+        assert gamma[1] == 0.0
+        assert z[1] == 0.0
 
     def test_slack_supplies_no_throttle(self):
         net, R = one_to_two()
         x = np.array([3.0, 0.0, 0.0])
-        rates = fifo_rates(net, x, np.ones(3), R.at(0), np.zeros(3), 0)
-        assert np.all(rates.gamma == 1.0)
-        assert rates.z[0] == pytest.approx(3.0)
+        z, gamma, _ = one_step(net, R, x)
+        assert np.all(gamma == 1.0)
+        assert z[0] == pytest.approx(3.0)
 
 
 class TestNonFifoRates:
@@ -86,10 +93,10 @@ class TestNonFifoRates:
         # 2, the other is unthrottled at 2 -> z = 4
         net, R = one_to_two(caps=(6.0, 10.0))
         x = np.array([6.0, 28.0, 20.0])
-        rates = nonfifo_rates(net, x, np.ones(3), R.at(0), np.zeros(3), 0)
-        assert rates.f[("d", "p")] == pytest.approx(2.0)
-        assert rates.f[("d", "q")] == pytest.approx(2.0)
-        assert rates.z[0] == pytest.approx(4.0)
+        z, _, f = one_step(net, R, x, model="nonfifo")
+        assert f[("d", "p")] == pytest.approx(2.0)
+        assert f[("d", "q")] == pytest.approx(2.0)
+        assert z[0] == pytest.approx(4.0)
 
     def test_freeflow_matches_fifo(self, table_scenario):
         rng = np.random.default_rng(7)
@@ -149,11 +156,9 @@ class TestStepAndSimulate:
 
     def test_step_arithmetic(self):
         net, _ = two_to_one()
-        from ctmflow.ctm import FlowRates
-        rates = FlowRates(f={}, y=np.array([2.0, 0, 0]), z=np.array([3.0, 0, 0]),
-                          mu=np.zeros(3), gamma=np.ones(3))
-        out = step(net, np.array([5.0, 0, 0]), rates)
-        assert out[0] == pytest.approx(4.0)
+        out = step(net.compiled, np.array([[5.0, 0, 0]]), np.array([[2.0, 0, 0]]),
+                   np.array([[3.0, 0, 0]]))
+        assert out[0, 0] == pytest.approx(4.0)
 
     def test_mass_conservation_benchmark(self, table_scenario, table_fifo):
         assert mass_balance_error(table_fifo, table_scenario) < 1e-9
@@ -169,10 +174,10 @@ class TestStepAndSimulate:
     def test_supply_never_exceeded(self, table_scenario, table_fifo):
         from ctmflow.network import supply
         net = table_scenario.network
-        for t, r in enumerate(table_fifo.rates):
+        for t in range(table_fifo.horizon):
             for k, c in enumerate(net.cells):
                 s = supply(c, min(table_fifo.states[t][k], c.diagram.jam_volume), t)
-                assert r.y[k] <= s + 1e-12
+                assert table_fifo.y[t, k] <= s + 1e-12
 
     def test_unknown_model_rejected(self, table_scenario):
         with pytest.raises(ValueError, match="unknown model"):
@@ -238,7 +243,7 @@ class TestCosts:
 
     def test_ttd_is_negated_distance(self, table_scenario, table_fifo):
         val = evaluate_cost(table_fifo, CostSpec("TTD"))
-        total_flow = sum(float(r.z.sum()) for r in table_fifo.rates)
+        total_flow = float(table_fifo.z.sum())
         assert val == pytest.approx(-500.0 * total_flow)
 
     def test_weighted_sum(self, table_fifo):

@@ -9,7 +9,7 @@ from ctmflow.robustness import (BoundCurve, PerturbationSpec, contraction_bound,
                                 find_equilibrium, lipschitz_constant,
                                 max_freeflow_inflow, overload_bound,
                                 sensitivity_bound, simulated_divergence)
-from ctmflow.scenarios import robustness_scenario, with_inflow
+from ctmflow.scenarios import robustness_scenario
 
 from conftest import freeflow_scenario
 
