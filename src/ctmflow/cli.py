@@ -21,7 +21,7 @@ import numpy as np
 from . import ctm, program, robustness, scenarios, synthesis
 from .ctm import CostSpec
 from .network import load_scenario, save_scenario, validate
-from .solver import Residuals, Solution, SolverError, solve, verify_solution
+from .solver import SolverError, solve
 
 COST_KINDS = {"ttt": "TTT", "ttd": "TTD", "delay": "Delay", "quad": "QuadraticVolume"}
 MODELS = ("fifo", "fifo-priority", "nonfifo")
@@ -116,7 +116,7 @@ def cmd_solve(args) -> list:
     out.mkdir(parents=True, exist_ok=True)
     lp_path = out / f"{args.kind}_{args.cost}.lp"
     program.export_lp(prog, lp_path)
-    states = prog.states(sol.values, sc)
+    states = prog.states(sol.values)
     traj_path = out / "optimal_states.csv"
     with open(traj_path, "w") as fh:
         fh.write("step,cell,x_veh\n")
@@ -137,7 +137,7 @@ def cmd_synthesize(args) -> list:
     sc = _scenario(args.scenario)
     prog, sol = _solve_program(sc, args.kind, _cost(args.cost), args.epsilon)
     controls = synthesis.extract_controls(prog, sol, sc)
-    ref = prog.states(sol.values, sc)
+    ref = prog.states(sol.values)
     report = synthesis.verify_realization(controls, sc, ref, model=args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,27 +159,6 @@ def cmd_synthesize(args) -> list:
     if controls.routing is not None:
         files.append(routing_path)
     return files
-
-
-def _fnc_optimum_t200(sc):
-    """Nominal FNC optimum for the long-horizon robustness scenario.
-
-    With the total-volume cost, identical slopes, and only ordinary, merge,
-    and diverge junctions, the optimum coincides with the uncontrolled FIFO
-    run; the embedded trajectory is asserted relaxation-feasible and
-    free-flow, which is the structural content of that equality.
-    """
-    traj = ctm.simulate(sc)
-    if not traj.is_freeflow():
-        raise SolverError("structural shortcut needs a free-flow nominal run")
-    prog = program.build_fnc(sc, CostSpec("TTT"))
-    values = program.embed_trajectory(prog, traj)
-    primal = verify_solution(prog, values)
-    if primal > 1e-8:
-        raise SolverError(f"embedded trajectory infeasible (residual {primal})")
-    sol = Solution(values=values, objective=prog.objective_value(values),
-                   status="optimal", residuals=Residuals(primal, 0.0, 0.0))
-    return prog, sol, traj
 
 
 def _run_sweep(sc, grid, model: str, controls, path: Path) -> float:
@@ -211,10 +190,13 @@ def _run_sweep(sc, grid, model: str, controls, path: Path) -> float:
 def cmd_robustness_sweep(args) -> list:
     sc = _scenario(args.scenario)
     grid = _sweep_grid(args.sweep)
-    if args.epsilon == 0.0 and sc.horizon > 80:
-        prog, sol, _ = _fnc_optimum_t200(sc)
-    else:
-        prog, sol = _solve_program(sc, "fnc", CostSpec("TTT"), args.epsilon)
+    sources = sorted(sc.network.sources)
+    if len(sources) != 1:
+        raise ConfigError(f"robustness-sweep needs a single-source scenario, got {sources}")
+    nominal = sc.inflow_array()[:, sc.network.index[sources[0]]]
+    if np.max(np.abs(nominal - nominal[0])) > 1e-12:
+        raise ConfigError("robustness-sweep needs a constant nominal inflow")
+    prog, sol = _solve_program(sc, "fnc", CostSpec("TTT"), args.epsilon)
     controls = synthesis.extract_controls(prog, sol, sc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,7 +225,7 @@ def reproduce_paper(outdir: Path) -> list:
         for kind in ("dta", "fnc"):
             prog, sol = _solve_program(sc, kind, cost, 0.0)
             results[(kind.upper(), cost_name)] = sol.objective
-            states_by[(kind.upper(), cost_name)] = prog.states(sol.values, sc)
+            states_by[(kind.upper(), cost_name)] = prog.states(sol.values)
     tables = outdir / "tables2_3.csv"
     with open(tables, "w") as fh:
         fh.write("scheme,cost_kind,cost_veh_steps\n")
@@ -266,7 +248,7 @@ def reproduce_paper(outdir: Path) -> list:
     rb_sc = scenarios.robustness_scenario()
     save_scenario(rb_sc, outdir / "scenario_robustness.json")
     files.append(outdir / "scenario_robustness.json")
-    prog200, sol200, _ = _fnc_optimum_t200(rb_sc)
+    prog200, sol200 = _solve_program(rb_sc, "fnc", CostSpec("TTT"), 0.0)
     controls200 = synthesis.extract_controls(prog200, sol200, rb_sc)
     grid = _sweep_grid("0:0.1:3")
     for fig, model in (("fig8", "fifo"), ("fig9", "nonfifo")):

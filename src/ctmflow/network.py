@@ -343,24 +343,6 @@ def supply(cell: Cell, x: float, t: int) -> float:
                cell.diagram.capacity(t))
 
 
-def classify_junctions(network: Network) -> dict[str, str]:
-    """Map each internal junction node to ordinary/merge/diverge/general.
-
-    Adjacency pairs that share their upstream or their downstream cell meet
-    at one junction node, so nodes are the connected groups of pairs; the
-    returned keys are synthetic ids 'node(<in>-><out>)'.
-    """
-    nodes: list[tuple[set, set]] = []     # (in-cells, out-cells)
-    for i, j in network.adjacency:
-        hit = [node for node in nodes if i in node[0] or j in node[1]]
-        nodes = [node for node in nodes if node not in hit]
-        nodes.append(({i}.union(*(h[0] for h in hit)), {j}.union(*(h[1] for h in hit))))
-    kinds = {(True, True): "ordinary", (False, True): "merge",
-             (True, False): "diverge", (False, False): "general"}
-    return {f"node({'+'.join(sorted(ins))}->{'+'.join(sorted(outs))})":
-            kinds[(len(ins) == 1, len(outs) == 1)] for ins, outs in nodes}
-
-
 def validate(network: Network, scenario: Scenario | None = None) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises."""
     report = ValidationReport()
@@ -495,9 +477,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
     lam = np.zeros((horizon, net.n))
     for cid, series in data.get("inflow", {}).items():
-        k = net.index[cid]
-        for t, v in enumerate(series[:horizon]):
-            lam[t, k] = v
+        if len(series) > horizon:
+            raise ValueError(f"inflow series of cell {cid} has {len(series)} entries, "
+                             f"more than T = {horizon}")
+        lam[:len(series), net.index[cid]] = series     # shorter series: zero-padded
     routing = None
     if data.get("routing"):
         steps = max(len(v) for v in data["routing"].values())

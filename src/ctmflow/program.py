@@ -21,12 +21,15 @@ plus f, mu, x, y, z >= 0. The objective mirrors ctm.evaluate_cost exactly
 is a feasible point with identical cost.
 
 The constraint matrices are sparse CSR over the full variable vector,
-which the solvers work on directly.
+which the solvers work on directly. They are assembled by index
+arithmetic over the compiled network (``Scenario.compiled``); variable
+names are derived only on request (``names``, ``var_index``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +40,6 @@ from .network import Scenario
 
 @dataclass
 class ConvexProgram:
-    var_index: dict                 # name tuple -> column
-    names: list                     # column -> name tuple
     A_eq: sp.csr_matrix
     b_eq: np.ndarray
     A_ub: sp.csr_matrix
@@ -50,10 +51,13 @@ class ConvexProgram:
     eps: float
     scenario_hash: str
     cost_kind: str
+    cells: tuple                    # cell ids in network order
+    adjacency: tuple                # (i, j) pairs in network order
+    horizon: int
 
     @property
     def n_vars(self) -> int:
-        return len(self.names)
+        return len(self.c)
 
     @property
     def is_quadratic(self) -> bool:
@@ -62,58 +66,56 @@ class ConvexProgram:
     def objective_value(self, v: np.ndarray) -> float:
         return float(self.c @ v + v @ (self.q * v))
 
-    def var(self, values: np.ndarray, *name) -> float:
-        return float(values[self.var_index[tuple(name)]])
+    @cached_property
+    def names(self) -> list:
+        """Column -> name tuple: ("x", t, cell), ("y" | "z" | "mu", t, cell)
+        or ("f", t, i, j)."""
+        T = self.horizon
+        names = [("x", t, c) for t in range(T + 1) for c in self.cells]
+        for block in ("y", "z", "mu"):
+            names += [(block, t, c) for t in range(T) for c in self.cells]
+        return names + [("f", t, i, j) for t in range(T) for i, j in self.adjacency]
 
-    def span(self, block: str, network, horizon: int) -> slice:
+    @cached_property
+    def var_index(self) -> dict:
+        return {name: k for k, name in enumerate(self.names)}
+
+    def span(self, block: str) -> slice:
         """Columns of one variable block (x, y, z, mu or f), step-major."""
-        first = network.adjacency[0] if block == "f" else (network.cells[0].id,)
-        start = self.var_index[(block, 0, *first)]
-        width = len(network.adjacency) if block == "f" else network.n
-        return slice(start, start + (horizon + (block == "x")) * width)
+        n, T = len(self.cells), self.horizon
+        if block == "x":
+            return slice(0, (T + 1) * n)
+        start = (T + 1) * n + ("y", "z", "mu", "f").index(block) * T * n
+        return slice(start, start + T * (len(self.adjacency) if block == "f" else n))
 
-    def states(self, values: np.ndarray, scenario: Scenario, block: str = "x") -> np.ndarray:
+    def states(self, values: np.ndarray, block: str = "x") -> np.ndarray:
         """The (T+1, n) state trajectory of a solution vector; with block
         y, z or mu, that (T, n) block of rates, with f the (T, E) flows."""
-        cols = self.span(block, scenario.network, scenario.horizon)
-        return np.array(values[cols]).reshape(scenario.horizon + (block == "x"), -1)
+        return np.array(values[self.span(block)]).reshape(self.horizon + (block == "x"), -1)
 
 
-def _objective(cost: CostSpec, scenario: Scenario, var_index: dict, n_vars: int):
-    net = scenario.network
-    T = scenario.horizon
+def _objective(cost: CostSpec, scenario: Scenario, x: np.ndarray, z: np.ndarray, n_vars: int):
+    """c and q over the columns; x and z are the (T+1, n) / (T, n) column
+    indices of the volume and outflow blocks."""
+    cells = scenario.network.cells
+    slope = scenario.compiled.network.demand_slope
     c = np.zeros(n_vars)
     q = np.zeros(n_vars)
 
     def add(spec: CostSpec, coef: float):
-        w = spec.cell_weights(net.n)
-        if spec.kind == "TTT":
-            for t in range(T + 1):
-                for k, cell in enumerate(net.cells):
-                    c[var_index[("x", t, cell.id)]] += coef * w[k]
-        elif spec.kind == "QuadraticVolume":
-            for t in range(T + 1):
-                for k, cell in enumerate(net.cells):
-                    q[var_index[("x", t, cell.id)]] += coef * w[k]
-        elif spec.kind == "TTD":
-            for t in range(T):
-                for k, cell in enumerate(net.cells):
-                    c[var_index[("z", t, cell.id)]] -= coef * w[k] * cell.length
-        elif spec.kind == "Delay":
-            for t in range(T + 1):
-                for k, cell in enumerate(net.cells):
-                    c[var_index[("x", t, cell.id)]] += coef * w[k]
-            for t in range(T):
-                for k, cell in enumerate(net.cells):
-                    slope = cell.diagram.demand_slope
-                    if slope <= 0:
-                        raise ValueError("Delay cost needs positive demand slopes")
-                    c[var_index[("z", t, cell.id)]] -= coef * w[k] / slope
-        elif spec.kind == "WeightedSum":
-            for sub_coef, sub in spec.components:
-                add(sub, coef * sub_coef)
-        else:
-            raise AssertionError(spec.kind)
+        w = spec.cell_weights(len(cells))
+        if spec.kind in ("TTT", "Delay"):
+            c[x] += coef * w
+        if spec.kind == "QuadraticVolume":
+            q[x] += coef * w
+        if spec.kind == "TTD":
+            c[z] -= coef * w * np.array([cell.length for cell in cells])
+        if spec.kind == "Delay":
+            if np.any(slope <= 0):
+                raise ValueError("Delay cost needs positive demand slopes")
+            c[z] -= coef * w / slope
+        for sub_coef, sub in spec.components:     # WeightedSum
+            add(sub, coef * sub_coef)
 
     add(cost, 1.0)
     if np.any(q < 0):
@@ -121,13 +123,12 @@ def _objective(cost: CostSpec, scenario: Scenario, var_index: dict, n_vars: int)
     return c, q
 
 
-def _assemble(rows: list, width: int) -> sp.csr_matrix:
-    """CSR matrix from (cols, vals) rows; duplicates are summed and zero
-    coefficients (R_ij = 0) dropped."""
-    mat = sp.csr_matrix((np.concatenate([vals for _, vals in rows]),
-                         (np.repeat(np.arange(len(rows)), [len(cols) for cols, _ in rows]),
-                          np.concatenate([cols for cols, _ in rows]))),
-                        shape=(len(rows), width))
+def _csr(entries: list, n_rows: int, width: int) -> sp.csr_matrix:
+    """CSR matrix from (rows, cols, values) triplets of broadcastable
+    arrays; zero coefficients (R_ij = 0, zero slopes) are dropped."""
+    parts = [[a.ravel() for a in np.broadcast_arrays(*e)] for e in entries]
+    rows, cols, vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, width))
     mat.eliminate_zeros()
     return mat
 
@@ -135,106 +136,62 @@ def _assemble(rows: list, width: int) -> sp.csr_matrix:
 def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexProgram:
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must be in [0, 1), got {eps}")
-    net = scenario.network
-    scenario.compiled    # validates, once per scenario
+    comp = scenario.compiled    # validates, once per scenario
     if kind == "FNC" and scenario.routing is None:
         raise ValueError("FNC needs an exogenous routing schedule on the scenario")
-    T = scenario.horizon
-    lam = scenario.inflow_array()
-    x0 = scenario.x0_array()
-    pairs = list(net.adjacency)
+    net = comp.network
+    T, n, E = scenario.horizon, len(net.jam), len(net.src) - 1
+    src, dst = net.src[:-1], net.dst[:-1]
+    steps = np.arange(T)[:, None]
 
-    names: list = []
-    var_index: dict = {}
+    # columns: x (T+1, n), then y, z, mu (T, n) each, then f (T, E)
+    x = np.arange((T + 1) * n).reshape(T + 1, n)
+    y, z, mu = ((T + 1 + b * T) * n + np.arange(T * n).reshape(T, n) for b in range(3))
+    f = (4 * T + 1) * n + np.arange(T * E).reshape(T, E)
+    n_vars = (4 * T + 1) * n + T * E
 
-    def declare(*name):
-        var_index[tuple(name)] = len(names)
-        names.append(tuple(name))
-
-    for t in range(T + 1):
-        for c in net.cells:
-            declare("x", t, c.id)
-    for block in ("y", "z", "mu"):
-        for t in range(T):
-            for c in net.cells:
-                declare(block, t, c.id)
-    for t in range(T):
-        for (i, j) in pairs:
-            declare("f", t, i, j)
-    n_vars = len(names)
-    X = lambda t, cid: var_index[("x", t, cid)]
-    Y = lambda t, cid: var_index[("y", t, cid)]
-    Z = lambda t, cid: var_index[("z", t, cid)]
-    MU = lambda t, cid: var_index[("mu", t, cid)]
-    F = lambda t, i, j: var_index[("f", t, i, j)]
-
-    eq_rows: list = []
-    eq_b: list = []
-
-    def add_eq(cols, vals, b):
-        eq_rows.append((cols, vals))
-        eq_b.append(b)
-
-    for k, c in enumerate(net.cells):
-        add_eq([X(0, c.id)], [1.0], float(x0[k]))
-    for t in range(T):
-        for k, c in enumerate(net.cells):
-            add_eq([X(t + 1, c.id), X(t, c.id), Y(t, c.id), Z(t, c.id)],
-                   [1.0, -1.0, -1.0, 1.0], 0.0)
-            cols = [Y(t, c.id)]
-            vals = [1.0]
-            for (i, j) in pairs:
-                if j == c.id:
-                    cols.append(F(t, i, j))
-                    vals.append(-1.0)
-            add_eq(cols, vals, float(lam[t, k]))
-            cols = [Z(t, c.id)]
-            vals = [1.0]
-            cols.append(MU(t, c.id))
-            vals.append(-1.0)
-            for (i, j) in pairs:
-                if i == c.id:
-                    cols.append(F(t, i, j))
-                    vals.append(-1.0)
-            add_eq(cols, vals, 0.0)
-            if not net.is_sink(c.id):
-                add_eq([MU(t, c.id)], [1.0], 0.0)
+    # equality rows: x(0) = x0; per step and cell the dynamics, inflow and
+    # outflow aggregation and, off sinks, mu = 0; then for FNC per step and
+    # edge f_ij = R_ij z_i
+    per = 3 + ~net.sink
+    dyn = n + steps * per.sum() + np.cumsum(per) - per
+    m_eq = n + T * per.sum()
+    eq = [(np.arange(n), x[0], 1.0),
+          (dyn, x[1:], 1.0), (dyn, x[:-1], -1.0), (dyn, y, -1.0), (dyn, z, 1.0),
+          (dyn + 1, y, 1.0), (dyn[:, dst] + 1, f, -1.0),
+          (dyn + 2, z, 1.0), (dyn + 2, mu, -1.0), (dyn[:, src] + 2, f, -1.0),
+          (dyn[:, ~net.sink] + 3, mu[:, ~net.sink], 1.0)]
+    b_eq = np.zeros(m_eq + (T * E if kind == "FNC" else 0))
+    b_eq[:n] = scenario.x0_array()
+    b_eq[dyn + 1] = scenario.inflow_array()
     if kind == "FNC":
-        for t in range(T):
-            R = scenario.routing.at(t)
-            for (i, j) in pairs:
-                r = float(R[net.index[i], net.index[j]])
-                add_eq([F(t, i, j), Z(t, i)], [1.0, -r], 0.0)
+        ratio = comp.ratios[np.minimum(np.arange(T), len(comp.ratios) - 1), :E]
+        split = m_eq + steps * E + np.arange(E)
+        eq += [(split, f, 1.0), (split, z[:, src], -ratio)]
+        m_eq += T * E
 
-    ub_rows: list = []
-    ub_b: list = []
-
-    def add_ub(cols, vals, b):
-        ub_rows.append((cols, vals))
-        ub_b.append(b)
-
+    # inequality rows per step and cell: z <= demand_slope x, z <= C and,
+    # off sources, y <= (1-eps) supply_slope (jam - x), y <= (1-eps) C
     shrink = 1.0 - eps
-    for t in range(T):
-        for k, c in enumerate(net.cells):
-            cap = c.diagram.capacity(t)
-            add_ub([Z(t, c.id), X(t, c.id)], [1.0, -c.diagram.demand_slope], 0.0)
-            add_ub([Z(t, c.id)], [1.0], cap)
-            if not c.diagram.is_source:
-                ws = c.diagram.supply_slope
-                add_ub([Y(t, c.id), X(t, c.id)], [1.0, shrink * ws],
-                       shrink * ws * c.diagram.jam_volume)
-                add_ub([Y(t, c.id)], [1.0], shrink * cap)
+    inner = ~net.source
+    per = 2 + 2 * inner
+    dem = steps * per.sum() + np.cumsum(per) - per
+    sup = dem[:, inner] + 2
+    ws = shrink * net.supply_slope[inner]
+    ub = [(dem, z, 1.0), (dem, x[:-1], -net.demand_slope), (dem + 1, z, 1.0),
+          (sup, y[:, inner], 1.0), (sup, x[:-1, inner], ws), (sup + 1, y[:, inner], 1.0)]
+    b_ub = np.zeros(T * per.sum())
+    b_ub[dem + 1] = comp.capacity
+    b_ub[sup] = ws * net.jam[inner]
+    b_ub[sup + 1] = shrink * comp.capacity[:, inner]
 
-    A_eq = _assemble(eq_rows, n_vars)
-    A_ub = _assemble(ub_rows, n_vars)
-    c_vec, q_vec = _objective(cost, scenario, var_index, n_vars)
-    nonneg = np.ones(n_vars, dtype=bool)
-
+    c_vec, q_vec = _objective(cost, scenario, x, z, n_vars)
     return ConvexProgram(
-        var_index=var_index, names=names,
-        A_eq=A_eq, b_eq=np.array(eq_b), A_ub=A_ub, b_ub=np.array(ub_b),
-        nonneg=nonneg, c=c_vec, q=q_vec, kind=kind, eps=eps,
+        A_eq=_csr(eq, m_eq, n_vars), b_eq=b_eq, A_ub=_csr(ub, len(b_ub), n_vars), b_ub=b_ub,
+        nonneg=np.ones(n_vars, dtype=bool), c=c_vec, q=q_vec, kind=kind, eps=eps,
         scenario_hash=scenario.content_hash(), cost_kind=cost.kind,
+        cells=tuple(c.id for c in scenario.network.cells),
+        adjacency=tuple(scenario.network.adjacency), horizon=T,
     )
 
 
@@ -258,7 +215,7 @@ def embed_trajectory(program: ConvexProgram, trajectory) -> np.ndarray:
     values = np.zeros(program.n_vars)
     tr = trajectory
     for block, arr in (("x", tr.states), ("y", tr.y), ("z", tr.z), ("mu", tr.mu), ("f", tr.f)):
-        values[program.span(block, tr.network, tr.horizon)] = arr.ravel()
+        values[program.span(block)] = arr.ravel()
     return values
 
 

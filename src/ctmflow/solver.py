@@ -1,12 +1,15 @@
 """Solvers for the relaxation programs.
 
-Both program kinds go to HiGHS on the program's sparse full-space
-constraints: LPs through scipy.optimize.linprog (method="highs") with a
-weak-duality check on its marginals, convex QPs through HiGHS's active-set
-QP method with the Hessian diag(2q). An infeasible program carries a
-Farkas certificate from an auxiliary LP. Every returned Solution holds the
-full variable vector and is re-verified against the program's own
-constraint list.
+Every program becomes one HiGHS model object, built from the program's
+sparse full-space constraints through scipy's binding to HiGHS: LPs go to
+its simplex method, convex QPs to its active-set QP method with the
+Hessian diag(2q). An LP optimum is degenerate (whole faces of optima), and
+the structure results describe the optimum that drains greedily. So the
+same object then breaks ties: one row pins the cost at the optimum, the
+objective becomes maximal early outflow, and the primal simplex restarts
+from the optimal basis. An infeasible program carries HiGHS's dual ray as
+its Farkas certificate. Every returned Solution holds the full variable
+vector and is re-verified against the program's own constraint list.
 
 A brute-force oracle for tiny instances stays independent of HiGHS: it
 parametrizes the equality manifold by the null space of A_eq and finds the
@@ -15,11 +18,16 @@ exact optimum by active-set enumeration.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from .program import ConvexProgram
@@ -44,9 +52,6 @@ class Solution:
     iterations: int = 0
     certificate: np.ndarray | None = field(default=None, repr=False)
 
-    def var(self, program: ConvexProgram, *name) -> float:
-        return program.var(self.values, *name)
-
 
 class SolverError(RuntimeError):
     pass
@@ -66,33 +71,68 @@ def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sparse full-space LP through HiGHS: min c'v  s.t.  A_eq v = b_eq,
-# A_ub v <= b_ub,  v >= 0 on the nonneg mask
+# one HiGHS model per program: min c'v + v' diag(q) v  s.t.  A_eq v = b_eq,
+# A_ub v <= b_ub,  v >= 0 on the nonneg mask; HiGHS minimizes
+# c'v + 0.5 v'Hv, so the Hessian is diag(2q)
+
+_BINDING = "scipy.optimize._highspy._core"
 
 
-def _highs(c, A_ub, b_ub, A_eq, b_eq, nonneg):
-    # imported on first use: loading scipy.optimize takes ~0.1 s and ~18 MB,
-    # which runs that solve no LP (simulate, sweeps) should not pay
-    from scipy.optimize import linprog
-    bounds = np.column_stack([np.where(nonneg, 0.0, -np.inf), np.full(len(c), np.inf)])
-    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                   method="highs")
+def _binding():
+    """scipy's HiGHS binding, loaded without running scipy.optimize's
+    package init (~45 MB and ~0.1 s that no solve needs). It is registered
+    under its full name, so a later ``import scipy.optimize`` reuses it
+    instead of registering its types a second time. A None entry in
+    sys.modules marks it unavailable."""
+    if _BINDING in sys.modules:
+        if sys.modules[_BINDING] is None:
+            raise SolverError("the HiGHS binding is unavailable")
+        return sys.modules[_BINDING]
+    found = importlib.machinery.PathFinder.find_spec(
+        "_core", [os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")])
+    if found is None:
+        raise SolverError("the HiGHS binding is unavailable: scipy ships no _highspy._core")
+    spec = importlib.util.spec_from_file_location(_BINDING, found.origin)
+    try:
+        core = sys.modules[_BINDING] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(core)
+    except ImportError as exc:
+        sys.modules.pop(_BINDING, None)
+        raise SolverError(f"the HiGHS binding is unavailable: {exc}") from exc
+    return core
 
 
-def _farkas(program: ConvexProgram) -> np.ndarray | None:
-    """Infeasibility certificate y = (y_eq, y_ub) from an auxiliary LP.
-
-    y_ub >= 0, A'y >= 0 on nonneg columns (= 0 on free ones) and b'y = -1,
-    so any feasible v would give 0 <= (A'y)'v <= b'y = -1.
-    """
-    A_t = sp.vstack([program.A_eq, program.A_ub]).T.tocsr()
-    b = np.concatenate([program.b_eq, program.b_ub])
-    nn = program.nonneg
-    res = _highs(np.zeros(len(b)), -A_t[nn], np.zeros(int(nn.sum())),
-                 sp.vstack([A_t[~nn], sp.csr_matrix(b)]),
-                 np.append(np.zeros(int((~nn).sum())), -1.0),
-                 np.arange(len(b)) >= program.A_eq.shape[0])
-    return res.x if res.status == 0 else None
+def _model(core, program: ConvexProgram):
+    n = program.n_vars
+    A = sp.vstack([program.A_eq, program.A_ub]).tocsc()
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.col_cost_ = program.c
+    lp.col_lower_ = np.where(program.nonneg, 0.0, -np.inf)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
+    lp.row_upper_ = np.concatenate([program.b_eq, program.b_ub])
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    model = core.HighsModel()
+    model.lp_ = lp
+    if program.is_quadratic:
+        diag = np.flatnonzero(program.q)
+        hessian = core.HighsHessian()
+        hessian.dim_ = n
+        hessian.format_ = core.HessianFormat.kTriangular
+        hessian.start_ = np.searchsorted(diag, np.arange(n + 1))
+        hessian.index_ = diag
+        hessian.value_ = 2.0 * program.q[diag]
+        model.hessian_ = hessian
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    return highs
 
 
 def _unsolved(program: ConvexProgram, status: str, iters: int = 0,
@@ -102,131 +142,69 @@ def _unsolved(program: ConvexProgram, status: str, iters: int = 0,
                     iterations=iters, certificate=certificate)
 
 
-def _solve_lp(program: ConvexProgram) -> Solution:
-    res = _highs(program.c, program.A_ub, program.b_ub, program.A_eq, program.b_eq,
-                 program.nonneg)
-    if res.status == 1:
-        return _unsolved(program, "iteration-limit", res.nit)
-    if res.status == 2:
-        return _unsolved(program, "infeasible", res.nit, _farkas(program))
-    if res.status != 0:
-        raise SolverError(f"HiGHS ended with status {res.status}: {res.message}")
-    values = res.x + 0.0    # HiGHS returns -0.0 at some bounds; artifacts print "0"
-    objective = program.objective_value(values)
-    # weak-duality check from the HiGHS marginals: dual objective b'y
-    y_ub = res.ineqlin.marginals
-    dual_obj = float(program.b_eq @ res.eqlin.marginals + program.b_ub @ y_ub)
-    gap = abs(dual_obj - objective) / (1.0 + abs(objective))
-    if gap > LP_RESIDUAL_TOL:
-        raise SolverError(f"HiGHS duality gap {gap} exceeds {LP_RESIDUAL_TOL}")
-    primal = verify_solution(program, values)
-    comp = float(np.max(np.abs(y_ub * (program.b_ub - program.A_ub @ values)), initial=0.0))
-    dual_feas = float(np.max(y_ub, initial=0.0))  # duals must be <= 0
-    status = "optimal" if primal <= LP_RESIDUAL_TOL else "iteration-limit"
-    return Solution(values=values, objective=objective, status=status,
-                    residuals=Residuals(primal, dual_feas, comp),
-                    iterations=res.nit)
-
-
-# ---------------------------------------------------------------------------
-# sparse full-space QP through HiGHS: min c'v + v' diag(q) v over the same
-# constraints; HiGHS minimizes c'v + 0.5 v'Hv, so the Hessian is diag(2q)
-
-
-def _solve_qp(program: ConvexProgram) -> Solution:
-    # the HiGHS binding that linprog(method="highs") loads, imported on first
-    # use like _highs; nothing else touches it
-    try:
-        import scipy.optimize._highspy._core as hc
-    except ImportError as exc:
-        raise SolverError(f"the HiGHS QP binding is unavailable: {exc}") from exc
-    n = program.n_vars
-    A = sp.vstack([program.A_eq, program.A_ub]).tocsc()
-    lp = hc.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
-    lp.col_cost_ = program.c
-    lp.col_lower_ = np.where(program.nonneg, 0.0, -np.inf)
-    lp.col_upper_ = np.full(n, np.inf)
-    lp.row_lower_ = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
-    lp.row_upper_ = np.concatenate([program.b_eq, program.b_ub])
-    lp.a_matrix_.format_ = hc.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
-    diag = np.flatnonzero(program.q)
-    hessian = hc.HighsHessian()
-    hessian.dim_ = n
-    hessian.format_ = hc.HessianFormat.kTriangular
-    hessian.start_ = np.searchsorted(diag, np.arange(n + 1))
-    hessian.index_ = diag
-    hessian.value_ = 2.0 * program.q[diag]
-    model = hc.HighsModel()
-    model.lp_ = lp
-    model.hessian_ = hessian
-    highs = hc._Highs()
-    highs.setOptionValue("output_flag", False)
-    if highs.passModel(model) == hc.HighsStatus.kError:
-        raise SolverError("HiGHS rejected the QP model")
+def _drain(core, highs, program: ConvexProgram, values: np.ndarray):
+    """Tie-break on the LP's optimal face: maximize the early outflow
+    sum_t (T - t) * sum_i z_i(t) at fixed optimal cost, by primal simplex
+    from the optimal basis. Returns the drained vertex and its
+    iterations, or (values, 0) where that stage fails."""
+    base = program.objective_value(values)
+    n, T = program.n_vars, program.horizon
+    # the cost row sits exactly at the optimum: HiGHS spends any slack above
+    # it and returns a point outside LP_RESIDUAL_TOL
+    cost_cols = np.flatnonzero(program.c).astype(np.int32)
+    highs.addRow(-np.inf, base, len(cost_cols), cost_cols, program.c[cost_cols])
+    drain = np.zeros(n)
+    drain[program.span("z")] = np.repeat(np.arange(T) - T, len(program.cells))
+    highs.changeColsCost(n, np.arange(n, dtype=np.int32), drain)
+    highs.setOptionValue("simplex_strategy", 4)
     highs.run()
-    status = highs.getModelStatus()
-    info = highs.getInfo()
-    iters = int(info.qp_iteration_count)
-    if status == hc.HighsModelStatus.kIterationLimit:
-        return _unsolved(program, "iteration-limit", iters)
-    if status == hc.HighsModelStatus.kInfeasible:
-        # the feasible set does not depend on the objective
-        return _unsolved(program, "infeasible", iters, _farkas(program))
-    if status != hc.HighsModelStatus.kOptimal:
-        raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
-    values = np.array(highs.getSolution().col_value) + 0.0
-    primal = verify_solution(program, values)
-    status = "optimal" if primal <= QP_RESIDUAL_TOL else "iteration-limit"
-    return Solution(values=values, objective=program.objective_value(values), status=status,
-                    residuals=Residuals(primal, info.max_dual_infeasibility,
-                                        info.max_complementarity_violation),
-                    iterations=iters)
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        return values, 0
+    drained = np.array(highs.getSolution().col_value) + 0.0
+    if (verify_solution(program, drained) > LP_RESIDUAL_TOL
+            or program.objective_value(drained) > base + 1e-7 * (1 + abs(base))):
+        return values, 0
+    return drained, int(highs.getInfo().simplex_iteration_count)
 
 
 def solve(program: ConvexProgram) -> Solution:
-    """Solve the program with HiGHS: simplex for LPs, active set for QPs."""
-    if program.is_quadratic:
-        return _solve_qp(program)
-    return _solve_lp(program)
-
-
-def solve_max_outflow(program: ConvexProgram) -> Solution:
-    """Lexicographic LP solve: optimal cost, then maximal early outflow.
-
-    The relaxation LPs are highly degenerate (whole faces of optima); the
-    structure results describe the optimum that drains greedily, so ties
-    are broken by maximizing sum_t (T - t) * sum_i z_i(t) at fixed optimal
-    cost. Quadratic programs are strictly convex in x and skip the stage.
-    """
-    base = solve(program)
-    if program.is_quadratic or base.status != "optimal":
-        return base
-    steps = sorted({name[1] for name in program.names if name[0] == "z"})
-    T = max(steps) + 1 if steps else 0
-    c2 = np.zeros(program.n_vars)
-    for k, name in enumerate(program.names):
-        if name[0] == "z":
-            c2[k] = -(T - name[1])
-    # the tie-break row sits exactly at the optimal cost: HiGHS spends any
-    # slack above it and returns a point outside LP_RESIDUAL_TOL
-    res = _highs(c2, sp.vstack([program.A_ub, sp.csr_matrix(program.c)]),
-                 np.append(program.b_ub, base.objective), program.A_eq, program.b_eq,
-                 program.nonneg)
-    if res.status != 0:
-        return base
-    values = res.x + 0.0
-    primal = verify_solution(program, values)
-    objective = program.objective_value(values)
-    if primal > LP_RESIDUAL_TOL or objective > base.objective + 1e-7 * (1 + abs(base.objective)):
-        return base
-    return Solution(values=values, objective=objective, status="optimal",
-                    residuals=Residuals(primal, base.residuals.dual, base.residuals.complementarity),
-                    iterations=base.iterations + res.nit)
+    """Solve the program on one HiGHS model: simplex plus the max-early-
+    outflow tie-break for LPs, the active-set method for QPs. Quadratic
+    programs are strictly convex in x and need no tie-break."""
+    core = _binding()
+    highs = _model(core, program)
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    quadratic = program.is_quadratic
+    iters = int(info.qp_iteration_count if quadratic else info.simplex_iteration_count)
+    if status == core.HighsModelStatus.kIterationLimit:
+        return _unsolved(program, "iteration-limit", iters)
+    if status == core.HighsModelStatus.kInfeasible:
+        # -ray = (y_eq, y_ub): y_ub >= 0, A'y >= 0 on nonneg columns and
+        # b'y < 0, so any feasible v would give 0 <= (A'y)'v <= b'y < 0
+        _, has_ray, ray = highs.getDualRay()
+        return _unsolved(program, "infeasible", iters, -np.asarray(ray) if has_ray else None)
+    if status != core.HighsModelStatus.kOptimal:
+        raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    values = np.array(solution.col_value) + 0.0  # -0.0 at some bounds; artifacts print "0"
+    residuals = Residuals(0.0, info.max_dual_infeasibility, info.max_complementarity_violation)
+    if not quadratic:
+        # weak-duality check from the row duals: dual objective b'y
+        y = np.asarray(solution.row_dual)
+        dual_obj = float(program.b_eq @ y[:len(program.b_eq)] + program.b_ub @ y[len(program.b_eq):])
+        objective = program.objective_value(values)
+        gap = abs(dual_obj - objective) / (1.0 + abs(objective))
+        if gap > LP_RESIDUAL_TOL:
+            raise SolverError(f"HiGHS duality gap {gap} exceeds {LP_RESIDUAL_TOL}")
+        values, more = _drain(core, highs, program, values)
+        iters += more
+    residuals.primal = verify_solution(program, values)
+    tol = QP_RESIDUAL_TOL if quadratic else LP_RESIDUAL_TOL
+    return Solution(values=values, objective=program.objective_value(values),
+                    status="optimal" if residuals.primal <= tol else "iteration-limit",
+                    residuals=residuals, iterations=iters)
 
 
 # ---------------------------------------------------------------------------

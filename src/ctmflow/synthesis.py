@@ -52,8 +52,8 @@ def extract_controls(program: ConvexProgram, solution: Solution,
     T = scenario.horizon
     vals = solution.values
     source = net.compiled.source
-    z = program.states(vals, scenario, "z")
-    d_raw = net.compiled.demand_slope * np.maximum(program.states(vals, scenario)[:-1], 0.0)
+    z = program.states(vals, "z")
+    d_raw = net.compiled.demand_slope * np.maximum(program.states(vals)[:-1], 0.0)
     cap = scenario.capacity_matrix()
     bound = np.minimum(d_raw, cap)
     over = z > bound + 1e-6 * (1.0 + np.abs(z))
@@ -77,7 +77,7 @@ def extract_controls(program: ConvexProgram, solution: Solution,
         # solver noise can leave ~1e-10 flows pointing into cells with zero
         # supply, which would zero the replay's FIFO coefficient; drop them
         # before normalizing
-        f = program.states(vals, scenario, "f")
+        f = program.states(vals, "f")
         f = np.where(f < 1e-8 * (1.0 + z_out), 0.0, f)
         total = np.zeros_like(z)
         np.add.at(total, (slice(None), src), f)
@@ -148,8 +148,6 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
         ordinary:  z* = min(d_bar(x*), s_downstream(x*))
         diverge:   z* = d_bar(x*) * min(1, min_k s_k(x*_k) / (R_ik d_bar(x*)))
     """
-    from .network import classify_junctions
-
     net = scenario.network
     if program.kind != "FNC":
         raise ValueError("structure check applies to FNC programs")
@@ -158,18 +156,20 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
     slopes = {c.diagram.demand_slope for c in net.cells}
     if max(slopes) - min(slopes) > 1e-12:
         raise ValueError("structure check requires identical demand slopes on all cells")
-    kinds = classify_junctions(net)
-    if any(k == "general" for k in kinds.values()):
+    # a general junction: a cell splits to two or more cells, one of which
+    # is also fed by another cell
+    if any(len(net.downstream(c.id)) > 1
+           and any(len(net.upstream(j)) > 1 for j in net.downstream(c.id)) for c in net.cells):
         raise ValueError("structure check refuses networks with general junctions")
 
     # ordinary or diverge head <=> the cell is its junction's only input;
     # merge heads follow the priority structure and are not checked here
     heads = [k for k, c in enumerate(net.cells) if net.downstream(c.id)
              and all(len(net.upstream(j)) == 1 for j in net.downstream(c.id))]
-    x_star = np.maximum(program.states(solution.values, scenario)[:-1], 0.0)
+    x_star = np.maximum(program.states(solution.values)[:-1], 0.0)
     _, z_rule, _, _ = junction_rates(net.compiled, x_star, Drive.for_run(scenario),
                                      slice(None), 0.0)
-    z_star = program.states(solution.values, scenario, "z")
+    z_star = program.states(solution.values, "z")
     deviation = np.abs(z_star[:, heads] - z_rule[:, heads])
     worst, checked = float(deviation.max(initial=0.0)), deviation.size
     gap = abs(solution.objective - fifo_cost) / max(abs(fifo_cost), 1.0)

@@ -1,19 +1,26 @@
 """CLI commands, exit codes, artifacts, and manifest determinism."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctmflow
 from ctmflow.cli import main
 from ctmflow.ctm import simulate
-from ctmflow.network import Scenario, load_scenario, save_scenario, scenario_to_dict
+from ctmflow.network import (RoutingSchedule, Scenario, load_scenario, save_scenario,
+                             scenario_to_dict)
 from ctmflow.scenarios import (TAU, figure_network, robustness_scenario, routing_for,
                                table_scenario)
 from ctmflow.synthesis import ControlSchedule
 
-from conftest import random_scenario
+from conftest import build_network, random_scenario
 
 
 @pytest.fixture()
@@ -78,6 +85,32 @@ class TestExitCodes:
                    "--sweep", "junk", "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_inflow_longer_than_horizon_config_error(self, tmp_path):
+        # five inflow entries past T = 25 used to be cut off without a word
+        doc = scenario_to_dict(table_scenario())
+        doc["inflow"]["1"] += [99.0] * 5
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+
+    def test_sweep_two_sources_config_error(self, tmp_path, capsys):
+        net, ratios = build_network("cross", np.random.default_rng(3), slopes=0.5)
+        lam = np.zeros((6, net.n))
+        lam[:, [net.index["s"], net.index["u"]]] = 0.5
+        path = tmp_path / "cross.json"
+        save_scenario(Scenario(network=net, horizon=6, tau=1.0, initial_volumes=(0.0,) * net.n,
+                               inflow=lam, routing=RoutingSchedule.constant(net, ratios)), path)
+        rc = main(["robustness-sweep", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_sweep_varying_inflow_config_error(self, tmp_path, capsys):
+        rc = main(["robustness-sweep", "--scenario", "bundled:table",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
 
 class TestArtifacts:
     def test_solve_writes_lp_and_manifest(self, tmp_path):
@@ -113,6 +146,44 @@ class TestArtifacts:
         main(["simulate", "--scenario", "bundled:table", "--out", str(out)])
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert "veh" in header
+
+
+class TestSolveImports:
+    def test_solve_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # the solver loads scipy's HiGHS binding alone, not scipy.optimize
+        code = ("import sys\nfrom ctmflow.cli import main\n"
+                f"rc = main(['solve', '--scenario', 'bundled:table', '--out', {str(tmp_path)!r}])\n"
+                "print(rc, 'scipy.optimize' in sys.modules)")
+        src = str(Path(ctmflow.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.stdout.splitlines()[-1] == "0 False", run.stdout + run.stderr
+
+
+# sha256 of the reproduce-paper artifacts that the LP vertex choice does not
+# move; fig6 and fig10 depend on it and are left out
+PINNED = {
+    "tables2_3.csv": "a83fd772e1ef8c3891be3c2959f864c86c7872ca7defdb2be7ab9bf5d05da67a",
+    "fig7_trajectories.csv": "ca329ef14fcbc7669d20ef263314ecac86bc3ad85739f7ca9e28a89997e82065",
+    "fig8_sweep_fifo.csv": "70c40ae09e9cab9dd94bc9656531854df6c519dc9a3fc06ce428daa6309189e2",
+    "fig9_sweep_nonfifo.csv": "fe6f7779322ab63c0b5136bf381e5a080f4777304f24f08b2122a57c3394e801",
+    "scenario_table.json": "9ebc6df2d546d3348373c9a9a1f159f4ff8fbe03fe0e492054675b4619130112",
+    "scenario_robustness.json": "db55faee181e4d1ce67229db4782fb1585db3c6c8e23784fedd10dbd0b72aa59",
+}
+
+
+class TestReproducePaper:
+    def test_deterministic_and_pinned(self, tmp_path):
+        for run in ("a", "b"):
+            assert main(["reproduce-paper", "--out", str(tmp_path / run)]) == 0
+        manifest = (tmp_path / "a" / "manifest.json").read_bytes()
+        assert manifest == (tmp_path / "b" / "manifest.json").read_bytes()
+        listed = json.loads(manifest)
+        for name, digest in PINNED.items():
+            assert hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest() == digest, name
+            assert listed[name] == digest
 
 
 class TestSweep:

@@ -1,4 +1,4 @@
-"""Network construction, validation, demand/supply, junction classification."""
+"""Network construction, validation, demand/supply, general-junction refusal."""
 
 import json
 import math
@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmflow import scenarios
-from ctmflow.network import (classify_junctions, demand, load_scenario, make_cell,
-                             save_scenario, scenario_from_dict, scenario_to_dict,
+from ctmflow.ctm import CostSpec
+from ctmflow.network import (Network, RoutingSchedule, Scenario, demand, load_scenario,
+                             make_cell, save_scenario, scenario_from_dict, scenario_to_dict,
                              supply, validate)
-from ctmflow.scenarios import figure_network, routing_for
+from ctmflow.program import build_fnc
+from ctmflow.scenarios import figure_network, robustness_scenario, routing_for
+from ctmflow.solver import solve
+from ctmflow.synthesis import check_fnc_structure
+
+from conftest import build_network
 
 
 def _cell(slope=1.0, cap=6.0, jam=10.0, is_source=False):
@@ -113,30 +119,39 @@ class TestValidation:
 
 
 class TestJunctions:
+    """check_fnc_structure refuses a general junction: a cell that splits to
+    two or more cells, one of which another cell also feeds."""
+
+    @staticmethod
+    def structure(sc: Scenario):
+        prog = build_fnc(sc, CostSpec("TTT"))
+        return check_fnc_structure(prog, solve(prog), sc, 0.0)
+
+    @staticmethod
+    def scenario(net: Network, ratios: dict) -> Scenario:
+        lam = np.zeros((2, net.n))
+        for cid in net.sources:
+            lam[0, net.index[cid]] = 1.0
+        return Scenario(network=net, horizon=2, tau=1.0, initial_volumes=(0.0,) * net.n,
+                        inflow=lam, routing=RoutingSchedule.constant(net, ratios))
+
     def test_benchmark_has_no_general_junction(self):
-        kinds = classify_junctions(figure_network(1))
-        assert set(kinds.values()) <= {"ordinary", "merge", "diverge"}
-        assert sorted(kinds.values()).count("diverge") == 2
-        assert sorted(kinds.values()).count("merge") == 2
+        assert self.structure(robustness_scenario(horizon=3)).checked_cells > 0
 
     def test_degree_based_kinds(self):
-        from ctmflow.network import Network
+        # a diverge whose branches meet again at a merge is no general junction
         cells = tuple(make_cell(i, 1, 1, 1, 1, 10, [6], 1.0, is_source=(i == "s"))
                       for i in ("s", "a", "b", "c"))
         net = Network(cells=cells, adjacency=(("s", "a"), ("s", "b"), ("a", "c"), ("b", "c")),
                       sources=frozenset({"s"}), sinks=frozenset({"c"}))
-        kinds = classify_junctions(net)
-        assert sorted(kinds.values()) == ["diverge", "merge"]
+        ratios = {("s", "a"): 0.5, ("s", "b"): 0.5, ("a", "c"): 1.0, ("b", "c"): 1.0}
+        assert self.structure(self.scenario(net, ratios)).checked_cells > 0
 
     def test_general_junction_flagged(self):
-        from ctmflow.network import Network
-        cells = tuple(make_cell(i, 1, 1, 1, 1, 10, [6], 1.0, is_source=i.startswith("s"))
-                      for i in ("s1", "s2", "a", "b"))
-        net = Network(cells=cells,
-                      adjacency=(("s1", "a"), ("s1", "b"), ("s2", "a"), ("s2", "b")),
-                      sources=frozenset({"s1", "s2"}), sinks=frozenset({"a", "b"}))
-        kinds = classify_junctions(net)
-        assert "general" in kinds.values()
+        # conftest's cross: s splits to a and b, and u also feeds b
+        net, ratios = build_network("cross", np.random.default_rng(7), slopes=0.5)
+        with pytest.raises(ValueError, match="general junctions"):
+            self.structure(self.scenario(net, ratios))
 
 
 class TestScenarioFile:

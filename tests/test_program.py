@@ -1,5 +1,7 @@
 """Relaxation builders: feasibility structure, nesting, epsilon, export."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -59,39 +61,35 @@ class TestBuilders:
 
 
 class TestAssembly:
-    def test_vectorized_assembly_matches_lil_reference(self, monkeypatch, table_scenario):
-        # the CSR arrays must equal those of per-entry lil_matrix writes,
-        # the reference the vectorized assembly replaced
-        import scipy.sparse as sp
+    def test_builder_matches_loop_reference(self):
+        # the index-arithmetic builder against the per-entry loop builder it
+        # replaced: bit-equal CSR arrays, right-hand sides, objective and
+        # names, on every test shape, both kinds, every cost kind, two eps
+        from program_reference import reference_program
 
-        import ctmflow.program as program
-        from ctmflow.scenarios import robustness_scenario
-
-        def lil_reference(rows, width):
-            mat = sp.lil_matrix((len(rows), width))
-            for r, (cols, vals) in enumerate(rows):
-                for col, val in zip(cols, vals):
-                    mat[r, col] += val
-            return mat.tocsr()
-
-        checked = []
-        real = program._assemble
-
-        def checking(rows, width):
-            got, ref = real(rows, width), lil_reference(rows, width)
-            for attr in ("indptr", "indices", "data"):
-                a, b = getattr(got, attr), getattr(ref, attr)
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
-            assert got.shape == ref.shape
-            checked.append(got.shape)
-            return got
-
-        monkeypatch.setattr(program, "_assemble", checking)
-        for sc in (table_scenario, robustness_scenario(horizon=30)):
-            for build in (build_dta, build_fnc):
-                build(sc, CostSpec("TTT"), eps=0.2)
-        assert len(checked) == 8
+        rng = np.random.default_rng(33)
+        for shape in ("chain", "diverge", "merge", "diamond", "cross"):
+            sc = random_scenario(rng, shape=shape, horizon=4)
+            weights = tuple(rng.uniform(0.5, 2.0, size=sc.network.n))
+            costs = (CostSpec("TTT"), CostSpec("QuadraticVolume"), CostSpec("TTD"),
+                     CostSpec("Delay"),
+                     CostSpec("WeightedSum", components=(
+                         (0.5, CostSpec("TTT")), (2.0, CostSpec("Delay", weights=weights)),
+                         (0.25, CostSpec("QuadraticVolume", weights=weights)))))
+            for (kind, build), cost, eps in itertools.product(
+                    (("DTA", build_dta), ("FNC", build_fnc)), costs, (0.0, 0.2)):
+                got, ref = build(sc, cost, eps), reference_program(sc, cost, eps, kind)
+                for mat in ("A_eq", "A_ub"):
+                    a, b = getattr(got, mat), getattr(ref, mat)
+                    assert a.shape == b.shape
+                    for attr in ("indptr", "indices", "data"):
+                        assert getattr(a, attr).dtype == getattr(b, attr).dtype
+                        np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+                for vec in ("b_eq", "b_ub", "c", "q", "nonneg"):
+                    a, b = getattr(got, vec), getattr(ref, vec)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert got.names == ref.names
+                assert got.var_index == ref.var_index
 
 
 class TestFeasibilityStructure:

@@ -11,8 +11,7 @@ import pytest
 from ctmflow.ctm import CostSpec
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
 from ctmflow.program import build_dta, build_fnc
-from ctmflow.solver import (SolverError, brute_force_oracle, solve,
-                            solve_max_outflow, verify_solution)
+from ctmflow.solver import SolverError, brute_force_oracle, solve, verify_solution
 
 from conftest import random_scenario
 
@@ -90,15 +89,17 @@ class TestLP:
         _assert_certifies(prog, bad.certificate)
 
     def test_iteration_limit_reported(self, table_scenario, monkeypatch):
-        import scipy.optimize
-        prog = build_fnc(table_scenario, CostSpec("TTT"))
-        real = scipy.optimize.linprog
+        from scipy.optimize._highspy import _core
+        real = _core._Highs
 
-        def tiny(*args, **kwargs):
-            return real(*args, **kwargs, options={"maxiter": 3, "presolve": False})
+        class Tiny(real):
+            def run(self):
+                self.setOptionValue("simplex_iteration_limit", 3)
+                self.setOptionValue("presolve", "off")
+                return super().run()
 
-        monkeypatch.setattr(scipy.optimize, "linprog", tiny)
-        sol = solve(prog)
+        monkeypatch.setattr(_core, "_Highs", Tiny)
+        sol = solve(build_fnc(table_scenario, CostSpec("TTT")))
         assert sol.status == "iteration-limit"
 
 
@@ -135,11 +136,22 @@ class TestOracle:
 
 class TestLexicographic:
     def test_secondary_stage_keeps_cost(self, table_scenario):
+        # solve returns the max-early-outflow vertex of the optimal face: its
+        # cost is the optimum of an independent linprog solve, and it drains
+        # at least as early as the vertex linprog happens to return
+        from scipy.optimize import linprog
         prog = build_fnc(table_scenario, CostSpec("TTT"))
-        base = solve(prog)
-        refined = solve_max_outflow(prog)
-        assert refined.objective == pytest.approx(base.objective, abs=1e-7)
-        assert verify_solution(prog, refined.values) <= 1e-8
+        ref = linprog(prog.c, A_ub=prog.A_ub, b_ub=prog.b_ub, A_eq=prog.A_eq, b_eq=prog.b_eq,
+                      bounds=(0, None), method="highs")
+        assert ref.status == 0
+        sol = solve(prog)
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+        assert verify_solution(prog, sol.values) <= 1e-8
+        T = table_scenario.horizon
+        weight = (T - np.arange(T))[:, None]
+        drained = float((weight * prog.states(sol.values, "z")).sum())
+        reference = float((weight * prog.states(ref.x, "z")).sum())
+        assert drained >= reference - 1e-9 * (1.0 + abs(reference))
 
 
 class TestQP:

@@ -5,7 +5,7 @@ import pytest
 
 from ctmflow.ctm import CostSpec, evaluate_cost, simulate
 from ctmflow.program import build_dta, build_fnc
-from ctmflow.solver import solve, solve_max_outflow
+from ctmflow.solver import solve
 from ctmflow.synthesis import (ControlSchedule, check_fnc_structure, controls_to_csv,
                                extract_controls, verify_realization)
 
@@ -85,7 +85,7 @@ class TestReplayTightness:
     def test_fnc_replay(self, table_scenario, fnc_ttt, model):
         prog, sol = fnc_ttt
         controls = extract_controls(prog, sol, table_scenario)
-        ref = prog.states(sol.values, table_scenario)
+        ref = prog.states(sol.values)
         rep = verify_realization(controls, table_scenario, ref, model=model)
         assert rep.realized
         assert rep.always_freeflow
@@ -95,7 +95,7 @@ class TestReplayTightness:
     def test_dta_replay(self, table_scenario, dta_ttt, model):
         prog, sol = dta_ttt
         controls = extract_controls(prog, sol, table_scenario)
-        ref = prog.states(sol.values, table_scenario)
+        ref = prog.states(sol.values)
         rep = verify_realization(controls, table_scenario, ref, model=model)
         assert rep.realized and rep.always_freeflow
 
@@ -116,7 +116,7 @@ class TestReplayTightness:
             if sol.status != "optimal":
                 continue
             controls = extract_controls(prog, sol, sc)
-            ref = prog.states(sol.values, sc)
+            ref = prog.states(sol.values)
             rep = verify_realization(controls, sc, ref)
             assert rep.realized, f"deviation {rep.max_deviation} > {rep.tolerance}"
             assert rep.always_freeflow
@@ -134,13 +134,23 @@ class TestReplayTightness:
 class TestStructureCheck:
     def test_structure_holds_at_refined_optimum(self, table_scenario, table_fifo):
         prog = build_fnc(table_scenario, CostSpec("TTT"))
-        sol = solve_max_outflow(prog)
+        sol = solve(prog)
         fifo_cost = evaluate_cost(table_fifo, CostSpec("TTT"))
         rep = check_fnc_structure(prog, sol, table_scenario, fifo_cost)
         assert rep.ok
         assert rep.cost_gap <= 1e-3
         assert rep.max_flow_deviation <= 1e-6
         assert rep.checked_cells > 0
+
+    def test_structure_holds_at_t200(self, robustness_scenario):
+        # criterion 3 on the long horizon: the solved FNC optimum is the
+        # uncontrolled FIFO run's cost, with the free-flow sending rule
+        prog = build_fnc(robustness_scenario, CostSpec("TTT"))
+        sol = solve(prog)
+        fifo_cost = evaluate_cost(simulate(robustness_scenario), CostSpec("TTT"))
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(fifo_cost, rel=1e-9)
+        assert check_fnc_structure(prog, sol, robustness_scenario, fifo_cost).ok
 
     def test_refuses_wrong_cost(self, table_scenario):
         prog = build_fnc(table_scenario, CostSpec("QuadraticVolume"))
