@@ -4,7 +4,7 @@ from .ctm import CostSpec, Trajectory, evaluate_cost, simulate
 from .network import (Cell, FundamentalDiagram, Network, RoutingSchedule,
                       Scenario, load_scenario, save_scenario, validate)
 from .program import ConvexProgram, build_dta, build_fnc
-from .solver import Solution, brute_force_oracle, solve
+from .solver import Solution, solve
 from .synthesis import ControlSchedule, extract_controls, verify_realization
 
 __version__ = "0.1.0"
@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Cell", "ControlSchedule", "ConvexProgram", "CostSpec", "FundamentalDiagram",
     "Network", "RoutingSchedule", "Scenario", "Solution", "Trajectory",
-    "brute_force_oracle", "build_dta", "build_fnc", "evaluate_cost",
+    "build_dta", "build_fnc", "evaluate_cost",
     "extract_controls", "load_scenario", "save_scenario", "simulate", "solve",
     "validate", "verify_realization",
 ]

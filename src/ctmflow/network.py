@@ -483,6 +483,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         lam[:len(series), net.index[cid]] = series     # shorter series: zero-padded
     routing = None
     if data.get("routing"):
+        for key, series in data["routing"].items():
+            if not 1 <= len(series) <= horizon:
+                raise ValueError(f"routing series {key} has {len(series)} entries, "
+                                 f"expected 1 to T = {horizon}")
         steps = max(len(v) for v in data["routing"].values())
         mats = []
         for t in range(steps):

@@ -1,26 +1,41 @@
 """Solvers for the relaxation programs.
 
-Every program becomes one HiGHS model object, built from the program's
-sparse full-space constraints through scipy's binding to HiGHS: LPs go to
-its simplex method, convex QPs to its active-set QP method with the
-Hessian diag(2q). An LP optimum is degenerate (whole faces of optima), and
-the structure results describe the optimum that drains greedily. So the
-same object then breaks ties: one row pins the cost at the optimum, the
-objective becomes maximal early outflow, and the primal simplex restarts
-from the optimal basis. An infeasible program carries HiGHS's dual ray as
-its Farkas certificate. Every returned Solution holds the full variable
-vector and is re-verified against the program's own constraint list.
+Routing: every LP goes to HiGHS; every convex QP goes to a sparse
+primal-dual interior point first, and to HiGHS only when that path cannot
+certify its result. Both read the program's sparse full-space
+constraints; scipy's compiled HiGHS binding and SuperLU are each loaded on
+their own, without the scipy.optimize and scipy.sparse.linalg packages.
 
-A brute-force oracle for tiny instances stays independent of HiGHS: it
-parametrizes the equality manifold by the null space of A_eq and finds the
-exact optimum by active-set enumeration.
+LPs run HiGHS's simplex method on one model object. An LP optimum is
+degenerate (whole faces of optima), and the structure results describe the
+optimum that drains greedily. So the same object then breaks ties: one row
+pins the cost at the optimum, the objective becomes maximal early outflow,
+and the primal simplex restarts from the optimal basis.
+
+QPs run Mehrotra's predictor-corrector on the regularized quasi-definite
+KKT system [[H + D + A_ub' W/S A_ub, -A_eq'], [-A_eq, -delta I]], one
+SuperLU factorization per iteration on a pattern built once, until the
+relative gap and primal residual reach IPM_TOL. The point is then
+polished: the bounds and rows that the last step marks active are fixed,
+and the equality-constrained KKT system at that active set is solved with
+iterative refinement, so zero flows come back as exact zeros. The polished
+point is returned only with a certificate: it is primal feasible to
+LP_RESIDUAL_TOL, and its Frank-Wolfe gap g'v - min{g'u : u feasible},
+g = c + 2qv, an upper bound on f(v) - f*, is at most FW_TOL (1 + |f|). The
+gap comes from one LP on HiGHS and is returned as the dual residual. Any
+other outcome (the iteration cap, a failed polish, a gap above tolerance,
+an infeasible program) falls back to HiGHS's active-set QP method,
+unchanged.
+
+An infeasible program carries HiGHS's dual ray as its Farkas certificate.
+Every returned Solution holds the full variable vector and is re-verified
+against the program's own constraint list.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import os
 import sys
@@ -34,6 +49,12 @@ from .program import ConvexProgram
 
 LP_RESIDUAL_TOL = 1e-8
 QP_RESIDUAL_TOL = 1e-6
+FW_TOL = 1e-9             # certified Frank-Wolfe gap, relative to 1 + |f|
+IPM_TOL = 1e-10           # relative gap and primal residual; at 1e-8 the active set is misread
+IPM_MAX_ITER = 60
+POLISH_ROUNDS = 4
+REFINE_STEPS = 4
+KKT_REG = 1e-9            # primal and dual regularization of the KKT matrix
 
 
 @dataclass
@@ -70,45 +91,51 @@ def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
     return max(r_eq, r_ub, r_nn)
 
 
+def _extension(name: str):
+    """One of scipy's compiled extensions, loaded by itself: HiGHS's binding
+    without scipy.optimize's package init (~45 MB and ~0.1 s that no solve
+    needs), SuperLU without scipy.sparse.linalg's (~9 MB and ~0.1 s). It is
+    registered under its full name, so a later import of its package reuses
+    it instead of registering its types a second time. A None entry in
+    sys.modules marks it unavailable."""
+    if name in sys.modules:
+        if sys.modules[name] is None:
+            raise SolverError(f"{name} is unavailable")
+        return sys.modules[name]
+    package, _, leaf = name.rpartition(".")
+    found = importlib.machinery.PathFinder.find_spec(
+        leaf, [os.path.join(os.path.dirname(scipy.__file__), *package.split(".")[1:])])
+    if found is None:
+        raise SolverError(f"{name} is unavailable: scipy ships no {leaf}")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    try:
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        sys.modules.pop(name, None)
+        raise SolverError(f"{name} is unavailable: {exc}") from exc
+    return module
+
+
+def _binding():
+    return _extension("scipy.optimize._highspy._core")
+
+
 # ---------------------------------------------------------------------------
 # one HiGHS model per program: min c'v + v' diag(q) v  s.t.  A_eq v = b_eq,
 # A_ub v <= b_ub,  v >= 0 on the nonneg mask; HiGHS minimizes
 # c'v + 0.5 v'Hv, so the Hessian is diag(2q)
 
-_BINDING = "scipy.optimize._highspy._core"
 
-
-def _binding():
-    """scipy's HiGHS binding, loaded without running scipy.optimize's
-    package init (~45 MB and ~0.1 s that no solve needs). It is registered
-    under its full name, so a later ``import scipy.optimize`` reuses it
-    instead of registering its types a second time. A None entry in
-    sys.modules marks it unavailable."""
-    if _BINDING in sys.modules:
-        if sys.modules[_BINDING] is None:
-            raise SolverError("the HiGHS binding is unavailable")
-        return sys.modules[_BINDING]
-    found = importlib.machinery.PathFinder.find_spec(
-        "_core", [os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")])
-    if found is None:
-        raise SolverError("the HiGHS binding is unavailable: scipy ships no _highspy._core")
-    spec = importlib.util.spec_from_file_location(_BINDING, found.origin)
-    try:
-        core = sys.modules[_BINDING] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(core)
-    except ImportError as exc:
-        sys.modules.pop(_BINDING, None)
-        raise SolverError(f"the HiGHS binding is unavailable: {exc}") from exc
-    return core
-
-
-def _model(core, program: ConvexProgram):
+def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
+    """The program as a HiGHS model; with cost, the LP min cost'v over the
+    program's feasible set instead."""
     n = program.n_vars
     A = sp.vstack([program.A_eq, program.A_ub]).tocsc()
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
-    lp.col_cost_ = program.c
+    lp.col_cost_ = program.c if cost is None else cost
     lp.col_lower_ = np.where(program.nonneg, 0.0, -np.inf)
     lp.col_upper_ = np.full(n, np.inf)
     lp.row_lower_ = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
@@ -119,7 +146,7 @@ def _model(core, program: ConvexProgram):
     lp.a_matrix_.value_ = A.data
     model = core.HighsModel()
     model.lp_ = lp
-    if program.is_quadratic:
+    if cost is None and program.is_quadratic:
         diag = np.flatnonzero(program.q)
         hessian = core.HighsHessian()
         hessian.dim_ = n
@@ -167,11 +194,10 @@ def _drain(core, highs, program: ConvexProgram, values: np.ndarray):
     return drained, int(highs.getInfo().simplex_iteration_count)
 
 
-def solve(program: ConvexProgram) -> Solution:
-    """Solve the program on one HiGHS model: simplex plus the max-early-
-    outflow tie-break for LPs, the active-set method for QPs. Quadratic
-    programs are strictly convex in x and need no tie-break."""
-    core = _binding()
+def _highs(core, program: ConvexProgram) -> Solution:
+    """Simplex plus the max-early-outflow tie-break for LPs, the active-set
+    method for QPs. Quadratic programs are strictly convex in x and need no
+    tie-break."""
     highs = _model(core, program)
     highs.run()
     status = highs.getModelStatus()
@@ -207,64 +233,255 @@ def solve(program: ConvexProgram) -> Solution:
                     residuals=residuals, iterations=iters)
 
 
+def solve(program: ConvexProgram) -> Solution:
+    """Solve the program: a QP by the certified interior point when it
+    succeeds, everything else on one HiGHS model."""
+    core = _binding()
+    if program.is_quadratic:
+        solution = _certified_qp(core, program)
+        if solution is not None:
+            return solution
+    return _highs(core, program)
+
+
 # ---------------------------------------------------------------------------
-# brute-force oracle: a test reference, kept independent of HiGHS and solve
+# quadratic programs: interior point, active-set polish, certificate
 
 
-def brute_force_oracle(program: ConvexProgram) -> Solution:
-    """Exact optimum for tiny instances by active-set enumeration.
+class _KKT:
+    """The regularized quasi-definite KKT system of the interior point,
+    [[H + D + A_ub' diag(theta) A_ub, -A_eq'], [-A_eq, -KKT_REG I]] with
+    H + D a diagonal, plus KKT_REG on it. The inequality rows are eliminated
+    from [[H + D, -A_eq', A_ub'], [-A_eq, 0, 0], [A_ub, 0, -diag(1/theta)]],
+    which solve takes and answers in full. The CSC pattern is built once;
+    a factorization only refills the values, as one sparse product with
+    (theta, diagonal, 1)."""
 
-    The equality manifold is parametrized as v = N u + v0 (N spans the null
-    space of A_eq, v0 a least-squares particular point), leaving G u <= h.
-    For each candidate active set S, in order of size, whose
-    equality-constrained KKT system [P G_S'; G_S 0] [u; w] = [-g; h_S] is
-    nonsingular, that system is solved; the first point that is primal
-    feasible (G u <= h) and dual feasible (w >= 0) is optimal, as the
-    program is convex. With P = 0 this is vertex enumeration over the LP's
-    bases.
-    """
-    k_min = program.n_vars - program.A_eq.shape[0]
-    if k_min > 12:
-        raise SolverError(f"oracle accepts at most 12 free variables, got at least {k_min}")
-    from scipy.linalg import null_space
-    A_eq = program.A_eq.toarray()
-    N = null_space(A_eq)
-    k = N.shape[1]
-    if k > 12:
-        raise SolverError(f"oracle accepts at most 12 free variables, got {k}")
-    v0 = np.linalg.lstsq(A_eq, program.b_eq, rcond=None)[0]
-    if np.max(np.abs(A_eq @ v0 - program.b_eq), initial=0.0) > 1e-9:
-        return _unsolved(program, "infeasible")
-    # G u <= h: the A_ub rows, then -v <= 0 on the nonneg block
-    nn = program.nonneg
-    G = np.vstack([program.A_ub @ N, -N[nn]])
-    h = np.concatenate([program.b_ub - program.A_ub @ v0, v0[nn]])
-    scale = np.max(np.abs(G), axis=1, initial=0.0)
-    fixed = scale < 1e-10      # rows the equalities already decide
-    if np.any(h[fixed] < -1e-9):
-        return _unsolved(program, "infeasible")
-    G, h = G[~fixed] / scale[~fixed, None], h[~fixed] / scale[~fixed]
-    # drop repeated rows, keeping the tightest bound of each
-    order = np.argsort(h, kind="stable")
-    _, first = np.unique(np.round(G[order], 9), axis=0, return_index=True)
-    keep = np.sort(order[first])
-    G, h = G[keep], h[keep]
-    P = 2.0 * N.T @ (program.q[:, None] * N)
-    g = N.T @ (program.c + 2.0 * program.q * v0)
-    m = len(h)
-    if sum(math.comb(m, s) for s in range(min(k, m) + 1)) > 2_000_000:
-        raise SolverError("too many active-set candidates")
-    for size in range(min(k, m) + 1):
-        for S in itertools.combinations(range(m), size):
-            G_S = G[list(S)]
-            K = np.block([[P, G_S.T], [G_S, np.zeros((size, size))]])
-            if np.linalg.cond(K) > 1e12:
-                continue
-            sol = np.linalg.solve(K, np.concatenate([-g, h[list(S)]]))
-            u, w = sol[:k], sol[k:]
-            if np.all(w >= -1e-9) and np.all(G @ u <= h + 1e-9):
-                values = N @ u + v0
-                return Solution(values=values, objective=program.objective_value(values),
-                                status="optimal",
-                                residuals=Residuals(verify_solution(program, values), 0.0, 0.0))
-    return _unsolved(program, "infeasible")
+    def __init__(self, A_eq, A_ub):
+        n, m, m_ub = A_eq.shape[1], A_eq.shape[0], A_ub.shape[0]
+        N = n + m
+        eq, ub = A_eq.tocoo(), A_ub.tocsr()
+        # A_ub' diag(theta) A_ub: one term per ordered pair of entries of a row
+        counts = np.diff(ub.indptr)
+        row = np.repeat(np.arange(m_ub), counts)
+        pairs = counts[row]
+        k1 = np.repeat(np.arange(ub.nnz), pairs)
+        k2 = ub.indptr[row[k1]] + np.arange(len(k1)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        diag, duals = np.arange(n), n + np.arange(m)
+        rows = np.concatenate([ub.indices[k1], diag, diag, eq.col, n + eq.row, duals])
+        cols = np.concatenate([ub.indices[k2], diag, diag, n + eq.row, eq.col, duals])
+        coef = np.concatenate([ub.data[k1] * ub.data[k2], np.ones(n), np.full(n, KKT_REG),
+                               -eq.data, -eq.data, np.full(m, -KKT_REG)])
+        param = np.concatenate([row[k1], m_ub + diag, np.full(n + 2 * eq.nnz + m, m_ub + n)])
+        keys, pos = np.unique(cols.astype(np.int64) * N + rows, return_inverse=True)
+        self.indices = (keys % N).astype(np.intc)
+        self.indptr = np.searchsorted(keys // N, np.arange(N + 1)).astype(np.intc)
+        self.fill = sp.csr_matrix((coef, (pos, param)), shape=(len(keys), m_ub + n + 1))
+        self.reg = np.concatenate([np.full(n, KKT_REG), np.full(m, -KKT_REG)])
+        self.A_ub, self.A_ubT = ub, ub.T.tocsr()
+        self.n = n
+        self.lu = self.matrix = self.theta = self.order = None
+
+    def factor(self, diagonal, theta):
+        """Factorize at the given diagonal and theta. The first
+        factorization lets COLAMD order the columns; later ones reuse that
+        order on the column-permuted matrix."""
+        data = self.fill @ np.concatenate([theta, diagonal, [1.0]])
+        N = len(self.indptr) - 1
+        self.matrix = sp.csc_matrix((data, self.indices, self.indptr), shape=(N, N))
+        self.theta = theta
+        self.lu = None      # one factorization alive at a time
+        if self.order is None:
+            self.lu = _gstrf(data, self.indices, self.indptr, "COLAMD")
+            self.order = np.argsort(self.lu.perm_c)
+            counts = np.diff(self.indptr)[self.order]
+            ends = np.cumsum(counts)
+            self.gather = np.arange(ends[-1]) + np.repeat(self.indptr[self.order] - ends + counts,
+                                                          counts)
+            self.ordered_indptr = np.concatenate([[0], ends]).astype(np.intc)
+            self.permuted = False
+        else:
+            self.lu = _gstrf(data[self.gather], self.indices[self.gather], self.ordered_indptr,
+                             "NATURAL")
+            self.permuted = True
+
+    def _lu_solve(self, b):
+        u = self.lu.solve(b)
+        if not self.permuted:
+            return u
+        x = np.empty_like(u)
+        x[self.order] = u
+        return x
+
+    def solve(self, rhs, steps, start=None):
+        """(dv, dy, dw) for the right-hand side (r_v, r_eq, r_ub) of the
+        three-block system: one regularized solve from start (default 0),
+        then steps of refinement against the unregularized matrix. Where
+        that matrix is singular, the result stays near start."""
+        n, N = self.n, len(self.indptr) - 1
+        r_ub = rhs[N:]
+        b = rhs[:N].copy()
+        b[:n] += self.A_ubT @ (self.theta * r_ub)
+        x = np.zeros(N) if start is None else start.copy()
+        for _ in range(steps + 1):
+            x += self._lu_solve(b - self.matrix @ x + self.reg * x)
+        return np.concatenate([x, self.theta * (self.A_ub @ x[:n] - r_ub)])
+
+
+def _gstrf(data, indices, indptr, order):
+    """SuperLU's LU with partial pivoting, its compiled extension loaded on
+    the first call. Panels and relaxed supernodes of one column: on these
+    KKT matrices wider ones add half again as much fill."""
+    superlu = _extension("scipy.sparse.linalg._dsolve._superlu")
+    return superlu.gstrf(len(indptr) - 1, len(data), data, indices, indptr,
+                         csc_construct_func=sp.csc_matrix, ilu=False,
+                         options={"ColPerm": order, "PanelSize": 1, "Relax": 1})
+
+
+def _step(x, dx):
+    """Largest step in [0, 1] keeping x + step * dx nonnegative."""
+    neg = dx < 0
+    return min(1.0, float(np.min(-x[neg] / dx[neg], initial=np.inf)))
+
+
+def _interior_point(program: ConvexProgram):
+    """Mehrotra's predictor-corrector on min c'v + 0.5 v'diag(h)v, h = 2q,
+    with slacks A_ub v + s = b_ub and duals y (A_eq rows), w >= 0 (A_ub
+    rows), z >= 0 (bounds). Returns the point (v, s, y, z, w), the primal
+    and dual values (v, s, z, w) one step before it, and the iteration
+    count once the relative primal residual and gap reach IPM_TOL, or
+    None."""
+    c, h, nn = program.c, 2.0 * program.q, program.nonneg
+    A_eq, A_ub, b_eq, b_ub = program.A_eq, program.A_ub, program.b_eq, program.b_ub
+    A_eqT, A_ubT = A_eq.T.tocsr(), A_ub.T.tocsr()
+    n, m_eq, m_ub = len(c), len(b_eq), len(b_ub)
+    kkt = _KKT(A_eq, A_ub)
+    bounded = nn.astype(float)
+    count = nn.sum() + m_ub
+    b_scale = 1.0 + max(np.abs(b_eq).max(initial=0.0), np.abs(b_ub).max(initial=0.0))
+
+    # Mehrotra's starting point: least-norm primal and dual points, shifted
+    # into the interior
+    kkt.factor(h + 1.0, np.ones(m_ub))
+    d = kkt.solve(np.concatenate([np.zeros(n), -b_eq, b_ub]), 1)
+    v, y, s = d[:n], np.zeros(m_eq), -d[n + m_eq:]
+    d = kkt.solve(np.concatenate([c + h * v, np.zeros(m_eq + m_ub)]), 1)
+    z, w = d[:n] * bounded, -d[n + m_eq:]
+    primal, dual = np.concatenate([v[nn], s]), np.concatenate([z[nn], w])
+    dp = max(-1.5 * primal.min(initial=0.0), 0.0)
+    dd = max(-1.5 * dual.min(initial=0.0), 0.0)
+    pd = ((primal + dp) * (dual + dd)).sum()
+    dp += 0.5 * pd / max((dual + dd).sum(), 1e-300)
+    dd += 0.5 * pd / max((primal + dp).sum(), 1e-300)
+    v, s = v + dp * bounded, s + dp
+    z, w = (z + dd) * bounded, w + dd
+    prev = v, s, z, w
+
+    for it in range(IPM_MAX_ITER):
+        r_d = h * v + c - A_eqT @ y + A_ubT @ w - z
+        r_p = A_eq @ v - b_eq
+        r_u = A_ub @ v + s - b_ub
+        # elementwise sums, not BLAS dot products: OpenBLAS threads a dot
+        # product over 10,000 entries, and the wake-up costs milliseconds
+        gap = (v * z).sum() + (s * w).sum()
+        f = (c * v).sum() + 0.5 * (h * v * v).sum()
+        if not (np.isfinite(gap) and np.isfinite(f)):
+            return None
+        if (max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0)) <= IPM_TOL * b_scale
+                and gap <= IPM_TOL * (1.0 + abs(f))):
+            return (v, s, y, z, w), prev, it
+        mu = gap / count
+        zv = np.divide(z, v, out=np.zeros(n), where=nn)
+        try:
+            kkt.factor(h + zv, w / s)
+        except RuntimeError:      # SuperLU: exactly singular
+            return None
+
+        def direction(r_vz, r_sw):
+            rhs = np.concatenate([np.divide(r_vz, v, out=np.zeros(n), where=nn) - r_d, r_p,
+                                  -r_u - r_sw / w])
+            d = kkt.solve(rhs, 1)
+            dv, dw = d[:n], d[n + m_eq:]
+            return (dv, (r_sw - s * dw) / w, d[n:n + m_eq],
+                    np.divide(r_vz - z * dv, v, out=np.zeros(n), where=nn), dw)
+
+        def longest(dv, ds, dz, dw):
+            return min(_step(v[nn], dv[nn]), _step(s, ds), _step(z[nn], dz[nn]), _step(w, dw))
+
+        dv, ds, _, dz, dw = direction(-v * z, -s * w)
+        a = longest(dv, ds, dz, dw)
+        mu_aff = (((v + a * dv) * (z + a * dz)).sum() + ((s + a * ds) * (w + a * dw)).sum()) / count
+        sigma = (mu_aff / mu) ** 3
+        dv, ds, dy, dz, dw = direction(sigma * mu * bounded - v * z - dv * dz,
+                                       sigma * mu - s * w - ds * dw)
+        a = min(1.0, 0.995 * longest(dv, ds, dz, dw))
+        prev = v, s, z, w
+        v, s, y, z, w = v + a * dv, s + a * ds, y + a * dy, z + a * dz, w + a * dw
+    return None
+
+
+def _polish(program: ConvexProgram, point, prev):
+    """Solve the equality-constrained KKT system at the active set that the
+    interior point's last step marks, the fixed variables removed and set
+    to exact zeros. A bound or row counts as active where its primal value
+    fell faster than its dual over that step (Tapia's indicator): on a
+    slack of 1e-7 the dual has not yet fallen below it at a gap of 1e-10,
+    so comparing v with z and s with w misreads the row. The solve starts
+    from the interior point, so on a degenerate face (flows that the
+    objective does not price) it stays near that point. A free variable
+    that comes out negative or an inactive row that comes out violated
+    joins the active set for the next round."""
+    v, s, y, z, w = point
+    v0, s0, z0, w0 = prev
+    nn, h = program.nonneg, 2.0 * program.q
+    fixed = nn & (np.divide(v, v0, out=np.ones_like(v), where=nn)
+                  < np.divide(z, z0, out=np.ones_like(z), where=nn))
+    active = s / s0 < w / w0
+    for _ in range(POLISH_ROUNDS):
+        free = ~fixed
+        k = int(free.sum())
+        A = sp.vstack([program.A_eq, program.A_ub[active]]).tocsc()[:, free]
+        kkt = _KKT(A, sp.csr_matrix((0, k)))
+        try:
+            kkt.factor(h[free], np.zeros(0))
+        except RuntimeError:
+            return None
+        b = np.concatenate([program.b_eq, program.b_ub[active]])
+        polished = np.zeros(program.n_vars)
+        polished[free] = kkt.solve(np.concatenate([-program.c[free], -b]), REFINE_STEPS,
+                                   np.concatenate([v[free], y, -w[active]]))[:k]
+        negative = free & nn & (polished < 0.0)
+        violated = ~active & (program.A_ub @ polished > program.b_ub)
+        if not (negative.any() or violated.any()):
+            break
+        fixed |= negative
+        active |= violated
+    return polished + 0.0
+
+
+def _certified_qp(core, program: ConvexProgram) -> Solution | None:
+    """The polished interior-point optimum, or None where any stage fails.
+    Its residuals are the primal infeasibility, the Frank-Wolfe gap (an LP
+    over the program's feasible set on HiGHS) and zero complementarity:
+    fixed variables are exact zeros and inactive rows carry no multiplier."""
+    found = _interior_point(program)
+    if found is None:
+        return None
+    point, prev, iters = found
+    v = _polish(program, point, prev)
+    if v is None:
+        return None
+    primal = verify_solution(program, v)
+    if primal > LP_RESIDUAL_TOL:
+        return None
+    g = program.c + 2.0 * program.q * v
+    highs = _model(core, program, cost=g)
+    highs.run()
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        return None
+    objective = program.objective_value(v)
+    gap = float((g * v).sum()) - highs.getInfo().objective_function_value
+    if gap > FW_TOL * (1.0 + abs(objective)):
+        return None
+    return Solution(values=v, objective=objective, status="optimal",
+                    residuals=Residuals(primal, gap, 0.0), iterations=iters)

@@ -1,0 +1,90 @@
+"""The brute-force QP/LP oracle, kept as the slow reference that
+``ctmflow.solver.solve`` is checked against on tiny instances.
+
+It never calls HiGHS or the interior point: it parametrizes the equality
+manifold by the null space of A_eq and finds the exact optimum by
+active-set enumeration.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from ctmflow.program import ConvexProgram
+from ctmflow.solver import Residuals, Solution, SolverError, _unsolved, verify_solution
+
+
+def brute_force_oracle(program: ConvexProgram) -> Solution:
+    """Exact optimum for tiny instances by active-set enumeration.
+
+    The equality manifold is parametrized as v = N u + v0 (N spans the null
+    space of A_eq, v0 a least-squares particular point), leaving G u <= h.
+    For each candidate active set S, in order of size, whose
+    equality-constrained KKT system [P G_S'; G_S 0] [u; w] = [-g; h_S] is
+    nonsingular, that system is solved; the first point that is primal
+    feasible (G u <= h) and dual feasible (w >= 0) is optimal, as the
+    program is convex. With P = 0 this is vertex enumeration over the LP's
+    bases.
+    """
+    k_min = program.n_vars - program.A_eq.shape[0]
+    if k_min > 12:
+        raise SolverError(f"oracle accepts at most 12 free variables, got at least {k_min}")
+    from scipy.linalg import null_space
+    A_eq = program.A_eq.toarray()
+    N = null_space(A_eq)
+    k = N.shape[1]
+    if k > 12:
+        raise SolverError(f"oracle accepts at most 12 free variables, got {k}")
+    v0 = np.linalg.lstsq(A_eq, program.b_eq, rcond=None)[0]
+    if np.max(np.abs(A_eq @ v0 - program.b_eq), initial=0.0) > 1e-9:
+        return _unsolved(program, "infeasible")
+    # G u <= h: the A_ub rows, then -v <= 0 on the nonneg block
+    nn = program.nonneg
+    G = np.vstack([program.A_ub @ N, -N[nn]])
+    h = np.concatenate([program.b_ub - program.A_ub @ v0, v0[nn]])
+    scale = np.max(np.abs(G), axis=1, initial=0.0)
+    fixed = scale < 1e-10      # rows the equalities already decide
+    if np.any(h[fixed] < -1e-9):
+        return _unsolved(program, "infeasible")
+    G, h = G[~fixed] / scale[~fixed, None], h[~fixed] / scale[~fixed]
+    # drop repeated rows, keeping the tightest bound of each
+    order = np.argsort(h, kind="stable")
+    _, first = np.unique(np.round(G[order], 9), axis=0, return_index=True)
+    keep = np.sort(order[first])
+    G, h = G[keep], h[keep]
+    P = 2.0 * N.T @ (program.q[:, None] * N)
+    g = N.T @ (program.c + 2.0 * program.q * v0)
+    m = len(h)
+    if sum(math.comb(m, s) for s in range(min(k, m) + 1)) > 2_000_000:
+        raise SolverError("too many active-set candidates")
+    for size in range(min(k, m) + 1):
+        for S in itertools.combinations(range(m), size):
+            G_S = G[list(S)]
+            K = np.block([[P, G_S.T], [G_S, np.zeros((size, size))]])
+            if np.linalg.cond(K) > 1e12:
+                continue
+            sol = np.linalg.solve(K, np.concatenate([-g, h[list(S)]]))
+            u, w = sol[:k], sol[k:]
+            if np.all(w >= -1e-9) and np.all(G @ u <= h + 1e-9):
+                values = N @ u + v0
+                return Solution(values=values, objective=program.objective_value(values),
+                                status="optimal",
+                                residuals=Residuals(verify_solution(program, values), 0.0, 0.0))
+    return _unsolved(program, "infeasible")
+
+
+def frank_wolfe_gap(program: ConvexProgram, values: np.ndarray) -> float:
+    """g'v - min{g'u : u feasible}, g = c + 2qv: an upper bound on
+    f(v) - f* for the convex objective c'v + v'diag(q)v. The LP goes to
+    scipy.optimize.linprog, apart from the solver's own HiGHS model."""
+    from scipy.optimize import linprog
+    g = program.c + 2.0 * program.q * values
+    res = linprog(g, A_ub=program.A_ub, b_ub=program.b_ub, A_eq=program.A_eq, b_eq=program.b_eq,
+                  bounds=[(0.0, None) if nn else (None, None) for nn in program.nonneg],
+                  method="highs")
+    if res.status != 0:
+        raise SolverError(f"linprog: {res.message}")
+    return float(g @ values) - res.fun

@@ -94,6 +94,18 @@ class TestExitCodes:
         rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("entries", [0, 26])
+    def test_routing_series_length_config_error(self, tmp_path, capsys, entries):
+        # an empty series used to raise IndexError (exit 1); one longer
+        # than T = 25 was accepted without a word
+        doc = scenario_to_dict(table_scenario())
+        doc["routing"]["2->3"] = [2.0 / 3.0] * entries
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_sweep_two_sources_config_error(self, tmp_path, capsys):
         net, ratios = build_network("cross", np.random.default_rng(3), slopes=0.5)
         lam = np.zeros((6, net.n))
@@ -161,12 +173,25 @@ class TestSolveImports:
                              env=env, timeout=120)
         assert run.stdout.splitlines()[-1] == "0 False", run.stdout + run.stderr
 
+    def test_qp_solve_leaves_sparse_linalg_and_optimize_unloaded(self, tmp_path):
+        # a QP loads SuperLU's compiled extension alone, not scipy.sparse.linalg
+        code = ("import sys\nfrom ctmflow.cli import main\n"
+                "rc = main(['solve', '--scenario', 'bundled:table', '--cost', 'quad', "
+                f"'--out', {str(tmp_path)!r}])\n"
+                "print(rc, 'scipy.sparse.linalg' in sys.modules, 'scipy.optimize' in sys.modules)")
+        src = str(Path(ctmflow.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.stdout.splitlines()[-1] == "0 False False", run.stdout + run.stderr
+
 
 # sha256 of the reproduce-paper artifacts that the LP vertex choice does not
 # move; fig6 and fig10 depend on it and are left out
 PINNED = {
     "tables2_3.csv": "a83fd772e1ef8c3891be3c2959f864c86c7872ca7defdb2be7ab9bf5d05da67a",
-    "fig7_trajectories.csv": "ca329ef14fcbc7669d20ef263314ecac86bc3ad85739f7ca9e28a89997e82065",
+    "fig7_trajectories.csv": "d5d5cda1431e05bc810a4df95087134cff6c0c16d13e4f8c23f9e9f4ef74c1ff",
     "fig8_sweep_fifo.csv": "70c40ae09e9cab9dd94bc9656531854df6c519dc9a3fc06ce428daa6309189e2",
     "fig9_sweep_nonfifo.csv": "fe6f7779322ab63c0b5136bf381e5a080f4777304f24f08b2122a57c3394e801",
     "scenario_table.json": "9ebc6df2d546d3348373c9a9a1f159f4ff8fbe03fe0e492054675b4619130112",

@@ -1,19 +1,37 @@
-"""HiGHS LP and QP solves, status mapping, and the null-space oracle.
+"""HiGHS LP solves, the certified interior-point QP path and its HiGHS
+fallback, status mapping, and the null-space oracle.
 
 The oracle parametrizes the equality manifold by the null space of A_eq
 and enumerates active sets exactly; it never calls HiGHS, so it judges the
 solver independently.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ctmflow import solver
+from ctmflow.cli import main
 from ctmflow.ctm import CostSpec
-from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
+from ctmflow.network import Network, RoutingSchedule, Scenario, load_scenario, make_cell
 from ctmflow.program import build_dta, build_fnc
-from ctmflow.solver import SolverError, brute_force_oracle, solve, verify_solution
+from ctmflow.solver import FW_TOL, SolverError, solve, verify_solution
 
 from conftest import random_scenario
+from solver_reference import brute_force_oracle, frank_wolfe_gap
+
+# a valid 3-cell chain QP (T = 11, one inflow entry of 2.7e-6, the 8th
+# random_scenario draw of default_rng(5)) on which HiGHS's active-set QP
+# ends in "Solve error", with presolve off as well
+HIGHS_SOLVE_ERROR = Path(__file__).with_name("chain_qp_highs_solve_error.json")
+
+QP_COSTS = {
+    "quad": CostSpec("QuadraticVolume"),
+    "ttt+quad": CostSpec("WeightedSum", components=((1.0, CostSpec("TTT")),
+                                                    (0.5, CostSpec("QuadraticVolume")))),
+}
 
 
 def chain_scenario(n=2, T=2, inflow=2.0, cap=4.0, jam=8.0, slope=0.8):
@@ -191,5 +209,61 @@ class TestQP:
                 return super().run()
 
         monkeypatch.setattr(_core, "_Highs", Tiny)
+        monkeypatch.setattr(solver, "IPM_MAX_ITER", 0)   # the interior point gives up at once
         sol = solve(build_fnc(table_scenario, CostSpec("QuadraticVolume")))
         assert sol.status == "iteration-limit"
+
+    def test_table_states_frank_wolfe_gap(self, table_scenario):
+        # the Table 3 optima, judged by an LP outside the solver
+        for build in (build_dta, build_fnc):
+            prog = build(table_scenario, CostSpec("QuadraticVolume"))
+            sol = solve(prog)
+            assert frank_wolfe_gap(prog, sol.values) <= 1e-10 * (1.0 + sol.objective)
+
+
+class TestCertifiedQP:
+    """The interior point with its active-set polish, property-tested
+    against HiGHS's active-set QP, the path it replaces."""
+
+    @pytest.mark.parametrize("cost", sorted(QP_COSTS))
+    @pytest.mark.parametrize("kind", ["DTA", "FNC"])
+    @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_highs(self, shape, kind, cost, seed):
+        sc = random_scenario(np.random.default_rng(seed), shape=shape)
+        prog = (build_dta if kind == "DTA" else build_fnc)(sc, QP_COSTS[cost])
+        core = solver._binding()
+        new = solver._certified_qp(core, prog)
+        assert new is not None
+        assert frank_wolfe_gap(prog, new.values) <= FW_TOL * (1.0 + abs(new.objective))
+        try:
+            ref = solver._highs(core, prog)
+        except SolverError as exc:
+            # HiGHS's active-set QP ends in "Solve error" on some of these
+            # programs (as on HIGHS_SOLVE_ERROR); the certificate above is
+            # then the only judge
+            assert "Solve error" in str(exc)
+            return
+        assert abs(new.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+        np.testing.assert_allclose(prog.states(new.values), prog.states(ref.values),
+                                   rtol=0, atol=1e-6)
+
+    def test_highs_solve_error_program_certified(self, tmp_path):
+        sc = load_scenario(HIGHS_SOLVE_ERROR)
+        for build in (build_dta, build_fnc):
+            prog = build(sc, CostSpec("QuadraticVolume"))
+            sol = solve(prog)
+            assert sol.status == "optimal"
+            assert sol.residuals.dual <= FW_TOL * (1.0 + abs(sol.objective))
+            assert frank_wolfe_gap(prog, sol.values) <= FW_TOL * (1.0 + abs(sol.objective))
+        assert main(["solve", "--scenario", str(HIGHS_SOLVE_ERROR), "--kind", "fnc",
+                     "--cost", "quad", "--out", str(tmp_path / "out")]) == 0
+
+    def test_interior_point_failure_falls_back_to_highs(self, table_scenario, monkeypatch):
+        prog = build_fnc(table_scenario, CostSpec("QuadraticVolume"))
+        ref = solver._highs(solver._binding(), prog)
+        monkeypatch.setattr(solver, "IPM_MAX_ITER", 0)
+        sol = solve(prog)
+        assert sol.status == "optimal" and sol.iterations == ref.iterations
+        np.testing.assert_array_equal(sol.values, ref.values)
