@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ctm, program, robustness, scenarios, synthesis
 from .ctm import CostSpec
-from .network import load_scenario, save_scenario, validate
+from .network import load_scenario, save_scenario
 from .solver import SolverError, solve
 
 COST_KINDS = {"ttt": "TTT", "ttd": "TTD", "delay": "Delay", "quad": "QuadraticVolume"}
@@ -44,9 +44,10 @@ def _scenario(path: str):
         sc = load_scenario(p)
     except (KeyError, TypeError, ValueError) as e:   # ValueError covers bad JSON
         raise ConfigError(f"malformed scenario {path}: {e!r}") from e
-    report = validate(sc.network, sc)
-    if not report.ok:
-        raise ConfigError(f"invalid scenario {path}:\n{report}")
+    try:
+        sc.compiled    # validates once, with the violation report
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
     return sc
 
 
@@ -163,27 +164,14 @@ def cmd_synthesize(args) -> list:
 
 def _run_sweep(sc, grid, model: str, controls, path: Path) -> float:
     """Write the sweep CSV (delta, simulated cost perturbation, combined
-    bound, sensitivity bound) and return lam_hat. The nominal run is
-    simulated once, the perturbed runs as one batch."""
-    lam_hat = robustness.max_freeflow_inflow(sc, model=model)
-    src = sc.network.index[sorted(sc.network.sources)[0]]
-    at_hat = robustness.PerturbationSpec.inflow_shift(
-        sc, lam_hat - float(sc.inflow_array()[0, src]))
-    base = robustness.combined_bound(sc, at_hat, controls=controls, model=model,
-                                     allow_overload=False, probe=False)
-    nominal = ctm.simulate(sc, controls=controls, model=model).states
-    perts = [robustness.PerturbationSpec.inflow_shift(sc, float(d)) for d in grid]
-    runs = robustness.simulate_perturbed(sc, perts, controls=controls, model=model)
+    bound, sensitivity bound) and return lam_hat."""
+    lam_hat, points = robustness.sweep(sc, grid, controls=controls, model=model)
     with open(path, "w") as fh:
         fh.write("delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
                  "combined_bound_veh_steps,model,sensitivity_bound_veh_steps\n")
-        for d, pert, states in zip(grid, perts, runs.states):
-            bound = robustness.combined_bound(sc, pert, controls=controls, model=model,
-                                              probe=False, lam_hat=lam_hat, overload_base=base)
-            sens = robustness.sensitivity_bound(sc, pert)
-            fh.write(f"{float(d):.12g},{float((states - nominal).sum()):.12g},"
-                     f"{bound.total():.12g},{model},"
-                     f"{float(np.minimum(sens.values, 1e300).sum()):.12g}\n")
+        for p in points:
+            fh.write(f"{p.delta:.12g},{p.cost_perturbation:.12g},{p.combined.total():.12g},"
+                     f"{model},{float(np.minimum(p.sensitivity.values, 1e300).sum()):.12g}\n")
     return lam_hat
 
 
@@ -287,23 +275,27 @@ def main(argv=None) -> int:
                                                  "control synthesis, robustness bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True,
-                           help="scenario JSON path or bundled:table / bundled:robustness")
+    options = {
+        "--cost": dict(default="ttt", choices=sorted(COST_KINDS)),
+        "--model": dict(default="fifo", choices=MODELS),
+        "--kind": dict(default="fnc", choices=("dta", "fnc")),
+        "--epsilon": dict(type=float, default=0.0),
+        "--sweep": dict(default="0:0.1:3", help="START:STEP:END grid"),
+        "--jobs": dict(type=int, default=1, help=JOBS_HELP),
+    }
+    for name, names in (("simulate", ("--cost", "--model")),
+                        ("solve", ("--cost", "--kind", "--epsilon")),
+                        ("synthesize", ("--cost", "--model", "--kind", "--epsilon")),
+                        ("robustness-sweep", ("--model", "--epsilon", "--sweep", "--jobs"))):
+        p = sub.add_parser(name)
+        p.add_argument("--scenario", required=True,
+                       help="scenario JSON path or bundled:table / bundled:robustness")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--cost", default="ttt", choices=sorted(COST_KINDS))
-        p.add_argument("--model", default="fifo", choices=MODELS)
-        p.add_argument("--kind", default="fnc", choices=("dta", "fnc"))
-        p.add_argument("--epsilon", type=float, default=0.0)
-        p.add_argument("--sweep", default="0:0.1:3", help="START:STEP:END grid")
-        p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-
-    for name in ("simulate", "solve", "synthesize", "robustness-sweep"):
-        common(sub.add_parser(name))
+        for option in names:
+            p.add_argument(option, **options[option])
     rep = sub.add_parser("reproduce-paper")
     rep.add_argument("--out", default="paper_out")
-    rep.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+    rep.add_argument("--jobs", **options["--jobs"])
 
     args = parser.parse_args(argv)
     handlers = {

@@ -116,6 +116,30 @@ class CostSpec:
             raise ValueError(f"weights shape {w.shape} != ({n},)")
         return w
 
+    def coefficients(self, network: Network) -> tuple:
+        """Per-cell (a, b, c) of the running cost a x + b x^2 + c z."""
+        n = network.n
+        a, b, c = np.zeros(n), np.zeros(n), np.zeros(n)
+
+        def add(spec: CostSpec, coef: float):
+            w = coef * spec.cell_weights(n)
+            if spec.kind in ("TTT", "Delay"):
+                a[:] += w
+            if spec.kind == "QuadraticVolume":
+                b[:] += w
+            if spec.kind == "TTD":
+                c[:] -= w * np.array([cell.length for cell in network.cells])
+            if spec.kind == "Delay":
+                slope = network.compiled.demand_slope
+                if np.any(slope <= 0):
+                    raise ValueError("Delay cost needs positive demand slopes")
+                c[:] -= w / slope
+            for sub_coef, sub in spec.components:     # WeightedSum
+                add(sub, coef * sub_coef)
+
+        add(self, 1.0)
+        return a, b, c
+
 
 @dataclass(frozen=True, eq=False)
 class Drive:
@@ -294,31 +318,11 @@ def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:
     States t = 0..T-1 pair with their step rates; the terminal state enters
     with zero rates, so volume costs include x(T) and flow costs do not.
     """
-    net = trajectory.network
-    n = net.n
     xs = trajectory.states
     zs = np.zeros_like(xs)
     zs[:-1] = trajectory.z
-
-    def psi_sum(spec: CostSpec) -> float:
-        w = spec.cell_weights(n)
-        if spec.kind == "TTT":
-            return float((xs * w).sum())
-        if spec.kind == "QuadraticVolume":
-            return float(((xs ** 2) * w).sum())
-        if spec.kind == "TTD":
-            lengths = np.array([c.length for c in net.cells])
-            return float(-(zs * lengths * w).sum())
-        if spec.kind == "Delay":
-            slopes = net.compiled.demand_slope
-            if np.any(slopes <= 0):
-                raise ValueError("Delay cost needs positive demand slopes")
-            return float(((xs - zs / slopes) * w).sum())
-        if spec.kind == "WeightedSum":
-            return float(sum(coef * psi_sum(sub) for coef, sub in spec.components))
-        raise AssertionError(spec.kind)
-
-    return psi_sum(cost)
+    a, b, c = cost.coefficients(trajectory.network)
+    return float((xs * a).sum() + (xs ** 2 * b).sum() + (zs * c).sum())
 
 
 def mass_balance_error(trajectory: Trajectory, scenario: Scenario) -> float:

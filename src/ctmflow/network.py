@@ -260,23 +260,20 @@ class Scenario:
     def x0_array(self) -> np.ndarray:
         return np.asarray(self.initial_volumes, dtype=float)
 
-    def capacity_matrix(self) -> np.ndarray:
-        """(T, n) matrix of C_i(t)."""
-        T = self.horizon
-        scheds = [c.diagram.capacity_schedule for c in self.network.cells]
-        return np.array([list(s[:T]) + [s[-1]] * (T - len(s)) for s in scheds],
-                        dtype=float).T.copy()
-
     @cached_property
     def compiled(self) -> "CompiledScenario":
         """The validated array form; raises ValueError on an invalid scenario."""
         report = validate(self.network, self)
         if not report.ok:
             raise ValueError(f"invalid scenario:\n{report}")
+        T = self.horizon
+        scheds = [c.diagram.capacity_schedule for c in self.network.cells]
+        capacity = np.array([list(s[:T]) + [s[-1]] * (T - len(s)) for s in scheds],
+                            dtype=float).T.copy()
         net = self.network.compiled
         ratios = (None if self.routing is None
                   else net.edge_ratios(np.array(self.routing.matrices)))
-        return CompiledScenario(network=net, capacity=self.capacity_matrix(), ratios=ratios)
+        return CompiledScenario(network=net, capacity=capacity, ratios=ratios)
 
     def content_hash(self) -> str:
         return hashlib.sha256(

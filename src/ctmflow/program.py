@@ -64,7 +64,8 @@ class ConvexProgram:
         return bool(np.any(self.q != 0.0))
 
     def objective_value(self, v: np.ndarray) -> float:
-        return float(self.c @ v + v @ (self.q * v))
+        # elementwise sums: a BLAS dot runs threaded on long vectors
+        return float((self.c * v).sum() + (self.q * v * v).sum())
 
     @cached_property
     def names(self) -> list:
@@ -97,38 +98,21 @@ class ConvexProgram:
 def _objective(cost: CostSpec, scenario: Scenario, x: np.ndarray, z: np.ndarray, n_vars: int):
     """c and q over the columns; x and z are the (T+1, n) / (T, n) column
     indices of the volume and outflow blocks."""
-    cells = scenario.network.cells
-    slope = scenario.compiled.network.demand_slope
+    a, b, cz = cost.coefficients(scenario.network)
+    if np.any(b < 0):
+        raise ValueError("quadratic objective must be convex (nonnegative weights)")
     c = np.zeros(n_vars)
     q = np.zeros(n_vars)
-
-    def add(spec: CostSpec, coef: float):
-        w = spec.cell_weights(len(cells))
-        if spec.kind in ("TTT", "Delay"):
-            c[x] += coef * w
-        if spec.kind == "QuadraticVolume":
-            q[x] += coef * w
-        if spec.kind == "TTD":
-            c[z] -= coef * w * np.array([cell.length for cell in cells])
-        if spec.kind == "Delay":
-            if np.any(slope <= 0):
-                raise ValueError("Delay cost needs positive demand slopes")
-            c[z] -= coef * w / slope
-        for sub_coef, sub in spec.components:     # WeightedSum
-            add(sub, coef * sub_coef)
-
-    add(cost, 1.0)
-    if np.any(q < 0):
-        raise ValueError("quadratic objective must be convex (nonnegative weights)")
+    c[x], q[x], c[z] = a, b, cz
     return c, q
 
 
-def _csr(entries: list, n_rows: int, width: int) -> sp.csr_matrix:
+def _csr(entries: list, n_rows: int, n_cols: int) -> sp.csr_matrix:
     """CSR matrix from (rows, cols, values) triplets of broadcastable
     arrays; zero coefficients (R_ij = 0, zero slopes) are dropped."""
     parts = [[a.ravel() for a in np.broadcast_arrays(*e)] for e in entries]
     rows, cols, vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, width))
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
     mat.eliminate_zeros()
     return mat
 

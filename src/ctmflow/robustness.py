@@ -7,16 +7,16 @@ open-loop controls, the module computes
         ||x~(t) - x(t)||_1 <= ||x~0 - x0||_1 + sum_{s<t} ||lam~(s) - lam(s)||_1
   * the equilibrium-envelope bound, constant in t, built from the extreme
     constant inflows lam_bar / lam_under and initial-volume envelopes
-  * the overload extension: bound at the free-flow supremum lam_hat plus
-    ||lam~ - lam_hat||_1 * t (growth-rate heuristic)
   * the classical ODE sensitivity bound with Lipschitz constant
         L_g = 2 (max_i d_i'(0) - min_i s_i'(x_jam_i))
 
-and their pointwise combination. Bound curves always come back with a
-validity flag from a free-flow probe of the perturbed trajectory; the
-"sufficiently small" hypothesis of the monotonicity bounds is exactly that
-probe for FIFO dynamics and is vacuous for non-FIFO dynamics (monotone
-everywhere).
+and the pointwise minimum of the first two. ``sweep`` compares them with
+simulation over constant shifts of a single source inflow; above the
+free-flow supremum lam_hat it extends the combined bound by the overload
+heuristic: the bound at lam_hat plus (lam~ - lam_hat) * t. The "sufficiently
+small" hypothesis of the monotonicity bounds is that the perturbed FIFO run
+stays in free flow (``simulate_perturbed(...).is_freeflow()``); for
+non-FIFO dynamics, monotone everywhere, it is vacuous.
 """
 
 from __future__ import annotations
@@ -69,19 +69,10 @@ class Envelope:
 class BoundCurve:
     values: np.ndarray       # per step 0..T
     provenance: list         # per-step tag
-    freeflow_valid: bool | None = None   # perturbed free-flow probe (FIFO)
     applicable: bool = True
 
     def total(self) -> float:
         return float(self.values.sum())
-
-
-def perturbed_scenario(scenario: Scenario, perturbation: PerturbationSpec) -> Scenario:
-    return Scenario(network=scenario.network, horizon=scenario.horizon,
-                    tau=scenario.tau,
-                    initial_volumes=tuple(perturbation.x0_array()),
-                    inflow=perturbation.inflow_array(),
-                    routing=scenario.routing, note=scenario.note)
 
 
 def simulate_perturbed(scenario: Scenario, perturbations: list,
@@ -92,15 +83,7 @@ def simulate_perturbed(scenario: Scenario, perturbations: list,
                           controls=controls, model=model)
 
 
-def freeflow_probe(scenario: Scenario, perturbation: PerturbationSpec,
-                   controls=None, model: str = "fifo") -> bool:
-    """Simulate the perturbed trajectory and check gamma == 1 throughout."""
-    return simulate_perturbed(scenario, [perturbation], controls, model).is_freeflow()
-
-
-def contraction_bound(scenario: Scenario, perturbation: PerturbationSpec,
-                      controls=None, model: str = "fifo",
-                      probe: bool = True) -> BoundCurve:
+def contraction_bound(scenario: Scenario, perturbation: PerturbationSpec) -> BoundCurve:
     """Monotonicity/contraction bound, linear in accumulated inflow error."""
     dx0 = float(np.abs(perturbation.x0_array() - scenario.x0_array()).sum())
     dlam = np.abs(perturbation.inflow_array() - scenario.inflow_array()).sum(axis=1)
@@ -108,9 +91,7 @@ def contraction_bound(scenario: Scenario, perturbation: PerturbationSpec,
     values = np.empty(T + 1)
     values[0] = dx0
     values[1:] = dx0 + np.cumsum(dlam)
-    valid = freeflow_probe(scenario, perturbation, controls, model) if probe else None
-    return BoundCurve(values=values, provenance=["contraction"] * (T + 1),
-                      freeflow_valid=valid)
+    return BoundCurve(values=values, provenance=["contraction"] * (T + 1))
 
 
 def compute_envelope(scenario: Scenario, perturbation: PerturbationSpec) -> Envelope:
@@ -130,7 +111,6 @@ def compute_envelope(scenario: Scenario, perturbation: PerturbationSpec) -> Enve
 class EquilibriumResult:
     x_eq: np.ndarray | None
     overloaded: bool
-    steps: int
 
     @property
     def exists(self) -> bool:
@@ -138,45 +118,40 @@ class EquilibriumResult:
 
 
 def find_equilibrium(network: Network, constant_inflow: np.ndarray,
-                     controls=None, routing=None, model: str = "fifo",
-                     t_index: int = 10 ** 9) -> EquilibriumResult:
+                     controls=None, routing=None, model: str = "fifo") -> EquilibriumResult:
     """Iterate the CTM under constant inflow/controls to a fixed point.
 
     Returns the equilibrium volumes, or an overload signal when a source
     volume exceeds 1e3 times the largest jam volume or the step cap runs
-    out. Capacity schedules are taken at their constant extension.
+    out. Controls, routing and capacities are taken at their constant
+    extension, the last entry of each schedule (step -1).
     """
-    n = network.n
-    x = np.zeros((1, n))
+    x = np.zeros((1, network.n))
     lam_vec = np.asarray(constant_inflow, dtype=float)[None]
-    if controls is not None:
-        alpha = np.asarray(controls.alpha_at(t_index), dtype=float)
-        R = controls.routing_at(t_index)
-        if R is None:
-            R = routing.at(t_index) if routing is not None else None
-    else:
-        alpha = np.ones(n)
-        R = routing.at(t_index) if routing is not None else None
+    alpha = np.ones(network.n) if controls is None else controls.alpha_at(-1)
+    R = None if controls is None else controls.routing_at(-1)
+    if R is None and routing is not None:
+        R = routing.at(-1)
     if R is None:
         raise ValueError("find_equilibrium needs a routing matrix")
     net = network.compiled
-    capacity = [[c.diagram.capacity(t_index) for c in network.cells]]
-    drive = Drive.of(net, alpha[None], np.array(capacity), net.edge_ratios(R)[None])
+    capacity = [[c.diagram.capacity(-1) for c in network.cells]]
+    drive = Drive.of(net, np.asarray(alpha, dtype=float)[None], np.array(capacity),
+                     net.edge_ratios(R)[None])
     overload = OVERLOAD_FACTOR * net.jam.max()
-    for k in range(EQ_MAX_STEPS):
+    for _ in range(EQ_MAX_STEPS):
         y, z, _, _ = junction_rates(net, x, drive, 0, lam_vec, model)
         x_next = step(net, x, y, z)
         if np.max(np.abs(x_next - x)) <= EQ_TOL:
-            return EquilibriumResult(x_eq=x_next[0], overloaded=False, steps=k + 1)
+            return EquilibriumResult(x_eq=x_next[0], overloaded=False)
         x = x_next
         if (x[0, net.source] > overload).any():
-            return EquilibriumResult(x_eq=None, overloaded=True, steps=k + 1)
-    return EquilibriumResult(x_eq=None, overloaded=True, steps=EQ_MAX_STEPS)
+            break
+    return EquilibriumResult(x_eq=None, overloaded=True)
 
 
 def equilibrium_envelope_bound(scenario: Scenario, perturbation: PerturbationSpec,
-                               controls=None, model: str = "fifo",
-                               probe: bool = True) -> BoundCurve:
+                               controls=None, model: str = "fifo") -> BoundCurve:
     """Equilibrium-envelope bound, constant in t; inapplicable without
     both extreme equilibria."""
     env = compute_envelope(scenario, perturbation)
@@ -194,18 +169,16 @@ def equilibrium_envelope_bound(scenario: Scenario, perturbation: PerturbationSpe
     third = min(
         float(np.abs(eq_lo.x_eq - xi).sum() + np.abs(eq_hi.x_eq - xi).sum())
         for xi in (env.x0_upper, env.x0_lower))
-    const = gap + dx0 + third
-    valid = freeflow_probe(scenario, perturbation, controls, model) if probe else None
-    return BoundCurve(values=np.full(T + 1, const),
-                      provenance=["equilibrium-envelope"] * (T + 1), freeflow_valid=valid)
+    return BoundCurve(values=np.full(T + 1, gap + dx0 + third),
+                      provenance=["equilibrium-envelope"] * (T + 1))
 
 
-def max_freeflow_inflow(scenario: Scenario, model: str = "fifo",
-                        width: float = BISECT_WIDTH) -> float:
+def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
     """Supremum constant inflow keeping the whole horizon in free-flow.
 
-    Bisection on the scalar source level; requires a single source and a
-    constant nominal inflow. A probe stops at its first congested step.
+    Bisection on the scalar source level down to BISECT_WIDTH; requires a
+    single source and a constant nominal inflow. Each trial level stops at
+    its first congested step.
     """
     net = scenario.network
     sources = sorted(net.sources)
@@ -245,47 +218,13 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo",
             return hi
     elif not free(lo):
         return 0.0
-    while hi - lo > width:
+    while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if free(mid):
             lo = mid
         else:
             hi = mid
     return lo
-
-
-def overload_bound(scenario: Scenario, perturbation: PerturbationSpec,
-                   controls=None, model: str = "fifo",
-                   lam_hat: float | None = None,
-                   base_curve: BoundCurve | None = None) -> BoundCurve:
-    """Triangle-inequality bound for constant inflows above lam_hat.
-
-    Combined free-flow bound evaluated at lam_hat plus the heuristic
-    linear-growth term ||lam~ - lam_hat||_1 * t. base_curve, when given,
-    is the precomputed combined bound at lam_hat (identical across sweep
-    points, and the expensive part of the evaluation).
-    """
-    net = scenario.network
-    sources = sorted(net.sources)
-    if len(sources) != 1:
-        raise ValueError("overload_bound requires a single-source network")
-    src = net.index[sources[0]]
-    lam_t = perturbation.inflow_array()[:, src]
-    if np.max(np.abs(lam_t - lam_t[0])) > 1e-12:
-        raise ValueError("overload_bound requires a constant perturbed inflow")
-    if lam_hat is None:
-        lam_hat = max_freeflow_inflow(scenario, model=model)
-    if base_curve is None:
-        at_hat = PerturbationSpec.inflow_shift(
-            scenario, lam_hat - float(scenario.inflow_array()[0, src]))
-        base_curve = combined_bound(scenario, at_hat, controls=controls, model=model,
-                                    allow_overload=False, probe=False)
-    T = scenario.horizon
-    excess = max(float(lam_t[0]) - lam_hat, 0.0)
-    values = base_curve.values + excess * np.arange(T + 1)
-    return BoundCurve(values=values,
-                      provenance=["overload-heuristic"] * (T + 1),
-                      freeflow_valid=False)
 
 
 def lipschitz_constant(network: Network) -> float:
@@ -321,42 +260,51 @@ def sensitivity_bound(scenario: Scenario, perturbation: PerturbationSpec) -> Bou
 
 
 def combined_bound(scenario: Scenario, perturbation: PerturbationSpec,
-                   controls=None, model: str = "fifo",
-                   allow_overload: bool = True, probe: bool = True,
-                   lam_hat: float | None = None,
-                   overload_base: BoundCurve | None = None) -> BoundCurve:
-    """Pointwise minimum of the monotonicity bounds; overload branch when
-    a constant perturbed inflow exceeds the free-flow supremum."""
-    net = scenario.network
-    if allow_overload and len(net.sources) == 1:
-        src = net.index[sorted(net.sources)[0]]
-        lam_nom = scenario.inflow_array()[:, src]
-        lam_t = perturbation.inflow_array()[:, src]
-        constant = (np.max(np.abs(lam_nom - lam_nom[0])) <= 1e-12
-                    and np.max(np.abs(lam_t - lam_t[0])) <= 1e-12)
-        if constant:
-            if lam_hat is None:
-                lam_hat = max_freeflow_inflow(scenario, model=model)
-            if float(lam_t[0]) > lam_hat:
-                return overload_bound(scenario, perturbation, controls=controls,
-                                      model=model, lam_hat=lam_hat,
-                                      base_curve=overload_base)
-    p3 = contraction_bound(scenario, perturbation, controls, model, probe=probe)
-    p4 = equilibrium_envelope_bound(scenario, perturbation, controls, model, probe=False)
-    values, provenance = p3.values, p3.provenance
-    if p4.applicable:
-        lower = p4.values < values
-        values = np.where(lower, p4.values, values)
-        provenance = ["equilibrium-envelope" if low else tag for low, tag in zip(lower, provenance)]
-    return BoundCurve(values=values, provenance=provenance,
-                      freeflow_valid=p3.freeflow_valid)
+                   controls=None, model: str = "fifo") -> BoundCurve:
+    """Pointwise minimum of the contraction and equilibrium-envelope bounds."""
+    p3 = contraction_bound(scenario, perturbation)
+    p4 = equilibrium_envelope_bound(scenario, perturbation, controls, model)
+    if not p4.applicable:
+        return p3
+    lower = p4.values < p3.values
+    return BoundCurve(values=np.where(lower, p4.values, p3.values),
+                      provenance=["equilibrium-envelope" if low else tag
+                                  for low, tag in zip(lower, p3.provenance)])
 
 
-def simulated_divergence(scenario: Scenario, perturbation: PerturbationSpec,
-                         controls=None, model: str = "fifo"):
-    """||x~(t) - x(t)||_1 per step and the summed cost perturbation."""
-    nom = simulate(scenario, controls=controls, model=model)
-    pert = simulate_perturbed(scenario, [perturbation], controls, model)[0]
-    diff = np.abs(pert.states - nom.states).sum(axis=1)
-    dpsi = float((pert.states - nom.states).sum())
-    return diff, dpsi, nom, pert
+@dataclass
+class SweepPoint:
+    delta: float
+    cost_perturbation: float   # sum over steps and cells of x~ - x
+    combined: BoundCurve
+    sensitivity: BoundCurve
+
+
+def sweep(scenario: Scenario, deltas, controls=None,
+          model: str = "fifo") -> tuple[float, list]:
+    """The bounds against simulation over constant shifts delta of the single
+    source inflow: lam_hat and one SweepPoint per delta.
+
+    Above lam_hat the combined curve is the overload heuristic, the combined
+    bound at lam_hat plus (level - lam_hat) * t. The nominal run is simulated
+    once, the perturbed runs as one batch.
+    """
+    lam_hat = max_freeflow_inflow(scenario, model=model)
+    src = scenario.network.index[min(scenario.network.sources)]
+    level = float(scenario.inflow_array()[0, src])
+    at_hat = combined_bound(scenario, PerturbationSpec.inflow_shift(scenario, lam_hat - level),
+                            controls, model)
+    nominal = simulate(scenario, controls=controls, model=model).states
+    perts = [PerturbationSpec.inflow_shift(scenario, float(d)) for d in deltas]
+    runs = simulate_perturbed(scenario, perts, controls, model)
+    t = np.arange(scenario.horizon + 1)
+    points = []
+    for d, pert, states in zip(deltas, perts, runs.states):
+        if level + d > lam_hat:
+            combined = BoundCurve(values=at_hat.values + (level + d - lam_hat) * t,
+                                  provenance=["overload-heuristic"] * len(t))
+        else:
+            combined = combined_bound(scenario, pert, controls, model)
+        points.append(SweepPoint(delta=float(d), cost_perturbation=float((states - nominal).sum()),
+                                 combined=combined, sensitivity=sensitivity_bound(scenario, pert)))
+    return lam_hat, points

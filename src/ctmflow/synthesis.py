@@ -54,7 +54,7 @@ def extract_controls(program: ConvexProgram, solution: Solution,
     source = net.compiled.source
     z = program.states(vals, "z")
     d_raw = net.compiled.demand_slope * np.maximum(program.states(vals)[:-1], 0.0)
-    cap = scenario.capacity_matrix()
+    cap = scenario.compiled.capacity
     bound = np.minimum(d_raw, cap)
     over = z > bound + 1e-6 * (1.0 + np.abs(z))
     unfed = ~source & (d_raw <= EXTRACT_TOL) & (z > EXTRACT_TOL)

@@ -76,8 +76,9 @@ def random_scenario(rng, shape=None, horizon=None, inflow_scale=1.0,
     net, ratios = build_network(shape, rng, slope_hi=slope_hi)
     T = int(horizon or rng.integers(4, 12))
     lam = np.zeros((T, net.n))
-    for cid in net.sources:
-        lam[:, net.index[cid]] = rng.uniform(0.0, 2.0 * inflow_scale, size=T)
+    for k, c in enumerate(net.cells):     # cell order: net.sources is a frozenset
+        if c.diagram.is_source:
+            lam[:, k] = rng.uniform(0.0, 2.0 * inflow_scale, size=T)
     x0 = np.zeros(net.n)
     for k, c in enumerate(net.cells):
         lim = c.diagram.jam_volume if not c.diagram.is_source else 10.0

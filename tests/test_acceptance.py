@@ -14,9 +14,8 @@ import pytest
 from ctmflow.ctm import CostSpec, evaluate_cost, mass_balance_error, simulate
 from ctmflow.network import Scenario
 from ctmflow.program import build_dta, build_fnc, embed_trajectory
-from ctmflow.robustness import (PerturbationSpec, combined_bound, max_freeflow_inflow,
-                                overload_bound, perturbed_scenario, sensitivity_bound,
-                                simulated_divergence)
+from ctmflow.robustness import (PerturbationSpec, max_freeflow_inflow, simulate_perturbed,
+                                sweep)
 from ctmflow.scenarios import robustness_scenario, table_scenario
 from ctmflow.solver import solve, verify_solution
 from ctmflow.synthesis import check_fnc_structure, extract_controls, verify_realization
@@ -121,12 +120,10 @@ class TestCriterion5:
         sc = robustness_scenario()
         hat_f = max_freeflow_inflow(sc, model="fifo") - 5.0
         hat_n = max_freeflow_inflow(sc, model="nonfifo") - 5.0
-        identical = True
-        for delta in (0.2, 0.5, 0.8):
-            pert = perturbed_scenario(sc, PerturbationSpec.inflow_shift(sc, delta))
-            a = simulate(pert, model="fifo")
-            b = simulate(pert, model="nonfifo")
-            identical = identical and bool(np.max(np.abs(a.states - b.states)) <= 1e-12)
+        perts = [PerturbationSpec.inflow_shift(sc, delta) for delta in (0.2, 0.5, 0.8)]
+        a = simulate_perturbed(sc, perts, model="fifo")
+        b = simulate_perturbed(sc, perts, model="nonfifo")
+        identical = bool(np.max(np.abs(a.states - b.states)) <= 1e-12)
         checks = {
             "FIFO delta 0.8 +- 0.1": abs(hat_f - 0.8) <= 0.1,
             "non-FIFO delta 2.8 +- 0.1": abs(hat_n - 2.8) <= 0.1,
@@ -161,23 +158,15 @@ class TestCriterion6:
         worst_margin = np.inf
         ok = True
         for model in ("fifo", "nonfifo"):
-            lam_hat = max_freeflow_inflow(sc, model=model)
-            at_hat = PerturbationSpec.inflow_shift(sc, lam_hat - 5.0)
-            base = combined_bound(sc, at_hat, controls=controls, model=model,
-                                  allow_overload=False, probe=False)
-            for delta in grid:
-                pert = PerturbationSpec.inflow_shift(sc, float(delta))
-                _, dpsi, _, _ = simulated_divergence(sc, pert, controls=controls,
-                                                     model=model)
-                curve = combined_bound(sc, pert, controls=controls, model=model,
-                                       probe=False, lam_hat=lam_hat,
-                                       overload_base=base)
-                total = curve.total()
-                ok = ok and dpsi <= total + 1e-6
+            _, points = sweep(sc, grid, controls=controls, model=model)
+            for p in points:
+                total = p.combined.total()
+                ok = ok and p.cost_perturbation <= total + 1e-6
                 if total > 0:
-                    worst_margin = min(worst_margin, total - dpsi)
+                    worst_margin = min(worst_margin, total - p.cost_perturbation)
         report("6 (bound soundness)", ok,
-               f"61 grid points x 2 models, smallest bound margin={worst_margin:.3f} veh-steps")
+               f"{len(grid)} grid points x 2 models, "
+               f"smallest bound margin={worst_margin:.3f} veh-steps")
         assert ok
 
 
@@ -185,17 +174,9 @@ class TestCriterion7:
     def test_sensitivity_is_over_conservative(self, sweep_setup):
         sc, controls = sweep_setup
         grid = np.round(np.arange(0.1, 3.0 + 1e-9, 0.1), 10)
-        lam_hat = max_freeflow_inflow(sc)
-        at_hat = PerturbationSpec.inflow_shift(sc, lam_hat - 5.0)
-        base = combined_bound(sc, at_hat, controls=controls, allow_overload=False,
-                              probe=False)
-        ok = True
-        for delta in grid:
-            pert = PerturbationSpec.inflow_shift(sc, float(delta))
-            sens = sensitivity_bound(sc, pert)
-            comb = combined_bound(sc, pert, controls=controls, probe=False,
-                                  lam_hat=lam_hat, overload_base=base)
-            ok = ok and bool(np.all(sens.values[1:] >= comb.values[1:]))
+        _, points = sweep(sc, grid, controls=controls)
+        ok = all(bool(np.all(p.sensitivity.values[1:] >= p.combined.values[1:]))
+                 for p in points)
         report("7 (sensitivity ordering)", ok,
                "exp bound exceeds combined bound for all t >= 1 and every delta > 0")
         assert ok
@@ -214,9 +195,10 @@ class TestCriterion8:
             sol = solve(prog)
             controls = extract_controls(prog, sol, sc)
             last_ff_index = -1
-            for idx, delta in enumerate(grid):
-                pert = PerturbationSpec.inflow_shift(sc, float(delta))
-                traj = simulate(perturbed_scenario(sc, pert), controls=controls)
+            runs = simulate_perturbed(
+                sc, [PerturbationSpec.inflow_shift(sc, float(d)) for d in grid], controls=controls)
+            for idx in range(len(grid)):
+                traj = runs[idx]
                 if idx == 0:
                     gamma0[eps] = traj.min_gamma()
                     cost0[eps] = float(traj.states.sum())

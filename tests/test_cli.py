@@ -117,6 +117,14 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    def test_sweep_rejects_unread_kind_option(self, tmp_path):
+        # each command registers only the options it reads; the sweep
+        # always solves FNC, so --kind is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["robustness-sweep", "--scenario", "bundled:robustness", "--kind", "dta",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
     def test_sweep_varying_inflow_config_error(self, tmp_path, capsys):
         rc = main(["robustness-sweep", "--scenario", "bundled:table",
                    "--out", str(tmp_path / "out")])

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from ctmflow.ctm import simulate
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
-from ctmflow.robustness import (BoundCurve, PerturbationSpec, contraction_bound,
+from ctmflow.robustness import (PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
                                 find_equilibrium, lipschitz_constant,
-                                max_freeflow_inflow, overload_bound,
-                                sensitivity_bound, simulated_divergence)
-from ctmflow.scenarios import robustness_scenario
+                                max_freeflow_inflow, sensitivity_bound, simulate_perturbed,
+                                sweep)
 
 from conftest import freeflow_scenario
 
@@ -18,30 +18,41 @@ def zero_pert(sc) -> PerturbationSpec:
     return PerturbationSpec(initial_volumes=sc.initial_volumes, inflow=sc.inflow_array())
 
 
+def divergence(sc, pert) -> np.ndarray:
+    """||x~(t) - x(t)||_1 per step of the uncontrolled FIFO runs."""
+    return np.abs(simulate_perturbed(sc, [pert]).states[0] - simulate(sc).states).sum(axis=1)
+
+
+@pytest.fixture(scope="module")
+def swept(robustness_scenario):
+    """The sweep at one point below and one above lam_hat (level 6 and 7)."""
+    return sweep(robustness_scenario, [1.0, 2.0])
+
+
 class TestContractionBound:
     def test_zero_perturbation_zero_curve(self, robustness_scenario):
-        curve = contraction_bound(robustness_scenario, zero_pert(robustness_scenario), probe=False)
+        curve = contraction_bound(robustness_scenario, zero_pert(robustness_scenario))
         assert np.all(curve.values == 0.0)
 
     def test_linear_in_time(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
-        curve = contraction_bound(robustness_scenario, pert, probe=False)
+        curve = contraction_bound(robustness_scenario, pert)
         t = np.arange(robustness_scenario.horizon + 1)
         np.testing.assert_allclose(curve.values, 0.5 * t, atol=1e-12)
 
     def test_simulated_divergence_below_curve(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
-        diff, _, _, _ = simulated_divergence(robustness_scenario, pert)
-        curve = contraction_bound(robustness_scenario, pert, probe=False)
+        diff = divergence(robustness_scenario, pert)
+        curve = contraction_bound(robustness_scenario, pert)
         assert np.all(diff <= curve.values + 1e-9)
 
     def test_freeflow_probe_flag(self, robustness_scenario):
-        small = contraction_bound(robustness_scenario,
-                            PerturbationSpec.inflow_shift(robustness_scenario, 0.5))
-        big = contraction_bound(robustness_scenario,
-                          PerturbationSpec.inflow_shift(robustness_scenario, 2.5))
-        assert small.freeflow_valid is True
-        assert big.freeflow_valid is False
+        # the hypothesis of the bound: the perturbed run stays in free flow
+        # below lam_hat (level 5.5) and leaves it above (level 7.5)
+        runs = simulate_perturbed(robustness_scenario, [
+            PerturbationSpec.inflow_shift(robustness_scenario, d) for d in (0.5, 2.5)])
+        assert runs[0].is_freeflow() is True
+        assert runs[1].is_freeflow() is False
 
     def test_soundness_sweep_freeflow(self):
         rng = np.random.default_rng(61)
@@ -50,11 +61,11 @@ class TestContractionBound:
             sc = freeflow_scenario(rng)
             delta = rng.uniform(0.0, 0.2)
             pert = PerturbationSpec.inflow_shift(sc, delta)
-            curve = contraction_bound(sc, pert)
-            if not curve.freeflow_valid:
+            run = simulate_perturbed(sc, [pert])
+            if not run.is_freeflow():
                 continue
-            diff, _, _, _ = simulated_divergence(sc, pert)
-            assert np.all(diff <= curve.values + 1e-9)
+            diff = np.abs(run.states[0] - simulate(sc).states).sum(axis=1)
+            assert np.all(diff <= contraction_bound(sc, pert).values + 1e-9)
             done += 1
 
 
@@ -139,36 +150,38 @@ class TestFreeflowSupremum:
 class TestEnvelopeAndOverload:
     def test_inapplicable_above_capacity(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 2.0)  # 7.0 > 45/7
-        curve = equilibrium_envelope_bound(robustness_scenario, pert, probe=False)
+        curve = equilibrium_envelope_bound(robustness_scenario, pert)
         assert not curve.applicable
 
     def test_constant_curve_when_applicable(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
-        curve = equilibrium_envelope_bound(robustness_scenario, pert, probe=False)
+        curve = equilibrium_envelope_bound(robustness_scenario, pert)
         assert curve.applicable
         assert np.all(curve.values == curve.values[0])
 
     def test_envelope_dominates_equilibrium_gap(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
-        diff, _, _, _ = simulated_divergence(robustness_scenario, pert)
-        curve = equilibrium_envelope_bound(robustness_scenario, pert, probe=False)
+        diff = divergence(robustness_scenario, pert)
+        curve = equilibrium_envelope_bound(robustness_scenario, pert)
         assert np.all(diff <= curve.values + 1e-9)
 
-    def test_overload_reduces_to_combined_at_lam_hat(self, robustness_scenario):
-        lam_hat = max_freeflow_inflow(robustness_scenario)
-        delta_hat = lam_hat - 5.0
-        pert = PerturbationSpec.inflow_shift(robustness_scenario, delta_hat)
-        ob = overload_bound(robustness_scenario, pert, lam_hat=lam_hat)
-        cb = combined_bound(robustness_scenario, pert, allow_overload=False, probe=False)
-        np.testing.assert_allclose(ob.values, cb.values, atol=1e-9)
+    def test_overload_reduces_to_combined_at_lam_hat(self, robustness_scenario, swept):
+        # above lam_hat the sweep's curve is the combined bound at lam_hat
+        # plus the excess (level 7 - lam_hat) times t
+        lam_hat, points = swept
+        at_hat = combined_bound(robustness_scenario,
+                                PerturbationSpec.inflow_shift(robustness_scenario, lam_hat - 5.0))
+        t = np.arange(robustness_scenario.horizon + 1)
+        np.testing.assert_allclose(points[1].combined.values - (7.0 - lam_hat) * t,
+                                   at_hat.values, atol=1e-9)
 
     def test_overload_slope_matches_excess(self, robustness_scenario):
         # late-time growth of the simulated divergence approaches the
         # excess-above-supremum rate (within 10%)
         lam_hat = max_freeflow_inflow(robustness_scenario)
         delta = 2.0
-        pert = PerturbationSpec.inflow_shift(robustness_scenario, delta)
-        diff, _, _, _ = simulated_divergence(robustness_scenario, pert)
+        diff = divergence(robustness_scenario,
+                          PerturbationSpec.inflow_shift(robustness_scenario, delta))
         late = np.polyfit(np.arange(120, 201), diff[120:201], 1)[0]
         excess = 5.0 + delta - lam_hat
         assert late == pytest.approx(excess, rel=0.10)
@@ -198,32 +211,34 @@ class TestLipschitzAndSensitivity:
     def test_exceeds_contraction_from_step_one(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
         sens = sensitivity_bound(robustness_scenario, pert)
-        p3 = contraction_bound(robustness_scenario, pert, probe=False)
+        p3 = contraction_bound(robustness_scenario, pert)
         assert np.all(sens.values[1:] >= p3.values[1:])
 
 
 class TestCombined:
     def test_tiny_perturbation_selects_contraction(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.01)
-        curve = combined_bound(robustness_scenario, pert, probe=False)
+        curve = combined_bound(robustness_scenario, pert)
         assert curve.provenance[1] == "contraction"
         assert curve.values[1] == pytest.approx(0.01)
 
     def test_late_steps_select_envelope(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 1.0)
-        curve = combined_bound(robustness_scenario, pert, probe=False)
+        curve = combined_bound(robustness_scenario, pert)
         assert curve.provenance[-1] == "equilibrium-envelope"
         assert curve.provenance[1] == "contraction"
 
-    def test_overload_branch_engaged(self, robustness_scenario):
-        pert = PerturbationSpec.inflow_shift(robustness_scenario, 2.0)
-        curve = combined_bound(robustness_scenario, pert, probe=False)
-        assert curve.provenance[0] == "overload-heuristic"
+    def test_overload_branch_engaged(self, swept):
+        # the sweep switches to the overload heuristic above lam_hat only
+        lam_hat, (below, above) = swept
+        assert 6.0 < lam_hat < 7.0
+        assert "overload-heuristic" not in below.combined.provenance
+        assert above.combined.provenance[0] == "overload-heuristic"
 
     def test_below_each_constituent(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 1.0)
-        combo = combined_bound(robustness_scenario, pert, probe=False)
-        p3 = contraction_bound(robustness_scenario, pert, probe=False)
-        p4 = equilibrium_envelope_bound(robustness_scenario, pert, probe=False)
+        combo = combined_bound(robustness_scenario, pert)
+        p3 = contraction_bound(robustness_scenario, pert)
+        p4 = equilibrium_envelope_bound(robustness_scenario, pert)
         assert np.all(combo.values <= p3.values + 1e-12)
         assert np.all(combo.values <= p4.values + 1e-12)
