@@ -5,7 +5,7 @@ Scenario inputs are JSON files (see network.save_scenario) or the bundled
 names ``bundled:table`` and ``bundled:robustness``. Every run writes its
 artifacts plus a manifest.json listing each file with a sha256 digest;
 outputs are deterministic. Exit codes: 0 ok, 2 configuration error,
-3 solver failure, 4 simulation invariant violation.
+3 solver failure, 4 invariant violation (``ctm.InvariantError``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ctm, program, robustness, scenarios, synthesis
-from .ctm import CostSpec
+from .ctm import CostSpec, InvariantError
 from .network import load_scenario, save_scenario
 from .solver import SolverError, solve
 
@@ -96,6 +96,8 @@ def _solve_program(sc, kind: str, cost: CostSpec, eps: float):
 
 def cmd_simulate(args) -> list:
     sc = _scenario(args.scenario)
+    if sc.routing is None:
+        raise ConfigError("simulate needs a scenario with a routing schedule")
     traj = ctm.simulate(sc, model=args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
         json.dump({"error": "solver", "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
         return 3
-    except ValueError as e:
+    except InvariantError as e:
         json.dump({"error": "invariant", "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
         return 4

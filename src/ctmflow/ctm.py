@@ -51,6 +51,10 @@ MODELS = ("fifo", "fifo-priority", "nonfifo")
 ZERO_DEMAND_TOL = 1e-10
 
 
+class InvariantError(ValueError):
+    """A volume outside [0, jam] after a step, or a solution off its program."""
+
+
 @dataclass
 class Trajectory:
     """A CTM run: states (T+1, n); y, z, mu and gamma (T, n); pair flows f
@@ -108,21 +112,15 @@ class CostSpec:
         if self.kind == "WeightedSum" and not self.components:
             raise ValueError("WeightedSum needs components")
 
-    def cell_weights(self, n: int) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(n)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"weights shape {w.shape} != ({n},)")
-        return w
-
     def coefficients(self, network: Network) -> tuple:
         """Per-cell (a, b, c) of the running cost a x + b x^2 + c z."""
         n = network.n
         a, b, c = np.zeros(n), np.zeros(n), np.zeros(n)
 
         def add(spec: CostSpec, coef: float):
-            w = coef * spec.cell_weights(n)
+            w = coef * (np.ones(n) if spec.weights is None else np.asarray(spec.weights, float))
+            if w.shape != (n,):
+                raise ValueError(f"weights shape {w.shape} != ({n},)")
             if spec.kind in ("TTT", "Delay"):
                 a[:] += w
             if spec.kind == "QuadraticVolume":
@@ -261,8 +259,8 @@ def step(net: CompiledNetwork, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> n
         b, k = np.argwhere(low | high)[0]
         cell = net.network.cells[k]
         if low[b, k]:
-            raise ValueError(f"cell {cell.id}: negative volume {xp[b, k]} after step")
-        raise ValueError(f"cell {cell.id}: volume {xp[b, k]} exceeds jam {cell.diagram.jam_volume}")
+            raise InvariantError(f"cell {cell.id}: negative volume {xp[b, k]} after step")
+        raise InvariantError(f"cell {cell.id}: volume {xp[b, k]} exceeds jam {net.jam[k]}")
     return np.maximum(xp, 0.0)
 
 
@@ -304,8 +302,8 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
         y[t], z[t], gamma[t], f[t] = junction_rates(net, x, drive, t, lam[:, t], model)
         try:
             states[t + 1] = x = step(net, x, y[t], z[t])
-        except ValueError as e:
-            raise ValueError(f"step {t}: {e}") from e
+        except InvariantError as e:
+            raise InvariantError(f"step {t}: {e}") from e
     states, y, z, gamma, f = (np.ascontiguousarray(a.swapaxes(0, 1))
                               for a in (states, y, z, gamma, f[..., :E]))
     return Trajectory(states=states, y=y, z=z, mu=np.where(net.sink, z, 0.0), gamma=gamma,
@@ -323,13 +321,6 @@ def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:
     zs[:-1] = trajectory.z
     a, b, c = cost.coefficients(trajectory.network)
     return float((xs * a).sum() + (xs ** 2 * b).sum() + (zs * c).sum())
-
-
-def mass_balance_error(trajectory: Trajectory, scenario: Scenario) -> float:
-    """|sum x(T) - sum x(0) - sum lambda + sum mu|, should be ~0."""
-    lam_total = scenario.inflow_array().sum()
-    return abs(float(trajectory.states[-1].sum())
-               - float(trajectory.states[0].sum()) - lam_total + float(trajectory.mu.sum()))
 
 
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:

@@ -20,10 +20,10 @@ plus f, mu, x, y, z >= 0. The objective mirrors ctm.evaluate_cost exactly
 (volume terms include the terminal state), so every simulated trajectory
 is a feasible point with identical cost.
 
-The constraint matrices are sparse CSR over the full variable vector,
-which the solvers work on directly. They are assembled by index
-arithmetic over the compiled network (``Scenario.compiled``); variable
-names are derived only on request (``names``, ``var_index``).
+The constraint matrices are sparse triplets over the full variable vector,
+which the solvers work on directly through numpy kernels. They are
+assembled by index arithmetic over the compiled network
+(``Scenario.compiled``); variable names are derived only on request.
 """
 
 from __future__ import annotations
@@ -32,17 +32,62 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ctm import CostSpec
 from .network import Scenario
 
 
+@dataclass(frozen=True)
+class Sparse:
+    """A sparse matrix as (rows, cols, data) triplets. The programs' matrices
+    are in canonical CSR order: row-major, columns ascending within a row,
+    no duplicates, no zeros. The kernels are bit-equal to scipy.sparse's."""
+
+    rows: np.ndarray
+    cols: np.ndarray          # int32, as scipy's and HiGHS's indices
+    data: np.ndarray
+    shape: tuple
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v, each row added in stored order from 0.0, as scipy does."""
+        return np.bincount(self.rows, weights=self.data * v[self.cols], minlength=self.shape[0])
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """A' u; from CSR order, each column is added in row order."""
+        return np.bincount(self.cols, weights=self.data * u[self.rows], minlength=self.shape[1])
+
+    def take(self, rows: np.ndarray, cols: np.ndarray) -> "Sparse":
+        """The rows and columns set in two boolean masks, renumbered in order."""
+        keep = rows[self.rows] & cols[self.cols]
+        return Sparse((np.cumsum(rows) - 1)[self.rows[keep]],
+                      (np.cumsum(cols) - 1)[self.cols[keep]].astype(np.int32),
+                      self.data[keep], (int(rows.sum()), int(cols.sum())))
+
+    def vstack(self, other: "Sparse") -> "Sparse":
+        """self above other; CSR order is kept."""
+        return Sparse(np.concatenate([self.rows, other.rows + self.shape[0]]),
+                      np.concatenate([self.cols, other.cols]),
+                      np.concatenate([self.data, other.data]),
+                      (self.shape[0] + other.shape[0], self.shape[1]))
+
+    def csc(self) -> tuple:
+        """(indptr, indices, data) of the column-major form, rows ascending."""
+        order = np.argsort(self.cols, kind="stable")
+        indptr = np.searchsorted(self.cols[order], np.arange(self.shape[1] + 1))
+        return indptr.astype(np.int32), self.rows[order].astype(np.int32), self.data[order]
+
+    def csr(self):
+        """A scipy.sparse CSR view on the same data (imports scipy.sparse)."""
+        import scipy.sparse as sp
+        indptr = np.searchsorted(self.rows, np.arange(self.shape[0] + 1)).astype(np.int32)
+        return sp.csr_matrix((self.data, self.cols, indptr), shape=self.shape)
+
+
 @dataclass
 class ConvexProgram:
-    A_eq: sp.csr_matrix
+    eq: Sparse
     b_eq: np.ndarray
-    A_ub: sp.csr_matrix
+    ub: Sparse
     b_ub: np.ndarray
     nonneg: np.ndarray              # bool mask over full variables
     c: np.ndarray                   # linear objective
@@ -58,6 +103,10 @@ class ConvexProgram:
     @property
     def n_vars(self) -> int:
         return len(self.c)
+
+    # scipy.sparse CSR views, built (and scipy.sparse imported) on first use
+    A_eq = cached_property(lambda self: self.eq.csr())
+    A_ub = cached_property(lambda self: self.ub.csr())
 
     @property
     def is_quadratic(self) -> bool:
@@ -107,14 +156,14 @@ def _objective(cost: CostSpec, scenario: Scenario, x: np.ndarray, z: np.ndarray,
     return c, q
 
 
-def _csr(entries: list, n_rows: int, n_cols: int) -> sp.csr_matrix:
-    """CSR matrix from (rows, cols, values) triplets of broadcastable
-    arrays; zero coefficients (R_ij = 0, zero slopes) are dropped."""
+def _sparse(entries: list, n_rows: int, n_cols: int) -> Sparse:
+    """Canonical triplets from (rows, cols, values) of broadcastable arrays, zeros
+    dropped. No two entries share a (row, column): each names another block or edge."""
     parts = [[a.ravel() for a in np.broadcast_arrays(*e)] for e in entries]
     rows, cols, vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    mat.eliminate_zeros()
-    return mat
+    order = np.argsort(rows.astype(np.int64) * n_cols + cols)
+    order = order[vals[order] != 0.0]
+    return Sparse(rows[order], cols[order].astype(np.int32), vals[order], (n_rows, n_cols))
 
 
 def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexProgram:
@@ -171,7 +220,7 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
 
     c_vec, q_vec = _objective(cost, scenario, x, z, n_vars)
     return ConvexProgram(
-        A_eq=_csr(eq, m_eq, n_vars), b_eq=b_eq, A_ub=_csr(ub, len(b_ub), n_vars), b_ub=b_ub,
+        eq=_sparse(eq, m_eq, n_vars), b_eq=b_eq, ub=_sparse(ub, len(b_ub), n_vars), b_ub=b_ub,
         nonneg=np.ones(n_vars, dtype=bool), c=c_vec, q=q_vec, kind=kind, eps=eps,
         scenario_hash=scenario.content_hash(), cost_kind=cost.kind,
         cells=tuple(c.id for c in scenario.network.cells),
@@ -189,60 +238,37 @@ def build_fnc(scenario: Scenario, cost: CostSpec, eps: float = 0.0) -> ConvexPro
     return _build(scenario, cost, eps, "FNC")
 
 
-def embed_trajectory(program: ConvexProgram, trajectory) -> np.ndarray:
-    """Map a simulated trajectory onto the program's variable layout.
-
-    Every CTM trajectory satisfies the relaxation constraints (for eps = 0),
-    so the returned vector should verify feasible; useful both as a warm
-    upper bound and for structural arguments.
-    """
-    values = np.zeros(program.n_vars)
-    tr = trajectory
-    for block, arr in (("x", tr.states), ("y", tr.y), ("z", tr.z), ("mu", tr.mu), ("f", tr.f)):
-        values[program.span(block)] = arr.ravel()
-    return values
-
-
-def _lp_name(name: tuple) -> str:
-    return "_".join(str(p) for p in name)
+def _lp_terms(cols: np.ndarray, coefs: np.ndarray, names: list) -> list:
+    return [f" {'+' if v >= 0 else '-'} {abs(v):.12g} {names[k]}"
+            for k, v in zip(cols.tolist(), coefs.tolist())]
 
 
 def export_lp(program: ConvexProgram, path) -> None:
     """Write the program in LP text interchange format."""
+    names = ["_".join(str(p) for p in name) for name in program.names]
     with open(path, "w") as fh:
         fh.write(f"\\ ctmflow {program.kind} eps={program.eps} cost={program.cost_kind} "
                  f"scenario={program.scenario_hash}\n")
         fh.write("Minimize\n obj:")
-        terms = []
-        for k, coef in enumerate(program.c):
-            if coef != 0.0:
-                terms.append(f" {'+' if coef >= 0 else '-'} {abs(coef):.12g} {_lp_name(program.names[k])}")
-        fh.write("".join(terms) if terms else " 0 " + _lp_name(program.names[0]))
+        priced = np.flatnonzero(program.c)
+        terms = _lp_terms(priced, program.c[priced], names)
+        fh.write("".join(terms) if terms else " 0 " + names[0])
         if program.is_quadratic:
             fh.write(" + [")
             for k, coef in enumerate(program.q):
                 if coef != 0.0:
-                    fh.write(f" + {2 * coef:.12g} {_lp_name(program.names[k])}^2")
+                    fh.write(f" + {2 * coef:.12g} {names[k]}^2")
             fh.write(" ] / 2")
         fh.write("\nSubject To\n")
-        Aeq = program.A_eq.tocoo()
-        rows_eq: dict = {}
-        for r, c, v in zip(Aeq.row, Aeq.col, Aeq.data):
-            rows_eq.setdefault(r, []).append((c, v))
-        for r in range(program.A_eq.shape[0]):
-            body = "".join(f" {'+' if v >= 0 else '-'} {abs(v):.12g} {_lp_name(program.names[c])}"
-                           for c, v in sorted(rows_eq.get(r, [])))
-            fh.write(f" eq{r}:{body} = {program.b_eq[r]:.12g}\n")
-        Aub = program.A_ub.tocoo()
-        rows_ub: dict = {}
-        for r, c, v in zip(Aub.row, Aub.col, Aub.data):
-            rows_ub.setdefault(r, []).append((c, v))
-        for r in range(program.A_ub.shape[0]):
-            body = "".join(f" {'+' if v >= 0 else '-'} {abs(v):.12g} {_lp_name(program.names[c])}"
-                           for c, v in sorted(rows_ub.get(r, [])))
-            fh.write(f" ub{r}:{body} <= {program.b_ub[r]:.12g}\n")
+        for label, mat, sense, rhs in (("eq", program.eq, "=", program.b_eq),
+                                       ("ub", program.ub, "<=", program.b_ub)):
+            terms = _lp_terms(mat.cols, mat.data, names)
+            starts = np.searchsorted(mat.rows, np.arange(mat.shape[0] + 1)).tolist()
+            for r in range(mat.shape[0]):
+                fh.write(f" {label}{r}:{''.join(terms[starts[r]:starts[r + 1]])} {sense} "
+                         f"{rhs[r]:.12g}\n")
         fh.write("Bounds\n")
-        for k, name in enumerate(program.names):
+        for k, name in enumerate(names):
             if not program.nonneg[k]:
-                fh.write(f" {_lp_name(name)} free\n")
+                fh.write(f" {name} free\n")
         fh.write("End\n")

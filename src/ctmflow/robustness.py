@@ -121,10 +121,11 @@ def find_equilibrium(network: Network, constant_inflow: np.ndarray,
                      controls=None, routing=None, model: str = "fifo") -> EquilibriumResult:
     """Iterate the CTM under constant inflow/controls to a fixed point.
 
-    Returns the equilibrium volumes, or an overload signal when a source
-    volume exceeds 1e3 times the largest jam volume or the step cap runs
-    out. Controls, routing and capacities are taken at their constant
-    extension, the last entry of each schedule (step -1).
+    Returns the equilibrium volumes, or an overload signal once the sources
+    grow by the same positive amount (to EQ_TOL) in two consecutive two-step
+    windows while every other cell repeats its state of two steps earlier
+    (to rounding), once a source holds 1e3 jam volumes, or at the step cap.
+    Controls, routing and capacities are taken at each schedule's last entry.
     """
     x = np.zeros((1, network.n))
     lam_vec = np.asarray(constant_inflow, dtype=float)[None]
@@ -139,6 +140,7 @@ def find_equilibrium(network: Network, constant_inflow: np.ndarray,
     drive = Drive.of(net, np.asarray(alpha, dtype=float)[None], np.array(capacity),
                      net.edge_ratios(R)[None])
     overload = OVERLOAD_FACTOR * net.jam.max()
+    recent, inner = [], ~net.source     # the states of the last five steps
     for _ in range(EQ_MAX_STEPS):
         y, z, _, _ = junction_rates(net, x, drive, 0, lam_vec, model)
         x_next = step(net, x, y, z)
@@ -147,6 +149,11 @@ def find_equilibrium(network: Network, constant_inflow: np.ndarray,
         x = x_next
         if (x[0, net.source] > overload).any():
             break
+        recent = recent[-4:] + [x[0]]
+        if len(recent) == 5 and (abs(recent[4] - recent[2]) <= 1e-12 * abs(recent[2]))[inner].all():
+            grow = (recent[4] - recent[2])[net.source]
+            if grow.max() > EQ_TOL >= np.abs(grow - (recent[2] - recent[0])[net.source]).max():
+                break
     return EquilibriumResult(x_eq=None, overloaded=True)
 
 

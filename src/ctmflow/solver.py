@@ -2,9 +2,9 @@
 
 Routing: every LP goes to HiGHS; every convex QP goes to a sparse
 primal-dual interior point first, and to HiGHS only when that path cannot
-certify its result. Both read the program's sparse full-space
-constraints; scipy's compiled HiGHS binding and SuperLU are each loaded on
-their own, without the scipy.optimize and scipy.sparse.linalg packages.
+certify its result. Both read the program's sparse triplet constraints;
+scipy's compiled HiGHS binding and SuperLU are each loaded on their own,
+without the scipy.optimize and scipy.sparse packages.
 
 LPs run HiGHS's simplex method on one model object. An LP optimum is
 degenerate (whole faces of optima), and the structure results describe the
@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
-from .program import ConvexProgram
+from .program import ConvexProgram, Sparse
 
 LP_RESIDUAL_TOL = 1e-8
 QP_RESIDUAL_TOL = 1e-6
@@ -81,12 +80,13 @@ class SolverError(RuntimeError):
 def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
     """Primal infeasibility (infinity norm) against the full constraint list."""
     r_eq = 0.0
-    if program.A_eq.shape[0]:
-        scale = np.maximum(np.abs(program.A_eq).max(axis=1).toarray().ravel(), 1e-30)
-        r_eq = float(np.max(np.abs(program.A_eq @ values - program.b_eq) / scale))
+    if program.eq.shape[0]:
+        scale = np.full(program.eq.shape[0], 1e-30)     # each row's largest |coefficient|
+        np.maximum.at(scale, program.eq.rows, np.abs(program.eq.data))
+        r_eq = float(np.max(np.abs(program.eq.matvec(values) - program.b_eq) / scale))
     r_ub = 0.0
-    if program.A_ub.shape[0]:
-        r_ub = float(np.max(np.maximum(program.A_ub @ values - program.b_ub, 0.0)))
+    if program.ub.shape[0]:
+        r_ub = float(np.max(np.maximum(program.ub.matvec(values) - program.b_ub, 0.0)))
     r_nn = float(np.max(np.maximum(-values[program.nonneg], 0.0))) if program.nonneg.any() else 0.0
     return max(r_eq, r_ub, r_nn)
 
@@ -94,7 +94,7 @@ def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
 def _extension(name: str):
     """One of scipy's compiled extensions, loaded by itself: HiGHS's binding
     without scipy.optimize's package init (~45 MB and ~0.1 s that no solve
-    needs), SuperLU without scipy.sparse.linalg's (~9 MB and ~0.1 s). It is
+    needs), SuperLU without scipy.sparse and its linalg (~30 MB, ~0.35 s). It is
     registered under its full name, so a later import of its package reuses
     it instead of registering its types a second time. A None entry in
     sys.modules marks it unavailable."""
@@ -131,19 +131,19 @@ def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
     """The program as a HiGHS model; with cost, the LP min cost'v over the
     program's feasible set instead."""
     n = program.n_vars
-    A = sp.vstack([program.A_eq, program.A_ub]).tocsc()
+    start, index, value = program.eq.vstack(program.ub).csc()
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(program.b_eq) + len(program.b_ub)
     lp.col_cost_ = program.c if cost is None else cost
     lp.col_lower_ = np.where(program.nonneg, 0.0, -np.inf)
     lp.col_upper_ = np.full(n, np.inf)
     lp.row_lower_ = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
     lp.row_upper_ = np.concatenate([program.b_eq, program.b_ub])
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     model = core.HighsModel()
     model.lp_ = lp
     if cost is None and program.is_quadratic:
@@ -254,31 +254,33 @@ class _KKT:
     H + D a diagonal, plus KKT_REG on it. The inequality rows are eliminated
     from [[H + D, -A_eq', A_ub'], [-A_eq, 0, 0], [A_ub, 0, -diag(1/theta)]],
     which solve takes and answers in full. The CSC pattern is built once;
-    a factorization only refills the values, as one sparse product with
-    (theta, diagonal, 1)."""
+    a factorization only refills the values, as one matvec of the sorted
+    (entry, parameter) pairs with (theta, diagonal, 1)."""
 
-    def __init__(self, A_eq, A_ub):
-        n, m, m_ub = A_eq.shape[1], A_eq.shape[0], A_ub.shape[0]
+    def __init__(self, eq: Sparse, ub: Sparse):
+        (m, n), m_ub = eq.shape, ub.shape[0]
         N = n + m
-        eq, ub = A_eq.tocoo(), A_ub.tocsr()
         # A_ub' diag(theta) A_ub: one term per ordered pair of entries of a row
-        counts = np.diff(ub.indptr)
-        row = np.repeat(np.arange(m_ub), counts)
-        pairs = counts[row]
-        k1 = np.repeat(np.arange(ub.nnz), pairs)
-        k2 = ub.indptr[row[k1]] + np.arange(len(k1)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        counts = np.bincount(ub.rows, minlength=m_ub)
+        pairs = counts[ub.rows]
+        k1 = np.repeat(np.arange(len(pairs)), pairs)
+        k2 = (np.cumsum(counts) - counts)[ub.rows[k1]] + np.arange(len(k1)) \
+            - np.repeat(np.cumsum(pairs) - pairs, pairs)
         diag, duals = np.arange(n), n + np.arange(m)
-        rows = np.concatenate([ub.indices[k1], diag, diag, eq.col, n + eq.row, duals])
-        cols = np.concatenate([ub.indices[k2], diag, diag, n + eq.row, eq.col, duals])
+        rows = np.concatenate([ub.cols[k1], diag, diag, eq.cols, n + eq.rows, duals])
+        cols = np.concatenate([ub.cols[k2], diag, diag, n + eq.rows, eq.cols, duals])
         coef = np.concatenate([ub.data[k1] * ub.data[k2], np.ones(n), np.full(n, KKT_REG),
                                -eq.data, -eq.data, np.full(m, -KKT_REG)])
-        param = np.concatenate([row[k1], m_ub + diag, np.full(n + 2 * eq.nnz + m, m_ub + n)])
+        param = np.concatenate([ub.rows[k1], m_ub + diag,
+                                np.full(n + 2 * len(eq.data) + m, m_ub + n)])
         keys, pos = np.unique(cols.astype(np.int64) * N + rows, return_inverse=True)
         self.indices = (keys % N).astype(np.intc)
         self.indptr = np.searchsorted(keys // N, np.arange(N + 1)).astype(np.intc)
-        self.fill = sp.csr_matrix((coef, (pos, param)), shape=(len(keys), m_ub + n + 1))
+        order = np.lexsort((param, pos))
+        self.fill = Sparse(pos[order], param[order], coef[order], (len(keys), m_ub + n + 1))
+        self.entry_cols = np.repeat(np.arange(N), np.diff(self.indptr))
         self.reg = np.concatenate([np.full(n, KKT_REG), np.full(m, -KKT_REG)])
-        self.A_ub, self.A_ubT = ub, ub.T.tocsr()
+        self.ub = ub
         self.n = n
         self.lu = self.matrix = self.theta = self.order = None
 
@@ -286,9 +288,9 @@ class _KKT:
         """Factorize at the given diagonal and theta. The first
         factorization lets COLAMD order the columns; later ones reuse that
         order on the column-permuted matrix."""
-        data = self.fill @ np.concatenate([theta, diagonal, [1.0]])
+        data = self.fill.matvec(np.concatenate([theta, diagonal, [1.0]]))
         N = len(self.indptr) - 1
-        self.matrix = sp.csc_matrix((data, self.indices, self.indptr), shape=(N, N))
+        self.matrix = Sparse(self.indices, self.entry_cols, data, (N, N))   # CSC order
         self.theta = theta
         self.lu = None      # one factorization alive at a time
         if self.order is None:
@@ -321,20 +323,21 @@ class _KKT:
         n, N = self.n, len(self.indptr) - 1
         r_ub = rhs[N:]
         b = rhs[:N].copy()
-        b[:n] += self.A_ubT @ (self.theta * r_ub)
+        b[:n] += self.ub.rmatvec(self.theta * r_ub)
         x = np.zeros(N) if start is None else start.copy()
         for _ in range(steps + 1):
-            x += self._lu_solve(b - self.matrix @ x + self.reg * x)
-        return np.concatenate([x, self.theta * (self.A_ub @ x[:n] - r_ub)])
+            x += self._lu_solve(b - self.matrix.matvec(x) + self.reg * x)
+        return np.concatenate([x, self.theta * (self.ub.matvec(x[:n]) - r_ub)])
 
 
 def _gstrf(data, indices, indptr, order):
     """SuperLU's LU with partial pivoting, its compiled extension loaded on
     the first call. Panels and relaxed supernodes of one column: on these
-    KKT matrices wider ones add half again as much fill."""
+    KKT matrices wider ones add half again as much fill. L and U are never
+    built, so they need no csc_construct_func."""
     superlu = _extension("scipy.sparse.linalg._dsolve._superlu")
     return superlu.gstrf(len(indptr) - 1, len(data), data, indices, indptr,
-                         csc_construct_func=sp.csc_matrix, ilu=False,
+                         csc_construct_func=None, ilu=False,
                          options={"ColPerm": order, "PanelSize": 1, "Relax": 1})
 
 
@@ -352,10 +355,9 @@ def _interior_point(program: ConvexProgram):
     count once the relative primal residual and gap reach IPM_TOL, or
     None."""
     c, h, nn = program.c, 2.0 * program.q, program.nonneg
-    A_eq, A_ub, b_eq, b_ub = program.A_eq, program.A_ub, program.b_eq, program.b_ub
-    A_eqT, A_ubT = A_eq.T.tocsr(), A_ub.T.tocsr()
+    eq, ub, b_eq, b_ub = program.eq, program.ub, program.b_eq, program.b_ub
     n, m_eq, m_ub = len(c), len(b_eq), len(b_ub)
-    kkt = _KKT(A_eq, A_ub)
+    kkt = _KKT(eq, ub)
     bounded = nn.astype(float)
     count = nn.sum() + m_ub
     b_scale = 1.0 + max(np.abs(b_eq).max(initial=0.0), np.abs(b_ub).max(initial=0.0))
@@ -378,9 +380,9 @@ def _interior_point(program: ConvexProgram):
     prev = v, s, z, w
 
     for it in range(IPM_MAX_ITER):
-        r_d = h * v + c - A_eqT @ y + A_ubT @ w - z
-        r_p = A_eq @ v - b_eq
-        r_u = A_ub @ v + s - b_ub
+        r_d = h * v + c - eq.rmatvec(y) + ub.rmatvec(w) - z
+        r_p = eq.matvec(v) - b_eq
+        r_u = ub.matvec(v) + s - b_ub
         # elementwise sums, not BLAS dot products: OpenBLAS threads a dot
         # product over 10,000 entries, and the wake-up costs milliseconds
         gap = (v * z).sum() + (s * w).sum()
@@ -440,8 +442,9 @@ def _polish(program: ConvexProgram, point, prev):
     for _ in range(POLISH_ROUNDS):
         free = ~fixed
         k = int(free.sum())
-        A = sp.vstack([program.A_eq, program.A_ub[active]]).tocsc()[:, free]
-        kkt = _KKT(A, sp.csr_matrix((0, k)))
+        A = program.eq.vstack(program.ub).take(np.concatenate([np.ones(len(program.b_eq), bool),
+                                                               active]), free)
+        kkt = _KKT(A, Sparse(A.rows[:0], A.cols[:0], A.data[:0], (0, k)))   # no inequality rows
         try:
             kkt.factor(h[free], np.zeros(0))
         except RuntimeError:
@@ -451,7 +454,7 @@ def _polish(program: ConvexProgram, point, prev):
         polished[free] = kkt.solve(np.concatenate([-program.c[free], -b]), REFINE_STEPS,
                                    np.concatenate([v[free], y, -w[active]]))[:k]
         negative = free & nn & (polished < 0.0)
-        violated = ~active & (program.A_ub @ polished > program.b_ub)
+        violated = ~active & (program.ub.matvec(polished) > program.b_ub)
         if not (negative.any() or violated.any()):
             break
         fixed |= negative

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctm import Drive, Trajectory, junction_rates, simulate
+from .ctm import Drive, InvariantError, Trajectory, junction_rates, simulate
 from .network import Scenario
 from .program import ConvexProgram
 from .solver import Solution
@@ -61,11 +61,11 @@ def extract_controls(program: ConvexProgram, solution: Solution,
     if over.any() or unfed.any():
         t, k = np.argwhere(over | unfed)[0]
         if over[t, k]:
-            raise ValueError(
+            raise InvariantError(
                 f"solution violates the demand constraint at cell {net.cells[k].id}, step {t}: "
                 f"z={z[t, k]} > min(d,C)={bound[t, k]}")
-        raise ValueError(f"cell {net.cells[k].id}, step {t}: z={z[t, k]} with zero demand "
-                         "signals an infeasible solution")
+        raise InvariantError(f"cell {net.cells[k].id}, step {t}: z={z[t, k]} with zero demand "
+                             "signals an infeasible solution")
     with np.errstate(divide="ignore", invalid="ignore"):
         metered = np.where((z >= bound - EXTRACT_TOL) | (cap <= 0), 1.0, np.clip(z / cap, 0.0, 1.0))
         limited = np.where(d_raw <= EXTRACT_TOL, 1.0, np.clip(z / d_raw, 0.0, 1.0))

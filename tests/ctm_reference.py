@@ -5,6 +5,8 @@ Every junction rule runs cell by cell and edge by edge on Python floats,
 through the scalar fundamental-diagram helpers ``network.demand`` and
 ``network.supply``. A receiving cell throttles only a total demand above
 ``ZERO_DEMAND_TOL`` times its peak capacity, as in the array kernel.
+
+``mass_balance_error`` is the conservation check of a simulated run.
 """
 
 from __future__ import annotations
@@ -163,3 +165,10 @@ def simulate(scenario: Scenario, controls=None, model: str = "fifo"):
         states.append(x.copy())
         rates_log.append(rates)
     return np.array(states), rates_log
+
+
+def mass_balance_error(trajectory, scenario: Scenario) -> float:
+    """|sum x(T) - sum x(0) - sum lambda + sum mu|, should be ~0."""
+    lam_total = scenario.inflow_array().sum()
+    return abs(float(trajectory.states[-1].sum())
+               - float(trajectory.states[0].sum()) - lam_total + float(trajectory.mu.sum()))

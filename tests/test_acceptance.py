@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from ctmflow.ctm import CostSpec, evaluate_cost, mass_balance_error, simulate
+from ctmflow.ctm import CostSpec, evaluate_cost, simulate
 from ctmflow.network import Scenario
-from ctmflow.program import build_dta, build_fnc, embed_trajectory
+from ctmflow.program import build_dta, build_fnc
 from ctmflow.robustness import (PerturbationSpec, max_freeflow_inflow, simulate_perturbed,
                                 sweep)
 from ctmflow.scenarios import robustness_scenario, table_scenario
@@ -21,6 +21,8 @@ from ctmflow.solver import solve, verify_solution
 from ctmflow.synthesis import check_fnc_structure, extract_controls, verify_realization
 
 from conftest import dominated_pair, freeflow_scenario, random_scenario
+from ctm_reference import mass_balance_error
+from program_reference import embed_trajectory
 from solver_reference import brute_force_oracle
 
 

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import ctmflow
+from ctmflow import ctm
 from ctmflow.cli import main
-from ctmflow.ctm import simulate
+from ctmflow.ctm import InvariantError, simulate
 from ctmflow.network import (RoutingSchedule, Scenario, load_scenario, save_scenario,
                              scenario_to_dict)
 from ctmflow.scenarios import (TAU, figure_network, robustness_scenario, routing_for,
@@ -59,6 +60,35 @@ class TestExitCodes:
         rc = main(["solve", "--scenario", str(path), "--kind", "fnc",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_simulate_without_routing_config_error(self, tmp_path, capsys):
+        # the simulator needs turning ratios; without them the run used to
+        # end as an invariant violation (exit 4)
+        sc = table_scenario()
+        path = tmp_path / "noroute.json"
+        save_scenario(Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+                               initial_volumes=sc.initial_volumes, inflow=sc.inflow,
+                               routing=None), path)
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_only_invariant_errors_exit_4(self, tmp_path, monkeypatch, capsys):
+        argv = ["simulate", "--scenario", "bundled:table", "--out", str(tmp_path / "out")]
+
+        def broken(net, x, y, z):
+            raise InvariantError("cell 1: negative volume -1.0 after step")
+        monkeypatch.setattr(ctm, "step", broken)
+        assert main(argv) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invariant", "message": "step 0: cell 1: negative volume -1.0 "
+                                                        "after step"}
+
+        def buggy(net, x, y, z):
+            raise ValueError("not an invariant")
+        monkeypatch.setattr(ctm, "step", buggy)
+        with pytest.raises(ValueError, match="not an invariant"):
+            main(argv)
 
     def test_non_json_scenario_config_error(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -168,31 +198,31 @@ class TestArtifacts:
         assert "veh" in header
 
 
-class TestSolveImports:
-    def test_solve_leaves_scipy_optimize_unloaded(self, tmp_path):
-        # the solver loads scipy's HiGHS binding alone, not scipy.optimize
-        code = ("import sys\nfrom ctmflow.cli import main\n"
-                f"rc = main(['solve', '--scenario', 'bundled:table', '--out', {str(tmp_path)!r}])\n"
-                "print(rc, 'scipy.optimize' in sys.modules)")
-        src = str(Path(ctmflow.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert run.stdout.splitlines()[-1] == "0 False", run.stdout + run.stderr
+class TestImports:
+    """No command imports scipy.sparse, scipy.sparse.linalg or scipy.optimize:
+    the programs' matrices are numpy triplets, and the solver loads HiGHS's
+    binding and SuperLU's compiled extension alone."""
 
-    def test_qp_solve_leaves_sparse_linalg_and_optimize_unloaded(self, tmp_path):
-        # a QP loads SuperLU's compiled extension alone, not scipy.sparse.linalg
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "bundled:table"],
+        ["solve", "--scenario", "bundled:table", "--cost", "ttt"],
+        ["solve", "--scenario", "bundled:table", "--cost", "quad"],
+        ["synthesize", "--scenario", "bundled:table", "--kind", "dta"],
+        ["robustness-sweep", "--scenario", "bundled:robustness", "--sweep", "0:0.5:1"],
+        ["reproduce-paper"],
+    ], ids=["simulate", "solve-ttt", "solve-quad", "synthesize", "robustness-sweep",
+            "reproduce-paper"])
+    def test_command_leaves_scipy_packages_unloaded(self, tmp_path, argv):
         code = ("import sys\nfrom ctmflow.cli import main\n"
-                "rc = main(['solve', '--scenario', 'bundled:table', '--cost', 'quad', "
-                f"'--out', {str(tmp_path)!r}])\n"
-                "print(rc, 'scipy.sparse.linalg' in sys.modules, 'scipy.optimize' in sys.modules)")
+                f"rc = main({argv + ['--out', str(tmp_path)]!r})\n"
+                "print(rc, *(name in sys.modules for name in "
+                "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.optimize')))")
         src = str(Path(ctmflow.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=120)
-        assert run.stdout.splitlines()[-1] == "0 False False", run.stdout + run.stderr
+        assert run.stdout.splitlines()[-1] == "0 False False False", run.stdout + run.stderr
 
 
 # sha256 of the reproduce-paper artifacts that the LP vertex choice does not

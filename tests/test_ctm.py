@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from ctmflow.ctm import (CostSpec, evaluate_cost, mass_balance_error,
-                         priority_merge_flows, simulate, step, trajectory_to_csv)
+from ctmflow.ctm import (CostSpec, evaluate_cost, priority_merge_flows, simulate, step,
+                         trajectory_to_csv)
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
 
 from conftest import dominated_pair, freeflow_scenario, random_scenario
+from ctm_reference import mass_balance_error
 
 
 def two_to_one(cap=6.0, jam=10.0):

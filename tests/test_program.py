@@ -4,13 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from ctmflow import solver
 from ctmflow.ctm import CostSpec, simulate
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
-from ctmflow.program import build_dta, build_fnc, embed_trajectory, export_lp
+from ctmflow.program import build_dta, build_fnc, export_lp
 from ctmflow.solver import solve, verify_solution
 
 from conftest import random_scenario
+from program_reference import embed_trajectory
 
 
 def single_cell_scenario():
@@ -90,6 +94,76 @@ class TestAssembly:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert got.names == ref.names
                 assert got.var_index == ref.var_index
+
+
+class TestKernels:
+    """The numpy triplet kernels against the scipy.sparse operations they
+    replace, bit for bit."""
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", ["DTA", "FNC"])
+    @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_kernels_match_scipy(self, shape, kind, eps, seed):
+        rng = np.random.default_rng(seed)
+        sc = random_scenario(rng, shape=shape)
+        prog = (build_dta if kind == "DTA" else build_fnc)(sc, CostSpec("QuadraticVolume"), eps)
+        n = prog.n_vars
+        v = rng.normal(size=n)
+        for mat, A in ((prog.eq, prog.A_eq), (prog.ub, prog.A_ub)):
+            u = rng.normal(size=mat.shape[0])
+            self.assert_same(mat.matvec(v), A @ v)
+            self.assert_same(mat.rmatvec(u), A.T.tocsr() @ u)
+        # verify_solution's residual, with each equality row scaled by its
+        # largest |coefficient|
+        v = np.abs(v)
+        scale = np.maximum(abs(prog.A_eq).max(axis=1).toarray().ravel(), 1e-30)
+        want = max(np.max(np.abs(prog.A_eq @ v - prog.b_eq) / scale),
+                   np.max(np.maximum(prog.A_ub @ v - prog.b_ub, 0.0)))
+        assert verify_solution(prog, v) == want
+
+        # the stacked column-major arrays of the HiGHS model
+        ref = sp.vstack([prog.A_eq, prog.A_ub]).tocsc()
+        for got, want in zip(prog.eq.vstack(prog.ub).csc(), (ref.indptr, ref.indices, ref.data)):
+            self.assert_same(got, want)
+
+        # the polish selection: every equality row, the active inequality
+        # rows and the free columns
+        active = rng.random(prog.ub.shape[0]) < 0.5
+        free = rng.random(n) < 0.7
+        A = prog.eq.vstack(prog.ub).take(np.concatenate([np.ones(prog.eq.shape[0], bool), active]),
+                                         free)
+        ref = sp.vstack([prog.A_eq, prog.A_ub[active]]).tocsc()[:, free].tocsr()
+        got = A.csr()
+        assert got.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            self.assert_same(getattr(got, attr), getattr(ref, attr))
+
+        # the KKT fill and the refinement matvec, against the CSR fill
+        # matrix and the CSC KKT matrix that scipy.sparse made of them
+        kkt = solver._KKT(prog.eq, prog.ub)
+        theta, diagonal = rng.uniform(0.1, 10.0, prog.ub.shape[0]), rng.uniform(0.1, 10.0, n)
+        params = np.concatenate([theta, diagonal, [1.0]])
+        fill = sp.csr_matrix((kkt.fill.data, (kkt.fill.rows, kkt.fill.cols)),
+                             shape=kkt.fill.shape)
+        data = kkt.fill.matvec(params)
+        self.assert_same(data, fill @ params)
+        N = len(kkt.indptr) - 1
+        K = sp.csc_matrix((data, kkt.indices, kkt.indptr), shape=(N, N))
+        x = rng.normal(size=N)
+        kkt.factor(diagonal, theta)
+        self.assert_same(kkt.matrix.matvec(x), K @ x)
+        # and the filled matrix is the KKT matrix of the docstring
+        want = sp.bmat([[sp.diags(diagonal + solver.KKT_REG)
+                         + prog.A_ub.T @ sp.diags(theta) @ prog.A_ub, -prog.A_eq.T],
+                        [-prog.A_eq, -solver.KKT_REG * sp.identity(prog.eq.shape[0])]])
+        np.testing.assert_allclose(K.toarray(), want.toarray(), rtol=1e-14, atol=1e-14)
 
 
 class TestFeasibilityStructure:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ctmflow.ctm import simulate
+from ctmflow import robustness
+from ctmflow.ctm import simulate, step
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
 from ctmflow.robustness import (PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
@@ -113,6 +114,20 @@ class TestEquilibrium:
         lam = robustness_scenario.inflow_array()[0] * 1.4   # level 7 > capacity
         res = find_equilibrium(net, lam, routing=robustness_scenario.routing)
         assert not res.exists and res.overloaded
+
+    @pytest.mark.parametrize("model", ["fifo", "nonfifo", "fifo-priority"])
+    def test_overload_signalled_by_source_growth(self, robustness_scenario, model, monkeypatch):
+        # at level 7 the congested cells settle into a period-2 cycle while
+        # the source grows by a constant amount per cycle; that growth is the
+        # signal, hundreds of steps in, not the ~35,000 it takes the source
+        # to hold OVERLOAD_FACTOR jam volumes
+        steps = []
+        monkeypatch.setattr(robustness, "step", lambda *a: steps.append(1) or step(*a))
+        net = robustness_scenario.network
+        lam = robustness_scenario.inflow_array()[0] * 1.4
+        res = find_equilibrium(net, lam, routing=robustness_scenario.routing, model=model)
+        assert res.overloaded and not res.exists
+        assert len(steps) < 1000
 
 
 class TestFreeflowSupremum:

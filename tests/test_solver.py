@@ -185,7 +185,7 @@ class TestQP:
 
     def test_qp_beats_any_feasible_point(self, table_scenario):
         from ctmflow.ctm import simulate
-        from ctmflow.program import embed_trajectory
+        from program_reference import embed_trajectory
         prog = build_fnc(table_scenario, CostSpec("QuadraticVolume"))
         sol = solve(prog)
         sim_point = embed_trajectory(prog, simulate(table_scenario))

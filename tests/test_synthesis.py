@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctmflow.ctm import CostSpec, evaluate_cost, simulate
+from ctmflow.ctm import CostSpec, InvariantError, evaluate_cost, simulate
 from ctmflow.program import build_dta, build_fnc
 from ctmflow.solver import solve
 from ctmflow.synthesis import (ControlSchedule, check_fnc_structure, controls_to_csv,
@@ -70,7 +70,7 @@ class TestExtraction:
         vals = sol.values.copy()
         vals[prog.var_index[("z", 2, "5")]] = 5.0
         vals[prog.var_index[("x", 2, "5")]] = 0.0
-        with pytest.raises(ValueError, match="demand"):
+        with pytest.raises(InvariantError, match="demand"):
             extract_controls(prog, _patched(sol, vals), table_scenario)
 
 
