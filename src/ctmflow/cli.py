@@ -24,7 +24,6 @@ from .network import load_scenario, save_scenario
 from .solver import SolverError, solve
 
 COST_KINDS = {"ttt": "TTT", "ttd": "TTD", "delay": "Delay", "quad": "QuadraticVolume"}
-MODELS = ("fifo", "fifo-priority", "nonfifo")
 JOBS_HELP = "accepted and ignored: a sweep runs all its points as one batch"
 
 
@@ -279,7 +278,7 @@ def main(argv=None) -> int:
 
     options = {
         "--cost": dict(default="ttt", choices=sorted(COST_KINDS)),
-        "--model": dict(default="fifo", choices=MODELS),
+        "--model": dict(default="fifo", choices=ctm.MODELS),
         "--kind": dict(default="fnc", choices=("dta", "fnc")),
         "--epsilon": dict(type=float, default=0.0),
         "--sweep": dict(default="0:0.1:3", help="START:STEP:END grid"),

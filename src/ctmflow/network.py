@@ -459,6 +459,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "units" not in data:
         raise ValueError("scenario file missing required 'units' header")
     tau = float(data["tau"])
+    if type(data["T"]) not in (int, float) or not float(data["T"]).is_integer() or data["T"] < 1:
+        raise ValueError(f"T must be a positive integer, got {data['T']!r}")
     horizon = int(data["T"])
     sources = frozenset(data["sources"])
     cells = tuple(
@@ -474,23 +476,32 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
     lam = np.zeros((horizon, net.n))
     for cid, series in data.get("inflow", {}).items():
+        if cid not in net.index:
+            raise ValueError(f"inflow names unknown cell {cid!r}")
         if len(series) > horizon:
             raise ValueError(f"inflow series of cell {cid} has {len(series)} entries, "
                              f"more than T = {horizon}")
         lam[:len(series), net.index[cid]] = series     # shorter series: zero-padded
     routing = None
     if data.get("routing"):
+        pairs = {}
         for key, series in data["routing"].items():
+            i, _, j = key.partition("->")
+            for cid in (i, j):
+                if cid not in net.index:
+                    raise ValueError(f"routing key {key!r} names unknown cell {cid!r}")
+            if (i, j) not in net.adjacency:
+                raise ValueError(f"routing key {key!r} is not an edge of the network")
             if not 1 <= len(series) <= horizon:
                 raise ValueError(f"routing series {key} has {len(series)} entries, "
                                  f"expected 1 to T = {horizon}")
-        steps = max(len(v) for v in data["routing"].values())
+            pairs[net.index[i], net.index[j]] = series
+        steps = max(len(v) for v in pairs.values())
         mats = []
         for t in range(steps):
             m = np.zeros((net.n, net.n))
-            for key, series in data["routing"].items():
-                i, j = key.split("->")
-                m[net.index[i], net.index[j]] = series[t] if t < len(series) else series[-1]
+            for ij, series in pairs.items():
+                m[ij] = series[t] if t < len(series) else series[-1]
             mats.append(m)
         routing = RoutingSchedule(pairs=tuple(net.adjacency), matrices=tuple(mats))
     return Scenario(

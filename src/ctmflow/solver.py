@@ -1,10 +1,9 @@
 """Solvers for the relaxation programs.
 
-Routing: every LP goes to HiGHS; every convex QP goes to a sparse
-primal-dual interior point first, and to HiGHS only when that path cannot
-certify its result. Both read the program's sparse triplet constraints;
-scipy's compiled HiGHS binding and SuperLU are each loaded on their own,
-without the scipy.optimize and scipy.sparse packages.
+Routing: every LP goes to HiGHS, every convex QP to a sparse primal-dual
+interior point; there is one path for each. Both read the program's sparse
+triplet constraints; scipy's compiled HiGHS binding and SuperLU are each
+loaded on their own, without the scipy.optimize and scipy.sparse packages.
 
 LPs run HiGHS's simplex method on one model object. An LP optimum is
 degenerate (whole faces of optima), and the structure results describe the
@@ -15,17 +14,16 @@ and the primal simplex restarts from the optimal basis.
 QPs run Mehrotra's predictor-corrector on the regularized quasi-definite
 KKT system [[H + D + A_ub' W/S A_ub, -A_eq'], [-A_eq, -delta I]], one
 SuperLU factorization per iteration on a pattern built once, until the
-relative gap and primal residual reach IPM_TOL. The point is then
-polished: the bounds and rows that the last step marks active are fixed,
-and the equality-constrained KKT system at that active set is solved with
-iterative refinement, so zero flows come back as exact zeros. The polished
-point is returned only with a certificate: it is primal feasible to
-LP_RESIDUAL_TOL, and its Frank-Wolfe gap g'v - min{g'u : u feasible},
-g = c + 2qv, an upper bound on f(v) - f*, is at most FW_TOL (1 + |f|). The
-gap comes from one LP on HiGHS and is returned as the dual residual. Any
-other outcome (the iteration cap, a failed polish, a gap above tolerance,
-an infeasible program) falls back to HiGHS's active-set QP method,
-unchanged.
+relative gap and primal residual reach IPM_TOL. The polish then fixes the
+bounds and rows that the last step marks active and solves the
+equality-constrained KKT system there, so zero flows come back as exact
+zeros. The point is returned only with a certificate: it is primal
+feasible to LP_RESIDUAL_TOL, and its Frank-Wolfe gap g'v - min{g'u : u
+feasible}, g = c + 2qv, an upper bound on f(v) - f*, is at most
+FW_TOL (1 + |f|). The gap comes from one HiGHS LP and is returned as the
+dual residual. A round without a certificate is rerun once, RETRY_STEPS
+iterations further. A QP that still has none is reported by its
+feasible-set LP: infeasible where that LP is, iteration-limit otherwise.
 
 An infeasible program carries HiGHS's dual ray as its Farkas certificate.
 Every returned Solution holds the full variable vector and is re-verified
@@ -47,10 +45,11 @@ import scipy
 from .program import ConvexProgram, Sparse
 
 LP_RESIDUAL_TOL = 1e-8
-QP_RESIDUAL_TOL = 1e-6
 FW_TOL = 1e-9             # certified Frank-Wolfe gap, relative to 1 + |f|
+FW_LP_TOL = 1e-10         # its LP's feasibility tolerances; HiGHS's 1e-7 moves the gap ~1e-6
 IPM_TOL = 1e-10           # relative gap and primal residual; at 1e-8 the active set is misread
 IPM_MAX_ITER = 60
+RETRY_STEPS = 2           # iterations past IPM_TOL in the second round
 POLISH_ROUNDS = 4
 REFINE_STEPS = 4
 KKT_REG = 1e-9            # primal and dual regularization of the KKT matrix
@@ -117,19 +116,13 @@ def _extension(name: str):
     return module
 
 
-def _binding():
-    return _extension("scipy.optimize._highspy._core")
-
-
 # ---------------------------------------------------------------------------
-# one HiGHS model per program: min c'v + v' diag(q) v  s.t.  A_eq v = b_eq,
-# A_ub v <= b_ub,  v >= 0 on the nonneg mask; HiGHS minimizes
-# c'v + 0.5 v'Hv, so the Hessian is diag(2q)
+# one HiGHS model per program: min c'v  s.t.  A_eq v = b_eq,  A_ub v <= b_ub,
+# v >= 0 on the nonneg mask
 
 
 def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
-    """The program as a HiGHS model; with cost, the LP min cost'v over the
-    program's feasible set instead."""
+    """The LP min cost'v (default c'v) over the program's feasible set."""
     n = program.n_vars
     start, index, value = program.eq.vstack(program.ub).csc()
     lp = core.HighsLp()
@@ -146,15 +139,6 @@ def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
     lp.a_matrix_.value_ = value
     model = core.HighsModel()
     model.lp_ = lp
-    if cost is None and program.is_quadratic:
-        diag = np.flatnonzero(program.q)
-        hessian = core.HighsHessian()
-        hessian.dim_ = n
-        hessian.format_ = core.HessianFormat.kTriangular
-        hessian.start_ = np.searchsorted(diag, np.arange(n + 1))
-        hessian.index_ = diag
-        hessian.value_ = 2.0 * program.q[diag]
-        model.hessian_ = hessian
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     if highs.passModel(model) == core.HighsStatus.kError:
@@ -195,15 +179,14 @@ def _drain(core, highs, program: ConvexProgram, values: np.ndarray):
 
 
 def _highs(core, program: ConvexProgram) -> Solution:
-    """Simplex plus the max-early-outflow tie-break for LPs, the active-set
-    method for QPs. Quadratic programs are strictly convex in x and need no
-    tie-break."""
-    highs = _model(core, program)
+    """An LP by simplex, then the max-early-outflow tie-break. A QP comes
+    here only without a certificate: its feasible-set LP tells an infeasible
+    program from a failed solve, which is reported as iteration-limit."""
+    highs = _model(core, program, cost=np.zeros(program.n_vars) if program.is_quadratic else None)
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
-    quadratic = program.is_quadratic
-    iters = int(info.qp_iteration_count if quadratic else info.simplex_iteration_count)
+    iters = int(info.simplex_iteration_count)
     if status == core.HighsModelStatus.kIterationLimit:
         return _unsolved(program, "iteration-limit", iters)
     if status == core.HighsModelStatus.kInfeasible:
@@ -213,30 +196,29 @@ def _highs(core, program: ConvexProgram) -> Solution:
         return _unsolved(program, "infeasible", iters, -np.asarray(ray) if has_ray else None)
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
+    if program.is_quadratic:
+        return _unsolved(program, "iteration-limit", iters)
     solution = highs.getSolution()
     values = np.array(solution.col_value) + 0.0  # -0.0 at some bounds; artifacts print "0"
     residuals = Residuals(0.0, info.max_dual_infeasibility, info.max_complementarity_violation)
-    if not quadratic:
-        # weak-duality check from the row duals: dual objective b'y
-        y = np.asarray(solution.row_dual)
-        dual_obj = float(program.b_eq @ y[:len(program.b_eq)] + program.b_ub @ y[len(program.b_eq):])
-        objective = program.objective_value(values)
-        gap = abs(dual_obj - objective) / (1.0 + abs(objective))
-        if gap > LP_RESIDUAL_TOL:
-            raise SolverError(f"HiGHS duality gap {gap} exceeds {LP_RESIDUAL_TOL}")
-        values, more = _drain(core, highs, program, values)
-        iters += more
+    # weak-duality check from the row duals: dual objective b'y
+    y = np.asarray(solution.row_dual)
+    dual_obj = float(program.b_eq @ y[:len(program.b_eq)] + program.b_ub @ y[len(program.b_eq):])
+    objective = program.objective_value(values)
+    gap = abs(dual_obj - objective) / (1.0 + abs(objective))
+    if gap > LP_RESIDUAL_TOL:
+        raise SolverError(f"HiGHS duality gap {gap} exceeds {LP_RESIDUAL_TOL}")
+    values, more = _drain(core, highs, program, values)
     residuals.primal = verify_solution(program, values)
-    tol = QP_RESIDUAL_TOL if quadratic else LP_RESIDUAL_TOL
     return Solution(values=values, objective=program.objective_value(values),
-                    status="optimal" if residuals.primal <= tol else "iteration-limit",
-                    residuals=residuals, iterations=iters)
+                    status="optimal" if residuals.primal <= LP_RESIDUAL_TOL else "iteration-limit",
+                    residuals=residuals, iterations=iters + more)
 
 
 def solve(program: ConvexProgram) -> Solution:
-    """Solve the program: a QP by the certified interior point when it
-    succeeds, everything else on one HiGHS model."""
-    core = _binding()
+    """Solve the program: an LP on one HiGHS model, a QP by the certified
+    interior point."""
+    core = _extension("scipy.optimize._highspy._core")
     if program.is_quadratic:
         solution = _certified_qp(core, program)
         if solution is not None:
@@ -347,13 +329,13 @@ def _step(x, dx):
     return min(1.0, float(np.min(-x[neg] / dx[neg], initial=np.inf)))
 
 
-def _interior_point(program: ConvexProgram):
+def _interior_point(program: ConvexProgram, extra: int):
     """Mehrotra's predictor-corrector on min c'v + 0.5 v'diag(h)v, h = 2q,
     with slacks A_ub v + s = b_ub and duals y (A_eq rows), w >= 0 (A_ub
     rows), z >= 0 (bounds). Returns the point (v, s, y, z, w), the primal
     and dual values (v, s, z, w) one step before it, and the iteration
-    count once the relative primal residual and gap reach IPM_TOL, or
-    None."""
+    count extra iterations after the relative primal residual and gap
+    first reach IPM_TOL, or None."""
     c, h, nn = program.c, 2.0 * program.q, program.nonneg
     eq, ub, b_eq, b_ub = program.eq, program.ub, program.b_eq, program.b_ub
     n, m_eq, m_ub = len(c), len(b_eq), len(b_ub)
@@ -378,8 +360,9 @@ def _interior_point(program: ConvexProgram):
     v, s = v + dp * bounded, s + dp
     z, w = (z + dd) * bounded, w + dd
     prev = v, s, z, w
+    reached = math.inf
 
-    for it in range(IPM_MAX_ITER):
+    for it in range(IPM_MAX_ITER + extra):
         r_d = h * v + c - eq.rmatvec(y) + ub.rmatvec(w) - z
         r_p = eq.matvec(v) - b_eq
         r_u = ub.matvec(v) + s - b_ub
@@ -389,8 +372,10 @@ def _interior_point(program: ConvexProgram):
         f = (c * v).sum() + 0.5 * (h * v * v).sum()
         if not (np.isfinite(gap) and np.isfinite(f)):
             return None
-        if (max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0)) <= IPM_TOL * b_scale
-                and gap <= IPM_TOL * (1.0 + abs(f))):
+        if it < reached and (max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0))
+                             <= IPM_TOL * b_scale and gap <= IPM_TOL * (1.0 + abs(f))):
+            reached = it
+        if it == reached + extra:
             return (v, s, y, z, w), prev, it
         mu = gap / count
         zv = np.divide(z, v, out=np.zeros(n), where=nn)
@@ -463,28 +448,33 @@ def _polish(program: ConvexProgram, point, prev):
 
 
 def _certified_qp(core, program: ConvexProgram) -> Solution | None:
-    """The polished interior-point optimum, or None where any stage fails.
-    Its residuals are the primal infeasibility, the Frank-Wolfe gap (an LP
-    over the program's feasible set on HiGHS) and zero complementarity:
-    fixed variables are exact zeros and inactive rows carry no multiplier."""
-    found = _interior_point(program)
-    if found is None:
-        return None
-    point, prev, iters = found
-    v = _polish(program, point, prev)
-    if v is None:
-        return None
-    primal = verify_solution(program, v)
-    if primal > LP_RESIDUAL_TOL:
-        return None
-    g = program.c + 2.0 * program.q * v
-    highs = _model(core, program, cost=g)
-    highs.run()
-    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
-        return None
-    objective = program.objective_value(v)
-    gap = float((g * v).sum()) - highs.getInfo().objective_function_value
-    if gap > FW_TOL * (1.0 + abs(objective)):
-        return None
-    return Solution(values=v, objective=objective, status="optimal",
-                    residuals=Residuals(primal, gap, 0.0), iterations=iters)
+    """The polished interior-point optimum, or None where neither round
+    certifies it. The second round runs the first's iterates RETRY_STEPS
+    further: a tighter tolerance stops at the same iterate where that one
+    meets it, and is never met where the primal residual stalls. The
+    residuals are the primal infeasibility, the Frank-Wolfe gap and zero
+    complementarity: fixed variables are exact zeros and inactive rows
+    carry no multiplier."""
+    iters = 0
+    for extra in (0, RETRY_STEPS):
+        found = _interior_point(program, extra)
+        if found is None:
+            return None
+        point, prev, more = found
+        iters += more
+        v = _polish(program, point, prev)
+        if v is None or (primal := verify_solution(program, v)) > LP_RESIDUAL_TOL:
+            continue
+        g = program.c + 2.0 * program.q * v
+        highs = _model(core, program, cost=g)
+        highs.setOptionValue("primal_feasibility_tolerance", FW_LP_TOL)
+        highs.setOptionValue("dual_feasibility_tolerance", FW_LP_TOL)
+        highs.run()
+        if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+            continue
+        objective = program.objective_value(v)
+        gap = float((g * v).sum()) - highs.getInfo().objective_function_value
+        if gap <= FW_TOL * (1.0 + abs(objective)):
+            return Solution(values=v, objective=objective, status="optimal",
+                            residuals=Residuals(primal, gap, 0.0), iterations=iters)
+    return None

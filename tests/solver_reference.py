@@ -1,9 +1,11 @@
-"""The brute-force QP/LP oracle, kept as the slow reference that
-``ctmflow.solver.solve`` is checked against on tiny instances.
+"""The references that ``ctmflow.solver.solve`` is checked against.
 
-It never calls HiGHS or the interior point: it parametrizes the equality
-manifold by the null space of A_eq and finds the exact optimum by
-active-set enumeration.
+- ``brute_force_oracle``: the slow exact reference on tiny instances. It
+  never calls HiGHS or the interior point: it parametrizes the equality
+  manifold by the null space of A_eq and finds the exact optimum by
+  active-set enumeration.
+- ``highs_qp``: HiGHS's active-set QP method, an independent QP solver.
+- ``frank_wolfe_gap``: an optimality bound judged by scipy's linprog.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 import numpy as np
 
 from ctmflow.program import ConvexProgram
-from ctmflow.solver import Residuals, Solution, SolverError, _unsolved, verify_solution
+from ctmflow.solver import (Residuals, Solution, SolverError, _extension, _model, _unsolved,
+                            verify_solution)
 
 
 def brute_force_oracle(program: ConvexProgram) -> Solution:
@@ -76,15 +79,42 @@ def brute_force_oracle(program: ConvexProgram) -> Solution:
     return _unsolved(program, "infeasible")
 
 
+def highs_qp(program: ConvexProgram) -> Solution:
+    """The program on HiGHS's active-set QP method. HiGHS minimizes
+    c'v + 0.5 v'Hv, so the Hessian is diag(2q). Any status but optimal
+    raises SolverError; HiGHS ends in "Solve error" on some valid programs."""
+    core = _extension("scipy.optimize._highspy._core")
+    highs = _model(core, program)
+    n, diag = program.n_vars, np.flatnonzero(program.q)
+    hessian = core.HighsHessian()
+    hessian.dim_ = n
+    hessian.format_ = core.HessianFormat.kTriangular
+    hessian.start_ = np.searchsorted(diag, np.arange(n + 1))
+    hessian.index_ = diag
+    hessian.value_ = 2.0 * program.q[diag]
+    if highs.passHessian(hessian) == core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the Hessian")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
+    values = np.array(highs.getSolution().col_value) + 0.0
+    return Solution(values=values, objective=program.objective_value(values), status="optimal",
+                    residuals=Residuals(verify_solution(program, values), 0.0, 0.0))
+
+
 def frank_wolfe_gap(program: ConvexProgram, values: np.ndarray) -> float:
     """g'v - min{g'u : u feasible}, g = c + 2qv: an upper bound on
     f(v) - f* for the convex objective c'v + v'diag(q)v. The LP goes to
-    scipy.optimize.linprog, apart from the solver's own HiGHS model."""
+    scipy.optimize.linprog, apart from the solver's own HiGHS model. Its
+    feasibility tolerances are 1e-10: at HiGHS's default 1e-7 the returned
+    u can violate rows by ~1e-7, which moves the gap by up to ~1e-6."""
     from scipy.optimize import linprog
     g = program.c + 2.0 * program.q * values
     res = linprog(g, A_ub=program.A_ub, b_ub=program.b_ub, A_eq=program.A_eq, b_eq=program.b_eq,
                   bounds=[(0.0, None) if nn else (None, None) for nn in program.nonneg],
-                  method="highs")
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise SolverError(f"linprog: {res.message}")
     return float(g @ values) - res.fun

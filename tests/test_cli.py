@@ -136,6 +136,28 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize("field, key, value, named", [
+        # a routing key on a non-edge used to be accepted (exit 0)
+        ("routing", "1->10", [0.0], "is not an edge"),
+        # T = 2.7 used to be truncated to 2, and an inflow series was blamed
+        ("T", None, 2.7, "T must be a positive integer"),
+        # unknown cell ids used to surface as KeyError('99')
+        ("inflow", "99", [1.0], "unknown cell '99'"),
+        ("routing", "9->99", [1.0], "unknown cell '99'"),
+    ], ids=["non-edge", "fractional-T", "unknown-inflow-cell", "unknown-routing-cell"])
+    def test_malformed_scenario_config_error(self, tmp_path, capsys, field, key, value, named):
+        doc = scenario_to_dict(table_scenario())
+        if key is None:
+            doc[field] = value
+        else:
+            doc[field][key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and named in err["message"]
+
     def test_sweep_two_sources_config_error(self, tmp_path, capsys):
         net, ratios = build_network("cross", np.random.default_rng(3), slopes=0.5)
         lam = np.zeros((6, net.n))
