@@ -139,6 +139,12 @@ class CostSpec:
         return a, b, c
 
 
+def held_rows(a, T: int) -> np.ndarray:
+    """Rows 0..T-1 of a per-step array, its last row held past its end."""
+    a = np.asarray(a, dtype=float)
+    return a[np.minimum(np.arange(T), len(a) - 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class Drive:
     """Per-step kernel inputs, each with a leading step axis.
@@ -168,20 +174,21 @@ class Drive:
     def for_run(scenario: Scenario, controls=None) -> "Drive":
         """The drive of a scenario's horizon under open-loop controls.
 
-        controls exposes alpha_at(t) and routing_at(t) (see synthesis); None
-        means alpha == 1 with the scenario's exogenous routing.
+        controls carries alphas (T, n) and routing (T, E) or None (see
+        synthesis.ControlSchedule); None means alpha == 1, and routing None
+        the scenario's exogenous routing.
         """
         sc = scenario.compiled
         net = sc.network
-        T, n = scenario.horizon, scenario.network.n
-        alpha = np.ones((T, n)) if controls is None else np.array(
-            [controls.alpha_at(t) for t in range(T)], dtype=float).reshape(T, n)
-        if controls is not None and T and controls.routing_at(0) is not None:
-            ratio = net.edge_ratios([controls.routing_at(t) for t in range(T)])
-        elif sc.ratios is not None:
-            ratio = sc.ratios[np.minimum(np.arange(T), len(sc.ratios) - 1)]
-        else:
+        T, n, E = scenario.horizon, scenario.network.n, len(net.src) - 1
+        alpha = np.ones((T, n)) if controls is None else held_rows(controls.alphas, T)
+        routing = None if controls is None else controls.routing
+        if routing is None and scenario.routing is not None:
+            routing = scenario.routing.ratios
+        if routing is None:
             raise ValueError("no routing available: scenario has none and controls carry none")
+        ratio = np.zeros((T, E + 1))
+        ratio[:, :E] = held_rows(routing, T)
         return Drive.of(net, alpha, sc.capacity, ratio)
 
     def demand(self, x: np.ndarray, t) -> np.ndarray:
@@ -265,11 +272,8 @@ def step(net: CompiledNetwork, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> n
 
 
 def simulate(scenario: Scenario, controls=None, model: str = "fifo") -> Trajectory:
-    """Run the CTM open-loop for the scenario horizon.
-
-    controls exposes alpha_at(t) and routing_at(t) (see synthesis); None
-    means alpha == 1 with the scenario's exogenous routing.
-    """
+    """Run the CTM open-loop for the scenario horizon under controls (see
+    ``Drive.for_run``)."""
     return simulate_batch(scenario, controls=controls, model=model)[0]
 
 

@@ -44,6 +44,9 @@ class FundamentalDiagram:
     is_source: bool = False
 
     def __post_init__(self):
+        numbers = (self.demand_slope, self.supply_slope, self.jam_volume, *self.capacity_schedule)
+        if not all(math.isfinite(v) for v in numbers):
+            raise ValueError("diagram slopes, jam volume and capacities must be finite")
         if self.jam_volume <= 0:
             raise ValueError(f"jam_volume must be positive, got {self.jam_volume}")
         if self.demand_slope < 0 or self.supply_slope < 0:
@@ -71,8 +74,8 @@ class Cell:
     diagram: FundamentalDiagram
 
     def __post_init__(self):
-        if self.free_flow_speed <= 0 or self.wave_speed <= 0 or self.length <= 0:
-            raise ValueError(f"cell {self.id}: v, w, L must be positive")
+        if not all(0 < p < math.inf for p in (self.free_flow_speed, self.wave_speed, self.length)):
+            raise ValueError(f"cell {self.id}: v, w, L must be positive and finite")
         if self.lanes < 1:
             raise ValueError(f"cell {self.id}: lanes must be >= 1")
 
@@ -107,6 +110,7 @@ class Network:
     sinks: frozenset[str]
 
     index: dict = field(init=False, repr=False, compare=False)
+    edge_index: dict = field(init=False, repr=False, compare=False)
     _down: dict = field(init=False, repr=False, compare=False)
     _up: dict = field(init=False, repr=False, compare=False)
 
@@ -114,6 +118,9 @@ class Network:
         object.__setattr__(self, "index", {c.id: k for k, c in enumerate(self.cells)})
         if len(self.index) != len(self.cells):
             raise ValueError("duplicate cell ids")
+        object.__setattr__(self, "edge_index", {p: e for e, p in enumerate(self.adjacency)})
+        if len(self.edge_index) != len(self.adjacency):
+            raise ValueError("duplicate adjacency pairs")
         down = {c.id: [] for c in self.cells}
         up = {c.id: [] for c in self.cells}
         for (i, j) in self.adjacency:
@@ -209,34 +216,24 @@ class CompiledNetwork:
             sink=np.array([net.is_sink(c.id) for c in net.cells]),
             merges=np.array(merges, dtype=np.intp).reshape(-1, 3))
 
-    def edge_ratios(self, matrices) -> np.ndarray:
-        """(..., E + 1) turning ratios per edge from (..., n, n) matrices."""
-        ratios = np.asarray(matrices, dtype=float)[..., self.src, self.dst]
-        ratios[..., -1] = 0.0
-        return ratios
-
 
 @dataclass(frozen=True)
 class RoutingSchedule:
-    """Per-step turning ratios R_ij(t); rows sum to 1 on non-sinks.
+    """Per-step turning ratios R_e(t), one column per edge e in
+    ``network.adjacency`` order; the ratios out of a non-sink sum to 1.
+    The last row is constant-extended beyond the stored steps."""
 
-    Stored as a tuple of matrices aligned with the network cell order; the
-    last matrix is constant-extended beyond the stored horizon.
-    """
-
-    pairs: tuple[tuple[str, str], ...]
-    matrices: tuple       # tuple of (n, n) ndarrays, row i col j = R_ij
-
-    def at(self, t: int) -> np.ndarray:
-        mats = self.matrices
-        return mats[t] if t < len(mats) else mats[-1]
+    ratios: np.ndarray    # (T_r, E)
 
     @staticmethod
     def constant(network: Network, ratios: dict[tuple[str, str], float]) -> "RoutingSchedule":
-        m = np.zeros((network.n, network.n))
-        for (i, j), r in ratios.items():
-            m[network.index[i], network.index[j]] = r
-        return RoutingSchedule(pairs=tuple(network.adjacency), matrices=(m,))
+        """One step of ratios keyed by edge; edges left out get 0."""
+        row = np.zeros((1, len(network.adjacency)))
+        for pair, r in ratios.items():
+            if pair not in network.edge_index:
+                raise ValueError(f"routing pair {pair} is not an edge of the network")
+            row[0, network.edge_index[pair]] = r
+        return RoutingSchedule(ratios=row)
 
 
 @dataclass(frozen=True)
@@ -270,10 +267,7 @@ class Scenario:
         scheds = [c.diagram.capacity_schedule for c in self.network.cells]
         capacity = np.array([list(s[:T]) + [s[-1]] * (T - len(s)) for s in scheds],
                             dtype=float).T.copy()
-        net = self.network.compiled
-        ratios = (None if self.routing is None
-                  else net.edge_ratios(np.array(self.routing.matrices)))
-        return CompiledScenario(network=net, capacity=capacity, ratios=ratios)
+        return CompiledScenario(network=self.network.compiled, capacity=capacity)
 
     def content_hash(self) -> str:
         return hashlib.sha256(
@@ -283,21 +277,17 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class CompiledScenario:
-    """Arrays of one validated scenario (``Scenario.compiled``): capacities
-    (T, n) and the exogenous turning ratios per edge (T_r, E + 1),
-    constant-extended beyond T_r, or None."""
+    """Arrays of one validated scenario (``Scenario.compiled``): the
+    capacities (T, n)."""
 
     network: CompiledNetwork
     capacity: np.ndarray
-    ratios: np.ndarray | None
 
 
 @dataclass
 class Violation:
     code: str
     message: str
-    cell: str | None = None
-    step: int | None = None
 
 
 @dataclass
@@ -308,8 +298,8 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, code: str, message: str, cell: str | None = None, step: int | None = None):
-        self.violations.append(Violation(code, message, cell, step))
+    def add(self, code: str, message: str):
+        self.violations.append(Violation(code, message))
 
     def __str__(self) -> str:
         if self.ok:
@@ -348,20 +338,20 @@ def validate(network: Network, scenario: Scenario | None = None) -> ValidationRe
 
     for c in network.cells:
         if c.diagram.is_source != network.is_source(c.id):
-            report.add("source-flag", f"cell {c.id}: diagram is_source disagrees with network.sources", cell=c.id)
+            report.add("source-flag", f"cell {c.id}: diagram is_source disagrees with network.sources")
         if not c.diagram.is_source and supply(c, 0.0, 0) <= 0:
-            report.add("supply-positive", f"cell {c.id}: s(0) must be positive on non-sources", cell=c.id)
+            report.add("supply-positive", f"cell {c.id}: s(0) must be positive on non-sources")
     for s in network.sources:
         if upstream_of.get(s):
-            report.add("source-upstream", f"source {s} has in-network upstream cells {upstream_of[s]}", cell=s)
+            report.add("source-upstream", f"source {s} has in-network upstream cells {upstream_of[s]}")
     for s in network.sinks:
         if downstream_of.get(s):
-            report.add("sink-downstream", f"sink {s} has in-network downstream cells {downstream_of[s]}", cell=s)
+            report.add("sink-downstream", f"sink {s} has in-network downstream cells {downstream_of[s]}")
     for c in network.cells:
         if not downstream_of[c.id] and not network.is_sink(c.id):
-            report.add("dead-end", f"cell {c.id} has no downstream cell and is not a sink", cell=c.id)
+            report.add("dead-end", f"cell {c.id} has no downstream cell and is not a sink")
         if not upstream_of[c.id] and not network.is_source(c.id):
-            report.add("no-feed", f"cell {c.id} has no upstream cell and is not a source", cell=c.id)
+            report.add("no-feed", f"cell {c.id} has no upstream cell and is not a source")
 
     if scenario is not None:
         comp = network.compiled
@@ -370,22 +360,23 @@ def validate(network: Network, scenario: Scenario | None = None) -> ValidationRe
         if x0.shape != (network.n,):
             report.add("x0-shape", f"x0 has shape {x0.shape}, expected ({network.n},)")
         else:
+            for k in np.flatnonzero(~np.isfinite(x0)):
+                report.add("x0-finite", f"cell {ids[k]}: x0 = {x0[k]} is not finite")
             for k in np.flatnonzero(x0 < 0):
-                report.add("x0-negative", f"cell {ids[k]}: x0 = {x0[k]} < 0", cell=ids[k])
+                report.add("x0-negative", f"cell {ids[k]}: x0 = {x0[k]} < 0")
             for k in np.flatnonzero(~comp.source & (x0 > comp.jam)):
-                report.add("x0-jam", f"cell {ids[k]}: x0 = {x0[k]} exceeds jam {comp.jam[k]}",
-                           cell=ids[k])
+                report.add("x0-jam", f"cell {ids[k]}: x0 = {x0[k]} exceeds jam {comp.jam[k]}")
         try:
             lam = scenario.inflow_array()
         except ValueError as e:
             report.add("inflow-shape", str(e))
             lam = np.zeros((0, network.n))
+        for t, k in np.argwhere(~np.isfinite(lam)):
+            report.add("inflow-finite", f"lambda_{ids[k]}({t}) = {lam[t, k]} is not finite")
         for t, k in np.argwhere(lam < 0):
-            report.add("inflow-negative", f"lambda_{ids[k]}({t}) = {lam[t, k]} < 0",
-                       cell=ids[k], step=int(t))
+            report.add("inflow-negative", f"lambda_{ids[k]}({t}) = {lam[t, k]} < 0")
         for t, k in np.argwhere((lam > 0) & ~comp.source):
-            report.add("inflow-nonsource", f"lambda_{ids[k]}({t}) > 0 on non-source",
-                       cell=ids[k], step=int(t))
+            report.add("inflow-nonsource", f"lambda_{ids[k]}({t}) > 0 on non-source")
         # CFL: tau * max v / min L <= 1, expressed via per-step slopes
         max_slope, max_wslope = comp.demand_slope.max(), comp.supply_slope.max()
         if max_slope > 1 + 1e-12:
@@ -393,19 +384,23 @@ def validate(network: Network, scenario: Scenario | None = None) -> ValidationRe
         if max_wslope > 1 + 1e-12:
             report.add("cfl-wave", f"wave CFL ratio tau*max(w)/min(L) = {max_wslope} exceeds 1")
         if scenario.routing is not None:
-            mats = np.array(scenario.routing.matrices, dtype=float)
-            allowed = np.zeros((network.n, network.n), dtype=bool)
-            allowed[comp.src[:-1], comp.dst[:-1]] = True
-            for t, a, b in np.argwhere(mats < 0):
-                report.add("routing-negative", f"R[{a},{b}]({t}) < 0", step=int(t))
-            for t, a, b in np.argwhere((mats > 0) & ~allowed):
-                report.add("routing-offgraph",
-                           f"R positive on non-adjacent pair ({ids[a]},{ids[b]})", step=int(t))
-            rowsum = mats.sum(axis=2)
+            R = np.asarray(scenario.routing.ratios, dtype=float)
+            E = len(network.adjacency)
+            if R.ndim != 2 or len(R) < 1 or R.shape[1] != E:
+                report.add("routing-shape", f"routing ratios have shape {R.shape}, "
+                                            f"expected (T_r >= 1, E = {E})")
+                R = np.zeros((0, E))
+            name = [f"R_{i}->{j}" for i, j in network.adjacency]
+            for t, e in np.argwhere(~np.isfinite(R)):
+                report.add("routing-finite", f"{name[e]}({t}) = {R[t, e]} is not finite")
+            for t, e in np.argwhere(R < 0):
+                report.add("routing-negative", f"{name[e]}({t}) = {R[t, e]} < 0")
+            rowsum = np.zeros((len(R), network.n))
+            for e, k in enumerate(comp.src[:-1]):
+                rowsum[:, k] += R[:, e]
             for t, k in np.argwhere((np.abs(rowsum - 1.0) > 1e-9) & ~comp.sink):
                 report.add("routing-rowsum",
-                           f"row {ids[k]} of R({t}) sums to {rowsum[t, k]}, expected 1",
-                           cell=ids[k], step=int(t))
+                           f"ratios out of {ids[k]} at step {t} sum to {rowsum[t, k]}, expected 1")
     return report
 
 
@@ -425,11 +420,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     net = scenario.network
     routing = {}
     if scenario.routing is not None:
-        m = scenario.routing.at(0)
-        steps = len(scenario.routing.matrices)
-        for (i, j) in net.adjacency:
-            a, b = net.index[i], net.index[j]
-            routing[f"{i}->{j}"] = [float(scenario.routing.at(t)[a, b]) for t in range(steps)]
+        routing = {f"{i}->{j}": [float(r) for r in scenario.routing.ratios[:, e]]
+                   for e, (i, j) in enumerate(net.adjacency)}
     lam = scenario.inflow_array()
     inflow = {c.id: [float(v) for v in lam[:, k]]
               for k, c in enumerate(net.cells) if net.is_source(c.id)}
@@ -484,26 +476,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         lam[:len(series), net.index[cid]] = series     # shorter series: zero-padded
     routing = None
     if data.get("routing"):
-        pairs = {}
+        series_of = {}
         for key, series in data["routing"].items():
             i, _, j = key.partition("->")
             for cid in (i, j):
                 if cid not in net.index:
                     raise ValueError(f"routing key {key!r} names unknown cell {cid!r}")
-            if (i, j) not in net.adjacency:
+            if (i, j) not in net.edge_index:
                 raise ValueError(f"routing key {key!r} is not an edge of the network")
             if not 1 <= len(series) <= horizon:
                 raise ValueError(f"routing series {key} has {len(series)} entries, "
                                  f"expected 1 to T = {horizon}")
-            pairs[net.index[i], net.index[j]] = series
-        steps = max(len(v) for v in pairs.values())
-        mats = []
-        for t in range(steps):
-            m = np.zeros((net.n, net.n))
-            for ij, series in pairs.items():
-                m[ij] = series[t] if t < len(series) else series[-1]
-            mats.append(m)
-        routing = RoutingSchedule(pairs=tuple(net.adjacency), matrices=tuple(mats))
+            series_of[net.edge_index[i, j]] = series
+        ratios = np.zeros((max(len(v) for v in series_of.values()), len(net.adjacency)))
+        for e, series in series_of.items():
+            ratios[:len(series), e] = series
+            ratios[len(series):, e] = series[-1]     # shorter series: last entry held
+        routing = RoutingSchedule(ratios=ratios)
     return Scenario(
         network=net, horizon=horizon, tau=tau,
         initial_volumes=tuple(float(v) for v in data["x0"]),

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ctm import CostSpec
+from .ctm import CostSpec, held_rows
 from .network import Scenario
 
 
@@ -198,7 +198,7 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     b_eq[:n] = scenario.x0_array()
     b_eq[dyn + 1] = scenario.inflow_array()
     if kind == "FNC":
-        ratio = comp.ratios[np.minimum(np.arange(T), len(comp.ratios) - 1), :E]
+        ratio = held_rows(scenario.routing.ratios, T)
         split = m_eq + steps * E + np.arange(E)
         eq += [(split, f, 1.0), (split, z[:, src], -ratio)]
         m_eq += T * E

@@ -117,32 +117,25 @@ class EquilibriumResult:
         return self.x_eq is not None
 
 
-def find_equilibrium(network: Network, constant_inflow: np.ndarray,
-                     controls=None, routing=None, model: str = "fifo") -> EquilibriumResult:
+def find_equilibrium(scenario: Scenario, constant_inflow: np.ndarray,
+                     controls=None, model: str = "fifo") -> EquilibriumResult:
     """Iterate the CTM under constant inflow/controls to a fixed point.
 
     Returns the equilibrium volumes, or an overload signal once the sources
     grow by the same positive amount (to EQ_TOL) in two consecutive two-step
     windows while every other cell repeats its state of two steps earlier
     (to rounding), once a source holds 1e3 jam volumes, or at the step cap.
-    Controls, routing and capacities are taken at each schedule's last entry.
+    Controls, routing and capacities are those of the horizon's last step
+    (``Drive.for_run``).
     """
-    x = np.zeros((1, network.n))
+    net = scenario.compiled.network
+    drive = Drive.for_run(scenario, controls)
+    x = np.zeros((1, scenario.network.n))
     lam_vec = np.asarray(constant_inflow, dtype=float)[None]
-    alpha = np.ones(network.n) if controls is None else controls.alpha_at(-1)
-    R = None if controls is None else controls.routing_at(-1)
-    if R is None and routing is not None:
-        R = routing.at(-1)
-    if R is None:
-        raise ValueError("find_equilibrium needs a routing matrix")
-    net = network.compiled
-    capacity = [[c.diagram.capacity(-1) for c in network.cells]]
-    drive = Drive.of(net, np.asarray(alpha, dtype=float)[None], np.array(capacity),
-                     net.edge_ratios(R)[None])
     overload = OVERLOAD_FACTOR * net.jam.max()
     recent, inner = [], ~net.source     # the states of the last five steps
     for _ in range(EQ_MAX_STEPS):
-        y, z, _, _ = junction_rates(net, x, drive, 0, lam_vec, model)
+        y, z, _, _ = junction_rates(net, x, drive, -1, lam_vec, model)
         x_next = step(net, x, y, z)
         if np.max(np.abs(x_next - x)) <= EQ_TOL:
             return EquilibriumResult(x_eq=x_next[0], overloaded=False)
@@ -163,10 +156,8 @@ def equilibrium_envelope_bound(scenario: Scenario, perturbation: PerturbationSpe
     both extreme equilibria."""
     env = compute_envelope(scenario, perturbation)
     T = scenario.horizon
-    eq_hi = find_equilibrium(scenario.network, env.lam_upper, controls=controls,
-                             routing=scenario.routing, model=model)
-    eq_lo = find_equilibrium(scenario.network, env.lam_lower, controls=controls,
-                             routing=scenario.routing, model=model)
+    eq_hi = find_equilibrium(scenario, env.lam_upper, controls, model)
+    eq_lo = find_equilibrium(scenario, env.lam_lower, controls, model)
     if not (eq_hi.exists and eq_lo.exists):
         return BoundCurve(values=np.full(T + 1, np.inf),
                           provenance=["envelope-inapplicable"] * (T + 1),

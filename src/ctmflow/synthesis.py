@@ -31,18 +31,11 @@ EXTRACT_TOL = 1e-7
 
 @dataclass
 class ControlSchedule:
-    """Per-step demand controls and (optionally) routing matrices."""
+    """Per-step demand controls and, optionally, turning ratios per edge in
+    ``network.adjacency`` order; each array holds its last row past its end."""
 
-    alphas: np.ndarray            # (T, n) in [0, 1]
-    routing: tuple | None = None  # per-step (n, n) matrices, or None = exogenous
-
-    def alpha_at(self, t: int) -> np.ndarray:
-        return self.alphas[min(t, len(self.alphas) - 1)]
-
-    def routing_at(self, t: int):
-        if self.routing is None:
-            return None
-        return self.routing[min(t, len(self.routing) - 1)]
+    alphas: np.ndarray                  # (T, n) in [0, 1]
+    routing: np.ndarray | None = None   # (T, E), or None = exogenous
 
 
 def extract_controls(program: ConvexProgram, solution: Solution,
@@ -72,7 +65,7 @@ def extract_controls(program: ConvexProgram, solution: Solution,
     alphas = np.where(source, metered, limited)
     routing = None
     if program.kind == "DTA":
-        src, dst = net.compiled.src[:-1], net.compiled.dst[:-1]
+        src = net.compiled.src[:-1]
         z_out = z[:, src]
         # solver noise can leave ~1e-10 flows pointing into cells with zero
         # supply, which would zero the replay's FIFO coefficient; drop them
@@ -81,12 +74,9 @@ def extract_controls(program: ConvexProgram, solution: Solution,
         f = np.where(f < 1e-8 * (1.0 + z_out), 0.0, f)
         total = np.zeros_like(z)
         np.add.at(total, (slice(None), src), f)
-        share = np.where((z_out > EXTRACT_TOL) & (total[:, src] > 0),
-                         f / np.where(total > 0, total, 1.0)[:, src],
-                         1.0 / np.bincount(src, minlength=net.n)[src])
-        mats = np.zeros((T, net.n, net.n))
-        mats[:, src, dst] = share
-        routing = tuple(mats)
+        routing = np.where((z_out > EXTRACT_TOL) & (total[:, src] > 0),
+                           f / np.where(total > 0, total, 1.0)[:, src],
+                           1.0 / np.bincount(src, minlength=net.n)[src])
     return ControlSchedule(alphas=alphas, routing=routing)
 
 
@@ -189,6 +179,6 @@ def controls_to_csv(controls: ControlSchedule, scenario: Scenario,
     if routing_path is not None and controls.routing is not None:
         with open(routing_path, "w") as fh:
             fh.write("step,from_cell,to_cell,ratio\n")
-            for t, m in enumerate(controls.routing):
-                for (i, j) in net.adjacency:
-                    fh.write(f"{t},{i},{j},{m[net.index[i], net.index[j]]:.12g}\n")
+            for t, row in enumerate(controls.routing):
+                for (i, j), r in zip(net.adjacency, row):
+                    fh.write(f"{t},{i},{j},{r:.12g}\n")

@@ -30,6 +30,14 @@ class FlowRates:
     gamma: np.ndarray
 
 
+def dense_routing(net: Network, ratios) -> np.ndarray:
+    """The (n, n) turning-ratio matrix R_ij of one step's per-edge ratios."""
+    R = np.zeros((net.n, net.n))
+    for (i, j), r in zip(net.adjacency, ratios):
+        R[net.index[i], net.index[j]] = r
+    return R
+
+
 def _negligible(network: Network, cell_id: str) -> float:
     return ZERO_DEMAND_TOL * max(network.cell(cell_id).diagram.capacity_schedule)
 
@@ -153,10 +161,12 @@ def simulate(scenario: Scenario, controls=None, model: str = "fifo"):
             ups = net.upstream(c.id)
             if len(ups) == 2 and all(len(net.downstream(u)) == 1 for u in ups):
                 merges[c.id] = {ups[0]: 0.5, ups[1]: 0.5}
+    alphas = np.ones((1, net.n)) if controls is None else controls.alphas
+    edges = None if controls is None else controls.routing
+    edges = scenario.routing.ratios if edges is None else edges
     for t in range(scenario.horizon):
-        alpha = np.ones(net.n) if controls is None else np.asarray(controls.alpha_at(t), dtype=float)
-        R = controls.routing_at(t) if controls is not None else None
-        R = scenario.routing.at(t) if R is None else np.asarray(R, dtype=float)
+        alpha = np.asarray(alphas[min(t, len(alphas) - 1)], dtype=float)
+        R = dense_routing(net, edges[min(t, len(edges) - 1)])
         if model == "nonfifo":
             rates = nonfifo_rates(net, x, alpha, R, lam[t], t)
         else:

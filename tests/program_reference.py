@@ -150,11 +150,10 @@ def reference_program(scenario, cost, eps: float, kind: str) -> SimpleNamespace:
             if not net.is_sink(c.id):
                 add_eq([MU(t, c.id)], [1.0], 0.0)
     if kind == "FNC":
+        ratios = scenario.routing.ratios
         for t in range(T):
-            R = scenario.routing.at(t)
-            for (i, j) in pairs:
-                r = float(R[net.index[i], net.index[j]])
-                add_eq([F(t, i, j), Z(t, i)], [1.0, -r], 0.0)
+            for (i, j), r in zip(pairs, ratios[min(t, len(ratios) - 1)]):
+                add_eq([F(t, i, j), Z(t, i)], [1.0, -float(r)], 0.0)
 
     ub_rows: list = []
     ub_b: list = []

@@ -158,6 +158,45 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and named in err["message"]
 
+    def test_duplicate_adjacency_pair_config_error(self, tmp_path, capsys):
+        # a pair listed twice doubled its flow: simulate exited 0 after
+        # creating vehicles
+        doc = scenario_to_dict(table_scenario())
+        doc["adjacency"].append(["1", "2"])
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "duplicate adjacency" in err["message"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["x0", "inflow", "capacity", "jam", "v", "w", "L", "tau",
+                                       "ratio"])
+    def test_nonfinite_number_config_error(self, tmp_path, capsys, field, value):
+        # NaN passed every check (x < 0 and |rowsum - 1| > tol are False
+        # for it): simulate wrote a NaN cost, solve exited 3
+        doc = scenario_to_dict(table_scenario())
+        cell = doc["cells"][3]
+        if field == "x0":
+            doc["x0"][3] = value
+        elif field == "inflow":
+            doc["inflow"]["1"][5] = value
+        elif field == "capacity":
+            cell["capacity"][5] = value
+        elif field == "ratio":
+            doc["routing"]["3->4"] = [value]
+        elif field == "tau":
+            doc["tau"] = value
+        else:
+            cell[field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["simulate"], ["solve", "--kind", "fnc"]):
+            rc = main(argv + ["--scenario", str(path), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_sweep_two_sources_config_error(self, tmp_path, capsys):
         net, ratios = build_network("cross", np.random.default_rng(3), slopes=0.5)
         lam = np.zeros((6, net.n))

@@ -52,19 +52,16 @@ def random_controls(rng, sc: Scenario, speed_limits: bool, dta: bool) -> Control
                           rng.uniform(0.2, 1.0, size=alphas.shape))
     routing = None
     if dta:
-        mats = []
-        for _ in range(sc.horizon):
-            m = np.zeros((net.n, net.n))
+        routing = np.zeros((sc.horizon, len(net.adjacency)))
+        for t in range(sc.horizon):
             for c in net.cells:
-                downs = [net.index[j] for j in net.downstream(c.id)]
-                if not downs:
+                out = [net.edge_index[c.id, j] for j in net.downstream(c.id)]
+                if not out:
                     continue
-                w = rng.uniform(0.0, 1.0, size=len(downs))
-                if len(downs) > 1 and rng.random() < 0.3:
-                    w[rng.integers(len(downs))] = 0.0   # a blocked branch
-                m[net.index[c.id], downs] = w / w.sum()
-            mats.append(m)
-        routing = tuple(mats)
+                w = rng.uniform(0.0, 1.0, size=len(out))
+                if len(out) > 1 and rng.random() < 0.3:
+                    w[rng.integers(len(out))] = 0.0   # a blocked branch
+                routing[t, out] = w / w.sum()
     return ControlSchedule(alphas=alphas, routing=routing)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmflow import scenarios
-from ctmflow.ctm import CostSpec
+from ctmflow.ctm import CostSpec, Drive
 from ctmflow.network import (Network, RoutingSchedule, Scenario, demand, load_scenario,
                              make_cell, save_scenario, scenario_from_dict, scenario_to_dict,
                              supply, validate)
@@ -17,7 +17,7 @@ from ctmflow.scenarios import figure_network, robustness_scenario, routing_for
 from ctmflow.solver import solve
 from ctmflow.synthesis import check_fnc_structure
 
-from conftest import build_network
+from conftest import build_network, random_scenario
 
 
 def _cell(slope=1.0, cap=6.0, jam=10.0, is_source=False):
@@ -106,6 +106,14 @@ class TestValidation:
         report = validate(net, sc)
         assert any(v.code == "cfl" for v in report.violations)
 
+    def test_duplicate_adjacency_pair_rejected(self):
+        # a pair listed twice used to double its flow and create vehicles
+        cells = (make_cell("s", 1, 1, 1, 1, 10.0, [6.0], 1.0, is_source=True),
+                 make_cell("b", 1, 1, 1, 1, 10.0, [6.0], 1.0))
+        with pytest.raises(ValueError, match="duplicate adjacency"):
+            Network(cells=cells, adjacency=(("s", "b"), ("s", "b")),
+                    sources=frozenset({"s"}), sinks=frozenset({"b"}))
+
     def test_inflow_on_nonsource_flagged(self, table_scenario):
         lam = table_scenario.inflow_array().copy()
         lam[0, table_scenario.network.index["5"]] = 1.0
@@ -161,8 +169,31 @@ class TestScenarioFile:
         back = load_scenario(path)
         assert back.horizon == table_scenario.horizon
         np.testing.assert_allclose(back.inflow_array(), table_scenario.inflow_array())
-        np.testing.assert_allclose(back.routing.at(0), table_scenario.routing.at(0))
+        np.testing.assert_array_equal(back.routing.ratios, table_scenario.routing.ratios)
         assert back.content_hash() == table_scenario.content_hash()
+
+    @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
+    def test_round_trip_unequal_routing_series(self, tmp_path, shape):
+        rng = np.random.default_rng(5)
+        data = scenario_to_dict(random_scenario(rng, shape=shape, horizon=6))
+        lengths = {key: int(rng.integers(1, 7)) for key in data["routing"]}
+        data["routing"] = {key: list(rng.uniform(0.0, 1.0, size=m)) for key, m in lengths.items()}
+        sc = scenario_from_dict(data)
+        ratios = sc.routing.ratios
+        assert ratios.shape == (max(lengths.values()), len(sc.network.adjacency))
+        for e, (i, j) in enumerate(sc.network.adjacency):
+            series = data["routing"][f"{i}->{j}"]
+            np.testing.assert_array_equal(ratios[:len(series), e], series)
+            assert (ratios[len(series):, e] == series[-1]).all()     # last entry held
+        path = tmp_path / "scenario.json"
+        save_scenario(sc, path)
+        back = load_scenario(path)
+        np.testing.assert_array_equal(back.routing.ratios, ratios)
+        assert back.content_hash() == sc.content_hash()
+
+    def test_constant_routing_rejects_non_edge(self, table_scenario):
+        with pytest.raises(ValueError, match="not an edge"):
+            RoutingSchedule.constant(table_scenario.network, {("1", "10"): 1.0})
 
     def test_units_header_required(self, tmp_path, table_scenario):
         data = scenario_to_dict(table_scenario)
@@ -176,5 +207,9 @@ class TestScenarioFile:
         assert "1/13" in table_scenario.note
 
     def test_routing_constant_extension(self, table_scenario):
-        r = table_scenario.routing
-        np.testing.assert_allclose(r.at(0), r.at(500))
+        # a one-row schedule drives the last step as it drives the first
+        assert len(table_scenario.routing.ratios) == 1
+        ratio = Drive.for_run(table_scenario).ratio
+        assert ratio.shape[0] == table_scenario.horizon
+        np.testing.assert_array_equal(ratio[-1], ratio[0])
+        np.testing.assert_array_equal(ratio[0, :-1], table_scenario.routing.ratios[0])

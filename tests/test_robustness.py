@@ -96,23 +96,21 @@ class TestEnvelope:
 class TestEquilibrium:
     def test_zero_inflow_zero_equilibrium(self, robustness_scenario):
         net = robustness_scenario.network
-        res = find_equilibrium(net, np.zeros(net.n), routing=robustness_scenario.routing)
+        res = find_equilibrium(robustness_scenario, np.zeros(net.n))
         assert res.exists
         np.testing.assert_allclose(res.x_eq, 0.0, atol=1e-7)
 
     def test_nominal_inflow_has_equilibrium(self, robustness_scenario):
         net = robustness_scenario.network
-        res = find_equilibrium(net, robustness_scenario.inflow_array()[0],
-                               routing=robustness_scenario.routing)
+        res = find_equilibrium(robustness_scenario, robustness_scenario.inflow_array()[0])
         assert res.exists
         # free-flow equilibrium: volume = throughput on every cell
         assert res.x_eq[net.index["1"]] == pytest.approx(5.0, abs=1e-6)
         assert res.x_eq[net.index["3"]] == pytest.approx(10.0 / 3.0, abs=1e-6)
 
     def test_overload_signal(self, robustness_scenario):
-        net = robustness_scenario.network
         lam = robustness_scenario.inflow_array()[0] * 1.4   # level 7 > capacity
-        res = find_equilibrium(net, lam, routing=robustness_scenario.routing)
+        res = find_equilibrium(robustness_scenario, lam)
         assert not res.exists and res.overloaded
 
     @pytest.mark.parametrize("model", ["fifo", "nonfifo", "fifo-priority"])
@@ -123,9 +121,8 @@ class TestEquilibrium:
         # to hold OVERLOAD_FACTOR jam volumes
         steps = []
         monkeypatch.setattr(robustness, "step", lambda *a: steps.append(1) or step(*a))
-        net = robustness_scenario.network
         lam = robustness_scenario.inflow_array()[0] * 1.4
-        res = find_equilibrium(net, lam, routing=robustness_scenario.routing, model=model)
+        res = find_equilibrium(robustness_scenario, lam, model=model)
         assert res.overloaded and not res.exists
         assert len(steps) < 1000
 

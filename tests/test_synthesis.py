@@ -49,21 +49,21 @@ class TestExtraction:
         prog, sol = dta_ttt
         controls = extract_controls(prog, sol, table_scenario)
         net = table_scenario.network
-        m = controls.routing_at(0)
-        k = net.index["3"]     # nothing reaches cell 3 at t = 0
-        assert m[k, net.index["4"]] == pytest.approx(0.5)
-        assert m[k, net.index["6"]] == pytest.approx(0.5)
+        ratios = controls.routing[0]     # nothing reaches cell 3 at t = 0
+        assert ratios[net.edge_index["3", "4"]] == pytest.approx(0.5)
+        assert ratios[net.edge_index["3", "6"]] == pytest.approx(0.5)
 
     def test_extracted_rows_sum_to_one(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
         controls = extract_controls(prog, sol, table_scenario)
         net = table_scenario.network
         for t in range(table_scenario.horizon):
-            m = controls.routing_at(t)
-            for k, c in enumerate(net.cells):
+            for c in net.cells:
                 if net.is_sink(c.id):
                     continue
-                assert float(m[k].sum()) == pytest.approx(1.0, abs=1e-9)
+                total = sum(controls.routing[t, net.edge_index[c.id, j]]
+                            for j in net.downstream(c.id))
+                assert float(total) == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible_input_guard(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
