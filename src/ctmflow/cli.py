@@ -21,7 +21,7 @@ import numpy as np
 from . import ctm, program, robustness, scenarios, synthesis
 from .ctm import CostSpec, InvariantError
 from .network import load_scenario, save_scenario
-from .solver import SolverError, solve
+from .solver import SolverError, freeflow_optimum, solve
 
 COST_KINDS = {"ttt": "TTT", "ttd": "TTD", "delay": "Delay", "quad": "QuadraticVolume"}
 JOBS_HELP = "accepted and ignored: a sweep runs all its points as one batch"
@@ -42,7 +42,7 @@ def _scenario(path: str):
     try:
         sc = load_scenario(p)
     except (KeyError, TypeError, ValueError) as e:   # ValueError covers bad JSON
-        raise ConfigError(f"malformed scenario {path}: {e!r}") from e
+        raise ConfigError(f"malformed scenario {path}: {e}") from e
     try:
         sc.compiled    # validates once, with the violation report
     except ValueError as e:
@@ -87,7 +87,7 @@ def _solve_program(sc, kind: str, cost: CostSpec, eps: float):
         prog = program.build_fnc(sc, cost, eps)
     else:
         raise ConfigError(f"unknown kind {kind!r}; choose dta or fnc")
-    sol = solve(prog)
+    sol = freeflow_optimum(prog, sc) or solve(prog)
     if sol.status != "optimal":
         raise SolverError(f"{kind} solve ended with status {sol.status}")
     return prog, sol
@@ -213,6 +213,8 @@ def reproduce_paper(outdir: Path) -> list:
         states_by[("FIFO", cost_name)] = fifo.states
         for kind in ("dta", "fnc"):
             prog, sol = _solve_program(sc, kind, cost, 0.0)
+            if (kind, cost_name) == ("fnc", "TTT"):
+                fnc_ttt = prog, sol     # also fig10's eps = 0 row
             results[(kind.upper(), cost_name)] = sol.objective
             states_by[(kind.upper(), cost_name)] = prog.states(sol.values)
     tables = outdir / "tables2_3.csv"
@@ -250,7 +252,7 @@ def reproduce_paper(outdir: Path) -> list:
     with open(fig10, "w") as fh:
         fh.write("epsilon,delta_lambda_veh_per_step,cost_veh_steps,congestion_factor\n")
         for eps in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
-            prog, sol = _solve_program(sc, "fnc", CostSpec("TTT"), eps)
+            prog, sol = fnc_ttt if eps == 0.0 else _solve_program(sc, "fnc", CostSpec("TTT"), eps)
             controls = synthesis.extract_controls(prog, sol, sc)
             deltas = _sweep_grid("0:0.1:3")
             runs = robustness.simulate_perturbed(

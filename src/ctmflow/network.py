@@ -447,35 +447,70 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _key(data, key: str, where: str = "scenario"):
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return data[key]
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(v, name) for v in value]
+
+
+def _mapping(data: dict, key: str) -> dict:
+    value = data.get(key) or {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    """The scenario of a JSON tree; raises ValueError naming the key (and
+    the cell) of a missing or wrongly typed entry."""
     if "units" not in data:
         raise ValueError("scenario file missing required 'units' header")
-    tau = float(data["tau"])
-    if type(data["T"]) not in (int, float) or not float(data["T"]).is_integer() or data["T"] < 1:
-        raise ValueError(f"T must be a positive integer, got {data['T']!r}")
-    horizon = int(data["T"])
-    sources = frozenset(data["sources"])
-    cells = tuple(
-        make_cell(c["id"], c["v"], c["w"], c["L"], int(c["lanes"]), c["jam"],
-                  c["capacity"], tau, is_source=c["id"] in sources)
-        for c in data["cells"]
-    )
+    tau = _number(_key(data, "tau"), "tau")
+    T = _key(data, "T")
+    if type(T) not in (int, float) or not float(T).is_integer() or T < 1:
+        raise ValueError(f"T must be a positive integer, got {T!r}")
+    horizon = int(T)
+    sources = frozenset(_key(data, "sources"))
+    cells = []
+    for c in _key(data, "cells"):
+        cid = _key(c, "id", "cell")
+        where = f"cell {cid}"
+        v, w, length, jam, lanes = (_number(_key(c, k, where), f"{where}: {k}")
+                                    for k in ("v", "w", "L", "jam", "lanes"))
+        if not lanes.is_integer():
+            raise ValueError(f"{where}: lanes must be an integer, got {lanes!r}")
+        capacity = _numbers(_key(c, "capacity", where), f"{where}: capacity")
+        cells.append(make_cell(cid, v, w, length, int(lanes), jam, capacity, tau,
+                               is_source=cid in sources))
     net = Network(
-        cells=cells,
-        adjacency=tuple((i, j) for i, j in data["adjacency"]),
+        cells=tuple(cells),
+        adjacency=tuple((i, j) for i, j in _key(data, "adjacency")),
         sources=sources,
-        sinks=frozenset(data["sinks"]),
+        sinks=frozenset(_key(data, "sinks")),
     )
     lam = np.zeros((horizon, net.n))
-    for cid, series in data.get("inflow", {}).items():
+    for cid, series in _mapping(data, "inflow").items():
         if cid not in net.index:
             raise ValueError(f"inflow names unknown cell {cid!r}")
+        series = _numbers(series, f"inflow of cell {cid}")
         if len(series) > horizon:
             raise ValueError(f"inflow series of cell {cid} has {len(series)} entries, "
                              f"more than T = {horizon}")
         lam[:len(series), net.index[cid]] = series     # shorter series: zero-padded
     routing = None
-    if data.get("routing"):
+    if _mapping(data, "routing"):
         series_of = {}
         for key, series in data["routing"].items():
             i, _, j = key.partition("->")
@@ -484,6 +519,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                     raise ValueError(f"routing key {key!r} names unknown cell {cid!r}")
             if (i, j) not in net.edge_index:
                 raise ValueError(f"routing key {key!r} is not an edge of the network")
+            series = _numbers(series, f"routing series {key}")
             if not 1 <= len(series) <= horizon:
                 raise ValueError(f"routing series {key} has {len(series)} entries, "
                                  f"expected 1 to T = {horizon}")
@@ -495,7 +531,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         routing = RoutingSchedule(ratios=ratios)
     return Scenario(
         network=net, horizon=horizon, tau=tau,
-        initial_volumes=tuple(float(v) for v in data["x0"]),
+        initial_volumes=tuple(_numbers(_key(data, "x0"), "x0")),
         inflow=lam, routing=routing, note=data.get("note", ""),
     )
 

@@ -143,6 +143,15 @@ class ConvexProgram:
         y, z or mu, that (T, n) block of rates, with f the (T, E) flows."""
         return np.array(values[self.span(block)]).reshape(self.horizon + (block == "x"), -1)
 
+    def pack(self, trajectory) -> np.ndarray:
+        """The full variable vector of a CTM run (``ctm.Trajectory``) of the
+        program's scenario, the inverse of ``states``."""
+        values = np.empty(self.n_vars)
+        for block, rows in (("x", trajectory.states), ("y", trajectory.y), ("z", trajectory.z),
+                            ("mu", trajectory.mu), ("f", trajectory.f)):
+            values[self.span(block)] = rows.ravel()
+        return values
+
 
 def _objective(cost: CostSpec, scenario: Scenario, x: np.ndarray, z: np.ndarray, n_vars: int):
     """c and q over the columns; x and z are the (T+1, n) / (T, n) column

@@ -28,6 +28,27 @@ feasible-set LP: infeasible where that LP is, iteration-limit otherwise.
 An infeasible program carries HiGHS's dual ray as its Farkas certificate.
 Every returned Solution holds the full variable vector and is re-verified
 against the program's own constraint list.
+
+Free-flow lemma (``freeflow_optimum``), which settles some FNC LPs without
+a solve. Hypotheses: the cost is total volume (q = 0, one positive constant
+on the x block, zero elsewhere), the turning ratios R are the same at every
+step, every demand slope v is at most 1, and the uncontrolled FIFO run has
+gamma == 1 at every step and cell, so its outflow is z = min(v x, C(t)).
+Claim: that run gives every cell the largest cumulative outflow N(t) at
+every step over the whole feasible set. By induction on t, with N' and x'
+any feasible point's, x' = x0 + Lambda + R'N' - N' and N' <= N at t:
+
+    where z = v x:   N'(t+1) <= (1 - v) N'(t) + v (x0 + N'_in(t)) <= N(t+1)
+    where z = C(t):  N'(t+1) <= N'(t) + C(t) <= N(t+1)
+
+using v <= 1 and R constant and nonnegative (N'_in = Lambda + R'N').
+Vehicles leave only through mu = (1 - sum R) z, so the run has the least
+total volume at every step: it is optimal. It is also the only maximizer of
+the tie-break's early outflow sum_t (T - t) sum_i z_i(t) = sum_t sum_i
+N_i(t), so it is exactly the drained vertex of the simplex path. Supply
+rows and eps enter only through the run's own feasibility, which is the one
+check left: the run, packed into the variable vector, is returned only when
+it is primal feasible to LP_RESIDUAL_TOL, with zero iterations.
 """
 
 from __future__ import annotations
@@ -42,6 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
+from .ctm import InvariantError, simulate
+from .network import Scenario
 from .program import ConvexProgram, Sparse
 
 LP_RESIDUAL_TOL = 1e-8
@@ -224,6 +247,51 @@ def solve(program: ConvexProgram) -> Solution:
         if solution is not None:
             return solution
     return _highs(core, program)
+
+
+def _lemma_applies(program: ConvexProgram) -> bool:
+    """The free-flow lemma's hypotheses on the program's own arrays: FNC,
+    total-volume cost, the same turning ratios at every step, demand slopes
+    at most 1."""
+    x = program.span("x")
+    weight = program.c[x]
+    if (program.kind != "FNC" or program.is_quadratic or not weight[0] > 0.0
+            or (weight != weight[0]).any() or program.c[x.stop:].any()):
+        return False
+    eq, ub = program.eq, program.ub
+    # the split rows f_e(t) - R_e(t) z_i(t) = 0 close the equality block
+    T, E = program.horizon, len(program.adjacency)
+    first, z = eq.shape[0] - T * E, program.span("z")
+    on_z = (eq.rows >= first) & (eq.cols >= z.start) & (eq.cols < z.stop)
+    ratio = np.zeros(T * E)
+    ratio[eq.rows[on_z] - first] = -eq.data[on_z]
+    ratio = ratio.reshape(T, E)
+    # the demand rows z - v x <= 0 hold the only negative entries on x columns
+    slope = -ub.data[(ub.cols < x.stop) & (ub.data < 0.0)]
+    return bool((ratio == ratio[0]).all() and (slope <= 1.0).all())
+
+
+def freeflow_optimum(program: ConvexProgram, scenario: Scenario) -> Solution | None:
+    """The drained optimum of an FNC total-volume program whose uncontrolled
+    FIFO run stays in free flow, in closed form: that run, certified by the
+    free-flow lemma (module docstring). The scenario must be the program's
+    own (same content hash). None where a hypothesis fails or the run is
+    not feasible for the program. The residuals are the primal
+    infeasibility and zeros: the lemma, not a dual point, proves optimality."""
+    if not _lemma_applies(program) or program.scenario_hash != scenario.content_hash():
+        return None
+    try:
+        run = simulate(scenario)
+    except InvariantError:
+        return None
+    if not (run.gamma == 1.0).all():
+        return None
+    values = program.pack(run)
+    primal = verify_solution(program, values)
+    if primal > LP_RESIDUAL_TOL:
+        return None
+    return Solution(values=values, objective=program.objective_value(values), status="optimal",
+                    residuals=Residuals(primal, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,6 @@ a (columns, values) list and assembles each matrix with one CSR
 constructor call, dropping zero coefficients. It returns a namespace with
 the fields the product builder fills: A_eq, b_eq, A_ub, b_ub, c, q,
 nonneg, names and var_index.
-
-``embed_trajectory`` maps a simulated run onto a program's variables, the
-feasible point that the structure tests start from.
 """
 
 from __future__ import annotations
@@ -27,20 +24,6 @@ def cell_weights(spec, n: int) -> np.ndarray:
     if w.shape != (n,):
         raise ValueError(f"weights shape {w.shape} != ({n},)")
     return w
-
-
-def embed_trajectory(program, trajectory) -> np.ndarray:
-    """Map a simulated trajectory onto the program's variable layout.
-
-    Every CTM trajectory satisfies the relaxation constraints (for eps = 0),
-    so the returned vector should verify feasible, with the simulator's
-    cost as its objective.
-    """
-    values = np.zeros(program.n_vars)
-    tr = trajectory
-    for block, arr in (("x", tr.states), ("y", tr.y), ("z", tr.z), ("mu", tr.mu), ("f", tr.f)):
-        values[program.span(block)] = arr.ravel()
-    return values
 
 
 def _objective(cost, scenario, var_index: dict, n_vars: int):

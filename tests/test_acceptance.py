@@ -17,12 +17,11 @@ from ctmflow.program import build_dta, build_fnc
 from ctmflow.robustness import (PerturbationSpec, max_freeflow_inflow, simulate_perturbed,
                                 sweep)
 from ctmflow.scenarios import robustness_scenario, table_scenario
-from ctmflow.solver import solve, verify_solution
+from ctmflow.solver import freeflow_optimum, solve
 from ctmflow.synthesis import check_fnc_structure, extract_controls, verify_realization
 
 from conftest import dominated_pair, freeflow_scenario, random_scenario
 from ctm_reference import mass_balance_error
-from program_reference import embed_trajectory
 from solver_reference import brute_force_oracle
 
 
@@ -143,12 +142,8 @@ class TestCriterion5:
 def sweep_setup():
     sc = robustness_scenario()
     prog = build_fnc(sc, CostSpec("TTT"))
-    traj = simulate(sc)
-    values = embed_trajectory(prog, traj)
-    assert verify_solution(prog, values) < 1e-8
-    from ctmflow.solver import Residuals, Solution
-    sol = Solution(values=values, objective=prog.objective_value(values),
-                   status="optimal", residuals=Residuals(0.0, 0.0, 0.0))
+    sol = freeflow_optimum(prog, sc)
+    assert sol is not None and sol.residuals.primal < 1e-8
     controls = extract_controls(prog, sol, sc)
     return sc, controls
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ctmflow
-from ctmflow import ctm
+from ctmflow import ctm, solver
 from ctmflow.cli import main
 from ctmflow.ctm import InvariantError, simulate
 from ctmflow.network import (RoutingSchedule, Scenario, load_scenario, save_scenario,
@@ -104,6 +104,29 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("edit, named", [
+        # these surfaced as KeyError('x0'), KeyError('v'),
+        # TypeError("'float' object is not iterable") and a NoneType message
+        (lambda doc: doc.pop("x0"), "scenario: missing key 'x0'"),
+        (lambda doc: doc["cells"][3].pop("v"), "cell 4: missing key 'v'"),
+        (lambda doc: doc["cells"][3].update(capacity=6.0),
+         "cell 4: capacity must be a list of numbers, got 6.0"),
+        (lambda doc: doc["cells"][3].update(lanes="one"), "cell 4: lanes must be a number"),
+        (lambda doc: doc.update(tau=None), "tau must be a number, got None"),
+        # a list here ended in an AttributeError traceback (exit 1)
+        (lambda doc: doc.update(routing=[1.0]), "routing must be an object, got [1.0]"),
+    ], ids=["missing-x0", "missing-cell-v", "scalar-capacity", "string-lanes", "null-tau",
+            "routing-list"])
+    def test_malformed_field_named(self, tmp_path, capsys, edit, named):
+        doc = scenario_to_dict(table_scenario())
+        edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and named in err["message"]
 
     def test_bad_epsilon_config_error(self, tmp_path):
         rc = main(["solve", "--scenario", "bundled:table", "--epsilon", "1.5",
@@ -308,6 +331,22 @@ class TestReproducePaper:
         for name, digest in PINNED.items():
             assert hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest() == digest, name
             assert listed[name] == digest
+
+    def test_t200_program_skips_highs(self, tmp_path, monkeypatch):
+        # the bundled T = 200 FNC program is settled by the free-flow lemma;
+        # the congested T = 25 programs still reach HiGHS
+        horizons = []
+        highs = solver._highs
+
+        def counted(core, prog):
+            horizons.append(prog.horizon)
+            return highs(core, prog)
+
+        monkeypatch.setattr(solver, "_highs", counted)
+        assert main(["reproduce-paper", "--out", str(tmp_path / "paper")]) == 0
+        assert main(["robustness-sweep", "--scenario", "bundled:robustness", "--sweep", "0:0.5:1",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert 200 not in horizons and 25 in horizons
 
 
 class TestSweep:

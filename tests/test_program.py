@@ -14,7 +14,6 @@ from ctmflow.program import build_dta, build_fnc, export_lp
 from ctmflow.solver import solve, verify_solution
 
 from conftest import random_scenario
-from program_reference import embed_trajectory
 
 
 def single_cell_scenario():
@@ -53,7 +52,7 @@ class TestBuilders:
         for cost in (CostSpec("TTT"), CostSpec("QuadraticVolume"),
                      CostSpec("TTD"), CostSpec("Delay")):
             prog = build_fnc(table_scenario, cost)
-            vals = embed_trajectory(prog, table_fifo)
+            vals = prog.pack(table_fifo)
             from ctmflow.ctm import evaluate_cost
             assert prog.objective_value(vals) == pytest.approx(
                 evaluate_cost(table_fifo, cost), rel=1e-12, abs=1e-9)
@@ -174,14 +173,14 @@ class TestFeasibilityStructure:
             traj = simulate(sc)
             for build in (build_dta, build_fnc):
                 prog = build(sc, CostSpec("TTT"))
-                vals = embed_trajectory(prog, traj)
+                vals = prog.pack(traj)
                 assert verify_solution(prog, vals) < 1e-9
 
     def test_benchmark_trajectory_feasible_both_models(self, table_scenario):
         for model in ("fifo", "nonfifo", "fifo-priority"):
             traj = simulate(table_scenario, model=model)
             prog = build_dta(table_scenario, CostSpec("TTT"))
-            assert verify_solution(prog, embed_trajectory(prog, traj)) < 1e-9
+            assert verify_solution(prog, prog.pack(traj)) < 1e-9
 
     def test_fnc_point_is_dta_feasible(self, table_scenario):
         prog_f = build_fnc(table_scenario, CostSpec("TTT"))

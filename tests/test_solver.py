@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from ctmflow import solver
 from ctmflow.cli import main
-from ctmflow.ctm import CostSpec
+from ctmflow.ctm import CostSpec, simulate
 from ctmflow.network import Network, RoutingSchedule, Scenario, load_scenario, make_cell
 from ctmflow.program import build_dta, build_fnc
-from ctmflow.solver import FW_TOL, SolverError, solve, verify_solution
+from ctmflow.scenarios import robustness_scenario
+from ctmflow.solver import (FW_TOL, LP_RESIDUAL_TOL, SolverError, freeflow_optimum, solve,
+                            verify_solution)
 
-from conftest import random_scenario
+from conftest import freeflow_scenario, random_scenario
 from solver_reference import brute_force_oracle, frank_wolfe_gap, highs_qp
 
 # valid QPs that are hard to certify:
@@ -195,11 +197,9 @@ class TestQP:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_qp_beats_any_feasible_point(self, table_scenario):
-        from ctmflow.ctm import simulate
-        from program_reference import embed_trajectory
         prog = build_fnc(table_scenario, CostSpec("QuadraticVolume"))
         sol = solve(prog)
-        sim_point = embed_trajectory(prog, simulate(table_scenario))
+        sim_point = prog.pack(simulate(table_scenario))
         assert sol.objective <= prog.objective_value(sim_point) + 1e-6
 
     def test_qp_infeasible_certificate(self):
@@ -270,3 +270,84 @@ class TestCertifiedQP:
         assert sol.status == "iteration-limit"
         assert main(["solve", "--scenario", "bundled:table", "--kind", "fnc",
                      "--cost", "quad", "--out", str(tmp_path / "out")]) == 3
+
+
+SHAPES = ["chain", "diverge", "merge", "diamond", "cross"]
+
+
+class TestFreeflowOptimum:
+    """The closed-form optimum of free-flow FNC total-volume programs (the
+    free-flow lemma in ctmflow.solver), property-tested against solve()."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_solve(self, shape, eps):
+        taken = 0
+        for seed in range(8):
+            rng = np.random.default_rng(1000 * SHAPES.index(shape) + seed)
+            sc = freeflow_scenario(rng, shape=shape, horizon=int(rng.integers(4, 26)))
+            prog = build_fnc(sc, CostSpec("TTT"), eps)
+            closed = freeflow_optimum(prog, sc)
+            if closed is None:
+                # only the shrunk supply can refuse the free-flow run
+                run = simulate(sc)
+                assert eps > 0 and (run.gamma == 1.0).all()
+                assert verify_solution(prog, prog.pack(run)) > LP_RESIDUAL_TOL
+                continue
+            taken += 1
+            ref = solve(prog)
+            assert closed.status == ref.status == "optimal"
+            assert closed.iterations == 0
+            assert abs(closed.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+            for block in ("x", "z", "f"):
+                np.testing.assert_allclose(prog.states(closed.values, block),
+                                           prog.states(ref.values, block), rtol=0, atol=1e-9)
+        assert taken >= 4
+
+    def test_pack_inverts_states(self):
+        sc = freeflow_scenario(np.random.default_rng(7), shape="diamond", horizon=9)
+        run = simulate(sc)
+        prog = build_fnc(sc, CostSpec("TTT"))
+        values = prog.pack(run)
+        for block, rows in (("x", run.states), ("y", run.y), ("z", run.z), ("mu", run.mu),
+                            ("f", run.f)):
+            np.testing.assert_array_equal(prog.states(values, block), rows)
+
+    def test_refuses_outside_hypotheses(self, table_scenario):
+        sc = freeflow_scenario(np.random.default_rng(11), shape="diverge", horizon=8)
+        assert freeflow_optimum(build_fnc(sc, CostSpec("TTT")), sc) is not None
+        # congested: the uncontrolled FIFO run has gamma < 1
+        assert freeflow_optimum(build_fnc(table_scenario, CostSpec("TTT")), table_scenario) is None
+        # time-varying routing, still in free flow
+        ratios = np.repeat(sc.routing.ratios, 2, axis=0)
+        ratios[1, :2] = ratios[0, 1::-1]
+        varying = Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+                           initial_volumes=sc.initial_volumes, inflow=sc.inflow_array(),
+                           routing=RoutingSchedule(ratios=ratios))
+        assert simulate(varying).is_freeflow()
+        assert freeflow_optimum(build_fnc(varying, CostSpec("TTT")), varying) is None
+        # costs other than total volume, and the DTA
+        weights = tuple(float(w) for w in np.arange(1.0, sc.network.n + 1.0))
+        for cost in (CostSpec("QuadraticVolume"), CostSpec("TTT", weights=weights),
+                     CostSpec("TTD"), CostSpec("Delay")):
+            assert freeflow_optimum(build_fnc(sc, cost), sc) is None
+        assert freeflow_optimum(build_dta(sc, CostSpec("TTT")), sc) is None
+        # another scenario's free-flow run, feasible for the program but
+        # slower than its own: half the free-flow speed on every cell
+        slow = Network(cells=tuple(make_cell(c.id, c.free_flow_speed / 2, c.wave_speed, c.length,
+                                             c.lanes, c.diagram.jam_volume,
+                                             c.diagram.capacity_schedule, sc.tau,
+                                             c.diagram.is_source) for c in sc.network.cells),
+                       adjacency=sc.network.adjacency, sources=sc.network.sources,
+                       sinks=sc.network.sinks)
+        other = Scenario(network=slow, horizon=sc.horizon, tau=sc.tau,
+                         initial_volumes=sc.initial_volumes, inflow=sc.inflow_array(),
+                         routing=sc.routing)
+        prog = build_fnc(sc, CostSpec("TTT"))
+        run = simulate(other)
+        assert (run.gamma == 1.0).all() and verify_solution(prog, prog.pack(run)) <= LP_RESIDUAL_TOL
+        assert freeflow_optimum(prog, other) is None
+        # an eps at which the free-flow run overfills the shrunk supply
+        rb = robustness_scenario()
+        assert simulate(rb).is_freeflow()
+        assert freeflow_optimum(build_fnc(rb, CostSpec("TTT"), 0.5), rb) is None
