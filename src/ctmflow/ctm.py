@@ -42,6 +42,7 @@ as free flow, also into a cell whose supply is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +146,20 @@ def held_rows(a, T: int) -> np.ndarray:
     return a[np.minimum(np.arange(T), len(a) - 1)]
 
 
+def _settled_step(a: np.ndarray) -> int:
+    """The first step (leading axis) from which all rows equal the last, bit for bit."""
+    bits = a.view(np.int64)
+    changed = np.flatnonzero((bits != bits[-1]).reshape(len(a), -1).any(axis=1))
+    return int(changed[-1]) + 1 if len(changed) else 0
+
+
+def _repeat_period(states, t: int, settled: int) -> int:
+    """1 or 2 if state t repeats bit for bit the state that many steps back,
+    at or past step ``settled``, else 0 (README, "Exact steady state")."""
+    return next((p for p in (1, 2) if t - p >= settled
+                 and states[t].tobytes() == states[t - p].tobytes()), 0)
+
+
 @dataclass(frozen=True, eq=False)
 class Drive:
     """Per-step kernel inputs, each with a leading step axis.
@@ -190,6 +205,11 @@ class Drive:
         ratio = np.zeros((T, E + 1))
         ratio[:, :E] = held_rows(routing, T)
         return Drive.of(net, alpha, sc.capacity, ratio)
+
+    @cached_property
+    def settled(self) -> int:
+        """The first step from which no per-step array changes."""
+        return max(map(_settled_step, (self.gain, self.cap_demand, self.capacity, self.ratio)))
 
     def demand(self, x: np.ndarray, t) -> np.ndarray:
         return np.minimum(self.gain[t] * x, self.cap_demand[t])
@@ -283,7 +303,8 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
 
     The runs share the network, capacities, controls and routing, and
     differ in initial volumes x0 (B, n) and inflow (B, T, n); either one
-    left None is the scenario's own. Returns a batch trajectory.
+    left None is the scenario's own. Returns a batch trajectory; steps past
+    an exact steady state (``_repeat_period``) are copies of its cycle.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
@@ -301,6 +322,7 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
     E = len(net.src) - 1
     states, y, z = np.empty((T + 1, B, n)), np.empty((T, B, n)), np.empty((T, B, n))
     gamma, f = np.empty((T, B, n)), np.empty((T, B, E + 1))
+    settled = max(drive.settled, _settled_step(lam.swapaxes(0, 1)))
     states[0] = x = x0
     for t in range(T):
         y[t], z[t], gamma[t], f[t] = junction_rates(net, x, drive, t, lam[:, t], model)
@@ -308,10 +330,30 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
             states[t + 1] = x = step(net, x, y[t], z[t])
         except InvariantError as e:
             raise InvariantError(f"step {t}: {e}") from e
+        if p := _repeat_period(states, t + 1, settled):
+            for a in (states, y, z, gamma, f):     # rows t + 1 - p on: period p
+                a[t + 1 - p:] = a[t + 1 - p + np.arange(len(a) - t - 1 + p) % p]
+            break
     states, y, z, gamma, f = (np.ascontiguousarray(a.swapaxes(0, 1))
                               for a in (states, y, z, gamma, f[..., :E]))
     return Trajectory(states=states, y=y, z=z, mu=np.where(net.sink, z, 0.0), gamma=gamma,
                       f=f, model=model, network=scenario.network)
+
+
+def stays_free(net: CompiledNetwork, drive: Drive, x0, lam, model: str = "fifo") -> bool:
+    """Whether one run from x0 (n,) under inflow rows lam (T, n) keeps
+    gamma >= 1 - 1e-9 at every step. It stops at its first congested step
+    or at its exact steady state (``_repeat_period``)."""
+    settled = max(drive.settled, _settled_step(lam))
+    states = [np.asarray(x0, dtype=float)[None]]
+    for t in range(len(lam)):
+        y, z, gamma, _ = junction_rates(net, states[t], drive, t, lam[t:t + 1], model)
+        if gamma.min() < 1.0 - 1e-9:
+            return False
+        states.append(step(net, states[t], y, z))
+        if _repeat_period(states, t + 1, settled):
+            break
+    return True
 
 
 def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:

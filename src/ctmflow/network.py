@@ -459,10 +459,14 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _list(value, name: str, what: str, entry_ok=lambda v: True) -> list:
+    if not isinstance(value, list) or not all(map(entry_ok, value)):
+        raise ValueError(f"{name} must be a list of {what}, got {value!r}")
+    return value
+
+
 def _numbers(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    return [_number(v, name) for v in value]
+    return [_number(v, name) for v in _list(value, name, "numbers")]
 
 
 def _mapping(data: dict, key: str) -> dict:
@@ -482,9 +486,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     if type(T) not in (int, float) or not float(T).is_integer() or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
     horizon = int(T)
-    sources = frozenset(_key(data, "sources"))
+    sources = frozenset(_list(_key(data, "sources"), "sources", "cell ids"))
     cells = []
-    for c in _key(data, "cells"):
+    for c in _list(_key(data, "cells"), "cells", "cell objects"):
         cid = _key(c, "id", "cell")
         where = f"cell {cid}"
         v, w, length, jam, lanes = (_number(_key(c, k, where), f"{where}: {k}")
@@ -494,11 +498,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         capacity = _numbers(_key(c, "capacity", where), f"{where}: capacity")
         cells.append(make_cell(cid, v, w, length, int(lanes), jam, capacity, tau,
                                is_source=cid in sources))
+    pairs = _list(_key(data, "adjacency"), "adjacency", "[from, to] pairs",
+                  lambda v: isinstance(v, list) and len(v) == 2)
     net = Network(
         cells=tuple(cells),
-        adjacency=tuple((i, j) for i, j in _key(data, "adjacency")),
+        adjacency=tuple(map(tuple, pairs)),
         sources=sources,
-        sinks=frozenset(_key(data, "sinks")),
+        sinks=frozenset(_list(_key(data, "sinks"), "sinks", "cell ids")),
     )
     lam = np.zeros((horizon, net.n))
     for cid, series in _mapping(data, "inflow").items():

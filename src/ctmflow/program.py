@@ -126,10 +126,6 @@ class ConvexProgram:
             names += [(block, t, c) for t in range(T) for c in self.cells]
         return names + [("f", t, i, j) for t in range(T) for i, j in self.adjacency]
 
-    @cached_property
-    def var_index(self) -> dict:
-        return {name: k for k, name in enumerate(self.names)}
-
     def span(self, block: str) -> slice:
         """Columns of one variable block (x, y, z, mu or f), step-major."""
         n, T = len(self.cells), self.horizon

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctm import Drive, junction_rates, simulate, simulate_batch, step
+from .ctm import Drive, junction_rates, simulate, simulate_batch, stays_free, step
 from .network import Network, Scenario
 
 EQ_TOL = 1e-8
@@ -119,45 +119,57 @@ class EquilibriumResult:
 
 def find_equilibrium(scenario: Scenario, constant_inflow: np.ndarray,
                      controls=None, model: str = "fifo") -> EquilibriumResult:
-    """Iterate the CTM under constant inflow/controls to a fixed point.
+    """``find_equilibria`` for one inflow."""
+    return find_equilibria(scenario, [constant_inflow], controls, model)[0]
 
-    Returns the equilibrium volumes, or an overload signal once the sources
-    grow by the same positive amount (to EQ_TOL) in two consecutive two-step
-    windows while every other cell repeats its state of two steps earlier
-    (to rounding), once a source holds 1e3 jam volumes, or at the step cap.
-    Controls, routing and capacities are those of the horizon's last step
-    (``Drive.for_run``).
-    """
+
+def find_equilibria(scenario: Scenario, inflows, controls=None,
+                    model: str = "fifo") -> list:
+    """Iterate the CTM from empty cells under each constant inflow (B, n),
+    as one batch, to a fixed point: one EquilibriumResult per inflow. A run
+    leaves the batch at its equilibrium, or signals overload once its
+    sources grow by the same positive amount (to EQ_TOL) in two consecutive
+    two-step windows while every other cell repeats its state of two steps
+    earlier (to rounding), once a source holds 1e3 jam volumes, or at the
+    step cap. Controls, routing and capacities are those of the horizon's
+    last step (``Drive.for_run``)."""
     net = scenario.compiled.network
     drive = Drive.for_run(scenario, controls)
-    x = np.zeros((1, scenario.network.n))
-    lam_vec = np.asarray(constant_inflow, dtype=float)[None]
+    lam = np.asarray(inflows, dtype=float).reshape(-1, scenario.network.n)
+    results = [EquilibriumResult(x_eq=None, overloaded=True)] * len(lam)
+    rows, x = np.arange(len(lam)), np.zeros(lam.shape)
     overload = OVERLOAD_FACTOR * net.jam.max()
     recent, inner = [], ~net.source     # the states of the last five steps
     for _ in range(EQ_MAX_STEPS):
-        y, z, _, _ = junction_rates(net, x, drive, -1, lam_vec, model)
-        x_next = step(net, x, y, z)
-        if np.max(np.abs(x_next - x)) <= EQ_TOL:
-            return EquilibriumResult(x_eq=x_next[0], overloaded=False)
-        x = x_next
-        if (x[0, net.source] > overload).any():
+        if not len(rows):
             break
-        recent = recent[-4:] + [x[0]]
-        if len(recent) == 5 and (abs(recent[4] - recent[2]) <= 1e-12 * abs(recent[2]))[inner].all():
-            grow = (recent[4] - recent[2])[net.source]
-            if grow.max() > EQ_TOL >= np.abs(grow - (recent[2] - recent[0])[net.source]).max():
-                break
-    return EquilibriumResult(x_eq=None, overloaded=True)
+        y, z, _, _ = junction_rates(net, x, drive, -1, lam, model)
+        x_next = step(net, x, y, z)
+        done = np.abs(x_next - x).max(axis=1) <= EQ_TOL
+        for b in np.flatnonzero(done):
+            results[rows[b]] = EquilibriumResult(x_eq=x_next[b], overloaded=False)
+        x = x_next
+        done |= (x[:, net.source] > overload).any(axis=1)
+        recent = recent[-4:] + [x]
+        if len(recent) == 5:
+            late, early = recent[4] - recent[2], recent[2] - recent[0]
+            grow = late[:, net.source]
+            done |= ((abs(late) <= 1e-12 * abs(recent[2]))[:, inner].all(axis=1)
+                     & (grow.max(axis=1) > EQ_TOL)
+                     & (np.abs(grow - early[:, net.source]).max(axis=1) <= EQ_TOL))
+        rows, x, lam, recent = rows[~done], x[~done], lam[~done], [r[~done] for r in recent]
+    return results
 
 
 def equilibrium_envelope_bound(scenario: Scenario, perturbation: PerturbationSpec,
-                               controls=None, model: str = "fifo") -> BoundCurve:
+                               controls=None, model: str = "fifo",
+                               equilibria=None) -> BoundCurve:
     """Equilibrium-envelope bound, constant in t; inapplicable without
-    both extreme equilibria."""
+    both extreme equilibria (of the upper and lower inflow, if given)."""
     env = compute_envelope(scenario, perturbation)
     T = scenario.horizon
-    eq_hi = find_equilibrium(scenario, env.lam_upper, controls, model)
-    eq_lo = find_equilibrium(scenario, env.lam_lower, controls, model)
+    eq_hi, eq_lo = equilibria or find_equilibria(
+        scenario, [env.lam_upper, env.lam_lower], controls, model)
     if not (eq_hi.exists and eq_lo.exists):
         return BoundCurve(values=np.full(T + 1, np.inf),
                           provenance=["envelope-inapplicable"] * (T + 1),
@@ -176,7 +188,7 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
 
     Bisection on the scalar source level down to BISECT_WIDTH; requires a
     single source and a constant nominal inflow. Each trial level stops at
-    its first congested step.
+    its first congested step or at its exact steady state (``stays_free``).
     """
     net = scenario.network
     sources = sorted(net.sources)
@@ -192,15 +204,10 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
     drive = Drive.for_run(scenario)
 
     def free(level: float) -> bool:
-        lam_t = np.zeros((1, net.n))
-        lam_t[0, src] = level
-        x = scenario.x0_array()[None]
-        for t in range(scenario.horizon):
-            y, z, gamma, _ = junction_rates(comp, x, drive, t, lam_t, model)
-            if gamma.min() < 1.0 - 1e-9:
-                return False
-            x = step(comp, x, y, z)
-        return True
+        lam_t = np.zeros(net.n)
+        lam_t[src] = level
+        return stays_free(comp, drive, scenario.x0_array(),
+                          np.broadcast_to(lam_t, (scenario.horizon, net.n)), model)
 
     lo = 0.0
     hi = max(float(nominal[0]), 1.0)
@@ -258,10 +265,10 @@ def sensitivity_bound(scenario: Scenario, perturbation: PerturbationSpec) -> Bou
 
 
 def combined_bound(scenario: Scenario, perturbation: PerturbationSpec,
-                   controls=None, model: str = "fifo") -> BoundCurve:
+                   controls=None, model: str = "fifo", equilibria=None) -> BoundCurve:
     """Pointwise minimum of the contraction and equilibrium-envelope bounds."""
     p3 = contraction_bound(scenario, perturbation)
-    p4 = equilibrium_envelope_bound(scenario, perturbation, controls, model)
+    p4 = equilibrium_envelope_bound(scenario, perturbation, controls, model, equilibria)
     if not p4.applicable:
         return p3
     lower = p4.values < p3.values
@@ -285,24 +292,29 @@ def sweep(scenario: Scenario, deltas, controls=None,
 
     Above lam_hat the combined curve is the overload heuristic, the combined
     bound at lam_hat plus (level - lam_hat) * t. The nominal run is simulated
-    once, the perturbed runs as one batch.
+    once, the perturbed runs as one batch, and the envelope equilibria of
+    lam_hat and of every level up to it are found as one batch.
     """
     lam_hat = max_freeflow_inflow(scenario, model=model)
     src = scenario.network.index[min(scenario.network.sources)]
     level = float(scenario.inflow_array()[0, src])
-    at_hat = combined_bound(scenario, PerturbationSpec.inflow_shift(scenario, lam_hat - level),
-                            controls, model)
-    nominal = simulate(scenario, controls=controls, model=model).states
     perts = [PerturbationSpec.inflow_shift(scenario, float(d)) for d in deltas]
+    bounded = [PerturbationSpec.inflow_shift(scenario, lam_hat - level)]
+    bounded += [p for d, p in zip(deltas, perts) if level + d <= lam_hat]
+    envs = [compute_envelope(scenario, p) for p in bounded]
+    eqs = find_equilibria(scenario, [lam for e in envs for lam in (e.lam_upper, e.lam_lower)],
+                          controls, model)
+    curves = iter([combined_bound(scenario, p, controls, model, eqs[2 * k:2 * k + 2])
+                   for k, p in enumerate(bounded)])
+    at_hat = next(curves)
+    nominal = simulate(scenario, controls=controls, model=model).states
     runs = simulate_perturbed(scenario, perts, controls, model)
     t = np.arange(scenario.horizon + 1)
     points = []
     for d, pert, states in zip(deltas, perts, runs.states):
-        if level + d > lam_hat:
-            combined = BoundCurve(values=at_hat.values + (level + d - lam_hat) * t,
-                                  provenance=["overload-heuristic"] * len(t))
-        else:
-            combined = combined_bound(scenario, pert, controls, model)
+        curve = next(curves) if level + d <= lam_hat else BoundCurve(
+            values=at_hat.values + (level + d - lam_hat) * t,
+            provenance=["overload-heuristic"] * len(t))
         points.append(SweepPoint(delta=float(d), cost_perturbation=float((states - nominal).sum()),
-                                 combined=combined, sensitivity=sensitivity_bound(scenario, pert)))
+                                 combined=curve, sensitivity=sensitivity_bound(scenario, pert)))
     return lam_hat, points

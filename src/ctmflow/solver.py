@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .ctm import InvariantError, simulate
+from .ctm import Drive, InvariantError, simulate, stays_free
 from .network import Scenario
 from .program import ConvexProgram, Sparse
 
@@ -280,11 +280,13 @@ def freeflow_optimum(program: ConvexProgram, scenario: Scenario) -> Solution | N
     infeasibility and zeros: the lemma, not a dual point, proves optimality."""
     if not _lemma_applies(program) or program.scenario_hash != scenario.content_hash():
         return None
-    try:
-        run = simulate(scenario)
+    try:     # the probe stops at the first congested step
+        free = stays_free(scenario.compiled.network, Drive.for_run(scenario),
+                          scenario.x0_array(), scenario.inflow_array())
+        run = simulate(scenario) if free else None
     except InvariantError:
         return None
-    if not (run.gamma == 1.0).all():
+    if run is None or not (run.gamma == 1.0).all():
         return None
     values = program.pack(run)
     primal = verify_solution(program, values)

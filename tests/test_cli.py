@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ctmflow
-from ctmflow import ctm, solver
+from ctmflow import ctm, robustness, solver, synthesis
 from ctmflow.cli import main
 from ctmflow.ctm import InvariantError, simulate
 from ctmflow.network import (RoutingSchedule, Scenario, load_scenario, save_scenario,
@@ -116,8 +116,14 @@ class TestExitCodes:
         (lambda doc: doc.update(tau=None), "tau must be a number, got None"),
         # a list here ended in an AttributeError traceback (exit 1)
         (lambda doc: doc.update(routing=[1.0]), "routing must be an object, got [1.0]"),
+        # these gave "not enough values to unpack", "'int' object is not
+        # iterable", and a string split into the ids {"1", "0"}
+        (lambda doc: doc["adjacency"].append(["1"]),
+         "adjacency must be a list of [from, to] pairs, got ["),
+        (lambda doc: doc.update(cells=5), "cells must be a list of cell objects, got 5"),
+        (lambda doc: doc.update(sinks="10"), "sinks must be a list of cell ids, got '10'"),
     ], ids=["missing-x0", "missing-cell-v", "scalar-capacity", "string-lanes", "null-tau",
-            "routing-list"])
+            "routing-list", "short-adjacency-pair", "scalar-cells", "string-sinks"])
     def test_malformed_field_named(self, tmp_path, capsys, edit, named):
         doc = scenario_to_dict(table_scenario())
         edit(doc)
@@ -347,6 +353,18 @@ class TestReproducePaper:
         assert main(["robustness-sweep", "--scenario", "bundled:robustness", "--sweep", "0:0.5:1",
                      "--out", str(tmp_path / "sweep")]) == 0
         assert 200 not in horizons and 25 in horizons
+
+    def test_kernel_steps_bounded(self, tmp_path, monkeypatch):
+        # constant-input runs stop at their exact steady state and each sweep
+        # finds its equilibria as one batch: 820 kernel steps, against 3,951
+        # when every run went the whole horizon one level at a time
+        calls = []
+        rates = ctm.junction_rates
+        counted = lambda *a, **k: calls.append(1) or rates(*a, **k)
+        for module in (ctm, robustness, synthesis):
+            monkeypatch.setattr(module, "junction_rates", counted)
+        assert main(["reproduce-paper", "--out", str(tmp_path / "paper")]) == 0
+        assert len(calls) < 1500
 
 
 class TestSweep:

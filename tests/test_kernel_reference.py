@@ -4,7 +4,8 @@ Random chain, diverge, merge, diamond and cross (general junction)
 networks with capacity drops to zero, under all three junction models,
 with and without speed limits alpha < 1 and per-step (DTA) routing, for
 batches of one and of several runs: every state, rate, congestion
-coefficient and pair flow agrees to 1e-12.
+coefficient and pair flow agrees to 1e-12. The steady-state exit of
+``simulate_batch`` is held bit for bit to the full-horizon step loop.
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import ctm_reference
 from conftest import build_network
-from ctmflow.ctm import MODELS, simulate_batch
+from ctmflow import ctm, scenarios
+from ctmflow.ctm import MODELS, Drive, junction_rates, simulate_batch, step
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
 from ctmflow.synthesis import ControlSchedule
 
@@ -92,3 +94,91 @@ def test_kernel_matches_reference(shape, model, batch, speed_limits, dta, seed):
                                        [getattr(r, name) for r in rates], rtol=0, atol=TOL)
         flows = [[r.f[pair] for pair in sc.network.adjacency] for r in rates]
         np.testing.assert_allclose(run.f, flows, rtol=0, atol=TOL)
+
+
+def full_horizon(sc: Scenario, x0, lam, controls, model) -> dict:
+    """The step loop without the steady-state exit: every array of a batch
+    run, each step computed."""
+    net, drive = sc.compiled.network, Drive.for_run(sc, controls)
+    states, rates = [np.asarray(x0, dtype=float)], []
+    for t in range(sc.horizon):
+        rates.append(junction_rates(net, states[t], drive, t, lam[:, t], model))
+        states.append(step(net, states[t], *rates[t][:2]))
+    out = dict(zip(("y", "z", "gamma", "f"), map(np.array, zip(*rates))), states=np.array(states))
+    out["f"] = out["f"][..., :-1]     # the padding edge
+    return {k: v.swapaxes(0, 1) for k, v in out.items()}
+
+
+def settling_case(rng, shape: str, horizon: int, late: str, unit_slopes: bool):
+    """Constant capacities, inflows and controls, except for one change at
+    step horizon - 3 when ``late`` names it (capacity, inflow or control).
+    Unit demand slopes empty a cell in one step, so runs reach an exact
+    fixed point or 2-cycle; other slopes mostly approach one geometrically.
+    Shape "figure" is the paper's ten-cell network (unit slopes), whose
+    runs often end in a 2-cycle of rounding (states 1e-15 apart)."""
+    if shape == "figure":
+        base, ratios, tau, level = (scenarios.figure_network(horizon), scenarios.TURNING_RATIOS,
+                                    scenarios.TAU, 9.0)
+    else:
+        base, ratios = build_network(shape, rng, slopes=1.0 if unit_slopes else None)
+        tau, level = 1.0, 4.0
+    drop, cells = int(rng.integers(base.n)), []
+    for k, c in enumerate(base.cells):
+        cap = c.diagram.capacity_schedule[0]
+        late_cap = 0.3 * cap if late == "capacity" and k == drop else cap
+        cells.append(make_cell(c.id, c.free_flow_speed, c.wave_speed, c.length, c.lanes,
+                               c.diagram.jam_volume, [cap] * (horizon - 3) + [late_cap] * 3, tau,
+                               is_source=c.diagram.is_source))
+    net = Network(cells=tuple(cells), adjacency=base.adjacency, sources=base.sources,
+                  sinks=base.sinks)
+    source = np.array([c.diagram.is_source for c in cells])
+    lam = np.where(source, rng.uniform(0.0, level, size=net.n), 0.0) * np.ones((horizon, 1))
+    if late == "inflow":
+        lam[horizon - 3:] *= 2.0
+    alphas = np.ones((horizon, net.n))
+    if not unit_slopes:
+        alphas[:] = np.where(rng.random(net.n) < 0.3, rng.uniform(0.3, 1.0, size=net.n), 1.0)
+    if late == "control":
+        alphas[horizon - 3:, rng.integers(net.n)] *= 0.5
+    x0 = np.where(source, rng.uniform(0.0, 10.0, size=net.n),
+                  rng.uniform(0.0, 0.5, size=net.n) * [c.diagram.jam_volume for c in cells])
+    sc = Scenario(network=net, horizon=horizon, tau=tau, initial_volumes=tuple(x0), inflow=lam,
+                  routing=RoutingSchedule.constant(net, ratios))
+    return sc, ControlSchedule(alphas=alphas, routing=None)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("late", [None, "capacity", "inflow", "control"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(["chain", "diverge", "merge", "diamond", "cross", "figure"]),
+       batch=st.sampled_from([1, 3]), horizon=st.integers(12, 60), unit_slopes=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_steady_state_exit_is_exact(model, late, shape, batch, horizon, unit_slopes, seed):
+    # runs that settle (an exact fixed point or 2-cycle) and runs whose
+    # inputs change at step T - 3: the exit copies a cycle only where every
+    # later step would repeat it, so every array is bit-equal to the full loop
+    rng = np.random.default_rng(seed)
+    sc, controls = settling_case(rng, shape, horizon, late, unit_slopes)
+    x0 = sc.x0_array() * rng.uniform(0.5, 1.0, size=(batch, 1))
+    lam = sc.inflow_array() * rng.uniform(0.5, 1.5, size=(batch, 1, 1))
+    run = simulate_batch(sc, x0=x0, inflow=lam, controls=controls, model=model)
+    for name, want in full_horizon(sc, x0, lam, controls, model).items():
+        got = getattr(run, name)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), name
+
+
+def test_steady_state_exit_fires_and_waits(robustness_scenario, monkeypatch):
+    # the T = 200 constant-inflow run settles within a few dozen steps; a
+    # capacity drop at step T - 3 keeps the loop going until T - 2
+    calls = []
+    rates = ctm.junction_rates
+    monkeypatch.setattr(ctm, "junction_rates", lambda *a: calls.append(1) or rates(*a))
+    sc, T = robustness_scenario, robustness_scenario.horizon
+    simulate_batch(sc)
+    assert len(calls) < 50
+    dropped = Scenario(network=scenarios.figure_network(T, [6.0] * (T - 3) + [0.5] * 3),
+                       horizon=T, tau=sc.tau, initial_volumes=sc.initial_volumes,
+                       inflow=sc.inflow, routing=sc.routing)
+    calls.clear()
+    run = simulate_batch(dropped)
+    assert len(calls) >= T - 2 and run.min_gamma() < 1.0

@@ -14,6 +14,7 @@ from ctmflow.program import build_dta, build_fnc, export_lp
 from ctmflow.solver import solve, verify_solution
 
 from conftest import random_scenario
+from tests_support import var_index
 
 
 def single_cell_scenario():
@@ -92,7 +93,7 @@ class TestAssembly:
                     a, b = getattr(got, vec), getattr(ref, vec)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert got.names == ref.names
-                assert got.var_index == ref.var_index
+                assert var_index(got) == ref.var_index
 
 
 class TestKernels:

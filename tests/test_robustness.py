@@ -2,21 +2,59 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctmflow import robustness
-from ctmflow.ctm import simulate, step
+from ctmflow import robustness, scenarios
+from ctmflow.ctm import MODELS, Drive, junction_rates, simulate, step
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
-from ctmflow.robustness import (PerturbationSpec, contraction_bound,
+from ctmflow.robustness import (EQ_TOL, PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
-                                find_equilibrium, lipschitz_constant,
+                                find_equilibria, find_equilibrium, lipschitz_constant,
                                 max_freeflow_inflow, sensitivity_bound, simulate_perturbed,
                                 sweep)
 
-from conftest import freeflow_scenario
+from conftest import freeflow_scenario, random_scenario
 
 
 def zero_pert(sc) -> PerturbationSpec:
     return PerturbationSpec(initial_volumes=sc.initial_volumes, inflow=sc.inflow_array())
+
+
+def reference_equilibrium(sc, inflow, model: str):
+    """The single-run search that ``find_equilibria`` batches: the
+    equilibrium volumes, or None where the search signals overload."""
+    net = sc.compiled.network
+    drive = Drive.for_run(sc)
+    x = np.zeros((1, sc.network.n))
+    lam = np.asarray(inflow, dtype=float)[None]
+    overload = robustness.OVERLOAD_FACTOR * net.jam.max()
+    recent, inner = [], ~net.source
+    for _ in range(robustness.EQ_MAX_STEPS):
+        y, z, _, _ = junction_rates(net, x, drive, -1, lam, model)
+        x_next = step(net, x, y, z)
+        if np.max(np.abs(x_next - x)) <= EQ_TOL:
+            return x_next[0]
+        x = x_next
+        if (x[0, net.source] > overload).any():
+            return None
+        recent = recent[-4:] + [x[0]]
+        if len(recent) == 5 and (abs(recent[4] - recent[2]) <= 1e-12 * abs(recent[2]))[inner].all():
+            grow = (recent[4] - recent[2])[net.source]
+            if grow.max() > EQ_TOL >= np.abs(grow - (recent[2] - recent[0])[net.source]).max():
+                return None
+    return None
+
+
+def full_horizon_free(net, drive, x0, lam, model: str = "fifo") -> bool:
+    """The free-flow probe of ``max_freeflow_inflow`` without the
+    steady-state exit: every step of the horizon is checked."""
+    x = np.asarray(x0, dtype=float)[None]
+    for t in range(len(lam)):
+        y, z, gamma, _ = junction_rates(net, x, drive, t, lam[t:t + 1], model)
+        if gamma.min() < 1.0 - 1e-9:
+            return False
+        x = step(net, x, y, z)
+    return True
 
 
 def divergence(sc, pert) -> np.ndarray:
@@ -127,6 +165,50 @@ class TestEquilibrium:
         assert len(steps) < 1000
 
 
+class TestBatchedEquilibria:
+    def assert_matches_single_runs(self, sc, inflows, model):
+        batch = find_equilibria(sc, inflows, model=model)
+        assert len(batch) == len(inflows)
+        for lam, got in zip(inflows, batch):
+            want = reference_equilibrium(sc, lam, model)
+            single = find_equilibrium(sc, lam, model=model)
+            for res in (got, single):
+                assert res.exists == (want is not None) and res.overloaded == (want is None)
+                if want is not None:
+                    assert res.x_eq.tobytes() == want.tobytes()
+        return [r.exists for r in batch]
+
+    def test_mixed_batch(self, robustness_scenario):
+        # converging, zero-inflow and overloaded rows leave the batch at
+        # different steps; results come back in input order
+        src = robustness_scenario.network.index["1"]
+        levels = [5.0, 0.0, 7.0, 3.0, 9.0, 0.0, 6.4]
+        inflows = np.zeros((len(levels), robustness_scenario.network.n))
+        inflows[:, src] = levels
+        for model in MODELS:
+            exists = self.assert_matches_single_runs(robustness_scenario, inflows, model)
+            assert exists == [True, True, False, True, False, True, True]
+
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from(["figure", "chain", "diverge", "merge", "diamond"]),
+           scales=st.lists(st.sampled_from([0.0, 1.0, 1.3, 2.5]) | st.floats(0.0, 2.5),
+                           min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_single_runs(self, model, shape, scales, seed):
+        # random networks that neither converge nor show the overload
+        # pattern run to the step cap, lowered here to keep the test short
+        rng = np.random.default_rng(seed)
+        if shape == "figure":
+            sc, cap = scenarios.robustness_scenario(), robustness.EQ_MAX_STEPS
+        else:
+            sc, cap = random_scenario(rng, shape=shape), 1500
+        inflows = sc.inflow_array()[0] * np.array(scales)[:, None]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robustness, "EQ_MAX_STEPS", cap)
+            self.assert_matches_single_runs(sc, inflows, model)
+
+
 class TestFreeflowSupremum:
     def test_threshold_both_models(self, robustness_scenario):
         # measured supremum of this network: 45/7 (merge of shares 4/9 and
@@ -146,6 +228,31 @@ class TestFreeflowSupremum:
         sc = Scenario(network=net, horizon=30, tau=1.0, initial_volumes=(0.0, 0.0),
                       inflow=lam, routing=RoutingSchedule.constant(net, {("a", "b"): 1.0}))
         assert max_freeflow_inflow(sc) <= 2e-3
+
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from(["figure", "chain", "diverge", "diamond"]),
+           horizon=st.integers(10, 60), late_capacity=st.none() | st.floats(0.0, 6.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_full_horizon_bisection(self, model, shape, horizon, late_capacity, seed):
+        # the probe's steady-state exit changes no probe's answer, also
+        # when the figure network's cell 4 loses capacity at step T - 3
+        rng = np.random.default_rng(seed)
+        if shape == "figure":
+            cap4 = None if late_capacity is None else [6.0] * (horizon - 3) + [late_capacity] * 3
+            sc = scenarios.robustness_scenario(horizon)
+            sc = Scenario(network=scenarios.figure_network(horizon, cap4), horizon=horizon,
+                          tau=sc.tau, initial_volumes=sc.initial_volumes, inflow=sc.inflow,
+                          routing=sc.routing)
+        else:
+            sc = random_scenario(rng, shape=shape, horizon=horizon)
+            sc = Scenario(network=sc.network, horizon=horizon, tau=sc.tau,
+                          initial_volumes=sc.initial_volumes,
+                          inflow=sc.inflow_array()[[0] * horizon], routing=sc.routing)
+        got = max_freeflow_inflow(sc, model=model)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robustness, "stays_free", full_horizon_free)
+            assert max_freeflow_inflow(sc, model=model) == got
 
     def test_multi_source_rejected(self):
         rng = np.random.default_rng(62)

@@ -10,6 +10,7 @@ from ctmflow.synthesis import (ControlSchedule, check_fnc_structure, controls_to
                                extract_controls, verify_realization)
 
 from conftest import random_scenario
+from tests_support import var_index
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ class TestExtraction:
         prog, sol = dta_ttt
         vals = sol.values.copy()
         cell = "5"
-        prog_idx = prog.var_index
+        prog_idx = var_index(prog)
         vals[prog_idx[("x", 3, cell)]] = 4.0
         vals[prog_idx[("z", 3, cell)]] = 3.0
         controls = extract_controls(prog, _patched(sol, vals), table_scenario)
@@ -68,8 +69,9 @@ class TestExtraction:
     def test_infeasible_input_guard(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
         vals = sol.values.copy()
-        vals[prog.var_index[("z", 2, "5")]] = 5.0
-        vals[prog.var_index[("x", 2, "5")]] = 0.0
+        idx = var_index(prog)
+        vals[idx[("z", 2, "5")]] = 5.0
+        vals[idx[("x", 2, "5")]] = 0.0
         with pytest.raises(InvariantError, match="demand"):
             extract_controls(prog, _patched(sol, vals), table_scenario)
 

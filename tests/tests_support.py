@@ -5,6 +5,11 @@ import numpy as np
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
 
 
+def var_index(program) -> dict:
+    """Column of each variable name (``ConvexProgram.names``) of a program."""
+    return {name: k for k, name in enumerate(program.names)}
+
+
 def tiny_chain_scenario(rng) -> Scenario:
     """Two-cell chain over two steps: at most four free variables."""
     slope = float(rng.uniform(0.4, 1.0))
