@@ -171,8 +171,8 @@ def _run_sweep(sc, grid, model: str, controls, path: Path) -> float:
         fh.write("delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
                  "combined_bound_veh_steps,model,sensitivity_bound_veh_steps\n")
         for p in points:
-            fh.write(f"{p.delta:.12g},{p.cost_perturbation:.12g},{p.combined.total():.12g},"
-                     f"{model},{float(np.minimum(p.sensitivity.values, 1e300).sum()):.12g}\n")
+            fh.write(f"{p.delta:.12g},{p.cost_perturbation:.12g},{p.combined.sum():.12g},"
+                     f"{model},{np.minimum(p.sensitivity, 1e300).sum():.12g}\n")
     return lam_hat
 
 
@@ -185,6 +185,8 @@ def cmd_robustness_sweep(args) -> list:
     nominal = sc.inflow_array()[:, sc.network.index[sources[0]]]
     if np.max(np.abs(nominal - nominal[0])) > 1e-12:
         raise ConfigError("robustness-sweep needs a constant nominal inflow")
+    if nominal[0] + grid[0] < 0:
+        raise ConfigError(f"sweep start {grid[0]:g} drives the inflow {nominal[0]:g} below zero")
     prog, sol = _solve_program(sc, "fnc", CostSpec("TTT"), args.epsilon)
     controls = synthesis.extract_controls(prog, sol, sc)
     out = Path(args.out)

@@ -50,6 +50,7 @@ from .network import CompiledNetwork, Network, Scenario
 
 MODELS = ("fifo", "fifo-priority", "nonfifo")
 ZERO_DEMAND_TOL = 1e-10
+FREEFLOW_TOL = 1e-9      # a step is free-flow iff gamma >= 1 - FREEFLOW_TOL
 
 
 class InvariantError(ValueError):
@@ -88,8 +89,8 @@ class Trajectory:
         """Congestion factor: min over cells and steps (and runs) of gamma."""
         return float(self.gamma.min()) if self.gamma.size else 1.0
 
-    def is_freeflow(self, tol: float = 1e-9) -> bool:
-        return self.min_gamma() >= 1.0 - tol
+    def is_freeflow(self) -> bool:
+        return self.min_gamma() >= 1.0 - FREEFLOW_TOL
 
 
 @dataclass(frozen=True)
@@ -342,13 +343,13 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
 
 def stays_free(net: CompiledNetwork, drive: Drive, x0, lam, model: str = "fifo") -> bool:
     """Whether one run from x0 (n,) under inflow rows lam (T, n) keeps
-    gamma >= 1 - 1e-9 at every step. It stops at its first congested step
+    gamma >= 1 - FREEFLOW_TOL at every step. It stops at its first congested step
     or at its exact steady state (``_repeat_period``)."""
     settled = max(drive.settled, _settled_step(lam))
     states = [np.asarray(x0, dtype=float)[None]]
     for t in range(len(lam)):
         y, z, gamma, _ = junction_rates(net, states[t], drive, t, lam[t:t + 1], model)
-        if gamma.min() < 1.0 - 1e-9:
+        if gamma.min() < 1.0 - FREEFLOW_TOL:
             return False
         states.append(step(net, states[t], y, z))
         if _repeat_period(states, t + 1, settled):

@@ -465,6 +465,10 @@ def _list(value, name: str, what: str, entry_ok=lambda v: True) -> list:
     return value
 
 
+def _is_id(value) -> bool:
+    return isinstance(value, str)     # cell ids are strings, as inflow and routing keys are
+
+
 def _numbers(value, name: str) -> list:
     return [_number(v, name) for v in _list(value, name, "numbers")]
 
@@ -486,10 +490,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     if type(T) not in (int, float) or not float(T).is_integer() or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
     horizon = int(T)
-    sources = frozenset(_list(_key(data, "sources"), "sources", "cell ids"))
+    sources = frozenset(_list(_key(data, "sources"), "sources", "cell ids", _is_id))
     cells = []
     for c in _list(_key(data, "cells"), "cells", "cell objects"):
         cid = _key(c, "id", "cell")
+        if not _is_id(cid):
+            raise ValueError(f"cell id must be a string, got {cid!r}")
         where = f"cell {cid}"
         v, w, length, jam, lanes = (_number(_key(c, k, where), f"{where}: {k}")
                                     for k in ("v", "w", "L", "jam", "lanes"))
@@ -499,12 +505,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         cells.append(make_cell(cid, v, w, length, int(lanes), jam, capacity, tau,
                                is_source=cid in sources))
     pairs = _list(_key(data, "adjacency"), "adjacency", "[from, to] pairs",
-                  lambda v: isinstance(v, list) and len(v) == 2)
+                  lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_id, v)))
     net = Network(
         cells=tuple(cells),
         adjacency=tuple(map(tuple, pairs)),
         sources=sources,
-        sinks=frozenset(_list(_key(data, "sinks"), "sinks", "cell ids")),
+        sinks=frozenset(_list(_key(data, "sinks"), "sinks", "cell ids", _is_id)),
     )
     lam = np.zeros((horizon, net.n))
     for cid, series in _mapping(data, "inflow").items():

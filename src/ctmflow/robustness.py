@@ -1,26 +1,32 @@
 """Perturbation bounds for controlled trajectories.
 
 For a nominal trajectory x(t) and a perturbed one x~(t) driven by the same
-open-loop controls, the module computes
+open-loop controls, with dx0 = ||x~0 - x0||_1 and dlam(t) =
+||lam~(t) - lam(t)||_1, every bound is a plain (T+1,) array over steps 0..T:
 
   * the small-perturbation (monotonicity/contraction) bound
-        ||x~(t) - x(t)||_1 <= ||x~0 - x0||_1 + sum_{s<t} ||lam~(s) - lam(s)||_1
+        ||x~(t) - x(t)||_1 <= dx0 + sum_{s<t} dlam(s)
   * the equilibrium-envelope bound, constant in t, built from the extreme
-    constant inflows lam_bar / lam_under and initial-volume envelopes
-  * the classical ODE sensitivity bound with Lipschitz constant
-        L_g = 2 (max_i d_i'(0) - min_i s_i'(x_jam_i))
+    constant inflows lam_bar / lam_under and initial-volume envelopes; it
+    is inf at every step when either extreme inflow has no equilibrium
+  * the classical ODE sensitivity bound, the Gronwall integral with
+    Lipschitz constant L = 2 (max_i d_i'(0) - min_i s_i'(x_jam_i)) and
+    dlam held constant over each step:
+        v(0) = dx0,   v(t+1) = e^L v(t) + (e^L - 1) / L * dlam(t)
 
 and the pointwise minimum of the first two. ``sweep`` compares them with
 simulation over constant shifts of a single source inflow; above the
 free-flow supremum lam_hat it extends the combined bound by the overload
-heuristic: the bound at lam_hat plus (lam~ - lam_hat) * t. The "sufficiently
-small" hypothesis of the monotonicity bounds is that the perturbed FIFO run
-stays in free flow (``simulate_perturbed(...).is_freeflow()``); for
-non-FIFO dynamics, monotone everywhere, it is vacuous.
+heuristic: the bound at lam_hat plus (lam~ - lam_hat) * t. The first two
+rest on the monotonicity of the compartmental traffic model (Coogan &
+Arcak 2015). Their "sufficiently small" hypothesis is that the perturbed
+FIFO run stays in free flow (``simulate_perturbed(...).is_freeflow()``);
+for non-FIFO dynamics, monotone everywhere, it is vacuous.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,25 +42,16 @@ BISECT_WIDTH = 1e-3
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Perturbed initial volumes and inflow schedule (same shapes as nominal)."""
+    """Perturbed initial volumes x0 (n,) and inflow schedule (T, n)."""
 
-    initial_volumes: tuple
-    inflow: tuple
-
-    def x0_array(self) -> np.ndarray:
-        return np.asarray(self.initial_volumes, dtype=float)
-
-    def inflow_array(self) -> np.ndarray:
-        return np.asarray(self.inflow, dtype=float)
+    x0: np.ndarray
+    inflow: np.ndarray
 
     @staticmethod
     def inflow_shift(scenario: Scenario, delta: float) -> "PerturbationSpec":
         """Add a constant to every source inflow, initial volumes unchanged."""
-        lam = scenario.inflow_array().copy()
-        for cid in scenario.network.sources:
-            lam[:, scenario.network.index[cid]] += delta
-        return PerturbationSpec(initial_volumes=scenario.initial_volumes,
-                                inflow=lam)
+        lam = scenario.inflow_array() + delta * scenario.network.compiled.source
+        return PerturbationSpec(x0=scenario.x0_array(), inflow=lam)
 
 
 @dataclass
@@ -65,40 +62,29 @@ class Envelope:
     x0_lower: np.ndarray
 
 
-@dataclass
-class BoundCurve:
-    values: np.ndarray       # per step 0..T
-    provenance: list         # per-step tag
-    applicable: bool = True
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
 def simulate_perturbed(scenario: Scenario, perturbations: list,
                        controls=None, model: str = "fifo"):
     """The perturbed runs of a scenario, as one batch trajectory."""
-    return simulate_batch(scenario, x0=[p.x0_array() for p in perturbations],
-                          inflow=[p.inflow_array() for p in perturbations],
+    return simulate_batch(scenario, x0=[p.x0 for p in perturbations],
+                          inflow=[p.inflow for p in perturbations],
                           controls=controls, model=model)
 
 
-def contraction_bound(scenario: Scenario, perturbation: PerturbationSpec) -> BoundCurve:
-    """Monotonicity/contraction bound, linear in accumulated inflow error."""
-    dx0 = float(np.abs(perturbation.x0_array() - scenario.x0_array()).sum())
-    dlam = np.abs(perturbation.inflow_array() - scenario.inflow_array()).sum(axis=1)
-    T = scenario.horizon
-    values = np.empty(T + 1)
-    values[0] = dx0
-    values[1:] = dx0 + np.cumsum(dlam)
-    return BoundCurve(values=values, provenance=["contraction"] * (T + 1))
+def _errors(scenario: Scenario, perturbation: PerturbationSpec) -> tuple:
+    """dx0 = ||x~0 - x0||_1 and dlam (T,), ||lam~(t) - lam(t)||_1 per step."""
+    return (float(np.abs(perturbation.x0 - scenario.x0_array()).sum()),
+            np.abs(perturbation.inflow - scenario.inflow_array()).sum(axis=1))
+
+
+def contraction_bound(scenario: Scenario, perturbation: PerturbationSpec) -> np.ndarray:
+    """Monotonicity/contraction bound dx0 + sum_{s<t} dlam(s), (T+1,)."""
+    dx0, dlam = _errors(scenario, perturbation)
+    return dx0 + np.concatenate(([0.0], np.cumsum(dlam)))
 
 
 def compute_envelope(scenario: Scenario, perturbation: PerturbationSpec) -> Envelope:
-    lam = scenario.inflow_array()
-    lam_t = perturbation.inflow_array()
-    x0 = scenario.x0_array()
-    x0_t = perturbation.x0_array()
+    lam, lam_t = scenario.inflow_array(), perturbation.inflow
+    x0, x0_t = scenario.x0_array(), perturbation.x0
     sup_err = np.abs(lam - lam_t).max(axis=0)
     lam_upper = lam.max(axis=0) + sup_err
     lam_lower = np.maximum(0.0, lam.min(axis=0) - sup_err)
@@ -107,36 +93,20 @@ def compute_envelope(scenario: Scenario, perturbation: PerturbationSpec) -> Enve
                     x0_upper=x0 + dx0, x0_lower=np.maximum(0.0, x0 - dx0))
 
 
-@dataclass
-class EquilibriumResult:
-    x_eq: np.ndarray | None
-    overloaded: bool
-
-    @property
-    def exists(self) -> bool:
-        return self.x_eq is not None
-
-
-def find_equilibrium(scenario: Scenario, constant_inflow: np.ndarray,
-                     controls=None, model: str = "fifo") -> EquilibriumResult:
-    """``find_equilibria`` for one inflow."""
-    return find_equilibria(scenario, [constant_inflow], controls, model)[0]
-
-
 def find_equilibria(scenario: Scenario, inflows, controls=None,
                     model: str = "fifo") -> list:
     """Iterate the CTM from empty cells under each constant inflow (B, n),
-    as one batch, to a fixed point: one EquilibriumResult per inflow. A run
-    leaves the batch at its equilibrium, or signals overload once its
-    sources grow by the same positive amount (to EQ_TOL) in two consecutive
-    two-step windows while every other cell repeats its state of two steps
-    earlier (to rounding), once a source holds 1e3 jam volumes, or at the
-    step cap. Controls, routing and capacities are those of the horizon's
-    last step (``Drive.for_run``)."""
+    as one batch, to a fixed point: per inflow, the equilibrium volumes
+    (n,), or None for overload. A run leaves the batch at its equilibrium,
+    or signals overload once its sources grow by the same positive amount
+    (to EQ_TOL) in two consecutive two-step windows while every other cell
+    repeats its state of two steps earlier (to rounding), once a source
+    holds 1e3 jam volumes, or at the step cap. Controls, routing and
+    capacities are those of the horizon's last step (``Drive.for_run``)."""
     net = scenario.compiled.network
     drive = Drive.for_run(scenario, controls)
     lam = np.asarray(inflows, dtype=float).reshape(-1, scenario.network.n)
-    results = [EquilibriumResult(x_eq=None, overloaded=True)] * len(lam)
+    results = [None] * len(lam)
     rows, x = np.arange(len(lam)), np.zeros(lam.shape)
     overload = OVERLOAD_FACTOR * net.jam.max()
     recent, inner = [], ~net.source     # the states of the last five steps
@@ -147,7 +117,7 @@ def find_equilibria(scenario: Scenario, inflows, controls=None,
         x_next = step(net, x, y, z)
         done = np.abs(x_next - x).max(axis=1) <= EQ_TOL
         for b in np.flatnonzero(done):
-            results[rows[b]] = EquilibriumResult(x_eq=x_next[b], overloaded=False)
+            results[rows[b]] = x_next[b]
         x = x_next
         done |= (x[:, net.source] > overload).any(axis=1)
         recent = recent[-4:] + [x]
@@ -163,24 +133,19 @@ def find_equilibria(scenario: Scenario, inflows, controls=None,
 
 def equilibrium_envelope_bound(scenario: Scenario, perturbation: PerturbationSpec,
                                controls=None, model: str = "fifo",
-                               equilibria=None) -> BoundCurve:
-    """Equilibrium-envelope bound, constant in t; inapplicable without
+                               equilibria=None) -> np.ndarray:
+    """Equilibrium-envelope bound, constant in t, (T+1,); all inf without
     both extreme equilibria (of the upper and lower inflow, if given)."""
     env = compute_envelope(scenario, perturbation)
-    T = scenario.horizon
     eq_hi, eq_lo = equilibria or find_equilibria(
         scenario, [env.lam_upper, env.lam_lower], controls, model)
-    if not (eq_hi.exists and eq_lo.exists):
-        return BoundCurve(values=np.full(T + 1, np.inf),
-                          provenance=["envelope-inapplicable"] * (T + 1),
-                          applicable=False)
-    gap = float(np.abs(eq_hi.x_eq - eq_lo.x_eq).sum())
+    if eq_hi is None or eq_lo is None:
+        return np.full(scenario.horizon + 1, np.inf)
+    gap = float(np.abs(eq_hi - eq_lo).sum())
     dx0 = float(np.abs(env.x0_upper - env.x0_lower).sum())
-    third = min(
-        float(np.abs(eq_lo.x_eq - xi).sum() + np.abs(eq_hi.x_eq - xi).sum())
-        for xi in (env.x0_upper, env.x0_lower))
-    return BoundCurve(values=np.full(T + 1, gap + dx0 + third),
-                      provenance=["equilibrium-envelope"] * (T + 1))
+    third = min(float(np.abs(eq_lo - xi).sum() + np.abs(eq_hi - xi).sum())
+                for xi in (env.x0_upper, env.x0_lower))
+    return np.full(scenario.horizon + 1, gap + dx0 + third)
 
 
 def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
@@ -194,9 +159,8 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
     sources = sorted(net.sources)
     if len(sources) != 1:
         raise ValueError("max_freeflow_inflow requires a single-source network")
-    lam = scenario.inflow_array()
     src = net.index[sources[0]]
-    nominal = lam[:, src]
+    nominal = scenario.inflow_array()[:, src]
     if np.max(np.abs(nominal - nominal[0])) > 1e-12:
         raise ValueError("max_freeflow_inflow requires a constant nominal inflow")
 
@@ -244,45 +208,33 @@ def lipschitz_constant(network: Network) -> float:
     return 2.0 * (d_max - s_min)
 
 
-def sensitivity_bound(scenario: Scenario, perturbation: PerturbationSpec) -> BoundCurve:
-    """Classical ODE sensitivity bound with exponential growth e^{L_g t}."""
+def sensitivity_bound(scenario: Scenario, perturbation: PerturbationSpec) -> np.ndarray:
+    """Classical ODE sensitivity bound, (T+1,): the Gronwall integral with
+    dlam held constant over each step, v(0) = dx0 and
+    v(t+1) = e^L v(t) + (e^L - 1) / L * dlam(t); it saturates to inf."""
     L = lipschitz_constant(scenario.network)
-    dx0 = float(np.abs(perturbation.x0_array() - scenario.x0_array()).sum())
-    dlam = np.abs(perturbation.inflow_array() - scenario.inflow_array()).sum(axis=1)
-    T = scenario.horizon
-    t_axis = np.arange(T + 1, dtype=float)
-    values = np.empty(T + 1)
-    with np.errstate(over="ignore"):     # e^{L t} saturates to inf for large t
-        grow = np.exp(L * t_axis)
-        if np.max(np.abs(dlam - dlam[0])) <= 1e-12:
-            values = (grow - 1.0) / L * dlam[0] if dlam[0] > 0 else np.zeros(T + 1)
-        else:
-            for t in range(T + 1):
-                values[t] = sum(np.exp(L * (t - s)) * dlam[s] for s in range(t))
-        if dx0 > 0:
-            values = values + grow * dx0
-    return BoundCurve(values=values, provenance=["sensitivity"] * (T + 1))
+    dx0, dlam = _errors(scenario, perturbation)
+    grow = math.exp(L)
+    values = [dx0]
+    for d in ((grow - 1.0) / L * dlam).tolist():
+        values.append(grow * values[-1] + d)
+    return np.array(values)
 
 
 def combined_bound(scenario: Scenario, perturbation: PerturbationSpec,
-                   controls=None, model: str = "fifo", equilibria=None) -> BoundCurve:
+                   controls=None, model: str = "fifo", equilibria=None) -> np.ndarray:
     """Pointwise minimum of the contraction and equilibrium-envelope bounds."""
-    p3 = contraction_bound(scenario, perturbation)
-    p4 = equilibrium_envelope_bound(scenario, perturbation, controls, model, equilibria)
-    if not p4.applicable:
-        return p3
-    lower = p4.values < p3.values
-    return BoundCurve(values=np.where(lower, p4.values, p3.values),
-                      provenance=["equilibrium-envelope" if low else tag
-                                  for low, tag in zip(lower, p3.provenance)])
+    return np.minimum(contraction_bound(scenario, perturbation),
+                      equilibrium_envelope_bound(scenario, perturbation, controls,
+                                                 model, equilibria))
 
 
 @dataclass
 class SweepPoint:
     delta: float
     cost_perturbation: float   # sum over steps and cells of x~ - x
-    combined: BoundCurve
-    sensitivity: BoundCurve
+    combined: np.ndarray       # (T+1,) bound curves
+    sensitivity: np.ndarray
 
 
 def sweep(scenario: Scenario, deltas, controls=None,
@@ -312,9 +264,7 @@ def sweep(scenario: Scenario, deltas, controls=None,
     t = np.arange(scenario.horizon + 1)
     points = []
     for d, pert, states in zip(deltas, perts, runs.states):
-        curve = next(curves) if level + d <= lam_hat else BoundCurve(
-            values=at_hat.values + (level + d - lam_hat) * t,
-            provenance=["overload-heuristic"] * len(t))
+        curve = next(curves) if level + d <= lam_hat else at_hat + (level + d - lam_hat) * t
         points.append(SweepPoint(delta=float(d), cost_perturbation=float((states - nominal).sum()),
                                  combined=curve, sensitivity=sensitivity_bound(scenario, pert)))
     return lam_hat, points

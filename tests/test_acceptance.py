@@ -157,7 +157,7 @@ class TestCriterion6:
         for model in ("fifo", "nonfifo"):
             _, points = sweep(sc, grid, controls=controls, model=model)
             for p in points:
-                total = p.combined.total()
+                total = float(p.combined.sum())
                 ok = ok and p.cost_perturbation <= total + 1e-6
                 if total > 0:
                     worst_margin = min(worst_margin, total - p.cost_perturbation)
@@ -172,7 +172,7 @@ class TestCriterion7:
         sc, controls = sweep_setup
         grid = np.round(np.arange(0.1, 3.0 + 1e-9, 0.1), 10)
         _, points = sweep(sc, grid, controls=controls)
-        ok = all(bool(np.all(p.sensitivity.values[1:] >= p.combined.values[1:]))
+        ok = all(bool(np.all(p.sensitivity[1:] >= p.combined[1:]))
                  for p in points)
         report("7 (sensitivity ordering)", ok,
                "exp bound exceeds combined bound for all t >= 1 and every delta > 0")

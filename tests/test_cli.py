@@ -122,8 +122,18 @@ class TestExitCodes:
          "adjacency must be a list of [from, to] pairs, got ["),
         (lambda doc: doc.update(cells=5), "cells must be a list of cell objects, got 5"),
         (lambda doc: doc.update(sinks="10"), "sinks must be a list of cell ids, got '10'"),
+        # these gave "unhashable type: 'list'" (or 'dict'), and an integer
+        # id blamed the adjacency pair (1,2)
+        (lambda doc: doc.update(sources=[["1"]]), "sources must be a list of cell ids, got [["),
+        (lambda doc: doc.update(sinks=[{"a": 1}]), "sinks must be a list of cell ids, got [{"),
+        (lambda doc: doc["adjacency"].append([["1"], "2"]),
+         "adjacency must be a list of [from, to] pairs, got ["),
+        (lambda doc: doc["cells"][0].update(id=["1"]), "cell id must be a string, got ['1']"),
+        (lambda doc: doc["cells"][0].update(id=1), "cell id must be a string, got 1"),
     ], ids=["missing-x0", "missing-cell-v", "scalar-capacity", "string-lanes", "null-tau",
-            "routing-list", "short-adjacency-pair", "scalar-cells", "string-sinks"])
+            "routing-list", "short-adjacency-pair", "scalar-cells", "string-sinks",
+            "list-source-id", "object-sink-id", "list-adjacency-id", "list-cell-id",
+            "integer-cell-id"])
     def test_malformed_field_named(self, tmp_path, capsys, edit, named):
         doc = scenario_to_dict(table_scenario())
         edit(doc)
@@ -143,6 +153,16 @@ class TestExitCodes:
         rc = main(["robustness-sweep", "--scenario", str(zero_inflow_file),
                    "--sweep", "junk", "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_negative_inflow_sweep_config_error(self, tmp_path, capsys):
+        # a grid that drives the nominal inflow 5 below zero used to end in
+        # a ValueError traceback from simulate_batch (exit 1)
+        rc = main(["robustness-sweep", "--scenario", "bundled:robustness",
+                   "--sweep=-6:1:0", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config",
+                       "message": "sweep start -6 drives the inflow 5 below zero"}
 
     def test_inflow_longer_than_horizon_config_error(self, tmp_path):
         # five inflow entries past T = 25 used to be cut off without a word

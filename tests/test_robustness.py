@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmflow import robustness, scenarios
-from ctmflow.ctm import MODELS, Drive, junction_rates, simulate, step
+from ctmflow.ctm import FREEFLOW_TOL, MODELS, Drive, junction_rates, simulate, step
 from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
 from ctmflow.robustness import (EQ_TOL, PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
-                                find_equilibria, find_equilibrium, lipschitz_constant,
+                                find_equilibria, lipschitz_constant,
                                 max_freeflow_inflow, sensitivity_bound, simulate_perturbed,
                                 sweep)
 
@@ -17,7 +17,7 @@ from conftest import freeflow_scenario, random_scenario
 
 
 def zero_pert(sc) -> PerturbationSpec:
-    return PerturbationSpec(initial_volumes=sc.initial_volumes, inflow=sc.inflow_array())
+    return PerturbationSpec(x0=sc.x0_array(), inflow=sc.inflow_array())
 
 
 def reference_equilibrium(sc, inflow, model: str):
@@ -51,7 +51,7 @@ def full_horizon_free(net, drive, x0, lam, model: str = "fifo") -> bool:
     x = np.asarray(x0, dtype=float)[None]
     for t in range(len(lam)):
         y, z, gamma, _ = junction_rates(net, x, drive, t, lam[t:t + 1], model)
-        if gamma.min() < 1.0 - 1e-9:
+        if gamma.min() < 1.0 - FREEFLOW_TOL:
             return False
         x = step(net, x, y, z)
     return True
@@ -71,19 +71,19 @@ def swept(robustness_scenario):
 class TestContractionBound:
     def test_zero_perturbation_zero_curve(self, robustness_scenario):
         curve = contraction_bound(robustness_scenario, zero_pert(robustness_scenario))
-        assert np.all(curve.values == 0.0)
+        assert np.all(curve == 0.0)
 
     def test_linear_in_time(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
         curve = contraction_bound(robustness_scenario, pert)
         t = np.arange(robustness_scenario.horizon + 1)
-        np.testing.assert_allclose(curve.values, 0.5 * t, atol=1e-12)
+        np.testing.assert_allclose(curve, 0.5 * t, atol=1e-12)
 
     def test_simulated_divergence_below_curve(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
         diff = divergence(robustness_scenario, pert)
         curve = contraction_bound(robustness_scenario, pert)
-        assert np.all(diff <= curve.values + 1e-9)
+        assert np.all(diff <= curve + 1e-9)
 
     def test_freeflow_probe_flag(self, robustness_scenario):
         # the hypothesis of the bound: the perturbed run stays in free flow
@@ -104,7 +104,7 @@ class TestContractionBound:
             if not run.is_freeflow():
                 continue
             diff = np.abs(run.states[0] - simulate(sc).states).sum(axis=1)
-            assert np.all(diff <= contraction_bound(sc, pert).values + 1e-9)
+            assert np.all(diff <= contraction_bound(sc, pert) + 1e-9)
             done += 1
 
 
@@ -134,22 +134,21 @@ class TestEnvelope:
 class TestEquilibrium:
     def test_zero_inflow_zero_equilibrium(self, robustness_scenario):
         net = robustness_scenario.network
-        res = find_equilibrium(robustness_scenario, np.zeros(net.n))
-        assert res.exists
-        np.testing.assert_allclose(res.x_eq, 0.0, atol=1e-7)
+        x_eq = find_equilibria(robustness_scenario, [np.zeros(net.n)])[0]
+        assert x_eq is not None
+        np.testing.assert_allclose(x_eq, 0.0, atol=1e-7)
 
     def test_nominal_inflow_has_equilibrium(self, robustness_scenario):
         net = robustness_scenario.network
-        res = find_equilibrium(robustness_scenario, robustness_scenario.inflow_array()[0])
-        assert res.exists
+        x_eq = find_equilibria(robustness_scenario, [robustness_scenario.inflow_array()[0]])[0]
+        assert x_eq is not None
         # free-flow equilibrium: volume = throughput on every cell
-        assert res.x_eq[net.index["1"]] == pytest.approx(5.0, abs=1e-6)
-        assert res.x_eq[net.index["3"]] == pytest.approx(10.0 / 3.0, abs=1e-6)
+        assert x_eq[net.index["1"]] == pytest.approx(5.0, abs=1e-6)
+        assert x_eq[net.index["3"]] == pytest.approx(10.0 / 3.0, abs=1e-6)
 
     def test_overload_signal(self, robustness_scenario):
         lam = robustness_scenario.inflow_array()[0] * 1.4   # level 7 > capacity
-        res = find_equilibrium(robustness_scenario, lam)
-        assert not res.exists and res.overloaded
+        assert find_equilibria(robustness_scenario, [lam]) == [None]
 
     @pytest.mark.parametrize("model", ["fifo", "nonfifo", "fifo-priority"])
     def test_overload_signalled_by_source_growth(self, robustness_scenario, model, monkeypatch):
@@ -160,8 +159,7 @@ class TestEquilibrium:
         steps = []
         monkeypatch.setattr(robustness, "step", lambda *a: steps.append(1) or step(*a))
         lam = robustness_scenario.inflow_array()[0] * 1.4
-        res = find_equilibrium(robustness_scenario, lam, model=model)
-        assert res.overloaded and not res.exists
+        assert find_equilibria(robustness_scenario, [lam], model=model) == [None]
         assert len(steps) < 1000
 
 
@@ -171,12 +169,12 @@ class TestBatchedEquilibria:
         assert len(batch) == len(inflows)
         for lam, got in zip(inflows, batch):
             want = reference_equilibrium(sc, lam, model)
-            single = find_equilibrium(sc, lam, model=model)
-            for res in (got, single):
-                assert res.exists == (want is not None) and res.overloaded == (want is None)
+            single = find_equilibria(sc, [lam], model=model)[0]
+            for x_eq in (got, single):
+                assert (x_eq is None) == (want is None)
                 if want is not None:
-                    assert res.x_eq.tobytes() == want.tobytes()
-        return [r.exists for r in batch]
+                    assert x_eq.tobytes() == want.tobytes()
+        return [x_eq is not None for x_eq in batch]
 
     def test_mixed_batch(self, robustness_scenario):
         # converging, zero-inflow and overloaded rows leave the batch at
@@ -270,19 +268,21 @@ class TestEnvelopeAndOverload:
     def test_inapplicable_above_capacity(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 2.0)  # 7.0 > 45/7
         curve = equilibrium_envelope_bound(robustness_scenario, pert)
-        assert not curve.applicable
+        assert np.all(curve == np.inf)
+        combo = combined_bound(robustness_scenario, pert)
+        assert combo.tobytes() == contraction_bound(robustness_scenario, pert).tobytes()
 
     def test_constant_curve_when_applicable(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
         curve = equilibrium_envelope_bound(robustness_scenario, pert)
-        assert curve.applicable
-        assert np.all(curve.values == curve.values[0])
+        assert np.isfinite(curve[0])
+        assert np.all(curve == curve[0])
 
     def test_envelope_dominates_equilibrium_gap(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
         diff = divergence(robustness_scenario, pert)
         curve = equilibrium_envelope_bound(robustness_scenario, pert)
-        assert np.all(diff <= curve.values + 1e-9)
+        assert np.all(diff <= curve + 1e-9)
 
     def test_overload_reduces_to_combined_at_lam_hat(self, robustness_scenario, swept):
         # above lam_hat the sweep's curve is the combined bound at lam_hat
@@ -291,8 +291,7 @@ class TestEnvelopeAndOverload:
         at_hat = combined_bound(robustness_scenario,
                                 PerturbationSpec.inflow_shift(robustness_scenario, lam_hat - 5.0))
         t = np.arange(robustness_scenario.horizon + 1)
-        np.testing.assert_allclose(points[1].combined.values - (7.0 - lam_hat) * t,
-                                   at_hat.values, atol=1e-9)
+        np.testing.assert_allclose(points[1].combined - (7.0 - lam_hat) * t, at_hat, atol=1e-9)
 
     def test_overload_slope_matches_excess(self, robustness_scenario):
         # late-time growth of the simulated divergence approaches the
@@ -320,44 +319,81 @@ class TestLipschitzAndSensitivity:
 
     def test_zero_perturbation_zero_curve(self, robustness_scenario):
         curve = sensitivity_bound(robustness_scenario, zero_pert(robustness_scenario))
-        assert np.all(curve.values == 0.0)
+        assert np.all(curve == 0.0)
 
     def test_closed_form_value(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
         curve = sensitivity_bound(robustness_scenario, pert)
-        assert curve.values[3] == pytest.approx((np.exp(12.0) - 1.0) / 4.0 * 0.5, rel=1e-12)
+        assert curve[3] == pytest.approx((np.exp(12.0) - 1.0) / 4.0 * 0.5, rel=1e-12)
+
+    def test_nudged_shift_keeps_its_bound(self, robustness_scenario):
+        # a constant and a non-constant dlam used to take two formulas that
+        # differ by e^L L / (e^L - 1) = 4.07: nudging one step of a 0.5
+        # shift by 1e-11 multiplied the bound at every step by that factor
+        pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
+        lam = pert.inflow.copy()
+        lam[17, robustness_scenario.network.index["1"]] += 1e-11
+        plain = sensitivity_bound(robustness_scenario, pert)
+        nudged = sensitivity_bound(robustness_scenario, PerturbationSpec(x0=pert.x0, inflow=lam))
+        finite = np.isfinite(plain)
+        assert finite[:100].all() and np.array_equal(finite, np.isfinite(nudged))
+        np.testing.assert_allclose(nudged[finite], plain[finite], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_direct_gronwall_sum(self, seed):
+        # e^{Lt} dx0 + sum_{s<t} e^{L(t-1-s)} (e^L - 1) / L dlam(s), for a
+        # random non-constant dlam and a random dx0
+        rng = np.random.default_rng(seed)
+        sc = scenarios.robustness_scenario(horizon=int(rng.integers(1, 13)))
+        pert = PerturbationSpec(x0=sc.x0_array() + rng.uniform(0.0, 1.0, sc.network.n),
+                                inflow=sc.inflow_array() + rng.uniform(-0.5, 0.5, sc.inflow.shape))
+        L = lipschitz_constant(sc.network)
+        dx0 = np.abs(pert.x0 - sc.x0_array()).sum()
+        dlam = np.abs(pert.inflow - sc.inflow_array()).sum(axis=1)
+        want = [np.exp(L * t) * dx0 + sum(np.exp(L * (t - 1 - s)) * (np.exp(L) - 1.0) / L * dlam[s]
+                                          for s in range(t)) for t in range(sc.horizon + 1)]
+        np.testing.assert_allclose(sensitivity_bound(sc, pert), want, rtol=1e-12, atol=0.0)
 
     def test_exceeds_contraction_from_step_one(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.5)
         sens = sensitivity_bound(robustness_scenario, pert)
         p3 = contraction_bound(robustness_scenario, pert)
-        assert np.all(sens.values[1:] >= p3.values[1:])
+        assert np.all(sens[1:] >= p3[1:])
 
 
 class TestCombined:
     def test_tiny_perturbation_selects_contraction(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 0.01)
         curve = combined_bound(robustness_scenario, pert)
-        assert curve.provenance[1] == "contraction"
-        assert curve.values[1] == pytest.approx(0.01)
+        assert curve[1] == contraction_bound(robustness_scenario, pert)[1]
+        assert curve[1] == pytest.approx(0.01)
 
     def test_late_steps_select_envelope(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 1.0)
         curve = combined_bound(robustness_scenario, pert)
-        assert curve.provenance[-1] == "equilibrium-envelope"
-        assert curve.provenance[1] == "contraction"
+        p3 = contraction_bound(robustness_scenario, pert)
+        p4 = equilibrium_envelope_bound(robustness_scenario, pert)
+        assert curve[-1] == p4[-1] < p3[-1]
+        assert curve[1] == p3[1]
 
-    def test_overload_branch_engaged(self, swept):
-        # the sweep switches to the overload heuristic above lam_hat only
+    def test_overload_branch_engaged(self, robustness_scenario, swept):
+        # the sweep switches to the overload heuristic above lam_hat only:
+        # below it a point's curve is the combined bound at its own level
         lam_hat, (below, above) = swept
         assert 6.0 < lam_hat < 7.0
-        assert "overload-heuristic" not in below.combined.provenance
-        assert above.combined.provenance[0] == "overload-heuristic"
+
+        def at(level):
+            return combined_bound(robustness_scenario,
+                                  PerturbationSpec.inflow_shift(robustness_scenario, level - 5.0))
+        assert below.combined.tobytes() == at(6.0).tobytes()
+        t = np.arange(robustness_scenario.horizon + 1)
+        assert above.combined.tobytes() == (at(lam_hat) + (7.0 - lam_hat) * t).tobytes()
+        assert not np.array_equal(above.combined, at(7.0))
 
     def test_below_each_constituent(self, robustness_scenario):
         pert = PerturbationSpec.inflow_shift(robustness_scenario, 1.0)
         combo = combined_bound(robustness_scenario, pert)
         p3 = contraction_bound(robustness_scenario, pert)
         p4 = equilibrium_envelope_bound(robustness_scenario, pert)
-        assert np.all(combo.values <= p3.values + 1e-12)
-        assert np.all(combo.values <= p4.values + 1e-12)
+        assert np.all(combo <= p3 + 1e-12)
+        assert np.all(combo <= p4 + 1e-12)
