@@ -1,8 +1,8 @@
 """Freeway traffic simulation and optimal network control toolkit."""
 
 from .ctm import CostSpec, InvariantError, Trajectory, evaluate_cost, simulate
-from .network import (Cell, FundamentalDiagram, Network, RoutingSchedule,
-                      Scenario, load_scenario, save_scenario, validate)
+from .network import (Cell, Network, RoutingSchedule, Scenario, load_scenario,
+                      save_scenario, validate)
 from .program import ConvexProgram, build_dta, build_fnc
 from .solver import Solution, solve
 from .synthesis import ControlSchedule, extract_controls, verify_realization
@@ -10,7 +10,7 @@ from .synthesis import ControlSchedule, extract_controls, verify_realization
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell", "ControlSchedule", "ConvexProgram", "CostSpec", "FundamentalDiagram", "InvariantError",
+    "Cell", "ControlSchedule", "ConvexProgram", "CostSpec", "InvariantError",
     "Network", "RoutingSchedule", "Scenario", "Solution", "Trajectory",
     "build_dta", "build_fnc", "evaluate_cost",
     "extract_controls", "load_scenario", "save_scenario", "simulate", "solve",

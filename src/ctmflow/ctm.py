@@ -6,12 +6,12 @@ State update (synchronous, explicit):
     y_i(t)   = lambda_i(t) + sum_j f_ji(t)
     z_i(t)   = mu_i(t) + sum_j f_ij(t)
 
-The network is compiled once into arrays (``Network.compiled``,
-``Scenario.compiled``): edges e = (i, j) in adjacency order, slopes, jam
-volumes, source and sink masks, the (T, n) capacity matrix and the turning
-ratios R_e(t). One kernel step maps a (B, n) batch of states, B runs that
-share the network, controls and routing, to their rates with whole-array
-operations; per-cell sums over edges run in adjacency order.
+The network is compiled once into arrays (``Network.compiled``): edges
+e = (i, j) in adjacency order, slopes, jam volumes, source and sink masks.
+Each run adds the (T, n) capacity matrix (``Scenario.capacity``) and the
+turning ratios R_e(t). One kernel step maps a (B, n) batch of states, B
+runs that share the network, controls and routing, to their rates with
+whole-array operations; per-cell sums over edges run in adjacency order.
 
 Junction rules, all evaluated on the controllable demands
 d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
@@ -194,8 +194,7 @@ class Drive:
         synthesis.ControlSchedule); None means alpha == 1, and routing None
         the scenario's exogenous routing.
         """
-        sc = scenario.compiled
-        net = sc.network
+        net = scenario.compiled
         T, n, E = scenario.horizon, scenario.network.n, len(net.src) - 1
         alpha = np.ones((T, n)) if controls is None else held_rows(controls.alphas, T)
         routing = None if controls is None else controls.routing
@@ -205,7 +204,7 @@ class Drive:
             raise ValueError("no routing available: scenario has none and controls carry none")
         ratio = np.zeros((T, E + 1))
         ratio[:, :E] = held_rows(routing, T)
-        return Drive.of(net, alpha, sc.capacity, ratio)
+        return Drive.of(net, alpha, scenario.capacity, ratio)
 
     @cached_property
     def settled(self) -> int:
@@ -309,7 +308,7 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    net = scenario.compiled.network
+    net = scenario.compiled
     T, n = scenario.horizon, scenario.network.n
     x0 = np.asarray(scenario.initial_volumes if x0 is None else x0, dtype=float).reshape(-1, n)
     lam = np.asarray(scenario.inflow if inflow is None else inflow, dtype=float).reshape(-1, T, n)

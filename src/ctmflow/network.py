@@ -1,23 +1,26 @@
-"""Network topology, cell parameters, fundamental diagrams, and routing.
+"""Network topology, cell parameters, and routing.
 
 Cells are directed links of a multigraph; junction nodes are implicit and
 recovered from the adjacency relation
 
     A = {(i, j) : head(i) = tail(j) != external}.
 
-Each cell carries a piecewise-affine fundamental diagram in per-step units:
+Each ``Cell`` holds what the scenario file states: v, w and L in physical
+units, the jam volume in veh and the capacity schedule C_i(t) in veh/step.
+The step length tau is stored once, on the ``Network``; the compiled form
+derives the per-step slopes v tau / L and w tau / L from it, and with them
+the piecewise-affine fundamental diagram
 
     demand  d_i(x)    = demand_slope * x            (rising branch)
     supply  s_i(x, t) = min(supply_slope * (x_jam - x), C_i(t))
 
-with demand saturated at the capacity schedule C_i(t) when evaluated as the
-controllable demand
+with demand saturated at C_i(t) when evaluated as the controllable demand
 
     d_bar_i(x, a) = min(a * d_i(x), C_i(t))   for non-sources (speed limit)
     d_bar_i(x, a) = min(d_i(x), a * C_i(t))   for sources     (ramp meter).
 
-Sources have unbounded supply (math.inf sentinel). All flows are stored in
-vehicles per step, so the discrete update x+ = x + y - z is exact.
+Sources have unbounded supply. All flows are stored in vehicles per step,
+so the discrete update x+ = x + y - z is exact.
 """
 
 from __future__ import annotations
@@ -30,84 +33,45 @@ from functools import cached_property
 
 import numpy as np
 
-INF_SUPPLY = math.inf
-
-
-@dataclass(frozen=True)
-class FundamentalDiagram:
-    """Piecewise-affine demand/supply relation of one cell, per-step units."""
-
-    demand_slope: float            # v * tau / L, dimensionless
-    supply_slope: float            # w * tau / L, dimensionless
-    jam_volume: float              # veh
-    capacity_schedule: tuple[float, ...]   # veh/step, constant-extended
-    is_source: bool = False
-
-    def __post_init__(self):
-        numbers = (self.demand_slope, self.supply_slope, self.jam_volume, *self.capacity_schedule)
-        if not all(math.isfinite(v) for v in numbers):
-            raise ValueError("diagram slopes, jam volume and capacities must be finite")
-        if self.jam_volume <= 0:
-            raise ValueError(f"jam_volume must be positive, got {self.jam_volume}")
-        if self.demand_slope < 0 or self.supply_slope < 0:
-            raise ValueError("diagram slopes must be nonnegative")
-        if not self.capacity_schedule:
-            raise ValueError("capacity_schedule must be nonempty")
-        if any(c < 0 for c in self.capacity_schedule):
-            raise ValueError("capacity_schedule entries must be nonnegative")
-
-    def capacity(self, t: int) -> float:
-        """C_i(t), constant-extending the last entry beyond the schedule."""
-        sched = self.capacity_schedule
-        return sched[t] if t < len(sched) else sched[-1]
-
 
 @dataclass(frozen=True)
 class Cell:
-    """One road segment with physical parameters and its diagram."""
+    """One road segment; capacities beyond the schedule repeat its last entry."""
 
     id: str
     free_flow_speed: float     # length/time
     wave_speed: float          # length/time
     length: float              # length
     lanes: int
-    diagram: FundamentalDiagram
+    jam_volume: float          # veh
+    capacity_schedule: tuple[float, ...]   # veh/step
 
     def __post_init__(self):
+        object.__setattr__(self, "capacity_schedule", tuple(self.capacity_schedule))
         if not all(0 < p < math.inf for p in (self.free_flow_speed, self.wave_speed, self.length)):
             raise ValueError(f"cell {self.id}: v, w, L must be positive and finite")
         if self.lanes < 1:
             raise ValueError(f"cell {self.id}: lanes must be >= 1")
-
-
-def make_cell(cell_id: str, v: float, w: float, length: float, lanes: int,
-              jam: float, capacity: list[float] | tuple[float, ...], tau: float,
-              is_source: bool = False) -> Cell:
-    """Build a cell from physical units; slopes are premultiplied by tau/L."""
-    return Cell(
-        id=cell_id,
-        free_flow_speed=v,
-        wave_speed=w,
-        length=length,
-        lanes=lanes,
-        diagram=FundamentalDiagram(
-            demand_slope=v * tau / length,
-            supply_slope=w * tau / length,
-            jam_volume=jam,
-            capacity_schedule=tuple(capacity),
-            is_source=is_source,
-        ),
-    )
+        if not all(math.isfinite(v) for v in (self.jam_volume, *self.capacity_schedule)):
+            raise ValueError(f"cell {self.id}: jam volume and capacities must be finite")
+        if self.jam_volume <= 0:
+            raise ValueError(f"cell {self.id}: jam volume must be positive, got {self.jam_volume}")
+        if not self.capacity_schedule:
+            raise ValueError(f"cell {self.id}: capacity schedule must be nonempty")
+        if any(c < 0 for c in self.capacity_schedule):
+            raise ValueError(f"cell {self.id}: capacities must be nonnegative")
 
 
 @dataclass(frozen=True)
 class Network:
-    """Directed multigraph of cells with sources, sinks, and junctions."""
+    """Directed multigraph of cells with sources, sinks, and junctions,
+    simulated in steps of tau seconds."""
 
     cells: tuple[Cell, ...]
     adjacency: tuple[tuple[str, str], ...]
     sources: frozenset[str]
     sinks: frozenset[str]
+    tau: float                 # seconds per step
 
     index: dict = field(init=False, repr=False, compare=False)
     edge_index: dict = field(init=False, repr=False, compare=False)
@@ -115,9 +79,15 @@ class Network:
     _up: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         object.__setattr__(self, "index", {c.id: k for k, c in enumerate(self.cells)})
         if len(self.index) != len(self.cells):
             raise ValueError("duplicate cell ids")
+        for role, ids in (("source", self.sources), ("sink", self.sinks)):
+            unknown = sorted(ids.difference(self.index))
+            if unknown:
+                raise ValueError(f"{role} {unknown[0]!r} is not a cell of the network")
         object.__setattr__(self, "edge_index", {p: e for e, p in enumerate(self.adjacency)})
         if len(self.edge_index) != len(self.adjacency):
             raise ValueError("duplicate adjacency pairs")
@@ -171,7 +141,9 @@ class CompiledNetwork:
     ``dst[e]``; edge E is a padding edge from cell 0 to cell 0 whose turning
     ratio is always 0. ``in_edges`` / ``out_edges`` are tuples of index
     arrays: entry k of their c-th array is cell k's c-th incoming / outgoing
-    edge in adjacency order, or E where it has fewer. ``jam_limit``
+    edge in adjacency order, or E where it has fewer. ``demand_slope`` and
+    ``supply_slope`` are the per-step slopes v tau / L and w tau / L, the
+    only place they are derived. ``jam_limit``
     is the largest volume a step may leave: jam plus max(1e-9, 1e-9 jam),
     inf on sources. ``merges`` holds (target, first upstream, second
     upstream) for every two-in merge whose upstream cells feed only it, the
@@ -198,8 +170,8 @@ class CompiledNetwork:
         E = len(net.adjacency)
         src = np.array([idx[i] for i, _ in net.adjacency] + [0], dtype=np.intp)
         dst = np.array([idx[j] for _, j in net.adjacency] + [0], dtype=np.intp)
-        diagrams = [c.diagram for c in net.cells]
-        jam = np.array([d.jam_volume for d in diagrams])
+        v, w, length, jam = (np.array([getattr(c, a) for c in net.cells], dtype=float) for a in
+                             ("free_flow_speed", "wave_speed", "length", "jam_volume"))
         source = np.array([net.is_source(c.id) for c in net.cells])
         merges = [(idx[c.id], idx[ups[0]], idx[ups[1]]) for c in net.cells
                   for ups in [net.upstream(c.id)]
@@ -208,10 +180,9 @@ class CompiledNetwork:
             network=net, src=src, dst=dst,
             in_edges=_padded([[e for e in range(E) if dst[e] == k] for k in range(net.n)], E),
             out_edges=_padded([[e for e in range(E) if src[e] == k] for k in range(net.n)], E),
-            demand_slope=np.array([d.demand_slope for d in diagrams]),
-            supply_slope=np.array([d.supply_slope for d in diagrams]),
+            demand_slope=v * net.tau / length, supply_slope=w * net.tau / length,
             jam=jam, jam_limit=np.where(source, np.inf, jam + np.maximum(1e-9, 1e-9 * jam)),
-            peak_capacity=np.array([max(d.capacity_schedule) for d in diagrams]),
+            peak_capacity=np.array([max(c.capacity_schedule) for c in net.cells]),
             source=source,
             sink=np.array([net.is_sink(c.id) for c in net.cells]),
             merges=np.array(merges, dtype=np.intp).reshape(-1, 3))
@@ -242,7 +213,6 @@ class Scenario:
 
     network: Network
     horizon: int                  # T, number of steps
-    tau: float                    # seconds per step (bookkeeping only)
     initial_volumes: tuple[float, ...]          # x0, veh per cell
     inflow: tuple                 # (T, n) array-like, veh/step, zero off-source
     routing: RoutingSchedule | None = None      # exogenous R(t), FNC only
@@ -258,30 +228,26 @@ class Scenario:
         return np.asarray(self.initial_volumes, dtype=float)
 
     @cached_property
-    def compiled(self) -> "CompiledScenario":
-        """The validated array form; raises ValueError on an invalid scenario."""
-        report = validate(self.network, self)
+    def compiled(self) -> CompiledNetwork:
+        """The network's array form, once the scenario validates; raises
+        ValueError on an invalid scenario."""
+        report = validate(self)
         if not report.ok:
             raise ValueError(f"invalid scenario:\n{report}")
+        return self.network.compiled
+
+    @cached_property
+    def capacity(self) -> np.ndarray:
+        """C_i(t) over the horizon, (T, n), each schedule constant-extended."""
         T = self.horizon
-        scheds = [c.diagram.capacity_schedule for c in self.network.cells]
-        capacity = np.array([list(s[:T]) + [s[-1]] * (T - len(s)) for s in scheds],
-                            dtype=float).T.copy()
-        return CompiledScenario(network=self.network.compiled, capacity=capacity)
+        scheds = [c.capacity_schedule for c in self.network.cells]
+        return np.array([list(s[:T]) + [s[-1]] * (T - len(s)) for s in scheds],
+                        dtype=float).T.copy()
 
     def content_hash(self) -> str:
         return hashlib.sha256(
             json.dumps(scenario_to_dict(self), sort_keys=True).encode()
         ).hexdigest()[:16]
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledScenario:
-    """Arrays of one validated scenario (``Scenario.compiled``): the
-    capacities (T, n)."""
-
-    network: CompiledNetwork
-    capacity: np.ndarray
 
 
 @dataclass
@@ -307,45 +273,24 @@ class ValidationReport:
         return "\n".join(f"[{v.code}] {v.message}" for v in self.violations)
 
 
-def demand(cell: Cell, x: float, alpha: float, t: int) -> float:
-    """Controllable demand d_bar(x, alpha) at step t, veh/step.
-
-    Speed-limit scaling on non-sources, capacity metering on sources.
-    """
-    if x < 0:
-        raise ValueError(f"cell {cell.id}: negative volume {x}")
-    cap = cell.diagram.capacity(t)
-    if cell.diagram.is_source:
-        return min(cell.diagram.demand_slope * x, alpha * cap)
-    return min(alpha * cell.diagram.demand_slope * x, cap)
-
-
-def supply(cell: Cell, x: float, t: int) -> float:
-    """Supply s(x, t) in veh/step; +inf for sources."""
-    if cell.diagram.is_source:
-        return INF_SUPPLY
-    if x > cell.diagram.jam_volume + 1e-9:
-        raise ValueError(f"cell {cell.id}: volume {x} exceeds jam {cell.diagram.jam_volume}")
-    return min(cell.diagram.supply_slope * (cell.diagram.jam_volume - x),
-               cell.diagram.capacity(t))
-
-
-def validate(network: Network, scenario: Scenario | None = None) -> ValidationReport:
+def validate(scenario: Scenario) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises."""
     report = ValidationReport()
+    network = scenario.network
+    comp = network.compiled
+    ids = [c.id for c in network.cells]
     downstream_of = {c.id: network.downstream(c.id) for c in network.cells}
     upstream_of = {c.id: network.upstream(c.id) for c in network.cells}
 
-    for c in network.cells:
-        if c.diagram.is_source != network.is_source(c.id):
-            report.add("source-flag", f"cell {c.id}: diagram is_source disagrees with network.sources")
-        if not c.diagram.is_source and supply(c, 0.0, 0) <= 0:
-            report.add("supply-positive", f"cell {c.id}: s(0) must be positive on non-sources")
+    empty_supply = np.minimum(comp.supply_slope * comp.jam,
+                              [c.capacity_schedule[0] for c in network.cells])
+    for k in np.flatnonzero(~comp.source & (empty_supply <= 0)):
+        report.add("supply-positive", f"cell {ids[k]}: s(0) must be positive on non-sources")
     for s in network.sources:
-        if upstream_of.get(s):
+        if upstream_of[s]:
             report.add("source-upstream", f"source {s} has in-network upstream cells {upstream_of[s]}")
     for s in network.sinks:
-        if downstream_of.get(s):
+        if downstream_of[s]:
             report.add("sink-downstream", f"sink {s} has in-network downstream cells {downstream_of[s]}")
     for c in network.cells:
         if not downstream_of[c.id] and not network.is_sink(c.id):
@@ -353,54 +298,51 @@ def validate(network: Network, scenario: Scenario | None = None) -> ValidationRe
         if not upstream_of[c.id] and not network.is_source(c.id):
             report.add("no-feed", f"cell {c.id} has no upstream cell and is not a source")
 
-    if scenario is not None:
-        comp = network.compiled
-        ids = [c.id for c in network.cells]
-        x0 = scenario.x0_array()
-        if x0.shape != (network.n,):
-            report.add("x0-shape", f"x0 has shape {x0.shape}, expected ({network.n},)")
-        else:
-            for k in np.flatnonzero(~np.isfinite(x0)):
-                report.add("x0-finite", f"cell {ids[k]}: x0 = {x0[k]} is not finite")
-            for k in np.flatnonzero(x0 < 0):
-                report.add("x0-negative", f"cell {ids[k]}: x0 = {x0[k]} < 0")
-            for k in np.flatnonzero(~comp.source & (x0 > comp.jam)):
-                report.add("x0-jam", f"cell {ids[k]}: x0 = {x0[k]} exceeds jam {comp.jam[k]}")
-        try:
-            lam = scenario.inflow_array()
-        except ValueError as e:
-            report.add("inflow-shape", str(e))
-            lam = np.zeros((0, network.n))
-        for t, k in np.argwhere(~np.isfinite(lam)):
-            report.add("inflow-finite", f"lambda_{ids[k]}({t}) = {lam[t, k]} is not finite")
-        for t, k in np.argwhere(lam < 0):
-            report.add("inflow-negative", f"lambda_{ids[k]}({t}) = {lam[t, k]} < 0")
-        for t, k in np.argwhere((lam > 0) & ~comp.source):
-            report.add("inflow-nonsource", f"lambda_{ids[k]}({t}) > 0 on non-source")
-        # CFL: tau * max v / min L <= 1, expressed via per-step slopes
-        max_slope, max_wslope = comp.demand_slope.max(), comp.supply_slope.max()
-        if max_slope > 1 + 1e-12:
-            report.add("cfl", f"CFL ratio tau*max(v)/min(L) = {max_slope} exceeds 1")
-        if max_wslope > 1 + 1e-12:
-            report.add("cfl-wave", f"wave CFL ratio tau*max(w)/min(L) = {max_wslope} exceeds 1")
-        if scenario.routing is not None:
-            R = np.asarray(scenario.routing.ratios, dtype=float)
-            E = len(network.adjacency)
-            if R.ndim != 2 or len(R) < 1 or R.shape[1] != E:
-                report.add("routing-shape", f"routing ratios have shape {R.shape}, "
-                                            f"expected (T_r >= 1, E = {E})")
-                R = np.zeros((0, E))
-            name = [f"R_{i}->{j}" for i, j in network.adjacency]
-            for t, e in np.argwhere(~np.isfinite(R)):
-                report.add("routing-finite", f"{name[e]}({t}) = {R[t, e]} is not finite")
-            for t, e in np.argwhere(R < 0):
-                report.add("routing-negative", f"{name[e]}({t}) = {R[t, e]} < 0")
-            rowsum = np.zeros((len(R), network.n))
-            for e, k in enumerate(comp.src[:-1]):
-                rowsum[:, k] += R[:, e]
-            for t, k in np.argwhere((np.abs(rowsum - 1.0) > 1e-9) & ~comp.sink):
-                report.add("routing-rowsum",
-                           f"ratios out of {ids[k]} at step {t} sum to {rowsum[t, k]}, expected 1")
+    x0 = scenario.x0_array()
+    if x0.shape != (network.n,):
+        report.add("x0-shape", f"x0 has shape {x0.shape}, expected ({network.n},)")
+    else:
+        for k in np.flatnonzero(~np.isfinite(x0)):
+            report.add("x0-finite", f"cell {ids[k]}: x0 = {x0[k]} is not finite")
+        for k in np.flatnonzero(x0 < 0):
+            report.add("x0-negative", f"cell {ids[k]}: x0 = {x0[k]} < 0")
+        for k in np.flatnonzero(~comp.source & (x0 > comp.jam)):
+            report.add("x0-jam", f"cell {ids[k]}: x0 = {x0[k]} exceeds jam {comp.jam[k]}")
+    try:
+        lam = scenario.inflow_array()
+    except ValueError as e:
+        report.add("inflow-shape", str(e))
+        lam = np.zeros((0, network.n))
+    for t, k in np.argwhere(~np.isfinite(lam)):
+        report.add("inflow-finite", f"lambda_{ids[k]}({t}) = {lam[t, k]} is not finite")
+    for t, k in np.argwhere(lam < 0):
+        report.add("inflow-negative", f"lambda_{ids[k]}({t}) = {lam[t, k]} < 0")
+    for t, k in np.argwhere((lam > 0) & ~comp.source):
+        report.add("inflow-nonsource", f"lambda_{ids[k]}({t}) > 0 on non-source")
+    # CFL: tau * max v / min L <= 1, expressed via per-step slopes
+    max_slope, max_wslope = comp.demand_slope.max(), comp.supply_slope.max()
+    if max_slope > 1 + 1e-12:
+        report.add("cfl", f"CFL ratio tau*max(v)/min(L) = {max_slope} exceeds 1")
+    if max_wslope > 1 + 1e-12:
+        report.add("cfl-wave", f"wave CFL ratio tau*max(w)/min(L) = {max_wslope} exceeds 1")
+    if scenario.routing is not None:
+        R = np.asarray(scenario.routing.ratios, dtype=float)
+        E = len(network.adjacency)
+        if R.ndim != 2 or len(R) < 1 or R.shape[1] != E:
+            report.add("routing-shape", f"routing ratios have shape {R.shape}, "
+                                        f"expected (T_r >= 1, E = {E})")
+            R = np.zeros((0, E))
+        name = [f"R_{i}->{j}" for i, j in network.adjacency]
+        for t, e in np.argwhere(~np.isfinite(R)):
+            report.add("routing-finite", f"{name[e]}({t}) = {R[t, e]} is not finite")
+        for t, e in np.argwhere(R < 0):
+            report.add("routing-negative", f"{name[e]}({t}) = {R[t, e]} < 0")
+        rowsum = np.zeros((len(R), network.n))
+        for e, k in enumerate(comp.src[:-1]):
+            rowsum[:, k] += R[:, e]
+        for t, k in np.argwhere((np.abs(rowsum - 1.0) > 1e-9) & ~comp.sink):
+            report.add("routing-rowsum",
+                       f"ratios out of {ids[k]} at step {t} sum to {rowsum[t, k]}, expected 1")
     return report
 
 
@@ -431,8 +373,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "cells": [
             {
                 "id": c.id, "v": c.free_flow_speed, "w": c.wave_speed,
-                "L": c.length, "lanes": c.lanes, "jam": c.diagram.jam_volume,
-                "capacity": list(c.diagram.capacity_schedule),
+                "L": c.length, "lanes": c.lanes, "jam": c.jam_volume,
+                "capacity": list(c.capacity_schedule),
             }
             for c in net.cells
         ],
@@ -443,7 +385,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "inflow": inflow,
         "x0": [float(v) for v in scenario.initial_volumes],
         "T": scenario.horizon,
-        "tau": scenario.tau,
+        "tau": net.tau,
     }
 
 
@@ -490,7 +432,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     if type(T) not in (int, float) or not float(T).is_integer() or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
     horizon = int(T)
-    sources = frozenset(_list(_key(data, "sources"), "sources", "cell ids", _is_id))
     cells = []
     for c in _list(_key(data, "cells"), "cells", "cell objects"):
         cid = _key(c, "id", "cell")
@@ -502,15 +443,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not lanes.is_integer():
             raise ValueError(f"{where}: lanes must be an integer, got {lanes!r}")
         capacity = _numbers(_key(c, "capacity", where), f"{where}: capacity")
-        cells.append(make_cell(cid, v, w, length, int(lanes), jam, capacity, tau,
-                               is_source=cid in sources))
+        cells.append(Cell(cid, v, w, length, int(lanes), jam, capacity))
     pairs = _list(_key(data, "adjacency"), "adjacency", "[from, to] pairs",
                   lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_id, v)))
     net = Network(
         cells=tuple(cells),
         adjacency=tuple(map(tuple, pairs)),
-        sources=sources,
+        sources=frozenset(_list(_key(data, "sources"), "sources", "cell ids", _is_id)),
         sinks=frozenset(_list(_key(data, "sinks"), "sinks", "cell ids", _is_id)),
+        tau=tau,
     )
     lam = np.zeros((horizon, net.n))
     for cid, series in _mapping(data, "inflow").items():
@@ -542,7 +483,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             ratios[len(series):, e] = series[-1]     # shorter series: last entry held
         routing = RoutingSchedule(ratios=ratios)
     return Scenario(
-        network=net, horizon=horizon, tau=tau,
+        network=net, horizon=horizon,
         initial_volumes=tuple(_numbers(_key(data, "x0"), "x0")),
         inflow=lam, routing=routing, note=data.get("note", ""),
     )

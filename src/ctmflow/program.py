@@ -22,8 +22,8 @@ is a feasible point with identical cost.
 
 The constraint matrices are sparse triplets over the full variable vector,
 which the solvers work on directly through numpy kernels. They are
-assembled by index arithmetic over the compiled network
-(``Scenario.compiled``); variable names are derived only on request.
+assembled by index arithmetic over ``Scenario.compiled`` and
+``Scenario.capacity``; variable names are derived only on request.
 """
 
 from __future__ import annotations
@@ -174,10 +174,9 @@ def _sparse(entries: list, n_rows: int, n_cols: int) -> Sparse:
 def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexProgram:
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must be in [0, 1), got {eps}")
-    comp = scenario.compiled    # validates, once per scenario
+    net = scenario.compiled    # validates, once per scenario
     if kind == "FNC" and scenario.routing is None:
         raise ValueError("FNC needs an exogenous routing schedule on the scenario")
-    net = comp.network
     T, n, E = scenario.horizon, len(net.jam), len(net.src) - 1
     src, dst = net.src[:-1], net.dst[:-1]
     steps = np.arange(T)[:, None]
@@ -219,9 +218,9 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     ub = [(dem, z, 1.0), (dem, x[:-1], -net.demand_slope), (dem + 1, z, 1.0),
           (sup, y[:, inner], 1.0), (sup, x[:-1, inner], ws), (sup + 1, y[:, inner], 1.0)]
     b_ub = np.zeros(T * per.sum())
-    b_ub[dem + 1] = comp.capacity
+    b_ub[dem + 1] = scenario.capacity
     b_ub[sup] = ws * net.jam[inner]
-    b_ub[sup + 1] = shrink * comp.capacity[:, inner]
+    b_ub[sup + 1] = shrink * scenario.capacity[:, inner]
 
     c_vec, q_vec = _objective(cost, scenario, x, z, n_vars)
     return ConvexProgram(

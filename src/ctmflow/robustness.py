@@ -103,7 +103,7 @@ def find_equilibria(scenario: Scenario, inflows, controls=None,
     repeats its state of two steps earlier (to rounding), once a source
     holds 1e3 jam volumes, or at the step cap. Controls, routing and
     capacities are those of the horizon's last step (``Drive.for_run``)."""
-    net = scenario.compiled.network
+    net = scenario.compiled
     drive = Drive.for_run(scenario, controls)
     lam = np.asarray(inflows, dtype=float).reshape(-1, scenario.network.n)
     results = [None] * len(lam)
@@ -164,7 +164,7 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
     if np.max(np.abs(nominal - nominal[0])) > 1e-12:
         raise ValueError("max_freeflow_inflow requires a constant nominal inflow")
 
-    comp = scenario.compiled.network
+    comp = scenario.compiled
     drive = Drive.for_run(scenario)
 
     def free(level: float) -> bool:
@@ -202,10 +202,10 @@ def lipschitz_constant(network: Network) -> float:
     Supply derivatives are taken on the affine branch (-supply_slope);
     sources (infinite supply) are excluded from the min.
     """
-    d_max = max(c.diagram.demand_slope for c in network.cells)
-    s_min = min(-c.diagram.supply_slope for c in network.cells
-                if not c.diagram.is_source)
-    return 2.0 * (d_max - s_min)
+    comp = network.compiled
+    d_max = comp.demand_slope.max()
+    s_min = (-comp.supply_slope[~comp.source]).min()
+    return float(2.0 * (d_max - s_min))
 
 
 def sensitivity_bound(scenario: Scenario, perturbation: PerturbationSpec) -> np.ndarray:

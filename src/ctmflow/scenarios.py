@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import Network, RoutingSchedule, Scenario, make_cell
+from .network import Cell, Network, RoutingSchedule, Scenario
 
 TAU = 10.0
 V = 50.0
@@ -58,10 +58,9 @@ def figure_network(horizon: int, cell4_capacity=None) -> Network:
         cap = [6.0 * lanes] * horizon
         if cid == "4" and cell4_capacity is not None:
             cap = list(cell4_capacity)
-        cells.append(make_cell(cid, V, W, LENGTH, lanes, 10.0 * lanes, cap, TAU,
-                               is_source=(cid == "1")))
+        cells.append(Cell(cid, V, W, LENGTH, lanes, 10.0 * lanes, cap))
     return Network(cells=tuple(cells), adjacency=ADJACENCY,
-                   sources=frozenset({"1"}), sinks=frozenset({"10"}))
+                   sources=frozenset({"1"}), sinks=frozenset({"10"}), tau=TAU)
 
 
 def routing_for(net: Network) -> RoutingSchedule:
@@ -78,7 +77,7 @@ def table_scenario() -> Scenario:
     lam = np.zeros((T, net.n))
     src = net.index["1"]
     lam[0, src], lam[1, src], lam[2, src] = 8.0, 16.0, 8.0
-    return Scenario(network=net, horizon=T, tau=TAU,
+    return Scenario(network=net, horizon=T,
                     initial_volumes=(0.0,) * net.n, inflow=lam,
                     routing=routing_for(net), note=RATIO_NOTE)
 
@@ -88,7 +87,7 @@ def robustness_scenario(horizon: int = 200, inflow: float = 5.0) -> Scenario:
     net = figure_network(horizon)
     lam = np.zeros((horizon, net.n))
     lam[:, net.index["1"]] = inflow
-    return Scenario(network=net, horizon=horizon, tau=TAU,
+    return Scenario(network=net, horizon=horizon,
                     initial_volumes=(0.0,) * net.n, inflow=lam,
                     routing=routing_for(net), note=RATIO_NOTE)
 

@@ -281,7 +281,7 @@ def freeflow_optimum(program: ConvexProgram, scenario: Scenario) -> Solution | N
     if not _lemma_applies(program) or program.scenario_hash != scenario.content_hash():
         return None
     try:     # the probe stops at the first congested step
-        free = stays_free(scenario.compiled.network, Drive.for_run(scenario),
+        free = stays_free(scenario.compiled, Drive.for_run(scenario),
                           scenario.x0_array(), scenario.inflow_array())
         run = simulate(scenario) if free else None
     except InvariantError:

@@ -47,7 +47,7 @@ def extract_controls(program: ConvexProgram, solution: Solution,
     source = net.compiled.source
     z = program.states(vals, "z")
     d_raw = net.compiled.demand_slope * np.maximum(program.states(vals)[:-1], 0.0)
-    cap = scenario.compiled.capacity
+    cap = scenario.capacity
     bound = np.minimum(d_raw, cap)
     over = z > bound + 1e-6 * (1.0 + np.abs(z))
     unfed = ~source & (d_raw <= EXTRACT_TOL) & (z > EXTRACT_TOL)
@@ -143,8 +143,8 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
         raise ValueError("structure check applies to FNC programs")
     if program.cost_kind != "TTT":
         raise ValueError("structure check requires the total-volume cost")
-    slopes = {c.diagram.demand_slope for c in net.cells}
-    if max(slopes) - min(slopes) > 1e-12:
+    slopes = net.compiled.demand_slope
+    if slopes.max() - slopes.min() > 1e-12:
         raise ValueError("structure check requires identical demand slopes on all cells")
     # a general junction: a cell splits to two or more cells, one of which
     # is also fed by another cell

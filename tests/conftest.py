@@ -7,7 +7,7 @@ import pytest
 
 from ctmflow import scenarios
 from ctmflow.ctm import simulate
-from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
+from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
 
 TAU = 1.0
 
@@ -19,7 +19,7 @@ def build_network(shape: str, rng, slopes=None, slope_hi=1.0) -> tuple[Network, 
     slope_hi = 0.5 keeps demand_slope + supply_slope <= 1 per cell, which is
     what makes the one-step CTM map monotone outside free-flow.
     """
-    def cell(cid, lanes=1, is_source=False, cap=None, jam=None, slope=None):
+    def cell(cid, lanes=1, cap=None, jam=None, slope=None):
         s = slope if slope is not None else (slopes or rng.uniform(0.15, slope_hi))
         if isinstance(s, np.ndarray):
             s = float(s)
@@ -27,31 +27,30 @@ def build_network(shape: str, rng, slopes=None, slope_hi=1.0) -> tuple[Network, 
         jam = jam if jam is not None else rng.uniform(6.0, 20.0)
         length = 1.0
         v = s * length / TAU
-        return make_cell(cid, v, v, length, lanes, jam, [cap], TAU, is_source=is_source)
+        return Cell(cid, v, v, length, lanes, jam, (cap,))
 
     if shape == "chain":
         n = rng.integers(2, 5)
         ids = [f"c{k}" for k in range(n)]
-        cells = [cell(ids[0], is_source=True)] + [cell(i) for i in ids[1:]]
+        cells = [cell(ids[0])] + [cell(i) for i in ids[1:]]
         adjacency = tuple((ids[k], ids[k + 1]) for k in range(n - 1))
         sources, sinks = {ids[0]}, {ids[-1]}
         ratios = {p: 1.0 for p in adjacency}
     elif shape == "diverge":
         ids = ["s", "a", "b", "ta", "tb"]
-        cells = [cell("s", is_source=True), cell("a"), cell("b"), cell("ta"), cell("tb")]
+        cells = [cell("s"), cell("a"), cell("b"), cell("ta"), cell("tb")]
         adjacency = (("s", "a"), ("s", "b"), ("a", "ta"), ("b", "tb"))
         sources, sinks = {"s"}, {"ta", "tb"}
         r = rng.uniform(0.2, 0.8)
         ratios = {("s", "a"): r, ("s", "b"): 1 - r, ("a", "ta"): 1.0, ("b", "tb"): 1.0}
     elif shape == "merge":
         ids = ["s1", "s2", "m", "t"]
-        cells = [cell("s1", is_source=True), cell("s2", is_source=True), cell("m"), cell("t")]
+        cells = [cell("s1"), cell("s2"), cell("m"), cell("t")]
         adjacency = (("s1", "m"), ("s2", "m"), ("m", "t"))
         sources, sinks = {"s1", "s2"}, {"t"}
         ratios = {p: 1.0 for p in adjacency}
     elif shape == "cross":
-        cells = [cell("s", is_source=True), cell("u", is_source=True), cell("a"), cell("b"),
-                 cell("ta"), cell("tb")]
+        cells = [cell("s"), cell("u"), cell("a"), cell("b"), cell("ta"), cell("tb")]
         adjacency = (("s", "a"), ("s", "b"), ("u", "b"), ("a", "ta"), ("b", "tb"))
         sources, sinks = {"s", "u"}, {"ta", "tb"}
         r = rng.uniform(0.2, 0.8)
@@ -59,14 +58,14 @@ def build_network(shape: str, rng, slopes=None, slope_hi=1.0) -> tuple[Network, 
                   ("a", "ta"): 1.0, ("b", "tb"): 1.0}
     else:  # diamond
         ids = ["s", "u", "a", "b", "m", "t"]
-        cells = [cell("s", is_source=True), cell("u"), cell("a"), cell("b"), cell("m"), cell("t")]
+        cells = [cell("s"), cell("u"), cell("a"), cell("b"), cell("m"), cell("t")]
         adjacency = (("s", "u"), ("u", "a"), ("u", "b"), ("a", "m"), ("b", "m"), ("m", "t"))
         sources, sinks = {"s"}, {"t"}
         r = rng.uniform(0.2, 0.8)
         ratios = {("s", "u"): 1.0, ("u", "a"): r, ("u", "b"): 1 - r,
                   ("a", "m"): 1.0, ("b", "m"): 1.0, ("m", "t"): 1.0}
     net = Network(cells=tuple(cells), adjacency=adjacency,
-                  sources=frozenset(sources), sinks=frozenset(sinks))
+                  sources=frozenset(sources), sinks=frozenset(sinks), tau=TAU)
     return net, ratios
 
 
@@ -77,13 +76,13 @@ def random_scenario(rng, shape=None, horizon=None, inflow_scale=1.0,
     T = int(horizon or rng.integers(4, 12))
     lam = np.zeros((T, net.n))
     for k, c in enumerate(net.cells):     # cell order: net.sources is a frozenset
-        if c.diagram.is_source:
+        if net.is_source(c.id):
             lam[:, k] = rng.uniform(0.0, 2.0 * inflow_scale, size=T)
     x0 = np.zeros(net.n)
     for k, c in enumerate(net.cells):
-        lim = c.diagram.jam_volume if not c.diagram.is_source else 10.0
+        lim = c.jam_volume if not net.is_source(c.id) else 10.0
         x0[k] = rng.uniform(0.0, x0_scale * lim)
-    return Scenario(network=net, horizon=T, tau=TAU, initial_volumes=tuple(x0),
+    return Scenario(network=net, horizon=T, initial_volumes=tuple(x0),
                     inflow=lam, routing=RoutingSchedule.constant(net, ratios))
 
 
@@ -97,7 +96,7 @@ def freeflow_scenario(rng, shape=None, horizon=None) -> Scenario:
             return sc
         lam = sc.inflow_array() * 0.5
         x0 = tuple(v * 0.5 for v in sc.initial_volumes)
-        sc = Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+        sc = Scenario(network=sc.network, horizon=sc.horizon,
                       initial_volumes=x0, inflow=lam, routing=sc.routing)
     traj = simulate(sc)
     assert traj.is_freeflow(), "could not produce a free-flow scenario"
@@ -108,7 +107,7 @@ def dominated_pair(rng, sc: Scenario, shrink=0.7):
     """A second scenario elementwise below the given one."""
     lam = sc.inflow_array() * rng.uniform(shrink, 1.0, size=(sc.horizon, sc.network.n))
     x0 = tuple(v * rng.uniform(shrink, 1.0) for v in sc.initial_volumes)
-    return Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+    return Scenario(network=sc.network, horizon=sc.horizon,
                     initial_volumes=x0, inflow=lam, routing=sc.routing)
 
 

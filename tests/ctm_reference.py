@@ -2,21 +2,56 @@
 kernel replaced, kept to property-test the array kernel against.
 
 Every junction rule runs cell by cell and edge by edge on Python floats,
-through the scalar fundamental-diagram helpers ``network.demand`` and
-``network.supply``. A receiving cell throttles only a total demand above
-``ZERO_DEMAND_TOL`` times its peak capacity, as in the array kernel.
+through the scalar fundamental-diagram helpers ``demand`` and ``supply``,
+which derive their slopes v tau / L and w tau / L from the cell and the
+step length themselves, not from the compiled network. A receiving cell
+throttles only a total demand above ``ZERO_DEMAND_TOL`` times its peak
+capacity, as in the array kernel.
 
 ``mass_balance_error`` is the conservation check of a simulated run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ctmflow.ctm import ZERO_DEMAND_TOL
-from ctmflow.network import Network, Scenario, demand, supply, validate
+from ctmflow.network import Cell, Network, Scenario, validate
+
+INF_SUPPLY = math.inf
+
+
+def capacity(cell: Cell, t: int) -> float:
+    """C_i(t), constant-extending the last entry beyond the schedule."""
+    sched = cell.capacity_schedule
+    return sched[t] if t < len(sched) else sched[-1]
+
+
+def demand(cell: Cell, tau: float, x: float, alpha: float, t: int,
+           source: bool = False) -> float:
+    """Controllable demand d_bar(x, alpha) at step t, veh/step.
+
+    Speed-limit scaling on non-sources, capacity metering on sources.
+    """
+    if x < 0:
+        raise ValueError(f"cell {cell.id}: negative volume {x}")
+    slope = cell.free_flow_speed * tau / cell.length
+    cap = capacity(cell, t)
+    if source:
+        return min(slope * x, alpha * cap)
+    return min(alpha * slope * x, cap)
+
+
+def supply(cell: Cell, tau: float, x: float, t: int, source: bool = False) -> float:
+    """Supply s(x, t) in veh/step; +inf for sources."""
+    if source:
+        return INF_SUPPLY
+    if x > cell.jam_volume + 1e-9:
+        raise ValueError(f"cell {cell.id}: volume {x} exceeds jam {cell.jam_volume}")
+    return min(cell.wave_speed * tau / cell.length * (cell.jam_volume - x), capacity(cell, t))
 
 
 @dataclass
@@ -39,15 +74,16 @@ def dense_routing(net: Network, ratios) -> np.ndarray:
 
 
 def _negligible(network: Network, cell_id: str) -> float:
-    return ZERO_DEMAND_TOL * max(network.cell(cell_id).diagram.capacity_schedule)
+    return ZERO_DEMAND_TOL * max(network.cell(cell_id).capacity_schedule)
 
 
 def _demands_supplies(net: Network, x: np.ndarray, alpha: np.ndarray, t: int):
     dbar = np.empty(net.n)
     s = np.empty(net.n)
     for k, c in enumerate(net.cells):
-        dbar[k] = demand(c, float(x[k]), float(alpha[k]), t)
-        s[k] = supply(c, float(min(x[k], c.diagram.jam_volume)), t)
+        source = net.is_source(c.id)
+        dbar[k] = demand(c, net.tau, float(x[k]), float(alpha[k]), t, source)
+        s[k] = supply(c, net.tau, float(min(x[k], c.jam_volume)), t, source)
     return dbar, s
 
 
@@ -138,15 +174,15 @@ def step(network: Network, x: np.ndarray, rates: FlowRates,
     for k, c in enumerate(network.cells):
         if xp[k] < -tol:
             raise ValueError(f"cell {c.id}: negative volume {xp[k]} after step")
-        if not c.diagram.is_source and xp[k] > c.diagram.jam_volume + max(tol, 1e-9 * c.diagram.jam_volume):
-            raise ValueError(f"cell {c.id}: volume {xp[k]} exceeds jam {c.diagram.jam_volume}")
+        if not network.is_source(c.id) and xp[k] > c.jam_volume + max(tol, 1e-9 * c.jam_volume):
+            raise ValueError(f"cell {c.id}: volume {xp[k]} exceeds jam {c.jam_volume}")
     return np.maximum(xp, 0.0)
 
 
 def simulate(scenario: Scenario, controls=None, model: str = "fifo"):
     """States (T+1, n) and the T per-step FlowRates of an open-loop run."""
     net = scenario.network
-    report = validate(net, scenario)
+    report = validate(scenario)
     if not report.ok:
         raise ValueError(f"invalid scenario:\n{report}")
     lam = scenario.inflow_array()

@@ -6,7 +6,8 @@ compiled network) is checked against.
 a (columns, values) list and assembles each matrix with one CSR
 constructor call, dropping zero coefficients. It returns a namespace with
 the fields the product builder fills: A_eq, b_eq, A_ub, b_ub, c, q,
-nonneg, names and var_index.
+nonneg, names and var_index. It derives the per-step slopes v tau / L and
+w tau / L from the cells and the step length itself.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+
+from ctm_reference import capacity
 
 
 def cell_weights(spec, n: int) -> np.ndarray:
@@ -52,7 +55,8 @@ def _objective(cost, scenario, var_index: dict, n_vars: int):
                     c[var_index[("x", t, cell.id)]] += coef * w[k]
             for t in range(T):
                 for k, cell in enumerate(net.cells):
-                    c[var_index[("z", t, cell.id)]] -= coef * w[k] / cell.diagram.demand_slope
+                    slope = cell.free_flow_speed * net.tau / cell.length
+                    c[var_index[("z", t, cell.id)]] -= coef * w[k] / slope
         elif spec.kind == "WeightedSum":
             for sub_coef, sub in spec.components:
                 add(sub, coef * sub_coef)
@@ -148,13 +152,13 @@ def reference_program(scenario, cost, eps: float, kind: str) -> SimpleNamespace:
     shrink = 1.0 - eps
     for t in range(T):
         for k, c in enumerate(net.cells):
-            cap = c.diagram.capacity(t)
-            add_ub([Z(t, c.id), X(t, c.id)], [1.0, -c.diagram.demand_slope], 0.0)
+            cap = capacity(c, t)
+            add_ub([Z(t, c.id), X(t, c.id)], [1.0, -(c.free_flow_speed * net.tau / c.length)], 0.0)
             add_ub([Z(t, c.id)], [1.0], cap)
-            if not c.diagram.is_source:
-                ws = c.diagram.supply_slope
+            if not net.is_source(c.id):
+                ws = c.wave_speed * net.tau / c.length
                 add_ub([Y(t, c.id), X(t, c.id)], [1.0, shrink * ws],
-                       shrink * ws * c.diagram.jam_volume)
+                       shrink * ws * c.jam_volume)
                 add_ub([Y(t, c.id)], [1.0], shrink * cap)
 
     c_vec, q_vec = _objective(cost, scenario, var_index, n_vars)

@@ -263,7 +263,7 @@ class TestCriterion9:
         while done < 100:
             a = freeflow_scenario(rng)
             x0b = tuple(v * rng.uniform(0.4, 1.0) for v in a.initial_volumes)
-            b = Scenario(network=a.network, horizon=a.horizon, tau=a.tau,
+            b = Scenario(network=a.network, horizon=a.horizon,
                          initial_volumes=x0b, inflow=a.inflow, routing=a.routing)
             ta, tb = simulate(a), simulate(b)
             if not tb.is_freeflow():

@@ -17,8 +17,7 @@ from ctmflow.cli import main
 from ctmflow.ctm import InvariantError, simulate
 from ctmflow.network import (RoutingSchedule, Scenario, load_scenario, save_scenario,
                              scenario_to_dict)
-from ctmflow.scenarios import (TAU, figure_network, robustness_scenario, routing_for,
-                               table_scenario)
+from ctmflow.scenarios import figure_network, robustness_scenario, routing_for, table_scenario
 from ctmflow.synthesis import ControlSchedule
 
 from conftest import build_network, random_scenario
@@ -28,7 +27,7 @@ from conftest import build_network, random_scenario
 def zero_inflow_file(tmp_path):
     sc = table_scenario()
     lam = np.zeros((sc.horizon, sc.network.n))
-    quiet = Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+    quiet = Scenario(network=sc.network, horizon=sc.horizon,
                      initial_volumes=sc.initial_volumes, inflow=lam,
                      routing=sc.routing)
     path = tmp_path / "quiet.json"
@@ -52,7 +51,7 @@ class TestExitCodes:
     def test_fnc_without_routing_config_error(self, tmp_path):
         rng = np.random.default_rng(71)
         sc = random_scenario(rng, horizon=4)
-        stripped = Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+        stripped = Scenario(network=sc.network, horizon=sc.horizon,
                             initial_volumes=sc.initial_volumes, inflow=sc.inflow,
                             routing=None)
         path = tmp_path / "noroute.json"
@@ -66,7 +65,7 @@ class TestExitCodes:
         # end as an invariant violation (exit 4)
         sc = table_scenario()
         path = tmp_path / "noroute.json"
-        save_scenario(Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+        save_scenario(Scenario(network=sc.network, horizon=sc.horizon,
                                initial_volumes=sc.initial_volumes, inflow=sc.inflow,
                                routing=None), path)
         rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
@@ -130,10 +129,18 @@ class TestExitCodes:
          "adjacency must be a list of [from, to] pairs, got ["),
         (lambda doc: doc["cells"][0].update(id=["1"]), "cell id must be a string, got ['1']"),
         (lambda doc: doc["cells"][0].update(id=1), "cell id must be a string, got 1"),
+        # unknown ids loaded as a valid scenario with another content hash
+        (lambda doc: doc.update(sources=["1", "zz"]), "source 'zz' is not a cell of the network"),
+        (lambda doc: doc.update(sinks=["10", "99"]), "sink '99' is not a cell of the network"),
+        # these reported ten supply-positive violations, or negative slopes
+        (lambda doc: doc.update(tau=0), "tau must be positive and finite"),
+        (lambda doc: doc.update(tau=-10), "tau must be positive and finite"),
+        (lambda doc: doc["cells"][3].update(jam=0), "cell 4: jam volume must be positive"),
     ], ids=["missing-x0", "missing-cell-v", "scalar-capacity", "string-lanes", "null-tau",
             "routing-list", "short-adjacency-pair", "scalar-cells", "string-sinks",
             "list-source-id", "object-sink-id", "list-adjacency-id", "list-cell-id",
-            "integer-cell-id"])
+            "integer-cell-id", "unknown-source-id", "unknown-sink-id", "zero-tau",
+            "negative-tau", "zero-jam"])
     def test_malformed_field_named(self, tmp_path, capsys, edit, named):
         doc = scenario_to_dict(table_scenario())
         edit(doc)
@@ -251,7 +258,7 @@ class TestExitCodes:
         lam = np.zeros((6, net.n))
         lam[:, [net.index["s"], net.index["u"]]] = 0.5
         path = tmp_path / "cross.json"
-        save_scenario(Scenario(network=net, horizon=6, tau=1.0, initial_volumes=(0.0,) * net.n,
+        save_scenario(Scenario(network=net, horizon=6, initial_volumes=(0.0,) * net.n,
                                inflow=lam, routing=RoutingSchedule.constant(net, ratios)), path)
         rc = main(["robustness-sweep", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
@@ -428,7 +435,7 @@ class TestQuadraticSynthesis:
         lam = np.zeros_like(sc.inflow)
         lam[:3, sc.network.index["1"]] = 10.0
         path = tmp_path / "burst10.json"
-        save_scenario(Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+        save_scenario(Scenario(network=sc.network, horizon=sc.horizon,
                                initial_volumes=sc.initial_volumes, inflow=lam,
                                routing=sc.routing), path)
         for model in ("fifo", "nonfifo"):
@@ -444,7 +451,7 @@ class TestQuadraticSynthesis:
         lam = np.zeros((T, net.n))
         lam[:2, net.index["1"]] = 6.0
         path = tmp_path / "closure.json"
-        save_scenario(Scenario(network=net, horizon=T, tau=TAU,
+        save_scenario(Scenario(network=net, horizon=T,
                                initial_volumes=(0.0,) * net.n, inflow=lam,
                                routing=routing_for(net)), path)
         for kind in ("dta", "fnc"):

@@ -5,36 +5,36 @@ import pytest
 
 from ctmflow.ctm import (CostSpec, evaluate_cost, priority_merge_flows, simulate, step,
                          trajectory_to_csv)
-from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
+from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
 
 from conftest import dominated_pair, freeflow_scenario, random_scenario
 from ctm_reference import mass_balance_error
 
 
 def two_to_one(cap=6.0, jam=10.0):
-    cells = (make_cell("a", 1, 1, 1, 1, jam, [cap], 1.0, is_source=True),
-             make_cell("b", 1, 1, 1, 1, jam, [cap], 1.0, is_source=True),
-             make_cell("m", 1, 1, 1, 1, jam, [cap], 1.0))
+    cells = (Cell("a", 1, 1, 1, 1, jam, [cap]),
+             Cell("b", 1, 1, 1, 1, jam, [cap]),
+             Cell("m", 1, 1, 1, 1, jam, [cap]))
     net = Network(cells=cells, adjacency=(("a", "m"), ("b", "m")),
-                  sources=frozenset({"a", "b"}), sinks=frozenset({"m"}))
+                  sources=frozenset({"a", "b"}), sinks=frozenset({"m"}), tau=1.0)
     R = RoutingSchedule.constant(net, {("a", "m"): 1.0, ("b", "m"): 1.0})
     return net, R
 
 
 def one_step(net, R, x, model="fifo"):
     """Rates of one step from state x, no inflow: (z, gamma, flows by pair)."""
-    sc = Scenario(network=net, horizon=1, tau=1.0, initial_volumes=tuple(x),
+    sc = Scenario(network=net, horizon=1, initial_volumes=tuple(x),
                   inflow=np.zeros((1, net.n)), routing=R)
     traj = simulate(sc, model=model)
     return traj.z[0], traj.gamma[0], dict(zip(net.adjacency, traj.f[0]))
 
 
 def one_to_two(r=2.0 / 3.0, caps=(6.0, 6.0)):
-    cells = (make_cell("d", 1, 1, 1, 1, 30.0, [6.0], 1.0, is_source=True),
-             make_cell("p", 1, 1, 1, 1, 30.0, [caps[0]], 1.0),
-             make_cell("q", 1, 1, 1, 1, 30.0, [caps[1]], 1.0))
+    cells = (Cell("d", 1, 1, 1, 1, 30.0, [6.0]),
+             Cell("p", 1, 1, 1, 1, 30.0, [caps[0]]),
+             Cell("q", 1, 1, 1, 1, 30.0, [caps[1]]))
     net = Network(cells=cells, adjacency=(("d", "p"), ("d", "q")),
-                  sources=frozenset({"d"}), sinks=frozenset({"p", "q"}))
+                  sources=frozenset({"d"}), sinks=frozenset({"p", "q"}), tau=1.0)
     R = RoutingSchedule.constant(net, {("d", "p"): r, ("d", "q"): 1 - r})
     return net, R
 
@@ -64,12 +64,12 @@ class TestFifoRates:
     def test_zero_ratio_successor_does_not_throttle(self):
         # s routes everything to the empty cell a and nothing to the jammed
         # cell b, which u also feeds: b's zero supply throttles u, not s
-        cells = (make_cell("s", 1, 1, 1, 1, 10.0, [6.0], 1.0, is_source=True),
-                 make_cell("u", 1, 1, 1, 1, 10.0, [6.0], 1.0, is_source=True),
-                 make_cell("a", 1, 1, 1, 1, 10.0, [6.0], 1.0),
-                 make_cell("b", 1, 1, 1, 1, 10.0, [6.0], 1.0))
+        cells = (Cell("s", 1, 1, 1, 1, 10.0, [6.0]),
+                 Cell("u", 1, 1, 1, 1, 10.0, [6.0]),
+                 Cell("a", 1, 1, 1, 1, 10.0, [6.0]),
+                 Cell("b", 1, 1, 1, 1, 10.0, [6.0]))
         net = Network(cells=cells, adjacency=(("s", "a"), ("s", "b"), ("u", "b")),
-                      sources=frozenset({"s", "u"}), sinks=frozenset({"a", "b"}))
+                      sources=frozenset({"s", "u"}), sinks=frozenset({"a", "b"}), tau=1.0)
         R = RoutingSchedule.constant(net, {("s", "a"): 1.0, ("s", "b"): 0.0,
                                            ("u", "b"): 1.0})
         x = np.array([4.0, 4.0, 0.0, 10.0])
@@ -149,7 +149,7 @@ class TestPriorityMerge:
 class TestStepAndSimulate:
     def test_zero_fixed_point(self):
         net, R = two_to_one()
-        sc = Scenario(network=net, horizon=4, tau=1.0, initial_volumes=(0, 0, 0),
+        sc = Scenario(network=net, horizon=4, initial_volumes=(0, 0, 0),
                       inflow=np.zeros((4, 3)), routing=R)
         traj = simulate(sc)
         assert np.all(traj.states == 0.0)
@@ -169,15 +169,16 @@ class TestStepAndSimulate:
         for k, c in enumerate(net.cells):
             xs = table_fifo.states[:, k]
             assert np.all(xs >= 0.0)
-            if not c.diagram.is_source:
-                assert np.all(xs <= c.diagram.jam_volume + 1e-9)
+            if not net.is_source(c.id):
+                assert np.all(xs <= c.jam_volume + 1e-9)
 
     def test_supply_never_exceeded(self, table_scenario, table_fifo):
-        from ctmflow.network import supply
+        from ctm_reference import supply
         net = table_scenario.network
         for t in range(table_fifo.horizon):
             for k, c in enumerate(net.cells):
-                s = supply(c, min(table_fifo.states[t][k], c.diagram.jam_volume), t)
+                s = supply(c, net.tau, min(table_fifo.states[t][k], c.jam_volume), t,
+                           net.is_source(c.id))
                 assert table_fifo.y[t, k] <= s + 1e-12
 
     def test_unknown_model_rejected(self, table_scenario):
@@ -216,7 +217,7 @@ class TestMonotonicityProperties:
         while done < 30:
             a = freeflow_scenario(rng)
             x0b = tuple(v * rng.uniform(0.5, 1.0) for v in a.initial_volumes)
-            b = Scenario(network=a.network, horizon=a.horizon, tau=a.tau,
+            b = Scenario(network=a.network, horizon=a.horizon,
                          initial_volumes=x0b, inflow=a.inflow, routing=a.routing)
             ta, tb = simulate(a), simulate(b)
             if not (ta.is_freeflow() and tb.is_freeflow()):
@@ -229,14 +230,14 @@ class TestMonotonicityProperties:
 
 class TestCosts:
     def test_delay_zero_in_freeflow_chain(self):
-        cells = (make_cell("a", 1, 1, 1, 1, 50.0, [50.0], 1.0, is_source=True),
-                 make_cell("b", 1, 1, 1, 1, 50.0, [50.0], 1.0))
+        cells = (Cell("a", 1, 1, 1, 1, 50.0, [50.0]),
+                 Cell("b", 1, 1, 1, 1, 50.0, [50.0]))
         net = Network(cells=cells, adjacency=(("a", "b"),),
-                      sources=frozenset({"a"}), sinks=frozenset({"b"}))
+                      sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=1.0)
         R = RoutingSchedule.constant(net, {("a", "b"): 1.0})
         lam = np.zeros((6, 2))
         lam[0, 0] = 3.0
-        sc = Scenario(network=net, horizon=6, tau=1.0, initial_volumes=(0.0, 0.0),
+        sc = Scenario(network=net, horizon=6, initial_volumes=(0.0, 0.0),
                       inflow=lam, routing=R)
         traj = simulate(sc)
         # slope-1 free flow: z = x each step, so x - z/slope vanishes

@@ -8,6 +8,8 @@ coefficient and pair flow agrees to 1e-12. The steady-state exit of
 ``simulate_batch`` is held bit for bit to the full-horizon step loop.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ import ctm_reference
 from conftest import build_network
 from ctmflow import ctm, scenarios
 from ctmflow.ctm import MODELS, Drive, junction_rates, simulate_batch, step
-from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
+from ctmflow.network import RoutingSchedule, Scenario
 from ctmflow.synthesis import ControlSchedule
 
 TOL = 1e-12
@@ -27,22 +29,19 @@ def random_case(rng, shape: str, horizon: int) -> Scenario:
     base, ratios = build_network(shape, rng)
     cells = []
     for c in base.cells:
-        cap = c.diagram.capacity_schedule[0]
+        cap = c.capacity_schedule[0]
         drops = rng.choice([cap, 0.5 * cap, 0.0], size=horizon - 1, p=[0.6, 0.2, 0.2])
-        cells.append(make_cell(c.id, c.free_flow_speed, c.wave_speed, c.length, c.lanes,
-                               c.diagram.jam_volume, [cap, *drops], 1.0,
-                               is_source=c.diagram.is_source))
-    net = Network(cells=tuple(cells), adjacency=base.adjacency,
-                  sources=base.sources, sinks=base.sinks)
+        cells.append(replace(c, capacity_schedule=[cap, *drops]))
+    net = replace(base, cells=tuple(cells))
     lam = np.zeros((horizon, net.n))
     x0 = np.zeros(net.n)
     for k, c in enumerate(net.cells):
-        if c.diagram.is_source:
+        if net.is_source(c.id):
             lam[:, k] = rng.uniform(0.0, 4.0, size=horizon)
             x0[k] = rng.uniform(0.0, 10.0)
         else:
-            x0[k] = rng.uniform(0.0, 0.9 * c.diagram.jam_volume)
-    return Scenario(network=net, horizon=horizon, tau=1.0, initial_volumes=tuple(x0),
+            x0[k] = rng.uniform(0.0, 0.9 * c.jam_volume)
+    return Scenario(network=net, horizon=horizon, initial_volumes=tuple(x0),
                     inflow=lam, routing=RoutingSchedule.constant(net, ratios))
 
 
@@ -68,7 +67,7 @@ def random_controls(rng, sc: Scenario, speed_limits: bool, dta: bool) -> Control
 
 
 def with_run(sc: Scenario, x0, lam) -> Scenario:
-    return Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+    return Scenario(network=sc.network, horizon=sc.horizon,
                     initial_volumes=tuple(x0), inflow=lam, routing=sc.routing)
 
 
@@ -99,7 +98,7 @@ def test_kernel_matches_reference(shape, model, batch, speed_limits, dta, seed):
 def full_horizon(sc: Scenario, x0, lam, controls, model) -> dict:
     """The step loop without the steady-state exit: every array of a batch
     run, each step computed."""
-    net, drive = sc.compiled.network, Drive.for_run(sc, controls)
+    net, drive = sc.compiled, Drive.for_run(sc, controls)
     states, rates = [np.asarray(x0, dtype=float)], []
     for t in range(sc.horizon):
         rates.append(junction_rates(net, states[t], drive, t, lam[:, t], model))
@@ -117,21 +116,17 @@ def settling_case(rng, shape: str, horizon: int, late: str, unit_slopes: bool):
     Shape "figure" is the paper's ten-cell network (unit slopes), whose
     runs often end in a 2-cycle of rounding (states 1e-15 apart)."""
     if shape == "figure":
-        base, ratios, tau, level = (scenarios.figure_network(horizon), scenarios.TURNING_RATIOS,
-                                    scenarios.TAU, 9.0)
+        base, ratios, level = scenarios.figure_network(horizon), scenarios.TURNING_RATIOS, 9.0
     else:
         base, ratios = build_network(shape, rng, slopes=1.0 if unit_slopes else None)
-        tau, level = 1.0, 4.0
+        level = 4.0
     drop, cells = int(rng.integers(base.n)), []
     for k, c in enumerate(base.cells):
-        cap = c.diagram.capacity_schedule[0]
+        cap = c.capacity_schedule[0]
         late_cap = 0.3 * cap if late == "capacity" and k == drop else cap
-        cells.append(make_cell(c.id, c.free_flow_speed, c.wave_speed, c.length, c.lanes,
-                               c.diagram.jam_volume, [cap] * (horizon - 3) + [late_cap] * 3, tau,
-                               is_source=c.diagram.is_source))
-    net = Network(cells=tuple(cells), adjacency=base.adjacency, sources=base.sources,
-                  sinks=base.sinks)
-    source = np.array([c.diagram.is_source for c in cells])
+        cells.append(replace(c, capacity_schedule=[cap] * (horizon - 3) + [late_cap] * 3))
+    net = replace(base, cells=tuple(cells))
+    source = net.compiled.source
     lam = np.where(source, rng.uniform(0.0, level, size=net.n), 0.0) * np.ones((horizon, 1))
     if late == "inflow":
         lam[horizon - 3:] *= 2.0
@@ -141,8 +136,8 @@ def settling_case(rng, shape: str, horizon: int, late: str, unit_slopes: bool):
     if late == "control":
         alphas[horizon - 3:, rng.integers(net.n)] *= 0.5
     x0 = np.where(source, rng.uniform(0.0, 10.0, size=net.n),
-                  rng.uniform(0.0, 0.5, size=net.n) * [c.diagram.jam_volume for c in cells])
-    sc = Scenario(network=net, horizon=horizon, tau=tau, initial_volumes=tuple(x0), inflow=lam,
+                  rng.uniform(0.0, 0.5, size=net.n) * net.compiled.jam)
+    sc = Scenario(network=net, horizon=horizon, initial_volumes=tuple(x0), inflow=lam,
                   routing=RoutingSchedule.constant(net, ratios))
     return sc, ControlSchedule(alphas=alphas, routing=None)
 
@@ -177,7 +172,7 @@ def test_steady_state_exit_fires_and_waits(robustness_scenario, monkeypatch):
     simulate_batch(sc)
     assert len(calls) < 50
     dropped = Scenario(network=scenarios.figure_network(T, [6.0] * (T - 3) + [0.5] * 3),
-                       horizon=T, tau=sc.tau, initial_volumes=sc.initial_volumes,
+                       horizon=T, initial_volumes=sc.initial_volumes,
                        inflow=sc.inflow, routing=sc.routing)
     calls.clear()
     run = simulate_batch(dropped)

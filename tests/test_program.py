@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctmflow import solver
 from ctmflow.ctm import CostSpec, simulate
-from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
+from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
 from ctmflow.program import build_dta, build_fnc, export_lp
 from ctmflow.solver import solve, verify_solution
 
@@ -18,10 +18,10 @@ from tests_support import var_index
 
 
 def single_cell_scenario():
-    cells = (make_cell("a", 1, 1, 1, 1, 10.0, [6.0], 1.0, is_source=True),)
+    cells = (Cell("a", 1, 1, 1, 1, 10.0, [6.0]),)
     net = Network(cells=cells, adjacency=(), sources=frozenset({"a"}),
-                  sinks=frozenset({"a"}))
-    return Scenario(network=net, horizon=1, tau=1.0, initial_volumes=(0.0,),
+                  sinks=frozenset({"a"}), tau=1.0)
+    return Scenario(network=net, horizon=1, initial_volumes=(0.0,),
                     inflow=np.zeros((1, 1)),
                     routing=RoutingSchedule.constant(net, {}))
 
@@ -37,7 +37,6 @@ class TestBuilders:
 
     def test_fnc_needs_routing(self, table_scenario):
         sc = Scenario(network=table_scenario.network, horizon=table_scenario.horizon,
-                      tau=table_scenario.tau,
                       initial_volumes=table_scenario.initial_volumes,
                       inflow=table_scenario.inflow, routing=None)
         with pytest.raises(ValueError, match="routing"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctmflow import robustness, scenarios
 from ctmflow.ctm import FREEFLOW_TOL, MODELS, Drive, junction_rates, simulate, step
-from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
+from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
 from ctmflow.robustness import (EQ_TOL, PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
                                 find_equilibria, lipschitz_constant,
@@ -23,7 +23,7 @@ def zero_pert(sc) -> PerturbationSpec:
 def reference_equilibrium(sc, inflow, model: str):
     """The single-run search that ``find_equilibria`` batches: the
     equilibrium volumes, or None where the search signals overload."""
-    net = sc.compiled.network
+    net = sc.compiled
     drive = Drive.for_run(sc)
     x = np.zeros((1, sc.network.n))
     lam = np.asarray(inflow, dtype=float)[None]
@@ -123,7 +123,7 @@ class TestEnvelope:
     def test_lower_clamped_at_zero(self, robustness_scenario):
         lam = robustness_scenario.inflow_array() * 0.0
         base = Scenario(network=robustness_scenario.network,
-                        horizon=robustness_scenario.horizon, tau=robustness_scenario.tau,
+                        horizon=robustness_scenario.horizon,
                         initial_volumes=robustness_scenario.initial_volumes,
                         inflow=lam, routing=robustness_scenario.routing)
         pert = PerturbationSpec.inflow_shift(base, 0.3)
@@ -217,13 +217,13 @@ class TestFreeflowSupremum:
 
     def test_zero_capacity_bottleneck(self):
         # sole path closes from step 1 on; any positive inflow congests
-        cells = (make_cell("a", 1, 1, 1, 1, 10.0, [6.0], 1.0, is_source=True),
-                 make_cell("b", 1, 1, 1, 1, 10.0, [6.0] + [0.0] * 29, 1.0))
+        cells = (Cell("a", 1, 1, 1, 1, 10.0, [6.0]),
+                 Cell("b", 1, 1, 1, 1, 10.0, [6.0] + [0.0] * 29))
         net = Network(cells=cells, adjacency=(("a", "b"),),
-                      sources=frozenset({"a"}), sinks=frozenset({"b"}))
+                      sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=1.0)
         lam = np.full((30, 2), 0.0)
         lam[:, 0] = 1.0
-        sc = Scenario(network=net, horizon=30, tau=1.0, initial_volumes=(0.0, 0.0),
+        sc = Scenario(network=net, horizon=30, initial_volumes=(0.0, 0.0),
                       inflow=lam, routing=RoutingSchedule.constant(net, {("a", "b"): 1.0}))
         assert max_freeflow_inflow(sc) <= 2e-3
 
@@ -240,11 +240,11 @@ class TestFreeflowSupremum:
             cap4 = None if late_capacity is None else [6.0] * (horizon - 3) + [late_capacity] * 3
             sc = scenarios.robustness_scenario(horizon)
             sc = Scenario(network=scenarios.figure_network(horizon, cap4), horizon=horizon,
-                          tau=sc.tau, initial_volumes=sc.initial_volumes, inflow=sc.inflow,
+                          initial_volumes=sc.initial_volumes, inflow=sc.inflow,
                           routing=sc.routing)
         else:
             sc = random_scenario(rng, shape=shape, horizon=horizon)
-            sc = Scenario(network=sc.network, horizon=horizon, tau=sc.tau,
+            sc = Scenario(network=sc.network, horizon=horizon,
                           initial_volumes=sc.initial_volumes,
                           inflow=sc.inflow_array()[[0] * horizon], routing=sc.routing)
         got = max_freeflow_inflow(sc, model=model)
@@ -257,7 +257,7 @@ class TestFreeflowSupremum:
         from conftest import build_network
         net, ratios = build_network("merge", rng)
         lam = np.zeros((5, net.n))
-        sc = Scenario(network=net, horizon=5, tau=1.0,
+        sc = Scenario(network=net, horizon=5,
                       initial_volumes=(0.0,) * net.n, inflow=lam,
                       routing=RoutingSchedule.constant(net, ratios))
         with pytest.raises(ValueError, match="single-source"):
@@ -310,10 +310,10 @@ class TestLipschitzAndSensitivity:
         assert lipschitz_constant(robustness_scenario.network) == pytest.approx(4.0)
 
     def test_sources_excluded_from_supply_min(self):
-        cells = (make_cell("a", 0.5, 3.0, 1.0, 1, 10.0, [6.0], 1.0, is_source=True),
-                 make_cell("b", 0.5, 0.5, 1.0, 1, 10.0, [6.0], 1.0))
+        cells = (Cell("a", 0.5, 3.0, 1.0, 1, 10.0, [6.0]),
+                 Cell("b", 0.5, 0.5, 1.0, 1, 10.0, [6.0]))
         net = Network(cells=cells, adjacency=(("a", "b"),),
-                      sources=frozenset({"a"}), sinks=frozenset({"b"}))
+                      sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=1.0)
         # source wave slope 3 must not enter: L = 2*(0.5 + 0.5) = 2
         assert lipschitz_constant(net) == pytest.approx(2.0)
 

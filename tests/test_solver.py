@@ -6,6 +6,7 @@ and enumerates active sets exactly; it never calls HiGHS, so it judges the
 solver independently.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ctmflow import solver
 from ctmflow.cli import main
 from ctmflow.ctm import CostSpec, simulate
-from ctmflow.network import Network, RoutingSchedule, Scenario, load_scenario, make_cell
+from ctmflow.network import Cell, Network, RoutingSchedule, Scenario, load_scenario
 from ctmflow.program import build_dta, build_fnc
 from ctmflow.scenarios import robustness_scenario
 from ctmflow.solver import (FW_TOL, LP_RESIDUAL_TOL, SolverError, freeflow_optimum, solve,
@@ -49,13 +50,12 @@ QP_COSTS = {
 
 def chain_scenario(n=2, T=2, inflow=2.0, cap=4.0, jam=8.0, slope=0.8):
     ids = [f"c{k}" for k in range(n)]
-    cells = tuple(make_cell(i, slope, slope, 1.0, 1, jam, [cap], 1.0,
-                            is_source=(i == ids[0])) for i in ids)
+    cells = tuple(Cell(i, slope, slope, 1.0, 1, jam, [cap]) for i in ids)
     net = Network(cells=cells, adjacency=tuple((ids[k], ids[k + 1]) for k in range(n - 1)),
-                  sources=frozenset({ids[0]}), sinks=frozenset({ids[-1]}))
+                  sources=frozenset({ids[0]}), sinks=frozenset({ids[-1]}), tau=1.0)
     lam = np.zeros((T, n))
     lam[0, 0] = inflow
-    return Scenario(network=net, horizon=T, tau=1.0, initial_volumes=(0.0,) * n,
+    return Scenario(network=net, horizon=T, initial_volumes=(0.0,) * n,
                     inflow=lam,
                     routing=RoutingSchedule.constant(
                         net, {(ids[k], ids[k + 1]): 1.0 for k in range(n - 1)}))
@@ -321,7 +321,7 @@ class TestFreeflowOptimum:
         # time-varying routing, still in free flow
         ratios = np.repeat(sc.routing.ratios, 2, axis=0)
         ratios[1, :2] = ratios[0, 1::-1]
-        varying = Scenario(network=sc.network, horizon=sc.horizon, tau=sc.tau,
+        varying = Scenario(network=sc.network, horizon=sc.horizon,
                            initial_volumes=sc.initial_volumes, inflow=sc.inflow_array(),
                            routing=RoutingSchedule(ratios=ratios))
         assert simulate(varying).is_freeflow()
@@ -334,13 +334,9 @@ class TestFreeflowOptimum:
         assert freeflow_optimum(build_dta(sc, CostSpec("TTT")), sc) is None
         # another scenario's free-flow run, feasible for the program but
         # slower than its own: half the free-flow speed on every cell
-        slow = Network(cells=tuple(make_cell(c.id, c.free_flow_speed / 2, c.wave_speed, c.length,
-                                             c.lanes, c.diagram.jam_volume,
-                                             c.diagram.capacity_schedule, sc.tau,
-                                             c.diagram.is_source) for c in sc.network.cells),
-                       adjacency=sc.network.adjacency, sources=sc.network.sources,
-                       sinks=sc.network.sinks)
-        other = Scenario(network=slow, horizon=sc.horizon, tau=sc.tau,
+        slow = replace(sc.network, cells=tuple(replace(c, free_flow_speed=c.free_flow_speed / 2)
+                                               for c in sc.network.cells))
+        other = Scenario(network=slow, horizon=sc.horizon,
                          initial_volumes=sc.initial_volumes, inflow=sc.inflow_array(),
                          routing=sc.routing)
         prog = build_fnc(sc, CostSpec("TTT"))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ctmflow.network import Network, RoutingSchedule, Scenario, make_cell
+from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
 
 
 def var_index(program) -> dict:
@@ -15,12 +15,12 @@ def tiny_chain_scenario(rng) -> Scenario:
     slope = float(rng.uniform(0.4, 1.0))
     cap = float(rng.uniform(1.5, 5.0))
     jam = float(rng.uniform(6.0, 12.0))
-    cells = (make_cell("a", slope, slope, 1.0, 1, jam, [cap], 1.0, is_source=True),
-             make_cell("b", slope, slope, 1.0, 1, jam, [cap], 1.0))
+    cells = (Cell("a", slope, slope, 1.0, 1, jam, [cap]),
+             Cell("b", slope, slope, 1.0, 1, jam, [cap]))
     net = Network(cells=cells, adjacency=(("a", "b"),),
-                  sources=frozenset({"a"}), sinks=frozenset({"b"}))
+                  sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=1.0)
     lam = np.zeros((2, 2))
     lam[0, 0] = float(rng.uniform(0.5, 3.0))
-    return Scenario(network=net, horizon=2, tau=1.0, initial_volumes=(0.0, 0.0),
+    return Scenario(network=net, horizon=2, initial_volumes=(0.0, 0.0),
                     inflow=lam,
                     routing=RoutingSchedule.constant(net, {("a", "b"): 1.0}))
