@@ -1,7 +1,7 @@
 """Freeway traffic simulation and optimal network control toolkit."""
 
 from .ctm import CostSpec, InvariantError, Trajectory, evaluate_cost, simulate
-from .network import (Cell, Network, RoutingSchedule, Scenario, load_scenario,
+from .network import (Cell, Network, Scenario, constant_routing, load_scenario,
                       save_scenario, validate)
 from .program import ConvexProgram, build_dta, build_fnc
 from .solver import Solution, solve
@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cell", "ControlSchedule", "ConvexProgram", "CostSpec", "InvariantError",
-    "Network", "RoutingSchedule", "Scenario", "Solution", "Trajectory",
-    "build_dta", "build_fnc", "evaluate_cost",
+    "Network", "Scenario", "Solution", "Trajectory",
+    "build_dta", "build_fnc", "constant_routing", "evaluate_cost",
     "extract_controls", "load_scenario", "save_scenario", "simulate", "solve",
     "validate", "verify_realization",
 ]

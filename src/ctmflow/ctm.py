@@ -198,8 +198,8 @@ class Drive:
         T, n, E = scenario.horizon, scenario.network.n, len(net.src) - 1
         alpha = np.ones((T, n)) if controls is None else held_rows(controls.alphas, T)
         routing = None if controls is None else controls.routing
-        if routing is None and scenario.routing is not None:
-            routing = scenario.routing.ratios
+        if routing is None:
+            routing = scenario.routing
         if routing is None:
             raise ValueError("no routing available: scenario has none and controls carry none")
         ratio = np.zeros((T, E + 1))
@@ -310,7 +310,7 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     net = scenario.compiled
     T, n = scenario.horizon, scenario.network.n
-    x0 = np.asarray(scenario.initial_volumes if x0 is None else x0, dtype=float).reshape(-1, n)
+    x0 = np.asarray(scenario.x0 if x0 is None else x0, dtype=float).reshape(-1, n)
     lam = np.asarray(scenario.inflow if inflow is None else inflow, dtype=float).reshape(-1, T, n)
     B = max(len(x0), len(lam))
     x0, lam = np.broadcast_to(x0, (B, n)), np.broadcast_to(lam, (B, T, n))

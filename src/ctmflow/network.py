@@ -21,6 +21,11 @@ with demand saturated at C_i(t) when evaluated as the controllable demand
 
 Sources have unbounded supply. All flows are stored in vehicles per step,
 so the discrete update x+ = x + y - z is exact.
+
+A ``Scenario`` adds the inputs of one run to a network: x0 (n,), the
+inflows (T, n) and, for FNC, the turning ratios (T_r, E). Each is stored
+once, as a read-only float array, and the horizon T is the number of
+inflow rows; ``dataclasses.replace`` derives a changed scenario.
 """
 
 from __future__ import annotations
@@ -188,44 +193,40 @@ class CompiledNetwork:
             merges=np.array(merges, dtype=np.intp).reshape(-1, 3))
 
 
-@dataclass(frozen=True)
-class RoutingSchedule:
-    """Per-step turning ratios R_e(t), one column per edge e in
-    ``network.adjacency`` order; the ratios out of a non-sink sum to 1.
-    The last row is constant-extended beyond the stored steps."""
-
-    ratios: np.ndarray    # (T_r, E)
-
-    @staticmethod
-    def constant(network: Network, ratios: dict[tuple[str, str], float]) -> "RoutingSchedule":
-        """One step of ratios keyed by edge; edges left out get 0."""
-        row = np.zeros((1, len(network.adjacency)))
-        for pair, r in ratios.items():
-            if pair not in network.edge_index:
-                raise ValueError(f"routing pair {pair} is not an edge of the network")
-            row[0, network.edge_index[pair]] = r
-        return RoutingSchedule(ratios=row)
+def constant_routing(network: Network, ratios: dict[tuple[str, str], float]) -> np.ndarray:
+    """One step of turning ratios, (1, E), keyed by edge; edges left out get 0."""
+    row = np.zeros((1, len(network.adjacency)))
+    for pair, r in ratios.items():
+        if pair not in network.edge_index:
+            raise ValueError(f"routing pair {pair} is not an edge of the network")
+        row[0, network.edge_index[pair]] = r
+    return row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A simulation/optimization instance: horizon, initial state, inflows."""
+    """One run's inputs (module docstring): x0 in veh, inflows in veh/step,
+    zero off sources, and for FNC the turning ratios, one column per edge
+    in ``network.adjacency`` order, the last row held past its end. A
+    scenario equals only itself."""
 
     network: Network
-    horizon: int                  # T, number of steps
-    initial_volumes: tuple[float, ...]          # x0, veh per cell
-    inflow: tuple                 # (T, n) array-like, veh/step, zero off-source
-    routing: RoutingSchedule | None = None      # exogenous R(t), FNC only
+    x0: np.ndarray
+    inflow: np.ndarray
+    routing: np.ndarray | None = None
     note: str = ""
 
-    def inflow_array(self) -> np.ndarray:
-        lam = np.asarray(self.inflow, dtype=float)
-        if lam.shape != (self.horizon, self.network.n):
-            raise ValueError(f"inflow shape {lam.shape} != (T={self.horizon}, n={self.network.n})")
-        return lam
+    def __post_init__(self):
+        for name in ("x0", "inflow", "routing"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
 
-    def x0_array(self) -> np.ndarray:
-        return np.asarray(self.initial_volumes, dtype=float)
+    @property
+    def horizon(self) -> int:
+        return len(self.inflow)
 
     @cached_property
     def compiled(self) -> CompiledNetwork:
@@ -238,11 +239,14 @@ class Scenario:
 
     @cached_property
     def capacity(self) -> np.ndarray:
-        """C_i(t) over the horizon, (T, n), each schedule constant-extended."""
+        """C_i(t) over the horizon, (T, n), each schedule constant-extended;
+        read-only, as the inputs are."""
         T = self.horizon
         scheds = [c.capacity_schedule for c in self.network.cells]
-        return np.array([list(s[:T]) + [s[-1]] * (T - len(s)) for s in scheds],
-                        dtype=float).T.copy()
+        capacity = np.array([list(s[:T]) + [s[-1]] * (T - len(s)) for s in scheds],
+                            dtype=float).T.copy()
+        capacity.flags.writeable = False
+        return capacity
 
     def content_hash(self) -> str:
         return hashlib.sha256(
@@ -298,7 +302,7 @@ def validate(scenario: Scenario) -> ValidationReport:
         if not upstream_of[c.id] and not network.is_source(c.id):
             report.add("no-feed", f"cell {c.id} has no upstream cell and is not a source")
 
-    x0 = scenario.x0_array()
+    x0 = scenario.x0
     if x0.shape != (network.n,):
         report.add("x0-shape", f"x0 has shape {x0.shape}, expected ({network.n},)")
     else:
@@ -308,10 +312,9 @@ def validate(scenario: Scenario) -> ValidationReport:
             report.add("x0-negative", f"cell {ids[k]}: x0 = {x0[k]} < 0")
         for k in np.flatnonzero(~comp.source & (x0 > comp.jam)):
             report.add("x0-jam", f"cell {ids[k]}: x0 = {x0[k]} exceeds jam {comp.jam[k]}")
-    try:
-        lam = scenario.inflow_array()
-    except ValueError as e:
-        report.add("inflow-shape", str(e))
+    lam = scenario.inflow
+    if lam.ndim != 2 or lam.shape[1] != network.n:
+        report.add("inflow-shape", f"inflow has shape {lam.shape}, expected (T, n = {network.n})")
         lam = np.zeros((0, network.n))
     for t, k in np.argwhere(~np.isfinite(lam)):
         report.add("inflow-finite", f"lambda_{ids[k]}({t}) = {lam[t, k]} is not finite")
@@ -326,7 +329,7 @@ def validate(scenario: Scenario) -> ValidationReport:
     if max_wslope > 1 + 1e-12:
         report.add("cfl-wave", f"wave CFL ratio tau*max(w)/min(L) = {max_wslope} exceeds 1")
     if scenario.routing is not None:
-        R = np.asarray(scenario.routing.ratios, dtype=float)
+        R = scenario.routing
         E = len(network.adjacency)
         if R.ndim != 2 or len(R) < 1 or R.shape[1] != E:
             report.add("routing-shape", f"routing ratios have shape {R.shape}, "
@@ -362,10 +365,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     net = scenario.network
     routing = {}
     if scenario.routing is not None:
-        routing = {f"{i}->{j}": [float(r) for r in scenario.routing.ratios[:, e]]
+        routing = {f"{i}->{j}": [float(r) for r in scenario.routing[:, e]]
                    for e, (i, j) in enumerate(net.adjacency)}
-    lam = scenario.inflow_array()
-    inflow = {c.id: [float(v) for v in lam[:, k]]
+    inflow = {c.id: [float(v) for v in scenario.inflow[:, k]]
               for k, c in enumerate(net.cells) if net.is_source(c.id)}
     return {
         "units": UNITS_HEADER,
@@ -383,7 +385,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "sinks": sorted(net.sinks),
         "routing": routing,
         "inflow": inflow,
-        "x0": [float(v) for v in scenario.initial_volumes],
+        "x0": [float(v) for v in scenario.x0],
         "T": scenario.horizon,
         "tau": net.tau,
     }
@@ -477,16 +479,12 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ValueError(f"routing series {key} has {len(series)} entries, "
                                  f"expected 1 to T = {horizon}")
             series_of[net.edge_index[i, j]] = series
-        ratios = np.zeros((max(len(v) for v in series_of.values()), len(net.adjacency)))
+        routing = np.zeros((max(len(v) for v in series_of.values()), len(net.adjacency)))
         for e, series in series_of.items():
-            ratios[:len(series), e] = series
-            ratios[len(series):, e] = series[-1]     # shorter series: last entry held
-        routing = RoutingSchedule(ratios=ratios)
-    return Scenario(
-        network=net, horizon=horizon,
-        initial_volumes=tuple(_numbers(_key(data, "x0"), "x0")),
-        inflow=lam, routing=routing, note=data.get("note", ""),
-    )
+            routing[:len(series), e] = series
+            routing[len(series):, e] = series[-1]     # shorter series: last entry held
+    return Scenario(network=net, x0=_numbers(_key(data, "x0"), "x0"), inflow=lam,
+                    routing=routing, note=data.get("note", ""))
 
 
 def load_scenario(path) -> Scenario:

@@ -23,7 +23,10 @@ is a feasible point with identical cost.
 The constraint matrices are sparse triplets over the full variable vector,
 which the solvers work on directly through numpy kernels. They are
 assembled by index arithmetic over ``Scenario.compiled`` and
-``Scenario.capacity``; variable names are derived only on request.
+``Scenario.capacity``; variable names are derived only on request. A
+``ConvexProgram`` holds the scenario it was built from, which fixes the
+variable layout, so whatever reads a solution back (``states``, ``pack``,
+control extraction, the free-flow closed form) takes the program alone.
 """
 
 from __future__ import annotations
@@ -94,11 +97,8 @@ class ConvexProgram:
     q: np.ndarray                   # diagonal quadratic objective (v' diag(q) v)
     kind: str                       # "DTA" | "FNC"
     eps: float
-    scenario_hash: str
     cost_kind: str
-    cells: tuple                    # cell ids in network order
-    adjacency: tuple                # (i, j) pairs in network order
-    horizon: int
+    scenario: Scenario              # the one it was built from
 
     @property
     def n_vars(self) -> int:
@@ -120,24 +120,26 @@ class ConvexProgram:
     def names(self) -> list:
         """Column -> name tuple: ("x", t, cell), ("y" | "z" | "mu", t, cell)
         or ("f", t, i, j)."""
-        T = self.horizon
-        names = [("x", t, c) for t in range(T + 1) for c in self.cells]
+        T, net = self.scenario.horizon, self.scenario.network
+        cells = [c.id for c in net.cells]
+        names = [("x", t, c) for t in range(T + 1) for c in cells]
         for block in ("y", "z", "mu"):
-            names += [(block, t, c) for t in range(T) for c in self.cells]
-        return names + [("f", t, i, j) for t in range(T) for i, j in self.adjacency]
+            names += [(block, t, c) for t in range(T) for c in cells]
+        return names + [("f", t, i, j) for t in range(T) for i, j in net.adjacency]
 
     def span(self, block: str) -> slice:
         """Columns of one variable block (x, y, z, mu or f), step-major."""
-        n, T = len(self.cells), self.horizon
+        net, T = self.scenario.network, self.scenario.horizon
         if block == "x":
-            return slice(0, (T + 1) * n)
-        start = (T + 1) * n + ("y", "z", "mu", "f").index(block) * T * n
-        return slice(start, start + T * (len(self.adjacency) if block == "f" else n))
+            return slice(0, (T + 1) * net.n)
+        start = (T + 1) * net.n + ("y", "z", "mu", "f").index(block) * T * net.n
+        return slice(start, start + T * (len(net.adjacency) if block == "f" else net.n))
 
     def states(self, values: np.ndarray, block: str = "x") -> np.ndarray:
         """The (T+1, n) state trajectory of a solution vector; with block
         y, z or mu, that (T, n) block of rates, with f the (T, E) flows."""
-        return np.array(values[self.span(block)]).reshape(self.horizon + (block == "x"), -1)
+        rows = self.scenario.horizon + (block == "x")
+        return np.array(values[self.span(block)]).reshape(rows, -1)
 
     def pack(self, trajectory) -> np.ndarray:
         """The full variable vector of a CTM run (``ctm.Trajectory``) of the
@@ -199,10 +201,10 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
           (dyn + 2, z, 1.0), (dyn + 2, mu, -1.0), (dyn[:, src] + 2, f, -1.0),
           (dyn[:, ~net.sink] + 3, mu[:, ~net.sink], 1.0)]
     b_eq = np.zeros(m_eq + (T * E if kind == "FNC" else 0))
-    b_eq[:n] = scenario.x0_array()
-    b_eq[dyn + 1] = scenario.inflow_array()
+    b_eq[:n] = scenario.x0
+    b_eq[dyn + 1] = scenario.inflow
     if kind == "FNC":
-        ratio = held_rows(scenario.routing.ratios, T)
+        ratio = held_rows(scenario.routing, T)
         split = m_eq + steps * E + np.arange(E)
         eq += [(split, f, 1.0), (split, z[:, src], -ratio)]
         m_eq += T * E
@@ -226,10 +228,7 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     return ConvexProgram(
         eq=_sparse(eq, m_eq, n_vars), b_eq=b_eq, ub=_sparse(ub, len(b_ub), n_vars), b_ub=b_ub,
         nonneg=np.ones(n_vars, dtype=bool), c=c_vec, q=q_vec, kind=kind, eps=eps,
-        scenario_hash=scenario.content_hash(), cost_kind=cost.kind,
-        cells=tuple(c.id for c in scenario.network.cells),
-        adjacency=tuple(scenario.network.adjacency), horizon=T,
-    )
+        cost_kind=cost.kind, scenario=scenario)
 
 
 def build_dta(scenario: Scenario, cost: CostSpec, eps: float = 0.0) -> ConvexProgram:
@@ -252,7 +251,7 @@ def export_lp(program: ConvexProgram, path) -> None:
     names = ["_".join(str(p) for p in name) for name in program.names]
     with open(path, "w") as fh:
         fh.write(f"\\ ctmflow {program.kind} eps={program.eps} cost={program.cost_kind} "
-                 f"scenario={program.scenario_hash}\n")
+                 f"scenario={program.scenario.content_hash()}\n")
         fh.write("Minimize\n obj:")
         priced = np.flatnonzero(program.c)
         terms = _lp_terms(priced, program.c[priced], names)

@@ -50,8 +50,8 @@ class PerturbationSpec:
     @staticmethod
     def inflow_shift(scenario: Scenario, delta: float) -> "PerturbationSpec":
         """Add a constant to every source inflow, initial volumes unchanged."""
-        lam = scenario.inflow_array() + delta * scenario.network.compiled.source
-        return PerturbationSpec(x0=scenario.x0_array(), inflow=lam)
+        lam = scenario.inflow + delta * scenario.network.compiled.source
+        return PerturbationSpec(x0=scenario.x0, inflow=lam)
 
 
 @dataclass
@@ -72,8 +72,8 @@ def simulate_perturbed(scenario: Scenario, perturbations: list,
 
 def _errors(scenario: Scenario, perturbation: PerturbationSpec) -> tuple:
     """dx0 = ||x~0 - x0||_1 and dlam (T,), ||lam~(t) - lam(t)||_1 per step."""
-    return (float(np.abs(perturbation.x0 - scenario.x0_array()).sum()),
-            np.abs(perturbation.inflow - scenario.inflow_array()).sum(axis=1))
+    return (float(np.abs(perturbation.x0 - scenario.x0).sum()),
+            np.abs(perturbation.inflow - scenario.inflow).sum(axis=1))
 
 
 def contraction_bound(scenario: Scenario, perturbation: PerturbationSpec) -> np.ndarray:
@@ -83,8 +83,8 @@ def contraction_bound(scenario: Scenario, perturbation: PerturbationSpec) -> np.
 
 
 def compute_envelope(scenario: Scenario, perturbation: PerturbationSpec) -> Envelope:
-    lam, lam_t = scenario.inflow_array(), perturbation.inflow
-    x0, x0_t = scenario.x0_array(), perturbation.x0
+    lam, lam_t = scenario.inflow, perturbation.inflow
+    x0, x0_t = scenario.x0, perturbation.x0
     sup_err = np.abs(lam - lam_t).max(axis=0)
     lam_upper = lam.max(axis=0) + sup_err
     lam_lower = np.maximum(0.0, lam.min(axis=0) - sup_err)
@@ -160,7 +160,7 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
     if len(sources) != 1:
         raise ValueError("max_freeflow_inflow requires a single-source network")
     src = net.index[sources[0]]
-    nominal = scenario.inflow_array()[:, src]
+    nominal = scenario.inflow[:, src]
     if np.max(np.abs(nominal - nominal[0])) > 1e-12:
         raise ValueError("max_freeflow_inflow requires a constant nominal inflow")
 
@@ -170,7 +170,7 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
     def free(level: float) -> bool:
         lam_t = np.zeros(net.n)
         lam_t[src] = level
-        return stays_free(comp, drive, scenario.x0_array(),
+        return stays_free(comp, drive, scenario.x0,
                           np.broadcast_to(lam_t, (scenario.horizon, net.n)), model)
 
     lo = 0.0
@@ -249,7 +249,7 @@ def sweep(scenario: Scenario, deltas, controls=None,
     """
     lam_hat = max_freeflow_inflow(scenario, model=model)
     src = scenario.network.index[min(scenario.network.sources)]
-    level = float(scenario.inflow_array()[0, src])
+    level = float(scenario.inflow[0, src])
     perts = [PerturbationSpec.inflow_shift(scenario, float(d)) for d in deltas]
     bounded = [PerturbationSpec.inflow_shift(scenario, lam_hat - level)]
     bounded += [p for d, p in zip(deltas, perts) if level + d <= lam_hat]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import Cell, Network, RoutingSchedule, Scenario
+from .network import Cell, Network, Scenario, constant_routing
 
 TAU = 10.0
 V = 50.0
@@ -63,8 +63,8 @@ def figure_network(horizon: int, cell4_capacity=None) -> Network:
                    sources=frozenset({"1"}), sinks=frozenset({"10"}), tau=TAU)
 
 
-def routing_for(net: Network) -> RoutingSchedule:
-    return RoutingSchedule.constant(net, TURNING_RATIOS)
+def routing_for(net: Network) -> np.ndarray:
+    return constant_routing(net, TURNING_RATIOS)
 
 
 def table_scenario() -> Scenario:
@@ -77,8 +77,7 @@ def table_scenario() -> Scenario:
     lam = np.zeros((T, net.n))
     src = net.index["1"]
     lam[0, src], lam[1, src], lam[2, src] = 8.0, 16.0, 8.0
-    return Scenario(network=net, horizon=T,
-                    initial_volumes=(0.0,) * net.n, inflow=lam,
+    return Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
                     routing=routing_for(net), note=RATIO_NOTE)
 
 
@@ -87,7 +86,6 @@ def robustness_scenario(horizon: int = 200, inflow: float = 5.0) -> Scenario:
     net = figure_network(horizon)
     lam = np.zeros((horizon, net.n))
     lam[:, net.index["1"]] = inflow
-    return Scenario(network=net, horizon=horizon,
-                    initial_volumes=(0.0,) * net.n, inflow=lam,
+    return Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
                     routing=routing_for(net), note=RATIO_NOTE)
 

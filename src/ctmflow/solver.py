@@ -64,7 +64,6 @@ import numpy as np
 import scipy
 
 from .ctm import Drive, InvariantError, simulate, stays_free
-from .network import Scenario
 from .program import ConvexProgram, Sparse
 
 LP_RESIDUAL_TOL = 1e-8
@@ -182,13 +181,13 @@ def _drain(core, highs, program: ConvexProgram, values: np.ndarray):
     from the optimal basis. Returns the drained vertex and its
     iterations, or (values, 0) where that stage fails."""
     base = program.objective_value(values)
-    n, T = program.n_vars, program.horizon
+    n, T = program.n_vars, program.scenario.horizon
     # the cost row sits exactly at the optimum: HiGHS spends any slack above
     # it and returns a point outside LP_RESIDUAL_TOL
     cost_cols = np.flatnonzero(program.c).astype(np.int32)
     highs.addRow(-np.inf, base, len(cost_cols), cost_cols, program.c[cost_cols])
     drain = np.zeros(n)
-    drain[program.span("z")] = np.repeat(np.arange(T) - T, len(program.cells))
+    drain[program.span("z")] = np.repeat(np.arange(T) - T, program.scenario.network.n)
     highs.changeColsCost(n, np.arange(n, dtype=np.int32), drain)
     highs.setOptionValue("simplex_strategy", 4)
     highs.run()
@@ -260,7 +259,7 @@ def _lemma_applies(program: ConvexProgram) -> bool:
         return False
     eq, ub = program.eq, program.ub
     # the split rows f_e(t) - R_e(t) z_i(t) = 0 close the equality block
-    T, E = program.horizon, len(program.adjacency)
+    T, E = program.scenario.horizon, len(program.scenario.network.adjacency)
     first, z = eq.shape[0] - T * E, program.span("z")
     on_z = (eq.rows >= first) & (eq.cols >= z.start) & (eq.cols < z.stop)
     ratio = np.zeros(T * E)
@@ -271,18 +270,19 @@ def _lemma_applies(program: ConvexProgram) -> bool:
     return bool((ratio == ratio[0]).all() and (slope <= 1.0).all())
 
 
-def freeflow_optimum(program: ConvexProgram, scenario: Scenario) -> Solution | None:
+def freeflow_optimum(program: ConvexProgram) -> Solution | None:
     """The drained optimum of an FNC total-volume program whose uncontrolled
-    FIFO run stays in free flow, in closed form: that run, certified by the
-    free-flow lemma (module docstring). The scenario must be the program's
-    own (same content hash). None where a hypothesis fails or the run is
-    not feasible for the program. The residuals are the primal
-    infeasibility and zeros: the lemma, not a dual point, proves optimality."""
-    if not _lemma_applies(program) or program.scenario_hash != scenario.content_hash():
+    FIFO run of its scenario stays in free flow, in closed form: that run,
+    certified by the free-flow lemma (module docstring). None where a
+    hypothesis fails or the run is not feasible for the program. The
+    residuals are the primal infeasibility and zeros: the lemma, not a dual
+    point, proves optimality."""
+    if not _lemma_applies(program):
         return None
+    scenario = program.scenario
     try:     # the probe stops at the first congested step
         free = stays_free(scenario.compiled, Drive.for_run(scenario),
-                          scenario.x0_array(), scenario.inflow_array())
+                          scenario.x0, scenario.inflow)
         run = simulate(scenario) if free else None
     except InvariantError:
         return None

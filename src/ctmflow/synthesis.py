@@ -38,11 +38,11 @@ class ControlSchedule:
     routing: np.ndarray | None = None   # (T, E), or None = exogenous
 
 
-def extract_controls(program: ConvexProgram, solution: Solution,
-                     scenario: Scenario) -> ControlSchedule:
-    """Map a feasible relaxation solution to realizing demand controls and routing."""
+def extract_controls(program: ConvexProgram, solution: Solution) -> ControlSchedule:
+    """Map a feasible relaxation solution to realizing demand controls and
+    routing for the program's scenario."""
+    scenario = program.scenario
     net = scenario.network
-    T = scenario.horizon
     vals = solution.values
     source = net.compiled.source
     z = program.states(vals, "z")
@@ -125,8 +125,7 @@ class StructureReport:
 
 
 def check_fnc_structure(program: ConvexProgram, solution: Solution,
-                        scenario: Scenario, fifo_cost: float,
-                        tol: float = 1e-6) -> StructureReport:
+                        fifo_cost: float) -> StructureReport:
     """Verify the no-speed-limit structure of the optimal FNC solution.
 
     Preconditions: total-volume cost, identical demand slopes across cells,
@@ -138,6 +137,7 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
         ordinary:  z* = min(d_bar(x*), s_downstream(x*))
         diverge:   z* = d_bar(x*) * min(1, min_k s_k(x*_k) / (R_ik d_bar(x*)))
     """
+    scenario = program.scenario
     net = scenario.network
     if program.kind != "FNC":
         raise ValueError("structure check applies to FNC programs")

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ctmflow import scenarios
 from ctmflow.ctm import simulate
-from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
+from ctmflow.network import Cell, Network, Scenario, constant_routing
 
 TAU = 1.0
 
@@ -82,8 +84,7 @@ def random_scenario(rng, shape=None, horizon=None, inflow_scale=1.0,
     for k, c in enumerate(net.cells):
         lim = c.jam_volume if not net.is_source(c.id) else 10.0
         x0[k] = rng.uniform(0.0, x0_scale * lim)
-    return Scenario(network=net, horizon=T, initial_volumes=tuple(x0),
-                    inflow=lam, routing=RoutingSchedule.constant(net, ratios))
+    return Scenario(network=net, x0=x0, inflow=lam, routing=constant_routing(net, ratios))
 
 
 def freeflow_scenario(rng, shape=None, horizon=None) -> Scenario:
@@ -94,10 +95,7 @@ def freeflow_scenario(rng, shape=None, horizon=None) -> Scenario:
         traj = simulate(sc)
         if traj.is_freeflow():
             return sc
-        lam = sc.inflow_array() * 0.5
-        x0 = tuple(v * 0.5 for v in sc.initial_volumes)
-        sc = Scenario(network=sc.network, horizon=sc.horizon,
-                      initial_volumes=x0, inflow=lam, routing=sc.routing)
+        sc = replace(sc, x0=sc.x0 * 0.5, inflow=sc.inflow * 0.5)
     traj = simulate(sc)
     assert traj.is_freeflow(), "could not produce a free-flow scenario"
     return sc
@@ -105,10 +103,8 @@ def freeflow_scenario(rng, shape=None, horizon=None) -> Scenario:
 
 def dominated_pair(rng, sc: Scenario, shrink=0.7):
     """A second scenario elementwise below the given one."""
-    lam = sc.inflow_array() * rng.uniform(shrink, 1.0, size=(sc.horizon, sc.network.n))
-    x0 = tuple(v * rng.uniform(shrink, 1.0) for v in sc.initial_volumes)
-    return Scenario(network=sc.network, horizon=sc.horizon,
-                    initial_volumes=x0, inflow=lam, routing=sc.routing)
+    lam = sc.inflow * rng.uniform(shrink, 1.0, size=(sc.horizon, sc.network.n))
+    return replace(sc, x0=[v * rng.uniform(shrink, 1.0) for v in sc.x0], inflow=lam)
 
 
 @pytest.fixture(scope="session")

@@ -185,8 +185,8 @@ def simulate(scenario: Scenario, controls=None, model: str = "fifo"):
     report = validate(scenario)
     if not report.ok:
         raise ValueError(f"invalid scenario:\n{report}")
-    lam = scenario.inflow_array()
-    x = scenario.x0_array().copy()
+    lam = scenario.inflow
+    x = scenario.x0.copy()
     states = [x.copy()]
     rates_log = []
     merges = None
@@ -199,7 +199,7 @@ def simulate(scenario: Scenario, controls=None, model: str = "fifo"):
                 merges[c.id] = {ups[0]: 0.5, ups[1]: 0.5}
     alphas = np.ones((1, net.n)) if controls is None else controls.alphas
     edges = None if controls is None else controls.routing
-    edges = scenario.routing.ratios if edges is None else edges
+    edges = scenario.routing if edges is None else edges
     for t in range(scenario.horizon):
         alpha = np.asarray(alphas[min(t, len(alphas) - 1)], dtype=float)
         R = dense_routing(net, edges[min(t, len(edges) - 1)])
@@ -215,6 +215,6 @@ def simulate(scenario: Scenario, controls=None, model: str = "fifo"):
 
 def mass_balance_error(trajectory, scenario: Scenario) -> float:
     """|sum x(T) - sum x(0) - sum lambda + sum mu|, should be ~0."""
-    lam_total = scenario.inflow_array().sum()
+    lam_total = scenario.inflow.sum()
     return abs(float(trajectory.states[-1].sum())
                - float(trajectory.states[0].sum()) - lam_total + float(trajectory.mu.sum()))

@@ -79,8 +79,8 @@ def _assemble(rows: list, width: int) -> sp.csr_matrix:
 def reference_program(scenario, cost, eps: float, kind: str) -> SimpleNamespace:
     net = scenario.network
     T = scenario.horizon
-    lam = scenario.inflow_array()
-    x0 = scenario.x0_array()
+    lam = scenario.inflow
+    x0 = scenario.x0
     pairs = list(net.adjacency)
 
     names: list = []
@@ -137,7 +137,7 @@ def reference_program(scenario, cost, eps: float, kind: str) -> SimpleNamespace:
             if not net.is_sink(c.id):
                 add_eq([MU(t, c.id)], [1.0], 0.0)
     if kind == "FNC":
-        ratios = scenario.routing.ratios
+        ratios = scenario.routing
         for t in range(T):
             for (i, j), r in zip(pairs, ratios[min(t, len(ratios) - 1)]):
                 add_eq([F(t, i, j), Z(t, i)], [1.0, -float(r)], 0.0)

@@ -7,12 +7,12 @@ values in their failure messages. All structural criteria pass.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ctmflow.ctm import CostSpec, evaluate_cost, simulate
-from ctmflow.network import Scenario
 from ctmflow.program import build_dta, build_fnc
 from ctmflow.robustness import (PerturbationSpec, max_freeflow_inflow, simulate_perturbed,
                                 sweep)
@@ -88,7 +88,7 @@ class TestCriterion3:
         sc = bench["sc"]
         fifo_cost = evaluate_cost(bench["fifo"], CostSpec("TTT"))
         prog, sol = bench["solved"][("FNC", "TTT")]
-        rep = check_fnc_structure(prog, sol, sc, fifo_cost)
+        rep = check_fnc_structure(prog, sol, fifo_cost)
         ok = rep.cost_gap <= 1e-3 and rep.max_flow_deviation <= 1e-6
         report("3 (structure)", ok,
                f"|FNC-FIFO|/cost={rep.cost_gap:.2e}, "
@@ -103,7 +103,7 @@ class TestCriterion4:
         worst_dev, worst_gamma = 0.0, 1.0
         ok = True
         for (kind, cname), (prog, sol) in bench["solved"].items():
-            controls = extract_controls(prog, sol, sc)
+            controls = extract_controls(prog, sol)
             ref = prog.states(sol.values)
             for model in ("fifo", "nonfifo"):
                 rep = verify_realization(controls, sc, ref, model=model)
@@ -142,9 +142,9 @@ class TestCriterion5:
 def sweep_setup():
     sc = robustness_scenario()
     prog = build_fnc(sc, CostSpec("TTT"))
-    sol = freeflow_optimum(prog, sc)
+    sol = freeflow_optimum(prog)
     assert sol is not None and sol.residuals.primal < 1e-8
-    controls = extract_controls(prog, sol, sc)
+    controls = extract_controls(prog, sol)
     return sc, controls
 
 
@@ -190,7 +190,7 @@ class TestCriterion8:
         for eps in eps_grid:
             prog = build_fnc(sc, CostSpec("TTT"), eps)
             sol = solve(prog)
-            controls = extract_controls(prog, sol, sc)
+            controls = extract_controls(prog, sol)
             last_ff_index = -1
             runs = simulate_perturbed(
                 sc, [PerturbationSpec.inflow_shift(sc, float(d)) for d in grid], controls=controls)
@@ -262,9 +262,7 @@ class TestCriterion9:
         done, ok = 0, True
         while done < 100:
             a = freeflow_scenario(rng)
-            x0b = tuple(v * rng.uniform(0.4, 1.0) for v in a.initial_volumes)
-            b = Scenario(network=a.network, horizon=a.horizon,
-                         initial_volumes=x0b, inflow=a.inflow, routing=a.routing)
+            b = replace(a, x0=[v * rng.uniform(0.4, 1.0) for v in a.x0])
             ta, tb = simulate(a), simulate(b)
             if not tb.is_freeflow():
                 continue

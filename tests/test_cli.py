@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import ctmflow
 from ctmflow import ctm, robustness, solver, synthesis
 from ctmflow.cli import main
 from ctmflow.ctm import InvariantError, simulate
-from ctmflow.network import (RoutingSchedule, Scenario, load_scenario, save_scenario,
+from ctmflow.network import (Scenario, constant_routing, load_scenario, save_scenario,
                              scenario_to_dict)
 from ctmflow.scenarios import figure_network, robustness_scenario, routing_for, table_scenario
 from ctmflow.synthesis import ControlSchedule
@@ -26,10 +28,7 @@ from conftest import build_network, random_scenario
 @pytest.fixture()
 def zero_inflow_file(tmp_path):
     sc = table_scenario()
-    lam = np.zeros((sc.horizon, sc.network.n))
-    quiet = Scenario(network=sc.network, horizon=sc.horizon,
-                     initial_volumes=sc.initial_volumes, inflow=lam,
-                     routing=sc.routing)
+    quiet = replace(sc, inflow=np.zeros((sc.horizon, sc.network.n)))
     path = tmp_path / "quiet.json"
     save_scenario(quiet, path)
     return path
@@ -51,9 +50,7 @@ class TestExitCodes:
     def test_fnc_without_routing_config_error(self, tmp_path):
         rng = np.random.default_rng(71)
         sc = random_scenario(rng, horizon=4)
-        stripped = Scenario(network=sc.network, horizon=sc.horizon,
-                            initial_volumes=sc.initial_volumes, inflow=sc.inflow,
-                            routing=None)
+        stripped = replace(sc, routing=None)
         path = tmp_path / "noroute.json"
         save_scenario(stripped, path)
         rc = main(["solve", "--scenario", str(path), "--kind", "fnc",
@@ -65,9 +62,7 @@ class TestExitCodes:
         # end as an invariant violation (exit 4)
         sc = table_scenario()
         path = tmp_path / "noroute.json"
-        save_scenario(Scenario(network=sc.network, horizon=sc.horizon,
-                               initial_volumes=sc.initial_volumes, inflow=sc.inflow,
-                               routing=None), path)
+        save_scenario(replace(sc, routing=None), path)
         rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
@@ -258,8 +253,8 @@ class TestExitCodes:
         lam = np.zeros((6, net.n))
         lam[:, [net.index["s"], net.index["u"]]] = 0.5
         path = tmp_path / "cross.json"
-        save_scenario(Scenario(network=net, horizon=6, initial_volumes=(0.0,) * net.n,
-                               inflow=lam, routing=RoutingSchedule.constant(net, ratios)), path)
+        save_scenario(Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
+                               routing=constant_routing(net, ratios)), path)
         rc = main(["robustness-sweep", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
@@ -347,8 +342,8 @@ class TestImports:
 PINNED = {
     "tables2_3.csv": "a83fd772e1ef8c3891be3c2959f864c86c7872ca7defdb2be7ab9bf5d05da67a",
     "fig7_trajectories.csv": "d5d5cda1431e05bc810a4df95087134cff6c0c16d13e4f8c23f9e9f4ef74c1ff",
-    "fig8_sweep_fifo.csv": "70c40ae09e9cab9dd94bc9656531854df6c519dc9a3fc06ce428daa6309189e2",
-    "fig9_sweep_nonfifo.csv": "fe6f7779322ab63c0b5136bf381e5a080f4777304f24f08b2122a57c3394e801",
+    "fig8_sweep_fifo.csv": "826c02e8a8d3360c87de2856b4a71c6e7548aa195168ffeaa3f75639ea929de9",
+    "fig9_sweep_nonfifo.csv": "6c2c6b30e18f7a267496bb3b772c1f80dce50dc60d4cdb77cfd88d6928b594a7",
     "scenario_table.json": "9ebc6df2d546d3348373c9a9a1f159f4ff8fbe03fe0e492054675b4619130112",
     "scenario_robustness.json": "db55faee181e4d1ce67229db4782fb1585db3c6c8e23784fedd10dbd0b72aa59",
 }
@@ -365,6 +360,18 @@ class TestReproducePaper:
             assert hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest() == digest, name
             assert listed[name] == digest
 
+    def test_sensitivity_column_is_the_bound(self, tmp_path):
+        # the classical sensitivity bound grows by e^L = e^4 per step, so it
+        # is inf at every positive shift over T = 200 steps and 0 without one
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == 0
+        for name in ("fig8_sweep_fifo.csv", "fig9_sweep_nonfifo.csv"):
+            with open(tmp_path / name) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 31
+            for row in rows:
+                bound = float(row["sensitivity_bound_veh_steps"])
+                assert bound == (0.0 if float(row["delta_lambda_veh_per_step"]) == 0 else math.inf)
+
     def test_t200_program_skips_highs(self, tmp_path, monkeypatch):
         # the bundled T = 200 FNC program is settled by the free-flow lemma;
         # the congested T = 25 programs still reach HiGHS
@@ -372,7 +379,7 @@ class TestReproducePaper:
         highs = solver._highs
 
         def counted(core, prog):
-            horizons.append(prog.horizon)
+            horizons.append(prog.scenario.horizon)
             return highs(core, prog)
 
         monkeypatch.setattr(solver, "_highs", counted)
@@ -435,9 +442,7 @@ class TestQuadraticSynthesis:
         lam = np.zeros_like(sc.inflow)
         lam[:3, sc.network.index["1"]] = 10.0
         path = tmp_path / "burst10.json"
-        save_scenario(Scenario(network=sc.network, horizon=sc.horizon,
-                               initial_volumes=sc.initial_volumes, inflow=lam,
-                               routing=sc.routing), path)
+        save_scenario(replace(sc, inflow=lam), path)
         for model in ("fifo", "nonfifo"):
             rc, summary = self.synthesize(path, tmp_path / model, "fnc", model)
             assert rc == 0
@@ -451,8 +456,7 @@ class TestQuadraticSynthesis:
         lam = np.zeros((T, net.n))
         lam[:2, net.index["1"]] = 6.0
         path = tmp_path / "closure.json"
-        save_scenario(Scenario(network=net, horizon=T,
-                               initial_volumes=(0.0,) * net.n, inflow=lam,
+        save_scenario(Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
                                routing=routing_for(net)), path)
         for kind in ("dta", "fnc"):
             rc, summary = self.synthesize(path, tmp_path / kind, kind, "fifo")

@@ -1,11 +1,13 @@
 """CTM rates, stepping, simulation invariants, and cost evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ctmflow.ctm import (CostSpec, evaluate_cost, priority_merge_flows, simulate, step,
                          trajectory_to_csv)
-from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
+from ctmflow.network import Cell, Network, Scenario, constant_routing
 
 from conftest import dominated_pair, freeflow_scenario, random_scenario
 from ctm_reference import mass_balance_error
@@ -17,14 +19,13 @@ def two_to_one(cap=6.0, jam=10.0):
              Cell("m", 1, 1, 1, 1, jam, [cap]))
     net = Network(cells=cells, adjacency=(("a", "m"), ("b", "m")),
                   sources=frozenset({"a", "b"}), sinks=frozenset({"m"}), tau=1.0)
-    R = RoutingSchedule.constant(net, {("a", "m"): 1.0, ("b", "m"): 1.0})
+    R = constant_routing(net, {("a", "m"): 1.0, ("b", "m"): 1.0})
     return net, R
 
 
 def one_step(net, R, x, model="fifo"):
     """Rates of one step from state x, no inflow: (z, gamma, flows by pair)."""
-    sc = Scenario(network=net, horizon=1, initial_volumes=tuple(x),
-                  inflow=np.zeros((1, net.n)), routing=R)
+    sc = Scenario(network=net, x0=x, inflow=np.zeros((1, net.n)), routing=R)
     traj = simulate(sc, model=model)
     return traj.z[0], traj.gamma[0], dict(zip(net.adjacency, traj.f[0]))
 
@@ -35,7 +36,7 @@ def one_to_two(r=2.0 / 3.0, caps=(6.0, 6.0)):
              Cell("q", 1, 1, 1, 1, 30.0, [caps[1]]))
     net = Network(cells=cells, adjacency=(("d", "p"), ("d", "q")),
                   sources=frozenset({"d"}), sinks=frozenset({"p", "q"}), tau=1.0)
-    R = RoutingSchedule.constant(net, {("d", "p"): r, ("d", "q"): 1 - r})
+    R = constant_routing(net, {("d", "p"): r, ("d", "q"): 1 - r})
     return net, R
 
 
@@ -70,7 +71,7 @@ class TestFifoRates:
                  Cell("b", 1, 1, 1, 1, 10.0, [6.0]))
         net = Network(cells=cells, adjacency=(("s", "a"), ("s", "b"), ("u", "b")),
                       sources=frozenset({"s", "u"}), sinks=frozenset({"a", "b"}), tau=1.0)
-        R = RoutingSchedule.constant(net, {("s", "a"): 1.0, ("s", "b"): 0.0,
+        R = constant_routing(net, {("s", "a"): 1.0, ("s", "b"): 0.0,
                                            ("u", "b"): 1.0})
         x = np.array([4.0, 4.0, 0.0, 10.0])
         z, gamma, f = one_step(net, R, x)
@@ -149,8 +150,7 @@ class TestPriorityMerge:
 class TestStepAndSimulate:
     def test_zero_fixed_point(self):
         net, R = two_to_one()
-        sc = Scenario(network=net, horizon=4, initial_volumes=(0, 0, 0),
-                      inflow=np.zeros((4, 3)), routing=R)
+        sc = Scenario(network=net, x0=(0, 0, 0), inflow=np.zeros((4, 3)), routing=R)
         traj = simulate(sc)
         assert np.all(traj.states == 0.0)
         assert evaluate_cost(traj, CostSpec("TTT")) == 0.0
@@ -216,9 +216,7 @@ class TestMonotonicityProperties:
         done = 0
         while done < 30:
             a = freeflow_scenario(rng)
-            x0b = tuple(v * rng.uniform(0.5, 1.0) for v in a.initial_volumes)
-            b = Scenario(network=a.network, horizon=a.horizon,
-                         initial_volumes=x0b, inflow=a.inflow, routing=a.routing)
+            b = replace(a, x0=[v * rng.uniform(0.5, 1.0) for v in a.x0])
             ta, tb = simulate(a), simulate(b)
             if not (ta.is_freeflow() and tb.is_freeflow()):
                 continue
@@ -234,11 +232,10 @@ class TestCosts:
                  Cell("b", 1, 1, 1, 1, 50.0, [50.0]))
         net = Network(cells=cells, adjacency=(("a", "b"),),
                       sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=1.0)
-        R = RoutingSchedule.constant(net, {("a", "b"): 1.0})
+        R = constant_routing(net, {("a", "b"): 1.0})
         lam = np.zeros((6, 2))
         lam[0, 0] = 3.0
-        sc = Scenario(network=net, horizon=6, initial_volumes=(0.0, 0.0),
-                      inflow=lam, routing=R)
+        sc = Scenario(network=net, x0=(0.0, 0.0), inflow=lam, routing=R)
         traj = simulate(sc)
         # slope-1 free flow: z = x each step, so x - z/slope vanishes
         assert evaluate_cost(traj, CostSpec("Delay")) == pytest.approx(0.0, abs=1e-12)

@@ -18,7 +18,7 @@ import ctm_reference
 from conftest import build_network
 from ctmflow import ctm, scenarios
 from ctmflow.ctm import MODELS, Drive, junction_rates, simulate_batch, step
-from ctmflow.network import RoutingSchedule, Scenario
+from ctmflow.network import Scenario, constant_routing
 from ctmflow.synthesis import ControlSchedule
 
 TOL = 1e-12
@@ -41,8 +41,7 @@ def random_case(rng, shape: str, horizon: int) -> Scenario:
             x0[k] = rng.uniform(0.0, 10.0)
         else:
             x0[k] = rng.uniform(0.0, 0.9 * c.jam_volume)
-    return Scenario(network=net, horizon=horizon, initial_volumes=tuple(x0),
-                    inflow=lam, routing=RoutingSchedule.constant(net, ratios))
+    return Scenario(network=net, x0=x0, inflow=lam, routing=constant_routing(net, ratios))
 
 
 def random_controls(rng, sc: Scenario, speed_limits: bool, dta: bool) -> ControlSchedule:
@@ -67,8 +66,7 @@ def random_controls(rng, sc: Scenario, speed_limits: bool, dta: bool) -> Control
 
 
 def with_run(sc: Scenario, x0, lam) -> Scenario:
-    return Scenario(network=sc.network, horizon=sc.horizon,
-                    initial_volumes=tuple(x0), inflow=lam, routing=sc.routing)
+    return replace(sc, x0=x0, inflow=lam)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -80,8 +78,8 @@ def test_kernel_matches_reference(shape, model, batch, speed_limits, dta, seed):
     rng = np.random.default_rng(seed)
     sc = random_case(rng, shape, int(rng.integers(3, 10)))
     controls = random_controls(rng, sc, speed_limits, dta)
-    x0 = sc.x0_array() * rng.uniform(0.5, 1.0, size=(batch, 1))
-    lam = sc.inflow_array() * rng.uniform(0.5, 1.5, size=(batch, 1, 1))
+    x0 = sc.x0 * rng.uniform(0.5, 1.0, size=(batch, 1))
+    lam = sc.inflow * rng.uniform(0.5, 1.5, size=(batch, 1, 1))
     runs = simulate_batch(sc, x0=x0, inflow=lam, controls=controls, model=model)
     assert runs.states.shape == (batch, sc.horizon + 1, sc.network.n)
     for b in range(batch):
@@ -137,8 +135,7 @@ def settling_case(rng, shape: str, horizon: int, late: str, unit_slopes: bool):
         alphas[horizon - 3:, rng.integers(net.n)] *= 0.5
     x0 = np.where(source, rng.uniform(0.0, 10.0, size=net.n),
                   rng.uniform(0.0, 0.5, size=net.n) * net.compiled.jam)
-    sc = Scenario(network=net, horizon=horizon, initial_volumes=tuple(x0), inflow=lam,
-                  routing=RoutingSchedule.constant(net, ratios))
+    sc = Scenario(network=net, x0=x0, inflow=lam, routing=constant_routing(net, ratios))
     return sc, ControlSchedule(alphas=alphas, routing=None)
 
 
@@ -154,8 +151,8 @@ def test_steady_state_exit_is_exact(model, late, shape, batch, horizon, unit_slo
     # later step would repeat it, so every array is bit-equal to the full loop
     rng = np.random.default_rng(seed)
     sc, controls = settling_case(rng, shape, horizon, late, unit_slopes)
-    x0 = sc.x0_array() * rng.uniform(0.5, 1.0, size=(batch, 1))
-    lam = sc.inflow_array() * rng.uniform(0.5, 1.5, size=(batch, 1, 1))
+    x0 = sc.x0 * rng.uniform(0.5, 1.0, size=(batch, 1))
+    lam = sc.inflow * rng.uniform(0.5, 1.5, size=(batch, 1, 1))
     run = simulate_batch(sc, x0=x0, inflow=lam, controls=controls, model=model)
     for name, want in full_horizon(sc, x0, lam, controls, model).items():
         got = getattr(run, name)
@@ -171,9 +168,7 @@ def test_steady_state_exit_fires_and_waits(robustness_scenario, monkeypatch):
     sc, T = robustness_scenario, robustness_scenario.horizon
     simulate_batch(sc)
     assert len(calls) < 50
-    dropped = Scenario(network=scenarios.figure_network(T, [6.0] * (T - 3) + [0.5] * 3),
-                       horizon=T, initial_volumes=sc.initial_volumes,
-                       inflow=sc.inflow, routing=sc.routing)
+    dropped = replace(sc, network=scenarios.figure_network(T, [6.0] * (T - 3) + [0.5] * 3))
     calls.clear()
     run = simulate_batch(dropped)
     assert len(calls) >= T - 2 and run.min_gamma() < 1.0

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctmflow import scenarios
 from ctmflow.ctm import CostSpec, Drive, simulate
-from ctmflow.network import (Cell, Network, RoutingSchedule, Scenario, load_scenario,
+from ctmflow.network import (Cell, Network, Scenario, constant_routing, load_scenario,
                              save_scenario, scenario_from_dict, scenario_to_dict, validate)
 from ctmflow.program import build_fnc
 from ctmflow.scenarios import figure_network, robustness_scenario, routing_for
@@ -77,6 +77,43 @@ class TestDemandSupply:
         assert supply(c, TAU, lo, 0) >= supply(c, TAU, hi, 0) - 1e-12
 
 
+class TestScenario:
+    """x0, inflow and routing are stored once, as read-only float arrays,
+    and the capacity matrix is read-only too; a scenario equals only itself."""
+
+    def test_eq_and_hash(self):
+        a, b = scenarios.table_scenario(), scenarios.table_scenario()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("field", ["x0", "inflow", "routing", "capacity"])
+    def test_inputs_read_only(self, field):
+        sc = scenarios.table_scenario()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sc, field)[0] = 1.0
+
+    def test_negative_inflow_after_validation_refused(self):
+        # a write after validation used to reach the program's right-hand side
+        sc = scenarios.table_scenario()
+        assert sc.compiled is not None
+        with pytest.raises(ValueError, match="read-only"):
+            sc.inflow[3, 0] = -5
+        assert build_fnc(sc, CostSpec("TTT")).b_eq.min() == 0.0
+
+    def test_caller_arrays_are_copied(self, table_scenario):
+        lam = table_scenario.inflow.copy()
+        sc = replace(table_scenario, inflow=lam)
+        lam[0, 0] = 100.0
+        assert sc.inflow[0, 0] == table_scenario.inflow[0, 0]
+        assert lam.flags.writeable
+
+    def test_replace_shortens_horizon(self, table_scenario):
+        sc = replace(table_scenario, inflow=table_scenario.inflow[:10])
+        assert sc.horizon == 10
+        assert sc.capacity.shape == (10, table_scenario.network.n)
+        assert validate(sc).ok
+
+
 class TestValidation:
     def test_benchmark_scenario_is_valid(self, table_scenario):
         report = validate(table_scenario)
@@ -101,14 +138,12 @@ class TestValidation:
         assert net.compiled.demand_slope[0] == pytest.approx(1.0)
 
     def test_cfl_violation_flagged(self):
-        from ctmflow.network import Network, RoutingSchedule, Scenario
         cells = (Cell("a", 60.0, 50.0, 500.0, 1, 10.0, (6.0,)),
                  Cell("b", 50.0, 50.0, 500.0, 1, 10.0, (6.0,)))
         net = Network(cells=cells, adjacency=(("a", "b"),),
                       sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=10.0)
-        sc = Scenario(network=net, horizon=2, initial_volumes=(0.0, 0.0),
-                      inflow=np.zeros((2, 2)),
-                      routing=RoutingSchedule.constant(net, {("a", "b"): 1.0}))
+        sc = Scenario(network=net, x0=(0.0, 0.0), inflow=np.zeros((2, 2)),
+                      routing=constant_routing(net, {("a", "b"): 1.0}))
         report = validate(sc)
         assert any(v.code == "cfl" for v in report.violations)
 
@@ -120,13 +155,9 @@ class TestValidation:
                     sources=frozenset({"s"}), sinks=frozenset({"b"}), tau=1.0)
 
     def test_inflow_on_nonsource_flagged(self, table_scenario):
-        lam = table_scenario.inflow_array().copy()
+        lam = table_scenario.inflow.copy()
         lam[0, table_scenario.network.index["5"]] = 1.0
-        from ctmflow.network import Scenario
-        sc = Scenario(network=table_scenario.network, horizon=table_scenario.horizon,
-                      initial_volumes=table_scenario.initial_volumes,
-                      inflow=lam, routing=table_scenario.routing)
-        report = validate(sc)
+        report = validate(replace(table_scenario, inflow=lam))
         assert any(v.code == "inflow-nonsource" for v in report.violations)
 
 
@@ -137,15 +168,15 @@ class TestJunctions:
     @staticmethod
     def structure(sc: Scenario):
         prog = build_fnc(sc, CostSpec("TTT"))
-        return check_fnc_structure(prog, solve(prog), sc, 0.0)
+        return check_fnc_structure(prog, solve(prog), 0.0)
 
     @staticmethod
     def scenario(net: Network, ratios: dict) -> Scenario:
         lam = np.zeros((2, net.n))
         for cid in net.sources:
             lam[0, net.index[cid]] = 1.0
-        return Scenario(network=net, horizon=2, initial_volumes=(0.0,) * net.n,
-                        inflow=lam, routing=RoutingSchedule.constant(net, ratios))
+        return Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
+                        routing=constant_routing(net, ratios))
 
     def test_benchmark_has_no_general_junction(self):
         assert self.structure(robustness_scenario(horizon=3)).checked_cells > 0
@@ -171,8 +202,8 @@ class TestScenarioFile:
         save_scenario(table_scenario, path)
         back = load_scenario(path)
         assert back.horizon == table_scenario.horizon
-        np.testing.assert_allclose(back.inflow_array(), table_scenario.inflow_array())
-        np.testing.assert_array_equal(back.routing.ratios, table_scenario.routing.ratios)
+        np.testing.assert_allclose(back.inflow, table_scenario.inflow)
+        np.testing.assert_array_equal(back.routing, table_scenario.routing)
         assert back.content_hash() == table_scenario.content_hash()
 
     def test_round_trip_keeps_tau(self, tmp_path, table_scenario):
@@ -195,7 +226,7 @@ class TestScenarioFile:
         lengths = {key: int(rng.integers(1, 7)) for key in data["routing"]}
         data["routing"] = {key: list(rng.uniform(0.0, 1.0, size=m)) for key, m in lengths.items()}
         sc = scenario_from_dict(data)
-        ratios = sc.routing.ratios
+        ratios = sc.routing
         assert ratios.shape == (max(lengths.values()), len(sc.network.adjacency))
         for e, (i, j) in enumerate(sc.network.adjacency):
             series = data["routing"][f"{i}->{j}"]
@@ -204,12 +235,12 @@ class TestScenarioFile:
         path = tmp_path / "scenario.json"
         save_scenario(sc, path)
         back = load_scenario(path)
-        np.testing.assert_array_equal(back.routing.ratios, ratios)
+        np.testing.assert_array_equal(back.routing, ratios)
         assert back.content_hash() == sc.content_hash()
 
     def test_constant_routing_rejects_non_edge(self, table_scenario):
         with pytest.raises(ValueError, match="not an edge"):
-            RoutingSchedule.constant(table_scenario.network, {("1", "10"): 1.0})
+            constant_routing(table_scenario.network, {("1", "10"): 1.0})
 
     def test_units_header_required(self, tmp_path, table_scenario):
         data = scenario_to_dict(table_scenario)
@@ -224,8 +255,8 @@ class TestScenarioFile:
 
     def test_routing_constant_extension(self, table_scenario):
         # a one-row schedule drives the last step as it drives the first
-        assert len(table_scenario.routing.ratios) == 1
+        assert len(table_scenario.routing) == 1
         ratio = Drive.for_run(table_scenario).ratio
         assert ratio.shape[0] == table_scenario.horizon
         np.testing.assert_array_equal(ratio[-1], ratio[0])
-        np.testing.assert_array_equal(ratio[0, :-1], table_scenario.routing.ratios[0])
+        np.testing.assert_array_equal(ratio[0, :-1], table_scenario.routing[0])

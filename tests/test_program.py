@@ -1,6 +1,7 @@
 """Relaxation builders: feasibility structure, nesting, epsilon, export."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctmflow import solver
 from ctmflow.ctm import CostSpec, simulate
-from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
+from ctmflow.network import Cell, Network, Scenario, constant_routing
 from ctmflow.program import build_dta, build_fnc, export_lp
 from ctmflow.solver import solve, verify_solution
 
@@ -21,9 +22,8 @@ def single_cell_scenario():
     cells = (Cell("a", 1, 1, 1, 1, 10.0, [6.0]),)
     net = Network(cells=cells, adjacency=(), sources=frozenset({"a"}),
                   sinks=frozenset({"a"}), tau=1.0)
-    return Scenario(network=net, horizon=1, initial_volumes=(0.0,),
-                    inflow=np.zeros((1, 1)),
-                    routing=RoutingSchedule.constant(net, {}))
+    return Scenario(network=net, x0=(0.0,), inflow=np.zeros((1, 1)),
+                    routing=constant_routing(net, {}))
 
 
 class TestBuilders:
@@ -36,9 +36,7 @@ class TestBuilders:
         assert np.max(np.abs(sol.values)) <= 1e-9
 
     def test_fnc_needs_routing(self, table_scenario):
-        sc = Scenario(network=table_scenario.network, horizon=table_scenario.horizon,
-                      initial_volumes=table_scenario.initial_volumes,
-                      inflow=table_scenario.inflow, routing=None)
+        sc = replace(table_scenario, routing=None)
         with pytest.raises(ValueError, match="routing"):
             build_fnc(sc, CostSpec("TTT"))
 
@@ -60,7 +58,7 @@ class TestBuilders:
     def test_metadata(self, table_scenario):
         prog = build_dta(table_scenario, CostSpec("TTT"), eps=0.25)
         assert prog.kind == "DTA" and prog.eps == 0.25
-        assert prog.scenario_hash == table_scenario.content_hash()
+        assert prog.scenario is table_scenario
 
 
 class TestAssembly:

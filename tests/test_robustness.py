@@ -1,12 +1,14 @@
 """Perturbation bounds: formulas, equilibria, thresholds, soundness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmflow import robustness, scenarios
 from ctmflow.ctm import FREEFLOW_TOL, MODELS, Drive, junction_rates, simulate, step
-from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
+from ctmflow.network import Cell, Network, Scenario, constant_routing
 from ctmflow.robustness import (EQ_TOL, PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
                                 find_equilibria, lipschitz_constant,
@@ -17,7 +19,7 @@ from conftest import freeflow_scenario, random_scenario
 
 
 def zero_pert(sc) -> PerturbationSpec:
-    return PerturbationSpec(x0=sc.x0_array(), inflow=sc.inflow_array())
+    return PerturbationSpec(x0=sc.x0, inflow=sc.inflow)
 
 
 def reference_equilibrium(sc, inflow, model: str):
@@ -121,11 +123,7 @@ class TestEnvelope:
         assert np.all(env.x0_upper == 0.0) and np.all(env.x0_lower == 0.0)
 
     def test_lower_clamped_at_zero(self, robustness_scenario):
-        lam = robustness_scenario.inflow_array() * 0.0
-        base = Scenario(network=robustness_scenario.network,
-                        horizon=robustness_scenario.horizon,
-                        initial_volumes=robustness_scenario.initial_volumes,
-                        inflow=lam, routing=robustness_scenario.routing)
+        base = replace(robustness_scenario, inflow=robustness_scenario.inflow * 0.0)
         pert = PerturbationSpec.inflow_shift(base, 0.3)
         env = compute_envelope(base, pert)
         assert np.all(env.lam_lower == 0.0)
@@ -140,14 +138,14 @@ class TestEquilibrium:
 
     def test_nominal_inflow_has_equilibrium(self, robustness_scenario):
         net = robustness_scenario.network
-        x_eq = find_equilibria(robustness_scenario, [robustness_scenario.inflow_array()[0]])[0]
+        x_eq = find_equilibria(robustness_scenario, [robustness_scenario.inflow[0]])[0]
         assert x_eq is not None
         # free-flow equilibrium: volume = throughput on every cell
         assert x_eq[net.index["1"]] == pytest.approx(5.0, abs=1e-6)
         assert x_eq[net.index["3"]] == pytest.approx(10.0 / 3.0, abs=1e-6)
 
     def test_overload_signal(self, robustness_scenario):
-        lam = robustness_scenario.inflow_array()[0] * 1.4   # level 7 > capacity
+        lam = robustness_scenario.inflow[0] * 1.4   # level 7 > capacity
         assert find_equilibria(robustness_scenario, [lam]) == [None]
 
     @pytest.mark.parametrize("model", ["fifo", "nonfifo", "fifo-priority"])
@@ -158,7 +156,7 @@ class TestEquilibrium:
         # to hold OVERLOAD_FACTOR jam volumes
         steps = []
         monkeypatch.setattr(robustness, "step", lambda *a: steps.append(1) or step(*a))
-        lam = robustness_scenario.inflow_array()[0] * 1.4
+        lam = robustness_scenario.inflow[0] * 1.4
         assert find_equilibria(robustness_scenario, [lam], model=model) == [None]
         assert len(steps) < 1000
 
@@ -201,7 +199,7 @@ class TestBatchedEquilibria:
             sc, cap = scenarios.robustness_scenario(), robustness.EQ_MAX_STEPS
         else:
             sc, cap = random_scenario(rng, shape=shape), 1500
-        inflows = sc.inflow_array()[0] * np.array(scales)[:, None]
+        inflows = sc.inflow[0] * np.array(scales)[:, None]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(robustness, "EQ_MAX_STEPS", cap)
             self.assert_matches_single_runs(sc, inflows, model)
@@ -223,8 +221,8 @@ class TestFreeflowSupremum:
                       sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=1.0)
         lam = np.full((30, 2), 0.0)
         lam[:, 0] = 1.0
-        sc = Scenario(network=net, horizon=30, initial_volumes=(0.0, 0.0),
-                      inflow=lam, routing=RoutingSchedule.constant(net, {("a", "b"): 1.0}))
+        sc = Scenario(network=net, x0=(0.0, 0.0), inflow=lam,
+                      routing=constant_routing(net, {("a", "b"): 1.0}))
         assert max_freeflow_inflow(sc) <= 2e-3
 
     @pytest.mark.parametrize("model", MODELS)
@@ -238,15 +236,11 @@ class TestFreeflowSupremum:
         rng = np.random.default_rng(seed)
         if shape == "figure":
             cap4 = None if late_capacity is None else [6.0] * (horizon - 3) + [late_capacity] * 3
-            sc = scenarios.robustness_scenario(horizon)
-            sc = Scenario(network=scenarios.figure_network(horizon, cap4), horizon=horizon,
-                          initial_volumes=sc.initial_volumes, inflow=sc.inflow,
-                          routing=sc.routing)
+            sc = replace(scenarios.robustness_scenario(horizon),
+                         network=scenarios.figure_network(horizon, cap4))
         else:
             sc = random_scenario(rng, shape=shape, horizon=horizon)
-            sc = Scenario(network=sc.network, horizon=horizon,
-                          initial_volumes=sc.initial_volumes,
-                          inflow=sc.inflow_array()[[0] * horizon], routing=sc.routing)
+            sc = replace(sc, inflow=sc.inflow[[0] * horizon])
         got = max_freeflow_inflow(sc, model=model)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(robustness, "stays_free", full_horizon_free)
@@ -257,9 +251,8 @@ class TestFreeflowSupremum:
         from conftest import build_network
         net, ratios = build_network("merge", rng)
         lam = np.zeros((5, net.n))
-        sc = Scenario(network=net, horizon=5,
-                      initial_volumes=(0.0,) * net.n, inflow=lam,
-                      routing=RoutingSchedule.constant(net, ratios))
+        sc = Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
+                      routing=constant_routing(net, ratios))
         with pytest.raises(ValueError, match="single-source"):
             max_freeflow_inflow(sc)
 
@@ -345,11 +338,11 @@ class TestLipschitzAndSensitivity:
         # random non-constant dlam and a random dx0
         rng = np.random.default_rng(seed)
         sc = scenarios.robustness_scenario(horizon=int(rng.integers(1, 13)))
-        pert = PerturbationSpec(x0=sc.x0_array() + rng.uniform(0.0, 1.0, sc.network.n),
-                                inflow=sc.inflow_array() + rng.uniform(-0.5, 0.5, sc.inflow.shape))
+        pert = PerturbationSpec(x0=sc.x0 + rng.uniform(0.0, 1.0, sc.network.n),
+                                inflow=sc.inflow + rng.uniform(-0.5, 0.5, sc.inflow.shape))
         L = lipschitz_constant(sc.network)
-        dx0 = np.abs(pert.x0 - sc.x0_array()).sum()
-        dlam = np.abs(pert.inflow - sc.inflow_array()).sum(axis=1)
+        dx0 = np.abs(pert.x0 - sc.x0).sum()
+        dlam = np.abs(pert.inflow - sc.inflow).sum(axis=1)
         want = [np.exp(L * t) * dx0 + sum(np.exp(L * (t - 1 - s)) * (np.exp(L) - 1.0) / L * dlam[s]
                                           for s in range(t)) for t in range(sc.horizon + 1)]
         np.testing.assert_allclose(sensitivity_bound(sc, pert), want, rtol=1e-12, atol=0.0)

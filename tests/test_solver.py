@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ctmflow import solver
 from ctmflow.cli import main
 from ctmflow.ctm import CostSpec, simulate
-from ctmflow.network import Cell, Network, RoutingSchedule, Scenario, load_scenario
+from ctmflow.network import Cell, Network, Scenario, constant_routing, load_scenario
 from ctmflow.program import build_dta, build_fnc
 from ctmflow.scenarios import robustness_scenario
 from ctmflow.solver import (FW_TOL, LP_RESIDUAL_TOL, SolverError, freeflow_optimum, solve,
@@ -55,9 +55,8 @@ def chain_scenario(n=2, T=2, inflow=2.0, cap=4.0, jam=8.0, slope=0.8):
                   sources=frozenset({ids[0]}), sinks=frozenset({ids[-1]}), tau=1.0)
     lam = np.zeros((T, n))
     lam[0, 0] = inflow
-    return Scenario(network=net, horizon=T, initial_volumes=(0.0,) * n,
-                    inflow=lam,
-                    routing=RoutingSchedule.constant(
+    return Scenario(network=net, x0=np.zeros(n), inflow=lam,
+                    routing=constant_routing(
                         net, {(ids[k], ids[k + 1]): 1.0 for k in range(n - 1)}))
 
 
@@ -287,7 +286,7 @@ class TestFreeflowOptimum:
             rng = np.random.default_rng(1000 * SHAPES.index(shape) + seed)
             sc = freeflow_scenario(rng, shape=shape, horizon=int(rng.integers(4, 26)))
             prog = build_fnc(sc, CostSpec("TTT"), eps)
-            closed = freeflow_optimum(prog, sc)
+            closed = freeflow_optimum(prog)
             if closed is None:
                 # only the shrunk supply can refuse the free-flow run
                 run = simulate(sc)
@@ -315,35 +314,34 @@ class TestFreeflowOptimum:
 
     def test_refuses_outside_hypotheses(self, table_scenario):
         sc = freeflow_scenario(np.random.default_rng(11), shape="diverge", horizon=8)
-        assert freeflow_optimum(build_fnc(sc, CostSpec("TTT")), sc) is not None
+        assert freeflow_optimum(build_fnc(sc, CostSpec("TTT"))) is not None
         # congested: the uncontrolled FIFO run has gamma < 1
-        assert freeflow_optimum(build_fnc(table_scenario, CostSpec("TTT")), table_scenario) is None
+        assert freeflow_optimum(build_fnc(table_scenario, CostSpec("TTT"))) is None
         # time-varying routing, still in free flow
-        ratios = np.repeat(sc.routing.ratios, 2, axis=0)
+        ratios = np.repeat(sc.routing, 2, axis=0)
         ratios[1, :2] = ratios[0, 1::-1]
-        varying = Scenario(network=sc.network, horizon=sc.horizon,
-                           initial_volumes=sc.initial_volumes, inflow=sc.inflow_array(),
-                           routing=RoutingSchedule(ratios=ratios))
+        varying = replace(sc, routing=ratios)
         assert simulate(varying).is_freeflow()
-        assert freeflow_optimum(build_fnc(varying, CostSpec("TTT")), varying) is None
+        assert freeflow_optimum(build_fnc(varying, CostSpec("TTT"))) is None
         # costs other than total volume, and the DTA
         weights = tuple(float(w) for w in np.arange(1.0, sc.network.n + 1.0))
         for cost in (CostSpec("QuadraticVolume"), CostSpec("TTT", weights=weights),
                      CostSpec("TTD"), CostSpec("Delay")):
-            assert freeflow_optimum(build_fnc(sc, cost), sc) is None
-        assert freeflow_optimum(build_dta(sc, CostSpec("TTT")), sc) is None
+            assert freeflow_optimum(build_fnc(sc, cost)) is None
+        assert freeflow_optimum(build_dta(sc, CostSpec("TTT"))) is None
         # another scenario's free-flow run, feasible for the program but
-        # slower than its own: half the free-flow speed on every cell
+        # slower than its own (half the free-flow speed on every cell): the
+        # program holds its scenario, so the closed form is its own run
         slow = replace(sc.network, cells=tuple(replace(c, free_flow_speed=c.free_flow_speed / 2)
                                                for c in sc.network.cells))
-        other = Scenario(network=slow, horizon=sc.horizon,
-                         initial_volumes=sc.initial_volumes, inflow=sc.inflow_array(),
-                         routing=sc.routing)
+        other = replace(sc, network=slow)
         prog = build_fnc(sc, CostSpec("TTT"))
         run = simulate(other)
         assert (run.gamma == 1.0).all() and verify_solution(prog, prog.pack(run)) <= LP_RESIDUAL_TOL
-        assert freeflow_optimum(prog, other) is None
+        closed = freeflow_optimum(prog)
+        np.testing.assert_array_equal(closed.values, prog.pack(simulate(sc)))
+        assert closed.objective < prog.objective_value(prog.pack(run))
         # an eps at which the free-flow run overfills the shrunk supply
         rb = robustness_scenario()
         assert simulate(rb).is_freeflow()
-        assert freeflow_optimum(build_fnc(rb, CostSpec("TTT"), 0.5), rb) is None
+        assert freeflow_optimum(build_fnc(rb, CostSpec("TTT"), 0.5)) is None

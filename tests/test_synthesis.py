@@ -35,20 +35,20 @@ class TestExtraction:
         prog_idx = var_index(prog)
         vals[prog_idx[("x", 3, cell)]] = 4.0
         vals[prog_idx[("z", 3, cell)]] = 3.0
-        controls = extract_controls(prog, _patched(sol, vals), table_scenario)
+        controls = extract_controls(prog, _patched(sol, vals))
         k = table_scenario.network.index[cell]
         assert controls.alphas[3, k] == pytest.approx(0.75)
 
     def test_zero_over_zero_convention(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
         # early steps of far-downstream cells have x = z = 0
-        controls = extract_controls(prog, sol, table_scenario)
+        controls = extract_controls(prog, sol)
         k = table_scenario.network.index["9"]
         assert controls.alphas[0, k] == 1.0
 
     def test_uniform_routing_on_zero_outflow(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
-        controls = extract_controls(prog, sol, table_scenario)
+        controls = extract_controls(prog, sol)
         net = table_scenario.network
         ratios = controls.routing[0]     # nothing reaches cell 3 at t = 0
         assert ratios[net.edge_index["3", "4"]] == pytest.approx(0.5)
@@ -56,7 +56,7 @@ class TestExtraction:
 
     def test_extracted_rows_sum_to_one(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
-        controls = extract_controls(prog, sol, table_scenario)
+        controls = extract_controls(prog, sol)
         net = table_scenario.network
         for t in range(table_scenario.horizon):
             for c in net.cells:
@@ -73,7 +73,7 @@ class TestExtraction:
         vals[idx[("z", 2, "5")]] = 5.0
         vals[idx[("x", 2, "5")]] = 0.0
         with pytest.raises(InvariantError, match="demand"):
-            extract_controls(prog, _patched(sol, vals), table_scenario)
+            extract_controls(prog, _patched(sol, vals))
 
 
 def _patched(sol, vals):
@@ -86,7 +86,7 @@ class TestReplayTightness:
     @pytest.mark.parametrize("model", ["fifo", "nonfifo"])
     def test_fnc_replay(self, table_scenario, fnc_ttt, model):
         prog, sol = fnc_ttt
-        controls = extract_controls(prog, sol, table_scenario)
+        controls = extract_controls(prog, sol)
         ref = prog.states(sol.values)
         rep = verify_realization(controls, table_scenario, ref, model=model)
         assert rep.realized
@@ -96,14 +96,14 @@ class TestReplayTightness:
     @pytest.mark.parametrize("model", ["fifo", "nonfifo"])
     def test_dta_replay(self, table_scenario, dta_ttt, model):
         prog, sol = dta_ttt
-        controls = extract_controls(prog, sol, table_scenario)
+        controls = extract_controls(prog, sol)
         ref = prog.states(sol.values)
         rep = verify_realization(controls, table_scenario, ref, model=model)
         assert rep.realized and rep.always_freeflow
 
     def test_replayed_cost_matches_objective(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
-        controls = extract_controls(prog, sol, table_scenario)
+        controls = extract_controls(prog, sol)
         traj = simulate(table_scenario, controls=controls)
         assert evaluate_cost(traj, CostSpec("TTT")) == pytest.approx(sol.objective, abs=1e-6)
 
@@ -117,7 +117,7 @@ class TestReplayTightness:
             sol = solve(prog)
             if sol.status != "optimal":
                 continue
-            controls = extract_controls(prog, sol, sc)
+            controls = extract_controls(prog, sol)
             ref = prog.states(sol.values)
             rep = verify_realization(controls, sc, ref)
             assert rep.realized, f"deviation {rep.max_deviation} > {rep.tolerance}"
@@ -138,7 +138,7 @@ class TestStructureCheck:
         prog = build_fnc(table_scenario, CostSpec("TTT"))
         sol = solve(prog)
         fifo_cost = evaluate_cost(table_fifo, CostSpec("TTT"))
-        rep = check_fnc_structure(prog, sol, table_scenario, fifo_cost)
+        rep = check_fnc_structure(prog, sol, fifo_cost)
         assert rep.ok
         assert rep.cost_gap <= 1e-3
         assert rep.max_flow_deviation <= 1e-6
@@ -154,8 +154,8 @@ class TestStructureCheck:
         fifo_cost = evaluate_cost(simulate(robustness_scenario), CostSpec("TTT"))
         assert sol.status == "optimal" and sol.iterations > 0
         assert sol.objective == pytest.approx(fifo_cost, rel=1e-9)
-        assert check_fnc_structure(prog, sol, robustness_scenario, fifo_cost).ok
-        closed = freeflow_optimum(prog, robustness_scenario)
+        assert check_fnc_structure(prog, sol, fifo_cost).ok
+        closed = freeflow_optimum(prog)
         assert abs(closed.objective - sol.objective) <= 1e-9 * sol.objective
         np.testing.assert_allclose(closed.values, sol.values, rtol=0, atol=1e-9)
 
@@ -163,7 +163,7 @@ class TestStructureCheck:
         prog = build_fnc(table_scenario, CostSpec("QuadraticVolume"))
         sol = solve(prog)
         with pytest.raises(ValueError, match="total-volume"):
-            check_fnc_structure(prog, sol, table_scenario, 0.0)
+            check_fnc_structure(prog, sol, 0.0)
 
     def test_refuses_unequal_slopes(self):
         rng = np.random.default_rng(52)
@@ -171,18 +171,18 @@ class TestStructureCheck:
         prog = build_fnc(sc, CostSpec("TTT"))
         sol = solve(prog)
         with pytest.raises(ValueError, match="slopes"):
-            check_fnc_structure(prog, sol, sc, 0.0)
+            check_fnc_structure(prog, sol, 0.0)
 
     def test_refuses_dta(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
         with pytest.raises(ValueError, match="FNC"):
-            check_fnc_structure(prog, sol, table_scenario, 0.0)
+            check_fnc_structure(prog, sol, 0.0)
 
 
 class TestControlExport:
     def test_csv_files(self, tmp_path, table_scenario, dta_ttt):
         prog, sol = dta_ttt
-        controls = extract_controls(prog, sol, table_scenario)
+        controls = extract_controls(prog, sol)
         a, r = tmp_path / "alpha.csv", tmp_path / "routing.csv"
         controls_to_csv(controls, table_scenario, a, r)
         assert a.read_text().startswith("step,cell,alpha")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ctmflow.network import Cell, Network, RoutingSchedule, Scenario
+from ctmflow.network import Cell, Network, Scenario, constant_routing
 
 
 def var_index(program) -> dict:
@@ -21,6 +21,5 @@ def tiny_chain_scenario(rng) -> Scenario:
                   sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=1.0)
     lam = np.zeros((2, 2))
     lam[0, 0] = float(rng.uniform(0.5, 3.0))
-    return Scenario(network=net, horizon=2, initial_volumes=(0.0, 0.0),
-                    inflow=lam,
-                    routing=RoutingSchedule.constant(net, {("a", "b"): 1.0}))
+    return Scenario(network=net, x0=(0.0, 0.0), inflow=lam,
+                    routing=constant_routing(net, {("a", "b"): 1.0}))
