@@ -1,8 +1,7 @@
 """Freeway traffic simulation and optimal network control toolkit."""
 
 from .ctm import CostSpec, InvariantError, Trajectory, evaluate_cost, simulate
-from .network import (Cell, Network, Scenario, constant_routing, load_scenario,
-                      save_scenario, validate)
+from .network import Cell, Network, Scenario, constant_routing, load_scenario, save_scenario
 from .program import ConvexProgram, build_dta, build_fnc
 from .solver import Solution, solve
 from .synthesis import ControlSchedule, extract_controls, verify_realization
@@ -14,5 +13,5 @@ __all__ = [
     "Network", "Scenario", "Solution", "Trajectory",
     "build_dta", "build_fnc", "constant_routing", "evaluate_cost",
     "extract_controls", "load_scenario", "save_scenario", "simulate", "solve",
-    "validate", "verify_realization",
+    "verify_realization",
 ]

@@ -6,7 +6,7 @@ State update (synchronous, explicit):
     y_i(t)   = lambda_i(t) + sum_j f_ji(t)
     z_i(t)   = mu_i(t) + sum_j f_ij(t)
 
-The network is compiled once into arrays (``Network.compiled``): edges
+The network holds its array form, derived once when it is built: edges
 e = (i, j) in adjacency order, slopes, jam volumes, source and sink masks.
 Each run adds the (T, n) capacity matrix (``Scenario.capacity``) and the
 turning ratios R_e(t). One kernel step maps a (B, n) batch of states, B
@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import CompiledNetwork, Network, Scenario
+from .network import Network, Scenario
 
 MODELS = ("fifo", "fifo-priority", "nonfifo")
 ZERO_DEMAND_TOL = 1e-10
@@ -57,7 +57,7 @@ class InvariantError(ValueError):
     """A volume outside [0, jam] after a step, or a solution off its program."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """A CTM run: states (T+1, n); y, z, mu and gamma (T, n); pair flows f
     (T, E) in ``network.adjacency`` order.
@@ -130,7 +130,7 @@ class CostSpec:
             if spec.kind == "TTD":
                 c[:] -= w * np.array([cell.length for cell in network.cells])
             if spec.kind == "Delay":
-                slope = network.compiled.demand_slope
+                slope = network.demand_slope
                 if np.any(slope <= 0):
                     raise ValueError("Delay cost needs positive demand slopes")
                 c[:] -= w / slope
@@ -179,7 +179,7 @@ class Drive:
     negligible: np.ndarray   # per cell: demand it receives without throttling
 
     @staticmethod
-    def of(net: CompiledNetwork, alpha, capacity, ratio) -> "Drive":
+    def of(net: Network, alpha, capacity, ratio) -> "Drive":
         alpha = np.asarray(alpha, dtype=float)
         return Drive(gain=np.where(net.source, net.demand_slope, alpha * net.demand_slope),
                      cap_demand=np.where(net.source, alpha * capacity, capacity),
@@ -194,8 +194,8 @@ class Drive:
         synthesis.ControlSchedule); None means alpha == 1, and routing None
         the scenario's exogenous routing.
         """
-        net = scenario.compiled
-        T, n, E = scenario.horizon, scenario.network.n, len(net.src) - 1
+        net = scenario.network
+        T, n, E = scenario.horizon, net.n, len(net.adjacency)
         alpha = np.ones((T, n)) if controls is None else held_rows(controls.alphas, T)
         routing = None if controls is None else controls.routing
         if routing is None:
@@ -237,7 +237,7 @@ def priority_merge_flows(demands, total_supply, priorities):
 
 
 def _gather_sum(values: np.ndarray, index: tuple) -> np.ndarray:
-    """Per-cell sums of edge values over ``CompiledNetwork.in_edges`` or
+    """Per-cell sums of edge values over ``Network.in_edges`` or
     ``out_edges``, added left to right."""
     total = values.take(index[0], axis=1)
     for idx in index[1:]:
@@ -245,7 +245,7 @@ def _gather_sum(values: np.ndarray, index: tuple) -> np.ndarray:
     return total
 
 
-def junction_rates(net: CompiledNetwork, x: np.ndarray, drive: Drive, t,
+def junction_rates(net: Network, x: np.ndarray, drive: Drive, t,
                    lam: np.ndarray, model: str = "fifo"):
     """Rates of step t for a (B, n) batch of states; t may also be a slice
     of steps, with one state per step in x.
@@ -277,14 +277,14 @@ def junction_rates(net: CompiledNetwork, x: np.ndarray, drive: Drive, t,
     return lam + _gather_sum(f, net.in_edges), z, gamma, f
 
 
-def step(net: CompiledNetwork, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+def step(net: Network, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Apply x+ = x + y - z to a batch of states and enforce the invariants:
     no volume below -1e-9, no volume above ``net.jam_limit``."""
     xp = x + y - z
     low, high = xp < -1e-9, xp > net.jam_limit
     if low.any() or high.any():
         b, k = np.argwhere(low | high)[0]
-        cell = net.network.cells[k]
+        cell = net.cells[k]
         if low[b, k]:
             raise InvariantError(f"cell {cell.id}: negative volume {xp[b, k]} after step")
         raise InvariantError(f"cell {cell.id}: volume {xp[b, k]} exceeds jam {net.jam[k]}")
@@ -308,8 +308,8 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    net = scenario.compiled
-    T, n = scenario.horizon, scenario.network.n
+    net = scenario.network
+    T, n = scenario.horizon, net.n
     x0 = np.asarray(scenario.x0 if x0 is None else x0, dtype=float).reshape(-1, n)
     lam = np.asarray(scenario.inflow if inflow is None else inflow, dtype=float).reshape(-1, T, n)
     B = max(len(x0), len(lam))
@@ -319,7 +319,7 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
     if (lam < 0).any() or (lam[..., ~net.source] > 0).any():
         raise ValueError("inflows must be nonnegative, and zero off the sources")
     drive = Drive.for_run(scenario, controls)
-    E = len(net.src) - 1
+    E = len(net.adjacency)
     states, y, z = np.empty((T + 1, B, n)), np.empty((T, B, n)), np.empty((T, B, n))
     gamma, f = np.empty((T, B, n)), np.empty((T, B, E + 1))
     settled = max(drive.settled, _settled_step(lam.swapaxes(0, 1)))
@@ -337,10 +337,10 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
     states, y, z, gamma, f = (np.ascontiguousarray(a.swapaxes(0, 1))
                               for a in (states, y, z, gamma, f[..., :E]))
     return Trajectory(states=states, y=y, z=z, mu=np.where(net.sink, z, 0.0), gamma=gamma,
-                      f=f, model=model, network=scenario.network)
+                      f=f, model=model, network=net)
 
 
-def stays_free(net: CompiledNetwork, drive: Drive, x0, lam, model: str = "fifo") -> bool:
+def stays_free(net: Network, drive: Drive, x0, lam, model: str = "fifo") -> bool:
     """Whether one run from x0 (n,) under inflow rows lam (T, n) keeps
     gamma >= 1 - FREEFLOW_TOL at every step. It stops at its first congested step
     or at its exact steady state (``_repeat_period``)."""

@@ -7,9 +7,9 @@ recovered from the adjacency relation
 
 Each ``Cell`` holds what the scenario file states: v, w and L in physical
 units, the jam volume in veh and the capacity schedule C_i(t) in veh/step.
-The step length tau is stored once, on the ``Network``; the compiled form
-derives the per-step slopes v tau / L and w tau / L from it, and with them
-the piecewise-affine fundamental diagram
+The step length tau is stored once, on the ``Network``, which derives the
+per-step slopes v tau / L and w tau / L from it when it is built, and with
+them the piecewise-affine fundamental diagram
 
     demand  d_i(x)    = demand_slope * x            (rising branch)
     supply  s_i(x, t) = min(supply_slope * (x_jam - x), C_i(t))
@@ -25,7 +25,11 @@ so the discrete update x+ = x + y - z is exact.
 A ``Scenario`` adds the inputs of one run to a network: x0 (n,), the
 inflows (T, n) and, for FNC, the turning ratios (T_r, E). Each is stored
 once, as a read-only float array, and the horizon T is the number of
-inflow rows; ``dataclasses.replace`` derives a changed scenario.
+inflow rows; ``dataclasses.replace`` derives a changed scenario. Both are
+valid by construction: a ``Network`` refuses unknown or duplicate ids and
+edges, and a ``Scenario`` refuses any broken structural invariant (its
+topology, shapes, signs, CFL and routing row sums) with a ValueError that
+lists each violation as ``[code] message``.
 """
 
 from __future__ import annotations
@@ -67,10 +71,28 @@ class Cell:
             raise ValueError(f"cell {self.id}: capacities must be nonnegative")
 
 
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Network:
     """Directed multigraph of cells with sources, sinks, and junctions,
-    simulated in steps of tau seconds."""
+    simulated in steps of tau seconds, and its array form, derived once.
+
+    Edge e < E is ``adjacency[e]``, from cell ``src[e]`` to ``dst[e]``;
+    edge E is a padding edge from cell 0 to cell 0 whose turning ratio is
+    always 0. ``in_degree`` / ``out_degree`` count each cell's edges, which
+    fix its junction class. ``in_edges`` / ``out_edges`` are tuples of index
+    arrays: entry k of their c-th array is cell k's c-th incoming / outgoing
+    edge in adjacency order, or E where it has fewer. ``demand_slope`` and
+    ``supply_slope`` are the per-step slopes v tau / L and w tau / L, the
+    only place they are derived. ``jam_limit`` is the largest volume a step
+    may leave: jam plus max(1e-9, 1e-9 jam), inf on sources. ``merges``
+    holds (target, first upstream, second upstream) for every two-in merge
+    whose upstream cells feed only it, the junctions of the priority-merge
+    model.
+    """
 
     cells: tuple[Cell, ...]
     adjacency: tuple[tuple[str, str], ...]
@@ -78,119 +100,76 @@ class Network:
     sinks: frozenset[str]
     tau: float                 # seconds per step
 
-    index: dict = field(init=False, repr=False, compare=False)
-    edge_index: dict = field(init=False, repr=False, compare=False)
-    _down: dict = field(init=False, repr=False, compare=False)
-    _up: dict = field(init=False, repr=False, compare=False)
+    index: dict = _derived()
+    edge_index: dict = _derived()
+    src: np.ndarray = _derived()
+    dst: np.ndarray = _derived()
+    in_degree: np.ndarray = _derived()
+    out_degree: np.ndarray = _derived()
+    in_edges: tuple = _derived()
+    out_edges: tuple = _derived()
+    demand_slope: np.ndarray = _derived()
+    supply_slope: np.ndarray = _derived()
+    jam: np.ndarray = _derived()
+    jam_limit: np.ndarray = _derived()
+    peak_capacity: np.ndarray = _derived()
+    source: np.ndarray = _derived()
+    sink: np.ndarray = _derived()
+    merges: np.ndarray = _derived()
 
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        object.__setattr__(self, "index", {c.id: k for k, c in enumerate(self.cells)})
-        if len(self.index) != len(self.cells):
+        index = {c.id: k for k, c in enumerate(self.cells)}
+        if len(index) != len(self.cells):
             raise ValueError("duplicate cell ids")
         for role, ids in (("source", self.sources), ("sink", self.sinks)):
-            unknown = sorted(ids.difference(self.index))
+            unknown = sorted(ids.difference(index))
             if unknown:
                 raise ValueError(f"{role} {unknown[0]!r} is not a cell of the network")
-        object.__setattr__(self, "edge_index", {p: e for e, p in enumerate(self.adjacency)})
-        if len(self.edge_index) != len(self.adjacency):
+        edge_index = {p: e for e, p in enumerate(self.adjacency)}
+        if len(edge_index) != len(self.adjacency):
             raise ValueError("duplicate adjacency pairs")
-        down = {c.id: [] for c in self.cells}
-        up = {c.id: [] for c in self.cells}
         for (i, j) in self.adjacency:
-            if i not in self.index or j not in self.index:
+            if i not in index or j not in index:
                 raise ValueError(f"adjacency pair ({i},{j}) references unknown cell")
-            down[i].append(j)
-            up[j].append(i)
-        object.__setattr__(self, "_down", down)
-        object.__setattr__(self, "_up", up)
+        n, E = len(self.cells), len(self.adjacency)
+        src, dst = (np.array([index[p[end]] for p in self.adjacency] + [0], dtype=np.intp)
+                    for end in (0, 1))
+        in_degree, out_degree = np.bincount(dst[:E], minlength=n), np.bincount(src[:E], minlength=n)
+        in_edges = _padded(dst[:E], in_degree)
+        v, w, length, jam = (np.array([getattr(c, a) for c in self.cells], dtype=float) for a in
+                             ("free_flow_speed", "wave_speed", "length", "jam_volume"))
+        source = np.array([c.id in self.sources for c in self.cells], dtype=bool)
+        merges = np.zeros((0, 3), dtype=np.intp)
+        if len(in_edges) > 1:     # some cell has two inputs or more
+            target = np.flatnonzero(in_degree == 2)
+            ups = src[np.stack(in_edges[:2])[:, target]]
+            merges = np.column_stack([target, *ups])[(out_degree[ups] == 1).all(axis=0)]
+        for name, value in dict(
+                index=index, edge_index=edge_index, src=src, dst=dst,
+                in_degree=in_degree, out_degree=out_degree, in_edges=in_edges,
+                out_edges=_padded(src[:E], out_degree),
+                demand_slope=v * self.tau / length, supply_slope=w * self.tau / length,
+                jam=jam, jam_limit=np.where(source, np.inf, jam + np.maximum(1e-9, 1e-9 * jam)),
+                peak_capacity=np.array([max(c.capacity_schedule) for c in self.cells]),
+                source=source, sink=np.array([c.id in self.sinks for c in self.cells], dtype=bool),
+                merges=merges).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return len(self.cells)
 
-    def cell(self, cell_id: str) -> Cell:
-        return self.cells[self.index[cell_id]]
 
-    def downstream(self, cell_id: str) -> list[str]:
-        return self._down[cell_id]
-
-    def upstream(self, cell_id: str) -> list[str]:
-        return self._up[cell_id]
-
-    def is_source(self, cell_id: str) -> bool:
-        return cell_id in self.sources
-
-    def is_sink(self, cell_id: str) -> bool:
-        return cell_id in self.sinks
-
-    @cached_property
-    def compiled(self) -> "CompiledNetwork":
-        return CompiledNetwork.of(self)
-
-
-def _padded(groups: list, pad: int) -> tuple:
-    """Index arrays a_0, a_1, ... with a_c[k] the c-th entry of groups[k],
-    or pad where groups[k] is shorter."""
-    width = max([len(g) for g in groups] + [1])
-    return tuple(np.array([g[c] if c < len(g) else pad for g in groups], dtype=np.intp)
-                 for c in range(width))
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledNetwork:
-    """Array form of a network, built once per Network (``Network.compiled``).
-
-    Edge e < E is ``network.adjacency[e]``, from cell ``src[e]`` to
-    ``dst[e]``; edge E is a padding edge from cell 0 to cell 0 whose turning
-    ratio is always 0. ``in_edges`` / ``out_edges`` are tuples of index
-    arrays: entry k of their c-th array is cell k's c-th incoming / outgoing
-    edge in adjacency order, or E where it has fewer. ``demand_slope`` and
-    ``supply_slope`` are the per-step slopes v tau / L and w tau / L, the
-    only place they are derived. ``jam_limit``
-    is the largest volume a step may leave: jam plus max(1e-9, 1e-9 jam),
-    inf on sources. ``merges`` holds (target, first upstream, second
-    upstream) for every two-in merge whose upstream cells feed only it, the
-    junctions of the priority-merge model.
-    """
-
-    network: Network
-    src: np.ndarray
-    dst: np.ndarray
-    in_edges: tuple
-    out_edges: tuple
-    demand_slope: np.ndarray
-    supply_slope: np.ndarray
-    jam: np.ndarray
-    jam_limit: np.ndarray
-    peak_capacity: np.ndarray
-    source: np.ndarray
-    sink: np.ndarray
-    merges: np.ndarray
-
-    @staticmethod
-    def of(net: Network) -> "CompiledNetwork":
-        idx = net.index
-        E = len(net.adjacency)
-        src = np.array([idx[i] for i, _ in net.adjacency] + [0], dtype=np.intp)
-        dst = np.array([idx[j] for _, j in net.adjacency] + [0], dtype=np.intp)
-        v, w, length, jam = (np.array([getattr(c, a) for c in net.cells], dtype=float) for a in
-                             ("free_flow_speed", "wave_speed", "length", "jam_volume"))
-        source = np.array([net.is_source(c.id) for c in net.cells])
-        merges = [(idx[c.id], idx[ups[0]], idx[ups[1]]) for c in net.cells
-                  for ups in [net.upstream(c.id)]
-                  if len(ups) == 2 and all(len(net.downstream(u)) == 1 for u in ups)]
-        return CompiledNetwork(
-            network=net, src=src, dst=dst,
-            in_edges=_padded([[e for e in range(E) if dst[e] == k] for k in range(net.n)], E),
-            out_edges=_padded([[e for e in range(E) if src[e] == k] for k in range(net.n)], E),
-            demand_slope=v * net.tau / length, supply_slope=w * net.tau / length,
-            jam=jam, jam_limit=np.where(source, np.inf, jam + np.maximum(1e-9, 1e-9 * jam)),
-            peak_capacity=np.array([max(c.capacity_schedule) for c in net.cells]),
-            source=source,
-            sink=np.array([net.is_sink(c.id) for c in net.cells]),
-            merges=np.array(merges, dtype=np.intp).reshape(-1, 3))
+def _padded(ends: np.ndarray, degree: np.ndarray) -> tuple:
+    """Index arrays a_0, a_1, ... with a_c[k] the c-th edge e (in adjacency
+    order) with ends[e] == k, or E = len(ends) where cell k has fewer."""
+    E = len(ends)
+    order = np.append(np.argsort(ends, kind="stable"), E)
+    first = np.cumsum(degree) - degree
+    return tuple(np.where(degree > c, order[np.minimum(first + c, E)], E)
+                 for c in range(max(degree.max(initial=0), 1)))
 
 
 def constant_routing(network: Network, ratios: dict[tuple[str, str], float]) -> np.ndarray:
@@ -208,7 +187,8 @@ class Scenario:
     """One run's inputs (module docstring): x0 in veh, inflows in veh/step,
     zero off sources, and for FNC the turning ratios, one column per edge
     in ``network.adjacency`` order, the last row held past its end. A
-    scenario equals only itself."""
+    scenario equals only itself, and is valid by construction: building one
+    raises ValueError with one ``[code] message`` line per broken invariant."""
 
     network: Network
     x0: np.ndarray
@@ -223,19 +203,13 @@ class Scenario:
                 value = np.array(value, dtype=float)
                 value.flags.writeable = False
                 object.__setattr__(self, name, value)
+        problems = [f"[{code}] {message}" for code, message in _violations(self)]
+        if problems:
+            raise ValueError("invalid scenario:\n" + "\n".join(problems))
 
     @property
     def horizon(self) -> int:
         return len(self.inflow)
-
-    @cached_property
-    def compiled(self) -> CompiledNetwork:
-        """The network's array form, once the scenario validates; raises
-        ValueError on an invalid scenario."""
-        report = validate(self)
-        if not report.ok:
-            raise ValueError(f"invalid scenario:\n{report}")
-        return self.network.compiled
 
     @cached_property
     def capacity(self) -> np.ndarray:
@@ -254,99 +228,71 @@ class Scenario:
         ).hexdigest()[:16]
 
 
-@dataclass
-class Violation:
-    code: str
-    message: str
+def _violations(scenario: Scenario):
+    """(code, message) of every broken structural invariant of a scenario."""
+    net = scenario.network
+    ids = [c.id for c in net.cells]
+    src, dst = net.src[:-1], net.dst[:-1]
 
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, code: str, message: str):
-        self.violations.append(Violation(code, message))
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "\n".join(f"[{v.code}] {v.message}" for v in self.violations)
-
-
-def validate(scenario: Scenario) -> ValidationReport:
-    """Check every structural invariant; returns a report, never raises."""
-    report = ValidationReport()
-    network = scenario.network
-    comp = network.compiled
-    ids = [c.id for c in network.cells]
-    downstream_of = {c.id: network.downstream(c.id) for c in network.cells}
-    upstream_of = {c.id: network.upstream(c.id) for c in network.cells}
-
-    empty_supply = np.minimum(comp.supply_slope * comp.jam,
-                              [c.capacity_schedule[0] for c in network.cells])
-    for k in np.flatnonzero(~comp.source & (empty_supply <= 0)):
-        report.add("supply-positive", f"cell {ids[k]}: s(0) must be positive on non-sources")
-    for s in network.sources:
-        if upstream_of[s]:
-            report.add("source-upstream", f"source {s} has in-network upstream cells {upstream_of[s]}")
-    for s in network.sinks:
-        if downstream_of[s]:
-            report.add("sink-downstream", f"sink {s} has in-network downstream cells {downstream_of[s]}")
-    for c in network.cells:
-        if not downstream_of[c.id] and not network.is_sink(c.id):
-            report.add("dead-end", f"cell {c.id} has no downstream cell and is not a sink")
-        if not upstream_of[c.id] and not network.is_source(c.id):
-            report.add("no-feed", f"cell {c.id} has no upstream cell and is not a source")
+    empty_supply = np.minimum(net.supply_slope * net.jam,
+                              [c.capacity_schedule[0] for c in net.cells])
+    for k in np.flatnonzero(~net.source & (empty_supply <= 0)):
+        yield "supply-positive", f"cell {ids[k]}: s(0) must be positive on non-sources"
+    for k in np.flatnonzero(net.source & (net.in_degree > 0)):
+        yield ("source-upstream", f"source {ids[k]} has in-network upstream cells "
+                                  f"{[ids[i] for i in src[dst == k]]}")
+    for k in np.flatnonzero(net.sink & (net.out_degree > 0)):
+        yield ("sink-downstream", f"sink {ids[k]} has in-network downstream cells "
+                                  f"{[ids[j] for j in dst[src == k]]}")
+    for k in np.flatnonzero(~net.sink & (net.out_degree == 0)):
+        yield "dead-end", f"cell {ids[k]} has no downstream cell and is not a sink"
+    for k in np.flatnonzero(~net.source & (net.in_degree == 0)):
+        yield "no-feed", f"cell {ids[k]} has no upstream cell and is not a source"
 
     x0 = scenario.x0
-    if x0.shape != (network.n,):
-        report.add("x0-shape", f"x0 has shape {x0.shape}, expected ({network.n},)")
+    if x0.shape != (net.n,):
+        yield "x0-shape", f"x0 has shape {x0.shape}, expected ({net.n},)"
     else:
         for k in np.flatnonzero(~np.isfinite(x0)):
-            report.add("x0-finite", f"cell {ids[k]}: x0 = {x0[k]} is not finite")
+            yield "x0-finite", f"cell {ids[k]}: x0 = {x0[k]} is not finite"
         for k in np.flatnonzero(x0 < 0):
-            report.add("x0-negative", f"cell {ids[k]}: x0 = {x0[k]} < 0")
-        for k in np.flatnonzero(~comp.source & (x0 > comp.jam)):
-            report.add("x0-jam", f"cell {ids[k]}: x0 = {x0[k]} exceeds jam {comp.jam[k]}")
+            yield "x0-negative", f"cell {ids[k]}: x0 = {x0[k]} < 0"
+        for k in np.flatnonzero(~net.source & (x0 > net.jam)):
+            yield "x0-jam", f"cell {ids[k]}: x0 = {x0[k]} exceeds jam {net.jam[k]}"
     lam = scenario.inflow
-    if lam.ndim != 2 or lam.shape[1] != network.n:
-        report.add("inflow-shape", f"inflow has shape {lam.shape}, expected (T, n = {network.n})")
-        lam = np.zeros((0, network.n))
+    if lam.ndim != 2 or lam.shape[1] != net.n:
+        yield "inflow-shape", f"inflow has shape {lam.shape}, expected (T, n = {net.n})"
+        lam = np.zeros((0, net.n))
     for t, k in np.argwhere(~np.isfinite(lam)):
-        report.add("inflow-finite", f"lambda_{ids[k]}({t}) = {lam[t, k]} is not finite")
+        yield "inflow-finite", f"lambda_{ids[k]}({t}) = {lam[t, k]} is not finite"
     for t, k in np.argwhere(lam < 0):
-        report.add("inflow-negative", f"lambda_{ids[k]}({t}) = {lam[t, k]} < 0")
-    for t, k in np.argwhere((lam > 0) & ~comp.source):
-        report.add("inflow-nonsource", f"lambda_{ids[k]}({t}) > 0 on non-source")
+        yield "inflow-negative", f"lambda_{ids[k]}({t}) = {lam[t, k]} < 0"
+    for t, k in np.argwhere((lam > 0) & ~net.source):
+        yield "inflow-nonsource", f"lambda_{ids[k]}({t}) > 0 on non-source"
     # CFL: tau * max v / min L <= 1, expressed via per-step slopes
-    max_slope, max_wslope = comp.demand_slope.max(), comp.supply_slope.max()
+    max_slope, max_wslope = net.demand_slope.max(), net.supply_slope.max()
     if max_slope > 1 + 1e-12:
-        report.add("cfl", f"CFL ratio tau*max(v)/min(L) = {max_slope} exceeds 1")
+        yield "cfl", f"CFL ratio tau*max(v)/min(L) = {max_slope} exceeds 1"
     if max_wslope > 1 + 1e-12:
-        report.add("cfl-wave", f"wave CFL ratio tau*max(w)/min(L) = {max_wslope} exceeds 1")
+        yield "cfl-wave", f"wave CFL ratio tau*max(w)/min(L) = {max_wslope} exceeds 1"
     if scenario.routing is not None:
         R = scenario.routing
-        E = len(network.adjacency)
+        E = len(net.adjacency)
         if R.ndim != 2 or len(R) < 1 or R.shape[1] != E:
-            report.add("routing-shape", f"routing ratios have shape {R.shape}, "
-                                        f"expected (T_r >= 1, E = {E})")
+            yield ("routing-shape",
+                   f"routing ratios have shape {R.shape}, expected (T_r >= 1, E = {E})")
             R = np.zeros((0, E))
-        name = [f"R_{i}->{j}" for i, j in network.adjacency]
+        name = [f"R_{i}->{j}" for i, j in net.adjacency]
         for t, e in np.argwhere(~np.isfinite(R)):
-            report.add("routing-finite", f"{name[e]}({t}) = {R[t, e]} is not finite")
+            yield "routing-finite", f"{name[e]}({t}) = {R[t, e]} is not finite"
         for t, e in np.argwhere(R < 0):
-            report.add("routing-negative", f"{name[e]}({t}) = {R[t, e]} < 0")
-        rowsum = np.zeros((len(R), network.n))
-        for e, k in enumerate(comp.src[:-1]):
+            yield "routing-negative", f"{name[e]}({t}) = {R[t, e]} < 0"
+        rowsum = np.zeros((len(R), net.n))
+        for e, k in enumerate(src):
             rowsum[:, k] += R[:, e]
-        for t, k in np.argwhere((np.abs(rowsum - 1.0) > 1e-9) & ~comp.sink):
-            report.add("routing-rowsum",
-                       f"ratios out of {ids[k]} at step {t} sum to {rowsum[t, k]}, expected 1")
-    return report
+        for t, k in np.argwhere((np.abs(rowsum - 1.0) > 1e-9) & ~net.sink):
+            yield ("routing-rowsum",
+                   f"ratios out of {ids[k]} at step {t} sum to {rowsum[t, k]}, expected 1")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +314,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         routing = {f"{i}->{j}": [float(r) for r in scenario.routing[:, e]]
                    for e, (i, j) in enumerate(net.adjacency)}
     inflow = {c.id: [float(v) for v in scenario.inflow[:, k]]
-              for k, c in enumerate(net.cells) if net.is_source(c.id)}
+              for k, c in enumerate(net.cells) if c.id in net.sources}
     return {
         "units": UNITS_HEADER,
         "note": scenario.note,

@@ -22,7 +22,7 @@ is a feasible point with identical cost.
 
 The constraint matrices are sparse triplets over the full variable vector,
 which the solvers work on directly through numpy kernels. They are
-assembled by index arithmetic over ``Scenario.compiled`` and
+assembled by index arithmetic over the network's arrays and
 ``Scenario.capacity``; variable names are derived only on request. A
 ``ConvexProgram`` holds the scenario it was built from, which fixes the
 variable layout, so whatever reads a solution back (``states``, ``pack``,
@@ -40,7 +40,7 @@ from .ctm import CostSpec, held_rows
 from .network import Scenario
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sparse:
     """A sparse matrix as (rows, cols, data) triplets. The programs' matrices
     are in canonical CSR order: row-major, columns ascending within a row,
@@ -86,7 +86,7 @@ class Sparse:
         return sp.csr_matrix((self.data, self.cols, indptr), shape=self.shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvexProgram:
     eq: Sparse
     b_eq: np.ndarray
@@ -176,10 +176,10 @@ def _sparse(entries: list, n_rows: int, n_cols: int) -> Sparse:
 def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexProgram:
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must be in [0, 1), got {eps}")
-    net = scenario.compiled    # validates, once per scenario
+    net = scenario.network
     if kind == "FNC" and scenario.routing is None:
         raise ValueError("FNC needs an exogenous routing schedule on the scenario")
-    T, n, E = scenario.horizon, len(net.jam), len(net.src) - 1
+    T, n, E = scenario.horizon, net.n, len(net.adjacency)
     src, dst = net.src[:-1], net.dst[:-1]
     steps = np.arange(T)[:, None]
 

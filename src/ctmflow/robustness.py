@@ -40,7 +40,7 @@ OVERLOAD_FACTOR = 1e3
 BISECT_WIDTH = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationSpec:
     """Perturbed initial volumes x0 (n,) and inflow schedule (T, n)."""
 
@@ -50,11 +50,11 @@ class PerturbationSpec:
     @staticmethod
     def inflow_shift(scenario: Scenario, delta: float) -> "PerturbationSpec":
         """Add a constant to every source inflow, initial volumes unchanged."""
-        lam = scenario.inflow + delta * scenario.network.compiled.source
+        lam = scenario.inflow + delta * scenario.network.source
         return PerturbationSpec(x0=scenario.x0, inflow=lam)
 
 
-@dataclass
+@dataclass(eq=False)
 class Envelope:
     lam_upper: np.ndarray    # per cell (nonzero on sources)
     lam_lower: np.ndarray
@@ -103,7 +103,7 @@ def find_equilibria(scenario: Scenario, inflows, controls=None,
     repeats its state of two steps earlier (to rounding), once a source
     holds 1e3 jam volumes, or at the step cap. Controls, routing and
     capacities are those of the horizon's last step (``Drive.for_run``)."""
-    net = scenario.compiled
+    net = scenario.network
     drive = Drive.for_run(scenario, controls)
     lam = np.asarray(inflows, dtype=float).reshape(-1, scenario.network.n)
     results = [None] * len(lam)
@@ -164,13 +164,12 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
     if np.max(np.abs(nominal - nominal[0])) > 1e-12:
         raise ValueError("max_freeflow_inflow requires a constant nominal inflow")
 
-    comp = scenario.compiled
     drive = Drive.for_run(scenario)
 
     def free(level: float) -> bool:
         lam_t = np.zeros(net.n)
         lam_t[src] = level
-        return stays_free(comp, drive, scenario.x0,
+        return stays_free(net, drive, scenario.x0,
                           np.broadcast_to(lam_t, (scenario.horizon, net.n)), model)
 
     lo = 0.0
@@ -202,9 +201,8 @@ def lipschitz_constant(network: Network) -> float:
     Supply derivatives are taken on the affine branch (-supply_slope);
     sources (infinite supply) are excluded from the min.
     """
-    comp = network.compiled
-    d_max = comp.demand_slope.max()
-    s_min = (-comp.supply_slope[~comp.source]).min()
+    d_max = network.demand_slope.max()
+    s_min = (-network.supply_slope[~network.source]).min()
     return float(2.0 * (d_max - s_min))
 
 
@@ -229,7 +227,7 @@ def combined_bound(scenario: Scenario, perturbation: PerturbationSpec,
                                                  model, equilibria))
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepPoint:
     delta: float
     cost_perturbation: float   # sum over steps and cells of x~ - x

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .ctm import Drive, InvariantError, simulate, stays_free
+from .ctm import InvariantError, held_rows, simulate
 from .program import ConvexProgram, Sparse
 
 LP_RESIDUAL_TOL = 1e-8
@@ -84,7 +84,7 @@ class Residuals:
     complementarity: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Solution:
     values: np.ndarray            # full variable vector
     objective: float
@@ -249,25 +249,17 @@ def solve(program: ConvexProgram) -> Solution:
 
 
 def _lemma_applies(program: ConvexProgram) -> bool:
-    """The free-flow lemma's hypotheses on the program's own arrays: FNC,
-    total-volume cost, the same turning ratios at every step, demand slopes
-    at most 1."""
+    """The free-flow lemma's hypotheses: an FNC program with total-volume
+    cost, and a scenario with the same turning ratios at every step and
+    demand slopes at most 1."""
     x = program.span("x")
     weight = program.c[x]
     if (program.kind != "FNC" or program.is_quadratic or not weight[0] > 0.0
             or (weight != weight[0]).any() or program.c[x.stop:].any()):
         return False
-    eq, ub = program.eq, program.ub
-    # the split rows f_e(t) - R_e(t) z_i(t) = 0 close the equality block
-    T, E = program.scenario.horizon, len(program.scenario.network.adjacency)
-    first, z = eq.shape[0] - T * E, program.span("z")
-    on_z = (eq.rows >= first) & (eq.cols >= z.start) & (eq.cols < z.stop)
-    ratio = np.zeros(T * E)
-    ratio[eq.rows[on_z] - first] = -eq.data[on_z]
-    ratio = ratio.reshape(T, E)
-    # the demand rows z - v x <= 0 hold the only negative entries on x columns
-    slope = -ub.data[(ub.cols < x.stop) & (ub.data < 0.0)]
-    return bool((ratio == ratio[0]).all() and (slope <= 1.0).all())
+    scenario = program.scenario
+    ratio = held_rows(scenario.routing, scenario.horizon)
+    return bool((ratio == ratio[0]).all() and (scenario.network.demand_slope <= 1.0).all())
 
 
 def freeflow_optimum(program: ConvexProgram) -> Solution | None:
@@ -279,14 +271,11 @@ def freeflow_optimum(program: ConvexProgram) -> Solution | None:
     point, proves optimality."""
     if not _lemma_applies(program):
         return None
-    scenario = program.scenario
-    try:     # the probe stops at the first congested step
-        free = stays_free(scenario.compiled, Drive.for_run(scenario),
-                          scenario.x0, scenario.inflow)
-        run = simulate(scenario) if free else None
+    try:
+        run = simulate(program.scenario)
     except InvariantError:
         return None
-    if run is None or not (run.gamma == 1.0).all():
+    if not (run.gamma == 1.0).all():
         return None
     values = program.pack(run)
     primal = verify_solution(program, values)

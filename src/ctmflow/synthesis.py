@@ -22,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctm import FREEFLOW_TOL, Drive, InvariantError, Trajectory, junction_rates, simulate
-from .network import Scenario
+from .network import Network, Scenario
 from .program import ConvexProgram
 from .solver import Solution
 
 EXTRACT_TOL = 1e-7
 
 
-@dataclass
+@dataclass(eq=False)
 class ControlSchedule:
     """Per-step demand controls and, optionally, turning ratios per edge in
     ``network.adjacency`` order; each array holds its last row past its end."""
@@ -44,9 +44,9 @@ def extract_controls(program: ConvexProgram, solution: Solution) -> ControlSched
     scenario = program.scenario
     net = scenario.network
     vals = solution.values
-    source = net.compiled.source
+    source = net.source
     z = program.states(vals, "z")
-    d_raw = net.compiled.demand_slope * np.maximum(program.states(vals)[:-1], 0.0)
+    d_raw = net.demand_slope * np.maximum(program.states(vals)[:-1], 0.0)
     cap = scenario.capacity
     bound = np.minimum(d_raw, cap)
     over = z > bound + 1e-6 * (1.0 + np.abs(z))
@@ -65,7 +65,7 @@ def extract_controls(program: ConvexProgram, solution: Solution) -> ControlSched
     alphas = np.where(source, metered, limited)
     routing = None
     if program.kind == "DTA":
-        src = net.compiled.src[:-1]
+        src = net.src[:-1]
         z_out = z[:, src]
         # solver noise can leave ~1e-10 flows pointing into cells with zero
         # supply, which would zero the replay's FIFO coefficient; drop them
@@ -80,7 +80,7 @@ def extract_controls(program: ConvexProgram, solution: Solution) -> ControlSched
     return ControlSchedule(alphas=alphas, routing=routing)
 
 
-@dataclass
+@dataclass(eq=False)
 class RealizationReport:
     max_deviation: float          # max over t, i of |x_sim - x_ref|
     tolerance: float              # 1e-6 * (1 + max |x_ref|)
@@ -124,6 +124,17 @@ class StructureReport:
         return self.cost_gap <= 1e-3 and self.max_flow_deviation <= 1e-6
 
 
+def _junction_heads(net: Network) -> np.ndarray:
+    """The cells heading into an ordinary or diverge junction, those that are
+    their junction's only input; merge heads follow the priority structure
+    and are not checked. Refuses a general junction: a cell that splits to
+    two or more cells, one of which another cell also feeds."""
+    src, dst = net.src[:-1], net.dst[:-1]
+    if ((net.out_degree[src] > 1) & (net.in_degree[dst] > 1)).any():
+        raise ValueError("structure check refuses networks with general junctions")
+    return np.setdiff1d(np.flatnonzero(net.out_degree > 0), src[net.in_degree[dst] > 1])
+
+
 def check_fnc_structure(program: ConvexProgram, solution: Solution,
                         fifo_cost: float) -> StructureReport:
     """Verify the no-speed-limit structure of the optimal FNC solution.
@@ -143,21 +154,12 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
         raise ValueError("structure check applies to FNC programs")
     if program.cost_kind != "TTT":
         raise ValueError("structure check requires the total-volume cost")
-    slopes = net.compiled.demand_slope
+    slopes = net.demand_slope
     if slopes.max() - slopes.min() > 1e-12:
         raise ValueError("structure check requires identical demand slopes on all cells")
-    # a general junction: a cell splits to two or more cells, one of which
-    # is also fed by another cell
-    if any(len(net.downstream(c.id)) > 1
-           and any(len(net.upstream(j)) > 1 for j in net.downstream(c.id)) for c in net.cells):
-        raise ValueError("structure check refuses networks with general junctions")
-
-    # ordinary or diverge head <=> the cell is its junction's only input;
-    # merge heads follow the priority structure and are not checked here
-    heads = [k for k, c in enumerate(net.cells) if net.downstream(c.id)
-             and all(len(net.upstream(j)) == 1 for j in net.downstream(c.id))]
+    heads = _junction_heads(net)
     x_star = np.maximum(program.states(solution.values)[:-1], 0.0)
-    _, z_rule, _, _ = junction_rates(net.compiled, x_star, Drive.for_run(scenario),
+    _, z_rule, _, _ = junction_rates(net, x_star, Drive.for_run(scenario),
                                      slice(None), 0.0)
     z_star = program.states(solution.values, "z")
     deviation = np.abs(z_star[:, heads] - z_rule[:, heads])

@@ -78,11 +78,11 @@ def random_scenario(rng, shape=None, horizon=None, inflow_scale=1.0,
     T = int(horizon or rng.integers(4, 12))
     lam = np.zeros((T, net.n))
     for k, c in enumerate(net.cells):     # cell order: net.sources is a frozenset
-        if net.is_source(c.id):
+        if c.id in net.sources:
             lam[:, k] = rng.uniform(0.0, 2.0 * inflow_scale, size=T)
     x0 = np.zeros(net.n)
     for k, c in enumerate(net.cells):
-        lim = c.jam_volume if not net.is_source(c.id) else 10.0
+        lim = c.jam_volume if c.id not in net.sources else 10.0
         x0[k] = rng.uniform(0.0, x0_scale * lim)
     return Scenario(network=net, x0=x0, inflow=lam, routing=constant_routing(net, ratios))
 

@@ -4,9 +4,10 @@ kernel replaced, kept to property-test the array kernel against.
 Every junction rule runs cell by cell and edge by edge on Python floats,
 through the scalar fundamental-diagram helpers ``demand`` and ``supply``,
 which derive their slopes v tau / L and w tau / L from the cell and the
-step length themselves, not from the compiled network. A receiving cell
-throttles only a total demand above ``ZERO_DEMAND_TOL`` times its peak
-capacity, as in the array kernel.
+step length themselves, not from the network's arrays; neighbour lists
+(``downstream``, ``upstream``) come from the adjacency pairs, not from the
+degree and edge arrays. A receiving cell throttles only a total demand
+above ``ZERO_DEMAND_TOL`` times its peak capacity, as in the array kernel.
 
 ``mass_balance_error`` is the conservation check of a simulated run.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctmflow.ctm import ZERO_DEMAND_TOL
-from ctmflow.network import Cell, Network, Scenario, validate
+from ctmflow.network import Cell, Network, Scenario
 
 INF_SUPPLY = math.inf
 
@@ -54,6 +55,23 @@ def supply(cell: Cell, tau: float, x: float, t: int, source: bool = False) -> fl
     return min(cell.wave_speed * tau / cell.length * (cell.jam_volume - x), capacity(cell, t))
 
 
+def downstream(network: Network, cell_id: str) -> list:
+    """The cells that cell_id feeds, in adjacency order."""
+    return [j for i, j in network.adjacency if i == cell_id]
+
+
+def upstream(network: Network, cell_id: str) -> list:
+    """The cells that feed cell_id, in adjacency order."""
+    return [i for i, j in network.adjacency if j == cell_id]
+
+
+def priority_merges(network: Network) -> list:
+    """(target, first upstream, second upstream) ids of every two-in merge
+    whose upstream cells feed only it."""
+    return [(c.id, *ups) for c in network.cells for ups in [upstream(network, c.id)]
+            if len(ups) == 2 and all(len(downstream(network, u)) == 1 for u in ups)]
+
+
 @dataclass
 class FlowRates:
     """Per-step rates: pair flows f, aggregates y/z, external outflow mu."""
@@ -74,14 +92,14 @@ def dense_routing(net: Network, ratios) -> np.ndarray:
 
 
 def _negligible(network: Network, cell_id: str) -> float:
-    return ZERO_DEMAND_TOL * max(network.cell(cell_id).capacity_schedule)
+    return ZERO_DEMAND_TOL * max(network.cells[network.index[cell_id]].capacity_schedule)
 
 
 def _demands_supplies(net: Network, x: np.ndarray, alpha: np.ndarray, t: int):
     dbar = np.empty(net.n)
     s = np.empty(net.n)
     for k, c in enumerate(net.cells):
-        source = net.is_source(c.id)
+        source = c.id in net.sources
         dbar[k] = demand(c, net.tau, float(x[k]), float(alpha[k]), t, source)
         s[k] = supply(c, net.tau, float(min(x[k], c.jam_volume)), t, source)
     return dbar, s
@@ -107,29 +125,29 @@ def fifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
     idx = network.index
     gamma = np.ones(n)
     for k, c in enumerate(network.cells):
-        for j in network.downstream(c.id):
+        for j in downstream(network, c.id):
             jj = idx[j]
             if R[k, jj] == 0.0:
                 continue    # i sends nothing to j, so j cannot throttle it
-            tot = float(sum(R[idx[h], jj] * dbar[idx[h]] for h in network.upstream(j)))
+            tot = float(sum(R[idx[h], jj] * dbar[idx[h]] for h in upstream(network, j)))
             if tot > _negligible(network, j) and np.isfinite(s[jj]):
                 gamma[k] = min(gamma[k], max(s[jj] / tot, 0.0))
     z = gamma * dbar
     for target, prios in (priority_merges or {}).items():
-        u0, u1 = network.upstream(target)
+        u0, u1 = upstream(network, target)
         f0, f1 = priority_merge_flows(
             (dbar[idx[u0]], dbar[idx[u1]]), s[idx[target]], (prios[u0], prios[u1]))
         z[idx[u0]], z[idx[u1]] = f0, f1
     mu = np.zeros(n)
     f: dict = {}
     for k, c in enumerate(network.cells):
-        if network.is_sink(c.id):
+        if c.id in network.sinks:
             # sinks face unbounded external supply: gamma = 1 by convention
             z[k] = dbar[k]
             gamma[k] = 1.0
             mu[k] = z[k]
         else:
-            for j in network.downstream(c.id):
+            for j in downstream(network, c.id):
                 f[(c.id, j)] = R[k, idx[j]] * z[k]
     y = lam.astype(float).copy()
     for (i, j), v in f.items():
@@ -145,7 +163,7 @@ def nonfifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
     idx = network.index
     gamma = np.ones(n)     # receiving coefficient per cell
     for k, c in enumerate(network.cells):
-        ups = network.upstream(c.id)
+        ups = upstream(network, c.id)
         tot = float(sum(R[idx[h], k] * dbar[idx[h]] for h in ups))
         if tot > _negligible(network, c.id) and np.isfinite(s[k]):
             gamma[k] = min(1.0, max(s[k] / tot, 0.0))
@@ -153,14 +171,14 @@ def nonfifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
     z = np.zeros(n)
     f: dict = {}
     for k, c in enumerate(network.cells):
-        if network.is_sink(c.id):
+        if c.id in network.sinks:
             z[k] = dbar[k]
             mu[k] = z[k]
         else:
-            for j in network.downstream(c.id):
+            for j in downstream(network, c.id):
                 jj = idx[j]
                 f[(c.id, j)] = gamma[jj] * R[k, jj] * dbar[k]
-            z[k] = float(sum(f[(c.id, j)] for j in network.downstream(c.id)))
+            z[k] = float(sum(f[(c.id, j)] for j in downstream(network, c.id)))
     y = lam.astype(float).copy()
     for (i, j), v in f.items():
         y[idx[j]] += v
@@ -174,7 +192,7 @@ def step(network: Network, x: np.ndarray, rates: FlowRates,
     for k, c in enumerate(network.cells):
         if xp[k] < -tol:
             raise ValueError(f"cell {c.id}: negative volume {xp[k]} after step")
-        if not network.is_source(c.id) and xp[k] > c.jam_volume + max(tol, 1e-9 * c.jam_volume):
+        if c.id not in network.sources and xp[k] > c.jam_volume + max(tol, 1e-9 * c.jam_volume):
             raise ValueError(f"cell {c.id}: volume {xp[k]} exceeds jam {c.jam_volume}")
     return np.maximum(xp, 0.0)
 
@@ -182,21 +200,13 @@ def step(network: Network, x: np.ndarray, rates: FlowRates,
 def simulate(scenario: Scenario, controls=None, model: str = "fifo"):
     """States (T+1, n) and the T per-step FlowRates of an open-loop run."""
     net = scenario.network
-    report = validate(scenario)
-    if not report.ok:
-        raise ValueError(f"invalid scenario:\n{report}")
     lam = scenario.inflow
     x = scenario.x0.copy()
     states = [x.copy()]
     rates_log = []
     merges = None
-    if model == "fifo-priority":
-        # even priorities at every two-in merge whose upstream cells feed only it
-        merges = {}
-        for c in net.cells:
-            ups = net.upstream(c.id)
-            if len(ups) == 2 and all(len(net.downstream(u)) == 1 for u in ups):
-                merges[c.id] = {ups[0]: 0.5, ups[1]: 0.5}
+    if model == "fifo-priority":     # even priorities
+        merges = {target: {u0: 0.5, u1: 0.5} for target, u0, u1 in priority_merges(net)}
     alphas = np.ones((1, net.n)) if controls is None else controls.alphas
     edges = None if controls is None else controls.routing
     edges = scenario.routing if edges is None else edges

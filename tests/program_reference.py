@@ -1,6 +1,6 @@
 """The per-entry loop builder of the relaxation programs, kept as the slow
 reference that ``ctmflow.program._build`` (index arithmetic over the
-compiled network) is checked against.
+network's arrays) is checked against.
 
 ``reference_program`` declares every variable by name, writes every row as
 a (columns, values) list and assembles each matrix with one CSR
@@ -134,7 +134,7 @@ def reference_program(scenario, cost, eps: float, kind: str) -> SimpleNamespace:
                     cols.append(F(t, i, j))
                     vals.append(-1.0)
             add_eq(cols, vals, 0.0)
-            if not net.is_sink(c.id):
+            if c.id not in net.sinks:
                 add_eq([MU(t, c.id)], [1.0], 0.0)
     if kind == "FNC":
         ratios = scenario.routing
@@ -155,7 +155,7 @@ def reference_program(scenario, cost, eps: float, kind: str) -> SimpleNamespace:
             cap = capacity(c, t)
             add_ub([Z(t, c.id), X(t, c.id)], [1.0, -(c.free_flow_speed * net.tau / c.length)], 0.0)
             add_ub([Z(t, c.id)], [1.0], cap)
-            if not net.is_source(c.id):
+            if c.id not in net.sources:
                 ws = c.wave_speed * net.tau / c.length
                 add_ub([Y(t, c.id), X(t, c.id)], [1.0, shrink * ws],
                        shrink * ws * c.jam_volume)

@@ -15,7 +15,7 @@ import pytest
 
 import ctmflow
 from ctmflow import ctm, robustness, solver, synthesis
-from ctmflow.cli import main
+from ctmflow.cli import MAX_SWEEP_POINTS, ConfigError, _sweep_grid, main
 from ctmflow.ctm import InvariantError, simulate
 from ctmflow.network import (Scenario, constant_routing, load_scenario, save_scenario,
                              scenario_to_dict)
@@ -156,6 +156,20 @@ class TestExitCodes:
                    "--sweep", "junk", "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("sweep", ["0:nan:3", "nan:0.1:3", "0:0.1:inf", "0:1e-12:3"])
+    def test_unbounded_sweep_config_error(self, tmp_path, capsys, sweep):
+        # these ended in a traceback (exit 1): NaN converted to int, an
+        # OverflowError, and a 21.8 TiB allocation
+        rc = main(["robustness-sweep", "--scenario", "bundled:robustness",
+                   f"--sweep={sweep}", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_sweep_grid_point_limit(self):
+        assert len(_sweep_grid("0:1:999")) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match=f"more than {MAX_SWEEP_POINTS} points"):
+            _sweep_grid("0:1:1000")
+
     def test_negative_inflow_sweep_config_error(self, tmp_path, capsys):
         # a grid that drives the nominal inflow 5 below zero used to end in
         # a ValueError traceback from simulate_batch (exit 1)
@@ -247,6 +261,19 @@ class TestExitCodes:
             rc = main(argv + ["--scenario", str(path), "--out", str(tmp_path / "out")])
             assert rc == 2
             assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_invalid_scenario_names_each_code(self, tmp_path, capsys):
+        doc = scenario_to_dict(table_scenario())
+        doc["x0"][3] = -1.0
+        doc["routing"]["2->5"] = [1.0 / 13.0]     # row sums to 2/3 + 1/13
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "invalid scenario:\n" in err["message"]
+        assert "[x0-negative] cell 4" in err["message"]
+        assert "[routing-rowsum] ratios out of 2" in err["message"]
 
     def test_sweep_two_sources_config_error(self, tmp_path, capsys):
         net, ratios = build_network("cross", np.random.default_rng(3), slopes=0.5)

@@ -157,7 +157,7 @@ class TestStepAndSimulate:
 
     def test_step_arithmetic(self):
         net, _ = two_to_one()
-        out = step(net.compiled, np.array([[5.0, 0, 0]]), np.array([[2.0, 0, 0]]),
+        out = step(net, np.array([[5.0, 0, 0]]), np.array([[2.0, 0, 0]]),
                    np.array([[3.0, 0, 0]]))
         assert out[0, 0] == pytest.approx(4.0)
 
@@ -169,7 +169,7 @@ class TestStepAndSimulate:
         for k, c in enumerate(net.cells):
             xs = table_fifo.states[:, k]
             assert np.all(xs >= 0.0)
-            if not net.is_source(c.id):
+            if c.id not in net.sources:
                 assert np.all(xs <= c.jam_volume + 1e-9)
 
     def test_supply_never_exceeded(self, table_scenario, table_fifo):
@@ -178,7 +178,7 @@ class TestStepAndSimulate:
         for t in range(table_fifo.horizon):
             for k, c in enumerate(net.cells):
                 s = supply(c, net.tau, min(table_fifo.states[t][k], c.jam_volume), t,
-                           net.is_source(c.id))
+                           c.id in net.sources)
                 assert table_fifo.y[t, k] <= s + 1e-12
 
     def test_unknown_model_rejected(self, table_scenario):

@@ -36,7 +36,7 @@ def random_case(rng, shape: str, horizon: int) -> Scenario:
     lam = np.zeros((horizon, net.n))
     x0 = np.zeros(net.n)
     for k, c in enumerate(net.cells):
-        if net.is_source(c.id):
+        if c.id in net.sources:
             lam[:, k] = rng.uniform(0.0, 4.0, size=horizon)
             x0[k] = rng.uniform(0.0, 10.0)
         else:
@@ -55,7 +55,7 @@ def random_controls(rng, sc: Scenario, speed_limits: bool, dta: bool) -> Control
         routing = np.zeros((sc.horizon, len(net.adjacency)))
         for t in range(sc.horizon):
             for c in net.cells:
-                out = [net.edge_index[c.id, j] for j in net.downstream(c.id)]
+                out = [net.edge_index[c.id, j] for j in ctm_reference.downstream(net, c.id)]
                 if not out:
                     continue
                 w = rng.uniform(0.0, 1.0, size=len(out))
@@ -96,7 +96,7 @@ def test_kernel_matches_reference(shape, model, batch, speed_limits, dta, seed):
 def full_horizon(sc: Scenario, x0, lam, controls, model) -> dict:
     """The step loop without the steady-state exit: every array of a batch
     run, each step computed."""
-    net, drive = sc.compiled, Drive.for_run(sc, controls)
+    net, drive = sc.network, Drive.for_run(sc, controls)
     states, rates = [np.asarray(x0, dtype=float)], []
     for t in range(sc.horizon):
         rates.append(junction_rates(net, states[t], drive, t, lam[:, t], model))
@@ -124,7 +124,7 @@ def settling_case(rng, shape: str, horizon: int, late: str, unit_slopes: bool):
         late_cap = 0.3 * cap if late == "capacity" and k == drop else cap
         cells.append(replace(c, capacity_schedule=[cap] * (horizon - 3) + [late_cap] * 3))
     net = replace(base, cells=tuple(cells))
-    source = net.compiled.source
+    source = net.source
     lam = np.where(source, rng.uniform(0.0, level, size=net.n), 0.0) * np.ones((horizon, 1))
     if late == "inflow":
         lam[horizon - 3:] *= 2.0
@@ -134,7 +134,7 @@ def settling_case(rng, shape: str, horizon: int, late: str, unit_slopes: bool):
     if late == "control":
         alphas[horizon - 3:, rng.integers(net.n)] *= 0.5
     x0 = np.where(source, rng.uniform(0.0, 10.0, size=net.n),
-                  rng.uniform(0.0, 0.5, size=net.n) * net.compiled.jam)
+                  rng.uniform(0.0, 0.5, size=net.n) * net.jam)
     sc = Scenario(network=net, x0=x0, inflow=lam, routing=constant_routing(net, ratios))
     return sc, ControlSchedule(alphas=alphas, routing=None)
 

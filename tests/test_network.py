@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 from ctmflow import scenarios
 from ctmflow.ctm import CostSpec, Drive, simulate
 from ctmflow.network import (Cell, Network, Scenario, constant_routing, load_scenario,
-                             save_scenario, scenario_from_dict, scenario_to_dict, validate)
+                             save_scenario, scenario_from_dict, scenario_to_dict)
 from ctmflow.program import build_fnc
 from ctmflow.scenarios import figure_network, robustness_scenario, routing_for
 from ctmflow.solver import solve
-from ctmflow.synthesis import check_fnc_structure
+from ctmflow.synthesis import _junction_heads, check_fnc_structure
 
 from conftest import build_network, random_scenario
-from ctm_reference import demand, supply
+from ctm_reference import demand, downstream, priority_merges, supply, upstream
 
 TAU = 1.0     # with L = 1, the per-step slopes equal v and w
 
@@ -95,7 +96,6 @@ class TestScenario:
     def test_negative_inflow_after_validation_refused(self):
         # a write after validation used to reach the program's right-hand side
         sc = scenarios.table_scenario()
-        assert sc.compiled is not None
         with pytest.raises(ValueError, match="read-only"):
             sc.inflow[3, 0] = -5
         assert build_fnc(sc, CostSpec("TTT")).b_eq.min() == 0.0
@@ -111,41 +111,70 @@ class TestScenario:
         sc = replace(table_scenario, inflow=table_scenario.inflow[:10])
         assert sc.horizon == 10
         assert sc.capacity.shape == (10, table_scenario.network.n)
-        assert validate(sc).ok
+
+
+def _two_cell_scenario(cells="ab", adjacency=("ab",), sources="a", sinks="b", v=0.5, w=0.5,
+                       cap_b=6.0, x0=None, inflow=None, routing=None) -> Scenario:
+    """Cells named by one letter each, edges as two-letter strings; by
+    default the valid chain a -> b with even turning ratios."""
+    net = Network(cells=tuple(Cell(c, v, w, 1.0, 1, 10.0, (cap_b if c == "b" else 6.0,))
+                              for c in cells),
+                  adjacency=tuple(map(tuple, adjacency)), sources=frozenset(sources),
+                  sinks=frozenset(sinks), tau=1.0)
+    if routing is None:
+        routing = [[1.0 / sum(q[0] == p[0] for q in adjacency) for p in adjacency]]
+    return Scenario(network=net, x0=np.zeros(net.n) if x0 is None else x0,
+                    inflow=np.zeros((2, net.n)) if inflow is None else inflow, routing=routing)
 
 
 class TestValidation:
-    def test_benchmark_scenario_is_valid(self, table_scenario):
-        report = validate(table_scenario)
-        assert report.ok, str(report)
-
-    def test_validation_is_pure(self, table_scenario):
-        r1 = validate(table_scenario)
-        r2 = validate(table_scenario)
-        assert r1.ok and r2.ok
+    @pytest.mark.parametrize("code, edit", [
+        ("supply-positive", dict(cap_b=0.0)),
+        ("source-upstream", dict(cells="abc", adjacency=("ab", "bc"), sources="ab", sinks="c")),
+        ("sink-downstream", dict(cells="abc", adjacency=("ab", "bc"), sinks="bc")),
+        ("dead-end", dict(cells="abc", adjacency=("ab", "ac"))),
+        ("no-feed", dict(cells="abc", adjacency=("ab", "cb"))),
+        ("x0-shape", dict(x0=np.zeros(3))),
+        ("x0-finite", dict(x0=[np.nan, 0.0])),
+        ("x0-negative", dict(x0=[-1.0, 0.0])),
+        ("x0-jam", dict(x0=[0.0, 11.0])),
+        ("inflow-shape", dict(inflow=np.zeros((2, 3)))),
+        ("inflow-finite", dict(inflow=[[np.inf, 0.0]])),
+        ("inflow-negative", dict(inflow=[[-1.0, 0.0]])),
+        ("inflow-nonsource", dict(inflow=[[0.0, 1.0]])),
+        ("cfl", dict(v=2.0)),
+        ("cfl-wave", dict(w=2.0)),
+        ("routing-shape", dict(routing=np.ones((1, 2)))),
+        ("routing-finite", dict(routing=[[np.nan]])),
+        ("routing-negative", dict(routing=[[-1.0]])),
+        ("routing-rowsum", dict(routing=[[0.5]])),
+    ])
+    def test_invalid_scenario_refused_with_code(self, code, edit):
+        assert _two_cell_scenario().horizon == 2     # the unedited chain is valid
+        with pytest.raises(ValueError, match=re.escape(f"[{code}] ")) as err:
+            _two_cell_scenario(**edit)
+        assert str(err.value).startswith("invalid scenario:\n")
 
     def test_bad_routing_rowsum_flagged(self, table_scenario):
         data = scenario_to_dict(table_scenario)
         data["routing"]["2->5"] = [1.0 / 13.0]   # row sums to 2/3 + 1/13
-        sc = scenario_from_dict(data)
-        report = validate(sc)
-        assert any(v.code == "routing-rowsum" for v in report.violations)
+        with pytest.raises(ValueError, match=re.escape("[routing-rowsum] ratios out of 2")):
+            scenario_from_dict(data)
 
     def test_cfl_boundary_passes(self):
         # tau = 10 s, v = 50 ft/s, L = 500 ft -> ratio exactly 1
         net = Network(cells=(Cell("c", 50.0, 50.0, 500.0, 1, 10.0, (6.0,)),), adjacency=(),
                       sources=frozenset({"c"}), sinks=frozenset({"c"}), tau=10.0)
-        assert net.compiled.demand_slope[0] == pytest.approx(1.0)
+        assert net.demand_slope[0] == pytest.approx(1.0)
 
     def test_cfl_violation_flagged(self):
         cells = (Cell("a", 60.0, 50.0, 500.0, 1, 10.0, (6.0,)),
                  Cell("b", 50.0, 50.0, 500.0, 1, 10.0, (6.0,)))
         net = Network(cells=cells, adjacency=(("a", "b"),),
                       sources=frozenset({"a"}), sinks=frozenset({"b"}), tau=10.0)
-        sc = Scenario(network=net, x0=(0.0, 0.0), inflow=np.zeros((2, 2)),
-                      routing=constant_routing(net, {("a", "b"): 1.0}))
-        report = validate(sc)
-        assert any(v.code == "cfl" for v in report.violations)
+        with pytest.raises(ValueError, match=re.escape("[cfl] ")):
+            Scenario(network=net, x0=(0.0, 0.0), inflow=np.zeros((2, 2)),
+                     routing=constant_routing(net, {("a", "b"): 1.0}))
 
     def test_duplicate_adjacency_pair_rejected(self):
         # a pair listed twice used to double its flow and create vehicles
@@ -157,8 +186,8 @@ class TestValidation:
     def test_inflow_on_nonsource_flagged(self, table_scenario):
         lam = table_scenario.inflow.copy()
         lam[0, table_scenario.network.index["5"]] = 1.0
-        report = validate(replace(table_scenario, inflow=lam))
-        assert any(v.code == "inflow-nonsource" for v in report.violations)
+        with pytest.raises(ValueError, match=re.escape("[inflow-nonsource] lambda_5(0)")):
+            replace(table_scenario, inflow=lam)
 
 
 class TestJunctions:
@@ -195,6 +224,42 @@ class TestJunctions:
         with pytest.raises(ValueError, match="general junctions"):
             self.structure(self.scenario(net, ratios))
 
+    @staticmethod
+    def random_dag(rng) -> Network:
+        """Cells c0..c{n-1} with random forward edges; cells without inputs
+        are sources and cells without outputs sinks."""
+        n = int(rng.integers(2, 9))
+        ids = [f"c{k}" for k in range(n)]
+        pairs = tuple((ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < 0.35)
+        fed, feeding = {j for _, j in pairs}, {i for i, _ in pairs}
+        return Network(cells=tuple(Cell(c, 1, 1, 1, 1, 10, (6,)) for c in ids), adjacency=pairs,
+                       sources=frozenset(set(ids) - fed), sinks=frozenset(set(ids) - feeding),
+                       tau=1.0)
+
+    @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross", "dag"])
+    def test_degree_arrays_match_neighbour_lists(self, shape):
+        # merges, structure-check heads and the general-junction refusal read
+        # degree arrays; the reference walks ctm_reference's neighbour lists
+        rng = np.random.default_rng(23)
+        nets = ([self.random_dag(rng) for _ in range(150)] if shape == "dag"
+                else [build_network(shape, rng)[0]])
+        for net in nets:
+            ids = [c.id for c in net.cells]
+            merges = [tuple(net.index[c] for c in m) for m in priority_merges(net)]
+            assert net.merges.tolist() == [list(m) for m in merges]
+            assert net.merges.shape == (len(merges), 3)
+            general = any(len(downstream(net, c)) > 1
+                          and any(len(upstream(net, j)) > 1 for j in downstream(net, c))
+                          for c in ids)
+            heads = [k for k, c in enumerate(ids) if downstream(net, c)
+                     and all(len(upstream(net, j)) == 1 for j in downstream(net, c))]
+            if general:
+                with pytest.raises(ValueError, match="general junctions"):
+                    _junction_heads(net)
+            else:
+                assert _junction_heads(net).tolist() == heads
+
 
 class TestScenarioFile:
     def test_round_trip(self, tmp_path, table_scenario):
@@ -210,12 +275,12 @@ class TestScenarioFile:
         # tau is stored once, on the network, and the file's tau is the one
         # the reloaded slopes derive from
         sc = replace(table_scenario, network=replace(table_scenario.network, tau=5.0))
-        assert (sc.compiled.demand_slope == 0.5).all()
+        assert (sc.network.demand_slope == 0.5).all()
         path = tmp_path / "scenario.json"
         save_scenario(sc, path)
         back = load_scenario(path)
-        np.testing.assert_array_equal(back.compiled.demand_slope, sc.compiled.demand_slope)
-        np.testing.assert_array_equal(back.compiled.supply_slope, sc.compiled.supply_slope)
+        np.testing.assert_array_equal(back.network.demand_slope, sc.network.demand_slope)
+        np.testing.assert_array_equal(back.network.supply_slope, sc.network.supply_slope)
         np.testing.assert_array_equal(simulate(back).states, simulate(sc).states)
         assert back.content_hash() == sc.content_hash() != table_scenario.content_hash()
 
@@ -224,7 +289,21 @@ class TestScenarioFile:
         rng = np.random.default_rng(5)
         data = scenario_to_dict(random_scenario(rng, shape=shape, horizon=6))
         lengths = {key: int(rng.integers(1, 7)) for key in data["routing"]}
-        data["routing"] = {key: list(rng.uniform(0.0, 1.0, size=m)) for key, m in lengths.items()}
+        # per cell, the longest series takes what the others leave, so each
+        # cell's ratios sum to 1 at every step, also past a series' end
+        by_cell = {}
+        for key in lengths:
+            by_cell.setdefault(key.partition("->")[0], []).append(key)
+        data["routing"] = {}
+        for keys in by_cell.values():
+            slack = max(keys, key=lengths.get)
+            others = [key for key in keys if key != slack]
+            for key in others:
+                data["routing"][key] = list(rng.uniform(0.0, 1.0 / len(keys), size=lengths[key]))
+            data["routing"][slack] = [
+                1.0 - sum(data["routing"][key][min(t, lengths[key] - 1)] for key in others)
+                for t in range(lengths[slack])]
+        assert len(set(lengths.values())) > 1
         sc = scenario_from_dict(data)
         ratios = sc.routing
         assert ratios.shape == (max(lengths.values()), len(sc.network.adjacency))

@@ -12,7 +12,9 @@ from ctmflow import solver
 from ctmflow.ctm import CostSpec, simulate
 from ctmflow.network import Cell, Network, Scenario, constant_routing
 from ctmflow.program import build_dta, build_fnc, export_lp
+from ctmflow.robustness import PerturbationSpec, SweepPoint, compute_envelope
 from ctmflow.solver import solve, verify_solution
+from ctmflow.synthesis import ControlSchedule, verify_realization
 
 from conftest import random_scenario
 from tests_support import var_index
@@ -24,6 +26,33 @@ def single_cell_scenario():
                   sinks=frozenset({"a"}), tau=1.0)
     return Scenario(network=net, x0=(0.0,), inflow=np.zeros((1, 1)),
                     routing=constant_routing(net, {}))
+
+
+def _no_control(sc):
+    return ControlSchedule(alphas=np.ones((sc.horizon, sc.network.n)))
+
+
+# one fresh instance per call, each call with the same content
+ARRAY_RECORDS = {
+    "ConvexProgram": lambda sc: build_fnc(sc, CostSpec("TTT")),
+    "Sparse": lambda sc: build_fnc(sc, CostSpec("TTT")).eq,
+    "Trajectory": lambda sc: simulate(sc),
+    "Solution": lambda sc: solve(build_dta(sc, CostSpec("TTT"))),
+    "ControlSchedule": _no_control,
+    "RealizationReport": lambda sc: verify_realization(_no_control(sc), sc, simulate(sc).states),
+    "PerturbationSpec": lambda sc: PerturbationSpec.inflow_shift(sc, 0.5),
+    "Envelope": lambda sc: compute_envelope(sc, PerturbationSpec.inflow_shift(sc, 0.5)),
+    "SweepPoint": lambda sc: SweepPoint(0.5, 1.0, np.zeros(3), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_RECORDS))
+def test_array_records_compare_by_identity(table_scenario, kind):
+    # field-wise == on array fields raised ValueError, and hash() TypeError
+    a, b = (ARRAY_RECORDS[kind](table_scenario) for _ in range(2))
+    assert type(a).__name__ == kind
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 class TestBuilders:

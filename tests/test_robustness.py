@@ -25,7 +25,7 @@ def zero_pert(sc) -> PerturbationSpec:
 def reference_equilibrium(sc, inflow, model: str):
     """The single-run search that ``find_equilibria`` batches: the
     equilibrium volumes, or None where the search signals overload."""
-    net = sc.compiled
+    net = sc.network
     drive = Drive.for_run(sc)
     x = np.zeros((1, sc.network.n))
     lam = np.asarray(inflow, dtype=float)[None]
