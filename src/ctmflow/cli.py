@@ -38,11 +38,10 @@ def _scenario(path: str):
         return scenarios.table_scenario()
     if path == "bundled:robustness":
         return scenarios.robustness_scenario()
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"scenario file not found: {path}")
     try:     # ValueError covers bad JSON and every invalid scenario
-        return load_scenario(p)
+        return load_scenario(path)
+    except OSError as e:     # missing, a directory, unreadable
+        raise ConfigError(f"cannot read scenario {path}: {e.strerror}") from e
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed scenario {path}: {e}") from e
 
@@ -68,13 +67,39 @@ def _sweep_grid(expr: str) -> np.ndarray:
     return np.round(start + step * np.arange(int(round(span)) + 1), 10)
 
 
-def _write_manifest(outdir: Path, files: list) -> None:
-    manifest = {}
-    for f in sorted(files):
-        digest = hashlib.sha256(Path(f).read_bytes()).hexdigest()
-        manifest[str(Path(f).relative_to(outdir))] = digest
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+# every artifact goes through _outdir, _csv and _json, except the LP file
+# (program.export_lp) and the scenario files (network.save_scenario)
+
+
+def _outdir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:     # a file in the way, or no permission
+        raise ConfigError(f"cannot use output directory {path}: {e.strerror}") from e
+    return out
+
+
+def _csv(path: Path, header: str, rows) -> Path:
+    """Write the header line, then one line per row tuple: a str as is, a
+    number to 12 significant digits."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n"
+                      for row in rows)
+    return path
+
+
+def _json(path: Path, tree) -> Path:
+    with open(path, "w") as fh:
+        json.dump(tree, fh, indent=2, sort_keys=True)
+    return path
+
+
+def _by_cell(cells, *arrays) -> list:
+    """Rows (t, cell id, a[t, k] for each array), step-major."""
+    return [(t, c.id, *(a[t, k] for a in arrays))
+            for t in range(len(arrays[0])) for k, c in enumerate(cells)]
 
 
 def _solve_program(sc, kind: str, cost: CostSpec, eps: float):
@@ -95,41 +120,34 @@ def cmd_simulate(args) -> list:
     if sc.routing is None:
         raise ConfigError("simulate needs a scenario with a routing schedule")
     traj = ctm.simulate(sc, model=args.model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "trajectory.csv"
-    ctm.trajectory_to_csv(traj, path)
     cost = ctm.evaluate_cost(traj, _cost(args.cost))
-    summary = out / "summary.json"
-    with open(summary, "w") as fh:
-        json.dump({"command": "simulate", "model": args.model, "cost_kind": args.cost,
-                   "cost": cost, "min_gamma": traj.min_gamma()}, fh, indent=2, sort_keys=True)
+    out = _outdir(args.out)
+    cells, T = sc.network.cells, traj.horizon
+    rows = _by_cell(cells, traj.states[:T], traj.y, traj.z, traj.mu, traj.gamma)
+    rows += [(T, c.id, traj.states[T, k], 0, 0, 0, 1) for k, c in enumerate(cells)]
     print(f"simulate: cost[{args.cost}] = {cost:.6g}, min gamma = {traj.min_gamma():.6g}")
-    return [path, summary]
+    return [_csv(out / "trajectory.csv",
+                 "step,cell,x_veh,y_veh_per_step,z_veh_per_step,mu_veh_per_step,gamma", rows),
+            _json(out / "summary.json", {"command": "simulate", "model": args.model,
+                                         "cost_kind": args.cost, "cost": cost,
+                                         "min_gamma": traj.min_gamma()})]
 
 
 def cmd_solve(args) -> list:
     sc = _scenario(args.scenario)
     prog, sol = _solve_program(sc, args.kind, _cost(args.cost), args.epsilon)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(args.out)
     lp_path = out / f"{args.kind}_{args.cost}.lp"
     program.export_lp(prog, lp_path)
-    states = prog.states(sol.values)
-    traj_path = out / "optimal_states.csv"
-    with open(traj_path, "w") as fh:
-        fh.write("step,cell,x_veh\n")
-        for t in range(sc.horizon + 1):
-            for k, c in enumerate(sc.network.cells):
-                fh.write(f"{t},{c.id},{states[t, k]:.12g}\n")
-    summary = out / "summary.json"
-    with open(summary, "w") as fh:
-        json.dump({"command": "solve", "kind": args.kind, "cost_kind": args.cost,
-                   "epsilon": args.epsilon, "objective": sol.objective,
-                   "status": sol.status, "iterations": sol.iterations,
-                   "primal_residual": sol.residuals.primal}, fh, indent=2, sort_keys=True)
     print(f"solve: {args.kind} {args.cost} eps={args.epsilon} -> {sol.objective:.6g} ({sol.status})")
-    return [lp_path, traj_path, summary]
+    return [lp_path,
+            _csv(out / "optimal_states.csv", "step,cell,x_veh",
+                 _by_cell(sc.network.cells, prog.states(sol.values))),
+            _json(out / "summary.json", {"command": "solve", "kind": args.kind,
+                                         "cost_kind": args.cost, "epsilon": args.epsilon,
+                                         "objective": sol.objective, "status": sol.status,
+                                         "iterations": sol.iterations,
+                                         "primal_residual": sol.residuals.primal})]
 
 
 def cmd_synthesize(args) -> list:
@@ -138,39 +156,33 @@ def cmd_synthesize(args) -> list:
     controls = synthesis.extract_controls(prog, sol)
     ref = prog.states(sol.values)
     report = synthesis.verify_realization(controls, sc, ref, model=args.model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    alpha_path = out / "controls_alpha.csv"
-    routing_path = out / "controls_routing.csv"
-    synthesis.controls_to_csv(controls, sc, alpha_path,
-                              routing_path if controls.routing is not None else None)
-    summary = out / "summary.json"
-    with open(summary, "w") as fh:
-        json.dump({"command": "synthesize", "kind": args.kind, "model": args.model,
-                   "objective": sol.objective,
-                   "replay_max_deviation": report.max_deviation,
-                   "replay_tolerance": report.tolerance,
-                   "always_freeflow": report.always_freeflow,
-                   "realized": report.realized}, fh, indent=2, sort_keys=True)
+    out = _outdir(args.out)
+    net = sc.network
+    files = [_csv(out / "controls_alpha.csv", "step,cell,alpha",
+                  _by_cell(net.cells, controls.alphas)),
+             _json(out / "summary.json", {"command": "synthesize", "kind": args.kind,
+                                          "model": args.model, "objective": sol.objective,
+                                          "replay_max_deviation": report.max_deviation,
+                                          "replay_tolerance": report.tolerance,
+                                          "always_freeflow": report.always_freeflow,
+                                          "realized": report.realized})]
+    if controls.routing is not None:
+        files.append(_csv(out / "controls_routing.csv", "step,from_cell,to_cell,ratio",
+                          [(t, i, j, r) for t, row in enumerate(controls.routing)
+                           for (i, j), r in zip(net.adjacency, row)]))
     print(f"synthesize: replay deviation {report.max_deviation:.3g} "
           f"(tol {report.tolerance:.3g}), free-flow={report.always_freeflow}")
-    files = [alpha_path, summary]
-    if controls.routing is not None:
-        files.append(routing_path)
     return files
 
 
-def _run_sweep(sc, grid, model: str, controls, path: Path) -> float:
+def _run_sweep(sc, grid, model: str, controls, path: Path) -> tuple:
     """Write the sweep CSV (delta, simulated cost perturbation, combined
-    bound, sensitivity bound) and return lam_hat."""
+    bound, sensitivity bound); return lam_hat and the path."""
     lam_hat, points = robustness.sweep(sc, grid, controls=controls, model=model)
-    with open(path, "w") as fh:
-        fh.write("delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
-                 "combined_bound_veh_steps,model,sensitivity_bound_veh_steps\n")
-        for p in points:
-            fh.write(f"{p.delta:.12g},{p.cost_perturbation:.12g},{p.combined.sum():.12g},"
-                     f"{model},{p.sensitivity.sum():.12g}\n")
-    return lam_hat
+    return lam_hat, _csv(path, "delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
+                               "combined_bound_veh_steps,model,sensitivity_bound_veh_steps",
+                         [(p.delta, p.cost_perturbation, p.combined.sum(), model,
+                           p.sensitivity.sum()) for p in points])
 
 
 def cmd_robustness_sweep(args) -> list:
@@ -186,10 +198,8 @@ def cmd_robustness_sweep(args) -> list:
         raise ConfigError(f"sweep start {grid[0]:g} drives the inflow {nominal[0]:g} below zero")
     prog, sol = _solve_program(sc, "fnc", CostSpec("TTT"), args.epsilon)
     controls = synthesis.extract_controls(prog, sol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"sweep_{args.model}.csv"
-    lam_hat = _run_sweep(sc, grid, args.model, controls, path)
+    lam_hat, path = _run_sweep(sc, grid, args.model, controls,
+                               _outdir(args.out) / f"sweep_{args.model}.csv")
     print(f"robustness-sweep: {len(grid)} points, lam_hat = {lam_hat:.4f} "
           f"(delta {lam_hat - sc.inflow[0].max():.4f})")
     return [path]
@@ -197,7 +207,7 @@ def cmd_robustness_sweep(args) -> list:
 
 def reproduce_paper(outdir: Path) -> list:
     """Reproduce the benchmark tables and figure data sets."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(outdir)
     files = []
     sc = scenarios.table_scenario()
     save_scenario(sc, outdir / "scenario_table.json")
@@ -216,23 +226,14 @@ def reproduce_paper(outdir: Path) -> list:
                 fnc_ttt = prog, sol     # also fig10's eps = 0 row
             results[(kind.upper(), cost_name)] = sol.objective
             states_by[(kind.upper(), cost_name)] = prog.states(sol.values)
-    tables = outdir / "tables2_3.csv"
-    with open(tables, "w") as fh:
-        fh.write("scheme,cost_kind,cost_veh_steps\n")
-        for (scheme, cost_name), value in sorted(results.items()):
-            fh.write(f"{scheme},{cost_name},{value:.12g}\n")
-    files.append(tables)
+    files.append(_csv(outdir / "tables2_3.csv", "scheme,cost_kind,cost_veh_steps",
+                      [(*key, value) for key, value in sorted(results.items())]))
 
     for fig, cost_name in (("fig6", "TTT"), ("fig7", "Quadratic")):
-        path = outdir / f"{fig}_trajectories.csv"
-        with open(path, "w") as fh:
-            fh.write("step,scheme,cell,x_veh\n")
-            for scheme in ("FIFO", "DTA", "FNC"):
-                states = states_by[(scheme, cost_name)]
-                for t in range(sc.horizon + 1):
-                    for cid in ("1", "2", "3", "4"):
-                        fh.write(f"{t},{scheme},{cid},{states[t, sc.network.index[cid]]:.12g}\n")
-        files.append(path)
+        files.append(_csv(outdir / f"{fig}_trajectories.csv", "step,scheme,cell,x_veh",
+                          [(t, scheme, cid, states_by[scheme, cost_name][t, sc.network.index[cid]])
+                           for scheme in ("FIFO", "DTA", "FNC") for t in range(sc.horizon + 1)
+                           for cid in ("1", "2", "3", "4")]))
 
     # robustness sweeps, T = 200
     rb_sc = scenarios.robustness_scenario()
@@ -242,24 +243,21 @@ def reproduce_paper(outdir: Path) -> list:
     controls200 = synthesis.extract_controls(prog200, sol200)
     grid = _sweep_grid("0:0.1:3")
     for fig, model in (("fig8", "fifo"), ("fig9", "nonfifo")):
-        path = outdir / f"{fig}_sweep_{model}.csv"
-        _run_sweep(rb_sc, grid, model, controls200, path)
-        files.append(path)
+        files.append(_run_sweep(rb_sc, grid, model, controls200,
+                                outdir / f"{fig}_sweep_{model}.csv")[1])
 
     # epsilon tradeoff on the short scenario
-    fig10 = outdir / "fig10_epsilon_tradeoff.csv"
-    with open(fig10, "w") as fh:
-        fh.write("epsilon,delta_lambda_veh_per_step,cost_veh_steps,congestion_factor\n")
-        for eps in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
-            prog, sol = fnc_ttt if eps == 0.0 else _solve_program(sc, "fnc", CostSpec("TTT"), eps)
-            controls = synthesis.extract_controls(prog, sol)
-            runs = robustness.simulate_perturbed(
-                sc, [robustness.PerturbationSpec.inflow_shift(sc, float(d)) for d in grid],
-                controls=controls, model="fifo")
-            for b, d in enumerate(grid):
-                cost = float(runs.states[b].sum())
-                fh.write(f"{eps:.1f},{d:.12g},{cost:.12g},{runs[b].min_gamma():.12g}\n")
-    files.append(fig10)
+    rows = []
+    for eps in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
+        prog, sol = fnc_ttt if eps == 0.0 else _solve_program(sc, "fnc", CostSpec("TTT"), eps)
+        controls = synthesis.extract_controls(prog, sol)
+        runs = robustness.simulate_perturbed(
+            sc, [robustness.PerturbationSpec.inflow_shift(sc, float(d)) for d in grid],
+            controls=controls, model="fifo")
+        rows += [(f"{eps:.1f}", d, float(runs.states[b].sum()), runs[b].min_gamma())
+                 for b, d in enumerate(grid)]
+    files.append(_csv(outdir / "fig10_epsilon_tradeoff.csv",
+                      "epsilon,delta_lambda_veh_per_step,cost_veh_steps,congestion_factor", rows))
     return files
 
 
@@ -308,7 +306,9 @@ def main(argv=None) -> int:
     }
     try:
         files = handlers[args.command](args)
-        _write_manifest(Path(args.out), [Path(f) for f in files])
+        out = Path(args.out)
+        _json(out / "manifest.json", {str(f.relative_to(out)): hashlib.sha256(f.read_bytes())
+                                      .hexdigest() for f in files})
         return 0
     except ConfigError as e:
         json.dump({"error": "config", "message": str(e)}, sys.stderr)

@@ -74,12 +74,11 @@ class Trajectory:
     mu: np.ndarray
     gamma: np.ndarray
     f: np.ndarray
-    model: str
     network: Network
 
     def __getitem__(self, b: int) -> "Trajectory":
         return Trajectory(self.states[b], self.y[b], self.z[b], self.mu[b],
-                          self.gamma[b], self.f[b], self.model, self.network)
+                          self.gamma[b], self.f[b], self.network)
 
     @property
     def horizon(self) -> int:
@@ -167,24 +166,15 @@ class Drive:
 
     The controllable demand is d_bar = min(gain * x, cap_demand): gain is
     alpha * v tau / L (v tau / L on sources) and cap_demand is C (alpha * C
-    on sources). capacity is C itself, ratio the turning ratio per edge
-    (padding edge included) and blocked marks the edges with ratio 0.
+    on sources). capacity is C itself and ratio the turning ratio per edge
+    (padding edge included).
     """
 
     gain: np.ndarray
     cap_demand: np.ndarray
     capacity: np.ndarray
     ratio: np.ndarray
-    blocked: np.ndarray
     negligible: np.ndarray   # per cell: demand it receives without throttling
-
-    @staticmethod
-    def of(net: Network, alpha, capacity, ratio) -> "Drive":
-        alpha = np.asarray(alpha, dtype=float)
-        return Drive(gain=np.where(net.source, net.demand_slope, alpha * net.demand_slope),
-                     cap_demand=np.where(net.source, alpha * capacity, capacity),
-                     capacity=capacity, ratio=ratio, blocked=ratio == 0.0,
-                     negligible=ZERO_DEMAND_TOL * net.peak_capacity)
 
     @staticmethod
     def for_run(scenario: Scenario, controls=None) -> "Drive":
@@ -204,7 +194,11 @@ class Drive:
             raise ValueError("no routing available: scenario has none and controls carry none")
         ratio = np.zeros((T, E + 1))
         ratio[:, :E] = held_rows(routing, T)
-        return Drive.of(net, alpha, scenario.capacity, ratio)
+        capacity = scenario.capacity
+        return Drive(gain=np.where(net.source, net.demand_slope, alpha * net.demand_slope),
+                     cap_demand=np.where(net.source, alpha * capacity, capacity),
+                     capacity=capacity, ratio=ratio,
+                     negligible=ZERO_DEMAND_TOL * net.peak_capacity)
 
     @cached_property
     def settled(self) -> int:
@@ -264,7 +258,7 @@ def junction_rates(net: Network, x: np.ndarray, drive: Drive, t,
         f = gamma.take(net.dst, axis=1) * ratio * dbar.take(net.src, axis=1)
         z = np.where(net.sink, dbar, _gather_sum(f, net.out_edges))
     else:
-        edge_share = np.where(drive.blocked[t], np.inf, share.take(net.dst, axis=1))
+        edge_share = np.where(ratio == 0.0, np.inf, share.take(net.dst, axis=1))
         gamma = np.ones(share.shape)
         for idx in net.out_edges:
             np.minimum(gamma, edge_share.take(idx, axis=1), out=gamma)
@@ -337,7 +331,7 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
     states, y, z, gamma, f = (np.ascontiguousarray(a.swapaxes(0, 1))
                               for a in (states, y, z, gamma, f[..., :E]))
     return Trajectory(states=states, y=y, z=z, mu=np.where(net.sink, z, 0.0), gamma=gamma,
-                      f=f, model=model, network=net)
+                      f=f, network=net)
 
 
 def stays_free(net: Network, drive: Drive, x0, lam, model: str = "fifo") -> bool:
@@ -367,18 +361,3 @@ def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:
     zs[:-1] = trajectory.z
     a, b, c = cost.coefficients(trajectory.network)
     return float((xs * a).sum() + (xs ** 2 * b).sum() + (zs * c).sum())
-
-
-def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write (step, cell, x, y, z, mu, gamma) rows, 12 significant digits."""
-    net = trajectory.network
-    tr = trajectory
-    with open(path, "w") as fh:
-        fh.write("step,cell,x_veh,y_veh_per_step,z_veh_per_step,mu_veh_per_step,gamma\n")
-        for t in range(tr.horizon):
-            for k, c in enumerate(net.cells):
-                fh.write(f"{t},{c.id},{tr.states[t, k]:.12g},{tr.y[t, k]:.12g},"
-                         f"{tr.z[t, k]:.12g},{tr.mu[t, k]:.12g},{tr.gamma[t, k]:.12g}\n")
-        T = tr.horizon
-        for k, c in enumerate(net.cells):
-            fh.write(f"{T},{c.id},{tr.states[T, k]:.12g},0,0,0,1\n")

@@ -78,7 +78,8 @@ def _derived():
 @dataclass(frozen=True)
 class Network:
     """Directed multigraph of cells with sources, sinks, and junctions,
-    simulated in steps of tau seconds, and its array form, derived once.
+    simulated in steps of tau seconds, and its array form, derived once
+    and read-only.
 
     Edge e < E is ``adjacency[e]``, from cell ``src[e]`` to ``dst[e]``;
     edge E is a padding edge from cell 0 to cell 0 whose turning ratio is
@@ -155,6 +156,9 @@ class Network:
                 peak_capacity=np.array([max(c.capacity_schedule) for c in self.cells]),
                 source=source, sink=np.array([c.id in self.sinks for c in self.cells], dtype=bool),
                 merges=merges).items():
+            for a in value if isinstance(value, tuple) else [value]:
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property

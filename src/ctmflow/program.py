@@ -92,7 +92,6 @@ class ConvexProgram:
     b_eq: np.ndarray
     ub: Sparse
     b_ub: np.ndarray
-    nonneg: np.ndarray              # bool mask over full variables
     c: np.ndarray                   # linear objective
     q: np.ndarray                   # diagonal quadratic objective (v' diag(q) v)
     kind: str                       # "DTA" | "FNC"
@@ -103,6 +102,11 @@ class ConvexProgram:
     @property
     def n_vars(self) -> int:
         return len(self.c)
+
+    @property
+    def nonneg(self) -> np.ndarray:
+        """All True: every variable is nonnegative (the bench checks read the mask)."""
+        return np.ones(self.n_vars, dtype=bool)
 
     # scipy.sparse CSR views, built (and scipy.sparse imported) on first use
     A_eq = cached_property(lambda self: self.eq.csr())
@@ -227,7 +231,7 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     c_vec, q_vec = _objective(cost, scenario, x, z, n_vars)
     return ConvexProgram(
         eq=_sparse(eq, m_eq, n_vars), b_eq=b_eq, ub=_sparse(ub, len(b_ub), n_vars), b_ub=b_ub,
-        nonneg=np.ones(n_vars, dtype=bool), c=c_vec, q=q_vec, kind=kind, eps=eps,
+        c=c_vec, q=q_vec, kind=kind, eps=eps,
         cost_kind=cost.kind, scenario=scenario)
 
 
@@ -270,8 +274,4 @@ def export_lp(program: ConvexProgram, path) -> None:
             for r in range(mat.shape[0]):
                 fh.write(f" {label}{r}:{''.join(terms[starts[r]:starts[r + 1]])} {sense} "
                          f"{rhs[r]:.12g}\n")
-        fh.write("Bounds\n")
-        for k, name in enumerate(names):
-            if not program.nonneg[k]:
-                fh.write(f" {name} free\n")
-        fh.write("End\n")
+        fh.write("Bounds\nEnd\n")     # every variable has the default bound >= 0

@@ -108,7 +108,7 @@ def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
     r_ub = 0.0
     if program.ub.shape[0]:
         r_ub = float(np.max(np.maximum(program.ub.matvec(values) - program.b_ub, 0.0)))
-    r_nn = float(np.max(np.maximum(-values[program.nonneg], 0.0))) if program.nonneg.any() else 0.0
+    r_nn = float(np.max(np.maximum(-values, 0.0), initial=0.0))
     return max(r_eq, r_ub, r_nn)
 
 
@@ -140,7 +140,7 @@ def _extension(name: str):
 
 # ---------------------------------------------------------------------------
 # one HiGHS model per program: min c'v  s.t.  A_eq v = b_eq,  A_ub v <= b_ub,
-# v >= 0 on the nonneg mask
+# v >= 0
 
 
 def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
@@ -151,7 +151,7 @@ def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = len(program.b_eq) + len(program.b_ub)
     lp.col_cost_ = program.c if cost is None else cost
-    lp.col_lower_ = np.where(program.nonneg, 0.0, -np.inf)
+    lp.col_lower_ = np.zeros(n)
     lp.col_upper_ = np.full(n, np.inf)
     lp.row_lower_ = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
     lp.row_upper_ = np.concatenate([program.b_eq, program.b_ub])
@@ -212,7 +212,7 @@ def _highs(core, program: ConvexProgram) -> Solution:
     if status == core.HighsModelStatus.kIterationLimit:
         return _unsolved(program, "iteration-limit", iters)
     if status == core.HighsModelStatus.kInfeasible:
-        # -ray = (y_eq, y_ub): y_ub >= 0, A'y >= 0 on nonneg columns and
+        # -ray = (y_eq, y_ub): y_ub >= 0, A'y >= 0 and
         # b'y < 0, so any feasible v would give 0 <= (A'y)'v <= b'y < 0
         _, has_ray, ray = highs.getDualRay()
         return _unsolved(program, "infeasible", iters, -np.asarray(ray) if has_ray else None)
@@ -395,12 +395,11 @@ def _interior_point(program: ConvexProgram, extra: int):
     and dual values (v, s, z, w) one step before it, and the iteration
     count extra iterations after the relative primal residual and gap
     first reach IPM_TOL, or None."""
-    c, h, nn = program.c, 2.0 * program.q, program.nonneg
+    c, h = program.c, 2.0 * program.q
     eq, ub, b_eq, b_ub = program.eq, program.ub, program.b_eq, program.b_ub
     n, m_eq, m_ub = len(c), len(b_eq), len(b_ub)
     kkt = _KKT(eq, ub)
-    bounded = nn.astype(float)
-    count = nn.sum() + m_ub
+    count = n + m_ub
     b_scale = 1.0 + max(np.abs(b_eq).max(initial=0.0), np.abs(b_ub).max(initial=0.0))
 
     # Mehrotra's starting point: least-norm primal and dual points, shifted
@@ -409,15 +408,14 @@ def _interior_point(program: ConvexProgram, extra: int):
     d = kkt.solve(np.concatenate([np.zeros(n), -b_eq, b_ub]), 1)
     v, y, s = d[:n], np.zeros(m_eq), -d[n + m_eq:]
     d = kkt.solve(np.concatenate([c + h * v, np.zeros(m_eq + m_ub)]), 1)
-    z, w = d[:n] * bounded, -d[n + m_eq:]
-    primal, dual = np.concatenate([v[nn], s]), np.concatenate([z[nn], w])
+    z, w = d[:n], -d[n + m_eq:]
+    primal, dual = np.concatenate([v, s]), np.concatenate([z, w])
     dp = max(-1.5 * primal.min(initial=0.0), 0.0)
     dd = max(-1.5 * dual.min(initial=0.0), 0.0)
     pd = ((primal + dp) * (dual + dd)).sum()
     dp += 0.5 * pd / max((dual + dd).sum(), 1e-300)
     dd += 0.5 * pd / max((primal + dp).sum(), 1e-300)
-    v, s = v + dp * bounded, s + dp
-    z, w = (z + dd) * bounded, w + dd
+    v, s, z, w = v + dp, s + dp, z + dd, w + dd
     prev = v, s, z, w
     reached = math.inf
 
@@ -437,28 +435,25 @@ def _interior_point(program: ConvexProgram, extra: int):
         if it == reached + extra:
             return (v, s, y, z, w), prev, it
         mu = gap / count
-        zv = np.divide(z, v, out=np.zeros(n), where=nn)
         try:
-            kkt.factor(h + zv, w / s)
+            kkt.factor(h + z / v, w / s)
         except RuntimeError:      # SuperLU: exactly singular
             return None
 
         def direction(r_vz, r_sw):
-            rhs = np.concatenate([np.divide(r_vz, v, out=np.zeros(n), where=nn) - r_d, r_p,
-                                  -r_u - r_sw / w])
+            rhs = np.concatenate([r_vz / v - r_d, r_p, -r_u - r_sw / w])
             d = kkt.solve(rhs, 1)
             dv, dw = d[:n], d[n + m_eq:]
-            return (dv, (r_sw - s * dw) / w, d[n:n + m_eq],
-                    np.divide(r_vz - z * dv, v, out=np.zeros(n), where=nn), dw)
+            return dv, (r_sw - s * dw) / w, d[n:n + m_eq], (r_vz - z * dv) / v, dw
 
         def longest(dv, ds, dz, dw):
-            return min(_step(v[nn], dv[nn]), _step(s, ds), _step(z[nn], dz[nn]), _step(w, dw))
+            return min(_step(v, dv), _step(s, ds), _step(z, dz), _step(w, dw))
 
         dv, ds, _, dz, dw = direction(-v * z, -s * w)
         a = longest(dv, ds, dz, dw)
         mu_aff = (((v + a * dv) * (z + a * dz)).sum() + ((s + a * ds) * (w + a * dw)).sum()) / count
         sigma = (mu_aff / mu) ** 3
-        dv, ds, dy, dz, dw = direction(sigma * mu * bounded - v * z - dv * dz,
+        dv, ds, dy, dz, dw = direction(sigma * mu - v * z - dv * dz,
                                        sigma * mu - s * w - ds * dw)
         a = min(1.0, 0.995 * longest(dv, ds, dz, dw))
         prev = v, s, z, w
@@ -474,14 +469,13 @@ def _polish(program: ConvexProgram, point, prev):
     slack of 1e-7 the dual has not yet fallen below it at a gap of 1e-10,
     so comparing v with z and s with w misreads the row. The solve starts
     from the interior point, so on a degenerate face (flows that the
-    objective does not price) it stays near that point. A free variable
+    objective does not price) it stays near that point. A variable
     that comes out negative or an inactive row that comes out violated
     joins the active set for the next round."""
     v, s, y, z, w = point
     v0, s0, z0, w0 = prev
-    nn, h = program.nonneg, 2.0 * program.q
-    fixed = nn & (np.divide(v, v0, out=np.ones_like(v), where=nn)
-                  < np.divide(z, z0, out=np.ones_like(z), where=nn))
+    h = 2.0 * program.q
+    fixed = v / v0 < z / z0
     active = s / s0 < w / w0
     for _ in range(POLISH_ROUNDS):
         free = ~fixed
@@ -497,7 +491,7 @@ def _polish(program: ConvexProgram, point, prev):
         polished = np.zeros(program.n_vars)
         polished[free] = kkt.solve(np.concatenate([-program.c[free], -b]), REFINE_STEPS,
                                    np.concatenate([v[free], y, -w[active]]))[:k]
-        negative = free & nn & (polished < 0.0)
+        negative = free & (polished < 0.0)
         violated = ~active & (program.ub.matvec(polished) > program.b_ub)
         if not (negative.any() or violated.any()):
             break

@@ -168,19 +168,3 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
     return StructureReport(fnc_cost=solution.objective, fifo_cost=fifo_cost,
                            cost_gap=gap, max_flow_deviation=worst,
                            checked_cells=checked)
-
-
-def controls_to_csv(controls: ControlSchedule, scenario: Scenario,
-                    alpha_path, routing_path=None) -> None:
-    net = scenario.network
-    with open(alpha_path, "w") as fh:
-        fh.write("step,cell,alpha\n")
-        for t in range(len(controls.alphas)):
-            for k, c in enumerate(net.cells):
-                fh.write(f"{t},{c.id},{controls.alphas[t, k]:.12g}\n")
-    if routing_path is not None and controls.routing is not None:
-        with open(routing_path, "w") as fh:
-            fh.write("step,from_cell,to_cell,ratio\n")
-            for t, row in enumerate(controls.routing):
-                for (i, j), r in zip(net.adjacency, row):
-                    fh.write(f"{t},{i},{j},{r:.12g}\n")

@@ -84,6 +84,19 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="not an invariant"):
             main(argv)
 
+    @pytest.mark.parametrize("case", ["scenario-is-dir", "out-under-file", "out-is-file"])
+    def test_unusable_path_config_error(self, tmp_path, capsys, case):
+        # each of these ended in an OSError traceback (exit 1)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = {"scenario-is-dir": ["simulate", "--scenario", str(tmp_path),
+                                    "--out", str(tmp_path / "out")],
+                "out-under-file": ["simulate", "--scenario", "bundled:table",
+                                   "--out", str(blocker / "sub")],
+                "out-is-file": ["reproduce-paper", "--out", str(blocker)]}[case]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_non_json_scenario_config_error(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("this is not json")
@@ -374,6 +387,34 @@ PINNED = {
     "scenario_table.json": "9ebc6df2d546d3348373c9a9a1f159f4ff8fbe03fe0e492054675b4619130112",
     "scenario_robustness.json": "db55faee181e4d1ce67229db4782fb1585db3c6c8e23784fedd10dbd0b72aa59",
 }
+
+
+# sha256 of command artifacts that no LP vertex choice moves: CTM runs, and
+# the T = 200 FNC total-volume program that the free-flow lemma settles
+PINNED_COMMANDS = {
+    "simulate-fifo": (["simulate", "--scenario", "bundled:table", "--model", "fifo"], {
+        "trajectory.csv": "8fdc43d8ce5cbc2b6d7b11f68306a7e961b1869001add615d5f7b0b2c86e58b6"}),
+    "simulate-fifo-priority": (
+        ["simulate", "--scenario", "bundled:table", "--model", "fifo-priority"], {
+            "trajectory.csv": "393f4dfeefa26c2add949fed230065cb306a8d816bc3b0d082e927ab0465c66b"}),
+    "simulate-nonfifo": (["simulate", "--scenario", "bundled:table", "--model", "nonfifo"], {
+        "trajectory.csv": "21a826acae8ee75b8676f6aaa9fe93b4f4c507bc4d549aaa92cba364162bb34f"}),
+    "solve-fnc-ttt": (["solve", "--scenario", "bundled:robustness", "--kind", "fnc"], {
+        "fnc_ttt.lp": "9ec9cc72a65ba082e23d5af431d5f98786cd156860a3bcaa2508ab809bfd1ca7",
+        "optimal_states.csv": "5cf2ab709af01159628d4b37e59bc72cecdf38d54792808826a38d82b35cf925",
+        "summary.json": "dfb746fcdbeaae6838d888021c4a689b7d10a05fd084ae147c914b05a59b365c"}),
+    "synthesize-fnc-ttt": (["synthesize", "--scenario", "bundled:robustness", "--kind", "fnc"], {
+        "controls_alpha.csv": "325f8b6817f25dd58475eb5808fe98127f63ca4edad5a96912a5ac7c6f7b4900",
+        "summary.json": "61e8c1cc3b017349ba1b89c78bc8fe589e25f5ebb947b724db98d4e2cfe972c8"}),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_COMMANDS)
+def test_command_artifacts_pinned(tmp_path, case):
+    argv, pinned = PINNED_COMMANDS[case]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestReproducePaper:

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctmflow.ctm import (CostSpec, evaluate_cost, priority_merge_flows, simulate, step,
-                         trajectory_to_csv)
+from ctmflow.cli import main
+from ctmflow.ctm import CostSpec, evaluate_cost, priority_merge_flows, simulate, step
 from ctmflow.network import Cell, Network, Scenario, constant_routing
 
 from conftest import dominated_pair, freeflow_scenario, random_scenario
@@ -259,10 +259,10 @@ class TestCosts:
 
 
 class TestExport:
-    def test_csv_shape_and_determinism(self, tmp_path, table_fifo):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        trajectory_to_csv(table_fifo, p1)
-        trajectory_to_csv(table_fifo, p2)
+    def test_csv_shape_and_determinism(self, tmp_path):
+        p1, p2 = (tmp_path / run / "trajectory.csv" for run in ("a", "b"))
+        for p in (p1, p2):
+            assert main(["simulate", "--scenario", "bundled:table", "--out", str(p.parent)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().splitlines()
         assert lines[0].startswith("step,cell,x_veh")

@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,6 +92,20 @@ class TestScenario:
         sc = scenarios.table_scenario()
         with pytest.raises(ValueError, match="read-only"):
             getattr(sc, field)[0] = 1.0
+
+    def test_network_arrays_read_only(self):
+        # every scenario on a network shares its derived arrays; a write to
+        # jam used to reach the program's right-hand side
+        sc = scenarios.table_scenario()
+        net = sc.network
+        derived = [getattr(net, f.name) for f in fields(net) if not f.init]
+        arrays = [a for v in derived for a in (v if isinstance(v, tuple) else [v])
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == 12 + len(net.in_edges) + len(net.out_edges)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            net.jam[3] = -7.0
+        assert build_fnc(sc, CostSpec("TTT")).b_ub.min() >= 0.0
 
     def test_negative_inflow_after_validation_refused(self):
         # a write after validation used to reach the program's right-hand side

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from ctmflow.cli import main
 from ctmflow.ctm import CostSpec, InvariantError, evaluate_cost, simulate
 from ctmflow.program import build_dta, build_fnc
 from ctmflow.solver import freeflow_optimum, solve
-from ctmflow.synthesis import (ControlSchedule, check_fnc_structure, controls_to_csv,
-                               extract_controls, verify_realization)
+from ctmflow.synthesis import (ControlSchedule, check_fnc_structure, extract_controls,
+                               verify_realization)
 
 from conftest import random_scenario
 from ctm_reference import downstream
@@ -181,11 +182,10 @@ class TestStructureCheck:
 
 
 class TestControlExport:
-    def test_csv_files(self, tmp_path, table_scenario, dta_ttt):
-        prog, sol = dta_ttt
-        controls = extract_controls(prog, sol)
-        a, r = tmp_path / "alpha.csv", tmp_path / "routing.csv"
-        controls_to_csv(controls, table_scenario, a, r)
+    def test_csv_files(self, tmp_path):
+        assert main(["synthesize", "--scenario", "bundled:table", "--kind", "dta",
+                     "--cost", "ttt", "--out", str(tmp_path)]) == 0
+        a, r = tmp_path / "controls_alpha.csv", tmp_path / "controls_routing.csv"
         assert a.read_text().startswith("step,cell,alpha")
         assert r.read_text().startswith("step,from_cell,to_cell,ratio")
         assert len(a.read_text().splitlines()) == 1 + 25 * 10
