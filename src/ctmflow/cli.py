@@ -120,7 +120,10 @@ def cmd_simulate(args) -> list:
     if sc.routing is None:
         raise ConfigError("simulate needs a scenario with a routing schedule")
     traj = ctm.simulate(sc, model=args.model)
-    cost = ctm.evaluate_cost(traj, _cost(args.cost))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = ctm.evaluate_cost(traj, _cost(args.cost))
+    if not math.isfinite(cost):
+        raise ConfigError(f"the run's {args.cost} cost is {cost}: its volumes are too large")
     out = _outdir(args.out)
     cells, T = sc.network.cells, traj.horizon
     rows = _by_cell(cells, traj.states[:T], traj.y, traj.z, traj.mu, traj.gamma)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -118,6 +119,7 @@ class Network:
     sink: np.ndarray = _derived()
     merges: np.ndarray = _derived()
 
+    @np.errstate(over="ignore")      # an infinite slope fails the scenario's CFL check
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
@@ -350,6 +352,8 @@ def _key(data, key: str, where: str = "scenario"):
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:      # NaN, inf or an integer beyond float range
+        raise ValueError(f"{name} must be a finite float, got {value!r:.40}")
     return float(value)
 
 
@@ -381,7 +385,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValueError("scenario file missing required 'units' header")
     tau = _number(_key(data, "tau"), "tau")
     T = _key(data, "T")
-    if type(T) not in (int, float) or not float(T).is_integer() or T < 1:
+    if type(T) not in (int, float) or not _number(T, "T").is_integer() or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
     horizon = int(T)
     cells = []

@@ -148,8 +148,8 @@ def equilibrium_envelope_bound(scenario: Scenario, perturbation: PerturbationSpe
     return np.full(scenario.horizon + 1, gap + dx0 + third)
 
 
-def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
-    """Supremum constant inflow keeping the whole horizon in free-flow.
+def max_freeflow_inflow(scenario: Scenario, controls=None, model: str = "fifo") -> float:
+    """Supremum constant inflow keeping the whole run, under the controls, in free flow.
 
     Bisection on the scalar source level down to BISECT_WIDTH; requires a
     single source and a constant nominal inflow. Each trial level stops at
@@ -164,7 +164,7 @@ def max_freeflow_inflow(scenario: Scenario, model: str = "fifo") -> float:
     if np.max(np.abs(nominal - nominal[0])) > 1e-12:
         raise ValueError("max_freeflow_inflow requires a constant nominal inflow")
 
-    drive = Drive.for_run(scenario)
+    drive = Drive.for_run(scenario, controls)
 
     def free(level: float) -> bool:
         lam_t = np.zeros(net.n)
@@ -245,7 +245,7 @@ def sweep(scenario: Scenario, deltas, controls=None,
     once, the perturbed runs as one batch, and the envelope equilibria of
     lam_hat and of every level up to it are found as one batch.
     """
-    lam_hat = max_freeflow_inflow(scenario, model=model)
+    lam_hat = max_freeflow_inflow(scenario, controls, model)
     src = scenario.network.index[min(scenario.network.sources)]
     level = float(scenario.inflow[0, src])
     perts = [PerturbationSpec.inflow_shift(scenario, float(d)) for d in deltas]

@@ -21,9 +21,10 @@ zeros. The point is returned only with a certificate: it is primal
 feasible to LP_RESIDUAL_TOL, and its Frank-Wolfe gap g'v - min{g'u : u
 feasible}, g = c + 2qv, an upper bound on f(v) - f*, is at most
 FW_TOL (1 + |f|). The gap comes from one HiGHS LP and is returned as the
-dual residual. A round without a certificate is rerun once, RETRY_STEPS
-iterations further. A QP that still has none is reported by its
-feasible-set LP: infeasible where that LP is, iteration-limit otherwise.
+dual residual. A point without a certificate gives way to the same run's
+iterate RETRY_STEPS iterations further. A QP with neither certified is
+reported by its feasible-set LP: infeasible where that LP is,
+iteration-limit otherwise.
 
 An infeasible program carries HiGHS's dual ray as its Farkas certificate.
 Every returned Solution holds the full variable vector and is re-verified
@@ -71,7 +72,7 @@ FW_TOL = 1e-9             # certified Frank-Wolfe gap, relative to 1 + |f|
 FW_LP_TOL = 1e-10         # its LP's feasibility tolerances; HiGHS's 1e-7 moves the gap ~1e-6
 IPM_TOL = 1e-10           # relative gap and primal residual; at 1e-8 the active set is misread
 IPM_MAX_ITER = 60
-RETRY_STEPS = 2           # iterations past IPM_TOL in the second round
+RETRY_STEPS = 2           # iterations past IPM_TOL of the second candidate
 POLISH_ROUNDS = 4
 REFINE_STEPS = 4
 KKT_REG = 1e-9            # primal and dual regularization of the KKT matrix
@@ -81,7 +82,6 @@ KKT_REG = 1e-9            # primal and dual regularization of the KKT matrix
 class Residuals:
     primal: float
     dual: float
-    complementarity: float
 
 
 @dataclass(eq=False)
@@ -90,7 +90,7 @@ class Solution:
     objective: float
     status: str                   # optimal | infeasible | iteration-limit
     residuals: Residuals
-    iterations: int = 0
+    iterations: int = 0           # simplex iterations, or a certified QP's iterate index
     certificate: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -171,7 +171,7 @@ def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
 def _unsolved(program: ConvexProgram, status: str, iters: int = 0,
               certificate: np.ndarray | None = None) -> Solution:
     return Solution(values=np.zeros(program.n_vars), objective=math.nan, status=status,
-                    residuals=Residuals(math.inf, math.inf, math.inf),
+                    residuals=Residuals(math.inf, math.inf),
                     iterations=iters, certificate=certificate)
 
 
@@ -222,7 +222,7 @@ def _highs(core, program: ConvexProgram) -> Solution:
         return _unsolved(program, "iteration-limit", iters)
     solution = highs.getSolution()
     values = np.array(solution.col_value) + 0.0  # -0.0 at some bounds; artifacts print "0"
-    residuals = Residuals(0.0, info.max_dual_infeasibility, info.max_complementarity_violation)
+    residuals = Residuals(0.0, info.max_dual_infeasibility)
     # weak-duality check from the row duals: dual objective b'y
     y = np.asarray(solution.row_dual)
     dual_obj = float(program.b_eq @ y[:len(program.b_eq)] + program.b_ub @ y[len(program.b_eq):])
@@ -241,10 +241,8 @@ def solve(program: ConvexProgram) -> Solution:
     """Solve the program: an LP on one HiGHS model, a QP by the certified
     interior point."""
     core = _extension("scipy.optimize._highspy._core")
-    if program.is_quadratic:
-        solution = _certified_qp(core, program)
-        if solution is not None:
-            return solution
+    if program.is_quadratic and (solution := _certified_qp(core, program)):
+        return solution
     return _highs(core, program)
 
 
@@ -267,7 +265,7 @@ def freeflow_optimum(program: ConvexProgram) -> Solution | None:
     FIFO run of its scenario stays in free flow, in closed form: that run,
     certified by the free-flow lemma (module docstring). None where a
     hypothesis fails or the run is not feasible for the program. The
-    residuals are the primal infeasibility and zeros: the lemma, not a dual
+    residuals are the primal infeasibility and zero: the lemma, not a dual
     point, proves optimality."""
     if not _lemma_applies(program):
         return None
@@ -282,7 +280,7 @@ def freeflow_optimum(program: ConvexProgram) -> Solution | None:
     if primal > LP_RESIDUAL_TOL:
         return None
     return Solution(values=values, objective=program.objective_value(values), status="optimal",
-                    residuals=Residuals(primal, 0.0, 0.0))
+                    residuals=Residuals(primal, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +386,13 @@ def _step(x, dx):
     return min(1.0, float(np.min(-x[neg] / dx[neg], initial=np.inf)))
 
 
-def _interior_point(program: ConvexProgram, extra: int):
+def _interior_point(program: ConvexProgram):
     """Mehrotra's predictor-corrector on min c'v + 0.5 v'diag(h)v, h = 2q,
     with slacks A_ub v + s = b_ub and duals y (A_eq rows), w >= 0 (A_ub
-    rows), z >= 0 (bounds). Returns the point (v, s, y, z, w), the primal
-    and dual values (v, s, z, w) one step before it, and the iteration
-    count extra iterations after the relative primal residual and gap
-    first reach IPM_TOL, or None."""
+    rows), z >= 0 (bounds). Yields the point (v, s, y, z, w), the primal
+    and dual values (v, s, z, w) one step before it, and its index at the
+    first iterate whose relative primal residual and gap reach IPM_TOL
+    (within IPM_MAX_ITER) and again RETRY_STEPS iterations later."""
     c, h = program.c, 2.0 * program.q
     eq, ub, b_eq, b_ub = program.eq, program.ub, program.b_eq, program.b_ub
     n, m_eq, m_ub = len(c), len(b_eq), len(b_ub)
@@ -419,7 +417,7 @@ def _interior_point(program: ConvexProgram, extra: int):
     prev = v, s, z, w
     reached = math.inf
 
-    for it in range(IPM_MAX_ITER + extra):
+    for it in range(IPM_MAX_ITER + RETRY_STEPS):
         r_d = h * v + c - eq.rmatvec(y) + ub.rmatvec(w) - z
         r_p = eq.matvec(v) - b_eq
         r_u = ub.matvec(v) + s - b_ub
@@ -428,17 +426,20 @@ def _interior_point(program: ConvexProgram, extra: int):
         gap = (v * z).sum() + (s * w).sum()
         f = (c * v).sum() + 0.5 * (h * v * v).sum()
         if not (np.isfinite(gap) and np.isfinite(f)):
-            return None
-        if it < reached and (max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0))
-                             <= IPM_TOL * b_scale and gap <= IPM_TOL * (1.0 + abs(f))):
+            return
+        if it < min(reached, IPM_MAX_ITER) and gap <= IPM_TOL * (1.0 + abs(f)) and max(
+                np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0)) <= IPM_TOL * b_scale:
             reached = it
-        if it == reached + extra:
-            return (v, s, y, z, w), prev, it
+        if it in (reached, reached + RETRY_STEPS):
+            kkt.lu = kkt.matrix = None      # freed while the candidate is polished
+            yield (v, s, y, z, w), prev, it
+            if it > reached:
+                return
         mu = gap / count
         try:
             kkt.factor(h + z / v, w / s)
         except RuntimeError:      # SuperLU: exactly singular
-            return None
+            return
 
         def direction(r_vz, r_sw):
             rhs = np.concatenate([r_vz / v - r_d, r_p, -r_u - r_sw / w])
@@ -458,7 +459,6 @@ def _interior_point(program: ConvexProgram, extra: int):
         a = min(1.0, 0.995 * longest(dv, ds, dz, dw))
         prev = v, s, z, w
         v, s, y, z, w = v + a * dv, s + a * ds, y + a * dy, z + a * dz, w + a * dw
-    return None
 
 
 def _polish(program: ConvexProgram, point, prev):
@@ -501,20 +501,12 @@ def _polish(program: ConvexProgram, point, prev):
 
 
 def _certified_qp(core, program: ConvexProgram) -> Solution | None:
-    """The polished interior-point optimum, or None where neither round
-    certifies it. The second round runs the first's iterates RETRY_STEPS
-    further: a tighter tolerance stops at the same iterate where that one
-    meets it, and is never met where the primal residual stalls. The
-    residuals are the primal infeasibility, the Frank-Wolfe gap and zero
-    complementarity: fixed variables are exact zeros and inactive rows
-    carry no multiplier."""
-    iters = 0
-    for extra in (0, RETRY_STEPS):
-        found = _interior_point(program, extra)
-        if found is None:
-            return None
-        point, prev, more = found
-        iters += more
+    """The polished interior-point optimum, or None where neither candidate
+    of its one run certifies: the first iterate at IPM_TOL, then the one
+    RETRY_STEPS further (a tighter IPM_TOL would stop at that same iterate
+    where it is met, and is never met where the primal residual stalls).
+    The residuals are the primal infeasibility and the Frank-Wolfe gap."""
+    for point, prev, it in _interior_point(program):
         v = _polish(program, point, prev)
         if v is None or (primal := verify_solution(program, v)) > LP_RESIDUAL_TOL:
             continue
@@ -529,5 +521,5 @@ def _certified_qp(core, program: ConvexProgram) -> Solution | None:
         gap = float((g * v).sum()) - highs.getInfo().objective_function_value
         if gap <= FW_TOL * (1.0 + abs(objective)):
             return Solution(values=v, objective=objective, status="optimal",
-                            residuals=Residuals(primal, gap, 0.0), iterations=iters)
+                            residuals=Residuals(primal, gap), iterations=it)
     return None

@@ -75,7 +75,7 @@ def brute_force_oracle(program: ConvexProgram) -> Solution:
                 values = N @ u + v0
                 return Solution(values=values, objective=program.objective_value(values),
                                 status="optimal",
-                                residuals=Residuals(verify_solution(program, values), 0.0, 0.0))
+                                residuals=Residuals(verify_solution(program, values), 0.0))
     return _unsolved(program, "infeasible")
 
 
@@ -100,7 +100,7 @@ def highs_qp(program: ConvexProgram) -> Solution:
         raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
     values = np.array(highs.getSolution().col_value) + 0.0
     return Solution(values=values, objective=program.objective_value(values), status="optimal",
-                    residuals=Residuals(verify_solution(program, values), 0.0, 0.0))
+                    residuals=Residuals(verify_solution(program, values), 0.0))
 
 
 def frank_wolfe_gap(program: ConvexProgram, values: np.ndarray) -> float:

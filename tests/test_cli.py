@@ -1,17 +1,23 @@
 """CLI commands, exit codes, artifacts, and manifest determinism."""
 
+import contextlib
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ctmflow
 from ctmflow import ctm, robustness, solver, synthesis
@@ -275,6 +281,31 @@ class TestExitCodes:
             assert rc == 2
             assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["+huge", "-huge"])
+    @pytest.mark.parametrize("field, named", [
+        ("T", "T"), ("tau", "tau"), ("x0", "x0"), ("inflow", "inflow of cell 1"),
+        ("routing", "routing series 3->4"), ("capacity", "cell 4: capacity")])
+    def test_huge_integer_config_error(self, tmp_path, capsys, field, named, value):
+        # a JSON integer beyond float range ended in an OverflowError traceback
+        doc = scenario_to_dict(table_scenario())
+        if field in ("T", "tau"):
+            doc[field] = value
+        elif field == "x0":
+            doc["x0"][3] = value
+        elif field == "inflow":
+            doc["inflow"]["1"][5] = value
+        elif field == "routing":
+            doc["routing"]["3->4"] = [value]
+        else:
+            doc["cells"][3]["capacity"][5] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config" and named in err["message"]
+
     def test_invalid_scenario_names_each_code(self, tmp_path, capsys):
         doc = scenario_to_dict(table_scenario())
         doc["x0"][3] = -1.0
@@ -312,6 +343,102 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+DELETE = object()
+FUZZ_VALUES = [None, True, "text", [1.0], {"k": 1.0}, 10 ** 400, -10 ** 400, 1e308, -1e308,
+               math.nan, math.inf, -math.inf, 1e-300, -1, DELETE]
+TABLE_DOC = scenario_to_dict(table_scenario())
+FUZZ_SITES = [(key,) for key in TABLE_DOC] + [("cells", 3, key) for key in TABLE_DOC["cells"][3]]
+FUZZ_SITES += [
+    ("cells", 3, "capacity", 4), ("cells", 0, "capacity", 0), ("cells", 9, "capacity", 0),
+    ("x0", 3), ("x0", 0), ("inflow", "1", 0), ("inflow", "1"), ("routing", "2->3", 0),
+    ("routing", "2->3"), ("adjacency", 0), ("adjacency", 0, 1), ("sources", 0), ("sinks", 0)]
+FUZZ_COMMANDS = [["simulate"], ["solve", "--kind", "fnc"], ["synthesize", "--kind", "dta"]]
+OPTION_VALUES = ["nan", "inf", "-0.1", "1.0"]
+
+
+def _edited(edits) -> dict:
+    """The table scenario file with each (path, value) edit applied; an edit
+    whose path an earlier one removed is dropped."""
+    doc = json.loads(json.dumps(TABLE_DOC))
+    for (*path, last), value in edits:
+        try:
+            node = functools.reduce(operator.getitem, path, doc)
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return doc
+
+
+def _nonfinite_numbers(out: Path) -> list:
+    """Every non-finite number in the CSV and JSON artifacts under out."""
+    found = []
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=found.append)
+        elif path.suffix == ".csv":
+            for field in path.read_text().replace("\n", ",").split(","):
+                try:
+                    if not math.isfinite(float(field)):
+                        found.append(field)
+                except ValueError:
+                    pass
+    return found
+
+
+def _run_documented(argv) -> None:
+    """main(argv) exits with a documented code, with one JSON line on stderr
+    on failure and only finite numbers in its artifacts on success."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        [line] = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
+    elif argv[0] != "robustness-sweep":     # its bounds are inf where they do not apply
+        assert _nonfinite_numbers(Path(argv[argv.index("--out") + 1])) == []
+
+
+class TestFuzz:
+    """Malformed input exits 2, 3 or 4, never with a traceback or a
+    RuntimeWarning: one or two edits of the table scenario file, each a
+    deleted key or a value from FUZZ_VALUES, through each command."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(FUZZ_SITES), st.sampled_from(FUZZ_VALUES)),
+                          min_size=1, max_size=2),
+           command=st.sampled_from(FUZZ_COMMANDS),
+           epsilon=st.sampled_from([None, *OPTION_VALUES]))
+    # found by this property: an overflowing slope v tau / L printed a
+    # RuntimeWarning before its CFL error, and a source volume of 1e308 did
+    # so before simulate wrote an infinite cost with exit 0
+    @example(edits=[(("tau",), 1e308)], command=["simulate"], epsilon=None)
+    @example(edits=[(("cells", 3, "v"), 1e308)], command=["simulate"], epsilon=None)
+    @example(edits=[(("x0", 0), 1e308)], command=["simulate"], epsilon=None)
+    @example(edits=[(("inflow", "1", 0), 1e308)], command=["simulate"], epsilon=None)
+    def test_edited_scenario_exits_documented(self, edits, command, epsilon):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.json"
+            path.write_text(json.dumps(_edited(edits)))
+            options = [] if epsilon is None or command == ["simulate"] else [f"--epsilon={epsilon}"]
+            _run_documented(command + options + ["--scenario", str(path),
+                                                 "--out", str(Path(tmp) / "out")])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", OPTION_VALUES)
+    def test_option_values_exit_documented(self, tmp_path, value):
+        for grid in (f"{value}:0.5:1", f"0:{value}:1", f"0:0.5:{value}"):
+            _run_documented(["robustness-sweep", "--scenario", "bundled:robustness",
+                             f"--sweep={grid}", "--out", str(tmp_path / "sweep")])
+        for command in FUZZ_COMMANDS[1:]:
+            _run_documented(command + ["--scenario", "bundled:table", f"--epsilon={value}",
+                                       "--out", str(tmp_path / command[0])])
 
 
 class TestArtifacts:

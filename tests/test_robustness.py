@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmflow import robustness, scenarios
-from ctmflow.ctm import FREEFLOW_TOL, MODELS, Drive, junction_rates, simulate, step
+from ctmflow.ctm import FREEFLOW_TOL, MODELS, CostSpec, Drive, junction_rates, simulate, step
 from ctmflow.network import Cell, Network, Scenario, constant_routing
+from ctmflow.program import build_fnc
 from ctmflow.robustness import (EQ_TOL, PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
                                 find_equilibria, lipschitz_constant,
                                 max_freeflow_inflow, sensitivity_bound, simulate_perturbed,
                                 sweep)
+from ctmflow.solver import solve
+from ctmflow.synthesis import extract_controls
 
 from conftest import freeflow_scenario, random_scenario
 
@@ -212,6 +215,16 @@ class TestFreeflowSupremum:
         for model in ("fifo", "nonfifo"):
             lh = max_freeflow_inflow(robustness_scenario, model=model)
             assert lh == pytest.approx(45.0 / 7.0, abs=2e-3)
+
+    def test_under_the_replayed_controls(self, robustness_scenario):
+        # the eps = 0.4 FNC TTT controller's FIFO replay is free at inflow
+        # 5.57 and congested at 5.58; without its controls the supremum
+        # was the uncontrolled 45/7
+        prog = build_fnc(robustness_scenario, CostSpec("TTT"), 0.4)
+        controls = extract_controls(prog, solve(prog))
+        lam_hat = max_freeflow_inflow(robustness_scenario, controls)
+        assert 5.57 <= lam_hat <= 5.58
+        assert sweep(robustness_scenario, [0.0], controls)[0] == lam_hat
 
     def test_zero_capacity_bottleneck(self):
         # sole path closes from step 1 on; any positive inflow congests

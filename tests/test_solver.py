@@ -35,8 +35,8 @@ from solver_reference import brute_force_oracle, frank_wolfe_gap, highs_qp
 #   default 1e-7 tolerances, does not certify
 # - the FNC program of default_rng(1149) (cross, T = 25), whose first round
 #   misreads the active set and whose interior point never reaches
-#   0.1 IPM_TOL, so a rerun at that tolerance fails where the RETRY_STEPS
-#   rerun certifies it
+#   0.1 IPM_TOL, so a run to that tolerance fails where the same run's
+#   iterate RETRY_STEPS further certifies it
 HARD_QPS = [Path(__file__).with_name(name) for name in (
     "chain_qp_highs_solve_error.json", "cross_qp_uncertified.json",
     "diamond_qp_uncertified.json", "cross_qp_stalled_residual.json")]
@@ -261,8 +261,24 @@ class TestCertifiedQP:
             assert main(["solve", "--scenario", str(path), "--kind", "fnc",
                          "--cost", "quad", "--out", str(tmp_path / path.stem)]) == 0
 
+    def test_second_candidate_from_the_same_run(self, monkeypatch):
+        # the first polished point of this program does not certify; the
+        # second candidate is the same run's iterate RETRY_STEPS further,
+        # not a run from scratch (which took 83 factorizations and
+        # reported 78 iterations)
+        calls = []
+        factor = solver._KKT.factor
+        monkeypatch.setattr(solver._KKT, "factor",
+                            lambda self, *args: calls.append(1) or factor(self, *args))
+        prog = build_fnc(load_scenario(HARD_QPS[3]), CostSpec("QuadraticVolume"))
+        sol = solve(prog)
+        assert sol.status == "optimal"
+        assert sol.iterations == 40
+        # the starting point, one per iteration, one per polish round of each candidate
+        assert len(calls) <= sol.iterations + 1 + 2 * solver.POLISH_ROUNDS
+
     def test_uncertified_qp_reported(self, table_scenario, monkeypatch, tmp_path):
-        # no gap certifies: both rounds end polished but uncertified, and
+        # no gap certifies: both candidates end polished but uncertified, and
         # the point is not passed off as an optimum
         monkeypatch.setattr(solver, "FW_TOL", -1.0)
         sol = solve(build_fnc(table_scenario, CostSpec("QuadraticVolume")))

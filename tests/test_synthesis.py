@@ -81,7 +81,7 @@ class TestExtraction:
 def _patched(sol, vals):
     from ctmflow.solver import Residuals, Solution
     return Solution(values=vals, objective=sol.objective, status=sol.status,
-                    residuals=Residuals(0.0, 0.0, 0.0))
+                    residuals=Residuals(0.0, 0.0))
 
 
 class TestReplayTightness:
