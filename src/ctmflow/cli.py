@@ -33,6 +33,10 @@ class ConfigError(Exception):
     pass
 
 
+EXIT_CODES = {ConfigError: ("config", 2), SolverError: ("solver", 3),
+              InvariantError: ("invariant", 4)}
+
+
 def _scenario(path: str):
     if path == "bundled:table":
         return scenarios.table_scenario()
@@ -300,31 +304,18 @@ def main(argv=None) -> int:
     rep.add_argument("--jobs", **options["--jobs"])
 
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "solve": cmd_solve,
-        "synthesize": cmd_synthesize,
-        "robustness-sweep": cmd_robustness_sweep,
-        "reproduce-paper": cmd_reproduce,
-    }
+    handlers = {"simulate": cmd_simulate, "solve": cmd_solve, "synthesize": cmd_synthesize,
+                "robustness-sweep": cmd_robustness_sweep, "reproduce-paper": cmd_reproduce}
     try:
         files = handlers[args.command](args)
         out = Path(args.out)
         _json(out / "manifest.json", {str(f.relative_to(out)): hashlib.sha256(f.read_bytes())
                                       .hexdigest() for f in files})
         return 0
-    except ConfigError as e:
-        json.dump({"error": "config", "message": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except SolverError as e:
-        json.dump({"error": "solver", "message": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    except InvariantError as e:
-        json.dump({"error": "invariant", "message": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 4
+    except (ConfigError, SolverError, InvariantError) as e:
+        error, code = next(v for k, v in EXIT_CODES.items() if isinstance(e, k))
+        sys.stderr.write(json.dumps({"error": error, "message": str(e)}) + "\n")
+        return code
 
 
 if __name__ == "__main__":

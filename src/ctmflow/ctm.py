@@ -359,5 +359,5 @@ def evaluate_cost(trajectory: Trajectory, cost: CostSpec) -> float:
     xs = trajectory.states
     zs = np.zeros_like(xs)
     zs[:-1] = trajectory.z
-    a, b, c = cost.coefficients(trajectory.network)
-    return float((xs * a).sum() + (xs ** 2 * b).sum() + (zs * c).sum())
+    a, b, c = cost.coefficients(trajectory.network)     # no square without weight: 1e200**2 = inf
+    return float((xs * a).sum() + ((xs ** 2 * b).sum() if b.any() else 0.0) + (zs * c).sum())

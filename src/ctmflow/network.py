@@ -304,6 +304,8 @@ def _violations(scenario: Scenario):
 # ---------------------------------------------------------------------------
 # scenario file round trip (JSON-compatible tree with a units header)
 
+MAX_HORIZON = 100_000      # steps in a scenario file; one (T, n) array of 100 cells: 80 MB
+
 UNITS_HEADER = {
     "speed": "length/time (v, w)",
     "length": "length (L)",
@@ -387,6 +389,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     T = _key(data, "T")
     if type(T) not in (int, float) or not _number(T, "T").is_integer() or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
+    if T > MAX_HORIZON:      # checked before any (T, n) array is allocated
+        raise ValueError(f"T must be at most {MAX_HORIZON}, got {T!r:.40}")
     horizon = int(T)
     cells = []
     for c in _list(_key(data, "cells"), "cells", "cell objects"):

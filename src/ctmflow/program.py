@@ -1,32 +1,32 @@
-"""Discretized convex relaxations of the DTA and FNC problems.
+"""Discretized convex relaxations of the DTA and FNC problems, in cell
+volumes and cell-to-cell flows as the cell-based SO-DTA LP:
 
-Variables per step t = 0..T-1 (plus states at t = 0..T):
+    x_i(t)   traffic volume, t = 0..T      f_ij(t)  pair flow, (i,j) adjacent
+    mu_i(t)  external outflow, t < T, on sinks only
 
-    x_i(t)   traffic volume            f_ij(t)  pair flow, (i,j) adjacent
-    y_i(t)   total inflow              mu_i(t)  external outflow
-    z_i(t)   total outflow
-
-Equalities: initial state, dynamics x(t+1) = x(t) + y(t) - z(t), flow
-aggregation y = lambda + sum f_in and z = mu + sum f_out, mu = 0 off
-sinks, and for FNC the exogenous-split rows f_ij = R_ij z_i.
-
-Inequalities (piecewise-affine diagrams expanded to affine rows):
+Total inflow y = lambda + sum f_in and outflow z = sum f_out + mu are not
+variables: the rows read them as those sums, and ``ConvexProgram.states``
+returns them. Equalities: x(0) = x0 (a variable, so c'v is the whole
+cost), the dynamics x(t+1) - x(t) - sum f_in + sum f_out + mu = lambda(t)
+and, for FNC, the exogenous-split rows f_ij = R_ij z_i, less the 0 = 0
+row of a cell's only edge at R = 1. Inequalities (piecewise-affine
+diagrams expanded to affine rows):
 
     z_i(t) <= demand_slope_i * x_i(t)          z_i(t) <= C_i(t)
     y_i(t) <= (1-eps) * supply_slope_i * (jam_i - x_i(t))     (non-sources)
     y_i(t) <= (1-eps) * C_i(t)                                (non-sources)
 
-plus f, mu, x, y, z >= 0. The objective mirrors ctm.evaluate_cost exactly
-(volume terms include the terminal state), so every simulated trajectory
-is a feasible point with identical cost.
+plus x, mu, f >= 0. The objective mirrors ctm.evaluate_cost exactly
+(volume terms include the terminal state; a price on z_i sits on each f_ij
+and mu_i), so every simulated trajectory is a feasible point with the same
+cost.
 
-The constraint matrices are sparse triplets over the full variable vector,
-which the solvers work on directly through numpy kernels. They are
-assembled by index arithmetic over the network's arrays and
-``Scenario.capacity``; variable names are derived only on request. A
-``ConvexProgram`` holds the scenario it was built from, which fixes the
-variable layout, so whatever reads a solution back (``states``, ``pack``,
-control extraction, the free-flow closed form) takes the program alone.
+The matrices are sparse triplets, built by index arithmetic over the
+network's arrays and ``Scenario.capacity``, that the solvers' numpy
+kernels read directly; names are derived only on request. A
+``ConvexProgram`` holds its scenario, which fixes the variable layout, so
+whatever reads a solution back (``states``, ``pack``, control extraction,
+the free-flow closed form) takes the program alone.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ctm import CostSpec, held_rows
+from .ctm import CostSpec, _gather_sum, held_rows
 from .network import Scenario
 
 
@@ -122,59 +122,55 @@ class ConvexProgram:
 
     @cached_property
     def names(self) -> list:
-        """Column -> name tuple: ("x", t, cell), ("y" | "z" | "mu", t, cell)
-        or ("f", t, i, j)."""
+        """Column -> name tuple: ("x", t, cell), ("mu", t, sink) or ("f", t, i, j)."""
         T, net = self.scenario.horizon, self.scenario.network
         cells = [c.id for c in net.cells]
-        names = [("x", t, c) for t in range(T + 1) for c in cells]
-        for block in ("y", "z", "mu"):
-            names += [(block, t, c) for t in range(T) for c in cells]
-        return names + [("f", t, i, j) for t in range(T) for i, j in net.adjacency]
+        sinks = [c for c, s in zip(cells, net.sink) if s]
+        return ([("x", t, c) for t in range(T + 1) for c in cells]
+                + [("mu", t, c) for t in range(T) for c in sinks]
+                + [("f", t, i, j) for t in range(T) for i, j in net.adjacency])
 
     def span(self, block: str) -> slice:
-        """Columns of one variable block (x, y, z, mu or f), step-major."""
+        """Columns of one variable block (x, mu or f), step-major."""
         net, T = self.scenario.network, self.scenario.horizon
-        if block == "x":
-            return slice(0, (T + 1) * net.n)
-        start = (T + 1) * net.n + ("y", "z", "mu", "f").index(block) * T * net.n
-        return slice(start, start + T * (len(net.adjacency) if block == "f" else net.n))
+        x, mu = (T + 1) * net.n, T * int(net.sink.sum())
+        start, width = {"x": (0, x), "mu": (x, mu), "f": (x + mu, T * len(net.adjacency))}[block]
+        return slice(start, start + width)
 
     def states(self, values: np.ndarray, block: str = "x") -> np.ndarray:
-        """The (T+1, n) state trajectory of a solution vector; with block
-        y, z or mu, that (T, n) block of rates, with f the (T, E) flows."""
-        rows = self.scenario.horizon + (block == "x")
-        return np.array(values[self.span(block)]).reshape(rows, -1)
+        """The (T+1, n) state trajectory of a solution vector; with block f
+        the (T, E) flows; with mu, y or z the (T, n) external outflow,
+        total inflow lambda + sum f_in or total outflow sum f_out + mu."""
+        net, T = self.scenario.network, self.scenario.horizon
+        if block in ("x", "f"):
+            return np.array(values[self.span(block)]).reshape(T + (block == "x"), -1)
+        mu = np.zeros((T, net.n))
+        mu[:, net.sink] = values[self.span("mu")].reshape(T, -1)
+        if block == "mu":
+            return mu
+        f = np.pad(self.states(values, "f"), ((0, 0), (0, 1)))     # the padding edge carries 0
+        if block == "y":
+            return self.scenario.inflow + _gather_sum(f, net.in_edges)
+        return _gather_sum(f, net.out_edges) + mu
 
     def pack(self, trajectory) -> np.ndarray:
-        """The full variable vector of a CTM run (``ctm.Trajectory``) of the
+        """The variable vector of a CTM run (``ctm.Trajectory``) of the
         program's scenario, the inverse of ``states``."""
-        values = np.empty(self.n_vars)
-        for block, rows in (("x", trajectory.states), ("y", trajectory.y), ("z", trajectory.z),
-                            ("mu", trajectory.mu), ("f", trajectory.f)):
-            values[self.span(block)] = rows.ravel()
-        return values
-
-
-def _objective(cost: CostSpec, scenario: Scenario, x: np.ndarray, z: np.ndarray, n_vars: int):
-    """c and q over the columns; x and z are the (T+1, n) / (T, n) column
-    indices of the volume and outflow blocks."""
-    a, b, cz = cost.coefficients(scenario.network)
-    if np.any(b < 0):
-        raise ValueError("quadratic objective must be convex (nonnegative weights)")
-    c = np.zeros(n_vars)
-    q = np.zeros(n_vars)
-    c[x], q[x], c[z] = a, b, cz
-    return c, q
+        sink = self.scenario.network.sink
+        return np.concatenate([trajectory.states.ravel(), trajectory.mu[:, sink].ravel(),
+                               trajectory.f.ravel()])
 
 
 def _sparse(entries: list, n_rows: int, n_cols: int) -> Sparse:
-    """Canonical triplets from (rows, cols, values) of broadcastable arrays, zeros
-    dropped. No two entries share a (row, column): each names another block or edge."""
+    """Canonical triplets from (rows, cols, values) of broadcastable arrays:
+    entries that share a (row, column) are added, and zeros dropped."""
     parts = [[a.ravel() for a in np.broadcast_arrays(*e)] for e in entries]
     rows, cols, vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
-    order = np.argsort(rows.astype(np.int64) * n_cols + cols)
-    order = order[vals[order] != 0.0]
-    return Sparse(rows[order], cols[order].astype(np.int32), vals[order], (n_rows, n_cols))
+    keys, at = np.unique(rows.astype(np.int64) * n_cols + cols, return_inverse=True)
+    vals = np.bincount(at, weights=vals, minlength=len(keys))
+    keep = vals != 0.0
+    return Sparse(keys[keep] // n_cols, (keys[keep] % n_cols).astype(np.int32), vals[keep],
+                  (n_rows, n_cols))
 
 
 def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexProgram:
@@ -183,56 +179,60 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     net = scenario.network
     if kind == "FNC" and scenario.routing is None:
         raise ValueError("FNC needs an exogenous routing schedule on the scenario")
-    T, n, E = scenario.horizon, net.n, len(net.adjacency)
-    src, dst = net.src[:-1], net.dst[:-1]
+    T, n, E, S = scenario.horizon, net.n, len(net.adjacency), int(net.sink.sum())
+    src, dst, sink = net.src[:-1], net.dst[:-1], net.sink
     steps = np.arange(T)[:, None]
 
-    # columns: x (T+1, n), then y, z, mu (T, n) each, then f (T, E)
+    # columns: x (T+1, n), then mu (T, S) on the sinks, then f (T, E)
     x = np.arange((T + 1) * n).reshape(T + 1, n)
-    y, z, mu = ((T + 1 + b * T) * n + np.arange(T * n).reshape(T, n) for b in range(3))
-    f = (4 * T + 1) * n + np.arange(T * E).reshape(T, E)
-    n_vars = (4 * T + 1) * n + T * E
+    mu = (T + 1) * n + np.arange(T * S).reshape(T, S)
+    f = (T + 1) * n + T * S + np.arange(T * E).reshape(T, E)
+    n_vars = (T + 1) * n + T * (S + E)
 
-    # equality rows: x(0) = x0; per step and cell the dynamics, inflow and
-    # outflow aggregation and, off sinks, mu = 0; then for FNC per step and
-    # edge f_ij = R_ij z_i
-    per = 3 + ~net.sink
-    dyn = n + steps * per.sum() + np.cumsum(per) - per
-    m_eq = n + T * per.sum()
-    eq = [(np.arange(n), x[0], 1.0),
-          (dyn, x[1:], 1.0), (dyn, x[:-1], -1.0), (dyn, y, -1.0), (dyn, z, 1.0),
-          (dyn + 1, y, 1.0), (dyn[:, dst] + 1, f, -1.0),
-          (dyn + 2, z, 1.0), (dyn + 2, mu, -1.0), (dyn[:, src] + 2, f, -1.0),
-          (dyn[:, ~net.sink] + 3, mu[:, ~net.sink], 1.0)]
-    b_eq = np.zeros(m_eq + (T * E if kind == "FNC" else 0))
-    b_eq[:n] = scenario.x0
-    b_eq[dyn + 1] = scenario.inflow
+    # equality rows: x(0) = x0; per step and cell the dynamics
+    # x(t+1) - x(t) - sum f_in + sum f_out + mu = lambda(t)
+    dyn = n + steps * n + np.arange(n)
+    eq = [(np.arange(n), x[0], 1.0), (dyn, x[1:], 1.0), (dyn, x[:-1], -1.0),
+          (dyn[:, dst], f, -1.0), (dyn[:, src], f, 1.0), (dyn[:, sink], mu, 1.0)]
+    b_eq = np.concatenate([scenario.x0, scenario.inflow.ravel()])
     if kind == "FNC":
+        # per step and edge e = (i, j): f_e = R_e sum_k f_ik, over the
+        # edges k out of i (sinks have none, so mu never enters). The row
+        # of i's only edge at R = 1 is 0 = 0 and is left out.
         ratio = held_rows(scenario.routing, T)
-        split = m_eq + steps * E + np.arange(E)
-        eq += [(split, f, 1.0), (split, z[:, src], -ratio)]
-        m_eq += T * E
+        kept = (ratio != 1.0) | (net.out_degree[src] > 1)
+        split = n * (T + 1) + np.cumsum(kept).reshape(T, E) - 1
+        sib = np.stack(net.out_edges)[:, src]     # (D, E): the edges out of src[e], E past them
+        on = (sib < E) & kept[:, None]
+        coef = np.where(sib == np.arange(E), 1.0 - ratio[:, None], -ratio[:, None])
+        eq.append((np.broadcast_to(split[:, None], on.shape)[on],
+                   f[:, np.minimum(sib, E - 1)][on], coef[on]))
+        b_eq = np.concatenate([b_eq, np.zeros(int(kept.sum()))])
 
-    # inequality rows per step and cell: z <= demand_slope x, z <= C and,
-    # off sources, y <= (1-eps) supply_slope (jam - x), y <= (1-eps) C
-    shrink = 1.0 - eps
-    inner = ~net.source
+    # inequality rows per step and cell, with z = sum f_out + mu and y =
+    # sum f_in (inflow is zero off sources): z <= demand_slope x, z <= C
+    # and, off sources, y <= (1-eps) supply_slope (jam - x), y <= (1-eps) C
+    shrink, inner = 1.0 - eps, ~net.source
     per = 2 + 2 * inner
     dem = steps * per.sum() + np.cumsum(per) - per
-    sup = dem[:, inner] + 2
+    sup = dem + 2
     ws = shrink * net.supply_slope[inner]
-    ub = [(dem, z, 1.0), (dem, x[:-1], -net.demand_slope), (dem + 1, z, 1.0),
-          (sup, y[:, inner], 1.0), (sup, x[:-1, inner], ws), (sup + 1, y[:, inner], 1.0)]
+    ub = [(dem[:, src], f, 1.0), (dem[:, sink], mu, 1.0), (dem, x[:-1], -net.demand_slope),
+          (dem[:, src] + 1, f, 1.0), (dem[:, sink] + 1, mu, 1.0),
+          (sup[:, dst], f, 1.0), (sup[:, inner], x[:-1, inner], ws), (sup[:, dst] + 1, f, 1.0)]
     b_ub = np.zeros(T * per.sum())
     b_ub[dem + 1] = scenario.capacity
-    b_ub[sup] = ws * net.jam[inner]
-    b_ub[sup + 1] = shrink * scenario.capacity[:, inner]
+    b_ub[sup[:, inner]] = ws * net.jam[inner]
+    b_ub[sup[:, inner] + 1] = shrink * scenario.capacity[:, inner]
 
-    c_vec, q_vec = _objective(cost, scenario, x, z, n_vars)
+    a, b, cz = cost.coefficients(net)
+    if np.any(b < 0):
+        raise ValueError("quadratic objective must be convex (nonnegative weights)")
+    c_vec, q_vec = np.zeros(n_vars), np.zeros(n_vars)
+    c_vec[x], q_vec[x], c_vec[mu], c_vec[f] = a, b, cz[sink], cz[src]
     return ConvexProgram(
-        eq=_sparse(eq, m_eq, n_vars), b_eq=b_eq, ub=_sparse(ub, len(b_ub), n_vars), b_ub=b_ub,
-        c=c_vec, q=q_vec, kind=kind, eps=eps,
-        cost_kind=cost.kind, scenario=scenario)
+        eq=_sparse(eq, len(b_eq), n_vars), b_eq=b_eq, ub=_sparse(ub, len(b_ub), n_vars),
+        b_ub=b_ub, c=c_vec, q=q_vec, kind=kind, eps=eps, cost_kind=cost.kind, scenario=scenario)
 
 
 def build_dta(scenario: Scenario, cost: CostSpec, eps: float = 0.0) -> ConvexProgram:
@@ -261,11 +261,8 @@ def export_lp(program: ConvexProgram, path) -> None:
         terms = _lp_terms(priced, program.c[priced], names)
         fh.write("".join(terms) if terms else " 0 " + names[0])
         if program.is_quadratic:
-            fh.write(" + [")
-            for k, coef in enumerate(program.q):
-                if coef != 0.0:
-                    fh.write(f" + {2 * coef:.12g} {names[k]}^2")
-            fh.write(" ] / 2")
+            fh.write(" + [" + "".join(f" + {2 * program.q[k]:.12g} {names[k]}^2"
+                                      for k in np.flatnonzero(program.q)) + " ] / 2")
         fh.write("\nSubject To\n")
         for label, mat, sense, rhs in (("eq", program.eq, "=", program.b_eq),
                                        ("ub", program.ub, "<=", program.b_ub)):

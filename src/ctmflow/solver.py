@@ -11,13 +11,12 @@ optimum that drains greedily. So the same object then breaks ties: one row
 pins the cost at the optimum, the objective becomes maximal early outflow,
 and the primal simplex restarts from the optimal basis.
 
-QPs run Mehrotra's predictor-corrector on the regularized quasi-definite
-KKT system [[H + D + A_ub' W/S A_ub, -A_eq'], [-A_eq, -delta I]], one
-SuperLU factorization per iteration on a pattern built once, until the
-relative gap and primal residual reach IPM_TOL. The polish then fixes the
-bounds and rows that the last step marks active and solves the
-equality-constrained KKT system there, so zero flows come back as exact
-zeros. The point is returned only with a certificate: it is primal
+QPs run Mehrotra's predictor-corrector on a regularized quasi-definite KKT
+system (``_KKT``), one SuperLU factorization per iteration on a pattern
+built once, until the relative gap and primal residual reach IPM_TOL. The
+polish then fixes the bounds and rows that the last step marks active and
+solves the equality-constrained KKT system there, so zero flows come back
+as exact zeros. The point is returned only with a certificate: it is primal
 feasible to LP_RESIDUAL_TOL, and its Frank-Wolfe gap g'v - min{g'u : u
 feasible}, g = c + 2qv, an upper bound on f(v) - f*, is at most
 FW_TOL (1 + |f|). The gap comes from one HiGHS LP and is returned as the
@@ -68,6 +67,7 @@ from .ctm import InvariantError, held_rows, simulate
 from .program import ConvexProgram, Sparse
 
 LP_RESIDUAL_TOL = 1e-8
+LP_FEASIBILITY_TOL = 1e-9  # HiGHS's; its default 1e-7 returns optima outside LP_RESIDUAL_TOL
 FW_TOL = 1e-9             # certified Frank-Wolfe gap, relative to 1 + |f|
 FW_LP_TOL = 1e-10         # its LP's feasibility tolerances; HiGHS's 1e-7 moves the gap ~1e-6
 IPM_TOL = 1e-10           # relative gap and primal residual; at 1e-8 the active set is misread
@@ -100,16 +100,11 @@ class SolverError(RuntimeError):
 
 def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
     """Primal infeasibility (infinity norm) against the full constraint list."""
-    r_eq = 0.0
-    if program.eq.shape[0]:
-        scale = np.full(program.eq.shape[0], 1e-30)     # each row's largest |coefficient|
-        np.maximum.at(scale, program.eq.rows, np.abs(program.eq.data))
-        r_eq = float(np.max(np.abs(program.eq.matvec(values) - program.b_eq) / scale))
-    r_ub = 0.0
-    if program.ub.shape[0]:
-        r_ub = float(np.max(np.maximum(program.ub.matvec(values) - program.b_ub, 0.0)))
-    r_nn = float(np.max(np.maximum(-values, 0.0), initial=0.0))
-    return max(r_eq, r_ub, r_nn)
+    scale = np.full(program.eq.shape[0], 1e-30)     # each equality row's largest |coefficient|
+    np.maximum.at(scale, program.eq.rows, np.abs(program.eq.data))
+    r_eq = np.abs(program.eq.matvec(values) - program.b_eq) / scale
+    r_ub = program.ub.matvec(values) - program.b_ub
+    return float(max(r_eq.max(initial=0.0), r_ub.max(initial=0.0), (-values).max(initial=0.0)))
 
 
 def _extension(name: str):
@@ -163,6 +158,7 @@ def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
     model.lp_ = lp
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("primal_feasibility_tolerance", LP_FEASIBILITY_TOL)
     if highs.passModel(model) == core.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
     return highs
@@ -187,7 +183,9 @@ def _drain(core, highs, program: ConvexProgram, values: np.ndarray):
     cost_cols = np.flatnonzero(program.c).astype(np.int32)
     highs.addRow(-np.inf, base, len(cost_cols), cost_cols, program.c[cost_cols])
     drain = np.zeros(n)
-    drain[program.span("z")] = np.repeat(np.arange(T) - T, program.scenario.network.n)
+    for block in ("mu", "f"):       # z_i = sum_j f_ij + mu_i
+        cols = program.span(block)
+        drain[cols] = np.repeat(np.arange(T) - T, (cols.stop - cols.start) // T)
     highs.changeColsCost(n, np.arange(n, dtype=np.int32), drain)
     highs.setOptionValue("simplex_strategy", 4)
     highs.run()
@@ -209,7 +207,8 @@ def _highs(core, program: ConvexProgram) -> Solution:
     status = highs.getModelStatus()
     info = highs.getInfo()
     iters = int(info.simplex_iteration_count)
-    if status == core.HighsModelStatus.kIterationLimit:
+    if status == core.HighsModelStatus.kIterationLimit or (
+            program.is_quadratic and status == core.HighsModelStatus.kOptimal):
         return _unsolved(program, "iteration-limit", iters)
     if status == core.HighsModelStatus.kInfeasible:
         # -ray = (y_eq, y_ub): y_ub >= 0, A'y >= 0 and
@@ -218,8 +217,6 @@ def _highs(core, program: ConvexProgram) -> Solution:
         return _unsolved(program, "infeasible", iters, -np.asarray(ray) if has_ray else None)
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
-    if program.is_quadratic:
-        return _unsolved(program, "iteration-limit", iters)
     solution = highs.getSolution()
     values = np.array(solution.col_value) + 0.0  # -0.0 at some bounds; artifacts print "0"
     residuals = Residuals(0.0, info.max_dual_infeasibility)
@@ -289,48 +286,57 @@ def freeflow_optimum(program: ConvexProgram) -> Solution | None:
 
 class _KKT:
     """The regularized quasi-definite KKT system of the interior point,
-    [[H + D + A_ub' diag(theta) A_ub, -A_eq'], [-A_eq, -KKT_REG I]] with
-    H + D a diagonal, plus KKT_REG on it. The inequality rows are eliminated
-    from [[H + D, -A_eq', A_ub'], [-A_eq, 0, 0], [A_ub, 0, -diag(1/theta)]],
-    which solve takes and answers in full. The CSC pattern is built once;
-    a factorization only refills the values, as one matvec of the sorted
-    (entry, parameter) pairs with (theta, diagonal, 1)."""
+    [[H + D + A_e' diag(theta_e) A_e, -A_eq', A_x'], [-A_eq, -d I, 0], [A_x,
+    0, -diag(1/theta_x) - d I]], H + D a diagonal, d = KKT_REG, plus d on it.
+    solve takes and answers [[H + D, -A_eq', A_ub'], [-A_eq, 0, 0], [A_ub, 0,
+    -diag(1/theta)]] in full. Rows e are eliminated; rows x (``explicit``)
+    stay: there theta a a' ~ 1e12 on two uncurved columns (f_ij + f_ik <= C)
+    cancels to exactly singular pivots. The CSC pattern is built once; a
+    factorization refills the values as one matvec of the sorted (entry,
+    parameter) pairs with (theta_e, diagonal, 1, 1/theta_x)."""
 
-    def __init__(self, eq: Sparse, ub: Sparse):
+    def __init__(self, eq: Sparse, ub: Sparse, explicit: np.ndarray | None = None):
         (m, n), m_ub = eq.shape, ub.shape[0]
-        N = n + m
-        # A_ub' diag(theta) A_ub: one term per ordered pair of entries of a row
-        counts = np.bincount(ub.rows, minlength=m_ub)
-        pairs = counts[ub.rows]
+        self.explicit = np.zeros(m_ub, bool) if explicit is None else explicit
+        every = np.ones(n, bool)
+        elim = ub.take(~self.explicit, every)
+        side = Sparse(eq.rows, eq.cols, -eq.data, eq.shape).vstack(ub.take(self.explicit, every))
+        m_e, N = elim.shape[0], n + side.shape[0]
+        # A_e' diag(theta_e) A_e: one term per ordered pair of entries of a row
+        counts = np.bincount(elim.rows, minlength=m_e)
+        pairs = counts[elim.rows]
         k1 = np.repeat(np.arange(len(pairs)), pairs)
-        k2 = (np.cumsum(counts) - counts)[ub.rows[k1]] + np.arange(len(k1)) \
+        k2 = (np.cumsum(counts) - counts)[elim.rows[k1]] + np.arange(len(k1)) \
             - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        diag, duals = np.arange(n), n + np.arange(m)
-        rows = np.concatenate([ub.cols[k1], diag, diag, eq.cols, n + eq.rows, duals])
-        cols = np.concatenate([ub.cols[k2], diag, diag, n + eq.rows, eq.cols, duals])
-        coef = np.concatenate([ub.data[k1] * ub.data[k2], np.ones(n), np.full(n, KKT_REG),
-                               -eq.data, -eq.data, np.full(m, -KKT_REG)])
-        param = np.concatenate([ub.rows[k1], m_ub + diag,
-                                np.full(n + 2 * len(eq.data) + m, m_ub + n)])
+        diag, dual = np.arange(n), n + np.arange(N - n)
+        rows = np.concatenate([elim.cols[k1], diag, diag, side.cols, n + side.rows, dual, dual[m:]])
+        cols = np.concatenate([elim.cols[k2], diag, diag, n + side.rows, side.cols, dual, dual[m:]])
+        coef = np.concatenate([elim.data[k1] * elim.data[k2], np.ones(n), np.full(n, KKT_REG),
+                               side.data, side.data, np.full(N - n, -KKT_REG),
+                               -np.ones(N - n - m)])
+        one = m_e + n        # the parameter that holds 1
+        param = np.concatenate([elim.rows[k1], m_e + diag,
+                                np.full(n + 2 * len(side.data) + N - n, one),
+                                one + 1 + np.arange(N - n - m)])
         keys, pos = np.unique(cols.astype(np.int64) * N + rows, return_inverse=True)
         self.indices = (keys % N).astype(np.intc)
         self.indptr = np.searchsorted(keys // N, np.arange(N + 1)).astype(np.intc)
         order = np.lexsort((param, pos))
-        self.fill = Sparse(pos[order], param[order], coef[order], (len(keys), m_ub + n + 1))
+        self.fill = Sparse(pos[order], param[order], coef[order], (len(keys), one + 1 + N - n - m))
         self.entry_cols = np.repeat(np.arange(N), np.diff(self.indptr))
-        self.reg = np.concatenate([np.full(n, KKT_REG), np.full(m, -KKT_REG)])
-        self.ub = ub
-        self.n = n
+        self.reg = np.concatenate([np.full(n, KKT_REG), np.full(N - n, -KKT_REG)])
+        self.ub, self.n, self.m = ub, n, m
         self.lu = self.matrix = self.theta = self.order = None
 
     def factor(self, diagonal, theta):
         """Factorize at the given diagonal and theta. The first
         factorization lets COLAMD order the columns; later ones reuse that
         order on the column-permuted matrix."""
-        data = self.fill.matvec(np.concatenate([theta, diagonal, [1.0]]))
+        data = self.fill.matvec(np.concatenate([theta[~self.explicit], diagonal, [1.0],
+                                                1.0 / theta[self.explicit]]))
         N = len(self.indptr) - 1
         self.matrix = Sparse(self.indices, self.entry_cols, data, (N, N))   # CSC order
-        self.theta = theta
+        self.theta = np.where(self.explicit, 0.0, theta)    # of the eliminated rows
         self.lu = None      # one factorization alive at a time
         if self.order is None:
             self.lu = _gstrf(data, self.indices, self.indptr, "COLAMD")
@@ -359,14 +365,16 @@ class _KKT:
         three-block system: one regularized solve from start (default 0),
         then steps of refinement against the unregularized matrix. Where
         that matrix is singular, the result stays near start."""
-        n, N = self.n, len(self.indptr) - 1
-        r_ub = rhs[N:]
-        b = rhs[:N].copy()
+        n, N, k = self.n, len(self.indptr) - 1, self.n + self.m
+        r_ub = rhs[k:]
+        b = np.concatenate([rhs[:k], r_ub[self.explicit]])
         b[:n] += self.ub.rmatvec(self.theta * r_ub)
         x = np.zeros(N) if start is None else start.copy()
         for _ in range(steps + 1):
             x += self._lu_solve(b - self.matrix.matvec(x) + self.reg * x)
-        return np.concatenate([x, self.theta * (self.ub.matvec(x[:n]) - r_ub)])
+        dw = self.theta * (self.ub.matvec(x[:n]) - r_ub)
+        dw[self.explicit] = x[k:]
+        return np.concatenate([x[:k], dw])
 
 
 def _gstrf(data, indices, indptr, order):
@@ -396,7 +404,7 @@ def _interior_point(program: ConvexProgram):
     c, h = program.c, 2.0 * program.q
     eq, ub, b_eq, b_ub = program.eq, program.ub, program.b_eq, program.b_ub
     n, m_eq, m_ub = len(c), len(b_eq), len(b_ub)
-    kkt = _KKT(eq, ub)
+    kkt = _KKT(eq, ub, np.bincount(ub.rows, weights=h[ub.cols] == 0.0, minlength=m_ub) > 1)
     count = n + m_ub
     b_scale = 1.0 + max(np.abs(b_eq).max(initial=0.0), np.abs(b_ub).max(initial=0.0))
 

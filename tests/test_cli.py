@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,8 +24,8 @@ import ctmflow
 from ctmflow import ctm, robustness, solver, synthesis
 from ctmflow.cli import MAX_SWEEP_POINTS, ConfigError, _sweep_grid, main
 from ctmflow.ctm import InvariantError, simulate
-from ctmflow.network import (Scenario, constant_routing, load_scenario, save_scenario,
-                             scenario_to_dict)
+from ctmflow.network import (MAX_HORIZON, Scenario, constant_routing, load_scenario,
+                             save_scenario, scenario_to_dict)
 from ctmflow.scenarios import figure_network, robustness_scenario, routing_for, table_scenario
 from ctmflow.synthesis import ControlSchedule
 
@@ -306,6 +307,35 @@ class TestExitCodes:
         err = json.loads(line)
         assert err["error"] == "config" and named in err["message"]
 
+    @pytest.mark.parametrize("T", [1e308, 10 ** 12], ids=["1e308", "1e12"])
+    def test_horizon_bound_config_error(self, tmp_path, capsys, T):
+        # 1e308 exited through numpy's "Maximum allowed dimension exceeded",
+        # and a horizon in the billions allocated (T, n) arrays
+        doc = scenario_to_dict(table_scenario())
+        doc["T"] = T
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and peak < 2 ** 20
+        [line] = capsys.readouterr().err.splitlines()
+        assert f"T must be at most {MAX_HORIZON}" in json.loads(line)["message"]
+
+    def test_huge_volume_cost_finite(self, tmp_path):
+        # the TTT cost squared every volume with a zero weight: inf * 0 made
+        # it NaN, and simulate exited 2
+        doc = scenario_to_dict(table_scenario())
+        doc["x0"][0] = 1e200
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        cost = json.loads((tmp_path / "out" / "summary.json").read_text())["cost"]
+        assert math.isfinite(cost) and cost > 1e200
+
     def test_invalid_scenario_names_each_code(self, tmp_path, capsys):
         doc = scenario_to_dict(table_scenario())
         doc["x0"][3] = -1.0
@@ -527,7 +557,7 @@ PINNED_COMMANDS = {
     "simulate-nonfifo": (["simulate", "--scenario", "bundled:table", "--model", "nonfifo"], {
         "trajectory.csv": "21a826acae8ee75b8676f6aaa9fe93b4f4c507bc4d549aaa92cba364162bb34f"}),
     "solve-fnc-ttt": (["solve", "--scenario", "bundled:robustness", "--kind", "fnc"], {
-        "fnc_ttt.lp": "9ec9cc72a65ba082e23d5af431d5f98786cd156860a3bcaa2508ab809bfd1ca7",
+        "fnc_ttt.lp": "0657b2e9edb625207bfe0a2381e94183e83869abf3932e59ce70078af2742678",
         "optimal_states.csv": "5cf2ab709af01159628d4b37e59bc72cecdf38d54792808826a38d82b35cf925",
         "summary.json": "dfb746fcdbeaae6838d888021c4a689b7d10a05fd084ae147c914b05a59b365c"}),
     "synthesize-fnc-ttt": (["synthesize", "--scenario", "bundled:robustness", "--kind", "fnc"], {

@@ -28,6 +28,16 @@ def single_cell_scenario():
                     routing=constant_routing(net, {}))
 
 
+def self_loop_scenario():
+    cells = tuple(Cell(c, 0.5, 0.5, 1.0, 1, 10.0, [3.0]) for c in ("s", "a", "t"))
+    net = Network(cells=cells, adjacency=(("s", "a"), ("a", "a"), ("a", "t")),
+                  sources=frozenset({"s"}), sinks=frozenset({"t"}), tau=1.0)
+    lam = np.zeros((4, 3))
+    lam[:2, 0] = 2.0
+    return Scenario(network=net, x0=np.zeros(3), inflow=lam, routing=constant_routing(
+        net, {("s", "a"): 1.0, ("a", "a"): 0.3, ("a", "t"): 0.7}))
+
+
 def _no_control(sc):
     return ControlSchedule(alphas=np.ones((sc.horizon, sc.network.n)))
 
@@ -92,14 +102,16 @@ class TestBuilders:
 
 class TestAssembly:
     def test_builder_matches_loop_reference(self):
-        # the index-arithmetic builder against the per-entry loop builder it
-        # replaced: bit-equal CSR arrays, right-hand sides, objective and
-        # names, on every test shape, both kinds, every cost kind, two eps
+        # the index-arithmetic builder against the per-entry loop builder:
+        # bit-equal CSR arrays, right-hand sides, objective and names, on
+        # every test shape and a cell that feeds itself (whose flow enters
+        # its dynamics row twice), both kinds, every cost kind, two eps
         from program_reference import reference_program
 
         rng = np.random.default_rng(33)
-        for shape in ("chain", "diverge", "merge", "diamond", "cross"):
-            sc = random_scenario(rng, shape=shape, horizon=4)
+        for shape in ("chain", "diverge", "merge", "diamond", "cross", "loop"):
+            sc = self_loop_scenario() if shape == "loop" else random_scenario(
+                rng, shape=shape, horizon=4)
             weights = tuple(rng.uniform(0.5, 2.0, size=sc.network.n))
             costs = (CostSpec("TTT"), CostSpec("QuadraticVolume"), CostSpec("TTD"),
                      CostSpec("Delay"),
@@ -172,10 +184,13 @@ class TestKernels:
             self.assert_same(getattr(got, attr), getattr(ref, attr))
 
         # the KKT fill and the refinement matvec, against the CSR fill
-        # matrix and the CSC KKT matrix that scipy.sparse made of them
-        kkt = solver._KKT(prog.eq, prog.ub)
-        theta, diagonal = rng.uniform(0.1, 10.0, prog.ub.shape[0]), rng.uniform(0.1, 10.0, n)
-        params = np.concatenate([theta, diagonal, [1.0]])
+        # matrix and the CSC KKT matrix that scipy.sparse made of them, with
+        # some inequality rows kept explicit
+        m_ub = prog.ub.shape[0]
+        explicit = rng.random(m_ub) < 0.3
+        kkt = solver._KKT(prog.eq, prog.ub, explicit)
+        theta, diagonal = rng.uniform(0.1, 10.0, m_ub), rng.uniform(0.1, 10.0, n)
+        params = np.concatenate([theta[~explicit], diagonal, [1.0], 1.0 / theta[explicit]])
         fill = sp.csr_matrix((kkt.fill.data, (kkt.fill.rows, kkt.fill.cols)),
                              shape=kkt.fill.shape)
         data = kkt.fill.matvec(params)
@@ -186,10 +201,57 @@ class TestKernels:
         kkt.factor(diagonal, theta)
         self.assert_same(kkt.matrix.matvec(x), K @ x)
         # and the filled matrix is the KKT matrix of the docstring
-        want = sp.bmat([[sp.diags(diagonal + solver.KKT_REG)
-                         + prog.A_ub.T @ sp.diags(theta) @ prog.A_ub, -prog.A_eq.T],
-                        [-prog.A_eq, -solver.KKT_REG * sp.identity(prog.eq.shape[0])]])
+        reg = solver.KKT_REG
+        A_e, A_x = prog.A_ub[~explicit], prog.A_ub[explicit]
+        want = sp.bmat([[sp.diags(diagonal + reg) + A_e.T @ sp.diags(theta[~explicit]) @ A_e,
+                         -prog.A_eq.T, A_x.T],
+                        [-prog.A_eq, -reg * sp.identity(prog.eq.shape[0]), None],
+                        [A_x, None, -sp.diags(1.0 / theta[explicit] + reg)]])
         np.testing.assert_allclose(K.toarray(), want.toarray(), rtol=1e-14, atol=1e-14)
+        # solve answers the unregularized three-block system in full
+        three = sp.bmat([[sp.diags(diagonal), -prog.A_eq.T, prog.A_ub.T],
+                         [-prog.A_eq, None, None], [prog.A_ub, None, -sp.diags(1.0 / theta)]])
+        rhs = three @ rng.normal(size=three.shape[0])
+        got = kkt.solve(rhs, solver.REFINE_STEPS)
+        assert np.abs(three @ got - rhs).max() <= 1e-8 * (1.0 + np.abs(rhs).max())
+
+
+class TestFullSpaceEquivalence:
+    """The program against the full-space relaxation it shrank, which also
+    declares y, z and mu on every cell as variables with their defining
+    rows (``program_reference.full_space_program``): the same optimum on
+    every test shape, both kinds, three costs and two eps."""
+
+    COSTS = {"ttt": CostSpec("TTT"), "quad": CostSpec("QuadraticVolume"),
+             "ttt+quad": CostSpec("WeightedSum", components=((1.0, CostSpec("TTT")),
+                                                             (0.5, CostSpec("QuadraticVolume"))))}
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("cost", sorted(COSTS))
+    @pytest.mark.parametrize("kind", ["DTA", "FNC"])
+    @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_optimum(self, shape, kind, cost, eps, seed):
+        from program_reference import full_space_program, lift
+
+        sc = random_scenario(np.random.default_rng(seed), shape=shape)
+        prog = (build_dta if kind == "DTA" else build_fnc)(sc, self.COSTS[cost], eps)
+        full = full_space_program(sc, self.COSTS[cost], eps, kind)
+        got, ref = solve(prog), solve(full)
+        assert got.status == ref.status == "optimal"
+        assert abs(got.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+        if prog.is_quadratic:
+            np.testing.assert_allclose(prog.states(got.values), full.states(ref.values),
+                                       rtol=0, atol=1e-8)
+            return
+        # LP optima are faces: the drained point, with y = lambda + sum f_in
+        # and z = sum f_out + mu, is a drained optimum of the full space
+        point = lift(prog, got.values)
+        assert verify_solution(full, point) <= solver.LP_RESIDUAL_TOL
+        assert full.objective_value(point) == pytest.approx(ref.objective, rel=1e-9)
+        assert full.early_outflow(point) == pytest.approx(full.early_outflow(ref.values),
+                                                          rel=1e-9)
 
 
 class TestFeasibilityStructure:

@@ -23,6 +23,7 @@ from ctmflow.solver import (FW_TOL, LP_RESIDUAL_TOL, SolverError, freeflow_optim
                             verify_solution)
 
 from conftest import freeflow_scenario, random_scenario
+from program_reference import full_space_program
 from solver_reference import brute_force_oracle, frank_wolfe_gap, highs_qp
 
 # valid QPs that are hard to certify:
@@ -132,6 +133,16 @@ class TestLP:
         sol = solve(build_fnc(table_scenario, CostSpec("TTT")))
         assert sol.status == "iteration-limit"
 
+    @pytest.mark.parametrize("kind", ["dta", "fnc"])
+    @pytest.mark.parametrize("path", HARD_QPS, ids=[p.stem for p in HARD_QPS])
+    def test_saved_programs_total_volume(self, tmp_path, path, kind):
+        # at HiGHS's default 1e-7 feasibility tolerance the stage-1 optimum
+        # broke an inequality row by 3e-8 to 8e-8, outside LP_RESIDUAL_TOL,
+        # and solve exited 3 on cross_qp_uncertified (fnc) and
+        # cross_qp_stalled_residual (dta, fnc)
+        assert main(["solve", "--scenario", str(path), "--kind", kind, "--cost", "ttt",
+                     "--out", str(tmp_path)]) == 0
+
 
 class TestOracle:
     def test_lp_oracle_matches_simplex(self):
@@ -237,8 +248,13 @@ class TestCertifiedQP:
         new = solve(prog)
         assert new.status == "optimal"
         assert frank_wolfe_gap(prog, new.values) <= FW_TOL * (1.0 + abs(new.objective))
+        # HiGHS solves the full-space program (y, z and mu as variables),
+        # where its states have stayed within 1e-6 of the optimum; on the
+        # program's own smaller layout it stops 1.5e-6 away (diamond DTA
+        # quad, seed 22710816, at a Frank-Wolfe gap of 4.7e-6)
+        full = full_space_program(sc, QP_COSTS[cost], 0.0, kind)
         try:
-            ref = highs_qp(prog)
+            ref = highs_qp(full)
         except SolverError as exc:
             # HiGHS's active-set QP ends in "Solve error" on some of these
             # programs (as on three of HARD_QPS); the certificate above is
@@ -246,7 +262,7 @@ class TestCertifiedQP:
             assert "Solve error" in str(exc)
             return
         assert abs(new.objective - ref.objective) <= 1e-9 * abs(ref.objective)
-        np.testing.assert_allclose(prog.states(new.values), prog.states(ref.values),
+        np.testing.assert_allclose(prog.states(new.values), full.states(ref.values),
                                    rtol=0, atol=1e-6)
 
     def test_highs_solve_error_program_certified(self, tmp_path):
@@ -262,18 +278,21 @@ class TestCertifiedQP:
                          "--cost", "quad", "--out", str(tmp_path / path.stem)]) == 0
 
     def test_second_candidate_from_the_same_run(self, monkeypatch):
-        # the first polished point of this program does not certify; the
-        # second candidate is the same run's iterate RETRY_STEPS further,
-        # not a run from scratch (which took 83 factorizations and
-        # reported 78 iterations)
-        calls = []
-        factor = solver._KKT.factor
+        # the first polished point of this program (iterate 25) does not
+        # certify; the second candidate is the same run's iterate
+        # RETRY_STEPS further, not a run from scratch (which took 83
+        # factorizations and reported 78 iterations)
+        calls, checks = [], []
+        factor, verify = solver._KKT.factor, solver.verify_solution
         monkeypatch.setattr(solver._KKT, "factor",
                             lambda self, *args: calls.append(1) or factor(self, *args))
+        monkeypatch.setattr(solver, "verify_solution",      # one call per candidate
+                            lambda *args: checks.append(verify(*args)) or checks[-1])
         prog = build_fnc(load_scenario(HARD_QPS[3]), CostSpec("QuadraticVolume"))
         sol = solve(prog)
         assert sol.status == "optimal"
-        assert sol.iterations == 40
+        assert len(checks) == 2 and checks[0] > LP_RESIDUAL_TOL >= checks[1]
+        assert sol.iterations == 25 + solver.RETRY_STEPS
         # the starting point, one per iteration, one per polish round of each candidate
         assert len(calls) <= sol.iterations + 1 + 2 * solver.POLISH_ROUNDS
 

@@ -34,9 +34,8 @@ class TestExtraction:
         prog, sol = dta_ttt
         vals = sol.values.copy()
         cell = "5"
-        prog_idx = var_index(prog)
-        vals[prog_idx[("x", 3, cell)]] = 4.0
-        vals[prog_idx[("z", 3, cell)]] = 3.0
+        vals[var_index(prog)[("x", 3, cell)]] = 4.0
+        _set_outflow(prog, vals, 3, cell, 3.0)
         controls = extract_controls(prog, _patched(sol, vals))
         k = table_scenario.network.index[cell]
         assert controls.alphas[3, k] == pytest.approx(0.75)
@@ -71,11 +70,20 @@ class TestExtraction:
     def test_infeasible_input_guard(self, table_scenario, dta_ttt):
         prog, sol = dta_ttt
         vals = sol.values.copy()
-        idx = var_index(prog)
-        vals[idx[("z", 2, "5")]] = 5.0
-        vals[idx[("x", 2, "5")]] = 0.0
+        _set_outflow(prog, vals, 2, "5", 5.0)
+        vals[var_index(prog)[("x", 2, "5")]] = 0.0
         with pytest.raises(InvariantError, match="demand"):
             extract_controls(prog, _patched(sol, vals))
+
+
+def _set_outflow(prog, vals, t, cell, z):
+    """Give a cell the outflow z at step t, all on its first outgoing column."""
+    idx, net = var_index(prog), prog.scenario.network
+    cols = [idx[("f", t, i, j)] for i, j in net.adjacency if i == cell]
+    cols += [idx[("mu", t, cell)]] if cell in net.sinks else []
+    vals[cols] = 0.0
+    vals[cols[0]] = z
+    assert prog.states(vals, "z")[t, net.index[cell]] == z
 
 
 def _patched(sol, vals):
