@@ -35,8 +35,9 @@ d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
       gamma_j = min(1, s_j / sum_h R_hj d_bar_h),   f_ij = gamma_j R_ij d_bar_i
 
 A receiving cell throttles only a total demand above ZERO_DEMAND_TOL times
-its peak capacity. Smaller demands (solver noise, rounded controls) count
-as free flow, also into a cell whose supply is zero.
+its largest supply, min(max_t C(t), w tau / L x_jam). Smaller demands
+(solver noise, rounded controls) count as free flow, also into a cell whose
+supply is zero.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class Drive:
         return Drive(gain=np.where(net.source, net.demand_slope, alpha * net.demand_slope),
                      cap_demand=np.where(net.source, alpha * capacity, capacity),
                      capacity=capacity, ratio=ratio,
-                     negligible=ZERO_DEMAND_TOL * net.peak_capacity)
+                     negligible=ZERO_DEMAND_TOL * net.peak_supply)
 
     @cached_property
     def settled(self) -> int:

@@ -26,10 +26,10 @@ A ``Scenario`` adds the inputs of one run to a network: x0 (n,), the
 inflows (T, n) and, for FNC, the turning ratios (T_r, E). Each is stored
 once, as a read-only float array, and the horizon T is the number of
 inflow rows; ``dataclasses.replace`` derives a changed scenario. Both are
-valid by construction: a ``Network`` refuses unknown or duplicate ids and
-edges, and a ``Scenario`` refuses any broken structural invariant (its
-topology, shapes, signs, CFL and routing row sums) with a ValueError that
-lists each violation as ``[code] message``.
+valid by construction: a ``Network`` refuses malformed, unknown or
+duplicate ids and edges, and a ``Scenario`` refuses any broken
+structural invariant (its topology, shapes, signs, CFL and routing row
+sums) with a ValueError that lists each violation as ``[code] message``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -89,11 +90,12 @@ class Network:
     arrays: entry k of their c-th array is cell k's c-th incoming / outgoing
     edge in adjacency order, or E where it has fewer. ``demand_slope`` and
     ``supply_slope`` are the per-step slopes v tau / L and w tau / L, the
-    only place they are derived. ``jam_limit`` is the largest volume a step
-    may leave: jam plus max(1e-9, 1e-9 jam), inf on sources. ``merges``
-    holds (target, first upstream, second upstream) for every two-in merge
-    whose upstream cells feed only it, the junctions of the priority-merge
-    model.
+    only place they are derived. ``peak_supply`` is a cell's largest
+    supply, min(max C, supply_slope jam). ``jam_limit`` is the largest
+    volume a step may leave: jam plus max(1e-9, 1e-9 jam), inf on sources.
+    ``merges`` holds (target, first upstream, second upstream) for every
+    two-in merge whose upstream cells feed only it, the junctions of the
+    priority-merge model.
     """
 
     cells: tuple[Cell, ...]
@@ -114,7 +116,7 @@ class Network:
     supply_slope: np.ndarray = _derived()
     jam: np.ndarray = _derived()
     jam_limit: np.ndarray = _derived()
-    peak_capacity: np.ndarray = _derived()
+    peak_supply: np.ndarray = _derived()
     source: np.ndarray = _derived()
     sink: np.ndarray = _derived()
     merges: np.ndarray = _derived()
@@ -126,6 +128,9 @@ class Network:
         index = {c.id: k for k, c in enumerate(self.cells)}
         if len(index) != len(self.cells):
             raise ValueError("duplicate cell ids")
+        for cid in index:     # ids name LP columns, CSV fields and routing keys "i->j"
+            if not re.fullmatch(r"[A-Za-z0-9_.]+", cid):
+                raise ValueError(f"cell id {cid!r} must be ASCII letters, digits, '_' or '.'")
         for role, ids in (("source", self.sources), ("sink", self.sinks)):
             unknown = sorted(ids.difference(index))
             if unknown:
@@ -143,6 +148,7 @@ class Network:
         in_edges = _padded(dst[:E], in_degree)
         v, w, length, jam = (np.array([getattr(c, a) for c in self.cells], dtype=float) for a in
                              ("free_flow_speed", "wave_speed", "length", "jam_volume"))
+        supply_slope = w * self.tau / length
         source = np.array([c.id in self.sources for c in self.cells], dtype=bool)
         merges = np.zeros((0, 3), dtype=np.intp)
         if len(in_edges) > 1:     # some cell has two inputs or more
@@ -153,9 +159,10 @@ class Network:
                 index=index, edge_index=edge_index, src=src, dst=dst,
                 in_degree=in_degree, out_degree=out_degree, in_edges=in_edges,
                 out_edges=_padded(src[:E], out_degree),
-                demand_slope=v * self.tau / length, supply_slope=w * self.tau / length,
+                demand_slope=v * self.tau / length, supply_slope=supply_slope,
                 jam=jam, jam_limit=np.where(source, np.inf, jam + np.maximum(1e-9, 1e-9 * jam)),
-                peak_capacity=np.array([max(c.capacity_schedule) for c in self.cells]),
+                peak_supply=np.minimum([max(c.capacity_schedule) for c in self.cells],
+                                       supply_slope * jam),
                 source=source, sink=np.array([c.id in self.sinks for c in self.cells], dtype=bool),
                 merges=merges).items():
             for a in value if isinstance(value, tuple) else [value]:

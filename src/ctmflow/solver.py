@@ -12,17 +12,18 @@ pins the cost at the optimum, the objective becomes maximal early outflow,
 and the primal simplex restarts from the optimal basis.
 
 QPs run Mehrotra's predictor-corrector on a regularized quasi-definite KKT
-system (``_KKT``), one SuperLU factorization per iteration on a pattern
-built once, until the relative gap and primal residual reach IPM_TOL. The
+system (``_KKT``) in which every inequality row is its own row, one SuperLU
+factorization per iteration of a pattern built once with only its diagonal
+refreshed, until the relative gap and primal residual reach IPM_TOL. The
 polish then fixes the bounds and rows that the last step marks active and
-solves the equality-constrained KKT system there, so zero flows come back
-as exact zeros. The point is returned only with a certificate: it is primal
-feasible to LP_RESIDUAL_TOL, and its Frank-Wolfe gap g'v - min{g'u : u
-feasible}, g = c + 2qv, an upper bound on f(v) - f*, is at most
-FW_TOL (1 + |f|). The gap comes from one HiGHS LP and is returned as the
-dual residual. A point without a certificate gives way to the same run's
-iterate RETRY_STEPS iterations further. A QP with neither certified is
-reported by its feasible-set LP: infeasible where that LP is,
+solves the same system there, the active rows read as equalities, so zero
+flows come back as exact zeros. The point is returned only with a
+certificate: it is primal feasible to LP_RESIDUAL_TOL, and its Frank-Wolfe
+gap g'v - min{g'u : u feasible}, g = c + 2qv, an upper bound on f(v) - f*,
+is at most FW_TOL (1 + |f|). The gap comes from one HiGHS LP and is
+returned as the dual residual. A point without a certificate gives way to
+the same run's iterate RETRY_STEPS iterations further. A QP with neither
+certified is reported by its feasible-set LP: infeasible where that LP is,
 iteration-limit otherwise.
 
 An infeasible program carries HiGHS's dual ray as its Farkas certificate.
@@ -286,61 +287,40 @@ def freeflow_optimum(program: ConvexProgram) -> Solution | None:
 
 class _KKT:
     """The regularized quasi-definite KKT system of the interior point,
-    [[H + D + A_e' diag(theta_e) A_e, -A_eq', A_x'], [-A_eq, -d I, 0], [A_x,
-    0, -diag(1/theta_x) - d I]], H + D a diagonal, d = KKT_REG, plus d on it.
-    solve takes and answers [[H + D, -A_eq', A_ub'], [-A_eq, 0, 0], [A_ub, 0,
-    -diag(1/theta)]] in full. Rows e are eliminated; rows x (``explicit``)
-    stay: there theta a a' ~ 1e12 on two uncurved columns (f_ij + f_ik <= C)
-    cancels to exactly singular pivots. The CSC pattern is built once; a
-    factorization refills the values as one matvec of the sorted (entry,
-    parameter) pairs with (theta_e, diagonal, 1, 1/theta_x)."""
+    [[H + D + d I, -A_eq', A_ub'], [-A_eq, -d I, 0], [A_ub, 0, -diag(1/theta)
+    - d I]], H + D a diagonal, d = KKT_REG. It is quasi-definite for any
+    set of rows (Vanderbei 1995), so every inequality row keeps its own
+    row, and theta = inf reads a row as an equality. The CSC pattern is
+    built once; a factorization copies the constant entries and writes the
+    N diagonal ones."""
 
-    def __init__(self, eq: Sparse, ub: Sparse, explicit: np.ndarray | None = None):
-        (m, n), m_ub = eq.shape, ub.shape[0]
-        self.explicit = np.zeros(m_ub, bool) if explicit is None else explicit
-        every = np.ones(n, bool)
-        elim = ub.take(~self.explicit, every)
-        side = Sparse(eq.rows, eq.cols, -eq.data, eq.shape).vstack(ub.take(self.explicit, every))
-        m_e, N = elim.shape[0], n + side.shape[0]
-        # A_e' diag(theta_e) A_e: one term per ordered pair of entries of a row
-        counts = np.bincount(elim.rows, minlength=m_e)
-        pairs = counts[elim.rows]
-        k1 = np.repeat(np.arange(len(pairs)), pairs)
-        k2 = (np.cumsum(counts) - counts)[elim.rows[k1]] + np.arange(len(k1)) \
-            - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        diag, dual = np.arange(n), n + np.arange(N - n)
-        rows = np.concatenate([elim.cols[k1], diag, diag, side.cols, n + side.rows, dual, dual[m:]])
-        cols = np.concatenate([elim.cols[k2], diag, diag, n + side.rows, side.cols, dual, dual[m:]])
-        coef = np.concatenate([elim.data[k1] * elim.data[k2], np.ones(n), np.full(n, KKT_REG),
-                               side.data, side.data, np.full(N - n, -KKT_REG),
-                               -np.ones(N - n - m)])
-        one = m_e + n        # the parameter that holds 1
-        param = np.concatenate([elim.rows[k1], m_e + diag,
-                                np.full(n + 2 * len(side.data) + N - n, one),
-                                one + 1 + np.arange(N - n - m)])
-        keys, pos = np.unique(cols.astype(np.int64) * N + rows, return_inverse=True)
-        self.indices = (keys % N).astype(np.intc)
-        self.indptr = np.searchsorted(keys // N, np.arange(N + 1)).astype(np.intc)
-        order = np.lexsort((param, pos))
-        self.fill = Sparse(pos[order], param[order], coef[order], (len(keys), one + 1 + N - n - m))
-        self.entry_cols = np.repeat(np.arange(N), np.diff(self.indptr))
+    def __init__(self, eq: Sparse, ub: Sparse):
+        (m, n), N = eq.shape, eq.shape[1] + eq.shape[0] + ub.shape[0]
+        side = Sparse(eq.rows, eq.cols, -eq.data, eq.shape).vstack(ub)
+        rows = np.concatenate([side.cols, n + side.rows, np.arange(N)])
+        cols = np.concatenate([n + side.rows, side.cols, np.arange(N)])
+        order = np.lexsort((rows, cols))
+        self.indices, self.entry_cols = rows[order].astype(np.intc), cols[order]
+        self.indptr = np.searchsorted(self.entry_cols, np.arange(N + 1)).astype(np.intc)
+        self.data = np.concatenate([side.data, side.data, np.zeros(N)])[order]
+        self.diag = np.flatnonzero(self.indices == self.entry_cols)     # in column order
         self.reg = np.concatenate([np.full(n, KKT_REG), np.full(N - n, -KKT_REG)])
-        self.ub, self.n, self.m = ub, n, m
-        self.lu = self.matrix = self.theta = self.order = None
+        self.n, self.m = n, m
+        self.lu = self.matrix = self.order = None
 
     def factor(self, diagonal, theta):
         """Factorize at the given diagonal and theta. The first
         factorization lets COLAMD order the columns; later ones reuse that
         order on the column-permuted matrix."""
-        data = self.fill.matvec(np.concatenate([theta[~self.explicit], diagonal, [1.0],
-                                                1.0 / theta[self.explicit]]))
+        data = self.data.copy()
+        data[self.diag] = np.concatenate([diagonal, np.zeros(self.m), -1.0 / theta]) + self.reg
         N = len(self.indptr) - 1
         self.matrix = Sparse(self.indices, self.entry_cols, data, (N, N))   # CSC order
-        self.theta = np.where(self.explicit, 0.0, theta)    # of the eliminated rows
         self.lu = None      # one factorization alive at a time
         if self.order is None:
             self.lu = _gstrf(data, self.indices, self.indptr, "COLAMD")
-            self.order = np.argsort(self.lu.perm_c)
+            self.perm_c = self.lu.perm_c
+            self.order = np.argsort(self.perm_c)
             counts = np.diff(self.indptr)[self.order]
             ends = np.cumsum(counts)
             self.gather = np.arange(ends[-1]) + np.repeat(self.indptr[self.order] - ends + counts,
@@ -354,27 +334,18 @@ class _KKT:
 
     def _lu_solve(self, b):
         u = self.lu.solve(b)
-        if not self.permuted:
-            return u
-        x = np.empty_like(u)
-        x[self.order] = u
-        return x
+        return u[self.perm_c] if self.permuted else u     # back in column order
 
     def solve(self, rhs, steps, start=None):
         """(dv, dy, dw) for the right-hand side (r_v, r_eq, r_ub) of the
-        three-block system: one regularized solve from start (default 0),
-        then steps of refinement against the unregularized matrix. Where
-        that matrix is singular, the result stays near start."""
-        n, N, k = self.n, len(self.indptr) - 1, self.n + self.m
-        r_ub = rhs[k:]
-        b = np.concatenate([rhs[:k], r_ub[self.explicit]])
-        b[:n] += self.ub.rmatvec(self.theta * r_ub)
-        x = np.zeros(N) if start is None else start.copy()
+        unregularized system [[H + D, -A_eq', A_ub'], [-A_eq, 0, 0], [A_ub,
+        0, -diag(1/theta)]]: one regularized solve from start (default 0),
+        then steps of refinement against that system. Where it is singular,
+        the result stays near start."""
+        x = np.zeros(len(rhs)) if start is None else start.copy()
         for _ in range(steps + 1):
-            x += self._lu_solve(b - self.matrix.matvec(x) + self.reg * x)
-        dw = self.theta * (self.ub.matvec(x[:n]) - r_ub)
-        dw[self.explicit] = x[k:]
-        return np.concatenate([x[:k], dw])
+            x += self._lu_solve(rhs - self.matrix.matvec(x) + self.reg * x)
+        return x
 
 
 def _gstrf(data, indices, indptr, order):
@@ -404,7 +375,7 @@ def _interior_point(program: ConvexProgram):
     c, h = program.c, 2.0 * program.q
     eq, ub, b_eq, b_ub = program.eq, program.ub, program.b_eq, program.b_ub
     n, m_eq, m_ub = len(c), len(b_eq), len(b_ub)
-    kkt = _KKT(eq, ub, np.bincount(ub.rows, weights=h[ub.cols] == 0.0, minlength=m_ub) > 1)
+    kkt = _KKT(eq, ub)
     count = n + m_ub
     b_scale = 1.0 + max(np.abs(b_eq).max(initial=0.0), np.abs(b_ub).max(initial=0.0))
 
@@ -487,18 +458,16 @@ def _polish(program: ConvexProgram, point, prev):
     active = s / s0 < w / w0
     for _ in range(POLISH_ROUNDS):
         free = ~fixed
-        k = int(free.sum())
-        A = program.eq.vstack(program.ub).take(np.concatenate([np.ones(len(program.b_eq), bool),
-                                                               active]), free)
-        kkt = _KKT(A, Sparse(A.rows[:0], A.cols[:0], A.data[:0], (0, k)))   # no inequality rows
+        kkt = _KKT(program.eq.take(np.ones(len(program.b_eq), bool), free),
+                   program.ub.take(active, free))
         try:
-            kkt.factor(h[free], np.zeros(0))
+            kkt.factor(h[free], np.full(int(active.sum()), np.inf))    # active rows: equalities
         except RuntimeError:
             return None
-        b = np.concatenate([program.b_eq, program.b_ub[active]])
         polished = np.zeros(program.n_vars)
-        polished[free] = kkt.solve(np.concatenate([-program.c[free], -b]), REFINE_STEPS,
-                                   np.concatenate([v[free], y, -w[active]]))[:k]
+        polished[free] = kkt.solve(
+            np.concatenate([-program.c[free], -program.b_eq, program.b_ub[active]]), REFINE_STEPS,
+            np.concatenate([v[free], y, w[active]]))[:kkt.n]
         negative = free & (polished < 0.0)
         violated = ~active & (program.ub.matvec(polished) > program.b_ub)
         if not (negative.any() or violated.any()):

@@ -7,7 +7,8 @@ which derive their slopes v tau / L and w tau / L from the cell and the
 step length themselves, not from the network's arrays; neighbour lists
 (``downstream``, ``upstream``) come from the adjacency pairs, not from the
 degree and edge arrays. A receiving cell throttles only a total demand
-above ``ZERO_DEMAND_TOL`` times its peak capacity, as in the array kernel.
+above ``ZERO_DEMAND_TOL`` times its largest supply, min(max C, w tau / L
+x_jam), as in the array kernel.
 
 ``mass_balance_error`` is the conservation check of a simulated run.
 """
@@ -92,7 +93,9 @@ def dense_routing(net: Network, ratios) -> np.ndarray:
 
 
 def _negligible(network: Network, cell_id: str) -> float:
-    return ZERO_DEMAND_TOL * max(network.cells[network.index[cell_id]].capacity_schedule)
+    cell = network.cells[network.index[cell_id]]
+    largest_supply = cell.wave_speed * network.tau / cell.length * cell.jam_volume
+    return ZERO_DEMAND_TOL * min(max(cell.capacity_schedule), largest_supply)
 
 
 def _demands_supplies(net: Network, x: np.ndarray, alpha: np.ndarray, t: int):

@@ -336,6 +336,41 @@ class TestExitCodes:
         cost = json.loads((tmp_path / "out" / "summary.json").read_text())["cost"]
         assert math.isfinite(cost) and cost > 1e200
 
+    @pytest.mark.parametrize("model", ctm.MODELS)
+    def test_huge_capacity_entry_keeps_zero_demand_threshold(self, tmp_path, model):
+        # the negligible demand scaled with the largest capacity entry: 1e11
+        # on cell 4 at step 0 made it 10 veh/step, the closed cell took that
+        # flow, and simulate exited 4 ("cell 4: volume 10.22... exceeds jam")
+        doc = scenario_to_dict(table_scenario())
+        doc["cells"][3]["capacity"][0] = 1e11
+        path = tmp_path / "huge_capacity.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--model", model,
+                     "--out", str(tmp_path / "out")]) == 0
+        got = simulate(load_scenario(path), model=model).states
+        assert got.tobytes() == simulate(table_scenario(), model=model).states.tobytes()
+
+    @pytest.mark.parametrize("cid, rc", [("on_ramp", 0), ("ramp.4", 0), ("on-ramp", 2),
+                                         ("a b", 2), ("a,b", 2), ("a->b", 2), ("", 2),
+                                         ("4\n", 2)])
+    def test_cell_id_characters(self, tmp_path, capsys, cid, rc):
+        # "on-ramp" made an LP column name that HiGHS read back as more
+        # columns, "a,b" shifted every CSV row, "a->b" made routing keys
+        # ambiguous
+        doc = scenario_to_dict(table_scenario())
+        name = {"4": cid}.get
+        for cell in doc["cells"]:
+            cell["id"] = name(cell["id"], cell["id"])
+        doc["adjacency"] = [[name(i, i), name(j, j)] for i, j in doc["adjacency"]]
+        doc["routing"] = {"->".join(name(i, i) for i in key.split("->")): series
+                          for key, series in doc["routing"].items()}
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == rc
+        if rc:
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config" and f"cell id {cid!r}" in err["message"]
+
     def test_invalid_scenario_names_each_code(self, tmp_path, capsys):
         doc = scenario_to_dict(table_scenario())
         doc["x0"][3] = -1.0

@@ -171,49 +171,42 @@ class TestKernels:
         for got, want in zip(prog.eq.vstack(prog.ub).csc(), (ref.indptr, ref.indices, ref.data)):
             self.assert_same(got, want)
 
-        # the polish selection: every equality row, the active inequality
-        # rows and the free columns
+        # the polish selection: every equality row and the active inequality
+        # rows, on the free columns
         active = rng.random(prog.ub.shape[0]) < 0.5
         free = rng.random(n) < 0.7
-        A = prog.eq.vstack(prog.ub).take(np.concatenate([np.ones(prog.eq.shape[0], bool), active]),
-                                         free)
-        ref = sp.vstack([prog.A_eq, prog.A_ub[active]]).tocsc()[:, free].tocsr()
-        got = A.csr()
-        assert got.shape == ref.shape
-        for attr in ("indptr", "indices", "data"):
-            self.assert_same(getattr(got, attr), getattr(ref, attr))
+        for mat, rows, ref in ((prog.eq, np.ones(prog.eq.shape[0], bool), prog.A_eq),
+                               (prog.ub, active, prog.A_ub[active])):
+            got, want = mat.take(rows, free).csr(), ref.tocsc()[:, free].tocsr()
+            assert got.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                self.assert_same(getattr(got, attr), getattr(want, attr))
 
-        # the KKT fill and the refinement matvec, against the CSR fill
-        # matrix and the CSC KKT matrix that scipy.sparse made of them, with
-        # some inequality rows kept explicit
-        m_ub = prog.ub.shape[0]
-        explicit = rng.random(m_ub) < 0.3
-        kkt = solver._KKT(prog.eq, prog.ub, explicit)
-        theta, diagonal = rng.uniform(0.1, 10.0, m_ub), rng.uniform(0.1, 10.0, n)
-        params = np.concatenate([theta[~explicit], diagonal, [1.0], 1.0 / theta[explicit]])
-        fill = sp.csr_matrix((kkt.fill.data, (kkt.fill.rows, kkt.fill.cols)),
-                             shape=kkt.fill.shape)
-        data = kkt.fill.matvec(params)
-        self.assert_same(data, fill @ params)
-        N = len(kkt.indptr) - 1
-        K = sp.csc_matrix((data, kkt.indices, kkt.indptr), shape=(N, N))
-        x = rng.normal(size=N)
-        kkt.factor(diagonal, theta)
-        self.assert_same(kkt.matrix.matvec(x), K @ x)
-        # and the filled matrix is the KKT matrix of the docstring
-        reg = solver.KKT_REG
-        A_e, A_x = prog.A_ub[~explicit], prog.A_ub[explicit]
-        want = sp.bmat([[sp.diags(diagonal + reg) + A_e.T @ sp.diags(theta[~explicit]) @ A_e,
-                         -prog.A_eq.T, A_x.T],
-                        [-prog.A_eq, -reg * sp.identity(prog.eq.shape[0]), None],
-                        [A_x, None, -sp.diags(1.0 / theta[explicit] + reg)]])
-        np.testing.assert_allclose(K.toarray(), want.toarray(), rtol=1e-14, atol=1e-14)
-        # solve answers the unregularized three-block system in full
-        three = sp.bmat([[sp.diags(diagonal), -prog.A_eq.T, prog.A_ub.T],
-                         [-prog.A_eq, None, None], [prog.A_ub, None, -sp.diags(1.0 / theta)]])
-        rhs = three @ rng.normal(size=three.shape[0])
-        got = kkt.solve(rhs, solver.REFINE_STEPS)
-        assert np.abs(three @ got - rhs).max() <= 1e-8 * (1.0 + np.abs(rhs).max())
+        # the KKT matrix against the CSC matrix that scipy.sparse makes of
+        # its arrays and against the docstring's blocks, at finite theta and
+        # with theta = inf (a row read as an equality: its block is -d) on
+        # some rows
+        m_eq, m_ub, reg = prog.eq.shape[0], prog.ub.shape[0], solver.KKT_REG
+        N = n + m_eq + m_ub
+        kkt = solver._KKT(prog.eq, prog.ub)
+        diagonal = rng.uniform(0.1, 10.0, n)
+        for theta in (rng.uniform(0.1, 10.0, m_ub),
+                      np.where(rng.random(m_ub) < 0.3, np.inf, rng.uniform(0.1, 10.0, m_ub))):
+            kkt.factor(diagonal, theta)
+            K = sp.csc_matrix((kkt.matrix.data, kkt.indices, kkt.indptr), shape=(N, N))
+            x = rng.normal(size=N)
+            self.assert_same(kkt.matrix.matvec(x), K @ x)
+            want = sp.bmat([[sp.diags(diagonal + reg), -prog.A_eq.T, prog.A_ub.T],
+                            [-prog.A_eq, -reg * sp.identity(m_eq), None],
+                            [prog.A_ub, None, -sp.diags(1.0 / theta + reg)]])
+            np.testing.assert_allclose(K.toarray(), want.toarray(), rtol=1e-14, atol=1e-14)
+            # solve answers the unregularized three-block system
+            three = sp.bmat([[sp.diags(diagonal), -prog.A_eq.T, prog.A_ub.T],
+                             [-prog.A_eq, None, None],
+                             [prog.A_ub, None, -sp.diags(1.0 / theta)]])
+            rhs = three @ rng.normal(size=N)
+            got = kkt.solve(rhs, solver.REFINE_STEPS)
+            assert np.abs(three @ got - rhs).max() <= 1e-8 * (1.0 + np.abs(rhs).max())
 
 
 class TestFullSpaceEquivalence:
