@@ -145,7 +145,10 @@ def cmd_solve(args) -> list:
     prog, sol = _solve_program(sc, args.kind, _cost(args.cost), args.epsilon)
     out = _outdir(args.out)
     lp_path = out / f"{args.kind}_{args.cost}.lp"
-    program.export_lp(prog, lp_path)
+    try:
+        program.export_lp(prog, lp_path)
+    except ValueError as e:     # repeated column names
+        raise ConfigError(str(e)) from e
     print(f"solve: {args.kind} {args.cost} eps={args.epsilon} -> {sol.objective:.6g} ({sol.status})")
     return [lp_path,
             _csv(out / "optimal_states.csv", "step,cell,x_veh",

@@ -31,6 +31,7 @@ the free-flow closed form) takes the program alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -251,8 +252,14 @@ def _lp_terms(cols: np.ndarray, coefs: np.ndarray, names: list) -> list:
 
 
 def export_lp(program: ConvexProgram, path) -> None:
-    """Write the program in LP text interchange format."""
+    """Write the program in LP text interchange format. A program whose
+    column names repeat (cell ids that hold "_" can join to the same name)
+    is refused with a ValueError before the file is opened."""
     names = ["_".join(str(p) for p in name) for name in program.names]
+    name, count = Counter(names).most_common(1)[0]
+    if count > 1:
+        raise ValueError(f"LP column name {name} stands for {count} columns: "
+                         "the cell ids joined in it are ambiguous")
     with open(path, "w") as fh:
         fh.write(f"\\ ctmflow {program.kind} eps={program.eps} cost={program.cost_kind} "
                  f"scenario={program.scenario.content_hash()}\n")

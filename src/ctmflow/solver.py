@@ -14,17 +14,19 @@ and the primal simplex restarts from the optimal basis.
 QPs run Mehrotra's predictor-corrector on a regularized quasi-definite KKT
 system (``_KKT``) in which every inequality row is its own row, one SuperLU
 factorization per iteration of a pattern built once with only its diagonal
-refreshed, until the relative gap and primal residual reach IPM_TOL. The
-polish then fixes the bounds and rows that the last step marks active and
-solves the same system there, the active rows read as equalities, so zero
-flows come back as exact zeros. The point is returned only with a
-certificate: it is primal feasible to LP_RESIDUAL_TOL, and its Frank-Wolfe
-gap g'v - min{g'u : u feasible}, g = c + 2qv, an upper bound on f(v) - f*,
-is at most FW_TOL (1 + |f|). The gap comes from one HiGHS LP and is
-returned as the dual residual. A point without a certificate gives way to
-the same run's iterate RETRY_STEPS iterations further. A QP with neither
-certified is reported by its feasible-set LP: infeasible where that LP is,
-iteration-limit otherwise.
+refreshed. The polish fixes the bounds and rows that Tapia's indicator marks
+active and solves the same system there, the active rows read as
+equalities, so zero flows come back as exact zeros. It runs at every
+iterate whose indicator matches the previous iterate's and at every one
+from the first at IPM_TOL (relative gap and primal residual). The first
+polished point that certifies is returned: it is primal feasible to
+LP_RESIDUAL_TOL, and f - g <= FW_TOL (1 + |f|) for the weak-duality bound
+g = b_eq'y - b_ub'w+ + sum_j min{r_j v_j + q_j v_j^2 : 0 <= v_j <= u_j} <= f*
+at its own KKT multipliers (y, w), w+ = max(w, 0), r = c - A_eq'y + A_ub'w+,
+over bounds u that the program's rows imply (g = -inf where r_j < 0 on a
+linear column with no finite u_j). f - g is returned as the dual residual.
+A QP with no certified iterate is reported by its feasible-set LP:
+infeasible where that LP is, iteration-limit otherwise.
 
 An infeasible program carries HiGHS's dual ray as its Farkas certificate.
 Every returned Solution holds the full variable vector and is re-verified
@@ -69,11 +71,9 @@ from .program import ConvexProgram, Sparse
 
 LP_RESIDUAL_TOL = 1e-8
 LP_FEASIBILITY_TOL = 1e-9  # HiGHS's; its default 1e-7 returns optima outside LP_RESIDUAL_TOL
-FW_TOL = 1e-9             # certified Frank-Wolfe gap, relative to 1 + |f|
-FW_LP_TOL = 1e-10         # its LP's feasibility tolerances; HiGHS's 1e-7 moves the gap ~1e-6
+FW_TOL = 1e-9             # certified Lagrangian gap f - g, relative to 1 + |f|
 IPM_TOL = 1e-10           # relative gap and primal residual; at 1e-8 the active set is misread
 IPM_MAX_ITER = 60
-RETRY_STEPS = 2           # iterations past IPM_TOL of the second candidate
 POLISH_ROUNDS = 4
 REFINE_STEPS = 4
 KKT_REG = 1e-9            # primal and dual regularization of the KKT matrix
@@ -81,8 +81,8 @@ KKT_REG = 1e-9            # primal and dual regularization of the KKT matrix
 
 @dataclass
 class Residuals:
-    primal: float
-    dual: float
+    primal: float     # infeasibility against the full constraint list
+    dual: float       # LP: HiGHS's dual infeasibility; QP: the Lagrangian gap f - g
 
 
 @dataclass(eq=False)
@@ -91,7 +91,7 @@ class Solution:
     objective: float
     status: str                   # optimal | infeasible | iteration-limit
     residuals: Residuals
-    iterations: int = 0           # simplex iterations, or a certified QP's iterate index
+    iterations: int = 0           # simplex iterations, or the certified QP iterate's index
     certificate: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -239,7 +239,7 @@ def solve(program: ConvexProgram) -> Solution:
     """Solve the program: an LP on one HiGHS model, a QP by the certified
     interior point."""
     core = _extension("scipy.optimize._highspy._core")
-    if program.is_quadratic and (solution := _certified_qp(core, program)):
+    if program.is_quadratic and (solution := _certified_qp(program)):
         return solution
     return _highs(core, program)
 
@@ -368,10 +368,11 @@ def _step(x, dx):
 def _interior_point(program: ConvexProgram):
     """Mehrotra's predictor-corrector on min c'v + 0.5 v'diag(h)v, h = 2q,
     with slacks A_ub v + s = b_ub and duals y (A_eq rows), w >= 0 (A_ub
-    rows), z >= 0 (bounds). Yields the point (v, s, y, z, w), the primal
-    and dual values (v, s, z, w) one step before it, and its index at the
-    first iterate whose relative primal residual and gap reach IPM_TOL
-    (within IPM_MAX_ITER) and again RETRY_STEPS iterations later."""
+    rows), z >= 0 (bounds). Yields (v, y, w), the masks of Tapia's
+    indicator over the last step (v/v0 < z/z0 on the bounds, s/s0 < w/w0
+    on the rows) and the index, at every iterate whose masks equal the
+    previous iterate's and at every iterate from the first whose relative
+    primal residual and gap reach IPM_TOL, within IPM_MAX_ITER."""
     c, h = program.c, 2.0 * program.q
     eq, ub, b_eq, b_ub = program.eq, program.ub, program.b_eq, program.b_ub
     n, m_eq, m_ub = len(c), len(b_eq), len(b_ub)
@@ -393,10 +394,9 @@ def _interior_point(program: ConvexProgram):
     dp += 0.5 * pd / max((dual + dd).sum(), 1e-300)
     dd += 0.5 * pd / max((primal + dp).sum(), 1e-300)
     v, s, z, w = v + dp, s + dp, z + dd, w + dd
-    prev = v, s, z, w
-    reached = math.inf
+    prev, masks, reached = (v, s, z, w), None, False
 
-    for it in range(IPM_MAX_ITER + RETRY_STEPS):
+    for it in range(IPM_MAX_ITER):
         r_d = h * v + c - eq.rmatvec(y) + ub.rmatvec(w) - z
         r_p = eq.matvec(v) - b_eq
         r_u = ub.matvec(v) + s - b_ub
@@ -406,14 +406,14 @@ def _interior_point(program: ConvexProgram):
         f = (c * v).sum() + 0.5 * (h * v * v).sum()
         if not (np.isfinite(gap) and np.isfinite(f)):
             return
-        if it < min(reached, IPM_MAX_ITER) and gap <= IPM_TOL * (1.0 + abs(f)) and max(
-                np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0)) <= IPM_TOL * b_scale:
-            reached = it
-        if it in (reached, reached + RETRY_STEPS):
-            kkt.lu = kkt.matrix = None      # freed while the candidate is polished
-            yield (v, s, y, z, w), prev, it
-            if it > reached:
-                return
+        reached = reached or gap <= IPM_TOL * (1.0 + abs(f)) and max(
+            np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0)) <= IPM_TOL * b_scale
+        v0, s0, z0, w0 = prev
+        last, masks = masks, (v / v0 < z / z0, s / s0 < w / w0)
+        # iterate 0's masks compare the starting point with itself
+        if reached or it > 1 and all((a == b).all() for a, b in zip(last, masks)):
+            kkt.lu = kkt.matrix = None      # freed while the iterate is polished
+            yield (v, y, w), *masks, it
         mu = gap / count
         try:
             kkt.factor(h + z / v, w / s)
@@ -440,22 +440,19 @@ def _interior_point(program: ConvexProgram):
         v, s, y, z, w = v + a * dv, s + a * ds, y + a * dy, z + a * dz, w + a * dw
 
 
-def _polish(program: ConvexProgram, point, prev):
-    """Solve the equality-constrained KKT system at the active set that the
-    interior point's last step marks, the fixed variables removed and set
-    to exact zeros. A bound or row counts as active where its primal value
-    fell faster than its dual over that step (Tapia's indicator): on a
-    slack of 1e-7 the dual has not yet fallen below it at a gap of 1e-10,
-    so comparing v with z and s with w misreads the row. The solve starts
-    from the interior point, so on a degenerate face (flows that the
-    objective does not price) it stays near that point. A variable
-    that comes out negative or an inactive row that comes out violated
-    joins the active set for the next round."""
-    v, s, y, z, w = point
-    v0, s0, z0, w0 = prev
+def _polish(program: ConvexProgram, point, fixed, active):
+    """Solve the equality-constrained KKT system at the active set that
+    the interior point's indicator marks, the fixed variables removed and
+    set to exact zeros. A bound or row counts as active where its primal
+    value fell faster than its dual over the last step (Tapia's indicator):
+    on a slack of 1e-7 the dual has not yet fallen below it at a gap of
+    1e-10, so comparing v with z and s with w misreads the row. The solve
+    starts from the interior point, so on a degenerate face (flows that the
+    objective does not price) it stays near that point. A variable that
+    comes out negative or an inactive row that comes out violated joins the
+    active set for the next round. Returns the last solve's (v, y, w)."""
+    v, y, w = point
     h = 2.0 * program.q
-    fixed = v / v0 < z / z0
-    active = s / s0 < w / w0
     for _ in range(POLISH_ROUNDS):
         free = ~fixed
         kkt = _KKT(program.eq.take(np.ones(len(program.b_eq), bool), free),
@@ -464,38 +461,63 @@ def _polish(program: ConvexProgram, point, prev):
             kkt.factor(h[free], np.full(int(active.sum()), np.inf))    # active rows: equalities
         except RuntimeError:
             return None
-        polished = np.zeros(program.n_vars)
-        polished[free] = kkt.solve(
+        x = kkt.solve(
             np.concatenate([-program.c[free], -program.b_eq, program.b_ub[active]]), REFINE_STEPS,
-            np.concatenate([v[free], y, w[active]]))[:kkt.n]
+            np.concatenate([v[free], y, w[active]]))
+        polished, duals = np.zeros(program.n_vars), np.zeros(len(program.b_ub))
+        polished[free], duals[active] = x[:kkt.n], x[kkt.n + kkt.m:]
         negative = free & (polished < 0.0)
         violated = ~active & (program.ub.matvec(polished) > program.b_ub)
         if not (negative.any() or violated.any()):
             break
-        fixed |= negative
-        active |= violated
-    return polished + 0.0
+        fixed, active = fixed | negative, active | violated
+    return polished + 0.0, x[kkt.n:kkt.n + kkt.m], duals
 
 
-def _certified_qp(core, program: ConvexProgram) -> Solution | None:
-    """The polished interior-point optimum, or None where neither candidate
-    of its one run certifies: the first iterate at IPM_TOL, then the one
-    RETRY_STEPS further (a tighter IPM_TOL would stop at that same iterate
-    where it is met, and is never met where the primal residual stalls).
-    The residuals are the primal infeasibility and the Frank-Wolfe gap."""
-    for point, prev, it in _interior_point(program):
-        v = _polish(program, point, prev)
-        if v is None or (primal := verify_solution(program, v)) > LP_RESIDUAL_TOL:
+def _implied_bounds(program: ConvexProgram) -> np.ndarray:
+    """Upper bounds u >= v on the feasible set by bound propagation, v >= 0:
+    a row sum_k a_k v_k <= b (each <= row, each equality row in both senses)
+    gives v_j <= (b - sum_{a_k<0} a_k u_k) / a_j where a_j > 0. Passes repeat
+    while a linear column is unbounded and the last pass bounded a new one."""
+    u = np.full(program.n_vars, np.inf)
+    senses = ((program.ub, program.b_ub, 1.0), (program.eq, program.b_eq, 1.0),
+              (program.eq, program.b_eq, -1.0))
+    linear, known = program.q == 0.0, -1
+    while np.isinf(u[linear]).any() and known < np.isfinite(u).sum():
+        known = np.isfinite(u).sum()
+        for a, b, sign in senses:
+            data = sign * a.data
+            neg, pos = data < 0.0, data > 0.0
+            low = np.bincount(a.rows[neg], weights=data[neg] * u[a.cols[neg]],
+                              minlength=a.shape[0])     # -inf on a row with an unbounded term
+            np.minimum.at(u, a.cols[pos], (sign * b - low)[a.rows[pos]] / data[pos])
+    return u
+
+
+def _lagrangian_bound(program: ConvexProgram, y, w, upper) -> float:
+    """g of the module docstring: the Lagrangian's minimum over the box
+    0 <= v <= upper at (y, max(w, 0)), in closed form per column."""
+    w = np.maximum(w, 0.0)
+    r = program.c - program.eq.rmatvec(y) + program.ub.rmatvec(w)
+    curved = program.q > 0.0
+    q, rc = program.q[curved], r[curved]
+    t = np.minimum(np.maximum(-rc / (2.0 * q), 0.0), upper[curved])
+    falling = ~curved & (r < 0.0)
+    return float((program.b_eq * y).sum() - (program.b_ub * w).sum() + (rc * t + q * t * t).sum()
+                 + (r[falling] * upper[falling]).sum())
+
+
+def _certified_qp(program: ConvexProgram) -> Solution | None:
+    """The first polished iterate of one interior-point run that certifies
+    (module docstring), or None; its residuals are the primal one and f - g."""
+    upper = _implied_bounds(program)
+    for point, fixed, active, it in _interior_point(program):
+        polished = _polish(program, point, fixed, active)
+        if polished is None or (primal := verify_solution(program, polished[0])) > LP_RESIDUAL_TOL:
             continue
-        g = program.c + 2.0 * program.q * v
-        highs = _model(core, program, cost=g)
-        highs.setOptionValue("primal_feasibility_tolerance", FW_LP_TOL)
-        highs.setOptionValue("dual_feasibility_tolerance", FW_LP_TOL)
-        highs.run()
-        if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
-            continue
+        v, y, w = polished
         objective = program.objective_value(v)
-        gap = float((g * v).sum()) - highs.getInfo().objective_function_value
+        gap = objective - _lagrangian_bound(program, y, w, upper)
         if gap <= FW_TOL * (1.0 + abs(objective)):
             return Solution(values=v, objective=objective, status="optimal",
                             residuals=Residuals(primal, gap), iterations=it)

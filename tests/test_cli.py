@@ -24,8 +24,8 @@ import ctmflow
 from ctmflow import ctm, robustness, solver, synthesis
 from ctmflow.cli import MAX_SWEEP_POINTS, ConfigError, _sweep_grid, main
 from ctmflow.ctm import InvariantError, simulate
-from ctmflow.network import (MAX_HORIZON, Scenario, constant_routing, load_scenario,
-                             save_scenario, scenario_to_dict)
+from ctmflow.network import (MAX_HORIZON, Cell, Network, Scenario, constant_routing,
+                             load_scenario, save_scenario, scenario_to_dict)
 from ctmflow.scenarios import figure_network, robustness_scenario, routing_for, table_scenario
 from ctmflow.synthesis import ControlSchedule
 
@@ -370,6 +370,25 @@ class TestExitCodes:
         if rc:
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "config" and f"cell id {cid!r}" in err["message"]
+
+    def test_repeated_lp_column_names_refused(self, tmp_path, capsys):
+        # edges (a, b_c) and (a_b, c) both join to f_<t>_a_b_c: an LP file
+        # that names them so would describe another program
+        ids = ("a", "b_c", "a_b", "c")
+        net = Network(cells=tuple(Cell(i, 0.8, 0.8, 1.0, 1, 8.0, [4.0]) for i in ids),
+                      adjacency=(("a", "b_c"), ("a_b", "c")), sources=frozenset({"a", "a_b"}),
+                      sinks=frozenset({"b_c", "c"}), tau=1.0)
+        lam = np.zeros((3, 4))
+        lam[:, [0, 2]] = 1.0
+        path = tmp_path / "underscores.json"
+        save_scenario(Scenario(network=net, x0=np.zeros(4), inflow=lam,
+                               routing=constant_routing(net, {("a", "b_c"): 1.0,
+                                                              ("a_b", "c"): 1.0})), path)
+        rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "f_0_a_b_c stands for 2 columns" in err["message"]
+        assert not list((tmp_path / "out").glob("*.lp"))
 
     def test_invalid_scenario_names_each_code(self, tmp_path, capsys):
         doc = scenario_to_dict(table_scenario())

@@ -32,12 +32,12 @@ from solver_reference import brute_force_oracle, frank_wolfe_gap, highs_qp
 #   ends in "Solve error", with presolve off as well
 # - the FNC programs of two random_scenario draws (default_rng(129), cross,
 #   T = 16; default_rng(143), diamond, T = 24) on which HiGHS ends in "Solve
-#   error" and one interior-point round, with its certificate LP at HiGHS's
-#   default 1e-7 tolerances, does not certify
-# - the FNC program of default_rng(1149) (cross, T = 25), whose first round
-#   misreads the active set and whose interior point never reaches
-#   0.1 IPM_TOL, so a run to that tolerance fails where the same run's
-#   iterate RETRY_STEPS further certifies it
+#   error" and one interior-point round, certified by a Frank-Wolfe LP at
+#   HiGHS's default 1e-7 tolerances, did not certify
+# - the FNC program of default_rng(1149) (cross, T = 25), whose polish
+#   misreads the active set at the first iterate at IPM_TOL and whose
+#   interior point never reaches 0.1 IPM_TOL, so only a later iterate of
+#   the same run certifies it
 HARD_QPS = [Path(__file__).with_name(name) for name in (
     "chain_qp_highs_solve_error.json", "cross_qp_uncertified.json",
     "diamond_qp_uncertified.json", "cross_qp_stalled_residual.json")]
@@ -277,28 +277,92 @@ class TestCertifiedQP:
             assert main(["solve", "--scenario", str(path), "--kind", "fnc",
                          "--cost", "quad", "--out", str(tmp_path / path.stem)]) == 0
 
-    def test_second_candidate_from_the_same_run(self, monkeypatch):
-        # the first polished point of this program (iterate 25) does not
-        # certify; the second candidate is the same run's iterate
-        # RETRY_STEPS further, not a run from scratch (which took 83
-        # factorizations and reported 78 iterations)
-        calls, checks = [], []
-        factor, verify = solver._KKT.factor, solver.verify_solution
+    def test_first_certified_iterate_of_the_run(self, monkeypatch):
+        # the polish runs at every iterate whose indicator has settled and
+        # at every iterate from IPM_TOL on; the solution is the first of
+        # them that certifies, from one run (the two-candidate rule
+        # certified this program at iterate 27)
+        calls, yielded, polishes = [], [], []
+        factor, run, polish = solver._KKT.factor, solver._interior_point, solver._polish
         monkeypatch.setattr(solver._KKT, "factor",
                             lambda self, *args: calls.append(1) or factor(self, *args))
-        monkeypatch.setattr(solver, "verify_solution",      # one call per candidate
-                            lambda *args: checks.append(verify(*args)) or checks[-1])
+        monkeypatch.setattr(solver, "_interior_point",
+                            lambda prog: (yielded.append(item) or item for item in run(prog)))
+        monkeypatch.setattr(solver, "_polish", lambda *args: polishes.append(1) or polish(*args))
         prog = build_fnc(load_scenario(HARD_QPS[3]), CostSpec("QuadraticVolume"))
         sol = solve(prog)
         assert sol.status == "optimal"
-        assert len(checks) == 2 and checks[0] > LP_RESIDUAL_TOL >= checks[1]
-        assert sol.iterations == 25 + solver.RETRY_STEPS
-        # the starting point, one per iteration, one per polish round of each candidate
-        assert len(calls) <= sol.iterations + 1 + 2 * solver.POLISH_ROUNDS
+        assert sol.iterations == yielded[-1][-1] <= 27
+        # the starting point, one per iteration, at most POLISH_ROUNDS per polish
+        assert len(calls) <= sol.iterations + 1 + solver.POLISH_ROUNDS * len(polishes)
+        upper = solver._implied_bounds(prog)
+
+        def certifies(point, fixed, active, it):
+            polished = polish(prog, point, fixed, active)
+            if polished is None:
+                return False
+            v, y, w = polished
+            f = prog.objective_value(v)
+            return bool(verify_solution(prog, v) <= LP_RESIDUAL_TOL and
+                        f - solver._lagrangian_bound(prog, y, w, upper) <= FW_TOL * (1.0 + abs(f)))
+
+        assert [certifies(*item) for item in yielded] == [False] * (len(yielded) - 1) + [True]
+
+    @pytest.mark.parametrize("cost", sorted(QP_COSTS))
+    @pytest.mark.parametrize("kind", ["DTA", "FNC"])
+    @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_lagrangian_bound(self, shape, kind, cost, seed):
+        # the certificate's parts against the references: the implied
+        # bounds hold the certified optimum and the uncontrolled run, and
+        # g stays below HiGHS's optimum at the certified multipliers and
+        # at perturbed ones
+        sc = random_scenario(np.random.default_rng(seed), shape=shape)
+        prog = (build_dta if kind == "DTA" else build_fnc)(sc, QP_COSTS[cost])
+        polished, polish = [], solver._polish
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_polish",
+                          lambda *args: polished.append(polish(*args)) or polished[-1])
+            sol = solve(prog)
+        assert sol.status == "optimal"
+        upper = solver._implied_bounds(prog)
+        run = prog.pack(simulate(sc))
+        assert verify_solution(prog, run) <= LP_RESIDUAL_TOL
+        for point in (sol.values, run):
+            assert (point <= upper + 1e-9 * (1.0 + upper)).all()
+        try:
+            reference = highs_qp(full_space_program(sc, QP_COSTS[cost], 0.0, kind)).objective
+        except SolverError as exc:      # "Solve error": the certified point is then the reference
+            assert "Solve error" in str(exc)
+            reference = sol.objective
+        _, y, w = polished[-1]
+        assert sol.residuals.dual == sol.objective - solver._lagrangian_bound(prog, y, w, upper)
+        rng = np.random.default_rng(seed)
+        for scale in (0.0, 1e-6, 1e-2, 1.0):
+            g = solver._lagrangian_bound(prog, y + scale * rng.normal(size=y.shape),
+                                         w + scale * rng.normal(size=w.shape), upper)
+            assert g <= reference + 1e-9 * (1.0 + abs(reference))
+
+    def test_unbounded_falling_column_gives_no_bound(self, table_scenario):
+        # y = e_k on a dynamics row prices a flow out of the cell at -1:
+        # its term is -u_j, and -inf where no row bounds the flow
+        prog = build_dta(table_scenario, CostSpec("QuadraticVolume"))
+        upper = solver._implied_bounds(prog)
+        assert np.isfinite(upper[prog.q == 0.0]).all()      # every linear column is bounded
+        j = prog.span("f").start
+        k = prog.eq.rows[(prog.eq.cols == j) & (prog.eq.data > 0.0)][0]
+        y, w = np.zeros(len(prog.b_eq)), np.zeros(len(prog.b_ub))
+        y[k] = 1.0
+        assert np.isfinite(solver._lagrangian_bound(prog, y, w, upper))
+        upper[j] = np.inf
+        assert solver._lagrangian_bound(prog, y, w, upper) == -np.inf
+        # a rising or zero price needs no bound
+        assert np.isfinite(solver._lagrangian_bound(prog, 0.0 * y, w, upper))
 
     def test_uncertified_qp_reported(self, table_scenario, monkeypatch, tmp_path):
-        # no gap certifies: both candidates end polished but uncertified, and
-        # the point is not passed off as an optimum
+        # no gap certifies: every polished iterate of the run is refused, and
+        # no point is passed off as an optimum
         monkeypatch.setattr(solver, "FW_TOL", -1.0)
         sol = solve(build_fnc(table_scenario, CostSpec("QuadraticVolume")))
         assert sol.status == "iteration-limit"
