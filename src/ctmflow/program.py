@@ -246,36 +246,46 @@ def build_fnc(scenario: Scenario, cost: CostSpec, eps: float = 0.0) -> ConvexPro
     return _build(scenario, cost, eps, "FNC")
 
 
+def _once(values: np.ndarray, fmt) -> list:
+    """fmt of each value, called once per distinct value (by its bits, so
+    -0.0 keeps its sign)."""
+    keys, at = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                         return_inverse=True)
+    text = [fmt(v) for v in keys.view(np.float64).tolist()]
+    return [text[k] for k in at.ravel().tolist()]
+
+
 def _lp_terms(cols: np.ndarray, coefs: np.ndarray, names: list) -> list:
-    return [f" {'+' if v >= 0 else '-'} {abs(v):.12g} {names[k]}"
-            for k, v in zip(cols.tolist(), coefs.tolist())]
+    signed = _once(coefs, lambda v: f" {'+' if v >= 0 else '-'} {abs(v):.12g} ")
+    return [s + names[k] for s, k in zip(signed, cols.tolist())]
 
 
 def export_lp(program: ConvexProgram, path) -> None:
     """Write the program in LP text interchange format. A program whose
     column names repeat (cell ids that hold "_" can join to the same name)
     is refused with a ValueError before the file is opened."""
-    names = ["_".join(str(p) for p in name) for name in program.names]
+    names = ["_".join(map(str, name)) for name in program.names]
     name, count = Counter(names).most_common(1)[0]
     if count > 1:
         raise ValueError(f"LP column name {name} stands for {count} columns: "
                          "the cell ids joined in it are ambiguous")
+    priced = np.flatnonzero(program.c)
+    out = [f"\\ ctmflow {program.kind} eps={program.eps} cost={program.cost_kind} "
+           f"scenario={program.scenario.content_hash()}\nMinimize\n obj:",
+           "".join(_lp_terms(priced, program.c[priced], names)) if len(priced)
+           else " 0 " + names[0]]
+    if program.is_quadratic:
+        curved = np.flatnonzero(program.q)
+        out += [" + ["] + [f" + {v:.12g} {names[k]}^2" for k, v in
+                           zip(curved.tolist(), (2 * program.q[curved]).tolist())] + [" ] / 2"]
+    out.append("\nSubject To\n")
+    for label, mat, sense, rhs in (("eq", program.eq, "=", program.b_eq),
+                                   ("ub", program.ub, "<=", program.b_ub)):
+        terms = _lp_terms(mat.cols, mat.data, names)
+        bounds = _once(rhs, lambda v: f" {sense} {v:.12g}\n")
+        starts = np.searchsorted(mat.rows, np.arange(mat.shape[0] + 1)).tolist()
+        out += [f" {label}{r}:" + "".join(terms[starts[r]:starts[r + 1]]) + bounds[r]
+                for r in range(mat.shape[0])]
+    out.append("Bounds\nEnd\n")     # every variable has the default bound >= 0
     with open(path, "w") as fh:
-        fh.write(f"\\ ctmflow {program.kind} eps={program.eps} cost={program.cost_kind} "
-                 f"scenario={program.scenario.content_hash()}\n")
-        fh.write("Minimize\n obj:")
-        priced = np.flatnonzero(program.c)
-        terms = _lp_terms(priced, program.c[priced], names)
-        fh.write("".join(terms) if terms else " 0 " + names[0])
-        if program.is_quadratic:
-            fh.write(" + [" + "".join(f" + {2 * program.q[k]:.12g} {names[k]}^2"
-                                      for k in np.flatnonzero(program.q)) + " ] / 2")
-        fh.write("\nSubject To\n")
-        for label, mat, sense, rhs in (("eq", program.eq, "=", program.b_eq),
-                                       ("ub", program.ub, "<=", program.b_ub)):
-            terms = _lp_terms(mat.cols, mat.data, names)
-            starts = np.searchsorted(mat.rows, np.arange(mat.shape[0] + 1)).tolist()
-            for r in range(mat.shape[0]):
-                fh.write(f" {label}{r}:{''.join(terms[starts[r]:starts[r + 1]])} {sense} "
-                         f"{rhs[r]:.12g}\n")
-        fh.write("Bounds\nEnd\n")     # every variable has the default bound >= 0
+        fh.write("".join(out))

@@ -5,11 +5,16 @@ interior point; there is one path for each. Both read the program's sparse
 triplet constraints; scipy's compiled HiGHS binding and SuperLU are each
 loaded on their own, without the scipy.optimize and scipy.sparse packages.
 
-LPs run HiGHS's simplex method on one model object. An LP optimum is
+LPs run HiGHS's simplex method, without presolve, on one model object in
+which each single-entry <= row a v_j <= b (a > 0) is the column bound
+v_j <= b/a and every other constraint is a row. An LP optimum is
 degenerate (whole faces of optima), and the structure results describe the
-optimum that drains greedily. So the same object then breaks ties: one row
-pins the cost at the optimum, the objective becomes maximal early outflow,
-and the primal simplex restarts from the optimal basis.
+optimum that drains greedily. So the same object then breaks ties: the
+columns whose reduced cost is above HiGHS's dual feasibility tolerance are
+fixed at zero, where every optimum holds them (complementary slackness),
+one row pins the cost at the optimum (the larger of the primal and dual
+objective values), the objective becomes maximal early outflow, and the
+primal simplex restarts from the optimal basis.
 
 QPs run Mehrotra's predictor-corrector on a regularized quasi-definite KKT
 system (``_KKT``) in which every inequality row is its own row, one SuperLU
@@ -28,7 +33,9 @@ linear column with no finite u_j). f - g is returned as the dual residual.
 A QP with no certified iterate is reported by its feasible-set LP:
 infeasible where that LP is, iteration-limit otherwise.
 
-An infeasible program carries HiGHS's dual ray as its Farkas certificate.
+An infeasible program carries a Farkas certificate over its own rows,
+HiGHS's dual ray with the bound terms moved back to the rows that give the
+bounds.
 Every returned Solution holds the full variable vector and is re-verified
 against the program's own constraint list.
 
@@ -66,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .ctm import InvariantError, held_rows, simulate
+from .ctm import Drive, InvariantError, held_rows, simulate, stays_free
 from .program import ConvexProgram, Sparse
 
 LP_RESIDUAL_TOL = 1e-8
@@ -136,33 +143,36 @@ def _extension(name: str):
 
 # ---------------------------------------------------------------------------
 # one HiGHS model per program: min c'v  s.t.  A_eq v = b_eq,  A_ub v <= b_ub,
-# v >= 0
+# v >= 0, the single-entry rows of A_ub as column bounds
 
 
 def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
-    """The LP min cost'v (default c'v) over the program's feasible set."""
-    n = program.n_vars
-    start, index, value = program.eq.vstack(program.ub).csc()
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(program.b_eq) + len(program.b_ub)
-    lp.col_cost_ = program.c if cost is None else cost
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.full(n, np.inf)
-    lp.row_lower_ = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
-    lp.row_upper_ = np.concatenate([program.b_eq, program.b_ub])
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    model = core.HighsModel()
-    model.lp_ = lp
+    """The LP min cost'v (default c'v) over the program's feasible set, as
+    HiGHS sees it: each single-entry <= row a v_j <= b (a > 0) is the column
+    bound v_j <= b/a, the tightest per column, and the other rows stay rows.
+    HiGHS runs without presolve. Returns the HiGHS object, the mask of the
+    <= rows that stay rows and the column upper bounds."""
+    n, ub = program.n_vars, program.ub
+    single = (np.bincount(ub.rows, minlength=ub.shape[0])[ub.rows] == 1) & (ub.data > 0.0)
+    upper = np.full(n, np.inf)
+    np.minimum.at(upper, ub.cols[single], program.b_ub[ub.rows[single]] / ub.data[single])
+    kept = np.ones(ub.shape[0], bool)
+    kept[ub.rows[single]] = False
+    start, index, value = program.eq.vstack(ub.take(kept, np.ones(n, bool))).csc()
+    rhs = np.concatenate([program.b_eq, program.b_ub[kept]])
+    lhs = np.concatenate([program.b_eq, np.full(int(kept.sum()), -np.inf)])
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
     highs.setOptionValue("primal_feasibility_tolerance", LP_FEASIBILITY_TOL)
-    if highs.passModel(model) == core.HighsStatus.kError:
+    # the arrays go to HiGHS as they are, where a HighsLp converts them
+    # entry by entry; the last one marks every column continuous
+    if highs.passModel(n, len(rhs), len(value), int(core.MatrixFormat.kColwise),
+                       int(core.ObjSense.kMinimize), 0.0, program.c if cost is None else cost,
+                       np.zeros(n), upper, lhs, rhs, start, index, value,
+                       np.zeros(n, np.int32)) == core.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
-    return highs
+    return highs, kept, upper
 
 
 def _unsolved(program: ConvexProgram, status: str, iters: int = 0,
@@ -172,13 +182,61 @@ def _unsolved(program: ConvexProgram, status: str, iters: int = 0,
                     iterations=iters, certificate=certificate)
 
 
-def _drain(core, highs, program: ConvexProgram, values: np.ndarray):
+def _farkas(program: ConvexProgram, kept, upper, ray) -> np.ndarray | None:
+    """A Farkas certificate y = (y_eq, y_ub) over the program's own rows
+    (y_ub >= 0, A'y >= 0, b'y < 0) from HiGHS's infeasible model. A bound
+    u_j < 0 certifies by its own row. Otherwise -ray is one over HiGHS's rows
+    and column bounds, A'y >= 0 wherever u_j = inf, and its bound terms move
+    to the rows that give them: the row a v_j <= b of u_j takes pi_j / a,
+    pi_j = max(0, -(A'y)_j), so A'y >= 0 holds everywhere and b'y grows by
+    sum_j pi_j u_j, which keeps it below 0."""
+    m_eq, ub = len(program.b_eq), program.ub
+    single = ~kept[ub.rows]
+    rows, cols, a = ub.rows[single], ub.cols[single], ub.data[single]
+    tight = program.b_ub[rows] / a == upper[cols]
+    cols, first = np.unique(cols[tight], return_index=True)
+    rows, a = rows[tight][first], a[tight][first]
+    y = np.zeros(m_eq + len(kept))
+    below = np.flatnonzero(upper[cols] < 0.0)
+    if len(below):
+        y[m_eq + rows[below[0]]] = 1.0 / a[below[0]]
+        return y
+    if ray is None:
+        return None
+    y[np.concatenate([np.ones(m_eq, bool), kept])] = -np.asarray(ray)
+    pi = np.maximum(0.0, -(program.eq.rmatvec(y[:m_eq]) + ub.rmatvec(y[m_eq:])))
+    y[m_eq + rows] = pi[cols] / a
+    return y
+
+
+def _solution(highs, program: ConvexProgram):
+    """HiGHS's solution and its primal point. The simplex updates the point
+    pivot by pivot, and on some programs it drifts from its basis (a
+    dynamics row broken by 1.8e-8 while HiGHS reads it as exact); there a
+    fresh factorization of the same basis recomputes it, with no pivot."""
+    solution = highs.getSolution()
+    values = np.array(solution.col_value) + 0.0  # -0.0 at some bounds; artifacts print "0"
+    if verify_solution(program, values) > LP_RESIDUAL_TOL:
+        highs.setBasis(highs.getBasis())
+        highs.run()
+        solution = highs.getSolution()
+        values = np.array(solution.col_value) + 0.0
+    return solution, values
+
+
+def _drain(core, highs, program: ConvexProgram, values: np.ndarray, reduced: np.ndarray,
+           base: float):
     """Tie-break on the LP's optimal face: maximize the early outflow
-    sum_t (T - t) * sum_i z_i(t) at fixed optimal cost, by primal simplex
-    from the optimal basis. Returns the drained vertex and its
-    iterations, or (values, 0) where that stage fails."""
-    base = program.objective_value(values)
+    sum_t (T - t) * sum_i z_i(t) at cost at most base, the optimum, by
+    primal simplex from the optimal basis. The columns whose stage-1 reduced
+    cost is above HiGHS's dual feasibility tolerance are zero on the optimal
+    face (complementary slackness) and are fixed there first. Returns the
+    drained vertex and its iterations, or (values, 0) where that stage
+    fails."""
     n, T = program.n_vars, program.scenario.horizon
+    face = np.flatnonzero(reduced > highs.getOptionValue("dual_feasibility_tolerance")[1])
+    highs.changeColsBounds(len(face), face.astype(np.int32), np.zeros(len(face)),
+                           np.zeros(len(face)))
     # the cost row sits exactly at the optimum: HiGHS spends any slack above
     # it and returns a point outside LP_RESIDUAL_TOL
     cost_cols = np.flatnonzero(program.c).astype(np.int32)
@@ -192,7 +250,7 @@ def _drain(core, highs, program: ConvexProgram, values: np.ndarray):
     highs.run()
     if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
         return values, 0
-    drained = np.array(highs.getSolution().col_value) + 0.0
+    drained = _solution(highs, program)[1]
     if (verify_solution(program, drained) > LP_RESIDUAL_TOL
             or program.objective_value(drained) > base + 1e-7 * (1 + abs(base))):
         return values, 0
@@ -203,7 +261,8 @@ def _highs(core, program: ConvexProgram) -> Solution:
     """An LP by simplex, then the max-early-outflow tie-break. A QP comes
     here only without a certificate: its feasible-set LP tells an infeasible
     program from a failed solve, which is reported as iteration-limit."""
-    highs = _model(core, program, cost=np.zeros(program.n_vars) if program.is_quadratic else None)
+    highs, kept, upper = _model(core, program,
+                                cost=np.zeros(program.n_vars) if program.is_quadratic else None)
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -212,23 +271,27 @@ def _highs(core, program: ConvexProgram) -> Solution:
             program.is_quadratic and status == core.HighsModelStatus.kOptimal):
         return _unsolved(program, "iteration-limit", iters)
     if status == core.HighsModelStatus.kInfeasible:
-        # -ray = (y_eq, y_ub): y_ub >= 0, A'y >= 0 and
-        # b'y < 0, so any feasible v would give 0 <= (A'y)'v <= b'y < 0
         _, has_ray, ray = highs.getDualRay()
-        return _unsolved(program, "infeasible", iters, -np.asarray(ray) if has_ray else None)
+        return _unsolved(program, "infeasible", iters,
+                         _farkas(program, kept, upper, ray if has_ray else None))
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
-    values = np.array(solution.col_value) + 0.0  # -0.0 at some bounds; artifacts print "0"
+    solution, values = _solution(highs, program)
     residuals = Residuals(0.0, info.max_dual_infeasibility)
-    # weak-duality check from the row duals: dual objective b'y
-    y = np.asarray(solution.row_dual)
-    dual_obj = float(program.b_eq @ y[:len(program.b_eq)] + program.b_ub @ y[len(program.b_eq):])
+    # weak-duality check from the row duals y and the reduced costs d: dual
+    # objective b'y + sum_j u_j min(d_j, 0) over the bounded columns
+    y, d = np.asarray(solution.row_dual), np.asarray(solution.col_dual)
+    m_eq, bounded = len(program.b_eq), np.isfinite(upper)
+    dual_obj = float(program.b_eq @ y[:m_eq] + program.b_ub[kept] @ y[m_eq:]
+                     + (upper[bounded] * np.minimum(d[bounded], 0.0)).sum())
     objective = program.objective_value(values)
     gap = abs(dual_obj - objective) / (1.0 + abs(objective))
     if gap > LP_RESIDUAL_TOL:
         raise SolverError(f"HiGHS duality gap {gap} exceeds {LP_RESIDUAL_TOL}")
-    values, more = _drain(core, highs, program, values)
+    # the optimum is the larger of the two: a vertex that breaks a row by
+    # 1e-10 can cost less than any feasible point, and a cost row below the
+    # optimum leaves the tie-break infeasible
+    values, more = _drain(core, highs, program, values, d, max(objective, dual_obj))
     residuals.primal = verify_solution(program, values)
     return Solution(values=values, objective=program.objective_value(values),
                     status="optimal" if residuals.primal <= LP_RESIDUAL_TOL else "iteration-limit",
@@ -267,8 +330,14 @@ def freeflow_optimum(program: ConvexProgram) -> Solution | None:
     point, proves optimality."""
     if not _lemma_applies(program):
         return None
+    scenario = program.scenario
     try:
-        run = simulate(program.scenario)
+        # a run with gamma < 1 - FREEFLOW_TOL fails gamma == 1 as well, and
+        # stays_free stops at its first such step
+        if not stays_free(scenario.network, Drive.for_run(scenario), scenario.x0,
+                          scenario.inflow):
+            return None
+        run = simulate(scenario)
     except InvariantError:
         return None
     if not (run.gamma == 1.0).all():

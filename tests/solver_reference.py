@@ -5,6 +5,8 @@
   manifold by the null space of A_eq and finds the exact optimum by
   active-set enumeration.
 - ``highs_qp``: HiGHS's active-set QP method, an independent QP solver.
+- ``drained_lp``: the LP's max-early-outflow vertex by the slow path: every
+  row a row, presolve on, a tie-break by the cost row alone.
 - ``frank_wolfe_gap``: an optimality bound judged by scipy's linprog.
 """
 
@@ -16,8 +18,8 @@ import math
 import numpy as np
 
 from ctmflow.program import ConvexProgram
-from ctmflow.solver import (Residuals, Solution, SolverError, _extension, _model, _unsolved,
-                            verify_solution)
+from ctmflow.solver import (LP_FEASIBILITY_TOL, LP_RESIDUAL_TOL, Residuals, Solution,
+                            SolverError, _extension, _unsolved, verify_solution)
 
 
 def brute_force_oracle(program: ConvexProgram) -> Solution:
@@ -79,12 +81,73 @@ def brute_force_oracle(program: ConvexProgram) -> Solution:
     return _unsolved(program, "infeasible")
 
 
+def full_model(core, program: ConvexProgram, cost: np.ndarray | None = None):
+    """The LP min cost'v (default c'v) over the program's feasible set on
+    one HiGHS model in which every constraint is a row, v >= 0 the only
+    column bounds, at HiGHS's defaults (presolve on) apart from a 1e-9
+    primal feasibility tolerance. The references keep this model so that
+    they do not move with the product's."""
+    n = program.n_vars
+    start, index, value = program.eq.vstack(program.ub).csc()
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(program.b_eq) + len(program.b_ub)
+    lp.col_cost_ = program.c if cost is None else cost
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
+    lp.row_upper_ = np.concatenate([program.b_eq, program.b_ub])
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    model = core.HighsModel()
+    model.lp_ = lp
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("primal_feasibility_tolerance", LP_FEASIBILITY_TOL)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    return highs
+
+
+def drained_lp(program: ConvexProgram) -> Solution:
+    """The LP's optimum on ``full_model``, then the max-early-outflow
+    tie-break sum_t (T - t) * sum_i z_i(t) with only a cost row pinning the
+    optimal face, by primal simplex from the optimal basis. Any status but
+    optimal in either stage raises SolverError."""
+    core = _extension("scipy.optimize._highspy._core")
+    highs = full_model(core, program)
+    highs.run()
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        raise SolverError("stage 1 is not optimal")
+    base = program.objective_value(np.array(highs.getSolution().col_value))
+    n, T = program.n_vars, program.scenario.horizon
+    cost_cols = np.flatnonzero(program.c).astype(np.int32)
+    highs.addRow(-np.inf, base, len(cost_cols), cost_cols, program.c[cost_cols])
+    drain = np.zeros(n)
+    for block in ("mu", "f"):
+        cols = program.span(block)
+        drain[cols] = np.repeat(np.arange(T) - T, (cols.stop - cols.start) // T)
+    highs.changeColsCost(n, np.arange(n, dtype=np.int32), drain)
+    highs.setOptionValue("simplex_strategy", 4)
+    highs.run()
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        raise SolverError("the tie-break is not optimal")
+    values = np.array(highs.getSolution().col_value) + 0.0
+    primal = verify_solution(program, values)
+    if primal > LP_RESIDUAL_TOL:
+        raise SolverError(f"the drained vertex breaks a row by {primal}")
+    return Solution(values=values, objective=program.objective_value(values), status="optimal",
+                    residuals=Residuals(primal, 0.0))
+
+
 def highs_qp(program: ConvexProgram) -> Solution:
     """The program on HiGHS's active-set QP method. HiGHS minimizes
     c'v + 0.5 v'Hv, so the Hessian is diag(2q). Any status but optimal
     raises SolverError; HiGHS ends in "Solve error" on some valid programs."""
     core = _extension("scipy.optimize._highspy._core")
-    highs = _model(core, program)
+    highs = full_model(core, program)
     n, diag = program.n_vars, np.flatnonzero(program.q)
     hessian = core.HighsHessian()
     hessian.dim_ = n

@@ -308,3 +308,43 @@ class TestExport:
         path = tmp_path / "quad.lp"
         export_lp(prog, path)
         assert "^2" in path.read_text()
+
+    @pytest.mark.parametrize("case", ["table-dta", "table-fnc", "quad", "ids", "self-loop"])
+    def test_lp_file_reads_back(self, tmp_path, table_scenario, case):
+        # HiGHS's own LP reader loads the written file as the same program:
+        # the program's column and row counts and, solved there, its optimum
+        # to 1e-9 relative (the file's coefficients carry 12 digits)
+        if case == "table-dta":
+            prog = build_dta(table_scenario, CostSpec("TTT"), 0.2)
+        elif case == "table-fnc":
+            prog = build_fnc(table_scenario, CostSpec("TTT"), 0.2)
+        elif case == "quad":
+            prog = build_fnc(random_scenario(np.random.default_rng(3), shape="diverge", horizon=6),
+                             CostSpec("QuadraticVolume"))
+        elif case == "ids":
+            # "_" and "." in ids, and ids that differ only in them
+            ids = ("in.1", "mid_a", "mid.a", "out_1")
+            cells = tuple(Cell(c, 0.6, 0.6, 1.0, 1, 10.0, [3.0]) for c in ids)
+            pairs = tuple(zip(ids, ids[1:]))
+            net = Network(cells=cells, adjacency=pairs, sources=frozenset({ids[0]}),
+                          sinks=frozenset({ids[-1]}), tau=1.0)
+            lam = np.zeros((6, 4))
+            lam[:3, 0] = 2.5
+            prog = build_fnc(Scenario(network=net, x0=np.array([1.0, 2.0, 0.5, 0.0]), inflow=lam,
+                                      routing=constant_routing(net, dict.fromkeys(pairs, 1.0))),
+                             CostSpec("TTT"))
+        else:
+            prog = build_fnc(self_loop_scenario(), CostSpec("TTT"))
+        path = tmp_path / "prog.lp"
+        export_lp(prog, path)
+        core = solver._extension("scipy.optimize._highspy._core")
+        highs = core._Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.readModel(str(path)) == core.HighsStatus.kOk
+        assert highs.getNumCol() == prog.n_vars
+        assert highs.getNumRow() == len(prog.b_eq) + len(prog.b_ub)
+        highs.run()
+        assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+        read = highs.getInfo().objective_function_value
+        optimum = solve(prog).objective
+        assert abs(read - optimum) <= 1e-9 * abs(optimum)

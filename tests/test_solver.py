@@ -24,7 +24,7 @@ from ctmflow.solver import (FW_TOL, LP_RESIDUAL_TOL, SolverError, freeflow_optim
 
 from conftest import freeflow_scenario, random_scenario
 from program_reference import full_space_program
-from solver_reference import brute_force_oracle, frank_wolfe_gap, highs_qp
+from solver_reference import brute_force_oracle, drained_lp, frank_wolfe_gap, highs_qp
 
 # valid QPs that are hard to certify:
 # - a 3-cell chain (T = 11, one inflow entry of 2.7e-6, the 8th
@@ -41,6 +41,8 @@ from solver_reference import brute_force_oracle, frank_wolfe_gap, highs_qp
 HARD_QPS = [Path(__file__).with_name(name) for name in (
     "chain_qp_highs_solve_error.json", "cross_qp_uncertified.json",
     "diamond_qp_uncertified.json", "cross_qp_stalled_residual.json")]
+
+SHAPES = ["chain", "diverge", "merge", "diamond", "cross"]
 
 QP_COSTS = {
     "quad": CostSpec("QuadraticVolume"),
@@ -119,6 +121,27 @@ class TestLP:
         assert bad.status == "infeasible"
         _assert_certifies(prog, bad.certificate)
 
+    def test_infeasible_certificate_through_supply_row(self):
+        # infeasible through a multi-entry row: cell c1 holds 5 veh and can
+        # send at most its capacity 2 in step 0, so x_c1(1) >= 3, while its
+        # supply row at step 1 is lowered to read x_c1(1) <= 2. HiGHS proves
+        # it with the capacity bound mu(0) <= 2, a column bound in its model,
+        # so the certificate needs that single-entry row
+        sc = replace(chain_scenario(n=2, T=2, inflow=0.0, cap=2.0), x0=np.array([0.0, 5.0]))
+        prog = build_fnc(sc, CostSpec("TTT"))
+        assert solve(prog).status == "optimal"
+        ub, col = prog.ub, prog.names.index(("x", 1, "c1"))
+        entries = np.bincount(ub.rows, minlength=ub.shape[0])
+        at = np.flatnonzero((ub.cols == col) & (ub.data > 0.0) & (entries[ub.rows] > 1))[0]
+        prog.b_ub = prog.b_ub.copy()
+        prog.b_ub[ub.rows[at]] = 2.0 * ub.data[at]
+        bad = solve(prog)
+        assert bad.status == "infeasible"
+        _assert_certifies(prog, bad.certificate)
+        y_ub = bad.certificate[len(prog.b_eq):]
+        assert y_ub[ub.rows[at]] > 0.0
+        assert (y_ub[np.flatnonzero(entries == 1)] > 0.0).any()
+
     def test_iteration_limit_reported(self, table_scenario, monkeypatch):
         from scipy.optimize._highspy import _core
         real = _core._Highs
@@ -193,6 +216,29 @@ class TestLexicographic:
         drained = float((weight * prog.states(sol.values, "z")).sum())
         reference = float((weight * prog.states(ref.x, "z")).sum())
         assert drained >= reference - 1e-9 * (1.0 + abs(reference))
+
+
+    @pytest.mark.parametrize("kind", ["DTA", "FNC"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_face_fixed_tiebreak_matches_reference(self, shape, kind):
+        # the tie-break with the stage-1 reduced costs fixing columns at zero
+        # reaches the same optimum and the same early outflow as the one
+        # with only the cost row on the whole optimal face; the states may
+        # differ, between drained vertices that tie
+        build = build_dta if kind == "DTA" else build_fnc
+        for seed in range(8):
+            rng = np.random.default_rng(2700 + 10 * SHAPES.index(shape) + seed)
+            # cells that start empty hold columns of positive reduced cost
+            sc = random_scenario(rng, shape=shape, horizon=int(rng.integers(4, 26)),
+                                 x0_scale=float(rng.choice([0.0, 0.4])))
+            prog = build(sc, CostSpec("TTT"), float(rng.choice([0.0, 0.1, 0.3])))
+            sol, ref = solve(prog), drained_lp(prog)
+            assert sol.status == "optimal"
+            assert abs(sol.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+            weight = (sc.horizon - np.arange(sc.horizon))[:, None]
+            early, expected = (float((weight * prog.states(v, "z")).sum())
+                               for v in (sol.values, ref.values))
+            assert abs(early - expected) <= 1e-9 * (1.0 + abs(expected))
 
 
 class TestQP:
@@ -369,8 +415,6 @@ class TestCertifiedQP:
         assert main(["solve", "--scenario", "bundled:table", "--kind", "fnc",
                      "--cost", "quad", "--out", str(tmp_path / "out")]) == 3
 
-
-SHAPES = ["chain", "diverge", "merge", "diamond", "cross"]
 
 
 class TestFreeflowOptimum:
