@@ -30,14 +30,14 @@ g = b_eq'y - b_ub'w+ + sum_j min{r_j v_j + q_j v_j^2 : 0 <= v_j <= u_j} <= f*
 at its own KKT multipliers (y, w), w+ = max(w, 0), r = c - A_eq'y + A_ub'w+,
 over bounds u that the program's rows imply (g = -inf where r_j < 0 on a
 linear column with no finite u_j). f - g is returned as the dual residual.
-A QP with no certified iterate is reported by its feasible-set LP:
-infeasible where that LP is, iteration-limit otherwise.
 
-An infeasible program carries a Farkas certificate over its own rows,
-HiGHS's dual ray with the bound terms moved back to the rows that give the
-bounds.
-Every returned Solution holds the full variable vector and is re-verified
-against the program's own constraint list.
+A solve ends in one of two ways: the verified drained optimum, or
+iteration-limit (a QP with no certified iterate, an LP whose simplex or
+tie-break stops short). Every program built from a valid scenario holds the
+zero-flow point (x(t) = x0 + sum of the inflows, every flow 0), so none is
+infeasible, and any other HiGHS status is a SolverError. Every returned
+Solution holds the full variable vector and is re-verified against the
+program's own constraint list.
 
 Free-flow lemma (``freeflow_optimum``), which settles some FNC LPs without
 a solve. Hypotheses: the cost is total volume (q = 0, one positive constant
@@ -68,7 +68,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -96,10 +96,9 @@ class Residuals:
 class Solution:
     values: np.ndarray            # full variable vector
     objective: float
-    status: str                   # optimal | infeasible | iteration-limit
+    status: str                   # optimal | iteration-limit
     residuals: Residuals
     iterations: int = 0           # simplex iterations, or the certified QP iterate's index
-    certificate: np.ndarray | None = field(default=None, repr=False)
 
 
 class SolverError(RuntimeError):
@@ -146,12 +145,11 @@ def _extension(name: str):
 # v >= 0, the single-entry rows of A_ub as column bounds
 
 
-def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
-    """The LP min cost'v (default c'v) over the program's feasible set, as
-    HiGHS sees it: each single-entry <= row a v_j <= b (a > 0) is the column
-    bound v_j <= b/a, the tightest per column, and the other rows stay rows.
-    HiGHS runs without presolve. Returns the HiGHS object, the mask of the
-    <= rows that stay rows and the column upper bounds."""
+def _model(core, program: ConvexProgram):
+    """The LP as HiGHS sees it: each single-entry <= row a v_j <= b (a > 0)
+    is the column bound v_j <= b/a, the tightest per column, and the other
+    rows stay rows. HiGHS runs without presolve. Returns the HiGHS object,
+    the mask of the <= rows that stay rows and the column upper bounds."""
     n, ub = program.n_vars, program.ub
     single = (np.bincount(ub.rows, minlength=ub.shape[0])[ub.rows] == 1) & (ub.data > 0.0)
     upper = np.full(n, np.inf)
@@ -168,45 +166,16 @@ def _model(core, program: ConvexProgram, cost: np.ndarray | None = None):
     # the arrays go to HiGHS as they are, where a HighsLp converts them
     # entry by entry; the last one marks every column continuous
     if highs.passModel(n, len(rhs), len(value), int(core.MatrixFormat.kColwise),
-                       int(core.ObjSense.kMinimize), 0.0, program.c if cost is None else cost,
+                       int(core.ObjSense.kMinimize), 0.0, program.c,
                        np.zeros(n), upper, lhs, rhs, start, index, value,
                        np.zeros(n, np.int32)) == core.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
     return highs, kept, upper
 
 
-def _unsolved(program: ConvexProgram, status: str, iters: int = 0,
-              certificate: np.ndarray | None = None) -> Solution:
+def _unsolved(program: ConvexProgram, status: str, iters: int = 0) -> Solution:
     return Solution(values=np.zeros(program.n_vars), objective=math.nan, status=status,
-                    residuals=Residuals(math.inf, math.inf),
-                    iterations=iters, certificate=certificate)
-
-
-def _farkas(program: ConvexProgram, kept, upper, ray) -> np.ndarray | None:
-    """A Farkas certificate y = (y_eq, y_ub) over the program's own rows
-    (y_ub >= 0, A'y >= 0, b'y < 0) from HiGHS's infeasible model. A bound
-    u_j < 0 certifies by its own row. Otherwise -ray is one over HiGHS's rows
-    and column bounds, A'y >= 0 wherever u_j = inf, and its bound terms move
-    to the rows that give them: the row a v_j <= b of u_j takes pi_j / a,
-    pi_j = max(0, -(A'y)_j), so A'y >= 0 holds everywhere and b'y grows by
-    sum_j pi_j u_j, which keeps it below 0."""
-    m_eq, ub = len(program.b_eq), program.ub
-    single = ~kept[ub.rows]
-    rows, cols, a = ub.rows[single], ub.cols[single], ub.data[single]
-    tight = program.b_ub[rows] / a == upper[cols]
-    cols, first = np.unique(cols[tight], return_index=True)
-    rows, a = rows[tight][first], a[tight][first]
-    y = np.zeros(m_eq + len(kept))
-    below = np.flatnonzero(upper[cols] < 0.0)
-    if len(below):
-        y[m_eq + rows[below[0]]] = 1.0 / a[below[0]]
-        return y
-    if ray is None:
-        return None
-    y[np.concatenate([np.ones(m_eq, bool), kept])] = -np.asarray(ray)
-    pi = np.maximum(0.0, -(program.eq.rmatvec(y[:m_eq]) + ub.rmatvec(y[m_eq:])))
-    y[m_eq + rows] = pi[cols] / a
-    return y
+                    residuals=Residuals(math.inf, math.inf), iterations=iters)
 
 
 def _solution(highs, program: ConvexProgram):
@@ -224,15 +193,13 @@ def _solution(highs, program: ConvexProgram):
     return solution, values
 
 
-def _drain(core, highs, program: ConvexProgram, values: np.ndarray, reduced: np.ndarray,
-           base: float):
+def _drain(core, highs, program: ConvexProgram, reduced: np.ndarray, base: float):
     """Tie-break on the LP's optimal face: maximize the early outflow
     sum_t (T - t) * sum_i z_i(t) at cost at most base, the optimum, by
     primal simplex from the optimal basis. The columns whose stage-1 reduced
     cost is above HiGHS's dual feasibility tolerance are zero on the optimal
     face (complementary slackness) and are fixed there first. Returns the
-    drained vertex and its iterations, or (values, 0) where that stage
-    fails."""
+    drained vertex, or None where that stage fails."""
     n, T = program.n_vars, program.scenario.horizon
     face = np.flatnonzero(reduced > highs.getOptionValue("dual_feasibility_tolerance")[1])
     highs.changeColsBounds(len(face), face.astype(np.int32), np.zeros(len(face)),
@@ -249,31 +216,23 @@ def _drain(core, highs, program: ConvexProgram, values: np.ndarray, reduced: np.
     highs.setOptionValue("simplex_strategy", 4)
     highs.run()
     if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
-        return values, 0
+        return None
     drained = _solution(highs, program)[1]
     if (verify_solution(program, drained) > LP_RESIDUAL_TOL
             or program.objective_value(drained) > base + 1e-7 * (1 + abs(base))):
-        return values, 0
-    return drained, int(highs.getInfo().simplex_iteration_count)
+        return None
+    return drained
 
 
 def _highs(core, program: ConvexProgram) -> Solution:
-    """An LP by simplex, then the max-early-outflow tie-break. A QP comes
-    here only without a certificate: its feasible-set LP tells an infeasible
-    program from a failed solve, which is reported as iteration-limit."""
-    highs, kept, upper = _model(core, program,
-                                cost=np.zeros(program.n_vars) if program.is_quadratic else None)
+    """An LP by simplex, then the max-early-outflow tie-break."""
+    highs, kept, upper = _model(core, program)
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
     iters = int(info.simplex_iteration_count)
-    if status == core.HighsModelStatus.kIterationLimit or (
-            program.is_quadratic and status == core.HighsModelStatus.kOptimal):
+    if status == core.HighsModelStatus.kIterationLimit:
         return _unsolved(program, "iteration-limit", iters)
-    if status == core.HighsModelStatus.kInfeasible:
-        _, has_ray, ray = highs.getDualRay()
-        return _unsolved(program, "infeasible", iters,
-                         _farkas(program, kept, upper, ray if has_ray else None))
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
     solution, values = _solution(highs, program)
@@ -291,20 +250,21 @@ def _highs(core, program: ConvexProgram) -> Solution:
     # the optimum is the larger of the two: a vertex that breaks a row by
     # 1e-10 can cost less than any feasible point, and a cost row below the
     # optimum leaves the tie-break infeasible
-    values, more = _drain(core, highs, program, values, d, max(objective, dual_obj))
+    values = _drain(core, highs, program, d, max(objective, dual_obj))
+    iters += int(highs.getInfo().simplex_iteration_count)
+    if values is None:
+        return _unsolved(program, "iteration-limit", iters)
     residuals.primal = verify_solution(program, values)
-    return Solution(values=values, objective=program.objective_value(values),
-                    status="optimal" if residuals.primal <= LP_RESIDUAL_TOL else "iteration-limit",
-                    residuals=residuals, iterations=iters + more)
+    return Solution(values=values, objective=program.objective_value(values), status="optimal",
+                    residuals=residuals, iterations=iters)
 
 
 def solve(program: ConvexProgram) -> Solution:
     """Solve the program: an LP on one HiGHS model, a QP by the certified
     interior point."""
-    core = _extension("scipy.optimize._highspy._core")
-    if program.is_quadratic and (solution := _certified_qp(program)):
-        return solution
-    return _highs(core, program)
+    if program.is_quadratic:
+        return _certified_qp(program) or _unsolved(program, "iteration-limit")
+    return _highs(_extension("scipy.optimize._highspy._core"), program)
 
 
 def _lemma_applies(program: ConvexProgram) -> bool:
@@ -351,7 +311,7 @@ def freeflow_optimum(program: ConvexProgram) -> Solution | None:
 
 
 # ---------------------------------------------------------------------------
-# quadratic programs: interior point, active-set polish, certificate
+# quadratic programs: interior point, active-set polish, Lagrangian bound
 
 
 class _KKT:

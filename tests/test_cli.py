@@ -576,16 +576,35 @@ class TestImports:
     ], ids=["simulate", "solve-ttt", "solve-quad", "synthesize", "robustness-sweep",
             "reproduce-paper"])
     def test_command_leaves_scipy_packages_unloaded(self, tmp_path, argv):
+        run = self.fresh_run(tmp_path, argv,
+                             ("scipy.sparse", "scipy.sparse.linalg", "scipy.optimize"))
+        assert run.stdout.splitlines()[-1] == "0 False False False", run.stdout + run.stderr
+
+    def test_quad_solve_leaves_highs_unloaded(self, tmp_path):
+        # a QP runs the interior point alone
+        run = self.fresh_run(tmp_path, ["solve", "--scenario", "bundled:table", "--cost", "quad"],
+                             ("scipy.optimize._highspy._core",))
+        assert run.stdout.splitlines()[-1] == "0 False", run.stdout + run.stderr
+
+    def test_missing_lp_binding_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        rc = main(["solve", "--scenario", "bundled:table", "--cost", "ttt",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "solver"
+
+    @staticmethod
+    def fresh_run(tmp_path, argv, names) -> subprocess.CompletedProcess:
+        """argv in a new interpreter, whose last line of output is the exit
+        code and then whether each of the named modules is loaded."""
         code = ("import sys\nfrom ctmflow.cli import main\n"
                 f"rc = main({argv + ['--out', str(tmp_path)]!r})\n"
-                "print(rc, *(name in sys.modules for name in "
-                "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.optimize')))")
+                f"print(rc, *(name in sys.modules for name in {names!r}))")
         src = str(Path(ctmflow.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert run.stdout.splitlines()[-1] == "0 False False False", run.stdout + run.stderr
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
 
 
 # sha256 of the reproduce-paper artifacts that the LP vertex choice does not
@@ -744,8 +763,9 @@ class TestQuadraticSynthesis:
             assert summary["realized"] and summary["always_freeflow"]
 
     def test_missing_qp_binding_exits_3(self, tmp_path, monkeypatch, capsys):
-        import sys
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        # the QP's binding is SuperLU; HiGHS's serves the LPs
+        # (TestImports.test_missing_lp_binding_exits_3)
+        monkeypatch.setitem(sys.modules, "scipy.sparse.linalg._dsolve._superlu", None)
         rc = main(["solve", "--scenario", "bundled:table", "--cost", "quad",
                    "--out", str(tmp_path / "out")])
         assert rc == 3
