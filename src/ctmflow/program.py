@@ -31,7 +31,6 @@ the free-flow closed form) takes the program alone.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,6 +115,12 @@ class ConvexProgram:
     @property
     def is_quadratic(self) -> bool:
         return bool(np.any(self.q != 0.0))
+
+    @property
+    def is_total_volume(self) -> bool:
+        """The cost is a positive multiple of total volume: one weight on all x, no other term."""
+        w, rest = np.split(self.c, [self.span("x").stop])
+        return bool(w[0] > 0.0 and (w == w[0]).all() and not rest.any() and not self.is_quadratic)
 
     def objective_value(self, v: np.ndarray) -> float:
         # elementwise sums: a BLAS dot runs threaded on long vectors
@@ -255,20 +260,22 @@ def _once(values: np.ndarray, fmt) -> list:
     return [text[k] for k in at.ravel().tolist()]
 
 
+def _exact(v: float) -> str:
+    """The shortest text that reads back as v: repr, less an integral's ".0"."""
+    return repr(v).removesuffix(".0")
+
+
 def _lp_terms(cols: np.ndarray, coefs: np.ndarray, names: list) -> list:
-    signed = _once(coefs, lambda v: f" {'+' if v >= 0 else '-'} {abs(v):.12g} ")
+    signed = _once(coefs, lambda v: f" {'+' if v >= 0 else '-'} {_exact(abs(v))} ")
     return [s + names[k] for s, k in zip(signed, cols.tolist())]
 
 
 def export_lp(program: ConvexProgram, path) -> None:
-    """Write the program in LP text interchange format. A program whose
-    column names repeat (cell ids that hold "_" can join to the same name)
-    is refused with a ValueError before the file is opened."""
-    names = ["_".join(map(str, name)) for name in program.names]
-    name, count = Counter(names).most_common(1)[0]
-    if count > 1:
-        raise ValueError(f"LP column name {name} stands for {count} columns: "
-                         "the cell ids joined in it are ambiguous")
+    """Write the program in LP text interchange format; read back, it is the
+    program bit for bit. Columns are named x(t,cell), mu(t,sink) and
+    f(t,i,j): ``Network`` admits only [A-Za-z0-9_.] in ids, so no two names
+    coincide. Every number is the shortest text that reads back as itself."""
+    names = [f"{kind}({','.join(map(str, rest))})" for kind, *rest in program.names]
     priced = np.flatnonzero(program.c)
     out = [f"\\ ctmflow {program.kind} eps={program.eps} cost={program.cost_kind} "
            f"scenario={program.scenario.content_hash()}\nMinimize\n obj:",
@@ -276,13 +283,13 @@ def export_lp(program: ConvexProgram, path) -> None:
            else " 0 " + names[0]]
     if program.is_quadratic:
         curved = np.flatnonzero(program.q)
-        out += [" + ["] + [f" + {v:.12g} {names[k]}^2" for k, v in
+        out += [" + ["] + [f" + {_exact(v)} {names[k]}^2" for k, v in
                            zip(curved.tolist(), (2 * program.q[curved]).tolist())] + [" ] / 2"]
     out.append("\nSubject To\n")
     for label, mat, sense, rhs in (("eq", program.eq, "=", program.b_eq),
                                    ("ub", program.ub, "<=", program.b_ub)):
         terms = _lp_terms(mat.cols, mat.data, names)
-        bounds = _once(rhs, lambda v: f" {sense} {v:.12g}\n")
+        bounds = _once(rhs, lambda v: f" {sense} {_exact(v)}\n")
         starts = np.searchsorted(mat.rows, np.arange(mat.shape[0] + 1)).tolist()
         out += [f" {label}{r}:" + "".join(terms[starts[r]:starts[r + 1]]) + bounds[r]
                 for r in range(mat.shape[0])]

@@ -271,10 +271,7 @@ def _lemma_applies(program: ConvexProgram) -> bool:
     """The free-flow lemma's hypotheses: an FNC program with total-volume
     cost, and a scenario with the same turning ratios at every step and
     demand slopes at most 1."""
-    x = program.span("x")
-    weight = program.c[x]
-    if (program.kind != "FNC" or program.is_quadratic or not weight[0] > 0.0
-            or (weight != weight[0]).any() or program.c[x.stop:].any()):
+    if program.kind != "FNC" or not program.is_total_volume:
         return False
     scenario = program.scenario
     ratio = held_rows(scenario.routing, scenario.horizon)

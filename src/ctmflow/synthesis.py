@@ -152,7 +152,7 @@ def check_fnc_structure(program: ConvexProgram, solution: Solution,
     net = scenario.network
     if program.kind != "FNC":
         raise ValueError("structure check applies to FNC programs")
-    if program.cost_kind != "TTT":
+    if not program.is_total_volume:
         raise ValueError("structure check requires the total-volume cost")
     slopes = net.demand_slope
     if slopes.max() - slopes.min() > 1e-12:

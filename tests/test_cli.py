@@ -23,13 +23,15 @@ from hypothesis import example, given, settings, strategies as st
 import ctmflow
 from ctmflow import ctm, robustness, solver, synthesis
 from ctmflow.cli import MAX_SWEEP_POINTS, ConfigError, _sweep_grid, main
-from ctmflow.ctm import InvariantError, simulate
+from ctmflow.ctm import CostSpec, InvariantError, simulate
 from ctmflow.network import (MAX_HORIZON, Cell, Network, Scenario, constant_routing,
                              load_scenario, save_scenario, scenario_to_dict)
+from ctmflow.program import build_fnc
 from ctmflow.scenarios import figure_network, robustness_scenario, routing_for, table_scenario
 from ctmflow.synthesis import ControlSchedule
 
 from conftest import build_network, random_scenario
+from tests_support import read_lp, underscore_scenario
 
 
 @pytest.fixture()
@@ -53,6 +55,15 @@ class TestExitCodes:
         rc = main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "solve", "synthesize"])
+    def test_unknown_cost_refused(self, tmp_path, command):
+        # argparse's choices refuse the name before any command runs
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--scenario", "bundled:table", "--cost", "bogus",
+                  "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_fnc_without_routing_config_error(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -352,11 +363,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cid, rc", [("on_ramp", 0), ("ramp.4", 0), ("on-ramp", 2),
                                          ("a b", 2), ("a,b", 2), ("a->b", 2), ("", 2),
-                                         ("4\n", 2)])
+                                         ("4\n", 2), ("f(4", 2)])
     def test_cell_id_characters(self, tmp_path, capsys, cid, rc):
         # "on-ramp" made an LP column name that HiGHS read back as more
         # columns, "a,b" shifted every CSV row, "a->b" made routing keys
-        # ambiguous
+        # ambiguous; with no "(", "," or ")" in ids, LP column names such
+        # as f(t,i,j) cannot coincide
         doc = scenario_to_dict(table_scenario())
         name = {"4": cid}.get
         for cell in doc["cells"]:
@@ -371,24 +383,17 @@ class TestExitCodes:
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "config" and f"cell id {cid!r}" in err["message"]
 
-    def test_repeated_lp_column_names_refused(self, tmp_path, capsys):
-        # edges (a, b_c) and (a_b, c) both join to f_<t>_a_b_c: an LP file
-        # that names them so would describe another program
-        ids = ("a", "b_c", "a_b", "c")
-        net = Network(cells=tuple(Cell(i, 0.8, 0.8, 1.0, 1, 8.0, [4.0]) for i in ids),
-                      adjacency=(("a", "b_c"), ("a_b", "c")), sources=frozenset({"a", "a_b"}),
-                      sinks=frozenset({"b_c", "c"}), tau=1.0)
-        lam = np.zeros((3, 4))
-        lam[:, [0, 2]] = 1.0
+    def test_underscore_ids_solve(self, tmp_path):
+        # edges (a, b_c) and (a_b, c) were both written f_0_a_b_c, and solve
+        # refused the scenario: each now has its own column in the LP file
+        sc = underscore_scenario()
         path = tmp_path / "underscores.json"
-        save_scenario(Scenario(network=net, x0=np.zeros(4), inflow=lam,
-                               routing=constant_routing(net, {("a", "b_c"): 1.0,
-                                                              ("a_b", "c"): 1.0})), path)
-        rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config" and "f_0_a_b_c stands for 2 columns" in err["message"]
-        assert not list((tmp_path / "out").glob("*.lp"))
+        save_scenario(sc, path)
+        assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        prog = build_fnc(sc, CostSpec("TTT"))
+        names = read_lp(tmp_path / "out" / "fnc_ttt.lp", prog).names
+        assert len(set(names)) == prog.n_vars
+        assert {"f(0,a,b_c)", "f(0,a_b,c)"} <= set(names)
 
     def test_invalid_scenario_names_each_code(self, tmp_path, capsys):
         doc = scenario_to_dict(table_scenario())
@@ -630,7 +635,7 @@ PINNED_COMMANDS = {
     "simulate-nonfifo": (["simulate", "--scenario", "bundled:table", "--model", "nonfifo"], {
         "trajectory.csv": "21a826acae8ee75b8676f6aaa9fe93b4f4c507bc4d549aaa92cba364162bb34f"}),
     "solve-fnc-ttt": (["solve", "--scenario", "bundled:robustness", "--kind", "fnc"], {
-        "fnc_ttt.lp": "0657b2e9edb625207bfe0a2381e94183e83869abf3932e59ce70078af2742678",
+        "fnc_ttt.lp": "7c83a839ac4d5aba0d37d63448e5e64f02557bddd69f68af3f6e6902612b63dc",
         "optimal_states.csv": "5cf2ab709af01159628d4b37e59bc72cecdf38d54792808826a38d82b35cf925",
         "summary.json": "dfb746fcdbeaae6838d888021c4a689b7d10a05fd084ae147c914b05a59b365c"}),
     "synthesize-fnc-ttt": (["synthesize", "--scenario", "bundled:robustness", "--kind", "fnc"], {

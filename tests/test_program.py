@@ -17,7 +17,7 @@ from ctmflow.solver import solve, verify_solution
 from ctmflow.synthesis import ControlSchedule, verify_realization
 
 from conftest import random_scenario
-from tests_support import var_index
+from tests_support import read_lp, underscore_scenario, var_index
 
 
 def single_cell_scenario():
@@ -309,11 +309,28 @@ class TestExport:
         export_lp(prog, path)
         assert "^2" in path.read_text()
 
-    @pytest.mark.parametrize("case", ["table-dta", "table-fnc", "quad", "ids", "self-loop"])
+    @staticmethod
+    def assert_file_is_program(path, prog):
+        # every number of the file reads back as the program's double:
+        # objective, matrix entries, row bounds and Hessian diagonal
+        read = read_lp(path, prog)
+        assert len(set(read.names)) == len(read.names) == prog.n_vars
+        assert read.c.tobytes() == prog.c.tobytes()
+        a = prog.eq.vstack(prog.ub)
+        rows, cols, values = read.matrix
+        assert np.array_equal(rows, a.rows) and np.array_equal(cols, a.cols)
+        assert values.tobytes() == a.data.tobytes()
+        n_eq = len(prog.b_eq)
+        assert read.upper.tobytes() == np.concatenate([prog.b_eq, prog.b_ub]).tobytes()
+        assert read.lower[:n_eq].tobytes() == prog.b_eq.tobytes()
+        assert (read.lower[n_eq:] == -np.inf).all()
+        assert read.hessian.tobytes() == (2 * prog.q).tobytes()
+
+    @pytest.mark.parametrize("case", ["table-dta", "table-fnc", "quad", "ids", "self-loop",
+                                      "underscores"])
     def test_lp_file_reads_back(self, tmp_path, table_scenario, case):
-        # HiGHS's own LP reader loads the written file as the same program:
-        # the program's column and row counts and, solved there, its optimum
-        # to 1e-9 relative (the file's coefficients carry 12 digits)
+        # HiGHS's own LP reader loads the written file as the same program,
+        # number for number, and solved there it has the program's optimum
         if case == "table-dta":
             prog = build_dta(table_scenario, CostSpec("TTT"), 0.2)
         elif case == "table-fnc":
@@ -333,10 +350,14 @@ class TestExport:
             prog = build_fnc(Scenario(network=net, x0=np.array([1.0, 2.0, 0.5, 0.0]), inflow=lam,
                                       routing=constant_routing(net, dict.fromkeys(pairs, 1.0))),
                              CostSpec("TTT"))
+        elif case == "underscores":
+            # edges (a, b_c) and (a_b, c): once both named f_0_a_b_c
+            prog = build_fnc(underscore_scenario(), CostSpec("TTT"))
         else:
             prog = build_fnc(self_loop_scenario(), CostSpec("TTT"))
         path = tmp_path / "prog.lp"
         export_lp(prog, path)
+        self.assert_file_is_program(path, prog)
         core = solver._extension("scipy.optimize._highspy._core")
         highs = core._Highs()
         highs.setOptionValue("output_flag", False)
@@ -348,3 +369,19 @@ class TestExport:
         read = highs.getInfo().objective_function_value
         optimum = solve(prog).objective
         assert abs(read - optimum) <= 1e-9 * abs(optimum)
+
+    @pytest.mark.parametrize("kind", ["DTA", "FNC"])
+    @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "cross", "diamond"])
+    def test_lp_file_is_program_property(self, tmp_path, shape, kind):
+        # seeded random programs: every cost form (linear, quadratic, both)
+        # and eps, written and read back number for number
+        build = {"DTA": build_dta, "FNC": build_fnc}[kind]
+        costs = (CostSpec("TTT"), CostSpec("QuadraticVolume"),
+                 CostSpec("WeightedSum", components=((1.0, CostSpec("TTT")),
+                                                     (0.5, CostSpec("QuadraticVolume")))))
+        rng = np.random.default_rng(29)
+        for cost, eps in itertools.product(costs, (0.0, 0.3)):
+            prog = build(random_scenario(rng, shape=shape), cost, eps)
+            path = tmp_path / "prog.lp"
+            export_lp(prog, path)
+            self.assert_file_is_program(path, prog)

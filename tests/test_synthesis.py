@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ctmflow import scenarios
 from ctmflow.cli import main
 from ctmflow.ctm import CostSpec, InvariantError, evaluate_cost, simulate
 from ctmflow.program import build_dta, build_fnc
@@ -174,6 +175,24 @@ class TestStructureCheck:
         sol = solve(prog)
         with pytest.raises(ValueError, match="total-volume"):
             check_fnc_structure(prog, sol, 0.0)
+
+    def test_total_volume_as_the_lemma_reads_it(self):
+        # the check and the free-flow lemma take one test of total-volume
+        # cost: per-cell weights are refused by both, though the cost kind
+        # is TTT (the check used to run and report a 0.375 cost gap), and
+        # twice the total volume is accepted by both
+        sc = scenarios.robustness_scenario(horizon=40)
+        fifo = simulate(sc)
+        weighted = CostSpec("TTT", weights=tuple(float(w) for w in range(1, sc.network.n + 1)))
+        prog = build_fnc(sc, weighted)
+        assert not prog.is_total_volume and freeflow_optimum(prog) is None
+        with pytest.raises(ValueError, match="total-volume"):
+            check_fnc_structure(prog, solve(prog), evaluate_cost(fifo, weighted))
+        doubled = CostSpec("WeightedSum", components=((2.0, CostSpec("TTT")),))
+        prog = build_fnc(sc, doubled)
+        sol = freeflow_optimum(prog)
+        assert prog.is_total_volume and sol is not None
+        assert check_fnc_structure(prog, sol, evaluate_cost(fifo, doubled)).ok
 
     def test_refuses_unequal_slopes(self):
         rng = np.random.default_rng(52)
