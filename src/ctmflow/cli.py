@@ -22,7 +22,7 @@ import numpy as np
 from . import ctm, program, robustness, scenarios, synthesis
 from .ctm import CostSpec, InvariantError
 from .network import load_scenario, save_scenario
-from .solver import SolverError, freeflow_optimum, solve
+from .solver import SolverError, solve
 
 COST_KINDS = {"ttt": "TTT", "ttd": "TTD", "delay": "Delay", "quad": "QuadraticVolume"}
 JOBS_HELP = "accepted and ignored: a sweep runs all its points as one batch"
@@ -63,10 +63,10 @@ def _sweep_grid(expr: str) -> np.ndarray:
         raise ConfigError(f"sweep grid {expr!r} must be finite")
     if step <= 0 or end < start:
         raise ConfigError("sweep grid must be increasing")
-    span = (end - start) / step     # inf where it overflows
-    if span >= MAX_SWEEP_POINTS - 0.5:
+    span = (end - start) / step + 1e-9     # inf where it overflows; keeps an END rounded short
+    if span >= MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep grid {expr!r} has more than {MAX_SWEEP_POINTS} points")
-    return np.round(start + step * np.arange(int(round(span)) + 1), 10)
+    return np.round(start + step * np.arange(math.floor(span) + 1), 10)
 
 
 # every artifact goes through _outdir, _csv and _json, except the LP file
@@ -109,10 +109,7 @@ def _solve_program(sc, kind: str, cost: CostSpec, eps: float):
         prog = {"dta": program.build_dta, "fnc": program.build_fnc}[kind](sc, cost, eps)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    sol = freeflow_optimum(prog) or solve(prog)
-    if sol.status != "optimal":
-        raise SolverError(f"{kind} solve ended with status {sol.status}")
-    return prog, sol
+    return prog, solve(prog)
 
 
 def cmd_simulate(args) -> list:
@@ -142,13 +139,13 @@ def cmd_solve(args) -> list:
     out = _outdir(args.out)
     lp_path = out / f"{args.kind}_{args.cost}.lp"
     program.export_lp(prog, lp_path)
-    print(f"solve: {args.kind} {args.cost} eps={args.epsilon} -> {sol.objective:.6g} ({sol.status})")
+    print(f"solve: {args.kind} {args.cost} eps={args.epsilon} -> {sol.objective:.6g} (optimal)")
     return [lp_path,
             _csv(out / "optimal_states.csv", "step,cell,x_veh",
                  _by_cell(sc.network.cells, prog.states(sol.values))),
             _json(out / "summary.json", {"command": "solve", "kind": args.kind,
                                          "cost_kind": args.cost, "epsilon": args.epsilon,
-                                         "objective": sol.objective, "status": sol.status,
+                                         "objective": sol.objective, "status": "optimal",
                                          "iterations": sol.iterations,
                                          "primal_residual": sol.residuals.primal})]
 
@@ -308,10 +305,12 @@ def main(argv=None) -> int:
         _json(out / "manifest.json", {str(f.relative_to(out)): hashlib.sha256(f.read_bytes())
                                       .hexdigest() for f in files})
         return 0
+    except OSError as e:     # writing an artifact or the manifest: a directory in its place
+        error, code, message = "config", 2, f"cannot write an artifact: {e}"
     except (ConfigError, SolverError, InvariantError) as e:
-        error, code = next(v for k, v in EXIT_CODES.items() if isinstance(e, k))
-        sys.stderr.write(json.dumps({"error": error, "message": str(e)}) + "\n")
-        return code
+        (error, code), message = next(v for k, v in EXIT_CODES.items() if isinstance(e, k)), str(e)
+    sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Solvers for the relaxation programs.
 
-Routing: every LP goes to HiGHS, every convex QP to a sparse primal-dual
-interior point; there is one path for each. Both read the program's sparse
-triplet constraints; scipy's compiled HiGHS binding and SuperLU are each
-loaded on their own, without the scipy.optimize and scipy.sparse packages.
+Routing: ``solve`` is the whole solver. A convex QP goes to a sparse
+primal-dual interior point; an LP to the free-flow lemma (below) where it
+applies, else to HiGHS. Both read the program's sparse triplet constraints;
+scipy's compiled HiGHS binding and SuperLU are each loaded on their own, by
+the first solve that needs them, without scipy.optimize and scipy.sparse.
 
 LPs run HiGHS's simplex method, without presolve, on one model object in
 which each single-entry <= row a v_j <= b (a > 0) is the column bound
@@ -31,13 +32,13 @@ at its own KKT multipliers (y, w), w+ = max(w, 0), r = c - A_eq'y + A_ub'w+,
 over bounds u that the program's rows imply (g = -inf where r_j < 0 on a
 linear column with no finite u_j). f - g is returned as the dual residual.
 
-A solve ends in one of two ways: the verified drained optimum, or
-iteration-limit (a QP with no certified iterate, an LP whose simplex or
-tie-break stops short). Every program built from a valid scenario holds the
+A solve returns only a verified optimum: the drained LP vertex or the
+lemma's run, primal feasible to LP_RESIDUAL_TOL against the program's own
+constraint list, or the certified QP point. Where the simplex, the
+tie-break or the QP certificate stops short, it raises a SolverError that
+names iteration-limit. Every program built from a valid scenario holds the
 zero-flow point (x(t) = x0 + sum of the inflows, every flow 0), so none is
-infeasible, and any other HiGHS status is a SolverError. Every returned
-Solution holds the full variable vector and is re-verified against the
-program's own constraint list.
+infeasible, and any other HiGHS status is a SolverError too.
 
 Free-flow lemma (``freeflow_optimum``), which settles some FNC LPs without
 a solve. Hypotheses: the cost is total volume (q = 0, one positive constant
@@ -65,7 +66,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -96,7 +96,6 @@ class Residuals:
 class Solution:
     values: np.ndarray            # full variable vector
     objective: float
-    status: str                   # optimal | iteration-limit
     residuals: Residuals
     iterations: int = 0           # simplex iterations, or the certified QP iterate's index
 
@@ -173,24 +172,21 @@ def _model(core, program: ConvexProgram):
     return highs, kept, upper
 
 
-def _unsolved(program: ConvexProgram, status: str, iters: int = 0) -> Solution:
-    return Solution(values=np.zeros(program.n_vars), objective=math.nan, status=status,
-                    residuals=Residuals(math.inf, math.inf), iterations=iters)
-
-
 def _solution(highs, program: ConvexProgram):
-    """HiGHS's solution and its primal point. The simplex updates the point
-    pivot by pivot, and on some programs it drifts from its basis (a
-    dynamics row broken by 1.8e-8 while HiGHS reads it as exact); there a
-    fresh factorization of the same basis recomputes it, with no pivot."""
+    """HiGHS's solution, its primal point and that point's residual. The
+    simplex updates the point pivot by pivot, and on some programs it drifts
+    from its basis (a dynamics row broken by 1.8e-8 while HiGHS reads it as
+    exact); there a fresh factorization of the same basis recomputes it."""
     solution = highs.getSolution()
     values = np.array(solution.col_value) + 0.0  # -0.0 at some bounds; artifacts print "0"
-    if verify_solution(program, values) > LP_RESIDUAL_TOL:
+    primal = verify_solution(program, values)
+    if primal > LP_RESIDUAL_TOL:
         highs.setBasis(highs.getBasis())
         highs.run()
         solution = highs.getSolution()
         values = np.array(solution.col_value) + 0.0
-    return solution, values
+        primal = verify_solution(program, values)
+    return solution, values, primal
 
 
 def _drain(core, highs, program: ConvexProgram, reduced: np.ndarray, base: float):
@@ -199,7 +195,8 @@ def _drain(core, highs, program: ConvexProgram, reduced: np.ndarray, base: float
     primal simplex from the optimal basis. The columns whose stage-1 reduced
     cost is above HiGHS's dual feasibility tolerance are zero on the optimal
     face (complementary slackness) and are fixed there first. Returns the
-    drained vertex, or None where that stage fails."""
+    drained vertex and its primal residual; raises SolverError where that
+    stage stops short of a verified vertex."""
     n, T = program.n_vars, program.scenario.horizon
     face = np.flatnonzero(reduced > highs.getOptionValue("dual_feasibility_tolerance")[1])
     highs.changeColsBounds(len(face), face.astype(np.int32), np.zeros(len(face)),
@@ -215,13 +212,13 @@ def _drain(core, highs, program: ConvexProgram, reduced: np.ndarray, base: float
     highs.changeColsCost(n, np.arange(n, dtype=np.int32), drain)
     highs.setOptionValue("simplex_strategy", 4)
     highs.run()
-    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
-        return None
-    drained = _solution(highs, program)[1]
-    if (verify_solution(program, drained) > LP_RESIDUAL_TOL
+    if (status := highs.getModelStatus()) != core.HighsModelStatus.kOptimal:
+        raise SolverError(f"iteration-limit in the tie-break: {highs.modelStatusToString(status)}")
+    _, drained, primal = _solution(highs, program)
+    if (primal > LP_RESIDUAL_TOL
             or program.objective_value(drained) > base + 1e-7 * (1 + abs(base))):
-        return None
-    return drained
+        raise SolverError("iteration-limit: the drained vertex leaves the optimal face")
+    return drained, primal
 
 
 def _highs(core, program: ConvexProgram) -> Solution:
@@ -229,14 +226,12 @@ def _highs(core, program: ConvexProgram) -> Solution:
     highs, kept, upper = _model(core, program)
     highs.run()
     status = highs.getModelStatus()
-    info = highs.getInfo()
-    iters = int(info.simplex_iteration_count)
+    info = highs.getInfo()      # a copy: the tie-break leaves it as it is
     if status == core.HighsModelStatus.kIterationLimit:
-        return _unsolved(program, "iteration-limit", iters)
+        raise SolverError(f"iteration-limit: simplex at {info.simplex_iteration_count} iterations")
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
-    solution, values = _solution(highs, program)
-    residuals = Residuals(0.0, info.max_dual_infeasibility)
+    solution, values, _ = _solution(highs, program)
     # weak-duality check from the row duals y and the reduced costs d: dual
     # objective b'y + sum_j u_j min(d_j, 0) over the bounded columns
     y, d = np.asarray(solution.row_dual), np.asarray(solution.col_dual)
@@ -250,21 +245,22 @@ def _highs(core, program: ConvexProgram) -> Solution:
     # the optimum is the larger of the two: a vertex that breaks a row by
     # 1e-10 can cost less than any feasible point, and a cost row below the
     # optimum leaves the tie-break infeasible
-    values = _drain(core, highs, program, d, max(objective, dual_obj))
-    iters += int(highs.getInfo().simplex_iteration_count)
-    if values is None:
-        return _unsolved(program, "iteration-limit", iters)
-    residuals.primal = verify_solution(program, values)
-    return Solution(values=values, objective=program.objective_value(values), status="optimal",
-                    residuals=residuals, iterations=iters)
+    values, primal = _drain(core, highs, program, d, max(objective, dual_obj))
+    return Solution(values=values, objective=program.objective_value(values),
+                    residuals=Residuals(primal, info.max_dual_infeasibility),
+                    iterations=info.simplex_iteration_count
+                    + highs.getInfo().simplex_iteration_count)
 
 
 def solve(program: ConvexProgram) -> Solution:
-    """Solve the program: an LP on one HiGHS model, a QP by the certified
-    interior point."""
+    """The program's verified optimum (module docstring): a QP by the
+    certified interior point; an LP by the free-flow lemma where it applies,
+    else on one HiGHS model, whose binding is loaded only then. Raises
+    SolverError, naming iteration-limit where a stage stops short."""
     if program.is_quadratic:
-        return _certified_qp(program) or _unsolved(program, "iteration-limit")
-    return _highs(_extension("scipy.optimize._highspy._core"), program)
+        return _certified_qp(program)
+    return freeflow_optimum(program) or _highs(_extension("scipy.optimize._highspy._core"),
+                                               program)
 
 
 def _lemma_applies(program: ConvexProgram) -> bool:
@@ -303,7 +299,7 @@ def freeflow_optimum(program: ConvexProgram) -> Solution | None:
     primal = verify_solution(program, values)
     if primal > LP_RESIDUAL_TOL:
         return None
-    return Solution(values=values, objective=program.objective_value(values), status="optimal",
+    return Solution(values=values, objective=program.objective_value(values),
                     residuals=Residuals(primal, 0.0))
 
 
@@ -533,9 +529,10 @@ def _lagrangian_bound(program: ConvexProgram, y, w, upper) -> float:
                  + (r[falling] * upper[falling]).sum())
 
 
-def _certified_qp(program: ConvexProgram) -> Solution | None:
+def _certified_qp(program: ConvexProgram) -> Solution:
     """The first polished iterate of one interior-point run that certifies
-    (module docstring), or None; its residuals are the primal one and f - g."""
+    (module docstring); its residuals are the primal one and f - g. Raises
+    SolverError where no iterate certifies."""
     upper = _implied_bounds(program)
     for point, fixed, active, it in _interior_point(program):
         polished = _polish(program, point, fixed, active)
@@ -545,6 +542,6 @@ def _certified_qp(program: ConvexProgram) -> Solution | None:
         objective = program.objective_value(v)
         gap = objective - _lagrangian_bound(program, y, w, upper)
         if gap <= FW_TOL * (1.0 + abs(objective)):
-            return Solution(values=v, objective=objective, status="optimal",
-                            residuals=Residuals(primal, gap), iterations=it)
-    return None
+            return Solution(values=v, objective=objective, residuals=Residuals(primal, gap),
+                            iterations=it)
+    raise SolverError("iteration-limit: no interior-point iterate of the QP certifies")

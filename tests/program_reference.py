@@ -10,8 +10,8 @@
 - ``full_space_program``: the full-space relaxation that the product
   builder shrank, which also declares y, z and mu on every cell as
   variables with their defining rows. It is a ``ConvexProgram`` whose
-  ``span`` and ``states`` read that layout, so ``solve`` takes it as it
-  is; ``lift`` maps a solution of the product program onto it.
+  ``span``, ``states`` and ``pack`` read that layout, so ``solve`` takes it
+  as it is; ``lift`` maps a solution of the product program onto it.
 """
 
 from __future__ import annotations
@@ -195,6 +195,11 @@ class FullSpaceProgram(ConvexProgram):
     def states(self, values: np.ndarray, block: str = "x") -> np.ndarray:
         rows = self.scenario.horizon + (block == "x")
         return np.array(values[self.span(block)]).reshape(rows, -1)
+
+    def pack(self, trajectory) -> np.ndarray:
+        """The variable vector of a CTM run of the program's scenario."""
+        return np.concatenate([trajectory.states.ravel(), trajectory.y.ravel(),
+                               trajectory.z.ravel(), trajectory.mu.ravel(), trajectory.f.ravel()])
 
     def early_outflow(self, values: np.ndarray) -> float:
         """sum_t (T - t) sum_i z_i(t), the tie-break's objective."""

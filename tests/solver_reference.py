@@ -19,7 +19,7 @@ import numpy as np
 
 from ctmflow.program import ConvexProgram
 from ctmflow.solver import (LP_FEASIBILITY_TOL, LP_RESIDUAL_TOL, Residuals, Solution,
-                            SolverError, _extension, _unsolved, verify_solution)
+                            SolverError, _extension, verify_solution)
 
 
 def brute_force_oracle(program: ConvexProgram) -> Solution:
@@ -32,7 +32,8 @@ def brute_force_oracle(program: ConvexProgram) -> Solution:
     nonsingular, that system is solved; the first point that is primal
     feasible (G u <= h) and dual feasible (w >= 0) is optimal, as the
     program is convex. With P = 0 this is vertex enumeration over the LP's
-    bases.
+    bases. Where no point qualifies (an infeasible program), it raises
+    SolverError.
     """
     k_min = program.n_vars - program.A_eq.shape[0]
     if k_min > 12:
@@ -45,7 +46,7 @@ def brute_force_oracle(program: ConvexProgram) -> Solution:
         raise SolverError(f"oracle accepts at most 12 free variables, got {k}")
     v0 = np.linalg.lstsq(A_eq, program.b_eq, rcond=None)[0]
     if np.max(np.abs(A_eq @ v0 - program.b_eq), initial=0.0) > 1e-9:
-        return _unsolved(program, "infeasible")
+        raise SolverError("the equality rows have no solution")
     # G u <= h: the A_ub rows, then -v <= 0 on the nonneg block
     nn = program.nonneg
     G = np.vstack([program.A_ub @ N, -N[nn]])
@@ -53,7 +54,7 @@ def brute_force_oracle(program: ConvexProgram) -> Solution:
     scale = np.max(np.abs(G), axis=1, initial=0.0)
     fixed = scale < 1e-10      # rows the equalities already decide
     if np.any(h[fixed] < -1e-9):
-        return _unsolved(program, "infeasible")
+        raise SolverError("a row that the equalities fix is broken")
     G, h = G[~fixed] / scale[~fixed, None], h[~fixed] / scale[~fixed]
     # drop repeated rows, keeping the tightest bound of each
     order = np.argsort(h, kind="stable")
@@ -76,9 +77,8 @@ def brute_force_oracle(program: ConvexProgram) -> Solution:
             if np.all(w >= -1e-9) and np.all(G @ u <= h + 1e-9):
                 values = N @ u + v0
                 return Solution(values=values, objective=program.objective_value(values),
-                                status="optimal",
                                 residuals=Residuals(verify_solution(program, values), 0.0))
-    return _unsolved(program, "infeasible")
+    raise SolverError("no active set is primal and dual feasible")
 
 
 def full_model(core, program: ConvexProgram, cost: np.ndarray | None = None):
@@ -138,7 +138,7 @@ def drained_lp(program: ConvexProgram) -> Solution:
     primal = verify_solution(program, values)
     if primal > LP_RESIDUAL_TOL:
         raise SolverError(f"the drained vertex breaks a row by {primal}")
-    return Solution(values=values, objective=program.objective_value(values), status="optimal",
+    return Solution(values=values, objective=program.objective_value(values),
                     residuals=Residuals(primal, 0.0))
 
 
@@ -162,7 +162,7 @@ def highs_qp(program: ConvexProgram) -> Solution:
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
     values = np.array(highs.getSolution().col_value) + 0.0
-    return Solution(values=values, objective=program.objective_value(values), status="optimal",
+    return Solution(values=values, objective=program.objective_value(values),
                     residuals=Residuals(verify_solution(program, values), 0.0))
 
 

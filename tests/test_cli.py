@@ -102,18 +102,26 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="not an invariant"):
             main(argv)
 
-    @pytest.mark.parametrize("case", ["scenario-is-dir", "out-under-file", "out-is-file"])
+    @pytest.mark.parametrize("case", ["scenario-is-dir", "out-under-file", "out-is-file",
+                                      "artifact-is-dir", "manifest-is-dir"])
     def test_unusable_path_config_error(self, tmp_path, capsys, case):
         # each of these ended in an OSError traceback (exit 1)
         blocker = tmp_path / "file"
         blocker.write_text("")
+        for taken in ("artifact/trajectory.csv", "manifest/manifest.json"):
+            (tmp_path / taken).mkdir(parents=True)
         argv = {"scenario-is-dir": ["simulate", "--scenario", str(tmp_path),
                                     "--out", str(tmp_path / "out")],
                 "out-under-file": ["simulate", "--scenario", "bundled:table",
                                    "--out", str(blocker / "sub")],
-                "out-is-file": ["reproduce-paper", "--out", str(blocker)]}[case]
+                "out-is-file": ["reproduce-paper", "--out", str(blocker)],
+                "artifact-is-dir": ["simulate", "--scenario", "bundled:table",
+                                    "--out", str(tmp_path / "artifact")],
+                "manifest-is-dir": ["simulate", "--scenario", "bundled:table",
+                                    "--out", str(tmp_path / "manifest")]}[case]
         assert main(argv) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and str(tmp_path) in err["message"]    # names the path
 
     def test_non_json_scenario_config_error(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -195,6 +203,13 @@ class TestExitCodes:
                    f"--sweep={sweep}", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("expr, grid", [("0:0.6:1", [0.0, 0.6]), ("0:0.4:1", [0.0, 0.4, 0.8]),
+                                            ("0:0.1:3", np.round(np.arange(31) * 0.1, 10))])
+    def test_sweep_grid_stops_at_end(self, expr, grid):
+        # the point count was rounded to the nearest integer, so 0:0.6:1
+        # swept 1.2, past END
+        np.testing.assert_array_equal(_sweep_grid(expr), grid)
 
     def test_sweep_grid_point_limit(self):
         assert len(_sweep_grid("0:1:999")) == MAX_SWEEP_POINTS
@@ -591,6 +606,20 @@ class TestImports:
                              ("scipy.optimize._highspy._core",))
         assert run.stdout.splitlines()[-1] == "0 False", run.stdout + run.stderr
 
+    def test_lemma_solve_leaves_highs_unloaded(self):
+        # solve settles the bundled T = 200 FNC total-volume program by the
+        # free-flow lemma, the uncontrolled run itself, before it would load
+        # HiGHS
+        run = self.fresh(
+            "import sys\nimport numpy as np\nimport ctmflow\n"
+            "from ctmflow.scenarios import robustness_scenario\n"
+            "sc = robustness_scenario()\n"
+            "prog = ctmflow.build_fnc(sc, ctmflow.CostSpec('TTT'))\n"
+            "sol = ctmflow.solve(prog)\n"
+            "print(sol.iterations, np.array_equal(sol.values, prog.pack(ctmflow.simulate(sc))),"
+            " 'scipy.optimize._highspy._core' in sys.modules)")
+        assert run.stdout.splitlines()[-1] == "0 True False", run.stdout + run.stderr
+
     def test_missing_lp_binding_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
         rc = main(["solve", "--scenario", "bundled:table", "--cost", "ttt",
@@ -598,13 +627,17 @@ class TestImports:
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "solver"
 
-    @staticmethod
-    def fresh_run(tmp_path, argv, names) -> subprocess.CompletedProcess:
+    @classmethod
+    def fresh_run(cls, tmp_path, argv, names) -> subprocess.CompletedProcess:
         """argv in a new interpreter, whose last line of output is the exit
         code and then whether each of the named modules is loaded."""
-        code = ("import sys\nfrom ctmflow.cli import main\n"
-                f"rc = main({argv + ['--out', str(tmp_path)]!r})\n"
-                f"print(rc, *(name in sys.modules for name in {names!r}))")
+        return cls.fresh("import sys\nfrom ctmflow.cli import main\n"
+                         f"rc = main({argv + ['--out', str(tmp_path)]!r})\n"
+                         f"print(rc, *(name in sys.modules for name in {names!r}))")
+
+    @staticmethod
+    def fresh(code) -> subprocess.CompletedProcess:
+        """The code in a new interpreter that imports this ctmflow."""
         src = str(Path(ctmflow.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
