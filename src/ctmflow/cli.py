@@ -175,14 +175,13 @@ def cmd_synthesize(args) -> list:
     return files
 
 
-def _run_sweep(sc, grid, model: str, controls, path: Path) -> tuple:
-    """Write the sweep CSV (delta, simulated cost perturbation, combined
-    bound, sensitivity bound); return lam_hat and the path."""
-    lam_hat, points = robustness.sweep(sc, grid, controls=controls, model=model)
-    return lam_hat, _csv(path, "delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
-                               "combined_bound_veh_steps,model,sensitivity_bound_veh_steps",
-                         [(p.delta, p.cost_perturbation, p.combined.sum(), model,
-                           p.sensitivity.sum()) for p in points])
+def _sweep_csv(path: Path, model: str, points) -> Path:
+    """The sweep CSV of one model: delta, simulated cost perturbation,
+    combined bound, sensitivity bound."""
+    return _csv(path, "delta_lambda_veh_per_step,simulated_cost_perturbation_veh_steps,"
+                      "combined_bound_veh_steps,model,sensitivity_bound_veh_steps",
+                [(p.delta, p.cost_perturbation, p.combined.sum(), model, p.sensitivity.sum())
+                 for p in points])
 
 
 def cmd_robustness_sweep(args) -> list:
@@ -198,8 +197,9 @@ def cmd_robustness_sweep(args) -> list:
         raise ConfigError(f"sweep start {grid[0]:g} drives the inflow {nominal[0]:g} below zero")
     prog, sol = _solve_program(sc, "fnc", CostSpec("TTT"), args.epsilon)
     controls = synthesis.extract_controls(prog, sol)
-    lam_hat, path = _run_sweep(sc, grid, args.model, controls,
-                               _outdir(args.out) / f"sweep_{args.model}.csv")
+    lam_hat, points = robustness.sweep(sc, grid, controls, (args.model,))
+    path = _sweep_csv(_outdir(args.out) / f"sweep_{args.model}.csv", args.model,
+                      points[args.model])
     print(f"robustness-sweep: {len(grid)} points, lam_hat = {lam_hat:.4f} "
           f"(delta {lam_hat - sc.inflow[0].max():.4f})")
     return [path]
@@ -242,18 +242,17 @@ def reproduce_paper(outdir: Path) -> list:
     prog200, sol200 = _solve_program(rb_sc, "fnc", CostSpec("TTT"), 0.0)
     controls200 = synthesis.extract_controls(prog200, sol200)
     grid = _sweep_grid("0:0.1:3")
+    _, points = robustness.sweep(rb_sc, grid, controls200, ("fifo", "nonfifo"))
     for fig, model in (("fig8", "fifo"), ("fig9", "nonfifo")):
-        files.append(_run_sweep(rb_sc, grid, model, controls200,
-                                outdir / f"{fig}_sweep_{model}.csv")[1])
+        files.append(_sweep_csv(outdir / f"{fig}_sweep_{model}.csv", model, points[model]))
 
     # epsilon tradeoff on the short scenario
     rows = []
+    shifted = sc.inflow + grid[:, None, None] * sc.network.source     # (delta, T, n)
     for eps in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         prog, sol = fnc_ttt if eps == 0.0 else _solve_program(sc, "fnc", CostSpec("TTT"), eps)
         controls = synthesis.extract_controls(prog, sol)
-        runs = robustness.simulate_perturbed(
-            sc, [robustness.PerturbationSpec.inflow_shift(sc, float(d)) for d in grid],
-            controls=controls, model="fifo")
+        runs = ctm.simulate_batch(sc, inflow=shifted, controls=controls)
         rows += [(f"{eps:.1f}", d, float(runs.states[b].sum()), runs[b].min_gamma())
                  for b, d in enumerate(grid)]
     files.append(_csv(outdir / "fig10_epsilon_tradeoff.csv",

@@ -27,7 +27,7 @@ d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
 
       f_i = med{d_bar_i, s - d_bar_h, p_i s}     (p_i + p_h = 1)
 
-  when total demand exceeds supply; elsewhere identical to FIFO.
+  where the merge's target throttles; elsewhere identical to FIFO.
 
   non-FIFO: congestion in one outgoing cell does not throttle flow toward
   the others:
@@ -36,8 +36,9 @@ d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
 
 A receiving cell throttles only a total demand above ZERO_DEMAND_TOL times
 its largest supply, min(max_t C(t), w tau / L x_jam). Smaller demands
-(solver noise, rounded controls) count as free flow, also into a cell whose
-supply is zero.
+(solver noise, rounded controls) count as free flow under every rule, also
+into a cell whose supply is zero. Where no cell throttles, all three rules
+send the same flows: free flow does not depend on the rule.
 """
 
 from __future__ import annotations
@@ -266,8 +267,8 @@ def junction_rates(net: Network, x: np.ndarray, drive: Drive, t,
         z = gamma * dbar
         if model == "fifo-priority" and len(net.merges):
             target, u0, u1 = net.merges.T
-            z[:, u0], z[:, u1] = priority_merge_flows(
-                (dbar[:, u0], dbar[:, u1]), supply[:, target], (0.5, 0.5))
+            s = np.where(share[:, target] < 1.0, supply[:, target], np.inf)    # inf: no throttle
+            z[:, u0], z[:, u1] = priority_merge_flows((dbar[:, u0], dbar[:, u1]), s, (0.5, 0.5))
         f = ratio * z.take(net.src, axis=1)
     return lam + _gather_sum(f, net.in_edges), z, gamma, f
 
@@ -335,14 +336,15 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
                       f=f, network=net)
 
 
-def stays_free(net: Network, drive: Drive, x0, lam, model: str = "fifo") -> bool:
+def stays_free(net: Network, drive: Drive, x0, lam) -> bool:
     """Whether one run from x0 (n,) under inflow rows lam (T, n) keeps
-    gamma >= 1 - FREEFLOW_TOL at every step. It stops at its first congested step
-    or at its exact steady state (``_repeat_period``)."""
+    gamma >= 1 - FREEFLOW_TOL at every step, under any junction rule: it runs
+    FIFO, which sends every rule's flows until a cell throttles. It stops at
+    its first congested step or at its exact steady state (``_repeat_period``)."""
     settled = max(drive.settled, _settled_step(lam))
     states = [np.asarray(x0, dtype=float)[None]]
     for t in range(len(lam)):
-        y, z, gamma, _ = junction_rates(net, states[t], drive, t, lam[t:t + 1], model)
+        y, z, gamma, _ = junction_rates(net, states[t], drive, t, lam[t:t + 1])
         if gamma.min() < 1.0 - FREEFLOW_TOL:
             return False
         states.append(step(net, states[t], y, z))

@@ -8,9 +8,9 @@ Total inflow y = lambda + sum f_in and outflow z = sum f_out + mu are not
 variables: the rows read them as those sums, and ``ConvexProgram.states``
 returns them. Equalities: x(0) = x0 (a variable, so c'v is the whole
 cost), the dynamics x(t+1) - x(t) - sum f_in + sum f_out + mu = lambda(t)
-and, for FNC, the exogenous-split rows f_ij = R_ij z_i, less the 0 = 0
-row of a cell's only edge at R = 1. Inequalities (piecewise-affine
-diagrams expanded to affine rows):
+and, for FNC, the exogenous-split rows f_ij = R_ij z_i, less the row of a
+cell's only edge, whose R ``Scenario`` holds to 1. Inequalities
+(piecewise-affine diagrams expanded to affine rows):
 
     z_i(t) <= demand_slope_i * x_i(t)          z_i(t) <= C_i(t)
     y_i(t) <= (1-eps) * supply_slope_i * (jam_i - x_i(t))     (non-sources)
@@ -204,9 +204,9 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     if kind == "FNC":
         # per step and edge e = (i, j): f_e = R_e sum_k f_ik, over the
         # edges k out of i (sinks have none, so mu never enters). The row
-        # of i's only edge at R = 1 is 0 = 0 and is left out.
+        # of i's only edge, (1 - R) f = 0 with R 1 to 1e-9, is left out.
         ratio = held_rows(scenario.routing, T)
-        kept = (ratio != 1.0) | (net.out_degree[src] > 1)
+        kept = np.broadcast_to(net.out_degree[src] > 1, (T, E))
         split = n * (T + 1) + np.cumsum(kept).reshape(T, E) - 1
         sib = np.stack(net.out_edges)[:, src]     # (D, E): the edges out of src[e], E past them
         on = (sib < E) & kept[:, None]

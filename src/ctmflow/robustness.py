@@ -20,8 +20,9 @@ free-flow supremum lam_hat it extends the combined bound by the overload
 heuristic: the bound at lam_hat plus (lam~ - lam_hat) * t. The first two
 rest on the monotonicity of the compartmental traffic model (Coogan &
 Arcak 2015). Their "sufficiently small" hypothesis is that the perturbed
-FIFO run stays in free flow (``simulate_perturbed(...).is_freeflow()``);
-for non-FIFO dynamics, monotone everywhere, it is vacuous.
+FIFO run stays in free flow; for non-FIFO dynamics, monotone everywhere, it
+is vacuous. Free flow, and so lam_hat, does not depend on the junction rule
+(``ctm``): ``sweep`` finds lam_hat once for all its models.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ class Envelope:
     lam_lower: np.ndarray
     x0_upper: np.ndarray
     x0_lower: np.ndarray
-
-
-def simulate_perturbed(scenario: Scenario, perturbations: list,
-                       controls=None, model: str = "fifo"):
-    """The perturbed runs of a scenario, as one batch trajectory."""
-    return simulate_batch(scenario, x0=[p.x0 for p in perturbations],
-                          inflow=[p.inflow for p in perturbations],
-                          controls=controls, model=model)
 
 
 def _errors(scenario: Scenario, perturbation: PerturbationSpec) -> tuple:
@@ -148,12 +141,12 @@ def equilibrium_envelope_bound(scenario: Scenario, perturbation: PerturbationSpe
     return np.full(scenario.horizon + 1, gap + dx0 + third)
 
 
-def max_freeflow_inflow(scenario: Scenario, controls=None, model: str = "fifo") -> float:
+def max_freeflow_inflow(scenario: Scenario, controls=None) -> float:
     """Supremum constant inflow keeping the whole run, under the controls, in free flow.
 
     Bisection on the scalar source level down to BISECT_WIDTH; requires a
-    single source and a constant nominal inflow. Each trial level stops at
-    its first congested step or at its exact steady state (``stays_free``).
+    single source and a constant nominal inflow. Each trial level is one
+    ``stays_free`` run, whose answer holds under every junction rule.
     """
     net = scenario.network
     sources = sorted(net.sources)
@@ -170,7 +163,7 @@ def max_freeflow_inflow(scenario: Scenario, controls=None, model: str = "fifo") 
         lam_t = np.zeros(net.n)
         lam_t[src] = level
         return stays_free(net, drive, scenario.x0,
-                          np.broadcast_to(lam_t, (scenario.horizon, net.n)), model)
+                          np.broadcast_to(lam_t, (scenario.horizon, net.n)))
 
     lo = 0.0
     hi = max(float(nominal[0]), 1.0)
@@ -236,33 +229,38 @@ class SweepPoint:
 
 
 def sweep(scenario: Scenario, deltas, controls=None,
-          model: str = "fifo") -> tuple[float, list]:
+          models=("fifo",)) -> tuple[float, dict]:
     """The bounds against simulation over constant shifts delta of the single
-    source inflow: lam_hat and one SweepPoint per delta.
+    source inflow: lam_hat and, per model, one SweepPoint per delta.
 
     Above lam_hat the combined curve is the overload heuristic, the combined
-    bound at lam_hat plus (level - lam_hat) * t. The nominal run is simulated
-    once, the perturbed runs as one batch, and the envelope equilibria of
-    lam_hat and of every level up to it are found as one batch.
+    bound at lam_hat plus (level - lam_hat) * t. lam_hat and the sensitivity
+    curves serve every model. Per model, the perturbed runs and the envelope
+    equilibria of lam_hat and of every level up to it are one batch each.
     """
-    lam_hat = max_freeflow_inflow(scenario, controls, model)
+    lam_hat = max_freeflow_inflow(scenario, controls)
     src = scenario.network.index[min(scenario.network.sources)]
     level = float(scenario.inflow[0, src])
     perts = [PerturbationSpec.inflow_shift(scenario, float(d)) for d in deltas]
     bounded = [PerturbationSpec.inflow_shift(scenario, lam_hat - level)]
     bounded += [p for d, p in zip(deltas, perts) if level + d <= lam_hat]
     envs = [compute_envelope(scenario, p) for p in bounded]
-    eqs = find_equilibria(scenario, [lam for e in envs for lam in (e.lam_upper, e.lam_lower)],
-                          controls, model)
-    curves = iter([combined_bound(scenario, p, controls, model, eqs[2 * k:2 * k + 2])
-                   for k, p in enumerate(bounded)])
-    at_hat = next(curves)
-    nominal = simulate(scenario, controls=controls, model=model).states
-    runs = simulate_perturbed(scenario, perts, controls, model)
+    inflows = [lam for e in envs for lam in (e.lam_upper, e.lam_lower)]
+    sensitivity = [sensitivity_bound(scenario, p) for p in perts]
     t = np.arange(scenario.horizon + 1)
-    points = []
-    for d, pert, states in zip(deltas, perts, runs.states):
-        curve = next(curves) if level + d <= lam_hat else at_hat + (level + d - lam_hat) * t
-        points.append(SweepPoint(delta=float(d), cost_perturbation=float((states - nominal).sum()),
-                                 combined=curve, sensitivity=sensitivity_bound(scenario, pert)))
+    points = {}
+    for model in models:
+        eqs = find_equilibria(scenario, inflows, controls, model)
+        curves = iter([combined_bound(scenario, p, controls, model, eqs[2 * k:2 * k + 2])
+                       for k, p in enumerate(bounded)])
+        at_hat = next(curves)
+        nominal = simulate(scenario, controls=controls, model=model).states
+        runs = simulate_batch(scenario, inflow=[p.inflow for p in perts], controls=controls,
+                              model=model)
+        points[model] = [
+            SweepPoint(delta=float(d), cost_perturbation=float((states - nominal).sum()),
+                       combined=next(curves) if level + d <= lam_hat
+                       else at_hat + (level + d - lam_hat) * t, sensitivity=sens)
+            for d, sens, states in zip(deltas, sensitivity, runs.states)]
+        del runs     # free this batch before the next model's: the sweep's memory peak
     return lam_hat, points

@@ -8,7 +8,8 @@ step length themselves, not from the network's arrays; neighbour lists
 (``downstream``, ``upstream``) come from the adjacency pairs, not from the
 degree and edge arrays. A receiving cell throttles only a total demand
 above ``ZERO_DEMAND_TOL`` times its largest supply, min(max C, w tau / L
-x_jam), as in the array kernel.
+x_jam), as in the array kernel; a priority merge applies its median rule
+only where its target throttles.
 
 ``mass_balance_error`` is the conservation check of a simulated run.
 """
@@ -138,6 +139,10 @@ def fifo_rates(network: Network, x: np.ndarray, alpha: np.ndarray,
     z = gamma * dbar
     for target, prios in (priority_merges or {}).items():
         u0, u1 = upstream(network, target)
+        jj = idx[target]
+        tot = float(sum(R[idx[h], jj] * dbar[idx[h]] for h in (u0, u1)))
+        if tot <= _negligible(network, target) or s[jj] >= tot:
+            continue    # the target does not throttle: FIFO's flows
         f0, f1 = priority_merge_flows(
             (dbar[idx[u0]], dbar[idx[u1]]), s[idx[target]], (prios[u0], prios[u1]))
         z[idx[u0]], z[idx[u1]] = f0, f1

@@ -724,6 +724,16 @@ class TestReproducePaper:
                      "--out", str(tmp_path / "sweep")]) == 0
         assert 200 not in horizons and 25 in horizons
 
+    def test_one_freeflow_supremum(self, tmp_path, monkeypatch):
+        # fig8 and fig9 share one lam_hat: free flow does not depend on the
+        # junction rule, so one bisection serves both sweeps
+        calls = []
+        bisect = robustness.max_freeflow_inflow
+        monkeypatch.setattr(robustness, "max_freeflow_inflow",
+                            lambda *a, **k: calls.append(1) or bisect(*a, **k))
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_kernel_steps_bounded(self, tmp_path, monkeypatch):
         # constant-input runs stop at their exact steady state and each sweep
         # finds its equilibria as one batch: 820 kernel steps, against 3,951
@@ -750,6 +760,14 @@ class TestSweep:
         for row in lines[1:]:
             cols = row.split(",")
             assert float(cols[1]) <= float(cols[2]) + 1e-6   # sound bound
+
+    def test_lam_hat_line_same_for_every_model(self, tmp_path, capsys):
+        lines = set()
+        for model in ctm.MODELS:
+            assert main(["robustness-sweep", "--scenario", "bundled:robustness", "--model", model,
+                         "--sweep", "0:0.5:1", "--out", str(tmp_path / model)]) == 0
+            lines.add(capsys.readouterr().out.splitlines()[-1])
+        assert lines == {"robustness-sweep: 3 points, lam_hat = 6.4282 (delta 1.4282)"}
 
     def test_jobs_parallel_same_output(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
@@ -808,6 +826,57 @@ class TestQuadraticSynthesis:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "solver"
+
+
+def unit_cells(ids, capacity=(3.0,)) -> tuple:
+    return tuple(Cell(c, 1, 1, 1, 1, 10.0, capacity) for c in ids)
+
+
+class TestSingleEdgeRatio:
+    """A single out-edge's turning ratio is 1 to within 1e-9 (``Scenario``).
+    Its FNC split row is left out: at R < 1 it read (1 - R) f = 0, whose
+    tiny coefficient made HiGHS's drained vertex leave the optimal face and
+    kept every QP iterate from certifying (exit 3)."""
+
+    @staticmethod
+    def chain(ratio: float) -> Scenario:
+        net = Network(cells=unit_cells("sabt"), adjacency=(("s", "a"), ("a", "b"), ("b", "t")),
+                      sources=frozenset({"s"}), sinks=frozenset({"t"}), tau=1.0)
+        lam = np.zeros((6, 4))
+        lam[:, 0] = 2.0
+        return Scenario(network=net, x0=(2.0, 3.0, 1.0, 0.0), inflow=lam, routing=constant_routing(
+            net, {("s", "a"): 1.0, ("a", "b"): ratio, ("b", "t"): 1.0}))
+
+    @staticmethod
+    def run(tmp_path, sc, name, argv) -> dict:
+        path, out = tmp_path / f"{name}.json", tmp_path / name / "-".join(argv)
+        save_scenario(sc, path)
+        assert main(argv + ["--scenario", str(path), "--kind", "fnc", "--out", str(out)]) == 0
+        return json.loads((out / "summary.json").read_text())
+
+    @pytest.mark.parametrize("ratio", [1 - 2 ** -53, 1 - 1e-12, 1 - 1e-10])
+    def test_near_one_ratio_solves(self, tmp_path, ratio):
+        # TTT takes the free-flow lemma, whose run leaks (1 - R) z per step:
+        # the objectives agree with the R = 1 chain to 1e-9, not bit for bit
+        for argv in (["solve", "--cost", "ttt"], ["solve", "--cost", "quad"], ["synthesize"]):
+            exact = self.run(tmp_path, self.chain(1.0), "exact", argv)
+            near = self.run(tmp_path, self.chain(ratio), "near", argv)
+            assert near["objective"] == pytest.approx(exact["objective"], rel=1e-9, abs=0.0)
+        assert near["realized"] and near["always_freeflow"]
+
+    def test_three_way_diverge_solves(self, tmp_path):
+        # a congested 0.7 / 0.2 / 0.1 diverge keeps its split rows
+        net = Network(cells=unit_cells("sd") + unit_cells("p", (1.5,)) + unit_cells("qr"),
+                      adjacency=(("s", "d"), ("d", "p"), ("d", "q"), ("d", "r")),
+                      sources=frozenset({"s"}), sinks=frozenset("pqr"), tau=1.0)
+        lam = np.zeros((8, 5))
+        lam[:, 0] = 2.5
+        sc = Scenario(network=net, x0=np.zeros(5), inflow=lam, routing=constant_routing(
+            net, {("s", "d"): 1.0, ("d", "p"): 0.7, ("d", "q"): 0.2, ("d", "r"): 0.1}))
+        for cost in ("ttt", "quad"):
+            summary = self.run(tmp_path, sc, "diverge", ["solve", "--cost", cost])
+            assert summary["iterations"] > 0
+        assert self.run(tmp_path, sc, "diverge", ["synthesize"])["realized"]
 
 
 class TestRoundedControlsReplay:

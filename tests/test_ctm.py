@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctmflow.cli import main
-from ctmflow.ctm import CostSpec, evaluate_cost, priority_merge_flows, simulate, step
+from ctmflow.ctm import MODELS, CostSpec, evaluate_cost, priority_merge_flows, simulate, step
 from ctmflow.network import Cell, Network, Scenario, constant_routing
 
 from conftest import dominated_pair, freeflow_scenario, random_scenario
@@ -135,6 +135,24 @@ class TestPriorityMerge:
     def test_rejects_more_than_two(self):
         with pytest.raises(ValueError):
             priority_merge_flows((1.0, 1.0, 1.0), 6.0, (0.3, 0.3, 0.4))
+
+    def test_negligible_demand_passes_under_every_rule(self):
+        # 1e-12 veh from each source reaches m at step 1, when m's supply is
+        # 0: a demand below ZERO_DEMAND_TOL passes under every rule, and the
+        # priority merge held it back on the sources
+        cells = tuple(Cell(c, 1, 1, 1, 1, 10.0, [6.0, 0.0, 6.0] if c == "m" else [3.0])
+                      for c in ("s1", "s2", "m", "t"))
+        net = Network(cells=cells, adjacency=(("s1", "m"), ("s2", "m"), ("m", "t")),
+                      sources=frozenset({"s1", "s2"}), sinks=frozenset({"t"}), tau=1.0)
+        lam = np.zeros((4, 4))
+        lam[0, :2] = 1e-12
+        sc = Scenario(network=net, x0=np.zeros(4), inflow=lam,
+                      routing=constant_routing(net, dict.fromkeys(net.adjacency, 1.0)))
+        runs = {model: simulate(sc, model=model) for model in MODELS}
+        assert runs["fifo"].states[2].tolist() == [0.0, 0.0, 2e-12, 0.0]
+        for model, run in runs.items():
+            assert run.states.tobytes() == runs["fifo"].states.tobytes(), model
+            assert run.min_gamma() == 1.0
 
     def test_flows_never_exceed_supply(self):
         rng = np.random.default_rng(11)

@@ -1,20 +1,21 @@
 """Perturbation bounds: formulas, equilibria, thresholds, soundness."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmflow import robustness, scenarios
-from ctmflow.ctm import FREEFLOW_TOL, MODELS, CostSpec, Drive, junction_rates, simulate, step
+from ctmflow.ctm import (FREEFLOW_TOL, MODELS, CostSpec, Drive, junction_rates, simulate,
+                         simulate_batch, step)
 from ctmflow.network import Cell, Network, Scenario, constant_routing
 from ctmflow.program import build_fnc
 from ctmflow.robustness import (EQ_TOL, PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
                                 find_equilibria, lipschitz_constant,
-                                max_freeflow_inflow, sensitivity_bound, simulate_perturbed,
-                                sweep)
+                                max_freeflow_inflow, sensitivity_bound, sweep)
 from ctmflow.solver import solve
 from ctmflow.synthesis import extract_controls
 
@@ -52,7 +53,8 @@ def reference_equilibrium(sc, inflow, model: str):
 
 def full_horizon_free(net, drive, x0, lam, model: str = "fifo") -> bool:
     """The free-flow probe of ``max_freeflow_inflow`` without the
-    steady-state exit: every step of the horizon is checked."""
+    steady-state exit, under any junction rule: every step of the horizon is
+    checked."""
     x = np.asarray(x0, dtype=float)[None]
     for t in range(len(lam)):
         y, z, gamma, _ = junction_rates(net, x, drive, t, lam[t:t + 1], model)
@@ -64,13 +66,15 @@ def full_horizon_free(net, drive, x0, lam, model: str = "fifo") -> bool:
 
 def divergence(sc, pert) -> np.ndarray:
     """||x~(t) - x(t)||_1 per step of the uncontrolled FIFO runs."""
-    return np.abs(simulate_perturbed(sc, [pert]).states[0] - simulate(sc).states).sum(axis=1)
+    run = simulate_batch(sc, x0=pert.x0, inflow=pert.inflow)
+    return np.abs(run.states[0] - simulate(sc).states).sum(axis=1)
 
 
 @pytest.fixture(scope="module")
 def swept(robustness_scenario):
-    """The sweep at one point below and one above lam_hat (level 6 and 7)."""
-    return sweep(robustness_scenario, [1.0, 2.0])
+    """The FIFO sweep at one point below and one above lam_hat (level 6 and 7)."""
+    lam_hat, points = sweep(robustness_scenario, [1.0, 2.0])
+    return lam_hat, points["fifo"]
 
 
 class TestContractionBound:
@@ -93,8 +97,8 @@ class TestContractionBound:
     def test_freeflow_probe_flag(self, robustness_scenario):
         # the hypothesis of the bound: the perturbed run stays in free flow
         # below lam_hat (level 5.5) and leaves it above (level 7.5)
-        runs = simulate_perturbed(robustness_scenario, [
-            PerturbationSpec.inflow_shift(robustness_scenario, d) for d in (0.5, 2.5)])
+        runs = simulate_batch(robustness_scenario, inflow=[
+            PerturbationSpec.inflow_shift(robustness_scenario, d).inflow for d in (0.5, 2.5)])
         assert runs[0].is_freeflow() is True
         assert runs[1].is_freeflow() is False
 
@@ -105,7 +109,7 @@ class TestContractionBound:
             sc = freeflow_scenario(rng)
             delta = rng.uniform(0.0, 0.2)
             pert = PerturbationSpec.inflow_shift(sc, delta)
-            run = simulate_perturbed(sc, [pert])
+            run = simulate_batch(sc, x0=pert.x0, inflow=pert.inflow)
             if not run.is_freeflow():
                 continue
             diff = np.abs(run.states[0] - simulate(sc).states).sum(axis=1)
@@ -211,10 +215,12 @@ class TestBatchedEquilibria:
 class TestFreeflowSupremum:
     def test_threshold_both_models(self, robustness_scenario):
         # measured supremum of this network: 45/7 (merge of shares 4/9 and
-        # 1/3 against the single-lane steady maximum 5); model-independent
-        for model in ("fifo", "nonfifo"):
-            lh = max_freeflow_inflow(robustness_scenario, model=model)
-            assert lh == pytest.approx(45.0 / 7.0, abs=2e-3)
+        # 1/3 against the single-lane steady maximum 5); one sweep serves
+        # every model with it
+        lam_hat = max_freeflow_inflow(robustness_scenario)
+        assert lam_hat == pytest.approx(45.0 / 7.0, abs=2e-3)
+        got, points = sweep(robustness_scenario, [0.0], models=MODELS)
+        assert got == lam_hat and list(points) == list(MODELS)
 
     def test_under_the_replayed_controls(self, robustness_scenario):
         # the eps = 0.4 FNC TTT controller's FIFO replay is free at inflow
@@ -245,7 +251,8 @@ class TestFreeflowSupremum:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_full_horizon_bisection(self, model, shape, horizon, late_capacity, seed):
         # the probe's steady-state exit changes no probe's answer, also
-        # when the figure network's cell 4 loses capacity at step T - 3
+        # when the figure network's cell 4 loses capacity at step T - 3, and
+        # the FIFO probe answers for every junction rule
         rng = np.random.default_rng(seed)
         if shape == "figure":
             cap4 = None if late_capacity is None else [6.0] * (horizon - 3) + [late_capacity] * 3
@@ -254,10 +261,10 @@ class TestFreeflowSupremum:
         else:
             sc = random_scenario(rng, shape=shape, horizon=horizon)
             sc = replace(sc, inflow=sc.inflow[[0] * horizon])
-        got = max_freeflow_inflow(sc, model=model)
+        got = max_freeflow_inflow(sc)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(robustness, "stays_free", full_horizon_free)
-            assert max_freeflow_inflow(sc, model=model) == got
+            mp.setattr(robustness, "stays_free", partial(full_horizon_free, model=model))
+            assert max_freeflow_inflow(sc) == got
 
     def test_multi_source_rejected(self):
         rng = np.random.default_rng(62)
