@@ -381,7 +381,7 @@ def _numbers(value, name: str) -> list:
 
 
 def _mapping(data: dict, key: str) -> dict:
-    value = data.get(key) or {}
+    value = {} if data.get(key) is None else data[key]     # absent or null: empty
     if not isinstance(value, dict):
         raise ValueError(f"{key} must be an object, got {value!r}")
     return value

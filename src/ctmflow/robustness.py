@@ -15,14 +15,14 @@ open-loop controls, with dx0 = ||x~0 - x0||_1 and dlam(t) =
         v(0) = dx0,   v(t+1) = e^L v(t) + (e^L - 1) / L * dlam(t)
 
 and the pointwise minimum of the first two. ``sweep`` compares them with
-simulation over constant shifts of a single source inflow; above the
-free-flow supremum lam_hat it extends the combined bound by the overload
-heuristic: the bound at lam_hat plus (lam~ - lam_hat) * t. The first two
-rest on the monotonicity of the compartmental traffic model (Coogan &
+simulation over constant shifts delta of every source inflow; above the
+free-flow margin delta_hat it extends the combined bound by the overload
+heuristic: the bound at delta_hat plus (delta - delta_hat) * t. The first
+two rest on the monotonicity of the compartmental traffic model (Coogan &
 Arcak 2015). Their "sufficiently small" hypothesis is that the perturbed
 FIFO run stays in free flow; for non-FIFO dynamics, monotone everywhere, it
-is vacuous. Free flow, and so lam_hat, does not depend on the junction rule
-(``ctm``): ``sweep`` finds lam_hat once for all its models.
+is vacuous. Free flow, and so delta_hat, does not depend on the junction
+rule (``ctm``): ``sweep`` finds delta_hat once for all its models.
 """
 
 from __future__ import annotations
@@ -141,50 +141,35 @@ def equilibrium_envelope_bound(scenario: Scenario, perturbation: PerturbationSpe
     return np.full(scenario.horizon + 1, gap + dx0 + third)
 
 
-def max_freeflow_inflow(scenario: Scenario, controls=None) -> float:
-    """Supremum constant inflow keeping the whole run, under the controls, in free flow.
-
-    Bisection on the scalar source level down to BISECT_WIDTH; requires a
-    single source and a constant nominal inflow. Each trial level is one
-    ``stays_free`` run, whose answer holds under every junction rule.
+def freeflow_margin(scenario: Scenario, controls=None) -> float:
+    """Supremum shift delta >= 0 of every source inflow (``inflow_shift``)
+    keeping the whole run, under the controls, in free flow; 0 where the
+    nominal run is not free, and ValueError without a source. Bisection down
+    to BISECT_WIDTH on a bracket [0, max(1, peak source inflow)] doubled
+    while free; after 16 doublings it returns the last one. Each trial shift
+    is one ``stays_free`` run, whose answer holds under every junction rule.
     """
     net = scenario.network
-    sources = sorted(net.sources)
-    if len(sources) != 1:
-        raise ValueError("max_freeflow_inflow requires a single-source network")
-    src = net.index[sources[0]]
-    nominal = scenario.inflow[:, src]
-    if np.max(np.abs(nominal - nominal[0])) > 1e-12:
-        raise ValueError("max_freeflow_inflow requires a constant nominal inflow")
-
+    if not net.sources:
+        raise ValueError("freeflow_margin needs a source: without one no inflow can shift")
     drive = Drive.for_run(scenario, controls)
 
-    def free(level: float) -> bool:
-        lam_t = np.zeros(net.n)
-        lam_t[src] = level
+    def free(delta: float) -> bool:
         return stays_free(net, drive, scenario.x0,
-                          np.broadcast_to(lam_t, (scenario.horizon, net.n)))
+                          PerturbationSpec.inflow_shift(scenario, delta).inflow)
 
-    lo = 0.0
-    hi = max(float(nominal[0]), 1.0)
-    if free(hi):
-        # expand upward until congestion appears (or give up at 2^16 hi)
-        lo = hi
-        for _ in range(16):
-            hi *= 2.0
-            if not free(hi):
-                break
-            lo = hi
-        else:
-            return hi
-    elif not free(lo):
+    if not free(0.0):
         return 0.0
+    lo, hi = 0.0, max(float(scenario.inflow.max()), 1.0)
+    for _ in range(17):     # the bracket's end, then 16 doublings of it
+        if not free(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return lo
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if free(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if free(mid) else (lo, mid)
     return lo
 
 
@@ -230,20 +215,20 @@ class SweepPoint:
 
 def sweep(scenario: Scenario, deltas, controls=None,
           models=("fifo",)) -> tuple[float, dict]:
-    """The bounds against simulation over constant shifts delta of the single
-    source inflow: lam_hat and, per model, one SweepPoint per delta.
+    """The bounds against simulation over constant shifts delta of every
+    source inflow: the free-flow margin delta_hat and, per model, one
+    SweepPoint per delta.
 
-    Above lam_hat the combined curve is the overload heuristic, the combined
-    bound at lam_hat plus (level - lam_hat) * t. lam_hat and the sensitivity
-    curves serve every model. Per model, the perturbed runs and the envelope
-    equilibria of lam_hat and of every level up to it are one batch each.
+    Above delta_hat the combined curve is the overload heuristic, the
+    combined bound at delta_hat plus (delta - delta_hat) * t. delta_hat and
+    the sensitivity curves serve every model. Per model, the perturbed runs
+    and the envelope equilibria of delta_hat and of every delta up to it are
+    one batch each.
     """
-    lam_hat = max_freeflow_inflow(scenario, controls)
-    src = scenario.network.index[min(scenario.network.sources)]
-    level = float(scenario.inflow[0, src])
+    hat = freeflow_margin(scenario, controls)
     perts = [PerturbationSpec.inflow_shift(scenario, float(d)) for d in deltas]
-    bounded = [PerturbationSpec.inflow_shift(scenario, lam_hat - level)]
-    bounded += [p for d, p in zip(deltas, perts) if level + d <= lam_hat]
+    bounded = [PerturbationSpec.inflow_shift(scenario, hat)]
+    bounded += [p for d, p in zip(deltas, perts) if d <= hat]
     envs = [compute_envelope(scenario, p) for p in bounded]
     inflows = [lam for e in envs for lam in (e.lam_upper, e.lam_lower)]
     sensitivity = [sensitivity_bound(scenario, p) for p in perts]
@@ -259,8 +244,8 @@ def sweep(scenario: Scenario, deltas, controls=None,
                               model=model)
         points[model] = [
             SweepPoint(delta=float(d), cost_perturbation=float((states - nominal).sum()),
-                       combined=next(curves) if level + d <= lam_hat
-                       else at_hat + (level + d - lam_hat) * t, sensitivity=sens)
+                       combined=next(curves) if d <= hat else at_hat + (d - hat) * t,
+                       sensitivity=sens)
             for d, sens, states in zip(deltas, sensitivity, runs.states)]
         del runs     # free this batch before the next model's: the sweep's memory peak
-    return lam_hat, points
+    return hat, points

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctm import FREEFLOW_TOL, Drive, InvariantError, Trajectory, junction_rates, simulate
+from .ctm import Drive, InvariantError, Trajectory, junction_rates, simulate
 from .network import Network, Scenario
 from .program import ConvexProgram
 from .solver import Solution
@@ -84,7 +84,6 @@ def extract_controls(program: ConvexProgram, solution: Solution) -> ControlSched
 class RealizationReport:
     max_deviation: float          # max over t, i of |x_sim - x_ref|
     tolerance: float              # 1e-6 * (1 + max |x_ref|)
-    freeflow_steps: np.ndarray    # bool per step: all gamma == 1 within FREEFLOW_TOL
     demand_identity: float        # max |z - d_bar(x, alpha)| over steps
     trajectory: Trajectory
 
@@ -94,7 +93,7 @@ class RealizationReport:
 
     @property
     def always_freeflow(self) -> bool:
-        return bool(self.freeflow_steps.all())
+        return self.trajectory.is_freeflow()
 
 
 def verify_realization(controls: ControlSchedule, scenario: Scenario,
@@ -105,8 +104,7 @@ def verify_realization(controls: ControlSchedule, scenario: Scenario,
     dev = float(np.max(np.abs(traj.states - ref)))
     tol = 1e-6 * (1.0 + float(np.max(np.abs(ref))))
     dbar = Drive.for_run(scenario, controls).demand(traj.states[:-1], slice(None))
-    free = traj.gamma.min(axis=1, initial=1.0) >= 1.0 - FREEFLOW_TOL
-    return RealizationReport(max_deviation=dev, tolerance=tol, freeflow_steps=free,
+    return RealizationReport(max_deviation=dev, tolerance=tol,
                              demand_identity=float(np.abs(traj.z - dbar).max(initial=0.0)),
                              trajectory=traj)
 

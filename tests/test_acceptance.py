@@ -14,7 +14,7 @@ import pytest
 
 from ctmflow.ctm import CostSpec, evaluate_cost, simulate, simulate_batch
 from ctmflow.program import build_dta, build_fnc
-from ctmflow.robustness import PerturbationSpec, max_freeflow_inflow, sweep
+from ctmflow.robustness import PerturbationSpec, freeflow_margin, sweep
 from ctmflow.scenarios import robustness_scenario, table_scenario
 from ctmflow.solver import freeflow_optimum, solve
 from ctmflow.synthesis import check_fnc_structure, extract_controls, verify_realization
@@ -117,10 +117,10 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_transition_points(self):
-        # one lam_hat: free flow, and so its supremum, does not depend on
+        # one margin: free flow, and so its supremum, does not depend on
         # the junction rule; it is checked against both published targets
         sc = robustness_scenario()
-        hat_f = hat_n = max_freeflow_inflow(sc) - 5.0
+        hat_f = hat_n = freeflow_margin(sc)
         perts = [PerturbationSpec.inflow_shift(sc, delta).inflow for delta in (0.2, 0.5, 0.8)]
         a = simulate_batch(sc, inflow=perts, model="fifo")
         b = simulate_batch(sc, inflow=perts, model="nonfifo")

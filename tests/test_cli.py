@@ -149,6 +149,11 @@ class TestExitCodes:
         (lambda doc: doc.update(tau=None), "tau must be a number, got None"),
         # a list here ended in an AttributeError traceback (exit 1)
         (lambda doc: doc.update(routing=[1.0]), "routing must be an object, got [1.0]"),
+        # these loaded as no routing, or as an all-zero inflow
+        (lambda doc: doc.update(routing=[]), "routing must be an object, got []"),
+        (lambda doc: doc.update(routing=0), "routing must be an object, got 0"),
+        (lambda doc: doc.update(inflow=0), "inflow must be an object, got 0"),
+        (lambda doc: doc.update(inflow=False), "inflow must be an object, got False"),
         # these gave "not enough values to unpack", "'int' object is not
         # iterable", and a string split into the ids {"1", "0"}
         (lambda doc: doc["adjacency"].append(["1"]),
@@ -171,7 +176,8 @@ class TestExitCodes:
         (lambda doc: doc.update(tau=-10), "tau must be positive and finite"),
         (lambda doc: doc["cells"][3].update(jam=0), "cell 4: jam volume must be positive"),
     ], ids=["missing-x0", "missing-cell-v", "scalar-capacity", "string-lanes", "null-tau",
-            "routing-list", "short-adjacency-pair", "scalar-cells", "string-sinks",
+            "routing-list", "empty-list-routing", "zero-routing", "zero-inflow",
+            "false-inflow", "short-adjacency-pair", "scalar-cells", "string-sinks",
             "list-source-id", "object-sink-id", "list-adjacency-id", "list-cell-id",
             "integer-cell-id", "unknown-source-id", "unknown-sink-id", "zero-tau",
             "negative-tau", "zero-jam"])
@@ -184,6 +190,21 @@ class TestExitCodes:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and named in err["message"]
+
+    @pytest.mark.parametrize("command", ["simulate", "solve", "synthesize"])
+    def test_delay_cost_zero_slope_config_error(self, tmp_path, capsys, command):
+        # source cell 1 at v = 5e-324: its demand slope 5e-324 * 10 / 500
+        # underflows to 0, which Delay divides by; simulate ended in a
+        # ValueError traceback (exit 1)
+        doc = scenario_to_dict(table_scenario())
+        doc["cells"][0]["v"] = 5e-324
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(doc))
+        rc = main([command, "--scenario", str(path), "--cost", "delay",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": "Delay cost needs positive demand slopes"}
 
     def test_bad_epsilon_config_error(self, tmp_path):
         rc = main(["solve", "--scenario", "bundled:table", "--epsilon", "1.5",
@@ -423,16 +444,28 @@ class TestExitCodes:
         assert "[x0-negative] cell 4" in err["message"]
         assert "[routing-rowsum] ratios out of 2" in err["message"]
 
-    def test_sweep_two_sources_config_error(self, tmp_path, capsys):
+    def test_sweep_two_sources(self, tmp_path, capsys, monkeypatch):
+        # the sweep shifts both sources; every row up to the free-flow margin
+        # is bounded (above it the overload heuristic makes no claim)
         net, ratios = build_network("cross", np.random.default_rng(3), slopes=0.5)
         lam = np.zeros((6, net.n))
         lam[:, [net.index["s"], net.index["u"]]] = 0.5
         path = tmp_path / "cross.json"
         save_scenario(Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
                                routing=constant_routing(net, ratios)), path)
+        hats = []
+        margin = robustness.freeflow_margin
+        monkeypatch.setattr(robustness, "freeflow_margin",
+                            lambda *a, **k: hats.append(margin(*a, **k)) or hats[-1])
         rc = main(["robustness-sweep", "--scenario", str(path), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert rc == 0 and hats[0] > 0.5
+        with open(tmp_path / "out" / "sweep_fifo.csv") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if float(r["delta_lambda_veh_per_step"]) <= hats[0]]
+        assert len(rows) > 5
+        for r in rows:
+            assert (float(r["simulated_cost_perturbation_veh_steps"])
+                    <= float(r["combined_bound_veh_steps"]) + 1e-6)
 
     def test_sweep_rejects_unread_kind_option(self, tmp_path):
         # each command registers only the options it reads; the sweep
@@ -442,12 +475,28 @@ class TestExitCodes:
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
 
-    def test_sweep_varying_inflow_config_error(self, tmp_path, capsys):
+    def test_sweep_varying_inflow(self, tmp_path, capsys):
+        # the table scenario's inflow varies in time; under its FNC TTT
+        # controller the nominal run sits at the edge of free flow
         rc = main(["robustness-sweep", "--scenario", "bundled:table",
                    "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert rc == 0
+        assert capsys.readouterr().out.rstrip().endswith("(delta 0.0000)")
 
+    def test_sweep_sourceless_config_error(self, tmp_path, capsys):
+        # a valid scenario without a source has no inflow to shift; this
+        # ended in a zero-size array ValueError traceback (exit 1)
+        net = Network(cells=unit_cells("abt"), adjacency=(("a", "b"), ("b", "a"), ("b", "t")),
+                      sources=frozenset(), sinks=frozenset({"t"}), tau=1.0)
+        path = tmp_path / "cycle.json"
+        save_scenario(Scenario(network=net, x0=(4.0, 2.0, 0.0), inflow=np.zeros((6, 3)),
+                               routing=constant_routing(net, {("a", "b"): 1.0, ("b", "a"): 0.5,
+                                                              ("b", "t"): 0.5})), path)
+        rc = main(["robustness-sweep", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config",
+                       "message": "robustness-sweep needs a source: it shifts the source inflows"}
 
 DELETE = object()
 FUZZ_VALUES = [None, True, "text", [1.0], {"k": 1.0}, 10 ** 400, -10 ** 400, 1e308, -1e308,
@@ -725,11 +774,11 @@ class TestReproducePaper:
         assert 200 not in horizons and 25 in horizons
 
     def test_one_freeflow_supremum(self, tmp_path, monkeypatch):
-        # fig8 and fig9 share one lam_hat: free flow does not depend on the
+        # fig8 and fig9 share one margin: free flow does not depend on the
         # junction rule, so one bisection serves both sweeps
         calls = []
-        bisect = robustness.max_freeflow_inflow
-        monkeypatch.setattr(robustness, "max_freeflow_inflow",
+        bisect = robustness.freeflow_margin
+        monkeypatch.setattr(robustness, "freeflow_margin",
                             lambda *a, **k: calls.append(1) or bisect(*a, **k))
         assert main(["reproduce-paper", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1

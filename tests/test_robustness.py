@@ -14,8 +14,8 @@ from ctmflow.network import Cell, Network, Scenario, constant_routing
 from ctmflow.program import build_fnc
 from ctmflow.robustness import (EQ_TOL, PerturbationSpec, contraction_bound,
                                 equilibrium_envelope_bound, combined_bound, compute_envelope,
-                                find_equilibria, lipschitz_constant,
-                                max_freeflow_inflow, sensitivity_bound, sweep)
+                                find_equilibria, freeflow_margin, lipschitz_constant,
+                                sensitivity_bound, sweep)
 from ctmflow.solver import solve
 from ctmflow.synthesis import extract_controls
 
@@ -52,7 +52,7 @@ def reference_equilibrium(sc, inflow, model: str):
 
 
 def full_horizon_free(net, drive, x0, lam, model: str = "fifo") -> bool:
-    """The free-flow probe of ``max_freeflow_inflow`` without the
+    """The free-flow probe of ``freeflow_margin`` without the
     steady-state exit, under any junction rule: every step of the horizon is
     checked."""
     x = np.asarray(x0, dtype=float)[None]
@@ -72,9 +72,9 @@ def divergence(sc, pert) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def swept(robustness_scenario):
-    """The FIFO sweep at one point below and one above lam_hat (level 6 and 7)."""
-    lam_hat, points = sweep(robustness_scenario, [1.0, 2.0])
-    return lam_hat, points["fifo"]
+    """lam_hat and the FIFO sweep at one point below and one above it (level 6 and 7)."""
+    hat, points = sweep(robustness_scenario, [1.0, 2.0])
+    return 5.0 + hat, points["fifo"]
 
 
 class TestContractionBound:
@@ -217,10 +217,10 @@ class TestFreeflowSupremum:
         # measured supremum of this network: 45/7 (merge of shares 4/9 and
         # 1/3 against the single-lane steady maximum 5); one sweep serves
         # every model with it
-        lam_hat = max_freeflow_inflow(robustness_scenario)
+        lam_hat = 5.0 + freeflow_margin(robustness_scenario)
         assert lam_hat == pytest.approx(45.0 / 7.0, abs=2e-3)
         got, points = sweep(robustness_scenario, [0.0], models=MODELS)
-        assert got == lam_hat and list(points) == list(MODELS)
+        assert 5.0 + got == lam_hat and list(points) == list(MODELS)
 
     def test_under_the_replayed_controls(self, robustness_scenario):
         # the eps = 0.4 FNC TTT controller's FIFO replay is free at inflow
@@ -228,12 +228,13 @@ class TestFreeflowSupremum:
         # was the uncontrolled 45/7
         prog = build_fnc(robustness_scenario, CostSpec("TTT"), 0.4)
         controls = extract_controls(prog, solve(prog))
-        lam_hat = max_freeflow_inflow(robustness_scenario, controls)
+        lam_hat = 5.0 + freeflow_margin(robustness_scenario, controls)
         assert 5.57 <= lam_hat <= 5.58
-        assert sweep(robustness_scenario, [0.0], controls)[0] == lam_hat
+        assert 5.0 + sweep(robustness_scenario, [0.0], controls)[0] == lam_hat
 
     def test_zero_capacity_bottleneck(self):
-        # sole path closes from step 1 on; any positive inflow congests
+        # sole path closes from step 1 on, so the nominal inflow 1 congests:
+        # no shift keeps the run free
         cells = (Cell("a", 1, 1, 1, 1, 10.0, [6.0]),
                  Cell("b", 1, 1, 1, 1, 10.0, [6.0] + [0.0] * 29))
         net = Network(cells=cells, adjacency=(("a", "b"),),
@@ -242,7 +243,7 @@ class TestFreeflowSupremum:
         lam[:, 0] = 1.0
         sc = Scenario(network=net, x0=(0.0, 0.0), inflow=lam,
                       routing=constant_routing(net, {("a", "b"): 1.0}))
-        assert max_freeflow_inflow(sc) <= 2e-3
+        assert freeflow_margin(sc) == 0.0
 
     @pytest.mark.parametrize("model", MODELS)
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -261,20 +262,45 @@ class TestFreeflowSupremum:
         else:
             sc = random_scenario(rng, shape=shape, horizon=horizon)
             sc = replace(sc, inflow=sc.inflow[[0] * horizon])
-        got = max_freeflow_inflow(sc)
+        got = freeflow_margin(sc)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(robustness, "stays_free", partial(full_horizon_free, model=model))
-            assert max_freeflow_inflow(sc) == got
+            assert freeflow_margin(sc) == got
 
-    def test_multi_source_rejected(self):
-        rng = np.random.default_rng(62)
-        from conftest import build_network
-        net, ratios = build_network("merge", rng)
-        lam = np.zeros((5, net.n))
-        sc = Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
-                      routing=constant_routing(net, ratios))
-        with pytest.raises(ValueError, match="single-source"):
-            max_freeflow_inflow(sc)
+    @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
+    def test_margin_is_the_freeflow_edge(self, shape):
+        # random networks of one or two sources with time-varying inflow,
+        # uncontrolled and under the FNC TTT controller: the margin is 0 where
+        # the nominal run congests; otherwise a full-horizon run is free at it
+        # and congested BISECT_WIDTH above it, unless the search stopped at
+        # its 2^16 cap. A controlled nominal often runs at the edge of free
+        # flow, where the margin is 0 too
+        rng = np.random.default_rng(63)
+        for _ in range(6):
+            sc = random_scenario(rng, shape=shape)
+            prog = build_fnc(sc, CostSpec("TTT"), 0.0)
+            for controls in (None, extract_controls(prog, solve(prog))):
+                def free(delta):
+                    lam = PerturbationSpec.inflow_shift(sc, delta).inflow
+                    return simulate_batch(sc, inflow=lam, controls=controls).is_freeflow()
+                hat = freeflow_margin(sc, controls)
+                if not free(0.0):
+                    assert hat == 0.0
+                    continue
+                assert free(hat)
+                if hat < 2.0 ** 16 * max(1.0, sc.inflow.max()):
+                    assert not free(hat + robustness.BISECT_WIDTH)
+
+    def test_sourceless_refused(self):
+        # no source, no shift direction
+        net = Network(cells=tuple(Cell(c, 1, 1, 1, 1, 10.0, (3.0,)) for c in "abt"),
+                      adjacency=(("a", "b"), ("b", "a"), ("b", "t")),
+                      sources=frozenset(), sinks=frozenset({"t"}), tau=1.0)
+        sc = Scenario(network=net, x0=(4.0, 2.0, 0.0), inflow=np.zeros((6, 3)),
+                      routing=constant_routing(net, {("a", "b"): 1.0, ("b", "a"): 0.5,
+                                                     ("b", "t"): 0.5}))
+        with pytest.raises(ValueError, match="needs a source"):
+            freeflow_margin(sc)
 
 
 class TestEnvelopeAndOverload:
@@ -309,7 +335,7 @@ class TestEnvelopeAndOverload:
     def test_overload_slope_matches_excess(self, robustness_scenario):
         # late-time growth of the simulated divergence approaches the
         # excess-above-supremum rate (within 10%)
-        lam_hat = max_freeflow_inflow(robustness_scenario)
+        lam_hat = 5.0 + freeflow_margin(robustness_scenario)
         delta = 2.0
         diff = divergence(robustness_scenario,
                           PerturbationSpec.inflow_shift(robustness_scenario, delta))
