@@ -26,7 +26,7 @@ from .solver import SolverError, solve
 
 COST_KINDS = {"ttt": "TTT", "ttd": "TTD", "delay": "Delay", "quad": "QuadraticVolume"}
 JOBS_HELP = "accepted and ignored: a sweep runs all its points as one batch"
-MAX_SWEEP_POINTS = 1000     # the sweep batch holds points x (T+1) x n floats per array
+MAX_SWEEP_POINTS = 1000     # the sweep batch holds points x (T+1) x n floats of states, once
 
 
 class ConfigError(Exception):

@@ -12,6 +12,9 @@ Each run adds the (T, n) capacity matrix (``Scenario.capacity``) and the
 turning ratios R_e(t). One kernel step maps a (B, n) batch of states, B
 runs that share the network, controls and routing, to their rates with
 whole-array operations; per-cell sums over edges run in adjacency order.
+A run keeps only its states. A step's rates are a row-wise function of its
+state, drive row and inflow row, so the same kernel derives them for every
+(run, step) row at once, on first read, bit-equal to the step loop's.
 
 Junction rules, all evaluated on the controllable demands
 d_bar_i = d_bar(x_i, alpha_i) and supplies s_j(x_j):
@@ -43,6 +46,7 @@ send the same flows: free flow does not depend on the rule.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,30 +65,39 @@ class InvariantError(ValueError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """A CTM run: states (T+1, n); y, z, mu and gamma (T, n); pair flows f
-    (T, E) in ``network.adjacency`` order.
+    """A CTM run: states (T+1, n), and the rates of its steps, derived from
+    them on first read: y, z, mu and gamma (T, n) and pair flows f (T, E) in
+    ``network.adjacency`` order.
 
     gamma holds the FIFO sending coefficient per cell for FIFO models and
     the receiving coefficient per cell for the non-FIFO model; in either
     case a step is free-flow iff gamma == 1 everywhere. A batch of B runs
-    carries a leading run axis on every array; ``traj[b]`` is run b.
+    carries a leading run axis on every array; ``traj[b]`` is run b, whose
+    rates are slices of the batch's. ``derive`` returns (y, z, mu, gamma, f),
+    and a batch calls it once.
     """
 
     states: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    mu: np.ndarray
-    gamma: np.ndarray
-    f: np.ndarray
     network: Network
+    derive: Callable[[], tuple]
+
+    @cached_property
+    def _rates(self) -> tuple:
+        return self.derive()
+
+    y = property(lambda self: self._rates[0])
+    z = property(lambda self: self._rates[1])
+    mu = property(lambda self: self._rates[2])
+    gamma = property(lambda self: self._rates[3])
+    f = property(lambda self: self._rates[4])
 
     def __getitem__(self, b: int) -> "Trajectory":
-        return Trajectory(self.states[b], self.y[b], self.z[b], self.mu[b],
-                          self.gamma[b], self.f[b], self.network)
+        return Trajectory(self.states[b], self.network,
+                          lambda: tuple(a[b] for a in self._rates))
 
     @property
     def horizon(self) -> int:
-        return self.y.shape[-2]
+        return self.states.shape[-2] - 1
 
     def min_gamma(self) -> float:
         """Congestion factor: min over cells and steps (and runs) of gamma."""
@@ -235,41 +248,43 @@ def priority_merge_flows(demands, total_supply, priorities):
 def _gather_sum(values: np.ndarray, index: tuple) -> np.ndarray:
     """Per-cell sums of edge values over ``Network.in_edges`` or
     ``out_edges``, added left to right."""
-    total = values.take(index[0], axis=1)
+    total = values.take(index[0], axis=-1)
     for idx in index[1:]:
-        total += values.take(idx, axis=1)
+        total += values.take(idx, axis=-1)
     return total
 
 
 def junction_rates(net: Network, x: np.ndarray, drive: Drive, t,
                    lam: np.ndarray, model: str = "fifo"):
     """Rates of step t for a (B, n) batch of states; t may also be a slice
-    of steps, with one state per step in x.
+    of steps, with one state per step in x, (steps, n) or (B, steps, n).
 
-    Returns y, z, gamma (B, n) and the pair flows f (B, E + 1), padding
-    edge included; mu is z on sinks and 0 elsewhere.
+    Returns y, z, gamma (..., n) and the pair flows f (..., E + 1), padding
+    edge included; mu is z on sinks and 0 elsewhere. Each row is a pure
+    function of its state, drive row and inflow row.
     """
     dbar = drive.demand(x, t)
     ratio = drive.ratio[t]
     supply = np.minimum(net.supply_slope * (net.jam - np.minimum(x, net.jam)), drive.capacity[t])
-    demand_in = _gather_sum(ratio * dbar.take(net.src, axis=1), net.in_edges)
+    demand_in = _gather_sum(ratio * dbar.take(net.src, axis=-1), net.in_edges)
     share = np.full(supply.shape, np.inf)
     np.divide(supply, demand_in, out=share, where=demand_in > drive.negligible)
     if model == "nonfifo":
         gamma = np.minimum(share, 1.0)
-        f = gamma.take(net.dst, axis=1) * ratio * dbar.take(net.src, axis=1)
+        f = gamma.take(net.dst, axis=-1) * ratio * dbar.take(net.src, axis=-1)
         z = np.where(net.sink, dbar, _gather_sum(f, net.out_edges))
     else:
-        edge_share = np.where(ratio == 0.0, np.inf, share.take(net.dst, axis=1))
+        edge_share = np.where(ratio == 0.0, np.inf, share.take(net.dst, axis=-1))
         gamma = np.ones(share.shape)
         for idx in net.out_edges:
-            np.minimum(gamma, edge_share.take(idx, axis=1), out=gamma)
+            np.minimum(gamma, edge_share.take(idx, axis=-1), out=gamma)
         z = gamma * dbar
         if model == "fifo-priority" and len(net.merges):
             target, u0, u1 = net.merges.T
-            s = np.where(share[:, target] < 1.0, supply[:, target], np.inf)    # inf: no throttle
-            z[:, u0], z[:, u1] = priority_merge_flows((dbar[:, u0], dbar[:, u1]), s, (0.5, 0.5))
-        f = ratio * z.take(net.src, axis=1)
+            s = np.where(share[..., target] < 1.0, supply[..., target], np.inf)    # inf: no throttle
+            z[..., u0], z[..., u1] = priority_merge_flows((dbar[..., u0], dbar[..., u1]), s,
+                                                          (0.5, 0.5))
+        f = ratio * z.take(net.src, axis=-1)
     return lam + _gather_sum(f, net.in_edges), z, gamma, f
 
 
@@ -299,8 +314,12 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
 
     The runs share the network, capacities, controls and routing, and
     differ in initial volumes x0 (B, n) and inflow (B, T, n); either one
-    left None is the scenario's own. Returns a batch trajectory; steps past
-    an exact steady state (``_repeat_period``) are copies of its cycle.
+    left None is the scenario's own. Returns a batch trajectory that holds
+    the states, (B, T+1, n), and keeps the inflow array it was given; its
+    rates are derived on first read by one ``junction_rates`` call over
+    every (run, step) row. Past an exact steady state (``_repeat_period``)
+    the states are copies of its cycle, and so are the rates derived from
+    them (README, "Exact steady state").
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
@@ -315,25 +334,25 @@ def simulate_batch(scenario: Scenario, x0=None, inflow=None, controls=None,
     if (lam < 0).any() or (lam[..., ~net.source] > 0).any():
         raise ValueError("inflows must be nonnegative, and zero off the sources")
     drive = Drive.for_run(scenario, controls)
-    E = len(net.adjacency)
-    states, y, z = np.empty((T + 1, B, n)), np.empty((T, B, n)), np.empty((T, B, n))
-    gamma, f = np.empty((T, B, n)), np.empty((T, B, E + 1))
+    states = np.empty((B, T + 1, n))
+    steps = states.swapaxes(0, 1)     # a view, (T+1, B, n)
     settled = max(drive.settled, _settled_step(lam.swapaxes(0, 1)))
-    states[0] = x = x0
+    steps[0] = x = x0
     for t in range(T):
-        y[t], z[t], gamma[t], f[t] = junction_rates(net, x, drive, t, lam[:, t], model)
+        y, z, _, _ = junction_rates(net, x, drive, t, lam[:, t], model)
         try:
-            states[t + 1] = x = step(net, x, y[t], z[t])
+            steps[t + 1] = x = step(net, x, y, z)
         except InvariantError as e:
             raise InvariantError(f"step {t}: {e}") from e
-        if p := _repeat_period(states, t + 1, settled):
-            for a in (states, y, z, gamma, f):     # rows t + 1 - p on: period p
-                a[t + 1 - p:] = a[t + 1 - p + np.arange(len(a) - t - 1 + p) % p]
+        if p := _repeat_period(steps, t + 1, settled):     # rows t + 1 - p on: period p
+            steps[t + 1 - p:] = steps[t + 1 - p + np.arange(T - t + p) % p]
             break
-    states, y, z, gamma, f = (np.ascontiguousarray(a.swapaxes(0, 1))
-                              for a in (states, y, z, gamma, f[..., :E]))
-    return Trajectory(states=states, y=y, z=z, mu=np.where(net.sink, z, 0.0), gamma=gamma,
-                      f=f, network=net)
+
+    def derive() -> tuple:
+        y, z, gamma, f = junction_rates(net, states[:, :T], drive, slice(None), lam, model)
+        return y, z, np.where(net.sink, z, 0.0), gamma, f[..., :-1]
+
+    return Trajectory(states, net, derive)
 
 
 def stays_free(net: Network, drive: Drive, x0, lam) -> bool:

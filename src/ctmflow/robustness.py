@@ -17,7 +17,8 @@ open-loop controls, with dx0 = ||x~0 - x0||_1 and dlam(t) =
 and the pointwise minimum of the first two. ``sweep`` compares them with
 simulation over constant shifts delta of every source inflow; above the
 free-flow margin delta_hat it extends the combined bound by the overload
-heuristic: the bound at delta_hat plus (delta - delta_hat) * t. The first
+heuristic: the bound at delta_hat plus k (delta - delta_hat) * t, the
+excess that a shift of k sources adds by step t. The first
 two rest on the monotonicity of the compartmental traffic model (Coogan &
 Arcak 2015). Their "sufficiently small" hypothesis is that the perturbed
 FIFO run stays in free flow; for non-FIFO dynamics, monotone everywhere, it
@@ -219,20 +220,24 @@ def sweep(scenario: Scenario, deltas, controls=None,
     source inflow: the free-flow margin delta_hat and, per model, one
     SweepPoint per delta.
 
-    Above delta_hat the combined curve is the overload heuristic, the
-    combined bound at delta_hat plus (delta - delta_hat) * t. delta_hat and
-    the sensitivity curves serve every model. Per model, the perturbed runs
-    and the envelope equilibria of delta_hat and of every delta up to it are
-    one batch each.
+    Above delta_hat the combined curve is the overload heuristic, not a
+    proven bound: the combined bound at delta_hat plus k (delta - delta_hat)
+    * t, where a shift of k sources adds k (delta - delta_hat) vehicles per
+    step. delta_hat, the shifted inflows (one (D, T, n) array) and the
+    sensitivity curves serve every model. Per model, the perturbed runs and
+    the envelope equilibria of delta_hat and of every delta up to it are one
+    batch each; the sweep reads the runs' states only.
     """
+    net = scenario.network
     hat = freeflow_margin(scenario, controls)
-    perts = [PerturbationSpec.inflow_shift(scenario, float(d)) for d in deltas]
+    shifted = scenario.inflow + np.asarray(deltas, dtype=float)[:, None, None] * net.source
+    perts = [PerturbationSpec(x0=scenario.x0, inflow=lam) for lam in shifted]
     bounded = [PerturbationSpec.inflow_shift(scenario, hat)]
     bounded += [p for d, p in zip(deltas, perts) if d <= hat]
     envs = [compute_envelope(scenario, p) for p in bounded]
     inflows = [lam for e in envs for lam in (e.lam_upper, e.lam_lower)]
     sensitivity = [sensitivity_bound(scenario, p) for p in perts]
-    t = np.arange(scenario.horizon + 1)
+    overload = net.source.sum() * np.arange(scenario.horizon + 1)     # k t
     points = {}
     for model in models:
         eqs = find_equilibria(scenario, inflows, controls, model)
@@ -240,11 +245,10 @@ def sweep(scenario: Scenario, deltas, controls=None,
                        for k, p in enumerate(bounded)])
         at_hat = next(curves)
         nominal = simulate(scenario, controls=controls, model=model).states
-        runs = simulate_batch(scenario, inflow=[p.inflow for p in perts], controls=controls,
-                              model=model)
+        runs = simulate_batch(scenario, inflow=shifted, controls=controls, model=model)
         points[model] = [
             SweepPoint(delta=float(d), cost_perturbation=float((states - nominal).sum()),
-                       combined=next(curves) if d <= hat else at_hat + (d - hat) * t,
+                       combined=next(curves) if d <= hat else at_hat + (d - hat) * overload,
                        sensitivity=sens)
             for d, sens, states in zip(deltas, sensitivity, runs.states)]
         del runs     # free this batch before the next model's: the sweep's memory peak

@@ -4,7 +4,8 @@ Routing: ``solve`` is the whole solver. A convex QP goes to a sparse
 primal-dual interior point; an LP to the free-flow lemma (below) where it
 applies, else to HiGHS. Both read the program's sparse triplet constraints;
 scipy's compiled HiGHS binding and SuperLU are each loaded on their own, by
-the first solve that needs them, without scipy.optimize and scipy.sparse.
+the first solve that needs them, without running scipy, scipy.optimize or
+scipy.sparse.
 
 LPs run HiGHS's simplex method, without presolve, on one model object in
 which each single-entry <= row a v_j <= b (a > 0) is the column bound
@@ -71,7 +72,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .ctm import Drive, InvariantError, held_rows, simulate, stays_free
 from .program import ConvexProgram, Sparse
@@ -116,17 +116,22 @@ def verify_solution(program: ConvexProgram, values: np.ndarray) -> float:
 def _extension(name: str):
     """One of scipy's compiled extensions, loaded by itself: HiGHS's binding
     without scipy.optimize's package init (~45 MB and ~0.1 s that no solve
-    needs), SuperLU without scipy.sparse and its linalg (~30 MB, ~0.35 s). It is
-    registered under its full name, so a later import of its package reuses
-    it instead of registering its types a second time. A None entry in
-    sys.modules marks it unavailable."""
+    needs), SuperLU without scipy.sparse and its linalg (~30 MB, ~0.35 s),
+    and neither runs the scipy package itself (~1.3 MB, ~14 ms): its
+    directory comes from its import spec. The extension is registered under
+    its full name, so a later import of its package reuses it instead of
+    registering its types a second time. A None entry in sys.modules marks
+    it unavailable."""
     if name in sys.modules:
         if sys.modules[name] is None:
             raise SolverError(f"{name} is unavailable")
         return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise SolverError("scipy is not installed")
     package, _, leaf = name.rpartition(".")
-    found = importlib.machinery.PathFinder.find_spec(
-        leaf, [os.path.join(os.path.dirname(scipy.__file__), *package.split(".")[1:])])
+    where = os.path.join(scipy_spec.submodule_search_locations[0], *package.split(".")[1:])
+    found = importlib.machinery.PathFinder.find_spec(leaf, [where])
     if found is None:
         raise SolverError(f"{name} is unavailable: scipy ships no {leaf}")
     spec = importlib.util.spec_from_file_location(name, found.origin)

@@ -446,26 +446,37 @@ class TestExitCodes:
 
     def test_sweep_two_sources(self, tmp_path, capsys, monkeypatch):
         # the sweep shifts both sources; every row up to the free-flow margin
-        # is bounded (above it the overload heuristic makes no claim)
+        # is bounded, and above it the overload heuristic counts the excess
+        # of both: the bound at delta_hat plus 2 (delta - delta_hat) t
         net, ratios = build_network("cross", np.random.default_rng(3), slopes=0.5)
         lam = np.zeros((6, net.n))
         lam[:, [net.index["s"], net.index["u"]]] = 0.5
         path = tmp_path / "cross.json"
         save_scenario(Scenario(network=net, x0=np.zeros(net.n), inflow=lam,
                                routing=constant_routing(net, ratios)), path)
-        hats = []
+        hats, args = [], []
         margin = robustness.freeflow_margin
         monkeypatch.setattr(robustness, "freeflow_margin",
-                            lambda *a, **k: hats.append(margin(*a, **k)) or hats[-1])
+                            lambda *a, **k: args.append(a) or hats.append(margin(*a, **k))
+                            or hats[-1])
         rc = main(["robustness-sweep", "--scenario", str(path), "--out", str(tmp_path / "out")])
-        assert rc == 0 and hats[0] > 0.5
+        hat, (sc, controls) = hats[0], args[0]
+        assert rc == 0 and hat > 0.5
         with open(tmp_path / "out" / "sweep_fifo.csv") as fh:
-            rows = [r for r in csv.DictReader(fh)
-                    if float(r["delta_lambda_veh_per_step"]) <= hats[0]]
-        assert len(rows) > 5
-        for r in rows:
+            rows = list(csv.DictReader(fh))
+        below = [r for r in rows if float(r["delta_lambda_veh_per_step"]) <= hat]
+        above = [r for r in rows if float(r["delta_lambda_veh_per_step"]) > hat]
+        assert len(below) > 5 and len(above) > 5
+        for r in below:
             assert (float(r["simulated_cost_perturbation_veh_steps"])
                     <= float(r["combined_bound_veh_steps"]) + 1e-6)
+        at_hat = robustness.combined_bound(
+            sc, robustness.PerturbationSpec.inflow_shift(sc, hat), controls).sum()
+        step_sum = sc.horizon * (sc.horizon + 1) / 2     # sum of t over 0..T
+        for r in above:     # one source's slope gives 84.10 at delta 3, below the simulated 119.78
+            delta = float(r["delta_lambda_veh_per_step"])
+            assert float(r["combined_bound_veh_steps"]) == pytest.approx(
+                at_hat + 2 * (delta - hat) * step_sum, rel=1e-9)
 
     def test_sweep_rejects_unread_kind_option(self, tmp_path):
         # each command registers only the options it reads; the sweep
@@ -631,9 +642,10 @@ class TestArtifacts:
 
 
 class TestImports:
-    """No command imports scipy.sparse, scipy.sparse.linalg or scipy.optimize:
-    the programs' matrices are numpy triplets, and the solver loads HiGHS's
-    binding and SuperLU's compiled extension alone."""
+    """No command imports scipy, scipy.sparse, scipy.sparse.linalg or
+    scipy.optimize: the programs' matrices are numpy triplets, and the solver
+    loads HiGHS's binding and SuperLU's compiled extension alone, from the
+    directory in scipy's import spec."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--scenario", "bundled:table"],
@@ -646,8 +658,8 @@ class TestImports:
             "reproduce-paper"])
     def test_command_leaves_scipy_packages_unloaded(self, tmp_path, argv):
         run = self.fresh_run(tmp_path, argv,
-                             ("scipy.sparse", "scipy.sparse.linalg", "scipy.optimize"))
-        assert run.stdout.splitlines()[-1] == "0 False False False", run.stdout + run.stderr
+                             ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.optimize"))
+        assert run.stdout.splitlines()[-1] == "0 False False False False", run.stdout + run.stderr
 
     def test_quad_solve_leaves_highs_unloaded(self, tmp_path):
         # a QP runs the interior point alone

@@ -5,7 +5,9 @@ networks with capacity drops to zero, under all three junction models,
 with and without speed limits alpha < 1 and per-step (DTA) routing, for
 batches of one and of several runs: every state, rate, congestion
 coefficient and pair flow agrees to 1e-12. The steady-state exit of
-``simulate_batch`` is held bit for bit to the full-horizon step loop.
+``simulate_batch`` is held bit for bit to the full-horizon step loop, and
+every run of a batch, whose rates are derived once for the whole batch, to
+the same run simulated alone.
 """
 
 from dataclasses import replace
@@ -17,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 import ctm_reference
 from conftest import build_network
 from ctmflow import ctm, scenarios
-from ctmflow.ctm import MODELS, Drive, junction_rates, simulate_batch, step
+from ctmflow.ctm import MODELS, Drive, junction_rates, simulate, simulate_batch, step
 from ctmflow.network import Scenario, constant_routing
 from ctmflow.synthesis import ControlSchedule
 
 TOL = 1e-12
+SHAPES = ["chain", "diverge", "merge", "diamond", "cross"]
 
 
 def random_case(rng, shape: str, horizon: int) -> Scenario:
@@ -70,7 +73,7 @@ def with_run(sc: Scenario, x0, lam) -> Scenario:
 
 
 @pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
+@pytest.mark.parametrize("shape", SHAPES)
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(batch=st.sampled_from([1, 4]), speed_limits=st.booleans(), dta=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -91,6 +94,47 @@ def test_kernel_matches_reference(shape, model, batch, speed_limits, dta, seed):
                                        [getattr(r, name) for r in rates], rtol=0, atol=TOL)
         flows = [[r.f[pair] for pair in sc.network.adjacency] for r in rates]
         np.testing.assert_allclose(run.f, flows, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(batched=st.sampled_from(["x0", "inflow", "both"]), dta=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_runs_equal_single_runs(shape, model, batched, dta, seed):
+    # a batch derives its rates in one call over every (run, step) row and
+    # run b reads slices of them: each equals the run simulated alone
+    rng = np.random.default_rng(seed)
+    sc = random_case(rng, shape, int(rng.integers(3, 10)))
+    controls = random_controls(rng, sc, True, dta)
+    x0 = sc.x0 * rng.uniform(0.5, 1.0, size=(3, 1)) if batched != "inflow" else None
+    lam = sc.inflow * rng.uniform(0.5, 1.5, size=(3, 1, 1)) if batched != "x0" else None
+    runs = simulate_batch(sc, x0=x0, inflow=lam, controls=controls, model=model)
+    for b in range(3):
+        alone = simulate(with_run(sc, sc.x0 if x0 is None else x0[b],
+                                  sc.inflow if lam is None else lam[b]), controls, model)
+        for name in ("states", "y", "z", "mu", "gamma", "f"):
+            got, want = getattr(runs[b], name), getattr(alone, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_batch_derives_rates_once(robustness_scenario, monkeypatch):
+    # the runs of a 31-run T = 200 batch read slices of one derivation, a
+    # single junction_rates call over the (B, T, n) states; the step loop
+    # itself keeps none of the rates
+    sc = robustness_scenario
+    lam = sc.inflow + np.linspace(0.0, 3.0, 31)[:, None, None] * sc.network.source
+    runs = simulate_batch(sc, inflow=lam)
+    shapes = []
+    rates = ctm.junction_rates
+    monkeypatch.setattr(ctm, "junction_rates",
+                        lambda net, x, *a: shapes.append(x.shape) or rates(net, x, *a))
+    gammas = [runs[b].gamma for b in range(len(lam))]
+    assert shapes == [(len(lam), sc.horizon, sc.network.n)]
+    for b, gamma in enumerate(gammas):
+        assert gamma.shape == (sc.horizon, sc.network.n)
+        assert runs[b].min_gamma() == float(gamma.min()) and runs[b].f.shape[0] == sc.horizon
+    assert runs.y.shape == (len(lam), sc.horizon, sc.network.n) and len(shapes) == 1
 
 
 def full_horizon(sc: Scenario, x0, lam, controls, model) -> dict:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctmflow import robustness, scenarios
+from ctmflow import ctm, robustness, scenarios
 from ctmflow.ctm import (FREEFLOW_TOL, MODELS, CostSpec, Drive, junction_rates, simulate,
                          simulate_batch, step)
 from ctmflow.network import Cell, Network, Scenario, constant_routing
@@ -436,3 +436,16 @@ class TestCombined:
         p4 = equilibrium_envelope_bound(robustness_scenario, pert)
         assert np.all(combo <= p3 + 1e-12)
         assert np.all(combo <= p4 + 1e-12)
+
+
+def test_sweep_derives_no_rates(robustness_scenario, monkeypatch):
+    # the sweep reads the states of its runs only: no junction_rates call
+    # derives the rates of a (B, T, n) batch
+    ndims = []
+    rates = ctm.junction_rates
+    counted = lambda net, x, *a: ndims.append(np.ndim(x)) or rates(net, x, *a)
+    for module in (ctm, robustness):
+        monkeypatch.setattr(module, "junction_rates", counted)
+    _, points = robustness.sweep(robustness_scenario, np.linspace(0.0, 3.0, 7), models=MODELS)
+    assert ndims and set(ndims) == {2}
+    assert all(len(points[model]) == 7 for model in MODELS)
