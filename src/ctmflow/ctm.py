@@ -109,50 +109,35 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Running cost psi(x, z) summed over cells and steps.
+    """Running cost psi(x, z) = a x + b x^2 + c z summed over cells and
+    steps, of one of four kinds, with per-cell (a, b, c):
 
-    kind: TTT | TTD | Delay | QuadraticVolume | WeightedSum.
-    weights: optional per-cell weight vector (defaults to ones).
-    components: for WeightedSum, tuple of (coefficient, CostSpec).
+        TTT              a = 1                      total travel time
+        TTD              c = -L                     total travel distance, negated
+        Delay            a = 1, c = -1/demand_slope
+        QuadraticVolume  b = 1
     """
 
     kind: str
-    weights: tuple[float, ...] | None = None
-    components: tuple = ()
 
-    KINDS = ("TTT", "TTD", "Delay", "QuadraticVolume", "WeightedSum")
+    KINDS = ("TTT", "TTD", "Delay", "QuadraticVolume")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}")
-        if self.kind == "WeightedSum" and not self.components:
-            raise ValueError("WeightedSum needs components")
 
     def coefficients(self, network: Network) -> tuple:
         """Per-cell (a, b, c) of the running cost a x + b x^2 + c z."""
-        n = network.n
-        a, b, c = np.zeros(n), np.zeros(n), np.zeros(n)
-
-        def add(spec: CostSpec, coef: float):
-            w = coef * (np.ones(n) if spec.weights is None else np.asarray(spec.weights, float))
-            if w.shape != (n,):
-                raise ValueError(f"weights shape {w.shape} != ({n},)")
-            if spec.kind in ("TTT", "Delay"):
-                a[:] += w
-            if spec.kind == "QuadraticVolume":
-                b[:] += w
-            if spec.kind == "TTD":
-                c[:] -= w * np.array([cell.length for cell in network.cells])
-            if spec.kind == "Delay":
-                slope = network.demand_slope
-                if np.any(slope <= 0):
-                    raise ValueError("Delay cost needs positive demand slopes")
-                c[:] -= w / slope
-            for sub_coef, sub in spec.components:     # WeightedSum
-                add(sub, coef * sub_coef)
-
-        add(self, 1.0)
-        return a, b, c
+        one, zero = np.ones(network.n), np.zeros(network.n)
+        if self.kind == "TTT":
+            return one, zero, zero
+        if self.kind == "QuadraticVolume":
+            return zero, one, zero
+        if self.kind == "TTD":
+            return zero, zero, -np.array([cell.length for cell in network.cells])
+        if np.any(network.demand_slope <= 0):     # Delay
+            raise ValueError("Delay cost needs positive demand slopes")
+        return one, zero, -1.0 / network.demand_slope
 
 
 def held_rows(a, T: int) -> np.ndarray:

@@ -232,8 +232,6 @@ def _build(scenario: Scenario, cost: CostSpec, eps: float, kind: str) -> ConvexP
     b_ub[sup[:, inner] + 1] = shrink * scenario.capacity[:, inner]
 
     a, b, cz = cost.coefficients(net)
-    if np.any(b < 0):
-        raise ValueError("quadratic objective must be convex (nonnegative weights)")
     c_vec, q_vec = np.zeros(n_vars), np.zeros(n_vars)
     c_vec[x], q_vec[x], c_vec[mu], c_vec[f] = a, b, cz[sink], cz[src]
     return ConvexProgram(

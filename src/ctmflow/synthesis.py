@@ -84,7 +84,6 @@ def extract_controls(program: ConvexProgram, solution: Solution) -> ControlSched
 class RealizationReport:
     max_deviation: float          # max over t, i of |x_sim - x_ref|
     tolerance: float              # 1e-6 * (1 + max |x_ref|)
-    demand_identity: float        # max |z - d_bar(x, alpha)| over steps
     trajectory: Trajectory
 
     @property
@@ -103,10 +102,7 @@ def verify_realization(controls: ControlSchedule, scenario: Scenario,
     ref = np.asarray(reference_states, dtype=float)
     dev = float(np.max(np.abs(traj.states - ref)))
     tol = 1e-6 * (1.0 + float(np.max(np.abs(ref))))
-    dbar = Drive.for_run(scenario, controls).demand(traj.states[:-1], slice(None))
-    return RealizationReport(max_deviation=dev, tolerance=tol,
-                             demand_identity=float(np.abs(traj.z - dbar).max(initial=0.0)),
-                             trajectory=traj)
+    return RealizationReport(max_deviation=dev, tolerance=tol, trajectory=traj)
 
 
 @dataclass

@@ -27,15 +27,6 @@ from ctmflow.program import ConvexProgram, _sparse
 from ctm_reference import capacity
 
 
-def cell_weights(spec, n: int) -> np.ndarray:
-    if spec.weights is None:
-        return np.ones(n)
-    w = np.asarray(spec.weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights shape {w.shape} != ({n},)")
-    return w
-
-
 def _objective(cost, scenario, outflow_cols, var_index: dict, n_vars: int):
     """c and q; outflow_cols(t, cell) lists the columns that a price on
     that cell's outflow z lands on."""
@@ -43,38 +34,26 @@ def _objective(cost, scenario, outflow_cols, var_index: dict, n_vars: int):
     T = scenario.horizon
     c = np.zeros(n_vars)
     q = np.zeros(n_vars)
-
-    def add(spec, coef: float):
-        w = cell_weights(spec, net.n)
-        if spec.kind == "TTT":
-            for t in range(T + 1):
-                for k, cell in enumerate(net.cells):
-                    c[var_index[("x", t, cell.id)]] += coef * w[k]
-        elif spec.kind == "QuadraticVolume":
-            for t in range(T + 1):
-                for k, cell in enumerate(net.cells):
-                    q[var_index[("x", t, cell.id)]] += coef * w[k]
-        elif spec.kind == "TTD":
-            for t in range(T):
-                for k, cell in enumerate(net.cells):
-                    for col in outflow_cols(t, cell.id):
-                        c[col] -= coef * w[k] * cell.length
-        elif spec.kind == "Delay":
-            for t in range(T + 1):
-                for k, cell in enumerate(net.cells):
-                    c[var_index[("x", t, cell.id)]] += coef * w[k]
-            for t in range(T):
-                for k, cell in enumerate(net.cells):
-                    slope = cell.free_flow_speed * net.tau / cell.length
-                    for col in outflow_cols(t, cell.id):
-                        c[col] -= coef * w[k] / slope
-        elif spec.kind == "WeightedSum":
-            for sub_coef, sub in spec.components:
-                add(sub, coef * sub_coef)
-        else:
-            raise AssertionError(spec.kind)
-
-    add(cost, 1.0)
+    if cost.kind in ("TTT", "Delay"):
+        for t in range(T + 1):
+            for cell in net.cells:
+                c[var_index[("x", t, cell.id)]] += 1.0
+    elif cost.kind == "QuadraticVolume":
+        for t in range(T + 1):
+            for cell in net.cells:
+                q[var_index[("x", t, cell.id)]] += 1.0
+    elif cost.kind != "TTD":
+        raise AssertionError(cost.kind)
+    for t in range(T):
+        for cell in net.cells:
+            if cost.kind == "TTD":
+                price = cell.length
+            elif cost.kind == "Delay":
+                price = 1.0 / (cell.free_flow_speed * net.tau / cell.length)
+            else:
+                continue
+            for col in outflow_cols(t, cell.id):
+                c[col] -= price
     return c, q
 
 

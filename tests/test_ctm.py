@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctmflow.cli import main
+from ctmflow.cli import COST_KINDS, main
 from ctmflow.ctm import MODELS, CostSpec, evaluate_cost, priority_merge_flows, simulate, step
 from ctmflow.network import Cell, Network, Scenario, constant_routing
 
@@ -263,12 +263,32 @@ class TestCosts:
         total_flow = float(table_fifo.z.sum())
         assert val == pytest.approx(-500.0 * total_flow)
 
-    def test_weighted_sum(self, table_fifo):
-        ttt = evaluate_cost(table_fifo, CostSpec("TTT"))
-        quad = evaluate_cost(table_fifo, CostSpec("QuadraticVolume"))
-        combo = CostSpec("WeightedSum",
-                         components=((2.0, CostSpec("TTT")), (0.5, CostSpec("QuadraticVolume"))))
-        assert evaluate_cost(table_fifo, combo) == pytest.approx(2 * ttt + 0.5 * quad)
+    def test_cost_surface_is_the_cli_kinds(self):
+        # every kind is reachable from the command line, and nothing else builds
+        assert sorted(COST_KINDS.values()) == sorted(CostSpec.KINDS)
+        assert len(set(CostSpec.KINDS)) == len(CostSpec.KINDS)
+        with pytest.raises(ValueError, match="unknown cost kind"):
+            CostSpec("WeightedSum")
+        with pytest.raises(TypeError):
+            CostSpec("TTT", weights=(1.0,))
+
+    def test_coefficient_table(self):
+        # the (a, b, c) of each kind, bit for bit, on cells of unequal
+        # lengths and demand slopes: TTD's c is -L and Delay's -1/slope
+        speed, length, tau = (1.1, 0.7, 1.3), (0.3, 1.7, 2.9), 0.1
+        ids = ("a", "b", "c")
+        cells = tuple(Cell(i, v, 0.5, L, 1, 50.0, [5.0]) for i, v, L in zip(ids, speed, length))
+        net = Network(cells=cells, adjacency=(("a", "b"), ("b", "c")),
+                      sources=frozenset({"a"}), sinks=frozenset({"c"}), tau=tau)
+        one, zero = np.ones(3), np.zeros(3)
+        expected = {"TTT": (one, zero, zero), "QuadraticVolume": (zero, one, zero),
+                    "TTD": (zero, zero, np.array([-L for L in length])),
+                    "Delay": (one, zero, np.array([-1.0 / (v * tau / L)
+                                                   for v, L in zip(speed, length)]))}
+        assert len(set(net.demand_slope.tolist())) == 3
+        for kind in CostSpec.KINDS:
+            got = CostSpec(kind).coefficients(net)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected[kind]], kind
 
     def test_quadratic_benchmark_value(self, table_fifo):
         # pipeline self-consistency (published table value documented in README)

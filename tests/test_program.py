@@ -17,7 +17,7 @@ from ctmflow.solver import solve, verify_solution
 from ctmflow.synthesis import ControlSchedule, verify_realization
 
 from conftest import random_scenario
-from tests_support import read_lp, underscore_scenario, var_index
+from tests_support import cost_program, read_lp, underscore_scenario, var_index
 
 
 def single_cell_scenario():
@@ -111,14 +111,9 @@ class TestAssembly:
         for shape in ("chain", "diverge", "merge", "diamond", "cross", "loop"):
             sc = self_loop_scenario() if shape == "loop" else random_scenario(
                 rng, shape=shape, horizon=4)
-            weights = tuple(rng.uniform(0.5, 2.0, size=sc.network.n))
-            costs = (CostSpec("TTT"), CostSpec("QuadraticVolume"), CostSpec("TTD"),
-                     CostSpec("Delay"),
-                     CostSpec("WeightedSum", components=(
-                         (0.5, CostSpec("TTT")), (2.0, CostSpec("Delay", weights=weights)),
-                         (0.25, CostSpec("QuadraticVolume", weights=weights)))))
             for (kind, build), cost, eps in itertools.product(
-                    (("DTA", build_dta), ("FNC", build_fnc)), costs, (0.0, 0.2)):
+                    (("DTA", build_dta), ("FNC", build_fnc)), map(CostSpec, CostSpec.KINDS),
+                    (0.0, 0.2)):
                 got, ref = build(sc, cost, eps), reference_program(sc, cost, eps, kind)
                 for mat in ("A_eq", "A_ub"):
                     a, b = getattr(got, mat), getattr(ref, mat)
@@ -214,12 +209,8 @@ class TestFullSpaceEquivalence:
     rows (``program_reference.full_space_program``): the same optimum on
     every test shape, both kinds, three costs and two eps."""
 
-    COSTS = {"ttt": CostSpec("TTT"), "quad": CostSpec("QuadraticVolume"),
-             "ttt+quad": CostSpec("WeightedSum", components=((1.0, CostSpec("TTT")),
-                                                             (0.5, CostSpec("QuadraticVolume"))))}
-
     @pytest.mark.parametrize("eps", [0.0, 0.3])
-    @pytest.mark.parametrize("cost", sorted(COSTS))
+    @pytest.mark.parametrize("cost", ["quad", "ttt", "ttt+quad"])     # tests_support.cost_program
     @pytest.mark.parametrize("kind", ["DTA", "FNC"])
     @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
     @settings(max_examples=3, deadline=None, derandomize=True, database=None)
@@ -228,8 +219,8 @@ class TestFullSpaceEquivalence:
         from program_reference import full_space_program, lift
 
         sc = random_scenario(np.random.default_rng(seed), shape=shape)
-        prog = (build_dta if kind == "DTA" else build_fnc)(sc, self.COSTS[cost], eps)
-        full = full_space_program(sc, self.COSTS[cost], eps, kind)
+        prog = cost_program(build_dta if kind == "DTA" else build_fnc, sc, cost, eps)
+        full = cost_program(full_space_program, sc, cost, eps, kind)
         got, ref = solve(prog), solve(full)
         assert abs(got.objective - ref.objective) <= 1e-9 * abs(ref.objective)
         if prog.is_quadratic:
@@ -372,12 +363,9 @@ class TestExport:
         # seeded random programs: every cost form (linear, quadratic, both)
         # and eps, written and read back number for number
         build = {"DTA": build_dta, "FNC": build_fnc}[kind]
-        costs = (CostSpec("TTT"), CostSpec("QuadraticVolume"),
-                 CostSpec("WeightedSum", components=((1.0, CostSpec("TTT")),
-                                                     (0.5, CostSpec("QuadraticVolume")))))
         rng = np.random.default_rng(29)
-        for cost, eps in itertools.product(costs, (0.0, 0.3)):
-            prog = build(random_scenario(rng, shape=shape), cost, eps)
+        for cost, eps in itertools.product(("ttt", "quad", "ttt+quad"), (0.0, 0.3)):
+            prog = cost_program(build, random_scenario(rng, shape=shape), cost, eps)
             path = tmp_path / "prog.lp"
             export_lp(prog, path)
             self.assert_file_is_program(path, prog)

@@ -25,6 +25,7 @@ from ctmflow.solver import (FW_TOL, LP_RESIDUAL_TOL, SolverError, freeflow_optim
 from conftest import freeflow_scenario, random_scenario
 from program_reference import full_space_program
 from solver_reference import brute_force_oracle, drained_lp, frank_wolfe_gap, highs_qp
+from tests_support import cost_program
 
 # valid QPs that are hard to certify:
 # - a 3-cell chain (T = 11, one inflow entry of 2.7e-6, the 8th
@@ -44,11 +45,7 @@ HARD_QPS = [Path(__file__).with_name(name) for name in (
 
 SHAPES = ["chain", "diverge", "merge", "diamond", "cross"]
 
-QP_COSTS = {
-    "quad": CostSpec("QuadraticVolume"),
-    "ttt+quad": CostSpec("WeightedSum", components=((1.0, CostSpec("TTT")),
-                                                    (0.5, CostSpec("QuadraticVolume")))),
-}
+QP_COSTS = ["quad", "ttt+quad"]     # tests_support.cost_program
 
 
 def chain_scenario(n=2, T=2, inflow=2.0, cap=4.0, jam=8.0, slope=0.8):
@@ -335,21 +332,21 @@ class TestCertifiedQP:
     """The interior point with its active-set polish, property-tested
     against HiGHS's active-set QP as an independent reference."""
 
-    @pytest.mark.parametrize("cost", sorted(QP_COSTS))
+    @pytest.mark.parametrize("cost", QP_COSTS)
     @pytest.mark.parametrize("kind", ["DTA", "FNC"])
     @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_highs(self, shape, kind, cost, seed):
         sc = random_scenario(np.random.default_rng(seed), shape=shape)
-        prog = (build_dta if kind == "DTA" else build_fnc)(sc, QP_COSTS[cost])
+        prog = cost_program(build_dta if kind == "DTA" else build_fnc, sc, cost)
         new = solve(prog)
         assert frank_wolfe_gap(prog, new.values) <= FW_TOL * (1.0 + abs(new.objective))
         # HiGHS solves the full-space program (y, z and mu as variables),
         # where its states have stayed within 1e-6 of the optimum; on the
         # program's own smaller layout it stops 1.5e-6 away (diamond DTA
         # quad, seed 22710816, at a Frank-Wolfe gap of 4.7e-6)
-        full = full_space_program(sc, QP_COSTS[cost], 0.0, kind)
+        full = cost_program(full_space_program, sc, cost, 0.0, kind)
         try:
             ref = highs_qp(full)
         except SolverError as exc:
@@ -403,7 +400,7 @@ class TestCertifiedQP:
 
         assert [certifies(*item) for item in yielded] == [False] * (len(yielded) - 1) + [True]
 
-    @pytest.mark.parametrize("cost", sorted(QP_COSTS))
+    @pytest.mark.parametrize("cost", QP_COSTS)
     @pytest.mark.parametrize("kind", ["DTA", "FNC"])
     @pytest.mark.parametrize("shape", ["chain", "diverge", "merge", "diamond", "cross"])
     @settings(max_examples=3, deadline=None, derandomize=True, database=None)
@@ -414,7 +411,7 @@ class TestCertifiedQP:
         # g stays below HiGHS's optimum at the certified multipliers and
         # at perturbed ones
         sc = random_scenario(np.random.default_rng(seed), shape=shape)
-        prog = (build_dta if kind == "DTA" else build_fnc)(sc, QP_COSTS[cost])
+        prog = cost_program(build_dta if kind == "DTA" else build_fnc, sc, cost)
         polished, polish = [], solver._polish
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_polish",
@@ -426,7 +423,7 @@ class TestCertifiedQP:
         for point in (sol.values, run):
             assert (point <= upper + 1e-9 * (1.0 + upper)).all()
         try:
-            reference = highs_qp(full_space_program(sc, QP_COSTS[cost], 0.0, kind)).objective
+            reference = highs_qp(cost_program(full_space_program, sc, cost, 0.0, kind)).objective
         except SolverError as exc:      # "Solve error": the certified point is then the reference
             assert "Solve error" in str(exc)
             reference = sol.objective
@@ -517,10 +514,12 @@ class TestFreeflowOptimum:
         assert simulate(varying).is_freeflow()
         assert freeflow_optimum(build_fnc(varying, CostSpec("TTT"))) is None
         # costs other than total volume, and the DTA
-        weights = tuple(float(w) for w in np.arange(1.0, sc.network.n + 1.0))
-        for cost in (CostSpec("QuadraticVolume"), CostSpec("TTT", weights=weights),
-                     CostSpec("TTD"), CostSpec("Delay")):
+        for cost in (CostSpec("QuadraticVolume"), CostSpec("TTD"), CostSpec("Delay")):
             assert freeflow_optimum(build_fnc(sc, cost)) is None
+        weighted = build_fnc(sc, CostSpec("TTT"))
+        weighted.c[weighted.span("x")] = np.tile(np.arange(1.0, sc.network.n + 1.0),
+                                                 sc.horizon + 1)
+        assert freeflow_optimum(weighted) is None
         assert freeflow_optimum(build_dta(sc, CostSpec("TTT"))) is None
         # another scenario's free-flow run, feasible for the program but
         # slower than its own (half the free-flow speed on every cell): the

@@ -5,7 +5,7 @@ import pytest
 
 from ctmflow import scenarios
 from ctmflow.cli import main
-from ctmflow.ctm import CostSpec, InvariantError, evaluate_cost, simulate
+from ctmflow.ctm import CostSpec, Drive, InvariantError, evaluate_cost, simulate
 from ctmflow.program import build_dta, build_fnc
 from ctmflow.solver import freeflow_optimum, solve
 from ctmflow.synthesis import (ControlSchedule, check_fnc_structure, extract_controls,
@@ -102,7 +102,10 @@ class TestReplayTightness:
         rep = verify_realization(controls, table_scenario, ref, model=model)
         assert rep.realized
         assert rep.always_freeflow
-        assert rep.demand_identity <= 1e-9
+        # the replay sends its demand d_bar(x, alpha) at every step
+        dbar = Drive.for_run(table_scenario, controls).demand(rep.trajectory.states[:-1],
+                                                              slice(None))
+        assert np.abs(rep.trajectory.z - dbar).max() <= 1e-9
 
     @pytest.mark.parametrize("model", ["fifo", "nonfifo"])
     def test_dta_replay(self, table_scenario, dta_ttt, model):
@@ -177,21 +180,22 @@ class TestStructureCheck:
 
     def test_total_volume_as_the_lemma_reads_it(self):
         # the check and the free-flow lemma take one test of total-volume
-        # cost: per-cell weights are refused by both, though the cost kind
-        # is TTT (the check used to run and report a 0.375 cost gap), and
-        # twice the total volume is accepted by both
+        # cost, read off the program's objective: per-cell weights 1..n on
+        # x are refused by both, though the cost kind is TTT (the check
+        # used to run and report a 0.375 cost gap), and twice the total
+        # volume is accepted by both
         sc = scenarios.robustness_scenario(horizon=40)
         fifo = simulate(sc)
-        weighted = CostSpec("TTT", weights=tuple(float(w) for w in range(1, sc.network.n + 1)))
-        prog = build_fnc(sc, weighted)
+        prog = build_fnc(sc, CostSpec("TTT"))
+        prog.c[prog.span("x")] = np.tile(np.arange(1.0, sc.network.n + 1.0), sc.horizon + 1)
         assert not prog.is_total_volume and freeflow_optimum(prog) is None
         with pytest.raises(ValueError, match="total-volume"):
-            check_fnc_structure(prog, solve(prog), evaluate_cost(fifo, weighted))
-        doubled = CostSpec("WeightedSum", components=((2.0, CostSpec("TTT")),))
-        prog = build_fnc(sc, doubled)
+            check_fnc_structure(prog, solve(prog), prog.objective_value(prog.pack(fifo)))
+        prog = build_fnc(sc, CostSpec("TTT"))
+        prog.c[prog.span("x")] = 2.0
         sol = freeflow_optimum(prog)
         assert prog.is_total_volume and sol is not None
-        assert check_fnc_structure(prog, sol, evaluate_cost(fifo, doubled)).ok
+        assert check_fnc_structure(prog, sol, prog.objective_value(prog.pack(fifo))).ok
 
     def test_refuses_unequal_slopes(self):
         rng = np.random.default_rng(52)

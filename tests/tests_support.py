@@ -5,12 +5,22 @@ from typing import NamedTuple
 import numpy as np
 
 from ctmflow import solver
+from ctmflow.ctm import CostSpec
 from ctmflow.network import Cell, Network, Scenario, constant_routing
 
 
 def var_index(program) -> dict:
     """Column of each variable name (``ConvexProgram.names``) of a program."""
     return {name: k for k, name in enumerate(program.names)}
+
+
+def cost_program(build, scenario, cost: str, *args):
+    """build(scenario, CostSpec, *args) for a test cost: "ttt", "quad", or
+    "ttt+quad", the TTT program with 0.5 x^2 set on every volume."""
+    prog = build(scenario, CostSpec("QuadraticVolume" if cost == "quad" else "TTT"), *args)
+    if cost == "ttt+quad":
+        prog.q[prog.span("x")] = 0.5
+    return prog
 
 
 class LpFile(NamedTuple):
